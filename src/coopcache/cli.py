@@ -180,6 +180,21 @@ def _check(out: TextIO, label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _first_user_rate_bound_failure() -> str:
+    """The first config, scanning K, then alpha_max, then p, whose
+    user-rate upper bound falls below R_u, described; "" if none does."""
+    for K in range(4, 13):
+        for amax in sorted({1, 2, K // 2}):
+            if not (1 <= amax <= max(1, K // 2)):
+                continue
+            for i in range(1, 100):
+                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
+                regime, bound = corollary_bounds(cfg)
+                if bound < rate_components(cfg).R_u:
+                    return f"first failure K={K} alpha_max={amax} p={cfg.p} ({regime})"
+    return ""
+
+
 def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
     """Gap certifications plus standing invariants; 0 iff everything holds."""
     spec = load_grid_spec(grid_path)
@@ -242,20 +257,10 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
         prev = lo
     ok &= _check(out, "p_th strictly decreasing on K in 3..64", mono)
 
-    coro_ok = True
-    detail = ""
-    for K in range(4, 13):
-        for amax in sorted({1, 2, K // 2}):
-            if not (1 <= amax <= max(1, K // 2)):
-                continue
-            for i in range(1, 100):
-                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
-                regime, bound = corollary_bounds(cfg)
-                if bound < rate_components(cfg).R_u:
-                    coro_ok = False
-                    detail = f"first failure K={K} alpha_max={amax} p={cfg.p} ({regime})"
-                    break
-    ok &= _check(out, "user-rate upper bounds dominate R_u (K in 4..12)", coro_ok, detail)
+    detail = _first_user_rate_bound_failure()
+    ok &= _check(
+        out, "user-rate upper bounds dominate R_u (K in 4..12)", not detail, detail
+    )
 
     shared_ok = all(
         corollary_bounds(SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=1))[1]

@@ -20,14 +20,22 @@ the round lasts as long as its most loaded group).
 
 :func:`brute_force_decode_check` re-derives what every user can decode by
 peeling: starting from its cache, a user resolves any received symbol with
-at most one unknown constituent, iterating to a fixpoint.  It never consults
-the scheduler's own coverage bookkeeping, so scheduler bugs cannot vouch
-for themselves.
+exactly one unknown constituent, until no symbol resolves anything more.
+Peeling runs from a worklist (the peeling decoder of Luby's LT codes): each
+symbol counts its unknown constituents, an index maps each fragment to the
+symbols waiting on it, and learning a fragment readies exactly the symbols
+it completes.  Coverage is summed once per user, grouped by subfile.  So the
+check costs time linear in the log, per user.  It never consults the
+scheduler's own coverage bookkeeping, so scheduler bugs cannot vouch for
+themselves.  On failure it names the first user, file and subfile that
+cannot be recovered.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Optional, Sequence, Union
@@ -229,6 +237,9 @@ class CentralFragmentResolver(FragmentResolver):
         t = int(self.config.t)
         self.C = math.comb(self.config.K, t)
         self._index = {T: i for i, T in enumerate(placement.subsets)}
+        self._subfile_size = Frac(1, self.C)
+        # a fragment's size depends only on (part, count)
+        self._frag_sizes: dict[tuple[str, int], Frac] = {}
         self.F = F
         if F is not None:
             need = required_central_F(self.config, plan)
@@ -244,18 +255,23 @@ class CentralFragmentResolver(FragmentResolver):
         return list(self._index)
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
-        return Frac(1, self.C)
+        return self._subfile_size
 
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         start = self._index[T] * self.sub_len
         return np.arange(start, start + self.sub_len)
 
     def frag_size(self, frag: FragmentId) -> Frac:
-        if frag.part == "s":
-            return self.plan.server_share / self.C
-        if frag.part == "u":
-            return (1 - self.plan.server_share) / (self.C * frag.count)
-        raise ValueError(f"unknown centralized part {frag.part!r}")
+        key = (frag.part, frag.count)
+        if key not in self._frag_sizes:
+            if frag.part == "s":
+                size = self.plan.server_share / self.C
+            elif frag.part == "u":
+                size = (1 - self.plan.server_share) / (self.C * frag.count)
+            else:
+                raise ValueError(f"unknown centralized part {frag.part!r}")
+            self._frag_sizes[key] = size
+        return self._frag_sizes[key]
 
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
         start = self._index[frag.subset] * self.sub_len
@@ -287,12 +303,18 @@ class DecentralFragmentResolver(FragmentResolver):
         self._keys = [
             T for size in range(K + 1) for T in enumerate_subsets(K, size)
         ]
+        # sizes depend only on the subset's size and the fragment's
+        # (part, count); keying by shape keeps these memos tiny
+        self._subfile_sizes: dict[int, Frac] = {}
+        self._frag_sizes: dict[tuple[str, int, int], Frac] = {}
 
     def subfile_keys(self) -> list[tuple[int, ...]]:
         return self._keys
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
-        return self.placement.subfile_size(T)
+        if len(T) not in self._subfile_sizes:
+            self._subfile_sizes[len(T)] = self.placement.subfile_size(T)
+        return self._subfile_sizes[len(T)]
 
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         return self.placement.subfile_positions[(file, T)]
@@ -318,8 +340,11 @@ class DecentralFragmentResolver(FragmentResolver):
         return base + span * Frac(frag.index, frag.count), span / frag.count
 
     def frag_size(self, frag: FragmentId) -> Frac:
-        _, span = self._shares(frag)
-        return span * self.subfile_size(frag.subset)
+        key = (frag.part, frag.count, len(frag.subset))
+        if key not in self._frag_sizes:
+            _, span = self._shares(frag)
+            self._frag_sizes[key] = span * self.subfile_size(frag.subset)
+        return self._frag_sizes[key]
 
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
         pos = self.subfile_positions(frag.file, frag.subset)
@@ -424,52 +449,97 @@ def execute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _peel_known_fragments(
-    log: TransmissionLog, user: int, library: Optional[BitLibrary] = None
-) -> dict[FragmentId, Optional[np.ndarray]]:
-    """Fragments ``user`` ends up knowing: cached subsets plus everything
-    peelable from received symbols (at most one unknown constituent each).
-    Values are payloads in bit mode, None in fluid mode."""
+def _live_fragments(log: TransmissionLog) -> list[tuple[FragmentId, ...]]:
+    """Per log entry, its constituent fragments of nonzero size, in order.
+
+    An empty fragment is known to every user, so no symbol waits on it.
+    Emptiness does not depend on the user, so it is decided once per log.
+    """
     resolver = log.resolver
     bit_mode = log.mode == "bits"
-    known: dict[FragmentId, Optional[np.ndarray]] = {}
 
-    def knows(frag: FragmentId) -> bool:
-        if frag in known:
-            return True
-        if user in frag.subset:
-            return True
+    def empty(frag: FragmentId) -> bool:
         if bit_mode:
             return len(resolver.frag_positions(frag)) == 0
         return resolver.frag_size(frag) == 0
 
-    def payload_of(frag: FragmentId) -> np.ndarray:
-        if frag in known and known[frag] is not None:
-            return known[frag]
-        # cached (or empty) fragment: read it straight off the subfile bits
-        return library.files[frag.file][resolver.frag_positions(frag)]
+    return [
+        tuple(c.fragment for c in e.symbol.constituents if not empty(c.fragment))
+        for e in log.entries
+    ]
 
-    received = [e for e in log.entries if user in e.receivers]
-    progress = True
-    while progress:
-        progress = False
-        for e in received:
-            unknown = [c for c in e.symbol.constituents if not knows(c.fragment)]
-            if len(unknown) != 1:
-                continue
-            target = unknown[0].fragment
-            if bit_mode:
-                acc = np.array(e.symbol.payload, copy=True)
-                for c in e.symbol.constituents:
-                    if c.fragment == target:
-                        continue
-                    part = payload_of(c.fragment)
-                    acc[: len(part)] ^= part
-                length = len(resolver.frag_positions(target))
-                known[target] = acc[:length]
-            else:
-                known[target] = None
-            progress = True
+
+def _peel_known_fragments(
+    log: TransmissionLog,
+    user: int,
+    library: Optional[BitLibrary],
+    live: list[tuple[FragmentId, ...]],
+) -> dict[FragmentId, Optional[np.ndarray]]:
+    """Fragments ``user`` learns by peeling its received symbols, in the
+    order it learns them.  Values are payloads in bit mode, None in fluid
+    mode.  ``live`` is :func:`_live_fragments` of the log.
+
+    A symbol resolves its one unknown constituent once every other one is
+    known: cached, empty, or learned.  A received symbol with one unknown
+    joins the worklist at once.  One with more keeps a count of them, with
+    multiplicity (a symbol holding the same unknown fragment twice never
+    resolves), and an index maps each unknown fragment to the symbols
+    waiting on it.  Learning a fragment decrements their counts; a symbol
+    whose count reaches 1 joins the worklist.  A symbol whose unknown was
+    learned from another symbol before its turn is passed over.  Each
+    received constituent is handled a bounded number of times, so the cost
+    is linear in what the user receives.
+
+    The worklist is keyed ``sweep * n + position``: symbols resolve in the
+    order repeated in-order sweeps over the received symbols would meet
+    them.  So where two symbols could yield the same fragment with different
+    payloads (a corrupted log), the one a sweeping decoder reaches first
+    wins, and the verdict does not depend on the worklist order.
+    """
+    resolver = log.resolver
+    bit_mode = log.mode == "bits"
+    received = [i for i, e in enumerate(log.entries) if user in e.receivers]
+    n = len(received)
+    ready: list[int] = []  # built in order, so already a heap
+    missing: dict[int, int] = {}
+    waiting: dict[FragmentId, list[int]] = {}
+    for r, i in enumerate(received):
+        unknown = [f for f in live[i] if user not in f.subset]
+        if len(unknown) == 1:
+            ready.append(r)
+        elif unknown:
+            missing[r] = len(unknown)
+            for f in unknown:
+                waiting.setdefault(f, []).append(r)
+
+    known: dict[FragmentId, Optional[np.ndarray]] = {}
+    while ready:
+        sweep, r = divmod(heapq.heappop(ready), n)
+        frags = live[received[r]]
+        target = next(
+            (f for f in frags if user not in f.subset and f not in known), None
+        )
+        if target is None:  # another symbol yielded it first
+            continue
+        if bit_mode:
+            acc = np.array(log.entries[received[r]].symbol.payload, copy=True)
+            for f in frags:
+                if f == target:
+                    continue
+                # a cached fragment is read straight off the subfile bits
+                part = (
+                    known[f]
+                    if f in known
+                    else library.files[f.file][resolver.frag_positions(f)]
+                )
+                acc[: len(part)] ^= part
+            known[target] = acc[: len(resolver.frag_positions(target))]
+        else:
+            known[target] = None
+        for w in waiting.pop(target, ()):
+            missing[w] -= 1
+            if missing[w] == 1:
+                heapq.heappush(ready, (sweep if w > r else sweep + 1) * n + w)
     return known
 
 
@@ -477,27 +547,78 @@ def _uncovered_subfile(
     log: TransmissionLog, user: int, want: int, known: dict
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` that ``known`` does not fully cover
-    (exact size bookkeeping; parts partition their subfile)."""
+    (fluid mode; exact size bookkeeping, parts partition their subfile).
+
+    The fragments one part of a subfile is split into are equal in size, so
+    known fragments are counted once by (subset, part, count), each such
+    shape is sized once, and each subfile's sum is compared with its size.
+    """
     resolver = log.resolver
-    bit_mode = log.mode == "bits"
+    shapes = Counter((f.subset, f.part, f.count) for f in known if f.file == want)
+    whole = {T for T, part, _ in shapes if part == "full"}
+    covered: dict[tuple[int, ...], Frac] = {}
+    for (T, part, count), n in shapes.items():
+        if part != "full":
+            size = resolver.frag_size(FragmentId(want, T, part, 0, count))
+            covered[T] = covered.get(T, 0) + n * size
+    for T in resolver.subfile_keys():
+        if user in T or T in whole:
+            continue
+        if covered.get(T, 0) != resolver.subfile_size(T):
+            return T
+    return None
+
+
+def _misassembled_subfile(
+    log: TransmissionLog, user: int, want: int, known: dict, library: BitLibrary
+) -> Optional[tuple[int, ...]]:
+    """First needed subfile of ``want`` whose bits, reassembled from the
+    learned payloads, differ from the library (bit mode).  The subfiles
+    partition the file, so no mismatch means the file is rebuilt exactly."""
+    resolver = log.resolver
+    original = library.files[want]
+    rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
+    for frag, payload in known.items():
+        if frag.file == want:
+            rebuilt[resolver.frag_positions(frag)] = payload
     for T in resolver.subfile_keys():
         if user in T:
             continue
-        if bit_mode:
-            target = Frac(len(resolver.subfile_positions(want, T)))
-        else:
-            target = resolver.subfile_size(T)
-        if target == 0:
-            continue
-        if FragmentId(want, T, "full", 0, 1) in known:
-            continue
-        sizes = (
-            (Frac(len(resolver.frag_positions(f))) if bit_mode else resolver.frag_size(f))
-            for f in known
-            if f.file == want and f.subset == T and f.part != "full"
-        )
-        if sum(sizes, Frac(0)) != target:
+        pos = resolver.subfile_positions(want, T)
+        if not np.array_equal(rebuilt[pos], original[pos]):
             return T
+    return None
+
+
+def _first_decode_failure(
+    log: TransmissionLog,
+    demands: Sequence[int],
+    library: Optional[BitLibrary] = None,
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """The first user, in user order, that cannot recover its demanded file,
+    as (user, file, subfile), or None when every user recovers it.  One
+    peeling pass per user, derived independently of the scheduler.
+
+    Fluid mode checks exact size coverage of every needed subfile; bit mode
+    reassembles the file bit-for-bit and compares against the library.
+    """
+    config = log.config
+    if log.resolver is None:
+        raise ValueError("log carries no fragment resolver")
+    if log.mode == "bits" and library is None:
+        raise ValueError("bit-mode decode check needs the library")
+    demands = validate_demands(config, demands)
+
+    live = _live_fragments(log)
+    for k in config.users():
+        want = demands[k - 1]
+        known = _peel_known_fragments(log, k, library, live)
+        if log.mode == "fluid":
+            T = _uncovered_subfile(log, k, want, known)
+        else:
+            T = _misassembled_subfile(log, k, want, known, library)
+        if T is not None:
+            return k, want, T
     return None
 
 
@@ -513,34 +634,7 @@ def brute_force_decode_check(
     Fluid mode checks exact size coverage of every needed subfile; bit mode
     reassembles the file bit-for-bit and compares against the library.
     """
-    config = log.config
-    resolver = log.resolver
-    if resolver is None:
-        raise ValueError("log carries no fragment resolver")
-    if log.mode == "bits" and library is None:
-        raise ValueError("bit-mode decode check needs the library")
-    demands = validate_demands(config, demands)
-
-    for k in config.users():
-        want = demands[k - 1]
-        known = _peel_known_fragments(log, k, library)
-        if log.mode == "fluid":
-            if _uncovered_subfile(log, k, want, known) is not None:
-                return False
-        else:
-            rebuilt = np.full(config.F, 2, dtype=np.uint8)
-            for T in resolver.subfile_keys():
-                if k in T:
-                    pos = resolver.subfile_positions(want, T)
-                    rebuilt[pos] = library.files[want][pos]
-            for frag, payload in known.items():
-                if frag.file != want or payload is None:
-                    continue
-                pos = resolver.frag_positions(frag)
-                rebuilt[pos] = payload
-            if not np.array_equal(rebuilt, library.files[want]):
-                return False
-    return True
+    return _first_decode_failure(log, demands, library) is None
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +767,11 @@ def run_decentralized(
     )
     decode_ok = None
     if check_decode:
-        decode_ok = brute_force_decode_check(log, placement, demands, library)
-        if not decode_ok:
-            first = _first_undecodable(log, demands, library)
-            raise RuntimeError(f"decode failure: user cannot recover {first}")
+        failure = _first_decode_failure(log, demands, library)
+        if failure is not None:
+            k, want, T = failure
+            raise RuntimeError(
+                f"decode failure: user cannot recover user {k}, file {want}, subfile {T}"
+            )
+        decode_ok = True
     return SimulationResult(log, decode_ok, report, plan, schedule, placement, library)
-
-
-def _first_undecodable(log, demands, library):
-    """Name one (user, subfile) pair that the peeling decoder cannot cover."""
-    for k in log.config.users():
-        want = demands[k - 1]
-        known = _peel_known_fragments(log, k, library)
-        T = _uncovered_subfile(log, k, want, known)
-        if T is not None:
-            return f"user {k}, file {want}, subfile {T}"
-    return "a fragment not visible to coverage accounting"

@@ -167,6 +167,30 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys, monkeypatch):
     assert "violation" in out
 
 
+def test_verify_names_the_first_user_rate_bound_failure(tmp_path, capsys, monkeypatch):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "centralized_gap": {"K": [2, 3], "N_max_multiple": 1,
+                            "alpha_max_choices": [1]},
+        "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
+    }))
+    real = cli.corollary_bounds
+    failing = {(5, 2, Frac(3, 10)), (9, 4, Frac(1, 2))}
+
+    def corollary_bounds(cfg):
+        regime, bound = real(cfg)
+        if (cfg.K, cfg.alpha_max, cfg.p) in failing:
+            return regime, Frac(0)
+        return regime, bound
+
+    monkeypatch.setattr(cli, "corollary_bounds", corollary_bounds)
+    code, out, _ = _run(capsys, ["verify", "--grid", str(grid)])
+    assert code == 1
+    line = next(x for x in out.splitlines() if "dominate R_u" in x)
+    assert line.startswith("[FAIL]")
+    assert "first failure K=5 alpha_max=2 p=3/10 (" in line
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ plus received symbols alone, and deleting any single load-bearing symbol
 must break decodability.  Bit mode must converge to the fluid rates.
 """
 
+import dataclasses
 from fractions import Fraction as Frac
 
 import numpy as np
 import pytest
 
+import coopcache.simulator as simulator
 from coopcache import (
     BitLibrary,
     LogEntry,
@@ -233,3 +235,67 @@ def test_decode_failure_is_reported_not_swallowed():
     starved = TransmissionLog(cfg, "fluid", resolver=res.log.resolver)
     starved.entries = [e for e in res.log.entries if e.sender == 0]
     assert not brute_force_decode_check(starved, res.placement, (1, 2, 3))
+
+
+# bit mode: the worklist also drives the XOR path that rebuilds payloads
+BIT_RUNS = {
+    "centralized": lambda: run_centralized(
+        SystemConfig(4, 4, 2, alpha_max=2, F=120), mode="bits"
+    ),
+    "decentralized": lambda: run_decentralized(
+        SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600), mode="bits"
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(BIT_RUNS))
+def test_bit_mode_deleting_a_symbol_breaks_decode_unless_redundant(scheme):
+    res = BIT_RUNS[scheme]()
+    log, demands = res.log, tuple(res.log.config.users())
+    assert brute_force_decode_check(log, res.placement, demands, res.library)
+    for i, entry in enumerate(log.entries):
+        mutated = TransmissionLog(
+            log.config, "bits", log.entries[:i] + log.entries[i + 1 :], log.resolver
+        )
+        ok = brute_force_decode_check(mutated, res.placement, demands, res.library)
+        assert ok == entry.symbol.redundant, i
+
+
+@pytest.mark.parametrize("scheme", sorted(BIT_RUNS))
+def test_bit_mode_flipping_one_payload_bit_breaks_decode(scheme):
+    res = BIT_RUNS[scheme]()
+    log, demands = res.log, tuple(res.log.config.users())
+    for i, entry in enumerate(log.entries):
+        # the last bit lies in the symbol's longest constituent; bit 0 of a
+        # raw W_{n,()} would lie in its server share, which the redundant
+        # singleton symbol delivers again and which then overwrites it
+        payload = np.array(entry.symbol.payload, copy=True)
+        payload[-1] ^= 1
+        flipped = dataclasses.replace(
+            entry, symbol=dataclasses.replace(entry.symbol, payload=payload)
+        )
+        mutated = TransmissionLog(
+            log.config, "bits", log.entries[:i] + [flipped] + log.entries[i + 1 :],
+            log.resolver,
+        )
+        assert not brute_force_decode_check(
+            mutated, res.placement, demands, res.library
+        ), i
+
+
+@pytest.mark.parametrize("mode", ["fluid", "bits"])
+def test_decentralized_decode_failure_names_user_file_and_subfile(mode, monkeypatch):
+    execute = simulator.execute_schedule
+
+    def starved(*args, **kwargs):
+        log = execute(*args, **kwargs)
+        log.entries = [e for e in log.entries if e.sender == 0]
+        return log
+
+    monkeypatch.setattr(simulator, "execute_schedule", starved)
+    cfg = SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600)
+    with pytest.raises(RuntimeError) as exc:
+        run_decentralized(cfg, mode=mode)
+    assert str(exc.value) == (
+        "decode failure: user cannot recover user 1, file 1, subfile (2,)"
+    )
