@@ -23,12 +23,18 @@ R1 = lambda * K(1-M/N) / (1+t).  The default lambda equalises the two.
 The scheduler here realises those rates *exactly*: it fixes a slot sequence
 (alpha disjoint groups per slot, cycling the canonical partition list),
 derives per-group symbol quotas from it, routes every pico-file to a hosting
-group with a small integer max-flow, and assembles each group's symbols so
-that a receiver never appears in its own sender slot.  A refinement factor
-rho (pico-files sub-split into rho equal units) is raised through a
-deterministic ladder until the flow is feasible; a uniform full-cycle
-sequence is always feasible, so the ladder terminates.  Rates are invariant
-to rho.
+group, and assembles each group's symbols so that a receiver never appears
+in its own sender slot.  A refinement factor rho (pico-files sub-split into
+rho equal units) is raised through a deterministic ladder until the routing
+is feasible; a uniform full-cycle sequence is always feasible, so the ladder
+terminates.  Rates are invariant to rho.  A rung's quotas come in closed
+form (full cycles plus a tail); the slot sequence is built only for the rung
+that is chosen.  With groups of t+1 members (m = t) every pico-file has one
+possible hosting group, so a rung is decided by a quota check; otherwise by
+a small integer max-flow (Dinic's algorithm, with an iterative search).
+Before anything is enumerated, the uniform rung's symbol count is computed
+in closed form, and a schedule that could exceed ``MAX_USER_SYMBOLS`` is
+refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .model import (
     XorSymbol,
     enumerate_equal_partitions,
     enumerate_subsets,
+    equal_partition_count,
     validate_demands,
 )
 
@@ -289,6 +296,11 @@ def build_server_schedule(
 # ---------------------------------------------------------------------------
 
 
+# Refuse a user schedule whose worst-case size, the symbol count of the
+# uniform full-cycle rung, exceeds this, before anything is enumerated.
+MAX_USER_SYMBOLS = 500_000
+
+
 class _Dinic:
     """Small deterministic integer max-flow (adjacency in insertion order)."""
 
@@ -309,41 +321,54 @@ class _Dinic:
         return eid
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
+                for eid in adj[u]:
+                    v = to[eid]
+                    if cap[eid] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    eid = self.adj[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got > 0:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            # Depth-first search for blocking flow, with an explicit path of
+            # edges instead of recursion.  A node's pointer it[u] advances
+            # only past an edge that is unusable or leads to a dead end,
+            # never on success, and every augmentation restarts from the
+            # source: the paths found are those of the recursive search.
+            path: list[int] = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= pushed
+                        cap[eid ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                    continue
+                edges, nxt, i = adj[u], level[u] + 1, it[u]
+                n_edges = len(edges)
+                while i < n_edges:
+                    eid = edges[i]
+                    if cap[eid] > 0 and level[to[eid]] == nxt:
+                        break
+                    i += 1
+                it[u] = i
+                if i < n_edges:
+                    path.append(eid)
+                    u = to[eid]
+                elif u == s:
                     break
-                flow += pushed
+                else:  # dead end: retreat and skip the edge that led here
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def _solve_hosting(
@@ -404,18 +429,59 @@ def _solve_hosting(
     return out
 
 
+def _forced_hosting(
+    classes: list[tuple[int, tuple[int, ...]]],
+    hosts: list[tuple[int, ...]],
+    quotas: Counter,
+    L: int,
+    m: int,
+) -> Optional[dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]]]:
+    """``_solve_hosting`` for groups of t+1 members (m == t), without a flow.
+
+    Class (j, T) can then be hosted only by G = T+{j}, so the one flow sends
+    L units from each of G's fp = m+1 members into G.  It saturates iff every
+    hosting group has m*quota(G) >= fp*L, which also gives quota(G) >= L,
+    the per-receiver cap.  ``hosts`` lists every (t+1)-subset.
+    """
+    fp = m + 1
+    if any(m * quotas[G] < fp * L for G in hosts):
+        return None
+    return {(j, T): [(tuple(sorted(T + (j,))), L)] for (j, T) in classes}
+
+
+def _hosting_decider(K: int, t: int, m: int):
+    """The hosting decision of one ladder rung, as a function of the rung's
+    quotas and unit count L: a quota check when every class has a single
+    hosting group (m == t), the max-flow otherwise."""
+    subsets_t = enumerate_subsets(K, t)
+    classes = [(j, T) for j in range(1, K + 1) for T in subsets_t if j not in T]
+    if m == t:
+        hosts = enumerate_subsets(K, m + 1)
+        return lambda quotas, L: _forced_hosting(classes, hosts, quotas, L, m)
+    candidates = {
+        (j, T): [tuple(sorted((j,) + B)) for B in itertools.combinations(T, m)]
+        for (j, T) in classes
+    }
+    return lambda quotas, L: _solve_hosting(classes, candidates, dict(quotas), L, m)
+
+
 def _slot_quotas(
-    partitions: list[tuple[tuple[int, ...], ...]], slots: int, offset: int
-) -> tuple[list[tuple[tuple[int, ...], ...]], Counter]:
-    """Cyclic slot sequence over the canonical partition list, plus the
-    per-group appearance counts it induces."""
+    partitions: list[tuple[tuple[int, ...], ...]],
+    cycle: Counter,
+    slots: int,
+    offset: int,
+) -> Counter:
+    """Per-group appearance counts of the cyclic slot sequence over the
+    canonical partition list that starts at ``offset``: the counts of one
+    full cycle (``cycle``) times the full cycles, plus the partial tail.
+    The sequence itself is not built."""
     beta = len(partitions)
-    seq = [partitions[(offset + i) % beta] for i in range(slots)]
-    quotas: Counter = Counter()
-    for part in seq:
-        for G in part:
+    full, tail = divmod(slots, beta)
+    quotas: Counter = Counter({G: full * c for G, c in cycle.items()} if full else {})
+    for i in range(tail):
+        for G in partitions[(offset + i) % beta]:
             quotas[G] += 1
-    return seq, quotas
+    return quotas
 
 
 def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
@@ -453,9 +519,15 @@ def build_user_schedule(
     disjoint groups per slot); a symbol from sender u in group G XORs one
     pico-file W^{u,l}_{d_j,T_j} for every other member j (with G\\{j}
     contained in T_j, so everyone else in G caches it and j can strip it).
-    Raises SchedulingError if no feasible assignment exists at any rung of
-    the refinement ladder (which would indicate an internal inconsistency —
-    the uniform full-cycle rung is provably feasible).
+
+    Each rung of the refinement ladder is decided on its quotas alone: by a
+    quota check when groups have t+1 members (each pico-file then has one
+    hosting group), by a max-flow otherwise.  Raises ValueError, before any
+    enumeration, when the uniform rung would need more than
+    ``MAX_USER_SYMBOLS`` symbols (lcm(slots, partitions) * alpha).  Raises
+    SchedulingError if no feasible assignment exists at any rung of the
+    ladder (which would indicate an internal inconsistency — the uniform
+    full-cycle rung is provably feasible).
     """
     d = validate_demands(config, demands)
     placement = build_central_placement(config)
@@ -468,30 +540,34 @@ def build_user_schedule(
     fp = min(g, t + 1)
     m = fp - 1
     assert m == int(coding_gain_m(K, Frac(t), alpha))
-    subsets_t = enumerate_subsets(K, t)
-    classes = [(j, T) for j in config.users() for T in subsets_t if j not in T]
-    candidates = {
-        (j, T): [tuple(sorted((j,) + B)) for B in itertools.combinations(T, m)]
-        for (j, T) in classes
-    }
-    partitions = enumerate_equal_partitions(K, fp, alpha)
-    beta = len(partitions)
     P1 = K * math.comb(K - 1, t) * plan.L1
     if P1 % (m * alpha):
         raise SchedulingError(
             f"layer count L1={plan.L1} does not make the slot count integral"
         )
     slots1 = P1 // (m * alpha)
+    beta = equal_partition_count(K, fp, alpha)
+    worst = math.lcm(slots1, beta) * alpha  # user symbols at the uniform rung
+    if worst > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"user schedule for K={K}, t={t}, alpha={alpha} may need {worst} "
+            f"user symbols, above the limit of {MAX_USER_SYMBOLS}"
+        )
+
+    decide = _hosting_decider(K, t, m)
+    partitions = enumerate_equal_partitions(K, fp, alpha)
+    cycle = Counter(G for part in partitions for G in part)
 
     last_err = "no attempts made"
     for rho, offset in _rho_ladder(slots1, beta):
         L = plan.L1 * rho
         slots = slots1 * rho
-        seq, quotas = _slot_quotas(partitions, slots, offset)
-        assignment = _solve_hosting(classes, candidates, dict(quotas), L, m)
+        quotas = _slot_quotas(partitions, cycle, slots, offset)
+        assignment = decide(quotas, L)
         if assignment is None:
             last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
             continue
+        seq = [partitions[(offset + i) % beta] for i in range(slots)]
         return _assemble_schedule(
             config, placement, plan, d, seq, quotas, assignment, L, fp
         )

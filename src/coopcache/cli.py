@@ -290,24 +290,25 @@ def cmd_simulate(args, out: TextIO) -> int:
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"
     )
+    try:
+        if args.scheme == "centralized":
+            res = run_centralized(
+                config,
+                demands,
+                seed=args.seed,
+                mode=args.mode,
+                alpha=args.alpha,
+                server_share=as_frac(args.server_share) if args.server_share else None,
+            )
+        else:
+            res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
+    except RuntimeError as e:  # a scheduling error or a decode failure
+        out.write(f"error: {e}\n")
+        return 1
+    plan = res.plan
     if args.scheme == "centralized":
-        res = run_centralized(
-            config,
-            demands,
-            seed=args.seed,
-            mode=args.mode,
-            alpha=args.alpha,
-            server_share=as_frac(args.server_share) if args.server_share else None,
-        )
-        plan = res.plan
         out.write(f"alpha={plan.alpha} lambda={plan.server_share} L1={plan.L1}\n")
     else:
-        try:
-            res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
-        except RuntimeError as e:
-            out.write(f"error: {e}\n")
-            return 1
-        plan = res.plan
         lam2 = {s: str(v) for s, v in plan.lambda2_by_round.items()}
         out.write(f"lambda={plan.server_share} lambda2={lam2}\n")
     sched = res.schedule

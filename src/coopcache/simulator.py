@@ -216,6 +216,13 @@ def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
     return math.lcm(*dens)
 
 
+def _near_equal_part(n: int, parts: int, i: int) -> tuple[int, int]:
+    """(start, length) of part ``i`` when ``n`` items are cut into ``parts``
+    near-equal runs, the longer ones first, as ``np.array_split`` cuts."""
+    q, r = divmod(n, parts)
+    return i * q + min(i, r), q + (i < r)
+
+
 class CentralFragmentResolver(FragmentResolver):
     """Deterministic contiguous layout for the centralized scheme.
 
@@ -285,8 +292,8 @@ class CentralFragmentResolver(FragmentResolver):
                 )
             rho = frag.count // L1
             lo = start + self.s_len + (frag.index // rho) * self.u_len
-            slice_pos = np.arange(lo, lo + self.u_len)
-            return np.array_split(slice_pos, rho)[frag.index % rho]
+            first, length = _near_equal_part(self.u_len, rho, frag.index % rho)
+            return np.arange(lo + first, lo + first + length)
         raise ValueError(f"unknown centralized part {frag.part!r}")
 
 
@@ -355,16 +362,19 @@ class DecentralFragmentResolver(FragmentResolver):
             return pos
         if frag.part == "s":
             return pos[:s_len]
-        user = pos[s_len:]
         if frag.part == "u":
-            return np.array_split(user, frag.count)[frag.index]
-        s = len(frag.subset) + 1
-        u1_len = math.floor(self.plan.lambda2_by_round[s] * len(user))
-        if frag.part == "u1":
-            return np.array_split(user[:u1_len], frag.count)[frag.index]
-        if frag.part == "u2":
-            return np.array_split(user[u1_len:], frag.count)[frag.index]
-        raise ValueError(f"unknown decentralized part {frag.part!r}")
+            lo, hi = s_len, n
+        else:
+            s = len(frag.subset) + 1
+            u1_end = s_len + math.floor(self.plan.lambda2_by_round[s] * (n - s_len))
+            if frag.part == "u1":
+                lo, hi = s_len, u1_end
+            elif frag.part == "u2":
+                lo, hi = u1_end, n
+            else:
+                raise ValueError(f"unknown decentralized part {frag.part!r}")
+        first, length = _near_equal_part(hi - lo, frag.count, frag.index)
+        return pos[lo + first : lo + first + length]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +584,21 @@ def _misassembled_subfile(
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` whose bits, reassembled from the
     learned payloads, differ from the library (bit mode).  The subfiles
-    partition the file, so no mismatch means the file is rebuilt exactly."""
+    partition the file, so no mismatch means the file is rebuilt exactly.
+    Where two learned payloads cover the same bits and disagree, the later
+    one's subfile is named at once."""
     resolver = log.resolver
     original = library.files[want]
     rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
     for frag, payload in known.items():
         if frag.file == want:
-            rebuilt[resolver.frag_positions(frag)] = payload
+            pos = resolver.frag_positions(frag)
+            # a fragment learned twice (a subfile and its own server share)
+            # must agree with what is already in place
+            before = rebuilt[pos]
+            if np.any((before != 2) & (before != payload)):
+                return frag.subset
+            rebuilt[pos] = payload
     for T in resolver.subfile_keys():
         if user in T:
             continue

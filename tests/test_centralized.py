@@ -7,12 +7,14 @@ argmin re-derived here.
 """
 
 import math
+import time
 from fractions import Fraction as Frac
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coopcache.centralized as centralized
 from coopcache import (
     SchedulingError,
     SystemConfig,
@@ -257,3 +259,45 @@ def test_schedule_builds_for_any_feasible_shape(shape):
     m = coding_gain_m(K, Frac(t), plan.alpha)
     expected = (1 - plan.server_share) * K * (1 - cfg.p) / m if m > 0 else Frac(0)
     assert total == expected
+
+
+# ---------------------------------------------------------------------------
+# size guard
+# ---------------------------------------------------------------------------
+
+
+def test_oversized_user_schedule_is_refused_before_enumeration():
+    cfg = SystemConfig(28, 14, 4, alpha_max=7)  # once killed for memory
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="may need 16816800 user symbols"):
+        build_delivery(cfg, demands=tuple(range(1, 15)))
+    assert time.perf_counter() - start < 1.0
+
+
+class _Enumerated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "shape", [(24, 12, 6, 3), (20, 10, 4, 5)]  # 69,300 and 25,200 symbols
+)
+def test_size_guard_admits_schedules_below_the_limit(shape, monkeypatch):
+    def stop(*args):
+        raise _Enumerated
+
+    # the guard runs first; reaching the partition enumeration means it passed
+    monkeypatch.setattr(centralized, "enumerate_equal_partitions", stop)
+    N, K, M, amax = shape
+    with pytest.raises(_Enumerated):
+        build_delivery(SystemConfig(N, K, M, alpha_max=amax), tuple(range(1, K + 1)))
+
+
+def test_size_guard_limit_is_inclusive(monkeypatch):
+    demands = tuple(range(1, 7))
+    # the worked example at alpha=2: lcm(15 slots, 10 partitions) * 2 = 60
+    monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", 60)
+    _, sched = build_delivery(WORKED, demands, alpha=2, server_share=Frac(1, 3))
+    assert sched.user_symbol_count() == 30  # rho = 1 suffices
+    monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", 59)
+    with pytest.raises(ValueError, match="may need 60 user symbols"):
+        build_delivery(WORKED, demands, alpha=2, server_share=Frac(1, 3))

@@ -1,8 +1,8 @@
 """Command-line front-end: sweep/verify/simulate plumbing and formats.
 
 Runs ``main`` in-process and checks emitted values against the library,
-output byte-stability, and the exit-code contract (0 ok, 1 verification or
-decode failure, 2 usage errors).
+output byte-stability, and the exit-code contract (0 ok, 1 verification,
+decode or scheduling failure, 2 usage errors and refused sizes).
 """
 
 import csv
@@ -12,8 +12,10 @@ from fractions import Fraction as Frac
 
 import pytest
 
+import coopcache.centralized as centralized
 import coopcache.cli as cli
 from coopcache import (
+    SchedulingError,
     SystemConfig,
     centralized_delay,
     decentralized_delay,
@@ -286,3 +288,30 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_simulate_centralized_scheduling_error_exits_1(capsys, monkeypatch):
+    def infeasible(config, plan, demands):
+        raise SchedulingError("user delivery infeasible for K=4, t=2, alpha=1")
+
+    monkeypatch.setattr(centralized, "build_user_schedule", infeasible)
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", "centralized", "--N", "4", "--K", "4",
+         "--M", "2", "--alpha-max", "2"],
+    )
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "error: user delivery infeasible for K=4, t=2, alpha=1"
+    )
+    assert err == ""
+
+
+def test_simulate_refuses_an_oversized_schedule_with_exit_2(capsys):
+    code, _, err = _run(
+        capsys,
+        ["simulate", "--scheme", "centralized", "--N", "28", "--K", "14",
+         "--M", "4", "--alpha-max", "7"],
+    )
+    assert code == 2
+    assert "16816800 user symbols" in err

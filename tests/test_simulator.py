@@ -299,3 +299,34 @@ def test_decentralized_decode_failure_names_user_file_and_subfile(mode, monkeypa
     assert str(exc.value) == (
         "decode failure: user cannot recover user 1, file 1, subfile (2,)"
     )
+
+
+def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
+    # the three raw server symbols carry W_{n,()} whole; the redundant
+    # singleton symbols deliver its server share again, over the same bits
+    res = BIT_RUNS["decentralized"]()
+    log = res.log
+    for i, entry in enumerate(log.entries):
+        payload = np.array(entry.symbol.payload, copy=True)
+        payload[0] ^= 1
+        flipped = dataclasses.replace(
+            entry, symbol=dataclasses.replace(entry.symbol, payload=payload)
+        )
+        mutated = TransmissionLog(
+            log.config, "bits", log.entries[:i] + [flipped] + log.entries[i + 1 :],
+            log.resolver,
+        )
+        failure = simulator._first_decode_failure(mutated, (1, 2, 3), res.library)
+        assert failure is not None, i
+        if i < 3:
+            assert failure == (i + 1, i + 1, ()), i
+
+
+@pytest.mark.parametrize("n", list(range(0, 13)) + [97, 1000])
+def test_near_equal_part_matches_array_split(n):
+    items = np.arange(n)
+    for parts in range(1, 9):
+        pieces = np.array_split(items, parts)
+        for i in range(parts):
+            start, length = simulator._near_equal_part(n, parts, i)
+            assert np.array_equal(items[start : start + length], pieces[i])
