@@ -73,13 +73,6 @@ class CentralPlacement:
     t: int
     subsets: tuple[tuple[int, ...], ...]  # all t-subsets, lex order
 
-    def cache_subsets(self, user: int) -> tuple[tuple[int, ...], ...]:
-        """Subfile labels cached by ``user`` (those T containing it)."""
-        return tuple(T for T in self.subsets if user in T)
-
-    def caches(self, user: int, subset: tuple[int, ...]) -> bool:
-        return user in subset
-
 
 def build_central_placement(config: SystemConfig) -> CentralPlacement:
     t = config.t

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Optional, Sequence
 
+from .centralized import MAX_USER_SYMBOLS
 from .model import (
     Constituent,
     DeliverySchedule,
@@ -302,16 +303,32 @@ class DecentralPlacement:
         p = self.config.p
         return p ** len(T) * (1 - p) ** (self.config.K - len(T))
 
-    def subfile_bit_count(self, file: int, T: tuple[int, ...]) -> int:
-        return len(self.subfile_positions[(file, T)])
-
-    def caches(self, user: int, T: tuple[int, ...]) -> bool:
-        return user in T
-
 
 def build_decentral_placement(
     config: SystemConfig, seed: int = 0, mode: str = "fluid"
 ) -> DecentralPlacement:
+    """Random placement, fluid (sizes only) or bits (positions).
+
+    The placement and the fragment resolver enumerate N*2^K (file, subset)
+    entries, so a config with more than ``MAX_USER_SYMBOLS`` of them is
+    refused with a ValueError before anything is built, in both modes; as
+    N >= K, this also keeps K <= 15, so a bit's caching-set code fits 16
+    bits.
+
+    In bit mode user k caches the ``rng.choice`` draw seeded (seed, k, n)
+    of each file n.  Each bit of a file gets the code sum 2^(k-1) over the
+    users caching it, held in the smallest unsigned dtype that fits K bits,
+    and one stable (radix) argsort of the codes groups the bits by caching
+    set in position order; the subfile bounds are the running sum of the
+    code counts, so W_{n,T} is a view of that order, and only one file's
+    codes are live at a time.
+    """
+    entries = config.N << config.K
+    if entries > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"decentralized placement needs N*2^K = {entries} (file, subset) "
+            f"entries, above the limit of {MAX_USER_SYMBOLS}"
+        )
     if mode == "fluid":
         return DecentralPlacement(config, "fluid", seed)
     if mode != "bits":
@@ -323,28 +340,25 @@ def build_decentral_placement(
     K, N, F = config.K, config.N, config.F
     per_file = int(config.M * F / config.N)  # floor(M*F/N)
     pl = DecentralPlacement(config, "bits", seed)
-    masks = {}
+    code_type = np.min_scalar_type((1 << K) - 1).type
+    # every subset in (size, lex) order with its mask code
+    subset_codes = [
+        (T, sum(1 << (k - 1) for k in T))
+        for size in range(K + 1)
+        for T in enumerate_subsets(K, size)
+    ]
     for n in range(1, N + 1):
-        mask = np.zeros(F, dtype=np.uint32)
+        mask = np.zeros(F, dtype=code_type)
         for k in range(1, K + 1):
             rng = np.random.default_rng((seed, k, n))
             pos = rng.choice(F, size=per_file, replace=False)
             pos.sort()
             pl.cache_positions[(k, n)] = pos
-            mask[pos] |= np.uint32(1 << (k - 1))
-        masks[n] = mask
-    for n in range(1, N + 1):
-        mask = masks[n]
+            mask[pos] |= code_type(1 << (k - 1))
         order = np.argsort(mask, kind="stable")
-        sorted_mask = mask[order]
-        for size in range(0, K + 1):
-            for T in enumerate_subsets(K, size):
-                code = sum(1 << (k - 1) for k in T)
-                lo = np.searchsorted(sorted_mask, code, side="left")
-                hi = np.searchsorted(sorted_mask, code, side="right")
-                pos = order[lo:hi]
-                pos.sort()
-                pl.subfile_positions[(n, T)] = pos
+        bounds = [0, *np.cumsum(np.bincount(mask, minlength=1 << K)).tolist()]
+        for T, code in subset_codes:
+            pl.subfile_positions[(n, T)] = order[bounds[code]:bounds[code + 1]]
     return pl
 
 

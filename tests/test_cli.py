@@ -8,6 +8,7 @@ decode or scheduling failure, 2 usage errors and refused sizes).
 import csv
 import io
 import json
+import time
 from fractions import Fraction as Frac
 
 import pytest
@@ -315,3 +316,18 @@ def test_simulate_refuses_an_oversized_schedule_with_exit_2(capsys):
     )
     assert code == 2
     assert "16816800 user symbols" in err
+
+
+def test_simulate_refuses_an_oversized_decentralized_placement_with_exit_2(capsys):
+    # 33 * 2^33 (file, subset) entries; a 32-bit mask code would overflow
+    start = time.perf_counter()
+    for mode in (["--mode", "fluid"], ["--mode", "bits", "--F", "100"]):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--scheme", "decentralized", "--N", "33", "--K", "33",
+             "--M", "1", *mode],
+        )
+        assert code == 2
+        assert err.startswith("error: decentralized placement needs N*2^K = ")
+        assert "283467841536 (file, subset) entries" in err
+    assert time.perf_counter() - start < 1.0

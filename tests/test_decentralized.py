@@ -13,6 +13,8 @@ from fractions import Fraction as Frac
 
 import numpy as np
 import pytest
+
+import coopcache.decentralized as decentralized
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -246,6 +248,28 @@ def test_bit_placement_is_seed_deterministic():
         for T in _all_subsets(3)
     )
     assert differs
+
+
+@pytest.mark.parametrize("mode", ["fluid", "bits"])
+def test_placement_size_guard_limit_is_inclusive(mode, monkeypatch):
+    cfg = SystemConfig(3, 3, 1, alpha_max=1, F=30)  # 3 * 2^3 = 24 entries
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 24)
+    placement = build_decentral_placement(cfg, mode=mode)
+    if mode == "bits":
+        assert len(placement.subfile_positions) == 24
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 23)
+    with pytest.raises(ValueError, match=r"N\*2\^K = 24 \(file, subset\) entries"):
+        build_decentral_placement(cfg, mode=mode)
+
+
+def test_placement_size_guard_runs_before_any_enumeration(monkeypatch):
+    def stop(*args):
+        raise AssertionError("enumerated before the size guard")
+
+    monkeypatch.setattr(decentralized, "enumerate_subsets", stop)
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 23)
+    with pytest.raises(ValueError, match="above the limit of 23"):
+        build_decentral_placement(SystemConfig(3, 3, 1, F=30), mode="bits")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""The counting-sort bit placement against the searchsorted oracle.
+
+``tests/placement_oracle.py`` holds the bit placement as it was before the
+split became one stable argsort plus code counts per file.  The fast one
+must give the same ``subfile_positions`` (values, dtype and key order) and
+the same ``cache_positions`` on every shape, including the edges: one user,
+empty and full caches, F not divisible by N, and F below 2^K.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import placement_oracle as oracle
+from coopcache import SystemConfig, build_decentral_placement
+
+
+def _assert_same_placement(config, seed):
+    fast = build_decentral_placement(config, seed=seed, mode="bits")
+    ref = oracle.build_bit_placement(config, seed=seed)
+    for name in ("subfile_positions", "cache_positions"):
+        got, want = getattr(fast, name), getattr(ref, name)
+        assert list(got) == list(want), name
+        for key, pos in want.items():
+            assert got[key].dtype == pos.dtype, (name, key)
+            assert np.array_equal(got[key], pos), (name, key)
+
+
+# (N, K, M, F); M is a cache size in files, so p = M/N
+SHAPES = [
+    (3, 3, 1, 300),  # p = 1/3, every split non-empty
+    (4, 4, 0, 40),  # empty caches: per_file = 0, every bit in W_{n,()}
+    (4, 4, 4, 40),  # full caches: every bit in W_{n,{1..4}}
+    (3, 3, 2, 100),  # M*F/N = 200/3 is floored
+    (5, 5, 2, 7),  # F = 7 < 2^5: most subfiles are empty
+    (6, 6, 2, 1001),
+    (9, 9, 3, 2000),  # a 16-bit mask code
+]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 4242])
+def test_fast_placement_matches_oracle(shape, seed):
+    N, K, M, F = shape
+    _assert_same_placement(SystemConfig(N, K, M, F=F), seed)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_fast_placement_matches_oracle_with_one_user(M):
+    # SystemConfig needs K >= 2; the placement reads only N, K, M and F
+    config = SimpleNamespace(N=2, K=1, M=Fraction(M), F=11)
+    _assert_same_placement(config, seed=3)
+
+
+@given(
+    K=st.integers(2, 6),
+    extra_files=st.integers(0, 2),
+    cache_quarters=st.integers(0, 4),
+    F=st.integers(1, 150),
+    seed=st.integers(0, 10**6),
+)
+def test_fast_placement_matches_oracle_on_random_shapes(
+    K, extra_files, cache_quarters, F, seed
+):
+    N = K + extra_files
+    config = SystemConfig(N, K, Fraction(cache_quarters * N, 4), F=F)
+    _assert_same_placement(config, seed)

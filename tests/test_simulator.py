@@ -6,6 +6,7 @@ must break decodability.  Bit mode must converge to the fluid rates.
 """
 
 import dataclasses
+import hashlib
 from fractions import Fraction as Frac
 
 import numpy as np
@@ -25,6 +26,7 @@ from coopcache import (
     run_centralized,
     run_decentralized,
 )
+from coopcache.cli import main
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3, F=4500)
 
@@ -330,3 +332,32 @@ def test_near_equal_part_matches_array_split(n):
         for i in range(parts):
             start, length = simulator._near_equal_part(n, parts, i)
             assert np.array_equal(items[start : start + length], pieces[i])
+
+
+# (N, K, M, alpha_max, F) -> SHA-256 of `simulate` stdout and of the
+# exported log of a decentralized bit-mode run at seed 0, recorded from the
+# searchsorted placement: the README's decentralized example and a `bits`
+# benchmark op
+PINNED_DECENTRAL_BIT_RUNS = {
+    ("7", "7", "4", "1", "70000"): (
+        "bd727adb762fe5809d9dfb131700ff5be05aced959b6ae0f07f93f8bbb6b65da",
+        "23b1d95defe53ee1a189e6bed07a2f6b6e29f45bc151dfd59e6991dafd1e4570",
+    ),
+    ("6", "6", "2", "3", "1000000"): (
+        "5570426d9ed16adc48fba0a673a224c6ad2dc0073944b4faf2270112363f25ec",
+        "663b8fdb1e720f8ce8d173384fbc02aa7417742fb28f19b3c33f80f1b6e8625a",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_DECENTRAL_BIT_RUNS), ids=str)
+def test_decentralized_bit_run_output_is_unchanged(run, tmp_path, monkeypatch, capsys):
+    N, K, M, amax, F = run
+    stdout_sha, export_sha = PINNED_DECENTRAL_BIT_RUNS[run]
+    monkeypatch.chdir(tmp_path)  # stdout names the log path
+    argv = ["simulate", "--scheme", "decentralized", "--N", N, "--K", K, "--M", M,
+            "--alpha-max", amax, "--mode", "bits", "--F", F, "--export-log", "log.csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest() == export_sha
