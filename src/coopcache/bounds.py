@@ -3,14 +3,17 @@
 The cut-set style lower bound on the optimal delay combines three families
 of cuts: the half-rate singleton cut (1/2)(1-M/N), server-only cuts
 s - K*M/floor(N/s), and cooperative cuts (s - s*M/floor(N/s))/(1+alpha_max),
-each maximised over the cut size s in 1..K.
+each maximised over the cut size s in 1..K; no achievable delay enters it.
 
 Gap certification sweeps explicit config grids (the shipped default grid
 lives in data/acceptance_grid.json) and checks the achievable-to-lower-bound
 ratio against regime constants: 31 for the centralized scheme (2 on the
 large-cache region t >= K-1), and for the decentralized scheme 24 on a
 shared link, 6 above the memory threshold p_th with full parallelism, 77 in
-the intermediate-parallelism regime.  p_th(K) is the unique root of
+the intermediate-parallelism regime.  Both take the ratio by one rule,
+``gap_ratio``: 1 where the achievable delay and the converse are both 0
+(only at M = N, as the half-rate cut is positive below it), else achievable
+over converse.  p_th(K) is the unique root of
 (K+1)(1-p)^(K-1) = 1; side-of-threshold tests are exact rational
 comparisons, and the reported value is a bisection interval of width 1e-9.
 """
@@ -25,8 +28,13 @@ from fractions import Fraction as Frac
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Union
 
-from .centralized import centralized_delay, choose_alpha, coding_gain_m
-from .decentralized import decentralized_delay
+from .centralized import centralized_delay, choose_alpha
+from .decentralized import (
+    corollary_bounds,
+    decentralized_delay,
+    parallelism_regime,
+    rate_components,
+)
 from .model import SystemConfig, as_frac
 
 # ---------------------------------------------------------------------------
@@ -68,34 +76,32 @@ def p_star(K: int) -> Frac:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Converse evaluation at a single config.
+    """Converse evaluation at a single config; no achievable delay.
 
     ``cutset_terms`` are the three cut-family maxima (half-rate, server-only,
-    cooperative); ``T_lower`` is their overall max; ``gap_ratio`` is the
-    centralized achievable delay over T_lower (1 at the M = N degenerate
-    point where both vanish); ``regime`` names the decentralized gap branch
-    that applies to (K, alpha_max, p); ``p_th`` is a float approximation of
-    the memory threshold.
+    cooperative); ``T_lower`` is their overall max; ``regime`` names the
+    decentralized gap branch that applies to (K, alpha_max, p); ``p_th`` is
+    a float approximation of the memory threshold.  A gap is
+    ``gap_ratio(achievable, T_lower)``.
     """
 
     cutset_terms: tuple[Frac, Frac, Frac]
     T_lower: Frac
-    gap_ratio: Frac
     regime: str
     p_th: float
 
 
 def gap_regime(config: SystemConfig) -> str:
     """Theorem-branch label for the decentralized gap at this config."""
-    K, amax = config.K, config.alpha_max
-    if amax == K // 2:
-        kind = "flexible"
-    elif amax == 1:
-        kind = "shared"
-    else:
-        kind = "middle"
-    side = ">=p_th" if p_at_least_threshold(K, config.p) else "<p_th"
-    return f"{kind}/p{side}"
+    side = ">=p_th" if p_at_least_threshold(config.K, config.p) else "<p_th"
+    return f"{parallelism_regime(config)}/p{side}"
+
+
+def gap_ratio(achievable: Frac, converse: Frac) -> Frac:
+    """Achievable delay over the converse; 1 where both are 0 (M = N)."""
+    if achievable == 0 and converse == 0:
+        return Frac(1)
+    return achievable / converse
 
 
 def lower_bound(config: SystemConfig) -> BoundReport:
@@ -111,14 +117,10 @@ def lower_bound(config: SystemConfig) -> BoundReport:
         (Frac(s) - Frac(s) * M / (N // s)) / (1 + config.alpha_max)
         for s in range(1, K + 1)
     )
-    T_lower = max(half, server_only, coop)
-    upper = centralized_delay(config)
-    gap = Frac(1) if T_lower == 0 and upper == 0 else upper / T_lower
     lo, hi = p_threshold(K)
     return BoundReport(
         (half, server_only, coop),
-        T_lower,
-        gap,
+        max(half, server_only, coop),
         gap_regime(config),
         float((lo + hi) / 2),
     )
@@ -231,13 +233,15 @@ class CentralizedGapReport:
 def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport:
     """Check T_central/T_lower <= 31 on ``grid`` (and <= 2 where t >= K-1).
 
-    Ratios use exact rationals; the M = N point counts as ratio 1.  Every
-    offending config lands in ``violations``.
+    Ratios are exact ``gap_ratio`` values.  Every offending config lands
+    in ``violations``.
     """
     report = CentralizedGapReport()
     for config in grid:
         rep = lower_bound(config)
-        point = GapPoint(config, rep.gap_ratio, rep.regime)
+        point = GapPoint(
+            config, gap_ratio(centralized_delay(config), rep.T_lower), rep.regime
+        )
         report.points += 1
         if report.worst is None or point.ratio > report.worst.ratio:
             report.worst = point
@@ -252,31 +256,29 @@ def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport
     return report
 
 
-def decentralized_gap_bound(config: SystemConfig) -> tuple[Frac, str, bool]:
-    """(bound, branch label, min_form_binding) for the decentralized gap.
+def decentralized_gap_bound(config: SystemConfig) -> tuple[Frac, str, Optional[Frac]]:
+    """(bound, branch label, min_form) for the decentralized gap.
 
     Branch by parallelism: alpha_max = floor(K/2) takes the tight
     full-parallelism bound (6 above threshold, max{6, 2K(2K/(2K+1))^(K-1)}
     below), alpha_max = 1 the shared-link constant 24, anything between the
     intermediate constant 77 (below threshold relaxed to
-    max{77, min{12(1+alpha_max), 2K(2K/(2K+1))^(K-1)}}).
-    ``min_form_binding`` marks intermediate below-threshold points where the
-    min-form term alone (without the 77 floor) is the larger of the two.
+    max{77, min_form} with min_form = min{12(1+alpha_max),
+    2K(2K/(2K+1))^(K-1)}).  ``min_form`` is that bare term at intermediate
+    below-threshold points and None elsewhere.
     """
-    K, amax = config.K, config.alpha_max
-    below = not p_at_least_threshold(K, config.p)
+    branch = gap_regime(config)
+    kind = parallelism_regime(config)
+    K = config.K
+    if kind == "shared":
+        return Frac(24), branch, None
+    if branch.endswith(">=p_th"):
+        return Frac(6 if kind == "flexible" else 77), branch, None
     growth = 2 * K * Frac(2 * K, 2 * K + 1) ** (K - 1)
-    if amax == K // 2:
-        kind = "flexible"
-        bound = max(Frac(6), growth) if below else Frac(6)
-        return bound, f"{kind}/p{'<' if below else '>='}p_th", False
-    if amax == 1:
-        return Frac(24), f"shared/p{'<' if below else '>='}p_th", False
-    kind = "middle"
-    if not below:
-        return Frac(77), f"{kind}/p>=p_th", False
-    min_form = min(Frac(12) * (1 + amax), growth)
-    return max(Frac(77), min_form), f"{kind}/p<p_th", min_form > 77
+    if kind == "flexible":
+        return max(Frac(6), growth), branch, None
+    min_form = min(Frac(12) * (1 + config.alpha_max), growth)
+    return max(Frac(77), min_form), branch, min_form
 
 
 @dataclass
@@ -302,13 +304,8 @@ def verify_gap_decentralized(grid: Iterable[SystemConfig]) -> DecentralizedGapRe
     """
     report = DecentralizedGapReport()
     for config in grid:
-        T_dec = decentralized_delay(config)
-        rep = lower_bound(config)
-        if rep.T_lower == 0:
-            ratio = Frac(1) if T_dec == 0 else Frac(10**9)
-        else:
-            ratio = T_dec / rep.T_lower
-        bound, branch, min_binding = decentralized_gap_bound(config)
+        ratio = gap_ratio(decentralized_delay(config), lower_bound(config).T_lower)
+        bound, branch, min_form = decentralized_gap_bound(config)
         point = GapPoint(config, ratio, branch)
         report.points += 1
         cur = report.worst_by_branch.get(branch)
@@ -316,10 +313,33 @@ def verify_gap_decentralized(grid: Iterable[SystemConfig]) -> DecentralizedGapRe
             report.worst_by_branch[branch] = point
         if ratio > bound:
             report.violations.append(point)
-        elif min_binding and ratio > min(Frac(12) * (1 + config.alpha_max),
-                                         2 * config.K * Frac(2 * config.K, 2 * config.K + 1) ** (config.K - 1)):
+        elif min_form is not None and ratio > min_form:
             report.min_form_exceedances.append(point)
     return report
+
+
+def verify_user_rate_bounds() -> tuple[Optional[tuple[SystemConfig, str]], bool]:
+    """Check the closed-form R_u bounds on K in 4..12, p in 1/100..99/100.
+
+    Returns (first_failure, shared_ok): the first (config, regime), scanning
+    K, then alpha_max in {1, 2, floor(K/2)}, then p, whose bound falls below
+    R_u (None if none does), and whether the shared-link bound stays below
+    4*R_s at every alpha_max = 1 point.  Each config is built, bounded and
+    rated once.
+    """
+    first_failure = None
+    shared_ok = True
+    for K in range(4, 13):
+        for amax in sorted({1, 2, K // 2}):
+            for i in range(1, 100):
+                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
+                regime, bound = corollary_bounds(cfg)
+                rc = rate_components(cfg)
+                if first_failure is None and bound < rc.R_u:
+                    first_failure = (cfg, regime)
+                if amax == 1 and not bound < 4 * rc.R_s:
+                    shared_ok = False
+    return first_failure, shared_ok
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from fractions import Fraction as Frac
 from typing import Optional, Sequence, TextIO
 
 from .bounds import (
-    baselines,
     centralized_gains,
     centralized_gap_grid,
     decentralized_gap_grid,
@@ -32,15 +31,10 @@ from .bounds import (
     p_threshold,
     verify_gap_centralized,
     verify_gap_decentralized,
+    verify_user_rate_bounds,
 )
 from .centralized import centralized_rates
-from .decentralized import (
-    allocation_plan,
-    corollary_bounds,
-    decentralized_gains,
-    decentralized_rates,
-    rate_components,
-)
+from .decentralized import decentralized_gains, decentralized_rates
 from .model import SystemConfig, as_frac
 from .simulator import run_centralized, run_decentralized
 
@@ -59,8 +53,6 @@ class SweepSpec:
     alpha_max: int
     grid: list[Frac]  # M values (centralized/bounds) or p values (decentralized)
     fmt: str = "csv"
-    seed: int = 0
-    mode: str = "fluid"
 
     def __post_init__(self) -> None:
         if self.scheme not in ("centralized", "decentralized", "bounds"):
@@ -180,21 +172,6 @@ def _check(out: TextIO, label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _first_user_rate_bound_failure() -> str:
-    """The first config, scanning K, then alpha_max, then p, whose
-    user-rate upper bound falls below R_u, described; "" if none does."""
-    for K in range(4, 13):
-        for amax in sorted({1, 2, K // 2}):
-            if not (1 <= amax <= max(1, K // 2)):
-                continue
-            for i in range(1, 100):
-                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
-                regime, bound = corollary_bounds(cfg)
-                if bound < rate_components(cfg).R_u:
-                    return f"first failure K={K} alpha_max={amax} p={cfg.p} ({regime})"
-    return ""
-
-
 def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
     """Gap certifications plus standing invariants; 0 iff everything holds."""
     spec = load_grid_spec(grid_path)
@@ -257,16 +234,15 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
         prev = lo
     ok &= _check(out, "p_th strictly decreasing on K in 3..64", mono)
 
-    detail = _first_user_rate_bound_failure()
+    failure, shared_ok = verify_user_rate_bounds()
+    detail = ""
+    if failure is not None:
+        cfg, regime = failure
+        detail = (
+            f"first failure K={cfg.K} alpha_max={cfg.alpha_max} p={cfg.p} ({regime})"
+        )
     ok &= _check(
         out, "user-rate upper bounds dominate R_u (K in 4..12)", not detail, detail
-    )
-
-    shared_ok = all(
-        corollary_bounds(SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=1))[1]
-        < 4 * rate_components(SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=1)).R_s
-        for K in range(4, 13)
-        for i in range(1, 100)
     )
     ok &= _check(out, "shared-link bound < 4*R_s pointwise", shared_ok)
 
@@ -381,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         help="M values (or p for decentralized): '0,2,4' or inclusive 'lo:hi:step'",
     )
-    sw.add_argument("--mode", choices=["fluid", "bits"], default=None)
-    sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--format", choices=["csv", "json"], default=None)
     sw.add_argument("--out", help="output path (default stdout)")
 
@@ -422,8 +396,6 @@ _SWEEP_DEFAULTS = {
     "K": 10,
     "alpha_max": 5,
     "grid": "0:20:2",
-    "mode": "fluid",
-    "seed": 0,
     "format": "csv",
 }
 
@@ -433,8 +405,8 @@ def _sweep_spec(args) -> SweepSpec:
     if args.config:
         with open(args.config) as fh:
             merged.update(json.load(fh))
-    for key in ("scheme", "N", "K", "alpha_max", "grid", "mode", "seed", "format"):
-        v = getattr(args, key if key != "format" else "format")
+    for key in ("scheme", "N", "K", "alpha_max", "grid", "format"):
+        v = getattr(args, key)
         if v is not None:
             merged[key] = v
     grid = merged["grid"]
@@ -445,8 +417,6 @@ def _sweep_spec(args) -> SweepSpec:
         alpha_max=int(merged["alpha_max"]),
         grid=_parse_grid(grid) if isinstance(grid, str) else [as_frac(v) for v in grid],
         fmt=merged["format"],
-        seed=int(merged["seed"]),
-        mode=merged["mode"],
     )
 
 

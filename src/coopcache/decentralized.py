@@ -236,25 +236,31 @@ def decentralized_gains(config: SystemConfig) -> GainReport:
     return GainReport(G_c, G_p)
 
 
-def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
-    """Closed-form upper bound on R_u for the applicable alpha_max regime.
+def parallelism_regime(config: SystemConfig) -> str:
+    """Parallelism regime: "flexible" at alpha_max = floor(K/2), else
+    "shared" at alpha_max = 1, else "middle".
 
-    Returns (regime, bound) with regime one of "shared" (alpha_max = 1),
-    "flexible" (alpha_max = floor(K/2), K >= 3), "middle" (in between):
+    K = 2 and K = 3 allow only alpha_max = 1 = floor(K/2): flexible.
+    """
+    if config.alpha_max == config.K // 2:
+        return "flexible"
+    return "shared" if config.alpha_max == 1 else "middle"
+
+
+def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
+    """Closed-form upper bound on R_u for the config's parallelism regime.
+
+    Returns (regime, bound), the regime as ``parallelism_regime`` names it:
 
       shared:   (q/p)[1 - (5/2)Kpq^(K-1) - 4q^K + 3(1-q^(K+1))/((K+1)p)]
       flexible: (Kq/(K-1))[1 - q^(K-1) + (2/p)(1 - q^K - Kpq^(K-1))/(K-2)]
       middle:   shared/alpha_max + flexible
 
-    p = 0 returns math.inf (the bounds blow up as 1/p).
+    K = 2 takes the shared form and label: the flexible form divides by
+    K-2.  p = 0 returns math.inf (the bounds blow up as 1/p).
     """
     K, p, amax = config.K, config.p, config.alpha_max
-    if K >= 3 and amax == K // 2:
-        regime = "flexible"
-    elif amax == 1:
-        regime = "shared"
-    else:
-        regime = "middle"
+    regime = "shared" if K == 2 else parallelism_regime(config)
     if p == 0:
         return regime, math.inf
     q = 1 - p
@@ -268,8 +274,6 @@ def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
         )
 
     def flexible() -> Frac:
-        if K < 3:
-            raise ValueError(f"flexible bound needs K >= 3, got K={K}")
         return (Frac(K) * q / (K - 1)) * (
             1 - q ** (K - 1) + Frac(2) / p * (1 - q**K - K * p * q ** (K - 1)) / (K - 2)
         )

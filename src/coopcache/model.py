@@ -154,6 +154,29 @@ class GroupPartition:
         return GroupPartition(self.groups, round_index)
 
 
+def _disjoint_group_choices(K: int, s: int, count: int) -> list[tuple]:
+    """(groups, idle users) for every unordered choice of ``count`` disjoint
+    s-subsets of 1..K: groups sorted by smallest member, choices in
+    lexicographic order of the flattened groups."""
+    out: list[tuple] = []
+    chosen: list[tuple[int, ...]] = []
+
+    def rec(pool: tuple[int, ...]) -> None:
+        if len(chosen) == count:
+            out.append((tuple(chosen), pool))
+            return
+        min_first = chosen[-1][0] if chosen else 0
+        for g in itertools.combinations(pool, s):
+            if g[0] <= min_first:
+                continue
+            chosen.append(g)
+            rec(tuple(x for x in pool if x not in g))
+            chosen.pop()
+
+    rec(tuple(range(1, K + 1)))
+    return out
+
+
 def enumerate_equal_partitions(
     K: int, s: int, alpha_d: int
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -167,22 +190,7 @@ def enumerate_equal_partitions(
         raise ValueError(f"groups need at least two members, got s={s}")
     if alpha_d < 1 or alpha_d * s > K:
         raise ValueError(f"cannot fit {alpha_d} disjoint {s}-subsets in 1..{K}")
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(chosen: list[tuple[int, ...]], pool: tuple[int, ...]) -> None:
-        if len(chosen) == alpha_d:
-            out.append(tuple(chosen))
-            return
-        min_first = chosen[-1][0] if chosen else 0
-        for g in itertools.combinations(pool, s):
-            if g[0] <= min_first:
-                continue
-            chosen.append(g)
-            rec(chosen, tuple(x for x in pool if x not in g))
-            chosen.pop()
-
-    rec([], tuple(range(1, K + 1)))
-    return out
+    return [groups for groups, _ in _disjoint_group_choices(K, s, alpha_d)]
 
 
 def enumerate_remainder_partitions(K: int, s: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -197,33 +205,21 @@ def enumerate_remainder_partitions(K: int, s: int) -> list[tuple[tuple[int, ...]
         raise ValueError(
             f"remainder partitions need K mod s >= 2, got K={K}, s={s} (mod {r})"
         )
-    out: list[tuple[tuple[int, ...], ...]] = []
+    return [groups + (rest,) for groups, rest in _disjoint_group_choices(K, s, q)]
 
-    def rec(chosen: list[tuple[int, ...]], pool: tuple[int, ...]) -> None:
-        if len(chosen) == q:
-            out.append(tuple(chosen) + (pool,))
-            return
-        min_first = chosen[-1][0] if chosen else 0
-        for g in itertools.combinations(pool, s):
-            if g[0] <= min_first:
-                continue
-            chosen.append(g)
-            rec(chosen, tuple(x for x in pool if x not in g))
-            chosen.pop()
 
-    rec([], tuple(range(1, K + 1)))
-    return out
+def _disjoint_group_count(n: int, s: int, count: int) -> int:
+    """Number of unordered choices of ``count`` disjoint s-subsets of n users:
+    the product of C(n - i*s, s) over i < count, divided by count!."""
+    num = 1
+    for i in range(count):
+        num *= math.comb(n - i * s, s)
+    return num // math.factorial(count)
 
 
 def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
-    """Closed-form count of ``enumerate_equal_partitions(K, s, alpha_d)``.
-
-    Ordered choices of alpha_d disjoint s-groups, divided by alpha_d!.
-    """
-    num = 1
-    for i in range(alpha_d):
-        num *= math.comb(K - i * s, s)
-    return num // math.factorial(alpha_d)
+    """Closed-form count of ``enumerate_equal_partitions(K, s, alpha_d)``."""
+    return _disjoint_group_count(K, s, alpha_d)
 
 
 def remainder_partition_count(K: int, s: int) -> int:
@@ -231,10 +227,7 @@ def remainder_partition_count(K: int, s: int) -> int:
     q, r = divmod(K, s)
     if r < 2:
         raise ValueError(f"K mod s must be >= 2, got K={K}, s={s}")
-    num = 1
-    for i in range(q):
-        num *= math.comb(K - i * s, s)
-    return num // math.factorial(q)
+    return _disjoint_group_count(K, s, q)
 
 
 def group_multiplicity(K: int, s: int, alpha_d: int) -> int:
@@ -248,19 +241,13 @@ def group_multiplicity(K: int, s: int, alpha_d: int) -> int:
     the other K-s users and the remainder group is forced.
     """
     if alpha_d * s <= K:
-        num = 1
-        for i in range(1, alpha_d):
-            num *= math.comb(K - i * s, s)
-        return num // math.factorial(alpha_d - 1)
+        return _disjoint_group_count(K - s, s, alpha_d - 1)
     q, r = divmod(K, s)
     if r < 2 or alpha_d != q + 1:
         raise ValueError(
             f"no partition shape fits K={K}, s={s}, alpha_d={alpha_d}"
         )
-    num = 1
-    for i in range(1, q):
-        num *= math.comb(K - i * s, s)
-    return num // math.factorial(q - 1)
+    return _disjoint_group_count(K - s, s, q - 1)
 
 
 def remainder_group_multiplicity(K: int, s: int) -> int:
@@ -270,10 +257,7 @@ def remainder_group_multiplicity(K: int, s: int) -> int:
     q, r = divmod(K, s)
     if r < 2:
         raise ValueError(f"K mod s must be >= 2, got K={K}, s={s}")
-    num = 1
-    for i in range(q):
-        num *= math.comb(K - r - i * s, s)
-    return num // math.factorial(q)
+    return _disjoint_group_count(K - r, s, q)
 
 
 def f_ks(K: int, s: int) -> int:

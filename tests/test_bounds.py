@@ -11,14 +11,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coopcache.bounds as bounds_module
 from coopcache import (
     SystemConfig,
     baselines,
     centralized_delay,
     centralized_gains,
     centralized_gap_grid,
+    corollary_bounds,
     decentralized_gap_bound,
     decentralized_gap_grid,
+    gap_ratio,
     gap_regime,
     load_grid_spec,
     lower_bound,
@@ -30,6 +33,7 @@ from coopcache import (
     verify_gap_centralized,
     verify_gap_decentralized,
 )
+from coopcache.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +71,15 @@ def test_lower_bound_worked_example_and_gap():
     cfg = SystemConfig(6, 6, 4, alpha_max=2)
     rep = lower_bound(cfg)
     assert rep.T_lower == Frac(1, 6)
-    assert rep.gap_ratio == centralized_delay(cfg) / Frac(1, 6) == Frac(4, 3)
+    ratio = gap_ratio(centralized_delay(cfg), rep.T_lower)
+    assert ratio == centralized_delay(cfg) / Frac(1, 6) == Frac(4, 3)
 
 
 def test_lower_bound_full_cache_degenerate():
-    rep = lower_bound(SystemConfig(4, 4, 4, alpha_max=2))
+    cfg = SystemConfig(4, 4, 4, alpha_max=2)
+    rep = lower_bound(cfg)
     assert rep.T_lower == 0
-    assert rep.gap_ratio == 1
+    assert gap_ratio(centralized_delay(cfg), rep.T_lower) == 1
 
 
 def test_bound_report_carries_regime_and_threshold():
@@ -218,10 +224,10 @@ def test_gap_regime_labels():
 
 
 def test_decentralized_gap_bound_branches():
-    bound, branch, binding = decentralized_gap_bound(
+    bound, branch, min_form = decentralized_gap_bound(
         SystemConfig(10, 10, 1, alpha_max=1)
     )
-    assert (bound, branch, binding) == (Frac(24), "shared/p<p_th", False)
+    assert (bound, branch, min_form) == (Frac(24), "shared/p<p_th", None)
 
     bound, branch, _ = decentralized_gap_bound(SystemConfig(10, 10, 9, alpha_max=5))
     assert (bound, branch) == (Frac(6), "flexible/p>=p_th")
@@ -231,12 +237,12 @@ def test_decentralized_gap_bound_branches():
     assert branch == "flexible/p<p_th"
     assert bound == max(Frac(6), growth)
 
-    bound, branch, binding = decentralized_gap_bound(
+    bound, branch, min_form = decentralized_gap_bound(
         SystemConfig(10, 10, 1, alpha_max=3)
     )
     assert branch == "middle/p<p_th"
     assert bound == max(Frac(77), min(Frac(12) * 4, growth))
-    assert binding == (min(Frac(12) * 4, growth) > 77)
+    assert min_form == min(Frac(12) * 4, growth)
 
     bound, branch, _ = decentralized_gap_bound(SystemConfig(10, 10, 9, alpha_max=3))
     assert (bound, branch) == (Frac(77), "middle/p>=p_th")
@@ -293,3 +299,79 @@ def test_grid_generators_respect_custom_spec():
     assert {c.alpha_max for c in central} == {1, 2}
     decentral = list(decentralized_gap_grid(spec))
     assert {c.p for c in decentral} == {Frac(1, 4), Frac(1, 2), Frac(3, 4)}
+
+
+def test_min_form_exceedance_is_noted_not_failed(monkeypatch):
+    cfg = SystemConfig(6, 6, Frac(3, 5), alpha_max=2)  # middle, below p_th
+    bound, branch, min_form = decentralized_gap_bound(cfg)
+    assert branch == "middle/p<p_th"
+    assert min_form < bound == 77
+    T_lower = lower_bound(cfg).T_lower
+    monkeypatch.setattr(
+        bounds_module, "decentralized_delay", lambda c: (min_form + 1) * T_lower
+    )
+    report = verify_gap_decentralized([cfg])
+    assert report.passed
+    assert [p.config for p in report.min_form_exceedances] == [cfg]
+
+
+# ---------------------------------------------------------------------------
+# one parallelism classifier, and a converse without achievable delays
+# ---------------------------------------------------------------------------
+
+# At K = 2 and K = 3 the only width, alpha_max = 1, is also floor(K/2).  The
+# gap labels call it flexible; corollary_bounds calls it shared at K = 2
+# only, where the flexible closed form would divide by K - 2 = 0.  Values
+# recorded before the three regime classifiers became one.
+@pytest.mark.parametrize(
+    "K,p,label,ru_regime,ru_bound",
+    [
+        (2, Frac(1, 4), "flexible/p<p_th", "shared", Frac(3, 8)),
+        (2, Frac(3, 4), "flexible/p>=p_th", "shared", Frac(3, 8)),
+        (3, Frac(1, 4), "flexible/p<p_th", "flexible", Frac(243, 128)),
+        (3, Frac(3, 4), "flexible/p>=p_th", "flexible", Frac(153, 128)),
+    ],
+)
+def test_small_k_regimes_pinned(K, p, label, ru_regime, ru_bound):
+    cfg = SystemConfig(K, K, p * K, alpha_max=1)
+    assert gap_regime(cfg) == label
+    assert decentralized_gap_bound(cfg) == (Frac(6), label, None)
+    assert corollary_bounds(cfg) == (ru_regime, ru_bound)
+
+
+K2_BOUNDS_SWEEP = """\
+M,M_float,T_lower,T_lower_float,cut_half,cut_half_float,cut_server,cut_server_float,cut_coop,cut_coop_float,regime,p_th
+0,0,2,2,1/2,0.5,2,2,1,1,flexible/p<p_th,0.666666666511
+1/2,0.5,1,1,3/8,0.375,1,1,1/2,0.5,flexible/p<p_th,0.666666666511
+1,1,1/4,0.25,1/4,0.25,0,0,1/4,0.25,flexible/p<p_th,0.666666666511
+3/2,1.5,1/8,0.125,1/8,0.125,-1/2,-0.5,1/8,0.125,flexible/p>=p_th,0.666666666511
+2,2,0,0,0,0,-1,-1,0,0,flexible/p>=p_th,0.666666666511
+"""
+
+
+def test_k2_bounds_sweep_pinned(capsys):
+    argv = ["sweep", "--scheme", "bounds", "--N", "2", "--K", "2",
+            "--alpha-max", "1", "--grid", "0:2:1/2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == K2_BOUNDS_SWEEP
+
+
+def test_converse_paths_evaluate_no_centralized_delay(monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError(f"centralized delay evaluated at {config}")
+
+    monkeypatch.setattr(bounds_module, "centralized_delay", refuse)
+    assert lower_bound(SystemConfig(6, 6, 4, alpha_max=2)).T_lower == Frac(1, 6)
+    grid = [
+        SystemConfig(K, K, Frac(i * K, 8), alpha_max=a)
+        for K in (3, 4, 5)
+        for i in range(1, 8)
+        for a in {1, K // 2}
+    ]
+    assert verify_gap_decentralized(grid).passed
+    for scheme, values in (("bounds", "0:20:4"), ("decentralized", "1/4:3/4:1/4")):
+        argv = ["sweep", "--scheme", scheme, "--N", "20", "--K", "10",
+                "--alpha-max", "5", "--grid", values]
+        assert main(argv) == 0
+    # a header plus one row per grid point: M = 0, 4, ..., 20 and p = 1/4, 1/2, 3/4
+    assert capsys.readouterr().out.count("\n") == (1 + 6) + (1 + 3)

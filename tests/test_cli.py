@@ -13,6 +13,7 @@ from fractions import Fraction as Frac
 
 import pytest
 
+import coopcache.bounds as bounds
 import coopcache.centralized as centralized
 import coopcache.cli as cli
 from coopcache import (
@@ -177,7 +178,7 @@ def test_verify_names_the_first_user_rate_bound_failure(tmp_path, capsys, monkey
                             "alpha_max_choices": [1]},
         "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
     }))
-    real = cli.corollary_bounds
+    real = bounds.corollary_bounds
     failing = {(5, 2, Frac(3, 10)), (9, 4, Frac(1, 2))}
 
     def corollary_bounds(cfg):
@@ -186,12 +187,16 @@ def test_verify_names_the_first_user_rate_bound_failure(tmp_path, capsys, monkey
             return regime, Frac(0)
         return regime, bound
 
-    monkeypatch.setattr(cli, "corollary_bounds", corollary_bounds)
+    monkeypatch.setattr(bounds, "corollary_bounds", corollary_bounds)
     code, out, _ = _run(capsys, ["verify", "--grid", str(grid)])
     assert code == 1
     line = next(x for x in out.splitlines() if "dominate R_u" in x)
     assert line.startswith("[FAIL]")
     assert "first failure K=5 alpha_max=2 p=3/10 (" in line
+    assert line == (
+        "[FAIL] user-rate upper bounds dominate R_u (K in 4..12): "
+        "first failure K=5 alpha_max=2 p=3/10 (flexible)"
+    )
 
 
 # ---------------------------------------------------------------------------
