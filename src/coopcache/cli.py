@@ -256,6 +256,12 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
+    if args.scheme == "decentralized" and (
+        args.alpha is not None or args.server_share is not None
+    ):
+        raise ValueError(
+            "--alpha and --server-share apply to the centralized scheme only"
+        )
     config = SystemConfig(
         N=args.N, K=args.K, M=as_frac(args.M), alpha_max=args.alpha_max, F=args.F
     )
@@ -278,7 +284,7 @@ def cmd_simulate(args, out: TextIO) -> int:
             )
         else:
             res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
-    except RuntimeError as e:  # a scheduling error or a decode failure
+    except RuntimeError as e:  # a schedule that could not be built
         out.write(f"error: {e}\n")
         return 1
     plan = res.plan
@@ -316,8 +322,12 @@ def cmd_simulate(args, out: TextIO) -> int:
         with open(args.export_log, "w") as fh:
             fh.write("\n".join(res.log.export_lines()) + "\n")
         out.write(f"log written to {args.export_log}\n")
-    out.write("decode OK\n" if res.decode_ok else "decode FAILED\n")
-    return 0 if res.decode_ok else 1
+    if res.decode_ok:
+        out.write("decode OK\n")
+        return 0
+    k, n, T = res.decode_failure
+    out.write(f"decode FAILED: user {k} cannot recover file {n}, subfile {T}\n")
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +414,15 @@ def _sweep_spec(args) -> SweepSpec:
     merged = dict(_SWEEP_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(_SWEEP_DEFAULTS))
+        if unknown:
+            raise ValueError(
+                f"unknown key(s) in {args.config}: {', '.join(unknown)}"
+            )
+        merged.update(loaded)
     for key in ("scheme", "N", "K", "alpha_max", "grid", "format"):
         v = getattr(args, key)
         if v is not None:

@@ -29,6 +29,15 @@ number and shape of parallel groups per round:
 The resulting per-round per-lane loads are equal by construction, which is
 what makes the closed-form R_u of the delay theorem exact for the scheduler.
 
+Each round is worked out once, as a round plan: its partitions, each a list
+of (group, part) pairs with any remainder group last, and for each part
+("u", or "u1"/"u2" in case 3) the number and size of the equal fragments
+its mini-files are cut into.  The user schedule walks the plans round by
+round and audits itself: every use of a mini-file part draws its next
+fragment index, drawing past the part's fragment count raises
+SchedulingError, and so does a needed part not drawn to its count by the
+end of its round.
+
 A faithful wart, kept deliberately: with this scheme's lambda (from the
 "Choice of lambda" rule), the balanced server/user loads R_empty+lambda*R_s
 = (1-lambda)*R_u sit slightly above the headline delay formula
@@ -42,7 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .centralized import MAX_USER_SYMBOLS
 from .model import (
@@ -137,11 +146,9 @@ def lambda2_split(K: int, s: int) -> Frac:
 class AllocationPlan:
     """Server/user traffic split for decentralized delivery.
 
-    ``server_share`` (lambda) follows the balance rule: 0 when users cannot
-    even absorb the uncached load (R_u < R_empty), else
-    (R_u - R_empty)/(R_s + R_u), which equalises R_empty + lambda*R_s and
-    (1-lambda)*R_u.  ``lambda2_by_round`` carries the case-3 intra-round
-    split for each round that has a remainder group.
+    ``server_share`` (lambda) and the component rates are those of
+    :func:`decentralized_rates`.  ``lambda2_by_round`` carries the case-3
+    intra-round split for each round that has a remainder group.
     """
 
     server_share: Frac
@@ -159,17 +166,14 @@ class AllocationPlan:
 
 
 def allocation_plan(config: SystemConfig) -> AllocationPlan:
-    rc = rate_components(config)
-    if rc.R_u < rc.R_empty or rc.R_s + rc.R_u == 0:
-        lam = Frac(0)
-    else:
-        lam = (rc.R_u - rc.R_empty) / (rc.R_s + rc.R_u)
+    rates = decentralized_rates(config)
+    rc = rates.components
     lam2 = {
         s: lambda2_split(config.K, s)
         for s in range(2, config.K + 1)
         if select_case(config.K, s, config.alpha_max)[0] == 3
     }
-    return AllocationPlan(lam, lam2, rc.R_empty, rc.R_s, rc.R_u)
+    return AllocationPlan(rates.server_share, lam2, rc.R_empty, rc.R_s, rc.R_u)
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,10 @@ class DecentralizedRates:
 
 
 def decentralized_rates(config: SystemConfig) -> DecentralizedRates:
+    """Rates under the balance rule: lambda is 0 when users cannot even
+    absorb the uncached load (R_u < R_empty), else
+    (R_u - R_empty)/(R_s + R_u), which equalises R_empty + lambda*R_s and
+    (1-lambda)*R_u."""
     rc = rate_components(config)
     denom = rc.R_s + rc.R_u - rc.R_empty
     if rc.R_u < rc.R_empty or denom == 0:
@@ -371,147 +379,45 @@ def build_decentral_placement(
 # ---------------------------------------------------------------------------
 
 
-class _FragmentCounters:
-    """Monotone per-(receiver, T, part) fragment cursors.
-
-    Each needed mini-file part is split into a fixed number of fragments;
-    every use consumes the next index.  Running past the end means some
-    group multiplicity was miscounted — a scheduling error.
-    """
-
-    def __init__(self) -> None:
-        self.next_index: dict = {}
-        self.capacity: dict = {}
-
-    def take(self, receiver: int, T: tuple[int, ...], part: str, count: int) -> int:
-        key = (receiver, T, part)
-        cap = self.capacity.setdefault(key, count)
-        if cap != count:
-            raise SchedulingError(
-                f"fragment count for {key} changed {cap} -> {count}"
-            )
-        idx = self.next_index.get(key, 0)
-        if idx >= count:
-            raise SchedulingError(
-                f"fragment exhaustion for {key}: need index {idx} of {count}"
-            )
-        self.next_index[key] = idx + 1
-        return idx
-
-    def assert_consumed(self, receiver: int, T: tuple[int, ...], part: str) -> None:
-        key = (receiver, T, part)
-        cap = self.capacity.get(key)
-        got = self.next_index.get(key, 0)
-        if cap is None or got != cap:
-            raise SchedulingError(
-                f"mini-file {key} only {got}/{cap} fragments delivered"
-            )
-
-
-@dataclass
-class _PartGeometry:
-    """Fragmentation of one round's mini-file parts (sizes per fragment)."""
-
-    part: str
-    frag_count: int
-    frag_size: Frac  # fluid fraction of F
-
-
-def _round_geometry(
+def _round_plan(
     config: SystemConfig, plan: AllocationPlan, s: int
-) -> tuple[int, int, list[_PartGeometry]]:
-    """(case, alpha_D, per-part fragmentation) for round s."""
-    K = config.K
+) -> tuple[Iterator[list], dict[str, tuple[int, Frac]]]:
+    """Round s as (partitions, parts), both worked out once for the round.
+
+    Each partition is a list of (group, part) pairs, any remainder group
+    last: regular s-groups work on part "u" (cases 1 and 2) or "u1"
+    (case 3), the case-3 remainder group on "u2".  ``parts`` maps each part
+    to (fragment count, fragment size as a fraction of F).  A part's count
+    is the number of times the round uses each of its mini-files: (s-1)
+    rotations per appearance of a regular group, (s*-1)*C(s-1, s*-1) per
+    appearance of a remainder group of size s*, times the group's
+    multiplicity across the round's partitions.
+    """
+    K, p = config.K, config.p
     case, alpha_d = select_case(K, s, config.alpha_max)
-    w_u = (1 - plan.server_share) * config.p ** (s - 1) * (1 - config.p) ** (
-        K - s + 1
-    )
+    w_u = (1 - plan.server_share) * p ** (s - 1) * (1 - p) ** (K - s + 1)
+    n1 = (s - 1) * group_multiplicity(K, s, alpha_d)
     if case in (1, 2):
-        gamma = group_multiplicity(K, s, alpha_d)
-        return case, alpha_d, [
-            _PartGeometry("u", (s - 1) * gamma, w_u / ((s - 1) * gamma))
-        ]
+        partitions = (
+            [(G, "u") for G in part]
+            for part in enumerate_equal_partitions(K, s, alpha_d)
+        )
+        return partitions, {"u": (n1, w_u / n1)}
     s_star = K % s
     lam2 = plan.lambda2_by_round[s]
-    gamma_reg = group_multiplicity(K, s, alpha_d)
-    gamma_rem = remainder_group_multiplicity(K, s)
-    n1 = (s - 1) * gamma_reg
-    n2 = (s_star - 1) * math.comb(s - 1, s_star - 1) * gamma_rem
-    return case, alpha_d, [
-        _PartGeometry("u1", n1, lam2 * w_u / n1),
-        _PartGeometry("u2", n2, (1 - lam2) * w_u / n2),
-    ]
-
-
-def inner_group_coding(
-    s: int,
-    group: tuple[int, ...],
-    part_label: str,
-    gamma: int,
-    demands: Sequence[int],
-    placement: DecentralPlacement,
-    counters: Optional[_FragmentCounters] = None,
-    plan: Optional[AllocationPlan] = None,
-) -> list[XorSymbol]:
-    """Symbols one group sends during one partition appearance of round s.
-
-    A regular group (size s, part "u" or "u1") works on S = group itself:
-    each member k broadcasts the XOR of one fresh fragment of
-    W^{part}_{d_j, group\\{j}} for every other member j.  A remainder group
-    (part "u2", size s* < s) runs that same rotation for every s-superset
-    S of itself, using mini-files W^{u2}_{d_j, S\\{j}}.
-
-    ``gamma`` is the group's multiplicity across the round's partitions; it
-    fixes the fragment counts ((s-1)*gamma per mini-file for regular parts,
-    (s*-1)*C(s-1,s*-1)*gamma for remainder parts) so that total consumption
-    exactly exhausts every fragment.
-    """
-    if counters is None:
-        counters = _FragmentCounters()
-    cfg = placement.config
-    if plan is None:
-        plan = allocation_plan(cfg)
-    K = cfg.K
-    demands = tuple(demands)
-    w_u = (1 - plan.server_share) * cfg.p ** (s - 1) * (1 - cfg.p) ** (K - s + 1)
-    out: list[XorSymbol] = []
-
-    if part_label in ("u", "u1"):
-        if len(group) != s:
-            raise ValueError(f"regular group {group} is not size s={s}")
-        n_frag = (s - 1) * gamma
-        share = plan.lambda2_by_round[s] if part_label == "u1" else Frac(1)
-        size = share * w_u / n_frag
-        supersets = [group]
-    elif part_label == "u2":
-        s_star = len(group)
-        if s_star != K % s or s_star < 2:
-            raise ValueError(f"remainder group {group} inconsistent with K={K}, s={s}")
-        n_frag = (s_star - 1) * math.comb(s - 1, s_star - 1) * gamma
-        size = (1 - plan.lambda2_by_round[s]) * w_u / n_frag
-        rest = [u for u in range(1, K + 1) if u not in group]
-        supersets = [
-            tuple(sorted(group + extra))
-            for extra in itertools.combinations(rest, s - len(group))
-        ]
-    else:
-        raise ValueError(f"unknown part label {part_label!r}")
-
-    if size == 0:
-        return out
-    for S in supersets:
-        for sender in group:
-            cons = []
-            for j in group:
-                if j == sender:
-                    continue
-                T = tuple(x for x in S if x != j)
-                idx = counters.take(j, T, part_label, n_frag)
-                cons.append(
-                    Constituent(j, FragmentId(demands[j - 1], T, part_label, idx, n_frag))
-                )
-            out.append(XorSymbol(sender, group, tuple(cons), size))
-    return out
+    n2 = (
+        (s_star - 1)
+        * math.comb(s - 1, s_star - 1)
+        * remainder_group_multiplicity(K, s)
+    )
+    partitions = (
+        [*((G, "u1") for G in part[:-1]), (part[-1], "u2")]
+        for part in enumerate_remainder_partitions(K, s)
+    )
+    return partitions, {
+        "u1": (n1, lam2 * w_u / n1),
+        "u2": (n2, (1 - lam2) * w_u / n2),
+    }
 
 
 def parallel_user_delivery(
@@ -520,10 +426,14 @@ def parallel_user_delivery(
     demands: Sequence[int],
     plan: Optional[AllocationPlan] = None,
 ) -> DeliverySchedule:
-    """All user rounds: s = 2..K, each a sweep over the round's partitions.
+    """All user rounds: s = 2..K, each a walk over its round plan.
 
-    Audits itself: after each round every needed mini-file part must have
-    consumed exactly all its fragments (coverage-exactly-once).
+    In every (group, part) pair of a partition, each member of the group in
+    turn broadcasts the XOR of one fresh fragment per other member j: for a
+    regular group, of W^{part}_{d_j, group\\{j}}; for a remainder group,
+    that rotation runs once for every s-superset S of the group, over
+    W^{u2}_{d_j, S\\{j}}.  Fragment indices are drawn per (receiver,
+    subset, part) and audited as the module docstring describes.
     """
     d = validate_demands(config, demands)
     if plan is None:
@@ -532,50 +442,55 @@ def parallel_user_delivery(
     sched = DeliverySchedule()
     if plan.server_share == 1:
         return sched
-    counters = _FragmentCounters()
+    next_index: dict[tuple[int, tuple[int, ...], str], int] = {}
     round_index = 0
     for s in range(2, K + 1):
-        case, alpha_d, geometry = _round_geometry(config, plan, s)
-        if all(g.frag_size == 0 for g in geometry):
+        partitions, parts = _round_plan(config, plan, s)
+        if all(size == 0 for _, size in parts.values()):
             continue
-        if case in (1, 2):
-            partitions = enumerate_equal_partitions(K, s, alpha_d)
-            gamma = group_multiplicity(K, s, alpha_d)
-            for part in partitions:
-                syms: list[XorSymbol] = []
-                for G in part:
-                    syms.extend(
-                        inner_group_coding(s, G, "u", gamma, d, placement, counters, plan)
-                    )
-                sched.user_rounds.append((GroupPartition(part, round_index), syms))
-                round_index += 1
-        else:
-            partitions = enumerate_remainder_partitions(K, s)
-            gamma_reg = group_multiplicity(K, s, alpha_d)
-            gamma_rem = remainder_group_multiplicity(K, s)
-            for part in partitions:
-                syms = []
-                for G in part[:-1]:
-                    syms.extend(
-                        inner_group_coding(
-                            s, G, "u1", gamma_reg, d, placement, counters, plan
+        for pairs in partitions:
+            syms: list[XorSymbol] = []
+            for group, part in pairs:
+                count, size = parts[part]
+                if part == "u2":
+                    rest = [u for u in config.users() if u not in group]
+                    supersets = [
+                        tuple(sorted(group + extra))
+                        for extra in itertools.combinations(rest, s - len(group))
+                    ]
+                else:
+                    supersets = [group]
+                for S in supersets:
+                    for sender in group:
+                        cons = []
+                        for j in group:
+                            if j == sender:
+                                continue
+                            T = tuple(x for x in S if x != j)
+                            key = (j, T, part)
+                            idx = next_index.get(key, 0)
+                            if idx >= count:
+                                raise SchedulingError(
+                                    f"fragment exhaustion for {key}: "
+                                    f"need index {idx} of {count}"
+                                )
+                            next_index[key] = idx + 1
+                            cons.append(
+                                Constituent(j, FragmentId(d[j - 1], T, part, idx, count))
+                            )
+                        syms.append(XorSymbol(sender, group, tuple(cons), size))
+            groups = tuple(sorted((G for G, _ in pairs), key=min))
+            sched.user_rounds.append((GroupPartition(groups, round_index), syms))
+            round_index += 1
+        for part, (count, _) in parts.items():
+            for T in enumerate_subsets(K, s - 1):
+                for j in config.users():
+                    got = next_index.get((j, T, part), 0)
+                    if j not in T and got != count:
+                        raise SchedulingError(
+                            f"mini-file {(j, T, part)} only {got}/{count} "
+                            "fragments delivered"
                         )
-                    )
-                syms.extend(
-                    inner_group_coding(
-                        s, part[-1], "u2", gamma_rem, d, placement, counters, plan
-                    )
-                )
-                canon = tuple(sorted(part, key=min))
-                sched.user_rounds.append((GroupPartition(canon, round_index), syms))
-                round_index += 1
-        # coverage audit for this round's mini-files
-        for geo in geometry:
-            for j in config.users():
-                for T in enumerate_subsets(K, s - 1):
-                    if j in T:
-                        continue
-                    counters.assert_consumed(j, T, geo.part)
     return sched
 
 

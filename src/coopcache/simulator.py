@@ -687,6 +687,10 @@ class RateReport:
 
 @dataclass
 class SimulationResult:
+    """One end-to-end run.  ``decode_ok`` is None when the decode check was
+    skipped; on a failed check ``decode_failure`` holds the first user,
+    file and subfile that cannot be recovered."""
+
     log: TransmissionLog
     decode_ok: Optional[bool]
     rates: RateReport
@@ -694,6 +698,7 @@ class SimulationResult:
     schedule: DeliverySchedule
     placement: object
     library: Optional[BitLibrary] = None
+    decode_failure: Optional[tuple[int, int, tuple[int, ...]]] = None
 
 
 def run_centralized(
@@ -714,6 +719,8 @@ def run_centralized(
     demands = validate_demands(
         config, demands if demands is not None else list(config.users())
     )
+    if mode not in ("fluid", "bits"):
+        raise ValueError(f"unknown mode {mode!r}")
     placement = build_central_placement(config)
     plan, schedule = build_delivery(
         config, demands, alpha=alpha, server_share=server_share
@@ -722,10 +729,8 @@ def run_centralized(
     if mode == "bits":
         library = BitLibrary.build(config.N, config.F, seed)
         resolver = CentralFragmentResolver(placement, plan, config.F)
-    elif mode == "fluid":
-        resolver = CentralFragmentResolver(placement, plan)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        resolver = CentralFragmentResolver(placement, plan)
     log = execute_schedule(config, schedule, resolver, mode, library)
     closed = centralized_rates(config, alpha=plan.alpha, server_share=plan.server_share)
     R1, R2 = log.server_load(), log.user_load()
@@ -739,12 +744,11 @@ def run_centralized(
         R1 == closed.R1 and R2 == closed.R2,
         plan.server_share,
     )
-    decode_ok = (
-        brute_force_decode_check(log, placement, demands, library)
-        if check_decode
-        else None
+    failure = _first_decode_failure(log, demands, library) if check_decode else None
+    decode_ok = failure is None if check_decode else None
+    return SimulationResult(
+        log, decode_ok, report, plan, schedule, placement, library, failure
     )
-    return SimulationResult(log, decode_ok, report, plan, schedule, placement, library)
 
 
 def run_decentralized(
@@ -783,13 +787,8 @@ def run_decentralized(
         R_u=plan.R_u,
         lambda2_by_round=dict(plan.lambda2_by_round),
     )
-    decode_ok = None
-    if check_decode:
-        failure = _first_decode_failure(log, demands, library)
-        if failure is not None:
-            k, want, T = failure
-            raise RuntimeError(
-                f"decode failure: user cannot recover user {k}, file {want}, subfile {T}"
-            )
-        decode_ok = True
-    return SimulationResult(log, decode_ok, report, plan, schedule, placement, library)
+    failure = _first_decode_failure(log, demands, library) if check_decode else None
+    decode_ok = failure is None if check_decode else None
+    return SimulationResult(
+        log, decode_ok, report, plan, schedule, placement, library, failure
+    )

@@ -16,6 +16,7 @@ import pytest
 import coopcache.bounds as bounds
 import coopcache.centralized as centralized
 import coopcache.cli as cli
+import coopcache.simulator as simulator
 from coopcache import (
     SchedulingError,
     SystemConfig,
@@ -112,6 +113,19 @@ def test_sweep_config_file_merges_under_flags(tmp_path, capsys):
     assert rows[0]["T_upper"] == str(
         decentralized_delay(SystemConfig(8, 8, 4, alpha_max=4))
     )
+
+
+def test_sweep_config_file_refuses_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"scheme": "bounds", "alpah_max": 1}))
+    code, out, err = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown key(s) in {cfg}: alpah_max\n"
+    cfg.write_text("[1]")
+    code, _, err = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2
+    assert err == f"error: {cfg} must hold a JSON object\n"
 
 
 def test_sweep_usage_errors(capsys):
@@ -258,36 +272,53 @@ def test_simulate_usage_errors(capsys):
     assert code == 2
 
 
-def test_simulate_decode_failure_exits_1(capsys, monkeypatch):
-    real = cli.run_centralized
-
-    def broken(config, demands, **kwargs):
-        res = real(config, demands, **kwargs)
-        res.decode_ok = False
-        return res
-
-    monkeypatch.setattr(cli, "run_centralized", broken)
-    code, out, _ = _run(
+@pytest.mark.parametrize("flag", [["--alpha", "1"], ["--server-share", "1/3"]])
+def test_simulate_decentralized_refuses_centralized_flags(flag, capsys):
+    code, out, err = _run(
         capsys,
-        ["simulate", "--scheme", "centralized", "--N", "4", "--K", "4",
+        ["simulate", "--scheme", "decentralized", "--N", "4", "--K", "4",
+         "--M", "2", *flag],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --alpha and --server-share apply to the centralized scheme only\n"
+    )
+
+
+def _starve_cooperation(monkeypatch):
+    # drop every cooperation symbol: both schemes then fail on user 1
+    execute = simulator.execute_schedule
+
+    def starved(*args, **kwargs):
+        log = execute(*args, **kwargs)
+        log.entries = [e for e in log.entries if e.sender == 0]
+        return log
+
+    monkeypatch.setattr(simulator, "execute_schedule", starved)
+
+
+def _assert_decode_failure_exits_1(capsys, scheme, subfile):
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", scheme, "--N", "4", "--K", "4",
          "--M", "2", "--alpha-max", "2"],
     )
     assert code == 1
-    assert "decode FAILED" in out
+    assert out.splitlines()[-1] == (
+        f"decode FAILED: user 1 cannot recover file 1, subfile {subfile}"
+    )
+    assert err == ""
+
+
+def test_simulate_decode_failure_exits_1(capsys, monkeypatch):
+    _starve_cooperation(monkeypatch)
+    _assert_decode_failure_exits_1(capsys, "centralized", "(2, 3)")
 
 
 def test_simulate_decentralized_error_path_exits_1(capsys, monkeypatch):
-    def explode(config, demands, **kwargs):
-        raise RuntimeError("decode failure: user cannot recover user 1, file 1")
-
-    monkeypatch.setattr(cli, "run_decentralized", explode)
-    code, out, _ = _run(
-        capsys,
-        ["simulate", "--scheme", "decentralized", "--N", "4", "--K", "4",
-         "--M", "2", "--alpha-max", "2"],
-    )
-    assert code == 1
-    assert "error: decode failure" in out
+    _starve_cooperation(monkeypatch)
+    _assert_decode_failure_exits_1(capsys, "decentralized", "(2,)")
 
 
 def test_missing_subcommand_is_usage_error():

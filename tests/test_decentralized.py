@@ -7,6 +7,7 @@ rationals.  Schedule structure is audited externally: fragment indices per
 must sit inside their groups, and lane loads must balance.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as Frac
@@ -377,3 +378,35 @@ def test_delivery_identities_hold_generally(cfg):
     _external_fragment_audit(sched)
     server = sum(s.size for s in sched.server_symbols)
     assert server == plan.R_empty + plan.server_share * plan.R_s
+
+
+# (config, demands) whose rounds, taken together, run all three cases, with
+# one distinct non-identity demand vector, server share 0, M = 0 and M = N
+_PINNED_SHAPES = [
+    (SystemConfig(7, 7, 4, alpha_max=3), None),
+    (SystemConfig(6, 6, 2, alpha_max=1), None),
+    (SystemConfig(8, 8, 3, alpha_max=2), None),
+    (SystemConfig(6, 5, 3, alpha_max=2), (2, 5, 6, 1, 3)),
+    (SystemConfig(5, 5, Frac(1, 4), alpha_max=1), None),
+    (SystemConfig(5, 5, 0, alpha_max=2), None),
+    (SystemConfig(5, 5, 5, alpha_max=2), None),
+]
+
+
+def test_schedules_are_pinned():
+    cases = {
+        select_case(cfg.K, s, cfg.alpha_max)[0]
+        for cfg, _ in _PINNED_SHAPES
+        for s in range(2, cfg.K + 1)
+    }
+    assert cases == {1, 2, 3}
+    assert allocation_plan(_PINNED_SHAPES[4][0]).server_share == 0
+    digest = hashlib.sha256()
+    for cfg, demands in _PINNED_SHAPES:
+        demands = demands or tuple(cfg.users())
+        placement = build_decentral_placement(cfg)
+        _, sched = build_decentral_delivery(cfg, placement, demands)
+        digest.update(repr((sched.user_rounds, sched.server_symbols)).encode())
+    assert digest.hexdigest() == (
+        "8ec90f841c452dc7dc0d27fb9bdde076ea6b67fb59b041885b6be3199b85922e"
+    )

@@ -287,6 +287,7 @@ def test_bit_mode_flipping_one_payload_bit_breaks_decode(scheme):
 
 @pytest.mark.parametrize("mode", ["fluid", "bits"])
 def test_decentralized_decode_failure_names_user_file_and_subfile(mode, monkeypatch):
+    # both schemes report a failed decode the same way, without raising
     execute = simulator.execute_schedule
 
     def starved(*args, **kwargs):
@@ -295,12 +296,25 @@ def test_decentralized_decode_failure_names_user_file_and_subfile(mode, monkeypa
         return log
 
     monkeypatch.setattr(simulator, "execute_schedule", starved)
-    cfg = SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600)
-    with pytest.raises(RuntimeError) as exc:
-        run_decentralized(cfg, mode=mode)
-    assert str(exc.value) == (
-        "decode failure: user cannot recover user 1, file 1, subfile (2,)"
-    )
+    runs = [
+        (run_centralized, SystemConfig(4, 4, 2, alpha_max=2, F=120), (2, 3)),
+        (run_decentralized, SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600), (2,)),
+    ]
+    for run, cfg, subfile in runs:
+        res = run(cfg, mode=mode)
+        assert res.decode_ok is False
+        assert res.decode_failure == (1, 1, subfile)
+        skipped = run(cfg, mode=mode, check_decode=False)
+        assert skipped.decode_ok is None and skipped.decode_failure is None
+
+
+def test_centralized_mode_is_checked_before_any_work(monkeypatch):
+    def stop(*args, **kwargs):
+        raise AssertionError("delivery built before the mode check")
+
+    monkeypatch.setattr(simulator, "build_delivery", stop)
+    with pytest.raises(ValueError, match="unknown mode 'bitz'"):
+        run_centralized(SystemConfig(4, 4, 2, alpha_max=2), mode="bitz")
 
 
 def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
