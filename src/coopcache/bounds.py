@@ -347,14 +347,36 @@ def verify_user_rate_bounds() -> tuple[Optional[tuple[SystemConfig, str]], bool]
 # ---------------------------------------------------------------------------
 
 
+# the keys each section of a grid spec must hold
+_GRID_KEYS = {
+    "centralized_gap": ("K", "N_max_multiple", "alpha_max_choices"),
+    "decentralized_gap": ("K", "p_grid_denominator"),
+}
+
+
 def load_grid_spec(path: Optional[str] = None) -> dict:
-    """Grid description, from ``path`` or the packaged default."""
-    if path is not None:
-        with open(path) as fh:
-            return json.load(fh)
-    return json.loads(
-        resources.files("coopcache").joinpath("data/acceptance_grid.json").read_text()
-    )
+    """Grid description, from ``path`` or the packaged default.
+
+    A file that is not a JSON object, or that lacks a section (an object)
+    or one of its keys, is refused with a ValueError naming what is
+    missing.
+    """
+    if path is None:
+        packaged = resources.files("coopcache").joinpath("data/acceptance_grid.json")
+        return json.loads(packaged.read_text())
+    with open(path) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    missing = []
+    for section, keys in _GRID_KEYS.items():
+        if not isinstance(spec.get(section), dict):
+            missing.append(section)
+        else:
+            missing += [f"{section}.{key}" for key in keys if key not in spec[section]]
+    if missing:
+        raise ValueError(f"grid spec {path} lacks {', '.join(missing)}")
+    return spec
 
 
 def _alpha_max_choices(K: int, choices: list) -> list[int]:
@@ -369,7 +391,7 @@ def _alpha_max_choices(K: int, choices: list) -> list[int]:
 
 def centralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
     """Configs for the centralized gap sweep: all integer-t memory points."""
-    spec = (spec or load_grid_spec())["centralized_gap"]
+    spec = (load_grid_spec() if spec is None else spec)["centralized_gap"]
     K_lo, K_hi = spec["K"]
     for K in range(K_lo, K_hi + 1):
         for N in range(K, spec["N_max_multiple"] * K + 1):
@@ -381,7 +403,7 @@ def centralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
 
 def decentralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
     """Configs for the decentralized gap sweep: uniform interior p grid."""
-    spec = (spec or load_grid_spec())["decentralized_gap"]
+    spec = (load_grid_spec() if spec is None else spec)["decentralized_gap"]
     K_lo, K_hi = spec["K"]
     den = spec["p_grid_denominator"]
     for K in range(K_lo, K_hi + 1):

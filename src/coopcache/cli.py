@@ -427,13 +427,27 @@ def _sweep_spec(args) -> SweepSpec:
         v = getattr(args, key)
         if v is not None:
             merged[key] = v
+    for key in ("N", "K", "alpha_max"):
+        if type(merged[key]) is not int:  # not JSON true, not 20.7
+            raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
     grid = merged["grid"]
+    if isinstance(grid, str):
+        values = _parse_grid(grid)
+    elif isinstance(grid, list) and all(
+        type(v) is int or isinstance(v, str) for v in grid
+    ):
+        values = [Frac(v) for v in grid]
+    else:
+        raise ValueError(
+            f"grid must be a string or a list of integers and 'p/q' strings, "
+            f"got {grid!r}"
+        )
     return SweepSpec(
         scheme=merged["scheme"],
-        N=int(merged["N"]),
-        K=int(merged["K"]),
-        alpha_max=int(merged["alpha_max"]),
-        grid=_parse_grid(grid) if isinstance(grid, str) else [as_frac(v) for v in grid],
+        N=merged["N"],
+        K=merged["K"],
+        alpha_max=merged["alpha_max"],
+        grid=values,
         fmt=merged["format"],
     )
 

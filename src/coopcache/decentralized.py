@@ -51,7 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .centralized import MAX_USER_SYMBOLS
 from .model import (
@@ -301,13 +301,13 @@ def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
 @dataclass
 class DecentralPlacement:
     """Random-caching state.  Fluid mode carries only exact subfile sizes;
-    bit mode additionally stores, per file, each bit's caching set."""
+    bit mode additionally stores the positions of every subfile W_{n,T}.
+    User k's cache of file n is the union of the W_{n,T} with k in T."""
 
     config: SystemConfig
     mode: str  # "fluid" | "bits"
     seed: int = 0
-    # bit mode only: (user, file) -> sorted positions; (file, T) -> positions
-    cache_positions: dict = field(default_factory=dict, repr=False)
+    # bit mode only: (file, T) -> positions
     subfile_positions: dict = field(default_factory=dict, repr=False)
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
@@ -332,8 +332,8 @@ def build_decentral_placement(
     users caching it, held in the smallest unsigned dtype that fits K bits,
     and one stable (radix) argsort of the codes groups the bits by caching
     set in position order; the subfile bounds are the running sum of the
-    code counts, so W_{n,T} is a view of that order, and only one file's
-    codes are live at a time.
+    code counts, so W_{n,T} is a view of that order.  Only one file's codes
+    are live at a time, and no user's draw is kept once it is coded.
     """
     entries = config.N << config.K
     if entries > MAX_USER_SYMBOLS:
@@ -364,8 +364,6 @@ def build_decentral_placement(
         for k in range(1, K + 1):
             rng = np.random.default_rng((seed, k, n))
             pos = rng.choice(F, size=per_file, replace=False)
-            pos.sort()
-            pl.cache_positions[(k, n)] = pos
             mask[pos] |= code_type(1 << (k - 1))
         order = np.argsort(mask, kind="stable")
         bounds = [0, *np.cumsum(np.bincount(mask, minlength=1 << K)).tolist()]
@@ -424,7 +422,7 @@ def parallel_user_delivery(
     config: SystemConfig,
     placement: DecentralPlacement,
     demands: Sequence[int],
-    plan: Optional[AllocationPlan] = None,
+    plan: AllocationPlan,
 ) -> DeliverySchedule:
     """All user rounds: s = 2..K, each a walk over its round plan.
 
@@ -436,8 +434,6 @@ def parallel_user_delivery(
     subset, part) and audited as the module docstring describes.
     """
     d = validate_demands(config, demands)
-    if plan is None:
-        plan = allocation_plan(config)
     K = config.K
     sched = DeliverySchedule()
     if plan.server_share == 1:
@@ -498,7 +494,7 @@ def server_delivery_decentralized(
     config: SystemConfig,
     placement: DecentralPlacement,
     demands: Sequence[int],
-    plan: Optional[AllocationPlan] = None,
+    plan: AllocationPlan,
 ) -> list[XorSymbol]:
     """Server phase: raw uncached subfiles, then the lambda-share multicast.
 
@@ -508,8 +504,6 @@ def server_delivery_decentralized(
     the fluid server load is exactly R_empty + lambda*R_s).
     """
     d = validate_demands(config, demands)
-    if plan is None:
-        plan = allocation_plan(config)
     K, p = config.K, config.p
     q = 1 - p
     lam = plan.server_share

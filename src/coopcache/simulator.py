@@ -29,6 +29,14 @@ check costs time linear in the log, per user.  It never consults the
 scheduler's own coverage bookkeeping, so scheduler bugs cannot vouch for
 themselves.  On failure it names the first user, file and subfile that
 cannot be recovered.
+
+Both schemes run through one path.  ``run_centralized`` and
+``run_decentralized`` each supply only their scheme's front half: placement,
+delivery schedule, fragment resolver and closed-form rates.  The shared
+back half checks the mode (bit mode needs ``config.F``) and the demands
+before any of that is built, then builds the library, executes the
+schedule, measures R1 and R2 against the closed forms, and runs the decode
+check.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -239,17 +247,14 @@ class CentralFragmentResolver(FragmentResolver):
         plan: SplitPlan,
         F: Optional[int] = None,
     ) -> None:
-        self.config = placement.config
         self.plan = plan
-        t = int(self.config.t)
-        self.C = math.comb(self.config.K, t)
+        self.C = len(placement.subsets)  # C(K, t)
         self._index = {T: i for i, T in enumerate(placement.subsets)}
         self._subfile_size = Frac(1, self.C)
         # a fragment's size depends only on (part, count)
         self._frag_sizes: dict[tuple[str, int], Frac] = {}
-        self.F = F
         if F is not None:
-            need = required_central_F(self.config, plan)
+            need = required_central_F(placement.config, plan)
             if F % need:
                 raise ValueError(
                     f"F={F} cannot be split exactly; use a multiple of {need}"
@@ -305,8 +310,7 @@ class DecentralFragmentResolver(FragmentResolver):
     def __init__(self, placement: DecentralPlacement, plan: AllocationPlan) -> None:
         self.placement = placement
         self.plan = plan
-        self.config = placement.config
-        K = self.config.K
+        K = placement.config.K
         self._keys = [
             T for size in range(K + 1) for T in enumerate_subsets(K, size)
         ]
@@ -667,22 +671,23 @@ class RateReport:
     ``R1``/``R2`` are what the log realises (server link, cooperation
     links); ``T`` = max{R1, R2} is the realised delay.  ``closed_T`` is the
     scheme's headline delay formula — for the decentralized scheme that
-    formula sits at or below the balanced max{R1, R2}.  Component rates and
-    splits are carried for the decentralized scheme.
+    formula sits at or below the balanced max{R1, R2}.  The splits and
+    component rates behind the targets are on ``SimulationResult.plan``.
     """
 
     R1: Frac
     R2: Frac
-    T: Frac
     closed_R1: Frac
     closed_R2: Frac
     closed_T: Frac
-    matches_closed: bool
-    server_share: Frac
-    R_empty: Optional[Frac] = None
-    R_s: Optional[Frac] = None
-    R_u: Optional[Frac] = None
-    lambda2_by_round: dict = field(default_factory=dict)
+
+    @property
+    def T(self) -> Frac:
+        return max(self.R1, self.R2)
+
+    @property
+    def matches_closed(self) -> bool:
+        return self.R1 == self.closed_R1 and self.R2 == self.closed_R2
 
 
 @dataclass
@@ -701,6 +706,37 @@ class SimulationResult:
     decode_failure: Optional[tuple[int, int, tuple[int, ...]]] = None
 
 
+def _run(
+    config: SystemConfig,
+    demands: Optional[Sequence[int]],
+    seed: int,
+    mode: str,
+    check_decode: bool,
+    front: Callable[[tuple[int, ...]], tuple],
+) -> SimulationResult:
+    """The back half of a run, shared by both schemes (module docstring).
+    ``front(demands)`` builds the scheme's (placement, plan, schedule,
+    resolver, closed rates) once the mode and demands have passed."""
+    if mode not in ("fluid", "bits"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "bits" and config.F is None:
+        raise ValueError("bit mode needs a file size F")
+    demands = validate_demands(
+        config, demands if demands is not None else list(config.users())
+    )
+    placement, plan, schedule, resolver, closed = front(demands)
+    library = BitLibrary.build(config.N, config.F, seed) if mode == "bits" else None
+    log = execute_schedule(config, schedule, resolver, mode, library)
+    rates = RateReport(
+        log.server_load(), log.user_load(), closed.R1, closed.R2, closed.T
+    )
+    failure = _first_decode_failure(log, demands, library) if check_decode else None
+    decode_ok = failure is None if check_decode else None
+    return SimulationResult(
+        log, decode_ok, rates, plan, schedule, placement, library, failure
+    )
+
+
 def run_centralized(
     config: SystemConfig,
     demands: Optional[Sequence[int]] = None,
@@ -716,39 +752,20 @@ def run_centralized(
     denominators (the error message names the required multiple); demands
     default to user k wanting file k.
     """
-    demands = validate_demands(
-        config, demands if demands is not None else list(config.users())
-    )
-    if mode not in ("fluid", "bits"):
-        raise ValueError(f"unknown mode {mode!r}")
-    placement = build_central_placement(config)
-    plan, schedule = build_delivery(
-        config, demands, alpha=alpha, server_share=server_share
-    )
-    library = None
-    if mode == "bits":
-        library = BitLibrary.build(config.N, config.F, seed)
-        resolver = CentralFragmentResolver(placement, plan, config.F)
-    else:
-        resolver = CentralFragmentResolver(placement, plan)
-    log = execute_schedule(config, schedule, resolver, mode, library)
-    closed = centralized_rates(config, alpha=plan.alpha, server_share=plan.server_share)
-    R1, R2 = log.server_load(), log.user_load()
-    report = RateReport(
-        R1,
-        R2,
-        max(R1, R2),
-        closed.R1,
-        closed.R2,
-        closed.T,
-        R1 == closed.R1 and R2 == closed.R2,
-        plan.server_share,
-    )
-    failure = _first_decode_failure(log, demands, library) if check_decode else None
-    decode_ok = failure is None if check_decode else None
-    return SimulationResult(
-        log, decode_ok, report, plan, schedule, placement, library, failure
-    )
+
+    def front(demands):
+        placement = build_central_placement(config)
+        plan, schedule = build_delivery(
+            config, demands, alpha=alpha, server_share=server_share
+        )
+        F = config.F if mode == "bits" else None
+        resolver = CentralFragmentResolver(placement, plan, F)
+        closed = centralized_rates(
+            config, alpha=plan.alpha, server_share=plan.server_share
+        )
+        return placement, plan, schedule, resolver, closed
+
+    return _run(config, demands, seed, mode, check_decode, front)
 
 
 def run_decentralized(
@@ -761,34 +778,11 @@ def run_decentralized(
     """Place, schedule, execute, measure, and decode the decentralized
     scheme.  Fluid mode must reproduce the component rate identities
     exactly; bit mode is the convergence/decode oracle."""
-    demands = validate_demands(
-        config, demands if demands is not None else list(config.users())
-    )
-    placement = build_decentral_placement(config, seed=seed, mode=mode)
-    plan, schedule = build_decentral_delivery(config, placement, demands)
-    resolver = DecentralFragmentResolver(placement, plan)
-    library = None
-    if mode == "bits":
-        library = BitLibrary.build(config.N, config.F, seed)
-    log = execute_schedule(config, schedule, resolver, mode, library)
-    closed = decentralized_rates(config)
-    R1, R2 = log.server_load(), log.user_load()
-    report = RateReport(
-        R1,
-        R2,
-        max(R1, R2),
-        closed.R1,
-        closed.R2,
-        closed.T,
-        R1 == closed.R1 and R2 == closed.R2,
-        plan.server_share,
-        R_empty=plan.R_empty,
-        R_s=plan.R_s,
-        R_u=plan.R_u,
-        lambda2_by_round=dict(plan.lambda2_by_round),
-    )
-    failure = _first_decode_failure(log, demands, library) if check_decode else None
-    decode_ok = failure is None if check_decode else None
-    return SimulationResult(
-        log, decode_ok, report, plan, schedule, placement, library, failure
-    )
+
+    def front(demands):
+        placement = build_decentral_placement(config, seed=seed, mode=mode)
+        plan, schedule = build_decentral_delivery(config, placement, demands)
+        resolver = DecentralFragmentResolver(placement, plan)
+        return placement, plan, schedule, resolver, decentralized_rates(config)
+
+    return _run(config, demands, seed, mode, check_decode, front)

@@ -6,20 +6,24 @@ file: every file's caching sets are held as a ``uint32`` mask, all masks are
 built first, and each of the 2^K subfiles is cut out of the sorted mask by
 two ``np.searchsorted`` calls and re-sorted.  The fast placement in
 ``coopcache.decentralized`` must produce the same positions, dtype and key
-order.
+order.  Every user's sorted draw is kept as ``cache_positions[(k, n)]``,
+which the fast placement does not store, so a test can check each user's
+cache against the subfiles that hold it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from coopcache import DecentralPlacement, enumerate_subsets
+from coopcache import enumerate_subsets
 
 
-def build_bit_placement(config, seed: int = 0) -> DecentralPlacement:
+def build_bit_placement(config, seed: int = 0) -> SimpleNamespace:
     K, N, F = config.K, config.N, config.F
     per_file = int(config.M * F / config.N)  # floor(M*F/N)
-    pl = DecentralPlacement(config, "bits", seed)
+    pl = SimpleNamespace(cache_positions={}, subfile_positions={})
     masks = {}
     for n in range(1, N + 1):
         mask = np.zeros(F, dtype=np.uint32)

@@ -4,6 +4,7 @@ The cut-set terms are recomputed here with an independent loop; threshold
 and gain values at reference points are frozen as exact rationals.
 """
 
+import dataclasses
 import math
 from fractions import Fraction as Frac
 
@@ -19,6 +20,7 @@ from coopcache import (
     centralized_gains,
     centralized_gap_grid,
     corollary_bounds,
+    decentralized_delay,
     decentralized_gap_bound,
     decentralized_gap_grid,
     gap_ratio,
@@ -65,6 +67,37 @@ def test_lower_bound_matches_oracle(N, K, M, amax):
     half, server, coop = _oracle_terms(N, K, M, amax)
     assert rep.cutset_terms == (half, server, coop)
     assert rep.T_lower == max(half, server, coop)
+
+
+@st.composite
+def _configs(draw):
+    K = draw(st.integers(min_value=2, max_value=12))
+    N = draw(st.integers(min_value=K, max_value=3 * K))
+    M = draw(st.fractions(min_value=0, max_value=N, max_denominator=12))
+    amax = draw(st.integers(min_value=1, max_value=max(1, K // 2)))
+    return SystemConfig(N, K, M, alpha_max=amax)
+
+
+@given(_configs())
+def test_achievable_delays_never_beat_the_converse(cfg):
+    T_lower = lower_bound(cfg).T_lower
+    assert centralized_delay(cfg) >= T_lower
+    assert decentralized_delay(cfg) >= T_lower
+
+
+@given(_configs(), st.data())
+def test_converse_never_grows_with_cache_or_parallelism(cfg, data):
+    # every cut family, not only their max: the cooperative cut, the one
+    # alpha_max enters, is seldom the largest
+    before = lower_bound(cfg)
+    M = data.draw(st.fractions(min_value=cfg.M, max_value=cfg.N, max_denominator=12))
+    amax = data.draw(
+        st.integers(min_value=cfg.alpha_max, max_value=max(1, cfg.K // 2))
+    )
+    for bigger in ({"M": M}, {"alpha_max": amax}):
+        after = lower_bound(dataclasses.replace(cfg, **bigger))
+        assert all(a <= b for a, b in zip(after.cutset_terms, before.cutset_terms))
+        assert after.T_lower <= before.T_lower
 
 
 def test_lower_bound_worked_example_and_gap():

@@ -128,6 +128,36 @@ def test_sweep_config_file_refuses_an_unknown_key(tmp_path, capsys):
     assert err == f"error: {cfg} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"N": 20.7}, "N must be an integer, got 20.7"),
+        ({"K": True}, "K must be an integer, got True"),
+        ({"grid": 5}, "grid must be a string or a list of integers and 'p/q' "
+                      "strings, got 5"),
+        ({"grid": [0, 0.5]}, "grid must be a string or a list of integers and "
+                             "'p/q' strings, got [0, 0.5]"),
+    ],
+    ids=["N-float", "K-bool", "grid-int", "grid-float-entry"],
+)
+def test_sweep_config_file_refuses_a_mistyped_value(entry, message, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(entry))
+    code, out, err = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_config_file_grid_list_takes_ints_and_fractions(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"scheme": "bounds", "N": 6, "K": 6,
+                               "alpha_max": 3, "grid": [0, "5/3"]}))
+    code, out, _ = _run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 0
+    assert [row["M"] for row in csv.DictReader(io.StringIO(out))] == ["0", "5/3"]
+
+
 def test_sweep_usage_errors(capsys):
     code, _, err = _run(capsys, ["sweep", "--N", "5", "--K", "10"])
     assert code == 2
@@ -169,6 +199,30 @@ def test_verify_empty_grid_warns(tmp_path, capsys):
     code, out, _ = _run(capsys, ["verify", "--grid", str(grid)])
     assert code == 0
     assert "empty grid" in out
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({}, "grid spec {grid} lacks centralized_gap, decentralized_gap"),
+        (
+            {
+                "centralized_gap": {"K": [2, 3], "alpha_max_choices": [1]},
+                "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
+            },
+            "grid spec {grid} lacks centralized_gap.N_max_multiple",
+        ),
+        ([1], "{grid} must hold a JSON object"),
+    ],
+    ids=["empty-object", "missing-key", "not-an-object"],
+)
+def test_verify_refuses_a_malformed_grid(spec, message, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(grid=grid)}\n"
 
 
 def test_verify_reports_failure_with_exit_1(tmp_path, capsys, monkeypatch):
@@ -284,6 +338,18 @@ def test_simulate_decentralized_refuses_centralized_flags(flag, capsys):
     assert err == (
         "error: --alpha and --server-share apply to the centralized scheme only\n"
     )
+
+
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_bit_mode_without_F_exits_2(scheme, capsys):
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+         "--alpha-max", "2", "--mode", "bits"],
+    )
+    assert code == 2
+    assert out.startswith(f"scheme: {scheme} ") and len(out.splitlines()) == 1
+    assert err == "error: bit mode needs a file size F\n"
 
 
 def _starve_cooperation(monkeypatch):

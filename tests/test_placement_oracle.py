@@ -2,9 +2,11 @@
 
 ``tests/placement_oracle.py`` holds the bit placement as it was before the
 split became one stable argsort plus code counts per file.  The fast one
-must give the same ``subfile_positions`` (values, dtype and key order) and
-the same ``cache_positions`` on every shape, including the edges: one user,
-empty and full caches, F not divisible by N, and F below 2^K.
+must give the same ``subfile_positions`` (values, dtype and key order) on
+every shape, and each user's cache of each file, the union of the W_{n,T}
+with k in T, must equal that user's draw in the oracle.  The shapes include
+the edges: one user, empty and full caches, F not divisible by N, and F
+below 2^K.
 """
 
 from fractions import Fraction
@@ -22,12 +24,18 @@ from coopcache import SystemConfig, build_decentral_placement
 def _assert_same_placement(config, seed):
     fast = build_decentral_placement(config, seed=seed, mode="bits")
     ref = oracle.build_bit_placement(config, seed=seed)
-    for name in ("subfile_positions", "cache_positions"):
-        got, want = getattr(fast, name), getattr(ref, name)
-        assert list(got) == list(want), name
-        for key, pos in want.items():
-            assert got[key].dtype == pos.dtype, (name, key)
-            assert np.array_equal(got[key], pos), (name, key)
+    got, want = fast.subfile_positions, ref.subfile_positions
+    assert list(got) == list(want)
+    for key, pos in want.items():
+        assert got[key].dtype == pos.dtype, key
+        assert np.array_equal(got[key], pos), key
+    assert len(ref.cache_positions) == config.K * config.N
+    for (k, n), draw in ref.cache_positions.items():
+        cache = np.sort(
+            np.concatenate([pos for (m, T), pos in got.items() if m == n and k in T])
+        )
+        assert cache.dtype == draw.dtype, (k, n)
+        assert np.array_equal(cache, draw), (k, n)
 
 
 # (N, K, M, F); M is a cache size in files, so p = M/N

@@ -169,15 +169,15 @@ def test_decentralized_fluid_identities():
     assert res.rates.R2 == closed.R2 == Frac(75, 116)
     assert res.rates.matches_closed
     assert res.rates.closed_T == Frac(105, 184)
-    assert res.rates.R_empty == Frac(3, 8)
-    assert res.rates.R_s == Frac(7, 8)
-    assert res.rates.R_u == Frac(15, 16)
+    assert res.plan.R_empty == Frac(3, 8)
+    assert res.plan.R_s == Frac(7, 8)
+    assert res.plan.R_u == Frac(15, 16)
 
 
 def test_decentralized_reports_intra_round_splits():
     cfg = SystemConfig(5, 5, Frac(5, 2), alpha_max=2)
     res = run_decentralized(cfg, check_decode=False)
-    assert set(res.rates.lambda2_by_round) == {3}
+    assert set(res.plan.lambda2_by_round) == {3}
     assert res.rates.matches_closed
 
 
@@ -315,6 +315,18 @@ def test_centralized_mode_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(simulator, "build_delivery", stop)
     with pytest.raises(ValueError, match="unknown mode 'bitz'"):
         run_centralized(SystemConfig(4, 4, 2, alpha_max=2), mode="bitz")
+
+
+def test_bit_mode_without_F_is_refused_before_any_work(monkeypatch):
+    def stop(*args, **kwargs):
+        raise AssertionError("built before the file size check")
+
+    monkeypatch.setattr(simulator, "build_delivery", stop)
+    monkeypatch.setattr(simulator, "build_decentral_placement", stop)
+    cfg = SystemConfig(4, 4, 2, alpha_max=2)
+    for run in (run_centralized, run_decentralized):
+        with pytest.raises(ValueError, match="^bit mode needs a file size F$"):
+            run(cfg, mode="bits")
 
 
 def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
