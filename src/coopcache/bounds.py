@@ -359,7 +359,9 @@ def load_grid_spec(path: Optional[str] = None) -> dict:
 
     A file that is not a JSON object, or that lacks a section (an object)
     or one of its keys, is refused with a ValueError naming what is
-    missing.
+    missing; so is a value of the wrong type, naming its key: ``K`` is two
+    integers, ``N_max_multiple`` and ``p_grid_denominator`` are integers,
+    ``alpha_max_choices`` is a list of integers and "half".
     """
     if path is None:
         packaged = resources.files("coopcache").joinpath("data/acceptance_grid.json")
@@ -376,6 +378,23 @@ def load_grid_spec(path: Optional[str] = None) -> dict:
             missing += [f"{section}.{key}" for key in keys if key not in spec[section]]
     if missing:
         raise ValueError(f"grid spec {path} lacks {', '.join(missing)}")
+    for section, keys in _GRID_KEYS.items():
+        for key in keys:
+            v = spec[section][key]
+            if key == "K":
+                want = "a list of two integers"
+                ok = isinstance(v, list) and len(v) == 2
+                ok = ok and all(type(x) is int for x in v)
+            elif key == "alpha_max_choices":
+                want = 'a list of integers and "half"'
+                ok = isinstance(v, list)
+                ok = ok and all(type(x) is int or x == "half" for x in v)
+            else:
+                want, ok = "an integer", type(v) is int  # not JSON true
+            if not ok:
+                raise ValueError(
+                    f"grid spec {path}: {section}.{key} must be {want}, got {v!r}"
+                )
     return spec
 
 

@@ -57,6 +57,7 @@ from .model import (
     enumerate_equal_partitions,
     enumerate_subsets,
     equal_partition_count,
+    server_shares,
     validate_demands,
 )
 
@@ -274,14 +275,10 @@ def build_server_schedule(
         return []
     size = lam / math.comb(K, t)
     everyone = tuple(config.users())
-    out: list[XorSymbol] = []
-    for S in enumerate_subsets(K, t + 1):
-        cons = tuple(
-            Constituent(k, FragmentId(d[k - 1], tuple(x for x in S if x != k), "s", 0, 1))
-            for k in S
-        )
-        out.append(XorSymbol(0, everyone, cons, size))
-    return out
+    return [
+        XorSymbol(0, everyone, server_shares(d, S), size)
+        for S in enumerate_subsets(K, t + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

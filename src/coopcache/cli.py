@@ -262,6 +262,7 @@ def cmd_simulate(args, out: TextIO) -> int:
         raise ValueError(
             "--alpha and --server-share apply to the centralized scheme only"
         )
+    server_share = as_frac(args.server_share) if args.server_share else None
     config = SystemConfig(
         N=args.N, K=args.K, M=as_frac(args.M), alpha_max=args.alpha_max, F=args.F
     )
@@ -280,7 +281,7 @@ def cmd_simulate(args, out: TextIO) -> int:
                 seed=args.seed,
                 mode=args.mode,
                 alpha=args.alpha,
-                server_share=as_frac(args.server_share) if args.server_share else None,
+                server_share=server_share,
             )
         else:
             res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
@@ -338,7 +339,7 @@ def cmd_simulate(args, out: TextIO) -> int:
 def _parse_grid(text: str) -> list[Frac]:
     """Comma list of rationals, or an inclusive start:stop:step progression."""
     if ":" in text:
-        lo, hi, step = (Frac(part) for part in text.split(":"))
+        lo, hi, step = (as_frac(part) for part in text.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
         vals = []
@@ -347,7 +348,7 @@ def _parse_grid(text: str) -> list[Frac]:
             vals.append(v)
             v += step
         return vals
-    return [Frac(part) for part in text.split(",")]
+    return [as_frac(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +437,7 @@ def _sweep_spec(args) -> SweepSpec:
     elif isinstance(grid, list) and all(
         type(v) is int or isinstance(v, str) for v in grid
     ):
-        values = [Frac(v) for v in grid]
+        values = [as_frac(v) for v in grid]
     else:
         raise ValueError(
             f"grid must be a string or a list of integers and 'p/q' strings, "

@@ -68,6 +68,7 @@ from .model import (
     f_ks,
     group_multiplicity,
     remainder_group_multiplicity,
+    server_shares,
     validate_demands,
 )
 
@@ -527,13 +528,9 @@ def server_delivery_decentralized(
         if size == 0:
             continue
         for S in enumerate_subsets(K, s_sz):
-            cons = tuple(
-                Constituent(
-                    k, FragmentId(d[k - 1], tuple(x for x in S if x != k), "s", 0, 1)
-                )
-                for k in S
+            out.append(
+                XorSymbol(0, everyone, server_shares(d, S), size, redundant=(s_sz == 1))
             )
-            out.append(XorSymbol(0, everyone, cons, size, redundant=(s_sz == 1)))
     return out
 
 

@@ -35,13 +35,17 @@ RationalLike = Union[int, str, Frac]
 
 
 def as_frac(x: RationalLike) -> Frac:
-    """Coerce ints, "p/q" strings and Fractions to an exact Fraction."""
+    """Coerce ints, "p/q" strings and Fractions to an exact Fraction; a
+    zero denominator is a ValueError."""
     if isinstance(x, float):
         raise TypeError(
             f"refusing to coerce float {x!r} to an exact rational; "
             "pass a Fraction, int or 'p/q' string"
         )
-    return Frac(x)
+    try:
+        return Frac(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 class SchedulingError(RuntimeError):
@@ -149,9 +153,6 @@ class GroupPartition:
         firsts = [g[0] for g in self.groups]
         if firsts != sorted(firsts):
             raise ValueError(f"groups not sorted by smallest member: {self.groups}")
-
-    def with_round(self, round_index: int) -> "GroupPartition":
-        return GroupPartition(self.groups, round_index)
 
 
 def _disjoint_group_choices(K: int, s: int, count: int) -> list[tuple]:
@@ -333,6 +334,19 @@ class XorSymbol:
         if self.sender == 0:
             return self.group
         return tuple(u for u in self.group if u != self.sender)
+
+
+def server_shares(
+    demands: Sequence[int], S: tuple[int, ...]
+) -> tuple[Constituent, ...]:
+    """What the server XORs into its symbol for user set S: each member k's
+    server share W^s_{d_k, S\\{k}}."""
+    return tuple(
+        Constituent(
+            k, FragmentId(demands[k - 1], tuple(x for x in S if x != k), "s", 0, 1)
+        )
+        for k in S
+    )
 
 
 @dataclass

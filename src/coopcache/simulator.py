@@ -30,6 +30,13 @@ scheduler's own coverage bookkeeping, so scheduler bugs cannot vouch for
 themselves.  On failure it names the first user, file and subfile that
 cannot be recovered.
 
+Both schemes lay out a needed subfile of n bits by one rule: part "full" is
+all of it, "s" the server's first floor(lambda*n) bits, and "u" the rest,
+cut into L1 equal slices (1 decentralized) of count/L1 near-equal fragments;
+"u1"/"u2" split the rest at floor(lambda2 * its length), lambda2 being the
+split of the round serving |T|, then cut near-equally.  A fragment's fluid
+size is its part's share over its count, times its subfile's size.
+
 Both schemes run through one path.  ``run_centralized`` and
 ``run_decentralized`` each supply only their scheme's front half: placement,
 delivery schedule, fragment resolver and closed-form rates.  The shared
@@ -192,23 +199,67 @@ class FragmentResolver:
 
     This is protocol knowledge — placement layout plus the public split
     plan — available to every decoder, as opposed to the scheduler's private
-    bookkeeping of who decodes what when.
+    bookkeeping of who decodes what when.  It holds the layout rule of the
+    module docstring; a subclass supplies its subfile table
+    (``subfile_keys``, ``subfile_size`` of |T| only, ``subfile_positions``)
+    and a ``frag_positions`` mapping :meth:`_frag_range` onto it.
     """
 
-    def subfile_keys(self) -> list[tuple[int, ...]]:
-        raise NotImplementedError
+    def __init__(
+        self, server_share: Frac, slices: int, lambda2_by_round: dict[int, Frac]
+    ) -> None:
+        self._lam = server_share
+        self._slices = slices
+        self._lam2 = lambda2_by_round
+        # sizes depend on (part, count, |T|) and part bounds on (part, |T|,
+        # n), so keying by shape keeps these memos small
+        self._frag_sizes: dict[tuple[str, int, int], Frac] = {}
+        self._bounds: dict[tuple[str, int, int], tuple[int, int, int]] = {}
 
-    def subfile_size(self, T: tuple[int, ...]) -> Frac:
-        raise NotImplementedError
-
-    def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
+    def _cuts(self, part: str, size: int) -> tuple[tuple[Frac, bool], ...]:
+        """The part as cuts from the whole subfile of a |T| = ``size``
+        subset: each (share, keep_rest) cuts the current range at ``share``
+        of its length and keeps the head, or with keep_rest the tail."""
+        if part == "full":
+            return ()
+        if part in ("s", "u"):
+            return ((self._lam, part == "u"),)
+        if part in ("u1", "u2"):
+            lam2 = self._lam2.get(size + 1)  # round s serves |T| = s - 1
+            if lam2 is None:
+                raise ValueError(f"part {part!r}: no lambda2 split for |T|={size}")
+            return ((self._lam, True), (lam2, part == "u2"))
+        raise ValueError(f"unknown fragment part {part!r}")
 
     def frag_size(self, frag: FragmentId) -> Frac:
-        raise NotImplementedError
+        key = (frag.part, frag.count, len(frag.subset))
+        if key not in self._frag_sizes:
+            share = Frac(1)
+            for cut, keep_rest in self._cuts(frag.part, len(frag.subset)):
+                share *= 1 - cut if keep_rest else cut
+            self._frag_sizes[key] = share / frag.count * self.subfile_size(frag.subset)
+        return self._frag_sizes[key]
 
-    def frag_positions(self, frag: FragmentId) -> np.ndarray:
-        raise NotImplementedError
+    def _frag_range(self, frag: FragmentId, n: int) -> tuple[int, int]:
+        """[lo, hi) of the fragment inside its subfile of ``n`` bits."""
+        key = (frag.part, len(frag.subset), n)
+        if key not in self._bounds:
+            lo, hi = 0, n
+            for cut, keep_rest in self._cuts(frag.part, len(frag.subset)):
+                mid = lo + math.floor(cut * (hi - lo))
+                lo, hi = (mid, hi) if keep_rest else (lo, mid)
+            slices = self._slices if frag.part == "u" else 1
+            self._bounds[key] = lo, hi, slices
+        lo, hi, slices = self._bounds[key]
+        if frag.count % slices:
+            raise ValueError(
+                f"fragment count {frag.count} does not refine {slices} slices"
+            )
+        per_slice = frag.count // slices
+        width = (hi - lo) // slices
+        first, length = _near_equal_part(width, per_slice, frag.index % per_slice)
+        start = lo + (frag.index // per_slice) * width + first
+        return start, start + length
 
 
 def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
@@ -232,14 +283,10 @@ def _near_equal_part(n: int, parts: int, i: int) -> tuple[int, int]:
 
 
 class CentralFragmentResolver(FragmentResolver):
-    """Deterministic contiguous layout for the centralized scheme.
-
-    File bits are split into C(K,t) equal subfiles in lexicographic subset
-    order; each subfile is a server prefix (share lambda) followed by L1
-    equal user slices.  A schedule may refine each slice into rho equal
-    sub-slices (fragments then carry count = L1*rho); sub-slice positions
-    split near-equally.  Layout is file-independent.
-    """
+    """Contiguous centralized layout: file bits split into C(K,t) equal
+    subfiles in lexicographic subset order, each with L1 user slices that a
+    schedule may refine into rho fragments (count = L1*rho).  Layout is
+    file-independent."""
 
     def __init__(
         self,
@@ -247,21 +294,16 @@ class CentralFragmentResolver(FragmentResolver):
         plan: SplitPlan,
         F: Optional[int] = None,
     ) -> None:
-        self.plan = plan
-        self.C = len(placement.subsets)  # C(K, t)
+        super().__init__(plan.server_share, plan.L1, {})
         self._index = {T: i for i, T in enumerate(placement.subsets)}
-        self._subfile_size = Frac(1, self.C)
-        # a fragment's size depends only on (part, count)
-        self._frag_sizes: dict[tuple[str, int], Frac] = {}
+        self._subfile_size = Frac(1, len(self._index))
         if F is not None:
             need = required_central_F(placement.config, plan)
             if F % need:
                 raise ValueError(
                     f"F={F} cannot be split exactly; use a multiple of {need}"
                 )
-            self.sub_len = F // self.C
-            self.s_len = int(plan.server_share * self.sub_len)
-            self.u_len = (self.sub_len - self.s_len) // plan.L1
+            self.sub_len = F // len(self._index)
 
     def subfile_keys(self) -> list[tuple[int, ...]]:
         return list(self._index)
@@ -273,51 +315,24 @@ class CentralFragmentResolver(FragmentResolver):
         start = self._index[T] * self.sub_len
         return np.arange(start, start + self.sub_len)
 
-    def frag_size(self, frag: FragmentId) -> Frac:
-        key = (frag.part, frag.count)
-        if key not in self._frag_sizes:
-            if frag.part == "s":
-                size = self.plan.server_share / self.C
-            elif frag.part == "u":
-                size = (1 - self.plan.server_share) / (self.C * frag.count)
-            else:
-                raise ValueError(f"unknown centralized part {frag.part!r}")
-            self._frag_sizes[key] = size
-        return self._frag_sizes[key]
-
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
+        lo, hi = self._frag_range(frag, self.sub_len)
         start = self._index[frag.subset] * self.sub_len
-        if frag.part == "s":
-            return np.arange(start, start + self.s_len)
-        if frag.part == "u":
-            L1 = self.plan.L1
-            if frag.count % L1:
-                raise ValueError(
-                    f"fragment count {frag.count} does not refine L1={L1}"
-                )
-            rho = frag.count // L1
-            lo = start + self.s_len + (frag.index // rho) * self.u_len
-            first, length = _near_equal_part(self.u_len, rho, frag.index % rho)
-            return np.arange(lo + first, lo + first + length)
-        raise ValueError(f"unknown centralized part {frag.part!r}")
+        return np.arange(start + lo, start + hi)
 
 
 class DecentralFragmentResolver(FragmentResolver):
-    """Random-placement layout: subfile positions from the placement, the
-    server share as a floor(lambda * len) prefix, the user remainder split
-    near-equally (u) or lambda2-prefixed then split (u1/u2)."""
+    """Random-placement layout: subfile positions from the placement, each
+    subfile laid out by the shared rule with one user slice."""
 
     def __init__(self, placement: DecentralPlacement, plan: AllocationPlan) -> None:
+        super().__init__(plan.server_share, 1, plan.lambda2_by_round)
         self.placement = placement
-        self.plan = plan
         K = placement.config.K
         self._keys = [
             T for size in range(K + 1) for T in enumerate_subsets(K, size)
         ]
-        # sizes depend only on the subset's size and the fragment's
-        # (part, count); keying by shape keeps these memos tiny
         self._subfile_sizes: dict[int, Frac] = {}
-        self._frag_sizes: dict[tuple[str, int, int], Frac] = {}
 
     def subfile_keys(self) -> list[tuple[int, ...]]:
         return self._keys
@@ -330,55 +345,10 @@ class DecentralFragmentResolver(FragmentResolver):
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         return self.placement.subfile_positions[(file, T)]
 
-    def _shares(self, frag: FragmentId) -> tuple[Frac, Frac]:
-        """(start, length) of the fragment inside its subfile, as shares."""
-        lam = self.plan.server_share
-        if frag.part == "full":
-            return Frac(0), Frac(1)
-        if frag.part == "s":
-            return Frac(0), lam
-        user = 1 - lam
-        if frag.part == "u":
-            return lam + user * Frac(frag.index, frag.count), user / frag.count
-        s = len(frag.subset) + 1  # round that serves |T| = s-1
-        lam2 = self.plan.lambda2_by_round[s]
-        if frag.part == "u1":
-            base, span = lam, user * lam2
-        elif frag.part == "u2":
-            base, span = lam + user * lam2, user * (1 - lam2)
-        else:
-            raise ValueError(f"unknown decentralized part {frag.part!r}")
-        return base + span * Frac(frag.index, frag.count), span / frag.count
-
-    def frag_size(self, frag: FragmentId) -> Frac:
-        key = (frag.part, frag.count, len(frag.subset))
-        if key not in self._frag_sizes:
-            _, span = self._shares(frag)
-            self._frag_sizes[key] = span * self.subfile_size(frag.subset)
-        return self._frag_sizes[key]
-
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
         pos = self.subfile_positions(frag.file, frag.subset)
-        n = len(pos)
-        lam = self.plan.server_share
-        s_len = math.floor(lam * n)
-        if frag.part == "full":
-            return pos
-        if frag.part == "s":
-            return pos[:s_len]
-        if frag.part == "u":
-            lo, hi = s_len, n
-        else:
-            s = len(frag.subset) + 1
-            u1_end = s_len + math.floor(self.plan.lambda2_by_round[s] * (n - s_len))
-            if frag.part == "u1":
-                lo, hi = s_len, u1_end
-            elif frag.part == "u2":
-                lo, hi = u1_end, n
-            else:
-                raise ValueError(f"unknown decentralized part {frag.part!r}")
-        first, length = _near_equal_part(hi - lo, frag.count, frag.index)
-        return pos[lo + first : lo + first + length]
+        lo, hi = self._frag_range(frag, len(pos))
+        return pos[lo:hi]
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,30 @@ def test_sweep_config_file_grid_list_takes_ints_and_fractions(tmp_path, capsys):
     assert [row["M"] for row in csv.DictReader(io.StringIO(out))] == ["0", "5/3"]
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["sweep", "--grid", "1/0"], None),
+        (["sweep", "--grid", "0:1:1/0"], None),
+        (["sweep", "--config", "{config}"], {"grid": [0, "1/0"]}),
+        (["simulate", "--scheme", "centralized", "--N", "4", "--K", "4",
+          "--M", "1/0"], None),
+        (["simulate", "--scheme", "centralized", "--N", "4", "--K", "4",
+          "--M", "2", "--server-share", "1/0"], None),
+    ],
+    ids=["sweep-grid", "sweep-grid-step", "sweep-config-grid", "simulate-M",
+         "simulate-server-share"],
+)
+def test_a_zero_denominator_exits_2(argv, config, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, [a.format(config=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == "error: '1/0' has a zero denominator\n"
+
+
 def test_sweep_usage_errors(capsys):
     code, _, err = _run(capsys, ["sweep", "--N", "5", "--K", "10"])
     assert code == 2
@@ -223,6 +247,39 @@ def test_verify_refuses_a_malformed_grid(spec, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message.format(grid=grid)}\n"
+
+
+@pytest.mark.parametrize(
+    "section,key,value,want",
+    [
+        ("centralized_gap", "K", 5, "a list of two integers"),
+        ("decentralized_gap", "K", [3, 4, 5], "a list of two integers"),
+        ("centralized_gap", "N_max_multiple", True, "an integer"),
+        ("decentralized_gap", "p_grid_denominator", 100.0, "an integer"),
+        ("centralized_gap", "alpha_max_choices", [1, "third"],
+         'a list of integers and "half"'),
+        ("centralized_gap", "alpha_max_choices", "half",
+         'a list of integers and "half"'),
+    ],
+    ids=["K-int", "K-three", "N_max_multiple-bool", "p_grid_denominator-float",
+         "alpha_max_choices-entry", "alpha_max_choices-str"],
+)
+def test_verify_refuses_a_mistyped_grid_value(section, key, value, want, tmp_path, capsys):
+    spec = {
+        "centralized_gap": {"K": [2, 3], "N_max_multiple": 1,
+                            "alpha_max_choices": [1, "half"]},
+        "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
+    }
+    spec[section][key] = value
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: grid spec {grid}: {section}.{key} must be {want}, "
+        f"got {value!r}\n"
+    )
 
 
 def test_verify_reports_failure_with_exit_1(tmp_path, capsys, monkeypatch):

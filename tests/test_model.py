@@ -88,6 +88,8 @@ def test_as_frac():
     assert as_frac(3) == Frac(3)
     assert as_frac("2/3") == Frac(2, 3)
     assert as_frac(Frac(1, 4)) == Frac(1, 4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_frac("1/0")
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +112,6 @@ def test_group_partition_canonical_form_enforced():
         GroupPartition(((3, 4), (1, 2)))  # groups not sorted by min
     with pytest.raises(ValueError):
         GroupPartition(((1, 2), (2, 3)))  # overlap
-
-
-def test_with_round_keeps_groups():
-    part = GroupPartition(((1, 2), (3, 4)))
-    assert part.with_round(7).round_index == 7
-    assert part.with_round(7).groups == part.groups
 
 
 def _brute_equal_partitions(K, s, alpha_d):

@@ -6,6 +6,7 @@ must break decodability.  Bit mode must converge to the fluid rates.
 """
 
 import dataclasses
+import random
 import hashlib
 from fractions import Fraction as Frac
 
@@ -15,6 +16,7 @@ import pytest
 import coopcache.simulator as simulator
 from coopcache import (
     BitLibrary,
+    FragmentId,
     LogEntry,
     SystemConfig,
     TransmissionLog,
@@ -387,3 +389,110 @@ def test_decentralized_bit_run_output_is_unchanged(run, tmp_path, monkeypatch, c
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest() == export_sha
+
+
+# (scheme, (N, K, M, alpha_max), F, mode, centralized overrides) -> SHA-256
+# over every distinct scheduled fragment, in first-use order, of
+# repr((fragment, frag_size)) and, in bit mode, its positions' bytes;
+# recorded from the per-scheme resolvers: the README worked example (L1=2),
+# the `bits` benchmark's centralized ops, a flow-rung fluid run, and
+# decentralized runs covering parts full/s/u and the case-3 u1/u2 split
+PINNED_LAYOUTS = {
+    ("centralized", (6, 6, 4, 3), 4500, "bits", (2, "1/3")):
+        "c9aa998033af356fa59edda8774fec5f262f680c12e488c0051a11d1803055d7",
+    ("centralized", (8, 8, 2, 4), 980000, "bits", None):
+        "df12ab346163d71caccdc6daa73ba4cebb0c88dc49723fda1da30e18995171c4",
+    ("centralized", (9, 9, 3, 3), 1008000, "bits", None):
+        "dbb5401292dd29812e5f9af30d445f4e17c08d98d7e4b49124001bab5703fbbe",
+    ("centralized", (8, 8, 4, 2), 1001000, "bits", None):
+        "8e89ec345c62a1f9d98da7c46e775da57376989ff513293740c06aa622ba0caf",
+    ("centralized", (12, 12, 6, 3), None, "fluid", None):
+        "2ba9aaa8a44ca514fadbcc4d019b18e553492c94389dfcb53d779b23e8f08efb",
+    ("decentralized", (7, 7, 4, 1), 70000, "bits", None):
+        "7687ff21ba7858d71384c95db1f2bf19a23b5819bd0e430ae0f36325d65a46b6",
+    ("decentralized", (6, 6, 2, 3), 100000, "bits", None):
+        "2ca21a76f87efee7a1be1d15be386a145f4c360b38180df44f5a040e996d174f",
+    ("decentralized", (7, 7, 4, 3), 100000, "bits", None):
+        "c9d39d8c02941aca5c0c341fe2af64fbea0822c55ec4471a6f53970e8bf60066",
+    ("decentralized", (5, 5, 2, 2), 100000, "bits", None):
+        "232cb53dd4eeb0531713e0b0e6ff422c210bb717bc732cc872de36be919c0755",
+    ("decentralized", (8, 8, "8/3", 4), 100000, "bits", None):
+        "c6a5a2085cb4ffd9ca9c70bb3f3eb79550081332b1642b1942c749009f0fb588",
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED_LAYOUTS), ids=str)
+def test_fragment_layout_is_unchanged(run):
+    scheme, (N, K, M, amax), F, mode, override = run
+    cfg = SystemConfig(N, K, Frac(M), alpha_max=amax, F=F)
+    if scheme == "centralized":
+        alpha, share = override or (None, None)
+        res = run_centralized(
+            cfg, mode=mode, alpha=alpha, server_share=Frac(share) if share else None,
+            check_decode=False,
+        )
+    else:
+        res = run_decentralized(cfg, mode=mode, check_decode=False)
+    symbols = res.schedule.server_symbols + [
+        sym for _, syms in res.schedule.user_rounds for sym in syms
+    ]
+    frags = dict.fromkeys(c.fragment for sym in symbols for c in sym.constituents)
+    resolver = res.log.resolver
+    digest = hashlib.sha256()
+    for frag in frags:
+        digest.update(repr((frag, resolver.frag_size(frag))).encode())
+        if mode == "bits":
+            digest.update(resolver.frag_positions(frag).tobytes())
+    assert digest.hexdigest() == PINNED_LAYOUTS[run]
+
+
+def test_both_resolvers_share_one_part_vocabulary():
+    central = run_centralized(WORKED, alpha=2, server_share=Frac(1, 3), mode="bits")
+    decentral = run_decentralized(
+        SystemConfig(5, 5, 2, alpha_max=1, F=2000), mode="bits", check_decode=False
+    )
+    for res in (central, decentral):
+        resolver = res.log.resolver
+        T = (1, 2, 3, 4)
+        whole = FragmentId(5, T, "full", 0, 1)
+        assert resolver.frag_size(whole) == resolver.subfile_size(T)
+        assert np.array_equal(
+            resolver.frag_positions(whole), resolver.subfile_positions(5, T)
+        )
+        # no round of either run splits its user share by lambda2
+        for part in ("u1", "x"):
+            bad = FragmentId(5, T, part, 0, 1)
+            with pytest.raises(ValueError, match=repr(part)):
+                resolver.frag_size(bad)
+            with pytest.raises(ValueError, match=repr(part)):
+                resolver.frag_positions(bad)
+
+
+# ---------------------------------------------------------------------------
+# file relabelling (metamorphic): no schedule may depend on the ids of the
+# files demanded
+# ---------------------------------------------------------------------------
+
+RELABEL_RUNS = [
+    ("centralized", SystemConfig(9, 6, 6, alpha_max=3, F=135 * 4), (1, 2, 3, 4, 5, 6)),
+    ("centralized", SystemConfig(8, 6, Frac(8, 3), alpha_max=3, F=105 * 3), (2, 5, 7, 1, 8, 3)),
+    ("decentralized", SystemConfig(7, 5, Frac(14, 5), alpha_max=2, F=3000), (1, 2, 3, 4, 5)),
+    ("decentralized", SystemConfig(6, 4, 3, alpha_max=2, F=2000), (6, 1, 4, 3)),
+]
+
+
+@pytest.mark.parametrize("run", RELABEL_RUNS, ids=lambda r: f"{r[0]}-{r[2]}")
+def test_relabelling_files_changes_nothing_but_the_ids(run):
+    scheme, cfg, demands = run
+    simulate = run_centralized if scheme == "centralized" else run_decentralized
+    base = simulate(cfg, demands)
+    assert base.decode_ok
+    for seed in (1, 2):
+        relabel = list(range(1, cfg.N + 1))
+        random.Random(seed).shuffle(relabel)
+        mapped = tuple(relabel[d - 1] for d in demands)
+        res = simulate(cfg, mapped)
+        assert (res.rates.R1, res.rates.R2) == (base.rates.R1, base.rates.R2)
+        assert res.decode_ok
+        assert res.log.export_lines() == base.log.export_lines(), (seed, mapped)
+        assert simulate(cfg, mapped, seed=seed, mode="bits").decode_ok
