@@ -4,6 +4,8 @@ The cut-set style lower bound on the optimal delay combines three families
 of cuts: the half-rate singleton cut (1/2)(1-M/N), server-only cuts
 s - K*M/floor(N/s), and cooperative cuts (s - s*M/floor(N/s))/(1+alpha_max),
 each maximised over the cut size s in 1..K; no achievable delay enters it.
+The cuts are compared in integers: with M = a/b and q = floor(N/s), cut s
+is (s*q*b - c*a)/(q*b), c = K (server-only) or s (cooperative).
 
 Gap certification sweeps explicit config grids (the shipped default grid
 lives in data/acceptance_grid.json) and checks the achievable-to-lower-bound
@@ -14,7 +16,7 @@ the intermediate-parallelism regime.  Both take the ratio by one rule,
 ``gap_ratio``: 1 where the achievable delay and the converse are both 0
 (only at M = N, as the half-rate cut is positive below it), else achievable
 over converse.  p_th(K) is the unique root of
-(K+1)(1-p)^(K-1) = 1; side-of-threshold tests are exact rational
+(K+1)(1-p)^(K-1) = 1; side-of-threshold tests are exact integer
 comparisons, and the reported value is a bisection interval of width 1e-9.
 """
 
@@ -43,10 +45,11 @@ from .model import SystemConfig, as_frac
 
 
 def p_at_least_threshold(K: int, p: Frac) -> bool:
-    """Exact test of p >= p_th(K), i.e. (K+1)(1-p)^(K-1) <= 1."""
+    """Exact test of p >= p_th(K): (K+1)(b-a)^(K-1) <= b^(K-1), p = a/b."""
     if K < 2:
         raise ValueError(f"threshold needs K >= 2, got {K}")
-    return (K + 1) * (1 - p) ** (K - 1) <= 1
+    a, b = p.numerator, p.denominator
+    return (K + 1) * (b - a) ** (K - 1) <= b ** (K - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,11 +60,16 @@ def p_threshold(K: int, width: Frac = Frac(1, 10**9)) -> tuple[Frac, Frac]:
     lo, hi = Frac(0), Frac(1)
     while hi - lo >= width:
         mid = (lo + hi) / 2
-        if (K + 1) * (1 - mid) ** (K - 1) > 1:
-            lo = mid
-        else:
+        if p_at_least_threshold(K, mid):
             hi = mid
+        else:
+            lo = mid
     return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _p_th_midpoint(K: int) -> float:
+    return float(sum(p_threshold(K)) / 2)
 
 
 def p_star(K: int) -> Frac:
@@ -110,19 +118,22 @@ def lower_bound(config: SystemConfig) -> BoundReport:
     Inner terms may go negative for large M; the max is still taken, and the
     half-rate term keeps the bound nonnegative.
     """
-    N, K, M = config.N, config.K, config.M
-    half = (1 - M / N) / 2
-    server_only = max(Frac(s) - Frac(K) * M / (N // s) for s in range(1, K + 1))
-    coop = max(
-        (Frac(s) - Frac(s) * M / (N // s)) / (1 + config.alpha_max)
-        for s in range(1, K + 1)
-    )
-    lo, hi = p_threshold(K)
+    N, K, a, b = config.N, config.K, config.M.numerator, config.M.denominator
+    # each family's best cut so far as (numerator, denominator), from s = 1
+    (sn, sd), (cn, cd) = (N * b - K * a, N * b), (N * b - a, N * b)
+    for s in range(2, K + 1):
+        d = (N // s) * b
+        if (s * d - K * a) * sd > sn * d:
+            sn, sd = s * d - K * a, d
+        if s * (d - a) * cd > cn * d:
+            cn, cd = s * (d - a), d
+    half, server_only = Frac(N * b - a, 2 * N * b), Frac(sn, sd)
+    coop = Frac(cn, cd * (1 + config.alpha_max))
     return BoundReport(
         (half, server_only, coop),
         max(half, server_only, coop),
         gap_regime(config),
-        float((lo + hi) / 2),
+        _p_th_midpoint(K),
     )
 
 
@@ -406,6 +417,30 @@ def _alpha_max_choices(K: int, choices: list) -> list[int]:
         if 1 <= v <= cap and v not in out:
             out.append(v)
     return sorted(out)
+
+
+def gap_grid_sizes(spec: dict) -> tuple[int, int]:
+    """Point counts of the centralized and decentralized gap grids, in
+    closed form: nothing is enumerated, and no point exists below K = 2."""
+    cen, dec = spec["centralized_gap"], spec["decentralized_gap"]
+    n_mult, choices = cen["N_max_multiple"], cen["alpha_max_choices"]
+
+    def pairs(lo: int, hi: int) -> int:
+        # (N, t) pairs over K in lo..hi: the sum of K*((n_mult-1)*K + 1)
+        f = lambda n: (n_mult - 1) * n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2
+        return f(hi) - f(lo - 1) if hi >= lo and n_mult >= 1 else 0
+
+    lo, hi = max(cen["K"][0], 2), cen["K"][1]
+    ints = {c for c in choices if c != "half" and c >= 1}
+    # alpha_max = c is valid where K >= 2c, "half" where K//2 is no such c
+    central = sum(pairs(max(lo, 2 * c), hi) for c in ints)
+    if "half" in choices:
+        central += pairs(lo, hi)
+        central -= sum(pairs(max(lo, 2 * c), min(hi, 2 * c + 1)) for c in ints)
+    lo, hi = max(dec["K"][0], 2), dec["K"][1]
+    halves = lambda n: (n // 2) * ((n + 1) // 2)  # sum of K//2 over K in 0..n
+    widths = halves(hi) - halves(lo - 1) if hi >= lo else 0
+    return central, widths * max(0, dec["p_grid_denominator"] - 1)
 
 
 def centralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:

@@ -91,13 +91,10 @@ def build_central_placement(config: SystemConfig) -> CentralPlacement:
 # ---------------------------------------------------------------------------
 
 
-def coding_gain_m(K: int, t: Frac, alpha: int) -> Frac:
-    """Pico-files XOR-coded per user symbol: min(K//alpha - 1, t)."""
-    return min(Frac(K // alpha - 1), Frac(t))
-
-
-def _delay_denominator(K: int, t: Frac, alpha: int) -> Frac:
-    return 1 + t + alpha * coding_gain_m(K, t, alpha)
+def _best_alpha(K: int, tn: int, td: int, alpha_max: int) -> int:
+    # with t = tn/td, td times the delay denominator is
+    # td + tn + alpha*min((K//alpha - 1)*td, tn); max keeps the first alpha
+    return max(range(1, alpha_max + 1), key=lambda a: a * min((K // a - 1) * td, tn))
 
 
 def choose_alpha(config: SystemConfig) -> int:
@@ -106,13 +103,8 @@ def choose_alpha(config: SystemConfig) -> int:
     Minimises K(1-M/N) / (1 + t + alpha*min(K//alpha - 1, t)) over
     alpha in [1, alpha_max]; ties resolve to the smallest alpha.
     """
-    K, t = config.K, config.t
-    best, best_val = 1, _delay_denominator(K, t, 1)
-    for alpha in range(2, config.alpha_max + 1):
-        val = _delay_denominator(K, t, alpha)
-        if val > best_val:
-            best, best_val = alpha, val
-    return best
+    t = config.t
+    return _best_alpha(config.K, t.numerator, t.denominator, config.alpha_max)
 
 
 def piecewise_alpha(config: SystemConfig) -> Frac:
@@ -156,6 +148,24 @@ class SplitPlan:
             raise ValueError(f"layer count L1={self.L1} must be positive")
 
 
+def _split(
+    K: int, t: int, alpha_max: int, alpha: Optional[int], server_share: Optional[Frac]
+) -> tuple[int, int, Frac, int]:
+    """(alpha, m, lambda, L1) at integer t, range-checked; see ``SplitPlan``."""
+    if alpha is None:
+        alpha = _best_alpha(K, t, 1, alpha_max)
+    if not (1 <= alpha <= alpha_max):
+        raise ValueError(f"alpha={alpha} outside [1, alpha_max={alpha_max}]")
+    m = min(K // alpha - 1, t)
+    # the default balances the two links; it is 1 at m = 0
+    lam = Frac(1 + t, alpha * m + 1 + t) if server_share is None else Frac(server_share)
+    if not (0 <= lam <= 1):
+        raise ValueError(f"server share {lam} outside [0, 1]")
+    # smallest L1 with K*C(K-1,t)*L1/(alpha*m) an integer
+    L1 = alpha * m // math.gcd(K * math.comb(K - 1, t), alpha * m) if m else 1
+    return alpha, m, lam, L1
+
+
 def make_split_plan(
     config: SystemConfig,
     alpha: Optional[int] = None,
@@ -165,21 +175,8 @@ def make_split_plan(
     t = config.t
     if t.denominator != 1:
         raise ValueError(f"split plan needs integer t, got {t}")
-    ti = int(t)
-    if alpha is None:
-        alpha = choose_alpha(config)
-    if not (1 <= alpha <= config.alpha_max):
-        raise ValueError(f"alpha={alpha} outside [1, alpha_max={config.alpha_max}]")
-    m = coding_gain_m(config.K, Frac(ti), alpha)
-    if server_share is None:
-        server_share = Frac(1 + ti, int(alpha * m) + 1 + ti) if m > 0 else Frac(1)
-    else:
-        server_share = Frac(server_share)
-    if m == 0:
-        return SplitPlan(alpha, server_share, 1)
-    per_link = Frac(config.K * math.comb(config.K - 1, ti), alpha * int(m))
-    L1 = per_link.denominator  # smallest L1 with per_link*L1 an integer
-    return SplitPlan(alpha, server_share, L1)
+    alpha, _, lam, L1 = _split(config.K, int(t), config.alpha_max, alpha, server_share)
+    return SplitPlan(alpha, lam, L1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +203,14 @@ def _rates_integer_t(
     alpha: Optional[int],
     server_share: Optional[Frac],
 ) -> CentralizedRates:
-    sub = SystemConfig(config.N, config.K, Frac(ti * config.N, config.K),
-                       config.alpha_max, config.F)
-    plan = make_split_plan(sub, alpha=alpha, server_share=server_share)
     K = config.K
-    base = K * (1 - sub.p)
-    lam = plan.server_share
-    R1 = lam * base / (1 + ti)
-    m = coding_gain_m(K, Frac(ti), plan.alpha)
-    R2 = (1 - lam) * base / (plan.alpha * m) if m > 0 else Frac(0)
-    if base == 0:
-        R1 = R2 = Frac(0)
-    return CentralizedRates(R1, R2, max(R1, R2), plan.alpha, lam, plan.L1)
+    alpha, m, lam, L1 = _split(K, ti, config.alpha_max, alpha, server_share)
+    # R1 = lambda*K(1-t/K)/(1+t) and R2 = (1-lambda)*K(1-t/K)/(alpha*m),
+    # with lambda = ln/ld and K(1-t/K) = K-t
+    ln, ld = lam.numerator, lam.denominator
+    R1 = Frac(ln * (K - ti), ld * (1 + ti))
+    R2 = Frac((ld - ln) * (K - ti), ld * alpha * m) if m else Frac(0)
+    return CentralizedRates(R1, R2, max(R1, R2), alpha, lam, L1)
 
 
 def centralized_rates(
@@ -529,7 +522,6 @@ def build_user_schedule(
     g = K // alpha
     fp = min(g, t + 1)
     m = fp - 1
-    assert m == int(coding_gain_m(K, Frac(t), alpha))
     P1 = K * math.comb(K - 1, t) * plan.L1
     if P1 % (m * alpha):
         raise SchedulingError(

@@ -26,6 +26,7 @@ from .bounds import (
     centralized_gains,
     centralized_gap_grid,
     decentralized_gap_grid,
+    gap_grid_sizes,
     load_grid_spec,
     lower_bound,
     p_threshold,
@@ -33,7 +34,7 @@ from .bounds import (
     verify_gap_decentralized,
     verify_user_rate_bounds,
 )
-from .centralized import centralized_rates
+from .centralized import MAX_USER_SYMBOLS, centralized_rates
 from .decentralized import decentralized_gains, decentralized_rates
 from .model import SystemConfig, as_frac
 from .simulator import run_centralized, run_decentralized
@@ -177,6 +178,11 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
     spec = load_grid_spec(grid_path)
     ok = True
 
+    for name, size in zip(("centralized", "decentralized"), gap_grid_sizes(spec)):
+        if size > MAX_USER_SYMBOLS:
+            raise ValueError(
+                f"{name} gap grid has {size} points, above the limit of {MAX_USER_SYMBOLS}"
+            )
     cen = list(centralized_gap_grid(spec))
     dec = list(decentralized_gap_grid(spec))
     if not cen and not dec:
@@ -337,17 +343,18 @@ def cmd_simulate(args, out: TextIO) -> int:
 
 
 def _parse_grid(text: str) -> list[Frac]:
-    """Comma list of rationals, or an inclusive start:stop:step progression."""
+    """Comma list of rationals, or an inclusive start:stop:step progression
+    of at most ``MAX_USER_SYMBOLS`` values (counted before any is built)."""
     if ":" in text:
         lo, hi, step = (as_frac(part) for part in text.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += step
-        return vals
+        count = max(0, (hi - lo) // step + 1)
+        if count > MAX_USER_SYMBOLS:
+            raise ValueError(
+                f"grid {text} has {count} values, above the limit of {MAX_USER_SYMBOLS}"
+            )
+        return [lo + i * step for i in range(count)]
     return [as_frac(part) for part in text.split(",")]
 
 

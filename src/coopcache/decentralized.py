@@ -95,27 +95,25 @@ def rate_components(config: SystemConfig) -> RateComponents:
     R_u = per-link user rate: rounds below the parallelism knee contribute
     (1/alpha_max) * s*C(K,s)/(s-1) * p^(s-1) q^(K-s+1), rounds at or above
     it contribute K*C(K-1,s-1)/f(K,s) * p^(s-1) q^(K-s+1).
+    In integers, with p = a/b: the R_u terms coefficient * a^(s-1)
+    (b-a)^(K-s+1) / b^K are summed over one common denominator.
     """
-    K, p = config.K, config.p
-    q = 1 - p
-    R_empty = K * q**K
-    R_s = Frac(K) if p == 0 else (q / p) * (1 - q**K)
-    knee = -(-K // config.alpha_max)  # ceil(K / alpha_max)
-    R_u = Frac(0)
-    for s in range(2, knee):
-        R_u += (
-            Frac(s * math.comb(K, s), s - 1)
-            * p ** (s - 1)
-            * q ** (K - s + 1)
-            / config.alpha_max
-        )
-    for s in range(max(2, knee), K + 1):
-        R_u += (
-            Frac(K * math.comb(K - 1, s - 1), f_ks(K, s))
-            * p ** (s - 1)
-            * q ** (K - s + 1)
-        )
-    return RateComponents(R_empty, R_s, R_u)
+    K, amax = config.K, config.alpha_max
+    a, b = config.p.numerator, config.p.denominator
+    c, bK = b - a, b**K
+    R_empty = Frac(K * c**K, bK)
+    R_s = Frac(K) if a == 0 else Frac(c * (bK - c**K), a * bK)
+    knee = -(-K // amax)  # ceil(K / alpha_max)
+    num, den = 0, 1
+    for s in range(2, K + 1):
+        if s < knee:
+            coef, coef_den = s * math.comb(K, s), (s - 1) * amax
+        else:
+            coef, coef_den = K * math.comb(K - 1, s - 1), f_ks(K, s)
+        lcm = math.lcm(den, coef_den)
+        num = num * (lcm // den) + coef * (lcm // coef_den) * a ** (s - 1) * c ** (K - s + 1)
+        den = lcm
+    return RateComponents(R_empty, R_s, Frac(num, den * bK))
 
 
 def select_case(K: int, s: int, alpha_max: int) -> tuple[int, int]:

@@ -334,6 +334,25 @@ def test_grid_generators_respect_custom_spec():
     assert {c.p for c in decentral} == {Frac(1, 4), Frac(1, 2), Frac(3, 4)}
 
 
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=-2, max_value=4),
+    st.integers(min_value=-1, max_value=3),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4, "half"]), max_size=4),
+    st.integers(min_value=-1, max_value=6),
+)
+def test_grid_sizes_count_the_enumerated_points(K_lo, span, n_mult, choices, den):
+    spec = {
+        "centralized_gap": {"K": [K_lo, K_lo + span], "N_max_multiple": n_mult,
+                            "alpha_max_choices": choices},
+        "decentralized_gap": {"K": [K_lo, K_lo + span], "p_grid_denominator": den},
+    }
+    assert bounds_module.gap_grid_sizes(spec) == (
+        len(list(centralized_gap_grid(spec))),
+        len(list(decentralized_gap_grid(spec))),
+    )
+
+
 def test_min_form_exceedance_is_noted_not_failed(monkeypatch):
     cfg = SystemConfig(6, 6, Frac(3, 5), alpha_max=2)  # middle, below p_th
     bound, branch, min_form = decentralized_gap_bound(cfg)

@@ -24,7 +24,6 @@ from coopcache import (
     centralized_delay,
     centralized_rates,
     choose_alpha,
-    coding_gain_m,
     enumerate_subsets,
     make_split_plan,
     piecewise_alpha,
@@ -114,7 +113,7 @@ def test_split_plan_layer_count_is_minimal():
         for t in range(1, K):
             for alpha in range(1, max(1, K // 2) + 1):
                 cfg = SystemConfig(K, K, t, alpha_max=max(1, K // 2))
-                m = coding_gain_m(K, Frac(t), alpha)
+                m = min(K // alpha - 1, t)
                 if m == 0:
                     continue
                 plan = make_split_plan(cfg, alpha=alpha)
@@ -256,7 +255,7 @@ def test_schedule_builds_for_any_feasible_shape(shape):
         pytest.fail(f"scheduler failed on K={K} t={t} alpha={alpha}: {exc}")
     # total user traffic: every needed fragment once, m receivers per symbol
     total = sum(s.size for _, syms in sched.user_rounds for s in syms)
-    m = coding_gain_m(K, Frac(t), plan.alpha)
+    m = min(K // plan.alpha - 1, t)
     expected = (1 - plan.server_share) * K * (1 - cfg.p) / m if m > 0 else Frac(0)
     assert total == expected
 

@@ -6,6 +6,7 @@ decode or scheduling failure, 2 usage errors and refused sizes).
 """
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -193,9 +194,53 @@ def test_sweep_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_refuses_an_oversized_grid_before_building_it(capsys, monkeypatch):
+    argv = ["sweep", "--scheme", "bounds", "--N", "2", "--K", "2",
+            "--alpha-max", "1", "--grid", "0:1:1/10"]  # 11 values
+    monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 11)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.count("\n") == 1 + 11
+    monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 10)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: grid 0:1:1/10 has 11 values, above the limit of 10\n"
+    monkeypatch.undo()
+    # at the real limit, a billion values are refused by their count alone
+    code, out, err = _run(capsys, ["sweep", "--grid", "0:1:1/1000000000"])
+    assert (code, out) == (2, "")
+    assert "has 1000000001 values, above the limit of 500000" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+# SHA-256 of the stdout of ``verify`` and of the benchmark's three sweeps,
+# recorded before the analytic path moved to integer arithmetic
+PINNED_ANALYTIC_STDOUT = [
+    (["verify"],
+     "0eb75f9bdcdceda8a4e9cc64c959c410f74be1ebdd5e0b81e09cc4a10a919af4"),
+    (["sweep", "--scheme", "centralized", "--N", "20", "--K", "10",
+      "--alpha-max", "5", "--grid", "0:20:1/2"],
+     "1ee3e437ff5e909b9b6fa990167f2ef7ce8219ac90e7b5759954f88cd71459f2"),
+    (["sweep", "--scheme", "bounds", "--N", "20", "--K", "10",
+      "--alpha-max", "5", "--grid", "0:20:1/2"],
+     "b9fb731338618faf9075a253924917c39db49d5b7a0e586552b90af72fd5e227"),
+    (["sweep", "--scheme", "decentralized", "--N", "20", "--K", "10",
+      "--alpha-max", "5", "--grid", "1/100:99/100:1/100"],
+     "218e07a4b897e0fca471771d0cc89062c3caf851d03431fd58ac4e6cf20e690d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_ANALYTIC_STDOUT, ids=["verify", "central", "bounds", "decentral"]
+)
+def test_analytic_output_bytes_are_pinned(argv, digest, capsys):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_small_grid_passes(tmp_path, capsys):
@@ -211,6 +256,49 @@ def test_verify_small_grid_passes(tmp_path, capsys):
     assert "centralized gap <= 31" in out
     assert "decentralized branch bounds" in out
     assert "p_th strictly decreasing" in out
+
+
+def test_verify_refuses_an_oversized_grid_before_enumerating(tmp_path, capsys, monkeypatch):
+    grid = tmp_path / "grid.json"
+    spec = {
+        "centralized_gap": {"K": [2, 5], "N_max_multiple": 1,
+                            "alpha_max_choices": [1, "half"]},
+        "decentralized_gap": {"K": [3, 5], "p_grid_denominator": 8},
+    }
+    grid.write_text(json.dumps(spec))
+    sizes = (len(list(bounds.centralized_gap_grid(spec))),
+             len(list(bounds.decentralized_gap_grid(spec))))
+    assert sizes == bounds.gap_grid_sizes(spec) == (23, 35)
+    monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 35)
+    code, out, _ = _run(capsys, ["verify", "--grid", str(grid)])
+    assert code == 0
+    assert "on 23 points" in out and "on 35 points" in out
+
+    def refuse(spec):
+        raise AssertionError("grid enumerated")
+
+    monkeypatch.setattr(cli, "centralized_gap_grid", refuse)
+    monkeypatch.setattr(cli, "decentralized_gap_grid", refuse)
+    monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 34)
+    code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: decentralized gap grid has 35 points, above the limit of 34\n"
+    )
+    monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 22)
+    code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
+    assert err == "error: centralized gap grid has 23 points, above the limit of 22\n"
+    # at the real limit: the shipped centralized grid with K up to 400
+    spec["centralized_gap"] = {"K": [2, 400], "N_max_multiple": 2,
+                               "alpha_max_choices": [1, 2, "half"]}
+    grid.write_text(json.dumps(spec))
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "centralized_gap_grid", refuse)
+    code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: centralized gap grid has 64480708 points, above the limit of 500000\n"
+    )
 
 
 def test_verify_empty_grid_warns(tmp_path, capsys):
