@@ -371,7 +371,8 @@ def load_grid_spec(path: Optional[str] = None) -> dict:
     A file that is not a JSON object, or that lacks a section (an object)
     or one of its keys, is refused with a ValueError naming what is
     missing; so is a value of the wrong type, naming its key: ``K`` is two
-    integers, ``N_max_multiple`` and ``p_grid_denominator`` are integers,
+    integers, the first at least 2 (a config has two users),
+    ``N_max_multiple`` and ``p_grid_denominator`` are integers,
     ``alpha_max_choices`` is a list of integers and "half".
     """
     if path is None:
@@ -406,6 +407,11 @@ def load_grid_spec(path: Optional[str] = None) -> dict:
                 raise ValueError(
                     f"grid spec {path}: {section}.{key} must be {want}, got {v!r}"
                 )
+        if spec[section]["K"][0] < 2:
+            raise ValueError(
+                f"grid spec {path}: {section}.K must start at 2 or above, "
+                f"got {spec[section]['K']!r}"
+            )
     return spec
 
 
@@ -421,7 +427,8 @@ def _alpha_max_choices(K: int, choices: list) -> list[int]:
 
 def gap_grid_sizes(spec: dict) -> tuple[int, int]:
     """Point counts of the centralized and decentralized gap grids, in
-    closed form: nothing is enumerated, and no point exists below K = 2."""
+    closed form: nothing is enumerated.  Both K ranges start at 2 or above
+    (``load_grid_spec``)."""
     cen, dec = spec["centralized_gap"], spec["decentralized_gap"]
     n_mult, choices = cen["N_max_multiple"], cen["alpha_max_choices"]
 
@@ -430,14 +437,14 @@ def gap_grid_sizes(spec: dict) -> tuple[int, int]:
         f = lambda n: (n_mult - 1) * n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2
         return f(hi) - f(lo - 1) if hi >= lo and n_mult >= 1 else 0
 
-    lo, hi = max(cen["K"][0], 2), cen["K"][1]
+    lo, hi = cen["K"]
     ints = {c for c in choices if c != "half" and c >= 1}
     # alpha_max = c is valid where K >= 2c, "half" where K//2 is no such c
     central = sum(pairs(max(lo, 2 * c), hi) for c in ints)
     if "half" in choices:
         central += pairs(lo, hi)
         central -= sum(pairs(max(lo, 2 * c), min(hi, 2 * c + 1)) for c in ints)
-    lo, hi = max(dec["K"][0], 2), dec["K"][1]
+    lo, hi = dec["K"]
     halves = lambda n: (n // 2) * ((n + 1) // 2)  # sum of K//2 over K in 0..n
     widths = halves(hi) - halves(lo - 1) if hi >= lo else 0
     return central, widths * max(0, dec["p_grid_denominator"] - 1)

@@ -475,22 +475,15 @@ def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
     counts minimal, and the canonical worked examples run at rho=1); the
     uniform full-cycle rho — always feasible because the even fractional
     hosting solution respects uniform quotas with slack — terminates the
-    ladder.
+    ladder.  Multiples of the uniform rho would add nothing: L and every
+    quota scale with rho there, so a flow saturates at k*rho iff it does at
+    rho.  The uniform rung may repeat an earlier attempt, which, being
+    feasible, already ends the walk.
     """
-    rho_uniform = beta // math.gcd(slots1, beta)
-    attempts: list[tuple[int, int]] = []
-    for rho in (1, 2, 3, 4, 6, 8, 12):
-        for off in range(min(beta, 12)):
-            attempts.append((rho, off))
-    for mult in (1, 2, 3, 4):
-        attempts.append((rho_uniform * mult, 0))
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    for a in attempts:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+    offsets = range(min(beta, 12))
+    attempts = [(rho, off) for rho in (1, 2, 3, 4, 6, 8, 12) for off in offsets]
+    attempts.append((beta // math.gcd(slots1, beta), 0))
+    return attempts
 
 
 def build_user_schedule(

@@ -178,19 +178,18 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
     spec = load_grid_spec(grid_path)
     ok = True
 
-    for name, size in zip(("centralized", "decentralized"), gap_grid_sizes(spec)):
+    cen, dec = gap_grid_sizes(spec)
+    for name, size in (("centralized", cen), ("decentralized", dec)):
         if size > MAX_USER_SYMBOLS:
             raise ValueError(
                 f"{name} gap grid has {size} points, above the limit of {MAX_USER_SYMBOLS}"
             )
-    cen = list(centralized_gap_grid(spec))
-    dec = list(decentralized_gap_grid(spec))
     if not cen and not dec:
         out.write("warning: empty grid — nothing to verify\n")
         return 0
 
     if cen:
-        rep = verify_gap_centralized(cen)
+        rep = verify_gap_centralized(centralized_gap_grid(spec))
         w = rep.worst
         ok &= _check(
             out,
@@ -213,7 +212,7 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
             )
 
     if dec:
-        rep = verify_gap_decentralized(dec)
+        rep = verify_gap_decentralized(decentralized_gap_grid(spec))
         ok &= _check(out, f"decentralized branch bounds on {rep.points} points", rep.passed)
         for branch, pt in sorted(rep.worst_by_branch.items()):
             out.write(

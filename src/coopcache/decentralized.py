@@ -14,29 +14,32 @@ at s-1 others (per-link rate (1-lambda)*R_u).
 
 Round s groups users into sending groups of size s; inside a group each
 member in turn broadcasts an XOR of fragments, one per other member, of
-mini-files W^u_{d_j, S\\{j}} cached by the whole rest of the group.  The
-number and shape of parallel groups per round:
+mini-files W^u_{d_j, S\\{j}} cached by the whole rest of the group.  One
+rule, ``round_shapes``, fixes each round's shape: it runs
+regular = min(floor(K/s), alpha_max) disjoint s-groups at a time, and when
+a lane is still free (floor(K/s) < alpha_max) and the r = K mod s users
+left over number at least two, they form a remainder group, which serves
+its members' mini-files through every s-superset S of itself.  A partition
+then codes D = (s-1)*regular + max(r-1, 0) fragments.  The paper's three
+cases are the outcomes of this rule:
 
-* case 1 (ceil(K/s) > alpha_max): alpha_max disjoint s-groups at a time,
-  the full-width cap binds;
-* case 2 (ceil(K/s) <= alpha_max, K mod s < 2): floor(K/s) s-groups cover
-  (almost) everyone;
-* case 3 (otherwise): floor(K/s) s-groups plus one remainder group of size
-  s* = K mod s >= 2, which serves its members' mini-files through every
-  s-superset S of itself; the user share is further split u1/u2 between
-  regular and remainder service with lambda2 chosen to equalise lane loads.
+* case 1 (ceil(K/s) > alpha_max): the cap binds, regular = alpha_max;
+* case 2 (otherwise, K mod s < 2): regular = floor(K/s) and no remainder;
+* case 3 (otherwise): a remainder group joins the floor(K/s) s-groups, and
+  the user share is further split u1/u2 between regular and remainder
+  service with lambda2 = (s-1)*regular/D, which equalises lane loads.
 
 The resulting per-round per-lane loads are equal by construction, which is
 what makes the closed-form R_u of the delay theorem exact for the scheduler.
 
 Each round is worked out once, as a round plan: its partitions, each a list
 of (group, part) pairs with any remainder group last, and for each part
-("u", or "u1"/"u2" in case 3) the number and size of the equal fragments
-its mini-files are cut into.  The user schedule walks the plans round by
-round and audits itself: every use of a mini-file part draws its next
-fragment index, drawing past the part's fragment count raises
-SchedulingError, and so does a needed part not drawn to its count by the
-end of its round.
+("u", or "u1"/"u2" with a remainder group) the number and size of the
+equal fragments its mini-files are cut into.  The user schedule walks the
+plans round by round and audits itself: every use of a mini-file part
+draws its next fragment index, drawing past the part's fragment count
+raises SchedulingError, and so does a needed part not drawn to its count
+by the end of its round.
 
 A faithful wart, kept deliberately: with this scheme's lambda (from the
 "Choice of lambda" rule), the balanced server/user loads R_empty+lambda*R_s
@@ -62,12 +65,9 @@ from .model import (
     SchedulingError,
     SystemConfig,
     XorSymbol,
-    enumerate_equal_partitions,
-    enumerate_remainder_partitions,
+    _disjoint_group_choices,
     enumerate_subsets,
-    f_ks,
-    group_multiplicity,
-    remainder_group_multiplicity,
+    equal_partition_count,
     server_shares,
     validate_demands,
 )
@@ -86,59 +86,58 @@ class RateComponents:
     R_u: Frac
 
 
+def round_shapes(K: int, alpha_max: int) -> list[tuple[int, int, int, int]]:
+    """(s, regular, remainder, D) for each round s = 2..K (module docstring).
+
+    regular = min(floor(K/s), alpha_max) is the number of full s-groups;
+    remainder is r = K mod s when r >= 2 and floor(K/s) < alpha_max, else 0;
+    D = (s-1)*regular + max(remainder-1, 0) is the number of fragments a
+    partition of the round codes.
+    """
+    shapes = []
+    for s in range(2, K + 1):
+        q, r = divmod(K, s)
+        if q >= alpha_max:
+            shapes.append((s, alpha_max, 0, (s - 1) * alpha_max))
+        elif r < 2:
+            shapes.append((s, q, 0, (s - 1) * q))
+        else:
+            shapes.append((s, q, r, (s - 1) * q + r - 1))
+    return shapes
+
+
+def f_ks(K: int, s: int) -> int:
+    """Round s's D from ``round_shapes`` with no cap on parallel groups:
+    floor(K/s)*(s-1) if K mod s < 2, else K - 1 - floor(K/s)."""
+    if not (2 <= s <= K):
+        raise ValueError(f"need 2 <= s <= K, got K={K}, s={s}")
+    return round_shapes(K, K)[s - 2][3]
+
+
 def rate_components(config: SystemConfig) -> RateComponents:
     """Exact R_empty, R_s, R_u for this config.
 
     R_empty = K q^K (content cached nowhere, q = 1-p);
     R_s = (q/p)(1 - q^K) (server delivering everything single-handedly;
     continuity value K at p = 0);
-    R_u = per-link user rate: rounds below the parallelism knee contribute
-    (1/alpha_max) * s*C(K,s)/(s-1) * p^(s-1) q^(K-s+1), rounds at or above
-    it contribute K*C(K-1,s-1)/f(K,s) * p^(s-1) q^(K-s+1).
-    In integers, with p = a/b: the R_u terms coefficient * a^(s-1)
-    (b-a)^(K-s+1) / b^K are summed over one common denominator.
+    R_u = per-link user rate: round s contributes s*C(K,s)/D *
+    p^(s-1) q^(K-s+1), with D the fragments a partition codes
+    (``round_shapes``).
+    In integers, with p = a/b: the R_u terms s*C(K,s) * a^(s-1)
+    (b-a)^(K-s+1) / (D b^K) are summed over one common denominator.
     """
-    K, amax = config.K, config.alpha_max
+    K = config.K
     a, b = config.p.numerator, config.p.denominator
     c, bK = b - a, b**K
     R_empty = Frac(K * c**K, bK)
     R_s = Frac(K) if a == 0 else Frac(c * (bK - c**K), a * bK)
-    knee = -(-K // amax)  # ceil(K / alpha_max)
     num, den = 0, 1
-    for s in range(2, K + 1):
-        if s < knee:
-            coef, coef_den = s * math.comb(K, s), (s - 1) * amax
-        else:
-            coef, coef_den = K * math.comb(K - 1, s - 1), f_ks(K, s)
-        lcm = math.lcm(den, coef_den)
-        num = num * (lcm // den) + coef * (lcm // coef_den) * a ** (s - 1) * c ** (K - s + 1)
+    for s, _, _, D in round_shapes(K, config.alpha_max):
+        lcm = math.lcm(den, D)
+        coef = s * math.comb(K, s) * (lcm // D)
+        num = num * (lcm // den) + coef * a ** (s - 1) * c ** (K - s + 1)
         den = lcm
     return RateComponents(R_empty, R_s, Frac(num, den * bK))
-
-
-def select_case(K: int, s: int, alpha_max: int) -> tuple[int, int]:
-    """Round-s delivery case and the number of parallel groups alpha_D."""
-    if not (2 <= s <= K):
-        raise ValueError(f"round size s={s} outside [2, K={K}]")
-    if -(-K // s) > alpha_max:
-        return 1, alpha_max
-    if K % s < 2:
-        return 2, K // s
-    return 3, -(-K // s)
-
-
-def lambda2_split(K: int, s: int) -> Frac:
-    """Case-3 share of the user mini-file served by the regular groups.
-
-    Chosen so a regular lane (s symbols per partition, fragments of the u1
-    share split (s-1)-fold per group visit) and the remainder lane (serving
-    the u2 share through every s-superset) carry equal bits:
-    lambda2 = floor(K/s)(s-1) / (K - 1 - floor(K/s)).
-    """
-    q, r = divmod(K, s)
-    if r < 2:
-        raise ValueError(f"round K={K}, s={s} has no remainder group")
-    return Frac(q * (s - 1), K - 1 - q)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class AllocationPlan:
     """Server/user traffic split for decentralized delivery.
 
     ``server_share`` (lambda) and the component rates are those of
-    :func:`decentralized_rates`.  ``lambda2_by_round`` carries the case-3
+    :func:`decentralized_rates`.  ``lambda2_by_round`` carries the u1/u2
     intra-round split for each round that has a remainder group.
     """
 
@@ -168,9 +167,9 @@ def allocation_plan(config: SystemConfig) -> AllocationPlan:
     rates = decentralized_rates(config)
     rc = rates.components
     lam2 = {
-        s: lambda2_split(config.K, s)
-        for s in range(2, config.K + 1)
-        if select_case(config.K, s, config.alpha_max)[0] == 3
+        s: Frac((s - 1) * regular, D)
+        for s, regular, remainder, D in round_shapes(config.K, config.alpha_max)
+        if remainder
     }
     return AllocationPlan(rates.server_share, lam2, rc.R_empty, rc.R_s, rc.R_u)
 
@@ -377,39 +376,32 @@ def build_decentral_placement(
 
 
 def _round_plan(
-    config: SystemConfig, plan: AllocationPlan, s: int
+    config: SystemConfig, plan: AllocationPlan, shape: tuple[int, int, int, int]
 ) -> tuple[Iterator[list], dict[str, tuple[int, Frac]]]:
-    """Round s as (partitions, parts), both worked out once for the round.
+    """Round s, of shape (s, regular, r, D) from ``round_shapes``, as
+    (partitions, parts), both worked out once for the round.
 
     Each partition is a list of (group, part) pairs, any remainder group
-    last: regular s-groups work on part "u" (cases 1 and 2) or "u1"
-    (case 3), the case-3 remainder group on "u2".  ``parts`` maps each part
-    to (fragment count, fragment size as a fraction of F).  A part's count
-    is the number of times the round uses each of its mini-files: (s-1)
-    rotations per appearance of a regular group, (s*-1)*C(s-1, s*-1) per
-    appearance of a remainder group of size s*, times the group's
-    multiplicity across the round's partitions.
+    last: ``regular`` disjoint s-groups work on part "u", or on "u1" when
+    the users they leave idle form a remainder group of size r, which works
+    on "u2".  ``parts`` maps each part to (fragment count, fragment size as
+    a fraction of F).  A part's count is the number of times the round uses
+    each of its mini-files: (s-1) rotations per appearance of an s-group,
+    (r-1)*C(s-1, r-1) per appearance of the remainder group, times the
+    group's multiplicity across the round's partitions.
     """
+    s, regular, r, _ = shape
     K, p = config.K, config.p
-    case, alpha_d = select_case(K, s, config.alpha_max)
     w_u = (1 - plan.server_share) * p ** (s - 1) * (1 - p) ** (K - s + 1)
-    n1 = (s - 1) * group_multiplicity(K, s, alpha_d)
-    if case in (1, 2):
-        partitions = (
-            [(G, "u") for G in part]
-            for part in enumerate_equal_partitions(K, s, alpha_d)
-        )
+    n1 = (s - 1) * equal_partition_count(K - s, s, regular - 1)
+    choices = _disjoint_group_choices(K, s, regular)
+    if not r:
+        partitions = ([(G, "u") for G in groups] for groups, _ in choices)
         return partitions, {"u": (n1, w_u / n1)}
-    s_star = K % s
     lam2 = plan.lambda2_by_round[s]
-    n2 = (
-        (s_star - 1)
-        * math.comb(s - 1, s_star - 1)
-        * remainder_group_multiplicity(K, s)
-    )
+    n2 = (r - 1) * math.comb(s - 1, r - 1) * equal_partition_count(K - r, s, regular)
     partitions = (
-        [*((G, "u1") for G in part[:-1]), (part[-1], "u2")]
-        for part in enumerate_remainder_partitions(K, s)
+        [*((G, "u1") for G in groups), (idle, "u2")] for groups, idle in choices
     )
     return partitions, {
         "u1": (n1, lam2 * w_u / n1),
@@ -439,8 +431,9 @@ def parallel_user_delivery(
         return sched
     next_index: dict[tuple[int, tuple[int, ...], str], int] = {}
     round_index = 0
-    for s in range(2, K + 1):
-        partitions, parts = _round_plan(config, plan, s)
+    for shape in round_shapes(K, config.alpha_max):
+        s = shape[0]
+        partitions, parts = _round_plan(config, plan, shape)
         if all(size == 0 for _, size in parts.values()):
             continue
         for pairs in partitions:

@@ -194,87 +194,13 @@ def enumerate_equal_partitions(
     return [groups for groups, _ in _disjoint_group_choices(K, s, alpha_d)]
 
 
-def enumerate_remainder_partitions(K: int, s: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Partitions of *all* of 1..K into floor(K/s) s-groups plus one remainder.
-
-    The remainder group has size K mod s (which must be >= 2) and is listed
-    last; the regular s-groups are sorted by smallest member.  Output order
-    is lexicographic on the flattened regular groups.
-    """
-    q, r = divmod(K, s)
-    if r < 2:
-        raise ValueError(
-            f"remainder partitions need K mod s >= 2, got K={K}, s={s} (mod {r})"
-        )
-    return [groups + (rest,) for groups, rest in _disjoint_group_choices(K, s, q)]
-
-
-def _disjoint_group_count(n: int, s: int, count: int) -> int:
-    """Number of unordered choices of ``count`` disjoint s-subsets of n users:
-    the product of C(n - i*s, s) over i < count, divided by count!."""
-    num = 1
-    for i in range(count):
-        num *= math.comb(n - i * s, s)
-    return num // math.factorial(count)
-
-
 def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
-    """Closed-form count of ``enumerate_equal_partitions(K, s, alpha_d)``."""
-    return _disjoint_group_count(K, s, alpha_d)
-
-
-def remainder_partition_count(K: int, s: int) -> int:
-    """Closed-form count of ``enumerate_remainder_partitions(K, s)``."""
-    q, r = divmod(K, s)
-    if r < 2:
-        raise ValueError(f"K mod s must be >= 2, got K={K}, s={s}")
-    return _disjoint_group_count(K, s, q)
-
-
-def group_multiplicity(K: int, s: int, alpha_d: int) -> int:
-    """Number of partitions a fixed s-group appears in.
-
-    For equal partitions (alpha_d*s <= K) this counts collections of
-    alpha_d-1 further disjoint s-groups.  When alpha_d*s > K the context is
-    the remainder-partition enumeration (alpha_d = ceil(K/s) with
-    K mod s >= 2) and the count is the multiplicity of a fixed *regular*
-    s-group there: the remaining floor(K/s)-1 regular groups are chosen from
-    the other K-s users and the remainder group is forced.
-    """
-    if alpha_d * s <= K:
-        return _disjoint_group_count(K - s, s, alpha_d - 1)
-    q, r = divmod(K, s)
-    if r < 2 or alpha_d != q + 1:
-        raise ValueError(
-            f"no partition shape fits K={K}, s={s}, alpha_d={alpha_d}"
-        )
-    return _disjoint_group_count(K - s, s, q - 1)
-
-
-def remainder_group_multiplicity(K: int, s: int) -> int:
-    """Multiplicity of a fixed remainder group (size K mod s) in the
-    remainder-partition enumeration: partitions of the other s*floor(K/s)
-    users into regular s-groups."""
-    q, r = divmod(K, s)
-    if r < 2:
-        raise ValueError(f"K mod s must be >= 2, got K={K}, s={s}")
-    return _disjoint_group_count(K - r, s, q)
-
-
-def f_ks(K: int, s: int) -> int:
-    """Effective parallel-delivery factor for round s of decentralized delivery.
-
-    With groups of size s drawn from K users: if K mod s < 2 the round uses
-    floor(K/s) parallel groups each coding over s-1 members, giving
-    floor(K/s)*(s-1); otherwise a remainder group of size K mod s joins and
-    the balanced round achieves K - 1 - floor(K/s).
-    """
-    if not (2 <= s <= K):
-        raise ValueError(f"need 2 <= s <= K, got K={K}, s={s}")
-    q, r = divmod(K, s)
-    if r < 2:
-        return q * (s - 1)
-    return K - 1 - q
+    """Closed-form count of ``enumerate_equal_partitions(K, s, alpha_d)``:
+    the product of C(K - i*s, s) over i < alpha_d, divided by alpha_d!."""
+    num = 1
+    for i in range(alpha_d):
+        num *= math.comb(K - i * s, s)
+    return num // math.factorial(alpha_d)
 
 
 # ---------------------------------------------------------------------------

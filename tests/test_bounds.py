@@ -5,7 +5,10 @@ and gain values at reference points are frozen as exact rationals.
 """
 
 import dataclasses
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction as Frac
 
 import pytest
@@ -335,7 +338,7 @@ def test_grid_generators_respect_custom_spec():
 
 
 @given(
-    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=-1, max_value=8),
     st.integers(min_value=-2, max_value=4),
     st.integers(min_value=-1, max_value=3),
     st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4, "half"]), max_size=4),
@@ -347,6 +350,15 @@ def test_grid_sizes_count_the_enumerated_points(K_lo, span, n_mult, choices, den
                             "alpha_max_choices": choices},
         "decentralized_gap": {"K": [K_lo, K_lo + span], "p_grid_denominator": den},
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        if K_lo < 2:  # no config has fewer than two users
+            with pytest.raises(ValueError, match=r"centralized_gap\.K must start at 2"):
+                load_grid_spec(path)
+            return
+        assert load_grid_spec(path) == spec
     assert bounds_module.gap_grid_sizes(spec) == (
         len(list(centralized_gap_grid(spec))),
         len(list(decentralized_gap_grid(spec))),

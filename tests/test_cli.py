@@ -325,8 +325,25 @@ def test_verify_empty_grid_warns(tmp_path, capsys):
             "grid spec {grid} lacks centralized_gap.N_max_multiple",
         ),
         ([1], "{grid} must hold a JSON object"),
+        (
+            {
+                "centralized_gap": {"K": [1, 3], "N_max_multiple": 1,
+                                    "alpha_max_choices": [1]},
+                "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
+            },
+            "grid spec {grid}: centralized_gap.K must start at 2 or above, got [1, 3]",
+        ),
+        (
+            {
+                "centralized_gap": {"K": [2, 3], "N_max_multiple": 1,
+                                    "alpha_max_choices": [1]},
+                "decentralized_gap": {"K": [0, 4], "p_grid_denominator": 4},
+            },
+            "grid spec {grid}: decentralized_gap.K must start at 2 or above, got [0, 4]",
+        ),
     ],
-    ids=["empty-object", "missing-key", "not-an-object"],
+    ids=["empty-object", "missing-key", "not-an-object", "central-K-below-2",
+         "decentral-K-below-2"],
 )
 def test_verify_refuses_a_malformed_grid(spec, message, tmp_path, capsys):
     grid = tmp_path / "grid.json"

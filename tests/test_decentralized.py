@@ -29,10 +29,10 @@ from coopcache import (
     decentralized_gains,
     decentralized_rates,
     enumerate_subsets,
-    lambda2_split,
+    equal_partition_count,
+    f_ks,
     rate_components,
-    remainder_partition_count,
-    select_case,
+    round_shapes,
 )
 
 K3 = SystemConfig(3, 3, Frac(3, 2), alpha_max=1)  # p = 1/2, solved by hand
@@ -126,16 +126,28 @@ def test_delay_never_increases_with_more_parallelism():
     ],
 )
 def test_select_case(K, s, amax, case, alpha_d):
-    assert select_case(K, s, amax) == (case, alpha_d)
+    # the paper's case and group count, read off the one round-shape rule
+    assert _paper_case(K, s, amax) == case
+    _, regular, remainder, D = round_shapes(K, amax)[s - 2]
+    assert regular + (remainder > 0) == alpha_d
+    assert remainder == (K % s if case == 3 else 0)
+    assert D == ((s - 1) * amax if case == 1 else f_ks(K, s))
+
+
+def _paper_case(K, s, amax):
+    remainder = round_shapes(K, amax)[s - 2][2]
+    return 3 if remainder else 1 if -(-K // s) > amax else 2
 
 
 def test_lambda2_split_values():
-    assert lambda2_split(7, 4) == Frac(3, 5)
-    assert lambda2_split(8, 3) == Frac(2 * 2, 8 - 1 - 2)
-    with pytest.raises(ValueError):
-        lambda2_split(8, 4)  # no remainder group
-    with pytest.raises(ValueError):
-        lambda2_split(7, 3)  # remainder of one
+    # lambda2 = floor(K/s)(s-1) / (K - 1 - floor(K/s)), only for rounds
+    # whose remainder K mod s >= 2 joins as its own group
+    lam2 = allocation_plan(SystemConfig(7, 7, 4, alpha_max=3)).lambda2_by_round
+    assert lam2 == {4: Frac(3, 5), 5: Frac(4, 5)}
+    lam2 = allocation_plan(SystemConfig(8, 8, 4, alpha_max=4)).lambda2_by_round
+    assert lam2 == {3: Frac(2 * 2, 8 - 1 - 2), 5: Frac(2, 3), 6: Frac(5, 6)}
+    # alpha_max = 1 leaves no free lane for a remainder group
+    assert allocation_plan(SystemConfig(8, 8, 4, alpha_max=1)).lambda2_by_round == {}
 
 
 def test_allocation_plan_contents():
@@ -305,7 +317,7 @@ def test_delivery_structure_with_remainder_rounds():
         for part, syms in sched.user_rounds
         if max(len(g) for g in part.groups) == 4
     ]
-    assert len(s4) == remainder_partition_count(7, 4) == 35
+    assert len(s4) == equal_partition_count(7, 4, 1) == 35
     for part, syms in s4:
         assert sorted(len(g) for g in part.groups) == [3, 4]
         for sym in syms:
@@ -394,7 +406,7 @@ _PINNED_SHAPES = [
 
 def test_schedules_are_pinned():
     cases = {
-        select_case(cfg.K, s, cfg.alpha_max)[0]
+        _paper_case(cfg.K, s, cfg.alpha_max)
         for cfg, _ in _PINNED_SHAPES
         for s in range(2, cfg.K + 1)
     }

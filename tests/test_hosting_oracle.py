@@ -32,9 +32,11 @@ from coopcache.centralized import (
 from coopcache.cli import main
 
 
-def _walk_ladder(K, t, alpha):
+def _walk_ladder(K, t, alpha, last_rung=False):
     """Check every rung up to and including the first feasible one; return
-    (rungs checked, whether the shape is forced)."""
+    (rungs checked, whether the shape is forced).  With ``last_rung``, also
+    check that the ladder ends at the uniform rung (beta/gcd(slots1, beta), 0)
+    and that this rung is feasible."""
     cfg = SystemConfig(K, K, t, alpha_max=max(1, K // 2))
     plan = make_split_plan(cfg, alpha=alpha)
     fp = min(K // alpha, t + 1)
@@ -51,8 +53,15 @@ def _walk_ladder(K, t, alpha):
     cycle = Counter(G for part in partitions for G in part)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
     decide = _hosting_decider(K, t, m)
+    beta = len(partitions)
+    ladder = _rho_ladder(slots1, beta)
+    if last_rung:
+        rho, offset = ladder[-1]
+        assert (rho, offset) == (beta // math.gcd(slots1, beta), 0)
+        quotas = _slot_quotas(partitions, cycle, slots1 * rho, offset)
+        assert decide(quotas, plan.L1 * rho) is not None, (K, t, alpha)
     rungs = 0
-    for rho, offset in _rho_ladder(slots1, len(partitions)):
+    for rho, offset in ladder:
         L, slots = plan.L1 * rho, slots1 * rho
         quotas = _slot_quotas(partitions, cycle, slots, offset)
         assert quotas == oracle._slot_quotas(partitions, slots, offset)[1]
@@ -77,7 +86,7 @@ SMALL_SHAPES = [
 def test_every_rung_agrees_with_the_oracle_for_k_up_to_7():
     forced = free = 0
     for shape in SMALL_SHAPES:
-        rungs, is_forced = _walk_ladder(*shape)
+        rungs, is_forced = _walk_ladder(*shape, last_rung=True)
         if is_forced:
             forced += rungs
         else:

@@ -1,8 +1,8 @@
 """System model: configs, demand validation, group-partition combinatorics.
 
-The enumeration functions are checked against brute-force oracles built
-from raw itertools output, and the closed-form counts against the
-enumerations themselves.
+The enumeration functions, and the decentralized round plans built on them,
+are checked against brute-force oracles built from raw itertools output,
+and the closed-form counts against the enumerations themselves.
 """
 
 import itertools
@@ -17,16 +17,15 @@ from coopcache import (
     GroupPartition,
     SystemConfig,
     as_frac,
+    allocation_plan,
     enumerate_equal_partitions,
-    enumerate_remainder_partitions,
     enumerate_subsets,
     equal_partition_count,
     f_ks,
-    group_multiplicity,
-    remainder_group_multiplicity,
-    remainder_partition_count,
+    round_shapes,
     validate_demands,
 )
+from coopcache.decentralized import _round_plan
 
 
 # ---------------------------------------------------------------------------
@@ -140,43 +139,72 @@ def test_equal_partitions_rejects_bad_shapes():
         enumerate_equal_partitions(6, 4, 2)  # 2*4 > 6
 
 
+def _check_round_plan(K, s, alpha_max):
+    """Round s's plan against brute force: as many disjoint s-groups as fit
+    under the cap, then a remainder group, listed last, of everyone left
+    when a lane is free and at least two users are idle; every s-group and
+    every remainder group appears exactly as often as the plan's fragment
+    counts n1 and n2 assume.  Returns the round's shape."""
+    cfg = SystemConfig(K, K, Frac(K, 2), alpha_max=alpha_max)
+    shape = round_shapes(K, alpha_max)[s - 2]
+    _, regular, r, D = shape
+    assert shape[0] == s
+    assert regular == min(K // s, alpha_max)
+    idle = K - s * regular
+    assert r == (idle if idle >= 2 and regular < alpha_max else 0)
+    assert D == (s - 1) * regular + max(r - 1, 0)
+    if alpha_max >= -(-K // s):
+        assert D == f_ks(K, s)
+    partitions, parts = _round_plan(cfg, allocation_plan(cfg), shape)
+    seen, distinct = {}, set()
+    for pairs in partitions:
+        groups = tuple(G for G, _ in pairs)
+        assert groups not in distinct
+        distinct.add(groups)
+        if r:
+            assert [part for _, part in pairs] == ["u1"] * regular + ["u2"]
+            assert len(groups[-1]) == r
+            assert sorted(u for G in groups for u in G) == list(range(1, K + 1))
+        else:
+            assert [part for _, part in pairs] == ["u"] * regular
+        GroupPartition(groups[:regular])  # canonical and disjoint, or this raises
+        assert all(len(G) == s for G in groups[:regular])
+        for G in groups:
+            seen[G] = seen.get(G, 0) + 1
+    n1 = parts["u1" if r else "u"][0]
+    for G in itertools.combinations(range(1, K + 1), s):
+        assert (s - 1) * seen.get(G, 0) == n1, G
+    if r:
+        n2 = parts["u2"][0]
+        for G in itertools.combinations(range(1, K + 1), r):
+            assert (r - 1) * math.comb(s - 1, r - 1) * seen.get(G, 0) == n2, G
+    return shape
+
+
 @pytest.mark.parametrize("K,s", [(5, 3), (7, 4), (8, 3), (8, 5), (11, 3)])
 def test_remainder_partitions_cover_everyone(K, s):
-    q, r = divmod(K, s)
-    parts = enumerate_remainder_partitions(K, s)
-    assert len(parts) == remainder_partition_count(K, s)
-    for part in parts:
-        assert len(part) == q + 1
-        assert sorted(len(g) for g in part) == sorted([s] * q + [r])
-        assert len(part[-1]) == r  # remainder listed last
-        assert sorted(u for g in part for u in g) == list(range(1, K + 1))
-
-
-def test_remainder_partitions_reject_small_remainder():
-    with pytest.raises(ValueError):
-        enumerate_remainder_partitions(6, 3)  # K mod s = 0
-    with pytest.raises(ValueError):
-        enumerate_remainder_partitions(7, 3)  # K mod s = 1
+    assert _check_round_plan(K, s, K // 2)[2] == K % s
 
 
 @pytest.mark.parametrize("K,s,alpha_d", [(6, 2, 2), (6, 2, 3), (6, 3, 2), (8, 3, 2)])
 def test_group_multiplicity_equal_partitions(K, s, alpha_d):
-    parts = enumerate_equal_partitions(K, s, alpha_d)
-    for probe in itertools.combinations(range(1, K + 1), s):
-        hits = sum(probe in part for part in parts)
-        assert hits == group_multiplicity(K, s, alpha_d)
+    assert _check_round_plan(K, s, alpha_d)[1:3] == (alpha_d, 0)
 
 
 @pytest.mark.parametrize("K,s", [(5, 3), (7, 4), (8, 3), (8, 5)])
 def test_group_multiplicity_remainder_partitions(K, s):
-    q, r = divmod(K, s)
-    parts = enumerate_remainder_partitions(K, s)
-    reg = group_multiplicity(K, s, q + 1)
-    rem = remainder_group_multiplicity(K, s)
-    for probe in itertools.combinations(range(1, K + 1), s):
-        assert sum(probe in part for part in parts) == reg
-    for probe in itertools.combinations(range(1, K + 1), r):
-        assert sum(part[-1] == probe for part in parts) == rem
+    # the remainder group needs a free lane: it forms at alpha_max =
+    # floor(K/s) + 1, not at floor(K/s)
+    assert _check_round_plan(K, s, K // s + 1)[2] == K % s
+    if K // s <= K // 2:
+        assert _check_round_plan(K, s, K // s)[2] == 0
+
+
+def test_round_plans_against_brute_force():
+    for K in range(2, 11):
+        for alpha_max in range(1, max(1, K // 2) + 1):
+            for s in range(2, K + 1):
+                _check_round_plan(K, s, alpha_max)
 
 
 def test_f_ks_values():
@@ -219,21 +247,8 @@ def test_equal_partitions_properties(shape):
         assert len(part) == alpha_d
         assert all(len(g) == s for g in part)
     # every fixed s-group appears equally often
-    mult = group_multiplicity(K, s, alpha_d)
+    mult = equal_partition_count(K - s, s, alpha_d - 1)
     probe = tuple(range(1, s + 1))
     assert sum(probe in part for part in parts) == mult
     # double count: partitions * groups-per-partition = groups * multiplicity
     assert len(parts) * alpha_d == math.comb(K, s) * mult
-
-
-@given(st.integers(min_value=5, max_value=11), st.data())
-def test_remainder_partitions_properties(K, data):
-    candidates = [s for s in range(3, K) if K % s >= 2]
-    if not candidates:
-        return
-    s = data.draw(st.sampled_from(candidates))
-    q, r = divmod(K, s)
-    parts = enumerate_remainder_partitions(K, s)
-    total_reg = len(parts) * q
-    assert total_reg == math.comb(K, s) * group_multiplicity(K, s, q + 1)
-    assert len(parts) == math.comb(K, r) * remainder_group_multiplicity(K, s)

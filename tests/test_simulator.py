@@ -23,6 +23,7 @@ from coopcache import (
     XorSymbol,
     brute_force_decode_check,
     decentralized_rates,
+    lower_bound,
     make_split_plan,
     required_central_F,
     run_centralized,
@@ -496,3 +497,29 @@ def test_relabelling_files_changes_nothing_but_the_ids(run):
         assert res.decode_ok
         assert res.log.export_lines() == base.log.export_lines(), (seed, mapped)
         assert simulate(cfg, mapped, seed=seed, mode="bits").decode_ok
+
+
+# ---------------------------------------------------------------------------
+# achievable >= converse: no executed schedule beats the cut-set bound
+# ---------------------------------------------------------------------------
+
+
+def test_executed_delay_is_never_below_the_converse():
+    """Every fluid run with K <= 6, at N = K and N = 2K: centralized at
+    every integer t and every alpha (run at alpha_max = alpha, where the
+    converse is largest), decentralized at every alpha_max and M = iN/8."""
+    runs = 0
+    for K in range(2, 7):
+        for N in (K, 2 * K):
+            for alpha in range(1, K // 2 + 1):
+                for t in range(K + 1):
+                    cfg = SystemConfig(N, K, Frac(t * N, K), alpha_max=alpha)
+                    res = run_centralized(cfg, alpha=alpha, check_decode=False)
+                    assert res.rates.T >= lower_bound(cfg).T_lower, (cfg, alpha)
+                    runs += 1
+                for i in range(9):
+                    cfg = SystemConfig(N, K, Frac(i * N, 8), alpha_max=alpha)
+                    res = run_decentralized(cfg, check_decode=False)
+                    assert res.rates.T >= lower_bound(cfg).T_lower, cfg
+                    runs += 1
+    assert runs == 2 * (50 + 9 * 9)
