@@ -196,8 +196,7 @@ def test_group_multiplicity_remainder_partitions(K, s):
     # the remainder group needs a free lane: it forms at alpha_max =
     # floor(K/s) + 1, not at floor(K/s)
     assert _check_round_plan(K, s, K // s + 1)[2] == K % s
-    if K // s <= K // 2:
-        assert _check_round_plan(K, s, K // s)[2] == 0
+    assert _check_round_plan(K, s, K // s)[2] == 0
 
 
 def test_round_plans_against_brute_force():
