@@ -199,6 +199,12 @@ def test_group_multiplicity_remainder_partitions(K, s):
     assert _check_round_plan(K, s, K // s)[2] == 0
 
 
+def test_remainder_partitions_reject_small_remainder():
+    # K mod s < 2 leaves no remainder group, even with a lane free for one
+    for K, s in [(6, 3), (7, 3)]:  # K mod s = 0, 1
+        assert _check_round_plan(K, s, K // 2)[2] == 0
+
+
 def test_round_plans_against_brute_force():
     for K in range(2, 11):
         for alpha_max in range(1, max(1, K // 2) + 1):
@@ -251,3 +257,24 @@ def test_equal_partitions_properties(shape):
     assert sum(probe in part for part in parts) == mult
     # double count: partitions * groups-per-partition = groups * multiplicity
     assert len(parts) * alpha_d == math.comb(K, s) * mult
+
+
+@given(st.integers(min_value=5, max_value=11), st.data())
+def test_remainder_partitions_properties(K, data):
+    candidates = [s for s in range(3, K) if K % s >= 2]
+    if not candidates:
+        return
+    s = data.draw(st.sampled_from(candidates))
+    q, r = divmod(K, s)
+    cfg = SystemConfig(K, K, Frac(K, 2), alpha_max=q + 1)
+    shape = round_shapes(K, q + 1)[s - 2]
+    assert shape[1:3] == (q, r)
+    partitions, parts = _round_plan(cfg, allocation_plan(cfg), shape)
+    partitions = list(partitions)
+    reg = equal_partition_count(K - s, s, q - 1)
+    rem = equal_partition_count(K - r, s, q)
+    assert parts["u1"][0] == (s - 1) * reg
+    assert parts["u2"][0] == (r - 1) * math.comb(s - 1, r - 1) * rem
+    # double count: partitions * groups-per-partition = groups * multiplicity
+    assert len(partitions) * q == math.comb(K, s) * reg
+    assert len(partitions) == math.comb(K, r) * rem
