@@ -640,36 +640,55 @@ def _audit_user_schedule(
     size: Frac,
 ) -> None:
     """Hard guarantees: every pico-file delivered exactly once, every symbol
-    decodable by construction, every constituent cached by its co-members."""
-    seen: Counter = Counter()
+    decodable by construction, every constituent cached by its co-members.
+
+    Checked on bitmasks, user u being bit u: each group's members and each
+    subset's cachers are masked once.  Deliveries are counted per int key
+    of (subset, layer, receiver); a pico no check looks at is not counted.
+    """
+    bit = {u: 1 << u for u in config.users()}
+    masks: dict[tuple[int, ...], int] = {}
+
+    def mask(users: tuple[int, ...]) -> int:
+        code = masks.get(users)
+        if code is None:
+            code = masks[users] = sum(bit.get(u, 0) for u in users)
+        return code
+
+    subset_id = {T: i for i, T in enumerate(placement.subsets)}
+    width = config.K + 1
+    seen: dict[int, int] = {}
     for part, syms in sched.user_rounds:
         for sym in syms:
             if len(sym.constituents) != m:
                 raise SchedulingError(f"symbol codes {len(sym.constituents)} != {m}")
-            if sym.size != size:
+            if sym.size is not size and sym.size != size:
                 raise SchedulingError("unequal pico sizes in user schedule")
-            if sym.sender not in sym.group:
+            group = mask(sym.group)
+            if not group & bit.get(sym.sender, 0):
                 raise SchedulingError("sender outside its group")
             for c in sym.constituents:
                 j, frag = c.receiver, c.fragment
-                if j == sym.sender or j not in sym.group:
+                if j == sym.sender or not group & bit.get(j, 0):
                     raise SchedulingError("constituent receiver misplaced")
-                others = set(sym.group) - {j}
-                if not others <= set(frag.subset):
+                if group & ~bit[j] & ~mask(frag.subset):
                     raise SchedulingError(
                         f"group {sym.group} cannot strip {frag} for user {j}"
                     )
-                seen[(j, frag.subset, frag.index)] += 1
-    users = list(config.users())
-    for j in users:
+                tid = subset_id.get(frag.subset)
+                if tid is not None and frag.index < L:
+                    key = (tid * L + frag.index) * width + j
+                    seen[key] = seen.get(key, 0) + 1
+    for j in config.users():
         for T in placement.subsets:
-            if j in T:
+            if mask(T) & bit[j]:
                 continue
             for layer in range(L):
-                if seen[(j, T, layer)] != 1:
+                got = seen.get((subset_id[T] * L + layer) * width + j, 0)
+                if got != 1:
                     raise SchedulingError(
                         f"pico (user {j}, T={T}, layer {layer}) delivered "
-                        f"{seen[(j, T, layer)]} times"
+                        f"{got} times"
                     )
 
 

@@ -35,7 +35,7 @@ from .bounds import (
     verify_user_rate_bounds,
 )
 from .centralized import MAX_USER_SYMBOLS, centralized_rates
-from .decentralized import decentralized_gains, decentralized_rates
+from .decentralized import check_run_size, decentralized_gains, decentralized_rates
 from .model import SystemConfig, as_frac
 from .simulator import run_centralized, run_decentralized
 
@@ -274,6 +274,8 @@ def cmd_simulate(args, out: TextIO) -> int:
     demands = (
         [int(x) for x in args.demands.split(",")] if args.demands else None
     )
+    if args.scheme == "decentralized":
+        check_run_size(config)  # refused before anything is written
     out.write(
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"

@@ -54,7 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .centralized import MAX_USER_SYMBOLS
 from .model import (
@@ -114,6 +114,29 @@ def f_ks(K: int, s: int) -> int:
     return round_shapes(K, K)[s - 2][3]
 
 
+def _rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:
+    """R_empty, R_s, R_u of :func:`rate_components` as integer numerators
+    over one common denominator: (E, S, U, D) with R_empty = E/D and so on.
+
+    In integers, with p = a/b and c = b - a: R_empty = K c^K / b^K, R_s =
+    c (b^K - c^K) / (a b^K), and the R_u terms s*C(K,s) * a^(s-1)
+    c^(K-s+1) / (D_s b^K) are summed over the lcm of the rounds' D_s.  At
+    p = 0, R_s takes its continuity value K and R_u is 0.
+    """
+    K = config.K
+    a, b = config.p.numerator, config.p.denominator
+    c, bK = b - a, b**K
+    if a == 0:
+        return K, K, 0, 1
+    num, den = 0, 1
+    for s, _, _, D in round_shapes(K, config.alpha_max):
+        lcm = math.lcm(den, D)
+        coef = s * math.comb(K, s) * (lcm // D)
+        num = num * (lcm // den) + coef * a ** (s - 1) * c ** (K - s + 1)
+        den = lcm
+    return K * c**K * a * den, c * (bK - c**K) * den, num * a, a * den * bK
+
+
 def rate_components(config: SystemConfig) -> RateComponents:
     """Exact R_empty, R_s, R_u for this config.
 
@@ -122,22 +145,10 @@ def rate_components(config: SystemConfig) -> RateComponents:
     continuity value K at p = 0);
     R_u = per-link user rate: round s contributes s*C(K,s)/D *
     p^(s-1) q^(K-s+1), with D the fragments a partition codes
-    (``round_shapes``).
-    In integers, with p = a/b: the R_u terms s*C(K,s) * a^(s-1)
-    (b-a)^(K-s+1) / (D b^K) are summed over one common denominator.
+    (``round_shapes``).  Computed in integers (:func:`_rate_numerators`).
     """
-    K = config.K
-    a, b = config.p.numerator, config.p.denominator
-    c, bK = b - a, b**K
-    R_empty = Frac(K * c**K, bK)
-    R_s = Frac(K) if a == 0 else Frac(c * (bK - c**K), a * bK)
-    num, den = 0, 1
-    for s, _, _, D in round_shapes(K, config.alpha_max):
-        lcm = math.lcm(den, D)
-        coef = s * math.comb(K, s) * (lcm // D)
-        num = num * (lcm // den) + coef * a ** (s - 1) * c ** (K - s + 1)
-        den = lcm
-    return RateComponents(R_empty, R_s, Frac(num, den * bK))
+    E, S, U, D = _rate_numerators(config)
+    return RateComponents(Frac(E, D), Frac(S, D), Frac(U, D))
 
 
 @dataclass(frozen=True)
@@ -190,18 +201,19 @@ def decentralized_rates(config: SystemConfig) -> DecentralizedRates:
     """Rates under the balance rule: lambda is 0 when users cannot even
     absorb the uncached load (R_u < R_empty), else
     (R_u - R_empty)/(R_s + R_u), which equalises R_empty + lambda*R_s and
-    (1-lambda)*R_u."""
-    rc = rate_components(config)
-    denom = rc.R_s + rc.R_u - rc.R_empty
-    if rc.R_u < rc.R_empty or denom == 0:
-        lam = Frac(0)
-        T = rc.R_empty
-    else:
-        lam = (rc.R_u - rc.R_empty) / (rc.R_s + rc.R_u)
-        T = rc.R_s * rc.R_u / denom
-    R1 = rc.R_empty + lam * rc.R_s
-    R2 = (1 - lam) * rc.R_u
-    return DecentralizedRates(R1, R2, T, lam, rc)
+    (1-lambda)*R_u.
+
+    In integers over the common denominator D of (E, S, U): lambda =
+    (U - E)/(S + U), T = S*U / (D (S + U - E)), and both balanced loads
+    equal U (E + S) / (D (S + U)).
+    """
+    E, S, U, D = _rate_numerators(config)
+    rc = RateComponents(Frac(E, D), Frac(S, D), Frac(U, D))
+    if U < E or S + U == E:
+        return DecentralizedRates(rc.R_empty, rc.R_u, rc.R_empty, Frac(0), rc)
+    balanced = Frac(U * (E + S), D * (S + U))
+    T = Frac(S * U, D * (S + U - E))
+    return DecentralizedRates(balanced, balanced, T, Frac(U - E, S + U), rc)
 
 
 def decentralized_delay(config: SystemConfig) -> Frac:
@@ -314,16 +326,57 @@ class DecentralPlacement:
         return p ** len(T) * (1 - p) ** (self.config.K - len(T))
 
 
+def user_symbol_count(config: SystemConfig) -> int:
+    """User symbols of the config's schedule, counted in closed form before
+    anything is built.  Round s of shape (s, regular, r, D) has
+    ``equal_partition_count(K, s, regular)`` partitions, and each sends s
+    symbols per s-group plus r*C(K-r, s-r) for a remainder group of r (one
+    rotation per s-superset).  At p = 0 or 1 every round is empty."""
+    K, p = config.K, config.p
+    if p == 0 or p == 1:
+        return 0
+    total = 0
+    for s, regular, r, _ in round_shapes(K, config.alpha_max):
+        sent = s * regular + (r * math.comb(K - r, s - r) if r else 0)
+        total += equal_partition_count(K, s, regular) * sent
+    return total
+
+
+def _check_placement_size(config: SystemConfig) -> None:
+    """Refuse a config with more than ``MAX_USER_SYMBOLS`` (file, subset)
+    entries, N*2^K, which the placement and the fragment resolver
+    enumerate; as N >= K, this also keeps K <= 15, so a bit's caching-set
+    code fits 16 bits.  Reads only N and K."""
+    entries = config.N << config.K
+    if entries > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"decentralized placement needs N*2^K = {entries} (file, subset) "
+            f"entries, above the limit of {MAX_USER_SYMBOLS}"
+        )
+
+
+def check_run_size(config: SystemConfig) -> None:
+    """Refuse, with a ValueError naming the count, a config whose run would
+    exceed ``MAX_USER_SYMBOLS`` placement entries or, counted by
+    :func:`user_symbol_count`, user symbols.  Nothing is enumerated."""
+    _check_placement_size(config)
+    symbols = user_symbol_count(config)
+    if symbols > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"decentralized user schedule for K={config.K}, "
+            f"alpha_max={config.alpha_max} needs {symbols} user symbols, "
+            f"above the limit of {MAX_USER_SYMBOLS}"
+        )
+
+
 def build_decentral_placement(
     config: SystemConfig, seed: int = 0, mode: str = "fluid"
 ) -> DecentralPlacement:
     """Random placement, fluid (sizes only) or bits (positions).
 
-    The placement and the fragment resolver enumerate N*2^K (file, subset)
-    entries, so a config with more than ``MAX_USER_SYMBOLS`` of them is
-    refused with a ValueError before anything is built, in both modes; as
-    N >= K, this also keeps K <= 15, so a bit's caching-set code fits 16
-    bits.
+    A config with more than ``MAX_USER_SYMBOLS`` (file, subset) entries is
+    refused with a ValueError before anything is built, in both modes
+    (:func:`_check_placement_size`).
 
     In bit mode user k caches the ``rng.choice`` draw seeded (seed, k, n)
     of each file n.  Each bit of a file gets the code sum 2^(k-1) over the
@@ -333,12 +386,7 @@ def build_decentral_placement(
     code counts, so W_{n,T} is a view of that order.  Only one file's codes
     are live at a time, and no user's draw is kept once it is coded.
     """
-    entries = config.N << config.K
-    if entries > MAX_USER_SYMBOLS:
-        raise ValueError(
-            f"decentralized placement needs N*2^K = {entries} (file, subset) "
-            f"entries, above the limit of {MAX_USER_SYMBOLS}"
-        )
+    _check_placement_size(config)
     if mode == "fluid":
         return DecentralPlacement(config, "fluid", seed)
     if mode != "bits":
@@ -377,9 +425,10 @@ def build_decentral_placement(
 
 def _round_plan(
     config: SystemConfig, plan: AllocationPlan, shape: tuple[int, int, int, int]
-) -> tuple[Iterator[list], dict[str, tuple[int, Frac]]]:
+) -> Optional[tuple[Iterator[list], dict[str, tuple[int, Frac]]]]:
     """Round s, of shape (s, regular, r, D) from ``round_shapes``, as
-    (partitions, parts), both worked out once for the round.
+    (partitions, parts), both worked out once for the round; None, before
+    any partition is enumerated, when the round's mini-files are empty.
 
     Each partition is a list of (group, part) pairs, any remainder group
     last: ``regular`` disjoint s-groups work on part "u", or on "u1" when
@@ -393,6 +442,8 @@ def _round_plan(
     s, regular, r, _ = shape
     K, p = config.K, config.p
     w_u = (1 - plan.server_share) * p ** (s - 1) * (1 - p) ** (K - s + 1)
+    if w_u == 0:
+        return None
     n1 = (s - 1) * equal_partition_count(K - s, s, regular - 1)
     choices = _disjoint_group_choices(K, s, regular)
     if not r:
@@ -433,9 +484,10 @@ def parallel_user_delivery(
     round_index = 0
     for shape in round_shapes(K, config.alpha_max):
         s = shape[0]
-        partitions, parts = _round_plan(config, plan, shape)
-        if all(size == 0 for _, size in parts.values()):
+        planned = _round_plan(config, plan, shape)
+        if planned is None:
             continue
+        partitions, parts = planned
         for pairs in partitions:
             syms: list[XorSymbol] = []
             for group, part in pairs:

@@ -130,7 +130,7 @@ def enumerate_subsets(K: int, size: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, K + 1), size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupPartition:
     """Pairwise-disjoint user groups transmitting in parallel.
 
@@ -208,7 +208,7 @@ def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragmentId:
     """Identity of one delivered piece of a subfile.
 
@@ -230,7 +230,7 @@ class FragmentId:
             raise ValueError(f"fragment index {self.index} outside 0..{self.count - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constituent:
     """One fragment inside an XOR symbol, tagged with its intended receiver."""
 
@@ -238,7 +238,7 @@ class Constituent:
     fragment: FragmentId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XorSymbol:
     """One broadcast: XOR of fragments, sent by ``sender`` to ``group``.
 

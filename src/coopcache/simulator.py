@@ -16,19 +16,29 @@ Two payload modes:
 
 Loads: R1 is the total on the server link; R2 sums, round by round, the
 busiest cooperation lane (groups inside one round transmit in parallel, so
-the round lasts as long as its most loaded group).
+the round lasts as long as its most loaded group).  Both are summed as
+integer numerators over the lcm of the entries' denominators (bit counts
+over F in bit mode) and become one Fraction at the end.
 
 :func:`brute_force_decode_check` re-derives what every user can decode by
 peeling: starting from its cache, a user resolves any received symbol with
 exactly one unknown constituent, until no symbol resolves anything more.
-Peeling runs from a worklist (the peeling decoder of Luby's LT codes): each
-symbol counts its unknown constituents, an index maps each fragment to the
+Each check first interns the log in one pass over its entries and its
+resolver, and nothing else: every distinct fragment becomes an int id with
+its caching users as a bitmask and its size as an integer (a numerator
+over one common denominator in fluid mode, a bit count in bit mode); each
+entry becomes the tuple of its nonempty fragment ids, repeats kept; and
+each user gets the entries it hears that hold one fragment it does not
+cache, and those that hold more.  The tables live for that one call, and
+nothing is cached on the log.  Peeling then runs on ids from a worklist
+(the peeling decoder of Luby's LT codes), in both modes: each symbol
+counts its unknown constituents, an index maps each fragment to the
 symbols waiting on it, and learning a fragment readies exactly the symbols
-it completes.  Coverage is summed once per user, grouped by subfile.  So the
-check costs time linear in the log, per user.  It never consults the
-scheduler's own coverage bookkeeping, so scheduler bugs cannot vouch for
-themselves.  On failure it names the first user, file and subfile that
-cannot be recovered.
+it completes.  "Cached" is a bit test, and coverage sums integers once per
+user, grouped by subfile.  So the check costs time linear in the log, per
+user.  It never consults the scheduler's own coverage bookkeeping, so
+scheduler bugs cannot vouch for themselves.  On failure it names the first
+user, file and subfile that cannot be recovered.
 
 Both schemes lay out a needed subfile of n bits by one rule: part "full" is
 all of it, "s" the server's first floor(lambda*n) bits, and "u" the rest,
@@ -50,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Callable, Optional, Sequence, Union
@@ -70,6 +79,7 @@ from .decentralized import (
     allocation_plan,
     build_decentral_delivery,
     build_decentral_placement,
+    check_run_size,
     decentralized_rates,
 )
 from .model import (
@@ -104,7 +114,7 @@ class BitLibrary:
         return lib
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One transmitted symbol: where it sat in its link's timeline and who
     heard it.  ``bits`` is an int (bit mode) or a fraction of F (fluid)."""
@@ -127,26 +137,29 @@ class TransmissionLog:
     entries: list[LogEntry] = field(default_factory=list)
     resolver: Optional["FragmentResolver"] = None
 
-    def _as_rate(self, bits: Union[int, Frac]) -> Frac:
-        if self.mode == "bits":
-            return Frac(int(bits), self.config.F)
-        return bits if isinstance(bits, Frac) else Frac(bits)
+    def _numerators(self, entries: list[LogEntry]) -> tuple[list[int], int]:
+        """The entries' sizes as integer numerators over one denominator,
+        and that denominator as a fraction of F: the lcm of the sizes'
+        denominators (an int size has 1), times F in bit mode."""
+        ratios = [e.bits.as_integer_ratio() for e in entries]
+        den = math.lcm(*{d for _, d in ratios})
+        unit = self.config.F if self.mode == "bits" else 1
+        return [n * (den // d) for n, d in ratios], den * unit
 
     def server_load(self) -> Frac:
         """Total traffic on the server link, as a fraction of F."""
-        return sum(
-            (self._as_rate(e.bits) for e in self.entries if e.sender == 0), Frac(0)
-        )
+        nums, den = self._numerators([e for e in self.entries if e.sender == 0])
+        return Frac(sum(nums), den)
 
     def user_load(self) -> Frac:
         """Cooperation-link delay: per round, the busiest lane; summed."""
-        per_round_lane: dict[int, dict[tuple, Frac]] = {}
-        for e in self.entries:
-            if e.sender == 0:
-                continue
+        users = [e for e in self.entries if e.sender != 0]
+        nums, den = self._numerators(users)
+        per_round_lane: dict[int, dict[tuple, int]] = {}
+        for e, x in zip(users, nums):
             lanes = per_round_lane.setdefault(e.round_index, {})
-            lanes[e.group] = lanes.get(e.group, Frac(0)) + self._as_rate(e.bits)
-        return sum((max(lanes.values()) for lanes in per_round_lane.values()), Frac(0))
+            lanes[e.group] = lanes.get(e.group, 0) + x
+        return Frac(sum(max(lanes.values()) for lanes in per_round_lane.values()), den)
 
     def delay(self) -> Frac:
         return max(self.server_load(), self.user_load())
@@ -233,12 +246,14 @@ class FragmentResolver:
 
     def frag_size(self, frag: FragmentId) -> Frac:
         key = (frag.part, frag.count, len(frag.subset))
-        if key not in self._frag_sizes:
+        size = self._frag_sizes.get(key)
+        if size is None:
             share = Frac(1)
             for cut, keep_rest in self._cuts(frag.part, len(frag.subset)):
                 share *= 1 - cut if keep_rest else cut
-            self._frag_sizes[key] = share / frag.count * self.subfile_size(frag.subset)
-        return self._frag_sizes[key]
+            size = share / frag.count * self.subfile_size(frag.subset)
+            self._frag_sizes[key] = size
+        return size
 
     def _frag_range(self, frag: FragmentId, n: int) -> tuple[int, int]:
         """[lo, hi) of the fragment inside its subfile of ``n`` bits."""
@@ -387,20 +402,24 @@ def execute_schedule(
     if mode == "bits" and library is None:
         raise ValueError("bit mode needs a BitLibrary")
     log = TransmissionLog(config, mode, resolver=resolver)
+    heard_by: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
-    def bits_of(sym: XorSymbol) -> tuple[Union[int, Frac], XorSymbol]:
+    def entry(slot: int, round_index: int, sym: XorSymbol) -> LogEntry:
+        key = (sym.sender, sym.group)
+        receivers = heard_by.get(key)
+        if receivers is None:
+            receivers = heard_by[key] = sym.receivers()
         if mode == "fluid":
-            return sym.size, sym
-        payload, length = _symbol_payload(sym, resolver, library)
-        return length, XorSymbol(
-            sym.sender, sym.group, sym.constituents, sym.size, payload, sym.redundant
-        )
+            bits: Union[int, Frac] = sym.size
+        else:
+            payload, bits = _symbol_payload(sym, resolver, library)
+            sym = XorSymbol(
+                sym.sender, sym.group, sym.constituents, sym.size, payload, sym.redundant
+            )
+        return LogEntry(slot, round_index, sym.sender, sym.group, receivers, bits, sym)
 
     for slot, sym in enumerate(schedule.server_symbols):
-        bits, carried = bits_of(sym)
-        log.entries.append(
-            LogEntry(slot, -1, 0, sym.group, sym.receivers(), bits, carried)
-        )
+        log.entries.append(entry(slot, -1, sym))
     base = 0
     for partition, symbols in schedule.user_rounds:
         lanes: dict[tuple, list[XorSymbol]] = {}
@@ -408,20 +427,10 @@ def execute_schedule(
             lanes.setdefault(sym.group, []).append(sym)
         depth = max((len(v) for v in lanes.values()), default=0)
         for j in range(depth):
-            for group, lane_syms in lanes.items():
+            for lane_syms in lanes.values():
                 if j < len(lane_syms):
-                    sym = lane_syms[j]
-                    bits, carried = bits_of(sym)
                     log.entries.append(
-                        LogEntry(
-                            base + j,
-                            partition.round_index,
-                            sym.sender,
-                            group,
-                            carried.receivers(),
-                            bits,
-                            carried,
-                        )
+                        entry(base + j, partition.round_index, lane_syms[j])
                     )
         base += depth
     log.verify_slot_discipline()
@@ -433,35 +442,111 @@ def execute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _live_fragments(log: TransmissionLog) -> list[tuple[FragmentId, ...]]:
-    """Per log entry, its constituent fragments of nonzero size, in order.
+@dataclass
+class _LogTables:
+    """What the decoder reads off one log, interned by :func:`_live_fragments`.
 
-    An empty fragment is known to every user, so no symbol waits on it.
-    Emptiness does not depend on the user, so it is decided once per log.
+    Each distinct fragment gets an int id, in first-use order.  Per id: the
+    fragment itself (its file, subset and part), the users caching its
+    subfile as a bitmask (user k is bit k), and its size, an integer
+    numerator over one common denominator in fluid mode or a bit count in
+    bit mode.  Per log entry, ``live`` holds the ids of its constituents of
+    nonzero size, in order and with repeats.  Per user, ``ready`` and
+    ``blocked`` hold the indices of the entries it hears, in log order, that
+    carry exactly one and more than one live fragment it does not cache
+    (counted with repeats); an entry whose every fragment it caches teaches
+    it nothing.  ``subfiles`` lists every subfile key T with its bitmask
+    and, in fluid mode, its size as a numerator over the same denominator.
+    """
+
+    frags: list[FragmentId]
+    masks: list[int]
+    sizes: list[int]
+    live: list[tuple[int, ...]]
+    ready: dict[int, list[int]]
+    blocked: dict[int, list[int]]
+    subfiles: list[tuple[tuple[int, ...], int, int]]
+
+
+def _user_mask(users: Sequence[int]) -> int:
+    return sum(1 << u for u in users)
+
+
+def _live_fragments(log: TransmissionLog) -> _LogTables:
+    """Intern the log from its entries, with sizes read from its resolver,
+    and nothing else.  Nothing is kept on the log.
+
+    An empty fragment is known to every user, so it is dropped from every
+    entry and no symbol waits on it.  Emptiness does not depend on the
+    user, so it is decided once per log.  Which receivers miss one or more
+    of an entry's fragments is worked out once per entry, for all of them
+    at once, with two bitmasks: users missing at least one fragment, and
+    users missing at least two.
     """
     resolver = log.resolver
-    bit_mode = log.mode == "bits"
-
-    def empty(frag: FragmentId) -> bool:
-        if bit_mode:
-            return len(resolver.frag_positions(frag)) == 0
-        return resolver.frag_size(frag) == 0
-
-    return [
-        tuple(c.fragment for c in e.symbol.constituents if not empty(c.fragment))
+    ids: dict[FragmentId, int] = {}
+    intern = ids.setdefault
+    live = [
+        tuple([intern(c.fragment, len(ids)) for c in e.symbol.constituents])
         for e in log.entries
     ]
+    frags = list(ids)  # in id order
+    del ids
+    masks_of: dict[tuple[int, ...], int] = {}
+    for frag in frags:
+        if frag.subset not in masks_of:
+            masks_of[frag.subset] = _user_mask(frag.subset)
+    masks = [masks_of[frag.subset] for frag in frags]
+    keys = resolver.subfile_keys()
+    if log.mode == "bits":
+        sizes = [len(resolver.frag_positions(frag)) for frag in frags]
+        subfiles = [(T, _user_mask(T), 0) for T in keys]
+    else:
+        # the resolver hands out one Fraction object per fragment shape, so
+        # each distinct object is scaled once
+        frag_size = resolver.frag_size
+        shares = [frag_size(frag) for frag in frags]
+        whole = [resolver.subfile_size(T) for T in keys]
+        distinct = {id(x): x for x in shares + whole}
+        den = math.lcm(*{x.denominator for x in distinct.values()})
+        scaled = {
+            key: x.numerator * (den // x.denominator) for key, x in distinct.items()
+        }
+        sizes = [scaled[id(x)] for x in shares]
+        subfiles = [(T, _user_mask(T), scaled[id(x)]) for T, x in zip(keys, whole)]
+    if 0 in sizes:
+        live = [tuple(f for f in row if sizes[f]) for row in live]
+
+    users = log.config.users()
+    ready: dict[int, list[int]] = {k: [] for k in users}
+    blocked: dict[int, list[int]] = {k: [] for k in users}
+    for i, (e, row) in enumerate(zip(log.entries, live)):
+        once = twice = 0
+        for f in row:
+            missed = ~masks[f]
+            twice |= once & missed
+            once |= missed
+        if not once:
+            continue
+        for u in e.receivers:
+            if twice >> u & 1:
+                if u in blocked:
+                    blocked[u].append(i)
+            elif once >> u & 1:
+                if u in ready:
+                    ready[u].append(i)
+    return _LogTables(frags, masks, sizes, live, ready, blocked, subfiles)
 
 
 def _peel_known_fragments(
     log: TransmissionLog,
     user: int,
     library: Optional[BitLibrary],
-    live: list[tuple[FragmentId, ...]],
-) -> dict[FragmentId, Optional[np.ndarray]]:
-    """Fragments ``user`` learns by peeling its received symbols, in the
-    order it learns them.  Values are payloads in bit mode, None in fluid
-    mode.  ``live`` is :func:`_live_fragments` of the log.
+    live: _LogTables,
+) -> dict[int, Optional[np.ndarray]]:
+    """Ids of the fragments ``user`` learns by peeling its received
+    symbols, in the order it learns them.  Values are payloads in bit mode,
+    None in fluid mode.  ``live`` is :func:`_live_fragments` of the log.
 
     A symbol resolves its one unknown constituent once every other one is
     known: cached, empty, or learned.  A received symbol with one unknown
@@ -474,87 +559,92 @@ def _peel_known_fragments(
     received constituent is handled a bounded number of times, so the cost
     is linear in what the user receives.
 
-    The worklist is keyed ``sweep * n + position``: symbols resolve in the
-    order repeated in-order sweeps over the received symbols would meet
-    them.  So where two symbols could yield the same fragment with different
-    payloads (a corrupted log), the one a sweeping decoder reaches first
-    wins, and the verdict does not depend on the worklist order.
+    The worklist is keyed ``sweep * n + i``, i the entry's index in the log
+    of n entries: symbols resolve in the order repeated in-order sweeps
+    over the received symbols would meet them.  So where two symbols could
+    yield the same fragment with different payloads (a corrupted log), the
+    one a sweeping decoder reaches first wins, and the verdict does not
+    depend on the worklist order.
     """
     resolver = log.resolver
     bit_mode = log.mode == "bits"
-    received = [i for i, e in enumerate(log.entries) if user in e.receivers]
-    n = len(received)
-    ready: list[int] = []  # built in order, so already a heap
+    frags, masks, rows = live.frags, live.masks, live.live
+    bit = 1 << user
+    n = len(rows)
+    ready = list(live.ready.get(user, ()))  # sweep 0, in order: a heap
     missing: dict[int, int] = {}
-    waiting: dict[FragmentId, list[int]] = {}
-    for r, i in enumerate(received):
-        unknown = [f for f in live[i] if user not in f.subset]
-        if len(unknown) == 1:
-            ready.append(r)
-        elif unknown:
-            missing[r] = len(unknown)
-            for f in unknown:
-                waiting.setdefault(f, []).append(r)
+    waiting: dict[int, list[int]] = {}
+    for i in live.blocked.get(user, ()):
+        unknown = [f for f in rows[i] if not masks[f] & bit]
+        missing[i] = len(unknown)
+        for f in unknown:
+            waiting.setdefault(f, []).append(i)
 
-    known: dict[FragmentId, Optional[np.ndarray]] = {}
+    known: dict[int, Optional[np.ndarray]] = {}
     while ready:
-        sweep, r = divmod(heapq.heappop(ready), n)
-        frags = live[received[r]]
-        target = next(
-            (f for f in frags if user not in f.subset and f not in known), None
-        )
-        if target is None:  # another symbol yielded it first
+        sweep, i = divmod(heapq.heappop(ready), n)
+        ids = rows[i]
+        for target in ids:
+            if not masks[target] & bit and target not in known:
+                break
+        else:  # another symbol yielded it first
             continue
         if bit_mode:
-            acc = np.array(log.entries[received[r]].symbol.payload, copy=True)
-            for f in frags:
+            acc = np.array(log.entries[i].symbol.payload, copy=True)
+            for f in ids:
                 if f == target:
                     continue
                 # a cached fragment is read straight off the subfile bits
                 part = (
                     known[f]
                     if f in known
-                    else library.files[f.file][resolver.frag_positions(f)]
+                    else library.files[frags[f].file][resolver.frag_positions(frags[f])]
                 )
                 acc[: len(part)] ^= part
-            known[target] = acc[: len(resolver.frag_positions(target))]
+            known[target] = acc[: live.sizes[target]]
         else:
             known[target] = None
         for w in waiting.pop(target, ()):
             missing[w] -= 1
             if missing[w] == 1:
-                heapq.heappush(ready, (sweep if w > r else sweep + 1) * n + w)
+                heapq.heappush(ready, (sweep if w > i else sweep + 1) * n + w)
     return known
 
 
 def _uncovered_subfile(
-    log: TransmissionLog, user: int, want: int, known: dict
+    live: _LogTables, user: int, want: int, known: dict[int, None]
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` that ``known`` does not fully cover
     (fluid mode; exact size bookkeeping, parts partition their subfile).
-
-    The fragments one part of a subfile is split into are equal in size, so
-    known fragments are counted once by (subset, part, count), each such
-    shape is sized once, and each subfile's sum is compared with its size.
-    """
-    resolver = log.resolver
-    shapes = Counter((f.subset, f.part, f.count) for f in known if f.file == want)
-    whole = {T for T, part, _ in shapes if part == "full"}
-    covered: dict[tuple[int, ...], Frac] = {}
-    for (T, part, count), n in shapes.items():
-        if part != "full":
-            size = resolver.frag_size(FragmentId(want, T, part, 0, count))
-            covered[T] = covered.get(T, 0) + n * size
-    for T in resolver.subfile_keys():
-        if user in T or T in whole:
+    Sizes are summed as integer numerators per subset; a "full" part
+    covers its subfile whole."""
+    frags, masks, sizes = live.frags, live.masks, live.sizes
+    whole: set[int] = set()
+    covered: dict[int, int] = {}
+    for f in known:
+        frag = frags[f]
+        if frag.file != want:
             continue
-        if covered.get(T, 0) != resolver.subfile_size(T):
+        if frag.part == "full":
+            whole.add(masks[f])
+        else:
+            covered[masks[f]] = covered.get(masks[f], 0) + sizes[f]
+    bit = 1 << user
+    for T, mask, size in live.subfiles:
+        if mask & bit or mask in whole:
+            continue
+        if covered.get(mask, 0) != size:
             return T
     return None
 
 
 def _misassembled_subfile(
-    log: TransmissionLog, user: int, want: int, known: dict, library: BitLibrary
+    log: TransmissionLog,
+    live: _LogTables,
+    user: int,
+    want: int,
+    known: dict[int, np.ndarray],
+    library: BitLibrary,
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` whose bits, reassembled from the
     learned payloads, differ from the library (bit mode).  The subfiles
@@ -564,7 +654,8 @@ def _misassembled_subfile(
     resolver = log.resolver
     original = library.files[want]
     rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
-    for frag, payload in known.items():
+    for f, payload in known.items():
+        frag = live.frags[f]
         if frag.file == want:
             pos = resolver.frag_positions(frag)
             # a fragment learned twice (a subfile and its own server share)
@@ -573,8 +664,9 @@ def _misassembled_subfile(
             if np.any((before != 2) & (before != payload)):
                 return frag.subset
             rebuilt[pos] = payload
-    for T in resolver.subfile_keys():
-        if user in T:
+    bit = 1 << user
+    for T, mask, _ in live.subfiles:
+        if mask & bit:
             continue
         pos = resolver.subfile_positions(want, T)
         if not np.array_equal(rebuilt[pos], original[pos]):
@@ -588,8 +680,9 @@ def _first_decode_failure(
     library: Optional[BitLibrary] = None,
 ) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """The first user, in user order, that cannot recover its demanded file,
-    as (user, file, subfile), or None when every user recovers it.  One
-    peeling pass per user, derived independently of the scheduler.
+    as (user, file, subfile), or None when every user recovers it.  The log
+    is interned once, then each user peels once, derived independently of
+    the scheduler.
 
     Fluid mode checks exact size coverage of every needed subfile; bit mode
     reassembles the file bit-for-bit and compares against the library.
@@ -606,9 +699,9 @@ def _first_decode_failure(
         want = demands[k - 1]
         known = _peel_known_fragments(log, k, library, live)
         if log.mode == "fluid":
-            T = _uncovered_subfile(log, k, want, known)
+            T = _uncovered_subfile(live, k, want, known)
         else:
-            T = _misassembled_subfile(log, k, want, known, library)
+            T = _misassembled_subfile(log, live, k, want, known, library)
         if T is not None:
             return k, want, T
     return None
@@ -747,9 +840,11 @@ def run_decentralized(
 ) -> SimulationResult:
     """Place, schedule, execute, measure, and decode the decentralized
     scheme.  Fluid mode must reproduce the component rate identities
-    exactly; bit mode is the convergence/decode oracle."""
+    exactly; bit mode is the convergence/decode oracle.  A config that
+    ``check_run_size`` refuses raises its ValueError before placement."""
 
     def front(demands):
+        check_run_size(config)
         placement = build_decentral_placement(config, seed=seed, mode=mode)
         plan, schedule = build_decentral_delivery(config, placement, demands)
         resolver = DecentralFragmentResolver(placement, plan)

@@ -6,6 +6,7 @@ rationals; the parallelism optimizer is compared against a brute-force
 argmin re-derived here.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction as Frac
@@ -300,3 +301,93 @@ def test_size_guard_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", 59)
     with pytest.raises(ValueError, match="may need 60 user symbols"):
         build_delivery(WORKED, demands, alpha=2, server_share=Frac(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# the user schedule's audit
+# ---------------------------------------------------------------------------
+
+
+def _replace_symbol(sched, change):
+    """A copy of ``sched`` with its first user symbol replaced by
+    ``change(symbol)``, or removed when that is None."""
+    (part, syms), *rest = sched.user_rounds
+    new = change(syms[0])
+    head = ([] if new is None else [new]) + syms[1:]
+    return dataclasses.replace(sched, user_rounds=[(part, head), *rest])
+
+
+def _with_constituent(sym, i, **fields):
+    cons = list(sym.constituents)
+    cons[i] = dataclasses.replace(cons[i], **fields)
+    return dataclasses.replace(sym, constituents=tuple(cons))
+
+
+def _outsider(sym):
+    return next(u for u in range(1, 7) if u not in sym.group)
+
+
+AUDIT_BREAKS = {
+    "wrong-arity": (
+        lambda s: dataclasses.replace(s, constituents=s.constituents[:-1]),
+        r"symbol codes 1 != 2",
+    ),
+    "unequal-size": (
+        lambda s: dataclasses.replace(s, size=2 * s.size),
+        r"unequal pico sizes in user schedule",
+    ),
+    "sender-outside-group": (
+        lambda s: dataclasses.replace(s, sender=_outsider(s)),
+        r"sender outside its group",
+    ),
+    "receiver-is-sender": (
+        lambda s: _with_constituent(s, 0, receiver=s.sender),
+        r"constituent receiver misplaced",
+    ),
+    "receiver-outside-group": (
+        lambda s: _with_constituent(s, 0, receiver=_outsider(s)),
+        r"constituent receiver misplaced",
+    ),
+    "cannot-strip": (
+        lambda s: _with_constituent(
+            s, 0,
+            fragment=dataclasses.replace(
+                s.constituents[0].fragment,
+                subset=tuple(
+                    u for u in range(1, 7)
+                    if u != s.constituents[0].receiver and u != s.sender
+                )[:4],
+            ),
+        ),
+        r"group \(\d(, \d)*\) cannot strip FragmentId\(.*\) for user \d",
+    ),
+    "pico-missing": (lambda s: None, r"pico \(user \d, T=.*, layer \d+\) delivered 0 times"),
+}
+
+
+@pytest.mark.parametrize("brk", sorted(AUDIT_BREAKS) + ["pico-twice"])
+def test_user_schedule_audit_catches_each_break(brk):
+    # (6, 6, 4) at alpha 2: groups of three, two picos per symbol
+    cfg = SystemConfig(6, 6, 4, alpha_max=3)
+    demands = tuple(cfg.users())
+    placement = build_central_placement(cfg)
+    plan, sched = build_delivery(cfg, demands, alpha=2, server_share=Frac(1, 3))
+    first = sched.user_rounds[0][1][0]
+    L, m, size = first.constituents[0].fragment.count, len(first.constituents), first.size
+    assert m == 2
+
+    def audit(schedule):
+        centralized._audit_user_schedule(cfg, placement, demands, schedule, L, m, size)
+
+    audit(sched)
+    if brk == "pico-twice":
+        part, syms = sched.user_rounds[0]
+        broken = dataclasses.replace(
+            sched, user_rounds=[(part, syms + syms[:1]), *sched.user_rounds[1:]]
+        )
+        message = r"pico \(user \d, T=.*, layer \d+\) delivered 2 times"
+    else:
+        change, message = AUDIT_BREAKS[brk]
+        broken = _replace_symbol(sched, change)
+    with pytest.raises(SchedulingError, match=message):
+        audit(broken)

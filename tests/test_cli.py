@@ -17,6 +17,7 @@ import pytest
 import coopcache.bounds as bounds
 import coopcache.centralized as centralized
 import coopcache.cli as cli
+import coopcache.decentralized as decentralized
 import coopcache.simulator as simulator
 from coopcache import (
     SchedulingError,
@@ -594,4 +595,33 @@ def test_simulate_refuses_an_oversized_decentralized_placement_with_exit_2(capsy
         assert code == 2
         assert err.startswith("error: decentralized placement needs N*2^K = ")
         assert "283467841536 (file, subset) entries" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_simulate_refuses_an_oversized_decentralized_schedule_with_exit_2(
+    capsys, monkeypatch
+):
+    argv = ["simulate", "--scheme", "decentralized", "--N", "6", "--K", "6",
+            "--M", "2", "--alpha-max", "3"]  # 426 user symbols
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 426)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and "user symbols: 426" in out
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 425)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: decentralized user schedule for K=6, alpha_max=3 needs 426 "
+        "user symbols, above the limit of 425\n"
+    )
+    monkeypatch.undo()
+    # at the real limit, (15, 15, 7) passes the placement guard and is
+    # refused by its closed-form symbol count alone
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", "decentralized", "--N", "15", "--K", "15",
+         "--M", "5", "--alpha-max", "7"],
+    )
+    assert (code, out) == (2, "")
+    assert "needs 327972480 user symbols, above the limit of 500000" in err
     assert time.perf_counter() - start < 1.0

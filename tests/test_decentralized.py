@@ -15,11 +15,14 @@ from fractions import Fraction as Frac
 import numpy as np
 import pytest
 
+import analytic_oracle
 import coopcache.decentralized as decentralized
+import coopcache.simulator as simulator
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coopcache import (
+    DecentralizedRates,
     SystemConfig,
     allocation_plan,
     build_decentral_delivery,
@@ -27,12 +30,14 @@ from coopcache import (
     corollary_bounds,
     decentralized_delay,
     decentralized_gains,
+    decentralized_gap_grid,
     decentralized_rates,
     enumerate_subsets,
     equal_partition_count,
     f_ks,
     rate_components,
     round_shapes,
+    run_decentralized,
 )
 
 K3 = SystemConfig(3, 3, Frac(3, 2), alpha_max=1)  # p = 1/2, solved by hand
@@ -80,6 +85,51 @@ def test_rates_server_only_when_users_cannot_help():
 
     zero = decentralized_rates(SystemConfig(4, 4, 0, alpha_max=2))
     assert zero.T == Frac(4)
+
+
+def _fraction_rates(cfg):
+    """``decentralized_rates`` in Fraction arithmetic, as it was computed
+    before the integer path, from the oracle's rate components."""
+    rc = analytic_oracle.rate_components(cfg)
+    denom = rc.R_s + rc.R_u - rc.R_empty
+    if rc.R_u < rc.R_empty or denom == 0:
+        lam, T = Frac(0), rc.R_empty
+    else:
+        lam = (rc.R_u - rc.R_empty) / (rc.R_s + rc.R_u)
+        T = rc.R_s * rc.R_u / denom
+    return DecentralizedRates(rc.R_empty + lam * rc.R_s, (1 - lam) * rc.R_u, T, lam, rc)
+
+
+def test_integer_rates_match_the_fraction_path():
+    # every point of the shipped decentralized gap grid and of the
+    # benchmark's decentralized sweep, p = 0 and p = 1 at every K <= 8
+    grid = list(decentralized_gap_grid())
+    sweep = [SystemConfig(20, 10, Frac(i, 5), alpha_max=5) for i in range(1, 100)]
+    ends = [
+        SystemConfig(K, K, M, alpha_max=amax)
+        for K in range(2, 9)
+        for amax in range(1, K // 2 + 1)
+        for M in (0, K)
+    ]
+    assert len(grid) == 6237
+    for cfg in grid + sweep + ends:
+        assert decentralized_rates(cfg) == _fraction_rates(cfg), cfg
+
+
+@given(
+    st.integers(min_value=2, max_value=16).flatmap(
+        lambda K: st.tuples(
+            st.just(K),
+            st.integers(min_value=K, max_value=3 * K),
+            st.fractions(min_value=0, max_value=1, max_denominator=100),
+            st.integers(min_value=1, max_value=max(1, K // 2)),
+        )
+    )
+)
+def test_integer_rates_match_the_fraction_path_on_a_sample(shape):
+    K, N, p, amax = shape
+    cfg = SystemConfig(N, K, p * N, alpha_max=amax)
+    assert decentralized_rates(cfg) == _fraction_rates(cfg)
 
 
 def test_headline_delay_formula():
@@ -282,6 +332,51 @@ def test_placement_size_guard_runs_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", 23)
     with pytest.raises(ValueError, match="above the limit of 23"):
         build_decentral_placement(SystemConfig(3, 3, 1, F=30), mode="bits")
+
+
+def test_user_symbol_count_matches_the_built_schedule():
+    # every shape with K <= 8, at p = 0, 1/3, 1/2 and 1
+    for K in range(2, 9):
+        for amax in range(1, K // 2 + 1):
+            for p in (Frac(0), Frac(1, 3), Frac(1, 2), Frac(1)):
+                cfg = SystemConfig(K, K, p * K, alpha_max=amax)
+                placement = build_decentral_placement(cfg)
+                _, sched = build_decentral_delivery(cfg, placement, tuple(cfg.users()))
+                assert decentralized.user_symbol_count(cfg) == (
+                    sched.user_symbol_count()
+                ), cfg
+
+
+def test_user_symbol_guard_limit_is_inclusive(monkeypatch):
+    cfg = SystemConfig(6, 6, 2, alpha_max=3)  # 6 * 2^6 = 384 entries
+    count = decentralized.user_symbol_count(cfg)
+    assert count == 426
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", count)
+    assert run_decentralized(cfg).schedule.user_symbol_count() == count
+    monkeypatch.setattr(decentralized, "MAX_USER_SYMBOLS", count - 1)
+
+    def stop(*args, **kwargs):
+        raise AssertionError("placed before the symbol guard")
+
+    monkeypatch.setattr(simulator, "build_decentral_placement", stop)
+    with pytest.raises(
+        ValueError,
+        match=r"^decentralized user schedule for K=6, alpha_max=3 needs 426 user "
+        r"symbols, above the limit of 425$",
+    ):
+        run_decentralized(cfg)
+
+
+def test_empty_rounds_are_skipped_before_enumeration(monkeypatch):
+    def stop(*args):
+        raise AssertionError("enumerated an empty round")
+
+    monkeypatch.setattr(decentralized, "_disjoint_group_choices", stop)
+    for M in (0, 6):
+        cfg = SystemConfig(6, 6, M, alpha_max=3)
+        placement = build_decentral_placement(cfg)
+        _, sched = build_decentral_delivery(cfg, placement, tuple(cfg.users()))
+        assert sched.user_rounds == []
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,16 @@ from coopcache.simulator import (
 )
 
 
+def _learned(log, user, library, live):
+    """The fast decoder's learned fragments, keyed by fragment, not by id."""
+    known = _peel_known_fragments(log, user, library, live)
+    return {live.frags[f]: payload for f, payload in known.items()}
+
+
 def _assert_agree(log, demands, library=None):
     live = _live_fragments(log)
     for k in log.config.users():
-        fast = _peel_known_fragments(log, k, library, live)
+        fast = _learned(log, k, library, live)
         slow = oracle._peel_known_fragments(log, k, library)
         assert list(fast) == list(slow), k
         if library is not None:
@@ -172,7 +178,7 @@ def test_fragments_resolve_in_sweep_order(pair_first):
         return ([pair, single] if pair_first else [single, pair]) + [((F,), bad)]
 
     log, res = _hand_log(symbols)
-    known = _peel_known_fragments(log, 1, res.library, _live_fragments(log))
+    known = _learned(log, 1, res.library, _live_fragments(log))
     good = res.library.files[1][log.resolver.frag_positions(F)]
     assert np.array_equal(known[F], good) != pair_first
     _assert_agree(log, (1, 2, 3, 4), res.library)
@@ -185,6 +191,6 @@ def test_a_fragment_held_twice_is_not_learned():
         return [((F, F), bits(F) ^ bits(F)), ((F, F, G), bits(G)), ((G,), bits(G))]
 
     log, res = _hand_log(symbols)
-    known = _peel_known_fragments(log, 1, res.library, _live_fragments(log))
+    known = _learned(log, 1, res.library, _live_fragments(log))
     assert G in known and F not in known
     _assert_agree(log, (1, 2, 3, 4), res.library)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import coopcache.simulator as simulator
+import load_oracle
 from coopcache import (
     BitLibrary,
     FragmentId,
@@ -504,22 +505,68 @@ def test_relabelling_files_changes_nothing_but_the_ids(run):
 # ---------------------------------------------------------------------------
 
 
-def test_executed_delay_is_never_below_the_converse():
-    """Every fluid run with K <= 6, at N = K and N = 2K: centralized at
-    every integer t and every alpha (run at alpha_max = alpha, where the
-    converse is largest), decentralized at every alpha_max and M = iN/8."""
-    runs = 0
+def _small_runs(mode="fluid"):
+    """Every run with K <= 6, at N = K and N = 2K: centralized at every
+    integer t and every alpha (run at alpha_max = alpha, where the converse
+    is largest), decentralized at every alpha_max and M = iN/8.  Bit mode
+    takes the smallest F that splits every centralized fragment exactly, and
+    F = 64 decentralized."""
     for K in range(2, 7):
         for N in (K, 2 * K):
             for alpha in range(1, K // 2 + 1):
                 for t in range(K + 1):
                     cfg = SystemConfig(N, K, Frac(t * N, K), alpha_max=alpha)
-                    res = run_centralized(cfg, alpha=alpha, check_decode=False)
-                    assert res.rates.T >= lower_bound(cfg).T_lower, (cfg, alpha)
-                    runs += 1
+                    if mode == "bits":
+                        plan = make_split_plan(cfg, alpha=alpha)
+                        F = required_central_F(cfg, plan)
+                        cfg = dataclasses.replace(cfg, F=F * -(-64 // F))
+                    yield cfg, run_centralized(
+                        cfg, alpha=alpha, mode=mode, check_decode=False
+                    )
                 for i in range(9):
-                    cfg = SystemConfig(N, K, Frac(i * N, 8), alpha_max=alpha)
-                    res = run_decentralized(cfg, check_decode=False)
-                    assert res.rates.T >= lower_bound(cfg).T_lower, cfg
-                    runs += 1
+                    F = 64 if mode == "bits" else None
+                    cfg = SystemConfig(N, K, Frac(i * N, 8), alpha_max=alpha, F=F)
+                    yield cfg, run_decentralized(cfg, mode=mode, check_decode=False)
+
+
+def test_executed_delay_is_never_below_the_converse():
+    runs = 0
+    for cfg, res in _small_runs():
+        assert res.rates.T >= lower_bound(cfg).T_lower, cfg
+        runs += 1
     assert runs == 2 * (50 + 9 * 9)
+
+
+@pytest.mark.parametrize("mode", ["fluid", "bits"])
+def test_loads_match_the_fraction_oracle(mode):
+    for cfg, res in _small_runs(mode):
+        log = res.log
+        assert log.server_load() == load_oracle.server_load(log), cfg
+        assert log.user_load() == load_oracle.user_load(log), cfg
+
+
+def test_loads_match_the_fraction_oracle_on_hand_made_logs():
+    # mixed denominators, int sizes, an empty round and rounds of one lane
+    def whole(entry):
+        return dataclasses.replace(entry, bits=int(entry.bits))
+
+    fluid = _toy_log(
+        [
+            _entry(0, -1, 0, (1, 2, 3, 4), Frac(1, 3)),
+            whole(_entry(1, -1, 0, (1, 2, 3, 4), 2)),
+            _entry(2, -1, 0, (1, 2, 3, 4), Frac(5, 12)),
+            _entry(0, 0, 1, (1, 2), Frac(1, 6)),
+            _entry(1, 0, 2, (1, 2), Frac(1, 4)),
+            _entry(0, 0, 3, (3, 4), Frac(3, 7)),
+            whole(_entry(2, 1, 4, (3, 4), 1)),
+            _entry(3, 1, 1, (1, 2), Frac(2, 9)),
+            whole(_entry(4, 2, 2, (2, 3), 0)),
+        ]
+    )
+    ints = [whole(_entry(0, -1, 0, (1, 2, 3, 4), 3)), whole(_entry(0, 0, 1, (1, 2), 2))]
+    bits = TransmissionLog(SystemConfig(4, 4, 2, alpha_max=2, F=90), "bits", ints)
+    for log in (fluid, _toy_log(ints), bits, _toy_log([])):
+        assert log.server_load() == load_oracle.server_load(log)
+        assert log.user_load() == load_oracle.user_load(log)
+    assert (fluid.server_load(), fluid.user_load()) == (Frac(11, 4), Frac(3, 7) + 1)
+    assert (bits.server_load(), bits.user_load()) == (Frac(1, 30), Frac(1, 45))
