@@ -34,7 +34,7 @@ possible hosting group, so a rung is decided by a quota check; otherwise by
 a small integer max-flow (Dinic's algorithm, with an iterative search).
 Before anything is enumerated, the uniform rung's symbol count is computed
 in closed form, and a schedule that could exceed ``MAX_USER_SYMBOLS`` is
-refused with a ValueError.
+refused with a ValueError (:func:`check_user_schedule_size`).
 """
 
 from __future__ import annotations
@@ -75,14 +75,18 @@ class CentralPlacement:
     subsets: tuple[tuple[int, ...], ...]  # all t-subsets, lex order
 
 
-def build_central_placement(config: SystemConfig) -> CentralPlacement:
+def _integer_t(config: SystemConfig) -> int:
     t = config.t
     if t.denominator != 1:
         raise ValueError(
             f"centralized placement needs integer t=K*M/N, got t={t}; "
             "use memory sharing (rate interpolation) for this M"
         )
-    ti = int(t)
+    return int(t)
+
+
+def build_central_placement(config: SystemConfig) -> CentralPlacement:
+    ti = _integer_t(config)
     return CentralPlacement(config, ti, tuple(enumerate_subsets(config.K, ti)))
 
 
@@ -172,10 +176,9 @@ def make_split_plan(
     server_share: Optional[Frac] = None,
 ) -> SplitPlan:
     """Build the delivery split for integer t; see ``SplitPlan``."""
-    t = config.t
-    if t.denominator != 1:
-        raise ValueError(f"split plan needs integer t, got {t}")
-    alpha, _, lam, L1 = _split(config.K, int(t), config.alpha_max, alpha, server_share)
+    alpha, _, lam, L1 = _split(
+        config.K, _integer_t(config), config.alpha_max, alpha, server_share
+    )
     return SplitPlan(alpha, lam, L1)
 
 
@@ -486,6 +489,43 @@ def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
     return attempts
 
 
+def _user_slots(
+    config: SystemConfig, plan: SplitPlan
+) -> Optional[tuple[int, int, int, int]]:
+    """(t, fp, slots, partitions): the group size, the slot count at rho = 1
+    and the number of canonical alpha-partitions into fp-groups; None when
+    users deliver nothing (t = 0, t = K or lambda = 1).  Raises
+    SchedulingError when L1 does not make the slot count integral."""
+    t, K, alpha = _integer_t(config), config.K, plan.alpha
+    if t == 0 or t >= K or plan.server_share == 1:
+        return None
+    fp = min(K // alpha, t + 1)
+    m = fp - 1
+    P1 = K * math.comb(K - 1, t) * plan.L1
+    if P1 % (m * alpha):
+        raise SchedulingError(
+            f"layer count L1={plan.L1} does not make the slot count integral"
+        )
+    return t, fp, P1 // (m * alpha), equal_partition_count(K, fp, alpha)
+
+
+def check_user_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
+    """Refuse, with a ValueError naming the count, a plan whose uniform
+    full-cycle rung, the largest the ladder builds, would need more than
+    ``MAX_USER_SYMBOLS`` user symbols (lcm(slots, partitions) * alpha).
+    Counted in closed form; nothing is enumerated."""
+    shape = _user_slots(config, plan)
+    if shape is None:
+        return
+    t, _, slots1, beta = shape
+    worst = math.lcm(slots1, beta) * plan.alpha
+    if worst > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"user schedule for K={config.K}, t={t}, alpha={plan.alpha} may "
+            f"need {worst} user symbols, above the limit of {MAX_USER_SYMBOLS}"
+        )
+
+
 def build_user_schedule(
     config: SystemConfig, plan: SplitPlan, demands: Sequence[int]
 ) -> DeliverySchedule:
@@ -499,35 +539,20 @@ def build_user_schedule(
     Each rung of the refinement ladder is decided on its quotas alone: by a
     quota check when groups have t+1 members (each pico-file then has one
     hosting group), by a max-flow otherwise.  Raises ValueError, before any
-    enumeration, when the uniform rung would need more than
-    ``MAX_USER_SYMBOLS`` symbols (lcm(slots, partitions) * alpha).  Raises
-    SchedulingError if no feasible assignment exists at any rung of the
-    ladder (which would indicate an internal inconsistency — the uniform
-    full-cycle rung is provably feasible).
+    enumeration, when :func:`check_user_schedule_size` refuses the plan.
+    Raises SchedulingError if no feasible assignment exists at any rung of
+    the ladder (which would indicate an internal inconsistency — the
+    uniform full-cycle rung is provably feasible).
     """
     d = validate_demands(config, demands)
+    check_user_schedule_size(config, plan)
+    shape = _user_slots(config, plan)
+    if shape is None:
+        return DeliverySchedule()  # nothing for users to deliver
     placement = build_central_placement(config)
-    t, K = placement.t, config.K
-    alpha, lam = plan.alpha, plan.server_share
-    sched = DeliverySchedule()
-    if t == 0 or t >= K or lam == 1:
-        return sched  # nothing for users to deliver
-    g = K // alpha
-    fp = min(g, t + 1)
+    t, fp, slots1, beta = shape
+    K, alpha = config.K, plan.alpha
     m = fp - 1
-    P1 = K * math.comb(K - 1, t) * plan.L1
-    if P1 % (m * alpha):
-        raise SchedulingError(
-            f"layer count L1={plan.L1} does not make the slot count integral"
-        )
-    slots1 = P1 // (m * alpha)
-    beta = equal_partition_count(K, fp, alpha)
-    worst = math.lcm(slots1, beta) * alpha  # user symbols at the uniform rung
-    if worst > MAX_USER_SYMBOLS:
-        raise ValueError(
-            f"user schedule for K={K}, t={t}, alpha={alpha} may need {worst} "
-            f"user symbols, above the limit of {MAX_USER_SYMBOLS}"
-        )
 
     decide = _hosting_decider(K, t, m)
     partitions = enumerate_equal_partitions(K, fp, alpha)

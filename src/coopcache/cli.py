@@ -34,10 +34,15 @@ from .bounds import (
     verify_gap_decentralized,
     verify_user_rate_bounds,
 )
-from .centralized import MAX_USER_SYMBOLS, centralized_rates
+from .centralized import (
+    MAX_USER_SYMBOLS,
+    centralized_rates,
+    check_user_schedule_size,
+    make_split_plan,
+)
 from .decentralized import check_run_size, decentralized_gains, decentralized_rates
-from .model import SystemConfig, as_frac
-from .simulator import run_centralized, run_decentralized
+from .model import SystemConfig, as_frac, validate_demands
+from .simulator import check_mode, run_centralized, run_decentralized
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -274,8 +279,15 @@ def cmd_simulate(args, out: TextIO) -> int:
     demands = (
         [int(x) for x in args.demands.split(",")] if args.demands else None
     )
+    # every refusal comes before anything is written
+    check_mode(config, args.mode)
+    if demands is not None:
+        validate_demands(config, demands)
     if args.scheme == "decentralized":
-        check_run_size(config)  # refused before anything is written
+        check_run_size(config)
+    else:
+        plan = make_split_plan(config, alpha=args.alpha, server_share=server_share)
+        check_user_schedule_size(config, plan)
     out.write(
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"

@@ -158,23 +158,34 @@ class GroupPartition:
 def _disjoint_group_choices(K: int, s: int, count: int) -> list[tuple]:
     """(groups, idle users) for every unordered choice of ``count`` disjoint
     s-subsets of 1..K: groups sorted by smallest member, choices in
-    lexicographic order of the flattened groups."""
+    lexicographic order of the flattened groups.
+
+    A depth-first walk over an explicit stack: ``chosen[i]`` is the group
+    taken from ``stack[i]``'s candidates.  It forms no reference cycle, so
+    its garbage is freed by reference counting alone (a self-referencing
+    recursive closure would leave every call's output to the cyclic
+    collector)."""
     out: list[tuple] = []
     chosen: list[tuple[int, ...]] = []
-
-    def rec(pool: tuple[int, ...]) -> None:
-        if len(chosen) == count:
-            out.append((tuple(chosen), pool))
-            return
+    pool = tuple(range(1, K + 1))
+    if count == 0:
+        return [((), pool)]
+    stack = [(pool, itertools.combinations(pool, s))]
+    while stack:
+        pool, candidates = stack[-1]
         min_first = chosen[-1][0] if chosen else 0
-        for g in itertools.combinations(pool, s):
-            if g[0] <= min_first:
-                continue
+        g = next((g for g in candidates if g[0] > min_first), None)
+        if g is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        rest = tuple(x for x in pool if x not in g)
+        if len(chosen) + 1 == count:
+            out.append(((*chosen, g), rest))
+        else:
             chosen.append(g)
-            rec(tuple(x for x in pool if x not in g))
-            chosen.pop()
-
-    rec(tuple(range(1, K + 1)))
+            stack.append((rest, itertools.combinations(rest, s)))
     return out
 
 

@@ -510,9 +510,29 @@ def test_simulate_bit_mode_without_F_exits_2(scheme, capsys):
         ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
          "--alpha-max", "2", "--mode", "bits"],
     )
-    assert code == 2
-    assert out.startswith(f"scheme: {scheme} ") and len(out.splitlines()) == 1
+    assert (code, out) == (2, "")
     assert err == "error: bit mode needs a file size F\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--scheme", "centralized", "--M", "3/2"],
+         "centralized placement needs integer t=K*M/N, got t=3/2"),
+        (["--scheme", "centralized", "--M", "2", "--alpha", "3"],
+         "alpha=3 outside [1, alpha_max=2]"),
+        (["--scheme", "centralized", "--M", "2", "--demands", "1,2,3"],
+         "need 6 demands, got 3"),
+        (["--scheme", "decentralized", "--M", "2", "--demands", "1,2,3"],
+         "need 6 demands, got 3"),
+    ],
+)
+def test_simulate_refusals_write_nothing_to_stdout(argv, message, capsys):
+    code, out, err = _run(
+        capsys, ["simulate", "--N", "6", "--K", "6", "--alpha-max", "2", *argv]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def _starve_cooperation(monkeypatch):
@@ -574,12 +594,12 @@ def test_simulate_centralized_scheduling_error_exits_1(capsys, monkeypatch):
 
 
 def test_simulate_refuses_an_oversized_schedule_with_exit_2(capsys):
-    code, _, err = _run(
+    code, out, err = _run(
         capsys,
         ["simulate", "--scheme", "centralized", "--N", "28", "--K", "14",
          "--M", "4", "--alpha-max", "7"],
     )
-    assert code == 2
+    assert (code, out) == (2, "")
     assert "16816800 user symbols" in err
 
 

@@ -6,6 +6,7 @@ must break decodability.  Bit mode must converge to the fluid rates.
 """
 
 import dataclasses
+import gc
 import random
 import hashlib
 from fractions import Fraction as Frac
@@ -19,6 +20,7 @@ from coopcache import (
     BitLibrary,
     FragmentId,
     LogEntry,
+    SchedulingError,
     SystemConfig,
     TransmissionLog,
     XorSymbol,
@@ -31,6 +33,7 @@ from coopcache import (
     run_decentralized,
 )
 from coopcache.cli import main
+from coopcache.model import _disjoint_group_choices
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3, F=4500)
 
@@ -331,6 +334,96 @@ def test_bit_mode_without_F_is_refused_before_any_work(monkeypatch):
     for run in (run_centralized, run_decentralized):
         with pytest.raises(ValueError, match="^bit mode needs a file size F$"):
             run(cfg, mode="bits")
+
+
+# ---------------------------------------------------------------------------
+# the paused cyclic collector
+# ---------------------------------------------------------------------------
+
+# both schemes in both modes, as (N, K, M, alpha_max, F); (6, 6, 3) at
+# alpha_max 2 has m = 2 < t = 3, so its user schedule comes from the
+# max-flow, not the quota check
+ACYCLIC_RUNS = {
+    "centralized-fluid-6-6-2": (run_centralized, (6, 6, 2, 3, None), "fluid"),
+    "centralized-fluid-6-6-3": (run_centralized, (6, 6, 3, 2, None), "fluid"),
+    "centralized-bits-4-4-2": (run_centralized, (4, 4, 2, 2, 120), "bits"),
+    "decentralized-fluid-6-6-2": (run_decentralized, (6, 6, 2, 3, None), "fluid"),
+    "decentralized-bits-6-6-2": (run_decentralized, (6, 6, 2, 3, 64), "bits"),
+}
+
+
+@pytest.mark.parametrize(
+    "run,shape,mode", list(ACYCLIC_RUNS.values()), ids=list(ACYCLIC_RUNS)
+)
+def test_a_run_leaves_no_cyclic_garbage(run, shape, mode):
+    # the collector may be paused for a run only if reference counting
+    # alone frees everything the run built
+    N, K, M, amax, F = shape
+    cfg = SystemConfig(N, K, M, alpha_max=amax, F=F)
+    run(cfg, mode=mode)  # first-use caches fill outside the count
+    gc.collect()
+    gc.disable()
+    try:
+        res = run(cfg, mode=mode)
+        assert res.decode_ok
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_disjoint_group_choices_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        choices = _disjoint_group_choices(9, 3, 3)
+        assert len(choices) == 280
+        del choices
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _record_collector_state(monkeypatch, seen):
+    place = simulator.build_central_placement
+
+    def recording(config):
+        seen.append(gc.isenabled())
+        return place(config)
+
+    monkeypatch.setattr(simulator, "build_central_placement", recording)
+
+
+def test_a_run_pauses_the_collector_and_restores_it(monkeypatch):
+    seen = []
+    _record_collector_state(monkeypatch, seen)
+    assert gc.isenabled()
+    assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
+    assert seen == [False] and gc.isenabled()
+
+
+def test_a_failed_run_restores_the_collector(monkeypatch):
+    seen = []
+
+    def infeasible(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise SchedulingError("user delivery infeasible")
+
+    monkeypatch.setattr(simulator, "build_delivery", infeasible)
+    with pytest.raises(SchedulingError):
+        run_centralized(SystemConfig(4, 4, 2, alpha_max=2))
+    assert seen == [False] and gc.isenabled()
+
+
+def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
+    seen = []
+    _record_collector_state(monkeypatch, seen)
+    gc.disable()
+    try:
+        assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
+        assert seen == [False] and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
