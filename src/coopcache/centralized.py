@@ -28,13 +28,23 @@ in its own sender slot.  A refinement factor rho (pico-files sub-split into
 rho equal units) is raised through a deterministic ladder until the routing
 is feasible; a uniform full-cycle sequence is always feasible, so the ladder
 terminates.  Rates are invariant to rho.  A rung's quotas come in closed
-form (full cycles plus a tail); the slot sequence is built only for the rung
-that is chosen.  With groups of t+1 members (m = t) every pico-file has one
-possible hosting group, so a rung is decided by a quota check; otherwise by
-a small integer max-flow (Dinic's algorithm, with an iterative search).
-Before anything is enumerated, the uniform rung's symbol count is computed
-in closed form, and a schedule that could exceed ``MAX_USER_SYMBOLS`` is
-refused with a ValueError (:func:`check_user_schedule_size`).
+form (full cycles plus a tail, the tail slid on from the previous offset at
+the same rho); the slot sequence is never built.  With groups of t+1
+members (m = t) every pico-file has one possible hosting group, so a rung
+is decided by a quota check; otherwise by a small integer max-flow
+(Dinic's algorithm, with an iterative search).
+
+The chosen rung is assembled in one pass (:func:`_assemble_schedule`):
+each pico-file is built once, as the ``Constituent`` its symbol carries,
+in its hosting group's list for its receiver; each group's symbols draw
+those lists through per-receiver iterators; and the rounds follow the slot
+sequence by partition index.  The audit then re-checks the finished
+schedule on bitmasks, independently of how it was assembled.
+
+Before anything is enumerated, :func:`check_schedule_size` counts in closed
+form the placement's subsets, the server's symbols and the uniform rung's
+user symbols, and refuses with a ValueError a plan in which any of them
+exceeds ``MAX_USER_SYMBOLS``.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     Constituent,
@@ -470,6 +480,36 @@ def _slot_quotas(
     return quotas
 
 
+def _ladder_quotas(
+    partitions: list[tuple[tuple[int, ...], ...]],
+    cycle: Counter,
+    slots1: int,
+    ladder: list[tuple[int, int]],
+) -> Iterator[tuple[int, int, Counter]]:
+    """(rho, offset, quotas) for each rung of ``ladder``, the quotas equal
+    to ``_slot_quotas`` of the rung's slot count and offset.  A rung whose
+    offset follows the previous rung's at the same rho slides that rung's
+    tail window on by one partition (the partition at the old offset
+    leaves it, the one after its end joins it) instead of counting the
+    tail again."""
+    beta = len(partitions)
+    prev_rho, prev_offset, quotas = 0, 0, Counter()
+    for rho, offset in ladder:
+        slots = slots1 * rho
+        if rho != prev_rho or offset != prev_offset + 1:
+            quotas = _slot_quotas(partitions, cycle, slots, offset)
+        else:
+            quotas = quotas.copy()
+            for G in partitions[prev_offset % beta]:
+                quotas[G] -= 1
+                if not quotas[G]:
+                    del quotas[G]
+            for G in partitions[(prev_offset + slots) % beta]:
+                quotas[G] += 1
+        prev_rho, prev_offset = rho, offset
+        yield rho, offset, quotas
+
+
 def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
     """Deterministic (rho, offset) attempts.  slots1 = slot count at rho=1
     (an integer by the minimality of L1).
@@ -509,19 +549,34 @@ def _user_slots(
     return t, fp, P1 // (m * alpha), equal_partition_count(K, fp, alpha)
 
 
-def check_user_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
-    """Refuse, with a ValueError naming the count, a plan whose uniform
-    full-cycle rung, the largest the ladder builds, would need more than
-    ``MAX_USER_SYMBOLS`` user symbols (lcm(slots, partitions) * alpha).
-    Counted in closed form; nothing is enumerated."""
+def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
+    """Refuse, with a ValueError naming the count, a plan that would build
+    more than ``MAX_USER_SYMBOLS`` of any of: placement subsets, C(K, t);
+    server symbols, C(K, t+1) unless the server sends nothing; user symbols
+    of the uniform full-cycle rung, the largest the ladder builds
+    (lcm(slots, partitions) * alpha).  Counted in closed form; nothing is
+    enumerated."""
+    t, K = _integer_t(config), config.K
+    subsets = math.comb(K, t)
+    if subsets > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"centralized placement for K={K}, t={t} needs C(K,t) = {subsets} "
+            f"subsets, above the limit of {MAX_USER_SYMBOLS}"
+        )
+    server = math.comb(K, t + 1) if plan.server_share else 0
+    if server > MAX_USER_SYMBOLS:
+        raise ValueError(
+            f"centralized server schedule for K={K}, t={t} needs C(K,t+1) = "
+            f"{server} server symbols, above the limit of {MAX_USER_SYMBOLS}"
+        )
     shape = _user_slots(config, plan)
     if shape is None:
         return
-    t, _, slots1, beta = shape
+    _, _, slots1, beta = shape
     worst = math.lcm(slots1, beta) * plan.alpha
     if worst > MAX_USER_SYMBOLS:
         raise ValueError(
-            f"user schedule for K={config.K}, t={t}, alpha={plan.alpha} may "
+            f"user schedule for K={K}, t={t}, alpha={plan.alpha} may "
             f"need {worst} user symbols, above the limit of {MAX_USER_SYMBOLS}"
         )
 
@@ -539,13 +594,13 @@ def build_user_schedule(
     Each rung of the refinement ladder is decided on its quotas alone: by a
     quota check when groups have t+1 members (each pico-file then has one
     hosting group), by a max-flow otherwise.  Raises ValueError, before any
-    enumeration, when :func:`check_user_schedule_size` refuses the plan.
+    enumeration, when :func:`check_schedule_size` refuses the plan.
     Raises SchedulingError if no feasible assignment exists at any rung of
     the ladder (which would indicate an internal inconsistency — the
     uniform full-cycle rung is provably feasible).
     """
     d = validate_demands(config, demands)
-    check_user_schedule_size(config, plan)
+    check_schedule_size(config, plan)
     shape = _user_slots(config, plan)
     if shape is None:
         return DeliverySchedule()  # nothing for users to deliver
@@ -559,17 +614,17 @@ def build_user_schedule(
     cycle = Counter(G for part in partitions for G in part)
 
     last_err = "no attempts made"
-    for rho, offset in _rho_ladder(slots1, beta):
+    ladder = _rho_ladder(slots1, beta)
+    for rho, offset, quotas in _ladder_quotas(partitions, cycle, slots1, ladder):
         L = plan.L1 * rho
         slots = slots1 * rho
-        quotas = _slot_quotas(partitions, cycle, slots, offset)
         assignment = decide(quotas, L)
         if assignment is None:
             last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
             continue
-        seq = [partitions[(offset + i) % beta] for i in range(slots)]
         return _assemble_schedule(
-            config, placement, plan, d, seq, quotas, assignment, L, fp
+            config, placement, plan, d, partitions, offset, slots, quotas,
+            assignment, L, fp,
         )
     raise SchedulingError(
         f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
@@ -581,75 +636,78 @@ def _assemble_schedule(
     placement: CentralPlacement,
     plan: SplitPlan,
     demands: tuple[int, ...],
-    seq: list[tuple[tuple[int, ...], ...]],
+    partitions: list[tuple[tuple[int, ...], ...]],
+    offset: int,
+    slots: int,
     quotas: Counter,
     assignment: dict,
     L: int,
     fp: int,
 ) -> DeliverySchedule:
-    """Latin assembly per group, then execution along the slot sequence."""
+    """The user rounds of a feasible rung, built in one pass, then audited.
+
+    * Loads: classes (j, T) in sorted order, each class's hosting groups in
+      sorted order; the class's layers count up from 0 across its hosts,
+      and each pico-file joins its host's list for receiver j as its
+      ``Constituent``.
+    * Symbols (a Latin assembly per group): in group G with quota Q, member
+      u sends Q - (u's load) symbols, senders in G's order, and a symbol
+      takes the next constituent of every other member from that member's
+      iterator, so j's pico-files land exactly on the symbols j does not
+      send.
+    * Rounds: slot i runs partition (offset + i) mod beta, each of its
+      groups sending its next symbol.  The canonical partitions are
+      distinct, so consecutive slots repeat a partition only when beta = 1:
+      then every slot merges into one round, otherwise each slot is a
+      round of its own.
+    """
     K = config.K
     m = fp - 1
     size = (1 - plan.server_share) / Frac(math.comb(K, placement.t) * L)
 
-    # Per-group receiver workloads: ordered pico-file lists per receiver.
-    group_load: dict[tuple[int, ...], dict[int, list[FragmentId]]] = {
-        G: {u: [] for u in G} for G in quotas if quotas[G] > 0
+    group_load: dict[tuple[int, ...], dict[int, list[Constituent]]] = {
+        G: {u: [] for u in G} for G, q in quotas.items() if q > 0
     }
-    next_layer: Counter = Counter()
-    for (j, T) in sorted(assignment.keys()):
-        for G, units in sorted(assignment[(j, T)]):
-            for _ in range(units):
-                layer = next_layer[(j, T)]
-                next_layer[(j, T)] += 1
-                frag = FragmentId(demands[j - 1], T, "u", layer, L)
-                group_load[G][j].append(frag)
+    for (j, T), hosts in sorted(assignment.items()):
+        file = demands[j - 1]
+        layer = 0
+        for G, units in sorted(hosts):
+            group_load[G][j] += [
+                Constituent(j, FragmentId(file, T, "u", i, L))
+                for i in range(layer, layer + units)
+            ]
+            layer += units
 
-    # Assemble each group's symbols: sender u appears quota - c_u times and
-    # receiver j's picos land exactly on the symbols whose sender is not j.
-    group_symbols: dict[tuple[int, ...], list[XorSymbol]] = {}
+    group_symbols: dict[tuple[int, ...], Iterator[XorSymbol]] = {}
     for G, per_recv in group_load.items():
         Q = quotas[G]
-        counts = {u: len(per_recv[u]) for u in G}
-        if any(c > Q for c in counts.values()) or sum(counts.values()) != m * Q:
+        counts = [len(per_recv[u]) for u in G]
+        if max(counts) > Q or sum(counts) != m * Q:
             raise SchedulingError(f"group {G} workload inconsistent with quota {Q}")
-        senders: list[int] = []
-        for u in G:
-            senders.extend([u] * (Q - counts[u]))
-        if len(senders) != Q:
-            raise SchedulingError(f"group {G} sender multiset does not fill quota")
-        taken = {u: 0 for u in G}
-        symbols = []
-        for i in range(Q):
-            cons = []
-            for j in G:
-                if j == senders[i]:
-                    continue
-                frag = per_recv[j][taken[j]]
-                taken[j] += 1
-                cons.append(Constituent(j, frag))
-            symbols.append(XorSymbol(senders[i], G, tuple(cons), size))
-        group_symbols[G] = symbols
+        feeds = {u: iter(per_recv[u]) for u in G}
+        symbols: list[XorSymbol] = []
+        for u, c in zip(G, counts):
+            others = [feeds[j] for j in G if j != u]
+            symbols += [
+                XorSymbol(u, G, tuple(map(next, others)), size) for _ in range(Q - c)
+            ]
+        group_symbols[G] = iter(symbols)
 
-    # Execute along the slot sequence; merge consecutive equal partitions
-    # into rounds for the per-link delay accounting.
+    beta = len(partitions)
+    runs = (
+        [(partitions[0], slots)]
+        if beta == 1
+        else [(partitions[(offset + i) % beta], 1) for i in range(slots)]
+    )
     sched = DeliverySchedule()
-    cursor: Counter = Counter()
-    i = 0
-    round_index = 0
-    while i < len(seq):
-        j = i
-        while j < len(seq) and seq[j] == seq[i]:
-            j += 1
-        part = GroupPartition(seq[i], round_index)
-        round_syms: list[XorSymbol] = []
-        for slot in range(i, j):
-            for G in seq[i]:
-                round_syms.append(group_symbols[G][cursor[G]])
-                cursor[G] += 1
-        sched.user_rounds.append((part, round_syms))
-        round_index += 1
-        i = j
+    for round_index, (groups, span) in enumerate(runs):
+        feeds = [group_symbols[G] for G in groups]
+        sched.user_rounds.append(
+            (
+                GroupPartition(groups, round_index),
+                [next(f) for _ in range(span) for f in feeds],
+            )
+        )
 
     _audit_user_schedule(config, placement, demands, sched, L, m, size)
     return sched
@@ -667,49 +725,65 @@ def _audit_user_schedule(
     """Hard guarantees: every pico-file delivered exactly once, every symbol
     decodable by construction, every constituent cached by its co-members.
 
-    Checked on bitmasks, user u being bit u: each group's members and each
-    subset's cachers are masked once.  Deliveries are counted per int key
-    of (subset, layer, receiver); a pico no check looks at is not counted.
+    Checked on bitmasks, user u being bit u.  Each (sender, group) is masked
+    once, as the group's mask and the mask of its receivers; each subset
+    once, as its cachers' mask and its placement id (None off the
+    placement).  A delivery of pico (T, layer) to a receiver j outside T is
+    recorded as one int key; every such pico is delivered exactly once iff
+    the keys are distinct and as many as the picos.  Only when they are not
+    are they counted, to name the first pico delivered a wrong number of
+    times.
     """
     bit = {u: 1 << u for u in config.users()}
-    masks: dict[tuple[int, ...], int] = {}
 
     def mask(users: tuple[int, ...]) -> int:
-        code = masks.get(users)
-        if code is None:
-            code = masks[users] = sum(bit.get(u, 0) for u in users)
-        return code
+        return sum(bit.get(u, 0) for u in users)
 
-    subset_id = {T: i for i, T in enumerate(placement.subsets)}
+    subsets: dict[tuple[int, ...], tuple[int, Optional[int]]] = {
+        T: (mask(T), i) for i, T in enumerate(placement.subsets)
+    }
+    lanes: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     width = config.K + 1
-    seen: dict[int, int] = {}
-    for part, syms in sched.user_rounds:
+    keys: list[int] = []
+    for _, syms in sched.user_rounds:
         for sym in syms:
             if len(sym.constituents) != m:
                 raise SchedulingError(f"symbol codes {len(sym.constituents)} != {m}")
             if sym.size is not size and sym.size != size:
                 raise SchedulingError("unequal pico sizes in user schedule")
-            group = mask(sym.group)
-            if not group & bit.get(sym.sender, 0):
-                raise SchedulingError("sender outside its group")
+            lane = lanes.get((sym.sender, sym.group))
+            if lane is None:
+                group = mask(sym.group)
+                if not group & bit.get(sym.sender, 0):
+                    raise SchedulingError("sender outside its group")
+                lane = lanes[sym.sender, sym.group] = (group, group & ~bit[sym.sender])
+            group, receivers = lane
             for c in sym.constituents:
                 j, frag = c.receiver, c.fragment
-                if j == sym.sender or not group & bit.get(j, 0):
+                jbit = bit.get(j, 0)
+                if not receivers & jbit:
                     raise SchedulingError("constituent receiver misplaced")
-                if group & ~bit[j] & ~mask(frag.subset):
+                code = subsets.get(frag.subset)
+                if code is None:
+                    code = subsets[frag.subset] = (mask(frag.subset), None)
+                cachers, tid = code
+                if group & ~jbit & ~cachers:
                     raise SchedulingError(
                         f"group {sym.group} cannot strip {frag} for user {j}"
                     )
-                tid = subset_id.get(frag.subset)
-                if tid is not None and frag.index < L:
-                    key = (tid * L + frag.index) * width + j
-                    seen[key] = seen.get(key, 0) + 1
+                if tid is not None and frag.index < L and not cachers & jbit:
+                    keys.append((tid * L + frag.index) * width + j)
+    picos = len(placement.subsets) * (config.K - placement.t) * L
+    if len(keys) == picos and len(set(keys)) == picos:
+        return
+    seen = Counter(keys)
     for j in config.users():
         for T in placement.subsets:
-            if mask(T) & bit[j]:
+            cachers, tid = subsets[T]
+            if cachers & bit[j]:
                 continue
             for layer in range(L):
-                got = seen.get((subset_id[T] * L + layer) * width + j, 0)
+                got = seen[(tid * L + layer) * width + j]
                 if got != 1:
                     raise SchedulingError(
                         f"pico (user {j}, T={T}, layer {layer}) delivered "

@@ -37,7 +37,7 @@ from .bounds import (
 from .centralized import (
     MAX_USER_SYMBOLS,
     centralized_rates,
-    check_user_schedule_size,
+    check_schedule_size,
     make_split_plan,
 )
 from .decentralized import check_run_size, decentralized_gains, decentralized_rates
@@ -287,7 +287,7 @@ def cmd_simulate(args, out: TextIO) -> int:
         check_run_size(config)
     else:
         plan = make_split_plan(config, alpha=args.alpha, server_share=server_share)
-        check_user_schedule_size(config, plan)
+        check_schedule_size(config, plan)
     out.write(
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction as Frac
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -50,6 +50,34 @@ def as_frac(x: RationalLike) -> Frac:
 
 class SchedulingError(RuntimeError):
     """A delivery schedule could not be constructed (or failed its own audit)."""
+
+
+def slot_init(cls: type) -> type:
+    """Replace the ``__init__`` of a frozen slotted dataclass by one with the
+    same parameters and defaults that stores each field through its slot's
+    member descriptor and then calls ``__post_init__``, if the class has one
+    (module docstring).  Apply it on top of ``@dataclass(frozen=True,
+    slots=True)``; a field without a plain ``init`` value is refused."""
+    env: dict[str, object] = {}
+    params, body = [], []
+    for f in fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name} needs a plain init field")
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**cls.__init__.__annotations__}
+    cls.__init__ = init
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +158,7 @@ def enumerate_subsets(K: int, size: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, K + 1), size))
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class GroupPartition:
     """Pairwise-disjoint user groups transmitting in parallel.
@@ -147,9 +176,9 @@ class GroupPartition:
         for g in self.groups:
             if tuple(sorted(g)) != g:
                 raise ValueError(f"group {g} not ascending")
-            if seen & set(g):
+            if not seen.isdisjoint(g):
                 raise ValueError(f"groups overlap in partition {self.groups}")
-            seen |= set(g)
+            seen.update(g)
         firsts = [g[0] for g in self.groups]
         if firsts != sorted(firsts):
             raise ValueError(f"groups not sorted by smallest member: {self.groups}")
@@ -219,6 +248,7 @@ def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FragmentId:
     """Identity of one delivered piece of a subfile.
@@ -241,6 +271,7 @@ class FragmentId:
             raise ValueError(f"fragment index {self.index} outside 0..{self.count - 1}")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Constituent:
     """One fragment inside an XOR symbol, tagged with its intended receiver."""
@@ -249,6 +280,7 @@ class Constituent:
     fragment: FragmentId
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class XorSymbol:
     """One broadcast: XOR of fragments, sent by ``sender`` to ``group``.

@@ -99,6 +99,7 @@ from .model import (
     SystemConfig,
     XorSymbol,
     enumerate_subsets,
+    slot_init,
     validate_demands,
 )
 
@@ -125,6 +126,7 @@ class BitLibrary:
         return lib
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     """One transmitted symbol: where it sat in its link's timeline and who
@@ -853,10 +855,11 @@ def run_centralized(
     """
 
     def front(demands):
-        placement = build_central_placement(config)
+        # the schedule's size guard runs before the placement is enumerated
         plan, schedule = build_delivery(
             config, demands, alpha=alpha, server_share=server_share
         )
+        placement = build_central_placement(config)
         F = config.F if mode == "bits" else None
         resolver = CentralFragmentResolver(placement, plan, F)
         closed = centralized_rates(

@@ -8,6 +8,7 @@ argmin re-derived here.
 
 import dataclasses
 import math
+import re
 import time
 from fractions import Fraction as Frac
 
@@ -28,6 +29,7 @@ from coopcache import (
     enumerate_subsets,
     make_split_plan,
     piecewise_alpha,
+    run_centralized,
 )
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3)  # t = 4
@@ -301,6 +303,47 @@ def test_size_guard_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", 59)
     with pytest.raises(ValueError, match="may need 60 user symbols"):
         build_delivery(WORKED, demands, alpha=2, server_share=Frac(1, 3))
+
+
+@pytest.mark.parametrize(
+    "M,count,message",
+    [
+        # t = 2: C(6,2) = 15 subsets, C(6,3) = 20 server symbols
+        (2, 20, "server schedule for K=6, t=2 needs C(K,t+1) = 20 server symbols"),
+        # t = 4: C(6,4) = 15 subsets, C(6,5) = 6 server symbols
+        (4, 15, "placement for K=6, t=4 needs C(K,t) = 15 subsets"),
+    ],
+)
+def test_size_guard_counts_a_server_only_plan(M, count, message, monkeypatch):
+    cfg = SystemConfig(6, 6, M, alpha_max=3)
+    demands = tuple(range(1, 7))
+    monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", count)
+    _, sched = build_delivery(cfg, demands, server_share=Frac(1))
+    assert sched.user_rounds == []
+    assert len(sched.server_symbols) == math.comb(6, M + 1)
+    monkeypatch.setattr(centralized, "MAX_USER_SYMBOLS", count - 1)
+    for build in (
+        lambda: build_delivery(cfg, demands, server_share=Frac(1)),
+        lambda: run_centralized(cfg, demands, server_share=Frac(1)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
+def test_size_guard_refuses_server_only_plans_at_the_real_limit(monkeypatch):
+    def stop(*args):
+        raise _Enumerated
+
+    monkeypatch.setattr(centralized, "enumerate_subsets", stop)
+    # C(30,15) = 155,117,520 placement subsets
+    cfg = SystemConfig(30, 30, 15, alpha_max=1)
+    with pytest.raises(ValueError, match="C\\(K,t\\) = 155117520 subsets"):
+        run_centralized(cfg, server_share=Frac(1))
+    # C(24,7) = 346,104 placement subsets pass; C(24,8) = 735,471 server
+    # symbols do not
+    cfg = SystemConfig(24, 24, 7, alpha_max=1)
+    with pytest.raises(ValueError, match="C\\(K,t\\+1\\) = 735471 server symbols"):
+        run_centralized(cfg, server_share=Frac(1))
 
 
 # ---------------------------------------------------------------------------

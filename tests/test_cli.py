@@ -603,6 +603,31 @@ def test_simulate_refuses_an_oversized_schedule_with_exit_2(capsys):
     assert "16816800 user symbols" in err
 
 
+def test_simulate_refuses_an_oversized_server_only_plan_with_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", "centralized", "--N", "30", "--K", "30",
+         "--M", "15", "--alpha-max", "1", "--server-share", "1"],
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: centralized placement for K=30, t=15 needs C(K,t) = 155117520 "
+        "subsets, above the limit of 500000\n"
+    )
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", "centralized", "--N", "24", "--K", "24",
+         "--M", "7", "--alpha-max", "1", "--server-share", "1"],
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: centralized server schedule for K=24, t=7 needs C(K,t+1) = "
+        "735471 server symbols, above the limit of 500000\n"
+    )
+    assert time.perf_counter() - start < 1.0
+
+
 def test_simulate_refuses_an_oversized_decentralized_placement_with_exit_2(capsys):
     # 33 * 2^33 (file, subset) entries; a 32-bit mask code would overflow
     start = time.perf_counter()

@@ -25,6 +25,7 @@ from coopcache.centralized import (
     _Dinic,
     _forced_hosting,
     _hosting_decider,
+    _ladder_quotas,
     _rho_ladder,
     _slot_quotas,
     build_delivery,
@@ -93,6 +94,26 @@ def test_every_rung_agrees_with_the_oracle_for_k_up_to_7():
             free += rungs
     # both kinds of rung, and failed rungs of each, were exercised
     assert forced > len(SMALL_SHAPES) and free > len(SMALL_SHAPES)
+
+
+@pytest.mark.parametrize("K", range(2, 10))
+def test_sliding_ladder_quotas_agree_with_the_oracle_on_every_rung(K):
+    slid = 0
+    for t in range(1, K):
+        for alpha in range(1, K // 2 + 1):
+            plan = make_split_plan(SystemConfig(K, K, t, alpha_max=K // 2), alpha=alpha)
+            fp = min(K // alpha, t + 1)
+            partitions = enumerate_equal_partitions(K, fp, alpha)
+            cycle = Counter(G for part in partitions for G in part)
+            slots1 = K * math.comb(K - 1, t) * plan.L1 // ((fp - 1) * alpha)
+            ladder = _rho_ladder(slots1, len(partitions))
+            rungs = list(_ladder_quotas(partitions, cycle, slots1, ladder))
+            assert [(rho, offset) for rho, offset, _ in rungs] == ladder
+            for rho, offset, quotas in rungs:
+                expected = oracle._slot_quotas(partitions, slots1 * rho, offset)[1]
+                assert dict(quotas) == dict(expected), (K, t, alpha, rho, offset)
+                slid += offset > 0
+    assert slid > 0 or K < 4
 
 
 @settings(max_examples=12)

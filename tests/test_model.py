@@ -113,6 +113,25 @@ def test_group_partition_canonical_form_enforced():
         GroupPartition(((1, 2), (2, 3)))  # overlap
 
 
+@pytest.mark.parametrize(
+    "groups,message",
+    [
+        # each group is checked for order, then against the groups before it,
+        # and the groups' smallest members are checked last
+        (((2, 1), (1, 3)), "group (2, 1) not ascending"),
+        (((1, 2), (2, 3), (5, 4)), "groups overlap in partition ((1, 2), (2, 3), (5, 4))"),
+        (((1, 2), (4, 3), (2, 5)), "group (4, 3) not ascending"),
+        (((3, 4), (1, 2), (2, 5)), "groups overlap in partition ((3, 4), (1, 2), (2, 5))"),
+        (((3, 4), (1, 2)), "groups not sorted by smallest member: ((3, 4), (1, 2))"),
+        (([1, 2],), "group [1, 2] not ascending"),
+    ],
+)
+def test_group_partition_checks_run_in_order(groups, message):
+    with pytest.raises(ValueError) as exc:
+        GroupPartition(groups)
+    assert str(exc.value) == message
+
+
 def _brute_equal_partitions(K, s, alpha_d):
     """Oracle: all sets of alpha_d pairwise-disjoint s-subsets of 1..K."""
     out = set()
