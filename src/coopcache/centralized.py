@@ -32,7 +32,10 @@ form (full cycles plus a tail, the tail slid on from the previous offset at
 the same rho); the slot sequence is never built.  With groups of t+1
 members (m = t) every pico-file has one possible hosting group, so a rung
 is decided by a quota check; otherwise by a small integer max-flow
-(Dinic's algorithm, with an iterative search).
+(Dinic's algorithm: levels computed in numpy and pruned to the shortest
+source-sink paths, and an iterative search that resumes after each
+augmentation at the first saturated edge, pushing the paths the plain
+recursive search pushes; see ``_Dinic``).
 
 The chosen rung is assembled in one pass (:func:`_assemble_schedule`):
 each pico-file is built once, as the ``Constituent`` its symbol carries,
@@ -55,6 +58,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .model import (
     Constituent,
@@ -274,8 +279,7 @@ def build_server_schedule(
     """Server multicast: for each (t+1)-subset S, XOR of server shares
     W^s_{d_k, S\\{k}} over k in S; each symbol is lambda*F/C(K,t) long."""
     d = validate_demands(config, demands)
-    placement = build_central_placement(config)
-    t, K = placement.t, config.K
+    t, K = _integer_t(config), config.K
     lam = plan.server_share
     if lam == 0 or t >= K:
         return []
@@ -298,7 +302,39 @@ MAX_USER_SYMBOLS = 500_000
 
 
 class _Dinic:
-    """Small deterministic integer max-flow (adjacency in insertion order)."""
+    """Small deterministic integer max-flow (adjacency in insertion order).
+
+    Dinic's algorithm: each phase levels the residual network by BFS from
+    the source, then pushes a blocking flow along level-increasing edges by
+    a depth-first search that takes each node's edges in insertion order.
+    Edge e leads from ``to[e ^ 1]`` to ``to[e]``; capacities must fit in
+    int32.  Three things make a phase cheap without changing its paths:
+
+    * Vectorised levels.  The BFS runs in numpy, one level at a time, over
+      the edges out of the frontier, gathered from one flat array of every
+      node's edges in adjacency order; it stops at the sink's level.
+    * Pruning.  A backward sweep from the sink, also a level at a time,
+      keeps the nodes on some shortest source-sink path and gives every
+      other node level -1, so the search never enters it.
+    * Resuming.  After an augmentation the search resumes at the tail of
+      the path's first saturated edge, keeping the path up to it.
+
+    The paths are those of the plain recursive search, which restarts from
+    the source after each augmentation and enters every level-increasing
+    edge.  Augmenting lowers the capacity of level edges and raises that of
+    their reverses, which lead one level down and so are never level edges:
+    within a phase the level graph only loses edges.  A node that cannot
+    reach the sink at the start of a phase therefore never can within it,
+    and entering it is a dead-end round trip that changes no capacity,
+    advances only pointers no later path reads, and skips the edge that
+    led there, as pruning does.  Restarting from the source re-walks the
+    last path, whose edges the pointers still name, up to its first
+    saturated edge, and skips that edge; resuming there does the same
+    without the walk.  So every phase pushes the same paths, and the
+    residual network ends the same, edge for edge.  When the sink is out of
+    reach, the last BFS has reached exactly the source side of a minimum
+    cut.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -316,38 +352,81 @@ class _Dinic:
         self.cap.append(0)
         return eid
 
+    def _levels(self, edges_out, head, s: int, t: int) -> Optional[list[int]]:
+        """BFS levels of the residual network, -1 off every shortest s-t
+        path; None when the sink is out of reach.  ``edges_out(nodes)`` lists
+        the edges out of ``nodes``, and edge e leads to ``head[e]``."""
+        n, cap = self.n, self.cap
+        live = np.fromiter(cap, np.int32, len(cap)) > 0
+        level = np.full(n, -1, np.int32)
+        level[s] = 0
+        frontier = np.array([s])
+        depth = 0
+        while level[t] < 0:
+            out = edges_out(frontier)
+            reached = head[out[live[out]]]
+            reached = reached[level[reached] < 0]
+            if not len(reached):
+                return None
+            depth += 1
+            level[reached] = depth
+            frontier = np.flatnonzero(level == depth)
+        # the backward sweep: a node one level below an on-path node v is
+        # on a path too if its edge into v, the reverse of one out of v, is
+        # live
+        on_path = np.zeros(n, bool)
+        on_path[t] = True
+        frontier = np.array([t])
+        for d in range(depth - 1, -1, -1):
+            into = edges_out(frontier)
+            into = head[into[live[into ^ 1]]]
+            on_path[into[level[into] == d]] = True
+            frontier = np.flatnonzero(on_path & (level == d))
+        level[~on_path] = -1
+        return level.tolist()
+
     def max_flow(self, s: int, t: int) -> int:
         adj, to, cap = self.adj, self.to, self.cap
+        head = np.array(to, np.int32)
+        # the edges in adjacency order, node u's from start[u] to start[u + 1]
+        order = np.fromiter(itertools.chain.from_iterable(adj), np.int32, len(to))
+        start = np.zeros(self.n + 1, np.int32)
+        np.cumsum([len(edges) for edges in adj], out=start[1:])
+
+        def edges_out(nodes):
+            lo = start[nodes]
+            counts = start[nodes + 1] - lo
+            ends = np.cumsum(counts)
+            offsets = np.repeat(lo - (ends - counts), counts)
+            return order[offsets + np.arange(len(offsets), dtype=np.int32)]
+
         flow = 0
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in adj[u]:
-                    v = to[eid]
-                    if cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
+            level = self._levels(edges_out, head, s, t)
+            if level is None:
                 return flow
             it = [0] * self.n
             # Depth-first search for blocking flow, with an explicit path of
             # edges instead of recursion.  A node's pointer it[u] advances
             # only past an edge that is unusable or leads to a dead end,
-            # never on success, and every augmentation restarts from the
-            # source: the paths found are those of the recursive search.
+            # never on success.  least[k] is flow plus the bottleneck of
+            # path[:k]: an augmentation lowers every edge on the path by
+            # what flow gains, so the entries it keeps stay right.
             path: list[int] = []
-            u = s
+            least = [math.inf]
+            phase_start, u = flow, s
             while True:
                 if u == t:
-                    pushed = min(cap[eid] for eid in path)
+                    pushed = least[-1] - flow
+                    if pushed <= 0:
+                        raise SchedulingError("max-flow path without capacity")
                     for eid in path:
                         cap[eid] -= pushed
                         cap[eid ^ 1] += pushed
                     flow += pushed
-                    path.clear()
-                    u = s
+                    cut = least.index(least[-1]) - 1  # first saturated edge
+                    u = to[path[cut] ^ 1]
+                    del path[cut:], least[cut + 1:]
                     continue
                 edges, nxt, i = adj[u], level[u] + 1, it[u]
                 n_edges = len(edges)
@@ -359,12 +438,17 @@ class _Dinic:
                 it[u] = i
                 if i < n_edges:
                     path.append(eid)
+                    b = flow + cap[eid]
+                    least.append(b if b < least[-1] else least[-1])
                     u = to[eid]
                 elif u == s:
                     break
                 else:  # dead end: retreat and skip the edge that led here
+                    least.pop()
                     u = to[path.pop() ^ 1]
                     it[u] += 1
+            if flow == phase_start:  # the BFS reached the sink, so a path exists
+                raise SchedulingError("max-flow phase pushed no flow")
 
 
 def _solve_hosting(
@@ -384,44 +468,37 @@ def _solve_hosting(
     total = L * len(classes)
     groups = sorted(g for g, q in quotas.items() if q > 0)
     gid = {g: i for i, g in enumerate(groups)}
+    usable = [[G for G in candidates[cls] if G in gid] for cls in classes]
     n_class = len(classes)
     # nodes: src, classes, (receiver, group) pairs, groups, sink.  The
     # receiver-group layer caps a receiver's total hosting inside one group
     # at quota(G): a receiver occupies at most one constituent per symbol.
     jg_ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    for cls in classes:
-        j = cls[0]
-        for G in candidates[cls]:
-            if quotas.get(G, 0) > 0 and (j, G) not in jg_ids:
-                jg_ids[(j, G)] = len(jg_ids)
+    for (j, _), gs in zip(classes, usable):
+        for G in gs:
+            if (j, G) not in jg_ids:
+                jg_ids[j, G] = len(jg_ids)
     n_nodes = 1 + n_class + len(jg_ids) + len(groups) + 1
     src, dst = 0, n_nodes - 1
     jg_base = 1 + n_class
     grp_base = jg_base + len(jg_ids)
     net = _Dinic(n_nodes)
-    class_edges: list[list[tuple[int, tuple[int, ...]]]] = []
-    for ci, cls in enumerate(classes):
-        net.add_edge(src, 1 + ci, L)
-        edges_here: list[tuple[int, tuple[int, ...]]] = []
-        for G in candidates[cls]:
-            if quotas.get(G, 0) > 0:
-                eid = net.add_edge(1 + ci, jg_base + jg_ids[(cls[0], G)], L)
-                edges_here.append((eid, G))
-        class_edges.append(edges_here)
+    add_edge = net.add_edge
+    firsts = []  # the edge id of each class's first hosting edge
+    for ci, ((j, _), gs) in enumerate(zip(classes, usable), 1):
+        firsts.append(add_edge(src, ci, L) + 2)
+        for G in gs:
+            add_edge(ci, jg_base + jg_ids[j, G], L)
     for (j, G), ji in sorted(jg_ids.items()):
-        net.add_edge(jg_base + ji, grp_base + gid[G], quotas[G])
+        add_edge(jg_base + ji, grp_base + gid[G], quotas[G])
     for G in groups:
-        net.add_edge(grp_base + gid[G], dst, m * quotas[G])
+        add_edge(grp_base + gid[G], dst, m * quotas[G])
     if net.max_flow(src, dst) != total:
         return None
     out: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]] = {}
-    for ci, cls in enumerate(classes):
-        alloc = []
-        for eid, G in class_edges[ci]:
-            used = net.cap[eid ^ 1]  # flow = reverse residual
-            if used:
-                alloc.append((G, used))
-        out[cls] = alloc
+    for cls, gs, first in zip(classes, usable, firsts):
+        used = net.cap[first + 1 : first + 2 * len(gs) : 2]  # reverse residuals
+        out[cls] = [(G, units) for G, units in zip(gs, used) if units]
     return out
 
 

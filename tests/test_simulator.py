@@ -426,6 +426,24 @@ def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
         gc.enable()
 
 
+def test_a_centralized_run_builds_its_placement_twice(monkeypatch):
+    # once for the user schedule and once for the fragment resolver; the
+    # server schedule needs only t
+    import coopcache.centralized as centralized
+
+    built = []
+    place = centralized.build_central_placement
+
+    def counting(config):
+        built.append(config)
+        return place(config)
+
+    monkeypatch.setattr(centralized, "build_central_placement", counting)
+    monkeypatch.setattr(simulator, "build_central_placement", counting)
+    assert run_centralized(SystemConfig(6, 6, 4, alpha_max=3)).decode_ok
+    assert len(built) == 2
+
+
 def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
     # the three raw server symbols carry W_{n,()} whole; the redundant
     # singleton symbols deliver its server share again, over the same bits
