@@ -24,21 +24,28 @@ over F in bit mode) and become one Fraction at the end.
 peeling: starting from its cache, a user resolves any received symbol with
 exactly one unknown constituent, until no symbol resolves anything more.
 Each check first interns the log in one pass over its entries and its
-resolver, and nothing else: every distinct fragment becomes an int id with
-its caching users as a bitmask and its size as an integer (a numerator
-over one common denominator in fluid mode, a bit count in bit mode); each
-entry becomes the tuple of its nonempty fragment ids, repeats kept; and
-each user gets the entries it hears that hold one fragment it does not
-cache, and those that hold more.  The tables live for that one call, and
-nothing is cached on the log.  Peeling then runs on ids from a worklist
-(the peeling decoder of Luby's LT codes), in both modes: each symbol
-counts its unknown constituents, an index maps each fragment to the
-symbols waiting on it, and learning a fragment readies exactly the symbols
-it completes.  "Cached" is a bit test, and coverage sums integers once per
-user, grouped by subfile.  So the check costs time linear in the log, per
-user.  It never consults the scheduler's own coverage bookkeeping, so
-scheduler bugs cannot vouch for themselves.  On failure it names the first
-user, file and subfile that cannot be recovered.
+resolver, and nothing else, in both modes: every distinct fragment becomes
+an int id, filed under its (file, subset, part, count) group, whose caching
+users and size (a numerator over one common denominator in fluid mode; in
+bit mode each fragment keeps its own bit count) are worked out once; every
+nonempty constituent becomes one row of int32 columns (fragment id,
+receivers, subset).  The tables live for that one call, and nothing is
+cached on the log.
+
+In fluid mode the verdict depends only on what each user ends up knowing,
+its peeling closure, which is the same whatever order symbols resolve in.
+So each user's closure is computed on numpy columns, every ready symbol at
+once (the peeling decoder of Luby's LT codes run in rounds): it counts each
+entry's unknown constituents, learns the one unknown of every entry with a
+count of 1, and recounts only the entries that still hold two or more.
+Coverage then sums, per needed subfile, each group's learned count times
+its size, in Python ints.  In bit mode which payload a user learns can
+depend on the order (a corrupted log may carry two versions of a
+fragment), so each user peels from a worklist in the order repeated
+in-order sweeps would meet the symbols, and the file is reassembled bit
+for bit.  The check never consults the scheduler's own coverage
+bookkeeping, so scheduler bugs cannot vouch for themselves.  On failure it
+names the first user, file and subfile that cannot be recovered.
 
 Both schemes lay out a needed subfile of n bits by one rule: part "full" is
 all of it, "s" the server's first floor(lambda*n) bits, and "u" the rest,
@@ -62,7 +69,9 @@ objects (fragments, constituents, symbols, log entries), and the
 collector would re-scan all of them several times while the schedule
 grows.  None of them can take part in a reference cycle, and a run builds
 no cyclic structure, so its garbage is freed by reference counting alone
-and the pause leaves nothing behind for the collector.
+and the pause leaves nothing behind for the collector.  Its allocation
+counts are reset before it comes back on, so no young collection scans
+what the run returns either.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -457,109 +467,234 @@ def execute_schedule(
 
 @dataclass
 class _LogTables:
-    """What the decoder reads off one log, interned by :func:`_live_fragments`.
+    """What the decoder reads off one log, interned by :func:`_intern_log`.
 
-    Each distinct fragment gets an int id, in first-use order.  Per id: the
-    fragment itself (its file, subset and part), the users caching its
-    subfile as a bitmask (user k is bit k), and its size, an integer
-    numerator over one common denominator in fluid mode or a bit count in
-    bit mode.  Per log entry, ``live`` holds the ids of its constituents of
-    nonzero size, in order and with repeats.  Per user, ``ready`` and
-    ``blocked`` hold the indices of the entries it hears, in log order, that
-    carry exactly one and more than one live fragment it does not cache
-    (counted with repeats); an entry whose every fragment it caches teaches
-    it nothing.  ``subfiles`` lists every subfile key T with its bitmask
-    and, in fluid mode, its size as a numerator over the same denominator.
+    Each distinct fragment gets an int id, in first-use order, and ``frags``
+    maps it back.  Fragments that share (file, subset, part, count) form a
+    group: per group, ``groups`` holds its file, its subset, whether its
+    part is "full", and its size, an integer numerator over one common
+    denominator in fluid mode (0 in bit mode, where ``bit_counts`` holds
+    each fragment's own bit count); ``group`` maps each fragment id to its
+    group and ``fsub`` to its subset's row.
+
+    The log's live constituents (those of nonzero size, repeats kept) are
+    flattened, entry after entry, into int32 columns: ``cons`` the fragment
+    id, ``crow`` the entry's receivers row and ``csub`` the fragment's
+    subset row.  Entries left with no live constituent are dropped;
+    ``entry``, ``starts`` and ``lengths`` give each kept entry's index in
+    the log and its slice of those columns.  ``heard[k]`` and ``caches[k]``
+    are user k's boolean columns over the receivers rows and the subset
+    rows, so whether user k hears a constituent's entry, or caches its
+    subfile, is one gather; users outside 1..K are in neither.
+    ``subfiles`` lists every subfile key T with, in fluid mode, its size
+    as a numerator over the same denominator.
     """
 
     frags: list[FragmentId]
-    masks: list[int]
-    sizes: list[int]
-    live: list[tuple[int, ...]]
-    ready: dict[int, list[int]]
-    blocked: dict[int, list[int]]
-    subfiles: list[tuple[tuple[int, ...], int, int]]
+    group: np.ndarray
+    fsub: np.ndarray
+    groups: list[tuple[int, tuple[int, ...], bool, int]]
+    bit_counts: list[int]
+    cons: np.ndarray
+    crow: np.ndarray
+    csub: np.ndarray
+    entry: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    heard: np.ndarray
+    caches: np.ndarray
+    subfiles: list[tuple[tuple[int, ...], int]]
 
 
-def _user_mask(users: Sequence[int]) -> int:
-    return sum(1 << u for u in users)
+def _member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
+    """(K + 1) x len(sets) booleans: row k marks the sets holding user k."""
+    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+    users = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
+    column = np.repeat(np.arange(len(sets)), sizes)
+    inside = (users >= 1) & (users <= K)
+    out = np.zeros((K + 1, len(sets)), dtype=bool)
+    out[users[inside], column[inside]] = True
+    return out
 
 
-def _live_fragments(log: TransmissionLog) -> _LogTables:
+def _intern_log(log: TransmissionLog) -> _LogTables:
     """Intern the log from its entries, with sizes read from its resolver,
     and nothing else.  Nothing is kept on the log.
 
-    An empty fragment is known to every user, so it is dropped from every
-    entry and no symbol waits on it.  Emptiness does not depend on the
-    user, so it is decided once per log.  Which receivers miss one or more
-    of an entry's fragments is worked out once per entry, for all of them
-    at once, with two bitmasks: users missing at least one fragment, and
-    users missing at least two.
+    One pass streams every constituent's fragment id into an int32 array;
+    the intern dict is deleted before the per-fragment tables are built,
+    since it is the largest allocation of the check.  Membership
+    and sizes are worked out once per group, receivers once per distinct
+    receivers tuple (a log shares one tuple among the entries of a sender
+    and group).  An empty fragment is known to every user, so it is dropped
+    from every entry and no symbol waits on it.
     """
     resolver = log.resolver
+    K = log.config.K
+    entries = log.entries
+    lengths = np.fromiter(
+        (len(e.symbol.constituents) for e in entries), np.int32, len(entries)
+    )
     ids: dict[FragmentId, int] = {}
     intern = ids.setdefault
-    live = [
-        tuple([intern(c.fragment, len(ids)) for c in e.symbol.constituents])
-        for e in log.entries
-    ]
+    cons = np.fromiter(
+        (intern(c.fragment, len(ids)) for e in entries for c in e.symbol.constituents),
+        np.int32,
+        int(lengths.sum()),
+    )
     frags = list(ids)  # in id order
-    del ids
-    masks_of: dict[tuple[int, ...], int] = {}
-    for frag in frags:
-        if frag.subset not in masks_of:
-            masks_of[frag.subset] = _user_mask(frag.subset)
-    masks = [masks_of[frag.subset] for frag in frags]
-    keys = resolver.subfile_keys()
-    if log.mode == "bits":
-        sizes = [len(resolver.frag_positions(frag)) for frag in frags]
-        subfiles = [(T, _user_mask(T), 0) for T in keys]
-    else:
-        # the resolver hands out one Fraction object per fragment shape, so
-        # each distinct object is scaled once
-        frag_size = resolver.frag_size
-        shares = [frag_size(frag) for frag in frags]
-        whole = [resolver.subfile_size(T) for T in keys]
-        distinct = {id(x): x for x in shares + whole}
-        den = math.lcm(*{x.denominator for x in distinct.values()})
-        scaled = {
-            key: x.numerator * (den // x.denominator) for key, x in distinct.items()
-        }
-        sizes = [scaled[id(x)] for x in shares]
-        subfiles = [(T, _user_mask(T), scaled[id(x)]) for T, x in zip(keys, whole)]
-    if 0 in sizes:
-        live = [tuple(f for f in row if sizes[f]) for row in live]
+    del ids, intern
 
-    users = log.config.users()
-    ready: dict[int, list[int]] = {k: [] for k in users}
-    blocked: dict[int, list[int]] = {k: [] for k in users}
-    for i, (e, row) in enumerate(zip(log.entries, live)):
-        once = twice = 0
-        for f in row:
-            missed = ~masks[f]
-            twice |= once & missed
-            once |= missed
-        if not once:
+    rows: dict[int, int] = {}
+    receivers: list[tuple[int, ...]] = []
+
+    def receivers_row(users: tuple[int, ...]) -> int:
+        row = rows.get(id(users))
+        if row is None:
+            row = rows[id(users)] = len(receivers)
+            receivers.append(users)
+        return row
+
+    erow = np.fromiter(
+        (receivers_row(e.receivers) for e in entries), np.int32, len(entries)
+    )
+    heard = _member_columns(receivers, K)
+
+    keys: dict[tuple, int] = {}
+    key = keys.setdefault
+    group = np.fromiter(
+        (key((f.file, f.subset, f.part, f.count), len(keys)) for f in frags),
+        np.int32,
+        len(frags),
+    )
+    subsets: dict[tuple[int, ...], int] = {}
+    gsub = np.array(
+        [subsets.setdefault(k[1], len(subsets)) for k in keys], dtype=np.int32
+    )
+    fsub = gsub[group]
+    caches = _member_columns(list(subsets), K)
+    subfile_keys = resolver.subfile_keys()
+    if log.mode == "bits":
+        bit_counts = [len(resolver.frag_positions(f)) for f in frags]
+        nonempty = np.array(bit_counts, dtype=bool)
+        sizes = [0] * len(keys)
+        subfiles = [(T, 0) for T in subfile_keys]
+    else:
+        bit_counts = []
+        first = np.unique(group, return_index=True)[1]
+        shares = [resolver.frag_size(frags[i]) for i in first.tolist()]
+        whole = [resolver.subfile_size(T) for T in subfile_keys]
+        den = math.lcm(*{x.denominator for x in shares + whole})
+        sizes = [x.numerator * (den // x.denominator) for x in shares]
+        subfiles = [
+            (T, x.numerator * (den // x.denominator))
+            for T, x in zip(subfile_keys, whole)
+        ]
+        nonempty = np.array([size != 0 for size in sizes], dtype=bool)[group]
+    groups = [
+        (file, subset, part == "full", size)
+        for (file, subset, part, _), size in zip(keys, sizes)
+    ]
+
+    entry = np.repeat(np.arange(len(entries), dtype=np.int32), lengths)
+    if not nonempty.all():
+        live = nonempty[cons]
+        cons, entry = cons[live], entry[live]
+    # entries are in log order, so each kept one is a run of ``entry``
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    lengths = np.diff(starts, append=len(entry)).astype(np.int32)
+    return _LogTables(
+        frags,
+        group,
+        fsub,
+        groups,
+        bit_counts,
+        cons,
+        erow[entry],
+        fsub[cons],
+        entry[starts],
+        starts,
+        lengths,
+        heard,
+        caches,
+        subfiles,
+    )
+
+
+def _unknown(tables: _LogTables, user: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per live constituent, whether ``user`` hears its entry and does not
+    cache its subfile; and per kept entry, how many such constituents it
+    holds, repeats counted."""
+    unknown = tables.heard[user][tables.crow] & ~tables.caches[user][tables.csub]
+    return unknown, np.add.reduceat(unknown, tables.starts)
+
+
+def _fluid_closure(tables: _LogTables, user: int) -> np.ndarray:
+    """Which fragment ids ``user`` learns by peeling, as a boolean per id
+    (fluid mode).
+
+    Every entry with exactly one unknown constituent yields it, all at
+    once; then only the entries that still hold two or more unknowns are
+    recounted, until no entry yields anything.  Learning only ever lowers a
+    count, so this reaches the same closure as peeling one symbol at a
+    time, in any order (Luby's LT peeling decoder).  A symbol holding the
+    same unknown fragment twice never resolves it.
+    """
+    learned = np.zeros(len(tables.frags), dtype=bool)
+    cons, lengths = tables.cons, tables.lengths
+    unknown, counts = _unknown(tables, user)
+    while True:
+        ready = counts == 1
+        if not ready.any():
+            return learned
+        learned[cons[unknown & np.repeat(ready, lengths)]] = True
+        waiting = counts > 1
+        if not waiting.any():
+            return learned
+        keep = np.repeat(waiting, lengths)
+        cons, lengths = cons[keep], lengths[waiting]
+        unknown = unknown[keep] & ~learned[cons]
+        starts = np.zeros(len(lengths), dtype=np.intp)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        counts = np.add.reduceat(unknown, starts)
+
+
+def _coverage_gap(
+    tables: _LogTables, user: int, want: int, learned: np.ndarray
+) -> Optional[tuple[int, ...]]:
+    """First needed subfile of ``want`` that the ``learned`` fragments do
+    not fully cover (fluid mode; exact size bookkeeping, parts partition
+    their subfile).  Each group adds its learned count times its size, in
+    Python ints; a "full" part covers its subfile whole."""
+    counts = np.bincount(tables.group[learned], minlength=len(tables.groups))
+    whole: set[tuple[int, ...]] = set()
+    covered: dict[tuple[int, ...], int] = {}
+    learned_groups = np.flatnonzero(counts)
+    for g, n in zip(learned_groups.tolist(), counts[learned_groups].tolist()):
+        file, subset, full, size = tables.groups[g]
+        if file != want:
             continue
-        for u in e.receivers:
-            if twice >> u & 1:
-                if u in blocked:
-                    blocked[u].append(i)
-            elif once >> u & 1:
-                if u in ready:
-                    ready[u].append(i)
-    return _LogTables(frags, masks, sizes, live, ready, blocked, subfiles)
+        if full:
+            whole.add(subset)
+        else:
+            covered[subset] = covered.get(subset, 0) + n * size
+    for T, size in tables.subfiles:
+        if user in T or T in whole:
+            continue
+        if covered.get(T, 0) != size:
+            return T
+    return None
 
 
 def _peel_known_fragments(
     log: TransmissionLog,
     user: int,
-    library: Optional[BitLibrary],
-    live: _LogTables,
-) -> dict[int, Optional[np.ndarray]]:
+    library: BitLibrary,
+    tables: _LogTables,
+) -> dict[int, np.ndarray]:
     """Ids of the fragments ``user`` learns by peeling its received
-    symbols, in the order it learns them.  Values are payloads in bit mode,
-    None in fluid mode.  ``live`` is :func:`_live_fragments` of the log.
+    symbols, in the order it learns them, with their payloads (bit mode).
+    ``tables`` is :func:`_intern_log` of the log.
 
     A symbol resolves its one unknown constituent once every other one is
     known: cached, empty, or learned.  A received symbol with one unknown
@@ -576,47 +711,55 @@ def _peel_known_fragments(
     of n entries: symbols resolve in the order repeated in-order sweeps
     over the received symbols would meet them.  So where two symbols could
     yield the same fragment with different payloads (a corrupted log), the
-    one a sweeping decoder reaches first wins, and the verdict does not
-    depend on the worklist order.
+    one a sweeping decoder reaches first wins.
     """
     resolver = log.resolver
-    bit_mode = log.mode == "bits"
-    frags, masks, rows = live.frags, live.masks, live.live
-    bit = 1 << user
-    n = len(rows)
-    ready = list(live.ready.get(user, ()))  # sweep 0, in order: a heap
+    frags = tables.frags
+    cached = tables.caches[user][tables.fsub].tolist()
+    _, counts = _unknown(tables, user)
+    n = len(log.entries)
+    rows: dict[int, list[int]] = {}
+    ready: list[int] = []  # sweep 0, in order: a heap
     missing: dict[int, int] = {}
     waiting: dict[int, list[int]] = {}
-    for i in live.blocked.get(user, ()):
-        unknown = [f for f in rows[i] if not masks[f] & bit]
-        missing[i] = len(unknown)
-        for f in unknown:
-            waiting.setdefault(f, []).append(i)
+    cons = tables.cons.tolist()
+    teaching = np.flatnonzero(counts)
+    for i, lo, length, count in zip(
+        tables.entry[teaching].tolist(),
+        tables.starts[teaching].tolist(),
+        tables.lengths[teaching].tolist(),
+        counts[teaching].tolist(),
+    ):
+        rows[i] = cons[lo : lo + length]
+        if count == 1:
+            ready.append(i)
+            continue
+        missing[i] = count
+        for f in rows[i]:
+            if not cached[f]:
+                waiting.setdefault(f, []).append(i)
 
-    known: dict[int, Optional[np.ndarray]] = {}
+    known: dict[int, np.ndarray] = {}
     while ready:
         sweep, i = divmod(heapq.heappop(ready), n)
         ids = rows[i]
         for target in ids:
-            if not masks[target] & bit and target not in known:
+            if not cached[target] and target not in known:
                 break
         else:  # another symbol yielded it first
             continue
-        if bit_mode:
-            acc = np.array(log.entries[i].symbol.payload, copy=True)
-            for f in ids:
-                if f == target:
-                    continue
-                # a cached fragment is read straight off the subfile bits
-                part = (
-                    known[f]
-                    if f in known
-                    else library.files[frags[f].file][resolver.frag_positions(frags[f])]
-                )
-                acc[: len(part)] ^= part
-            known[target] = acc[: live.sizes[target]]
-        else:
-            known[target] = None
+        acc = np.array(log.entries[i].symbol.payload, copy=True)
+        for f in ids:
+            if f == target:
+                continue
+            # a cached fragment is read straight off the subfile bits
+            part = (
+                known[f]
+                if f in known
+                else library.files[frags[f].file][resolver.frag_positions(frags[f])]
+            )
+            acc[: len(part)] ^= part
+        known[target] = acc[: tables.bit_counts[target]]
         for w in waiting.pop(target, ()):
             missing[w] -= 1
             if missing[w] == 1:
@@ -624,36 +767,9 @@ def _peel_known_fragments(
     return known
 
 
-def _uncovered_subfile(
-    live: _LogTables, user: int, want: int, known: dict[int, None]
-) -> Optional[tuple[int, ...]]:
-    """First needed subfile of ``want`` that ``known`` does not fully cover
-    (fluid mode; exact size bookkeeping, parts partition their subfile).
-    Sizes are summed as integer numerators per subset; a "full" part
-    covers its subfile whole."""
-    frags, masks, sizes = live.frags, live.masks, live.sizes
-    whole: set[int] = set()
-    covered: dict[int, int] = {}
-    for f in known:
-        frag = frags[f]
-        if frag.file != want:
-            continue
-        if frag.part == "full":
-            whole.add(masks[f])
-        else:
-            covered[masks[f]] = covered.get(masks[f], 0) + sizes[f]
-    bit = 1 << user
-    for T, mask, size in live.subfiles:
-        if mask & bit or mask in whole:
-            continue
-        if covered.get(mask, 0) != size:
-            return T
-    return None
-
-
 def _misassembled_subfile(
     log: TransmissionLog,
-    live: _LogTables,
+    tables: _LogTables,
     user: int,
     want: int,
     known: dict[int, np.ndarray],
@@ -668,7 +784,7 @@ def _misassembled_subfile(
     original = library.files[want]
     rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
     for f, payload in known.items():
-        frag = live.frags[f]
+        frag = tables.frags[f]
         if frag.file == want:
             pos = resolver.frag_positions(frag)
             # a fragment learned twice (a subfile and its own server share)
@@ -677,9 +793,8 @@ def _misassembled_subfile(
             if np.any((before != 2) & (before != payload)):
                 return frag.subset
             rebuilt[pos] = payload
-    bit = 1 << user
-    for T, mask, _ in live.subfiles:
-        if mask & bit:
+    for T, _ in tables.subfiles:
+        if user in T:
             continue
         pos = resolver.subfile_positions(want, T)
         if not np.array_equal(rebuilt[pos], original[pos]):
@@ -694,11 +809,12 @@ def _first_decode_failure(
 ) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """The first user, in user order, that cannot recover its demanded file,
     as (user, file, subfile), or None when every user recovers it.  The log
-    is interned once, then each user peels once, derived independently of
-    the scheduler.
+    is interned once, then each user's knowledge is derived independently
+    of the scheduler.
 
-    Fluid mode checks exact size coverage of every needed subfile; bit mode
-    reassembles the file bit-for-bit and compares against the library.
+    Fluid mode checks exact size coverage of every needed subfile, from
+    each user's peeling closure; bit mode peels in sweep order, reassembles
+    the file bit-for-bit and compares against the library.
     """
     config = log.config
     if log.resolver is None:
@@ -707,14 +823,14 @@ def _first_decode_failure(
         raise ValueError("bit-mode decode check needs the library")
     demands = validate_demands(config, demands)
 
-    live = _live_fragments(log)
+    tables = _intern_log(log)
     for k in config.users():
         want = demands[k - 1]
-        known = _peel_known_fragments(log, k, library, live)
         if log.mode == "fluid":
-            T = _uncovered_subfile(live, k, want, known)
+            T = _coverage_gap(tables, k, want, _fluid_closure(tables, k))
         else:
-            T = _misassembled_subfile(log, live, k, want, known, library)
+            known = _peel_known_fragments(log, k, library, tables)
+            T = _misassembled_subfile(log, tables, k, want, known, library)
         if T is not None:
             return k, want, T
     return None
@@ -794,13 +910,25 @@ def check_mode(config: SystemConfig, mode: str) -> None:
 def _collector_paused() -> Iterator[None]:
     """Disable the cyclic garbage collector for the block; re-enable it
     afterwards only if it was enabled before, so a caller that had already
-    paused it keeps it paused."""
+    paused it keeps it paused.
+
+    The collector counts allocations while it is paused, so re-enabling it
+    as is would start a young collection at the next allocation, which
+    scans everything the block built.  Before re-enabling, ``gc.freeze()``
+    then ``gc.unfreeze()`` resets those counts.  Its side effect: every
+    tracked object moves to the oldest generation, where only a full
+    collection scans it.  That is skipped when a caller holds objects
+    frozen (``gc.get_freeze_count()`` > 0), since unfreezing would release
+    them too."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

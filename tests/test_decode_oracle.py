@@ -1,9 +1,11 @@
-"""The worklist peeling decoder against the rescanning oracle.
+"""The simulator's decoder against the rescanning oracle.
 
 ``decode_oracle`` keeps the decoder the simulator shipped before: it
 rescans every received symbol until nothing changes.  On every log here the
-fast decoder must learn the same fragments per user, in the same order and
-with the same payloads, and reach the same verdict.
+fast decoder must reach the same verdict and learn the same fragments per
+user: in bit mode in the same order and with the same payloads; in fluid
+mode, where the decoder computes each user's peeling closure at once, the
+same set.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import decode_oracle as oracle
+import worklist_oracle
 from coopcache import (
     Constituent,
     FragmentId,
@@ -27,29 +30,37 @@ from coopcache import (
 )
 from coopcache.simulator import (
     _first_decode_failure,
-    _live_fragments,
+    _fluid_closure,
+    _intern_log,
     _peel_known_fragments,
 )
 
 
-def _learned(log, user, library, live):
-    """The fast decoder's learned fragments, keyed by fragment, not by id."""
-    known = _peel_known_fragments(log, user, library, live)
-    return {live.frags[f]: payload for f, payload in known.items()}
+def _learned(log, user, library, tables):
+    """The fast decoder's learned fragments, keyed by fragment, not by id:
+    payloads in learning order (bit mode), or the closure's set (fluid)."""
+    if log.mode == "fluid":
+        closure = _fluid_closure(tables, user)
+        return {tables.frags[f] for f in np.flatnonzero(closure).tolist()}
+    known = _peel_known_fragments(log, user, library, tables)
+    return {tables.frags[f]: payload for f, payload in known.items()}
 
 
 def _assert_agree(log, demands, library=None):
-    live = _live_fragments(log)
+    tables = _intern_log(log)
     for k in log.config.users():
-        fast = _learned(log, k, library, live)
+        fast = _learned(log, k, library, tables)
         slow = oracle._peel_known_fragments(log, k, library)
-        assert list(fast) == list(slow), k
-        if library is not None:
+        if library is None:
+            assert fast == set(slow), k
+        else:
+            assert list(fast) == list(slow), k
             assert all(np.array_equal(fast[f], slow[f]) for f in fast), k
     failure = _first_decode_failure(log, demands, library)
     assert (failure is None) == oracle.decode_check(log, demands, library)
     if log.mode == "fluid":
         assert failure == oracle.first_uncovered(log, demands)
+        assert failure == worklist_oracle.decode(log, demands)[1]
 
 
 def _without(log, i):
@@ -178,7 +189,7 @@ def test_fragments_resolve_in_sweep_order(pair_first):
         return ([pair, single] if pair_first else [single, pair]) + [((F,), bad)]
 
     log, res = _hand_log(symbols)
-    known = _learned(log, 1, res.library, _live_fragments(log))
+    known = _learned(log, 1, res.library, _intern_log(log))
     good = res.library.files[1][log.resolver.frag_positions(F)]
     assert np.array_equal(known[F], good) != pair_first
     _assert_agree(log, (1, 2, 3, 4), res.library)
@@ -191,6 +202,6 @@ def test_a_fragment_held_twice_is_not_learned():
         return [((F, F), bits(F) ^ bits(F)), ((F, F, G), bits(G)), ((G,), bits(G))]
 
     log, res = _hand_log(symbols)
-    known = _learned(log, 1, res.library, _live_fragments(log))
+    known = _learned(log, 1, res.library, _intern_log(log))
     assert G in known and F not in known
     _assert_agree(log, (1, 2, 3, 4), res.library)

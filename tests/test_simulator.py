@@ -426,6 +426,44 @@ def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "run,cfg",
+    [
+        (run_centralized, SystemConfig(8, 8, 2, alpha_max=4)),
+        (run_decentralized, SystemConfig(6, 6, 2, alpha_max=3)),
+    ],
+    ids=["centralized", "decentralized"],
+)
+def test_a_run_makes_no_collection(run, cfg):
+    # the allocations counted during the pause must not start a collection
+    # that scans the run's result once the collector is back on
+    run(cfg)  # first-use caches fill outside the count
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        assert run(cfg).decode_ok
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
+
+
+def test_a_run_keeps_its_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
 def test_a_centralized_run_builds_its_placement_twice(monkeypatch):
     # once for the user schedule and once for the fragment resolver; the
     # server schedule needs only t
