@@ -676,11 +676,19 @@ def build_user_schedule(
     the ladder (which would indicate an internal inconsistency — the
     uniform full-cycle rung is provably feasible).
     """
+    return _user_schedule(config, plan, demands)[0]
+
+
+def _user_schedule(
+    config: SystemConfig, plan: SplitPlan, demands: Sequence[int]
+) -> tuple[DeliverySchedule, Optional[CentralPlacement]]:
+    """:func:`build_user_schedule`, and the placement it built, which a run
+    reuses (None when users deliver nothing, and none is built)."""
     d = validate_demands(config, demands)
     check_schedule_size(config, plan)
     shape = _user_slots(config, plan)
     if shape is None:
-        return DeliverySchedule()  # nothing for users to deliver
+        return DeliverySchedule(), None  # nothing for users to deliver
     placement = build_central_placement(config)
     t, fp, slots1, beta = shape
     K, alpha = config.K, plan.alpha
@@ -702,7 +710,7 @@ def build_user_schedule(
         return _assemble_schedule(
             config, placement, plan, d, partitions, offset, slots, quotas,
             assignment, L, fp,
-        )
+        ), placement
     raise SchedulingError(
         f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
     )
@@ -875,7 +883,19 @@ def build_delivery(
     server_share: Optional[Frac] = None,
 ) -> tuple[SplitPlan, DeliverySchedule]:
     """Full centralized delivery: server symbols plus user rounds."""
-    plan = make_split_plan(config, alpha=alpha, server_share=server_share)
-    sched = build_user_schedule(config, plan, demands)
-    sched.server_symbols = build_server_schedule(config, plan, demands)
+    plan, sched, _ = _delivery(config, demands, alpha, server_share)
     return plan, sched
+
+
+def _delivery(
+    config: SystemConfig,
+    demands: Sequence[int],
+    alpha: Optional[int],
+    server_share: Optional[Frac],
+) -> tuple[SplitPlan, DeliverySchedule, Optional[CentralPlacement]]:
+    """:func:`build_delivery`, and the placement its user schedule built
+    (None when users deliver nothing), which a run reuses."""
+    plan = make_split_plan(config, alpha=alpha, server_share=server_share)
+    sched, placement = _user_schedule(config, plan, demands)
+    sched.server_symbols = build_server_schedule(config, plan, demands)
+    return plan, sched, placement

@@ -320,7 +320,7 @@ def cmd_simulate(args, out: TextIO) -> int:
     )
     if args.detail_round is not None:
         shown = 0
-        for partition, symbols in sched.user_rounds:
+        for partition, symbols in sched.round_outline():
             # a delivery stage's regular groups have the stage's size s;
             # a shorter remainder group never exceeds it
             size = max(len(g) for g in partition.groups)
@@ -329,7 +329,7 @@ def cmd_simulate(args, out: TextIO) -> int:
             groups = " ".join(
                 "{" + ",".join(str(u) for u in g) + "}" for g in partition.groups
             )
-            out.write(f"  round {partition.round_index}: {groups} ({len(symbols)} symbols)\n")
+            out.write(f"  round {partition.round_index}: {groups} ({symbols} symbols)\n")
             shown += 1
         out.write(f"  {shown} partitions with group size {args.detail_round}\n")
     r = res.rates

@@ -35,11 +35,14 @@ what makes the closed-form R_u of the delay theorem exact for the scheduler.
 Each round is worked out once, as a round plan: its partitions, each a list
 of (group, part) pairs with any remainder group last, and for each part
 ("u", or "u1"/"u2" with a remainder group) the number and size of the
-equal fragments its mini-files are cut into.  The user schedule walks the
-plans round by round and audits itself: every use of a mini-file part
-draws its next fragment index, drawing past the part's fragment count
-raises SchedulingError, and so does a needed part not drawn to its count
-by the end of its round.
+equal fragments its mini-files are cut into.  The user schedule lays the
+plans out round by round as int columns (``model.SymbolTable``, shown as
+``model.UserRounds``) and audits itself: a constituent's fragment index is
+the number of constituents before it on the same (receiver, subset, part),
+read off one stable argsort of those keys; the first index, in schedule
+order, at or past its part's fragment count raises SchedulingError, and so
+does, by the end of its round, the first needed part (in part, subset,
+receiver order) not used exactly its count times.
 
 A faithful wart, kept deliberately: with this scheme's lambda (from the
 "Choice of lambda" rule), the balanced server/user loads R_empty+lambda*R_s
@@ -56,19 +59,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .centralized import MAX_USER_SYMBOLS
 from .model import (
     Constituent,
     DeliverySchedule,
     FragmentId,
-    GroupPartition,
     SchedulingError,
+    SymbolTable,
     SystemConfig,
+    UserRounds,
     XorSymbol,
     _disjoint_group_choices,
     enumerate_subsets,
     equal_partition_count,
+    occurrences,
+    offsets,
     server_shares,
+    table_rows,
     validate_demands,
 )
 
@@ -391,8 +400,6 @@ def build_decentral_placement(
         return DecentralPlacement(config, "fluid", seed)
     if mode != "bits":
         raise ValueError(f"unknown placement mode {mode!r}")
-    import numpy as np
-
     if config.F is None:
         raise ValueError("bit-mode placement needs config.F")
     K, N, F = config.K, config.N, config.F
@@ -460,13 +467,129 @@ def _round_plan(
     }
 
 
+def _others(n: int) -> np.ndarray:
+    """n x (n - 1) positions: row a lists 0..n-1 without a."""
+    return np.array(
+        [[b for b in range(n) if b != a] for a in range(n)], dtype=np.intp
+    ).reshape(n, n - 1)
+
+
+def _users(mask: int, K: int) -> tuple[int, ...]:
+    """The users of a bitmask, user u being bit u - 1, ascending."""
+    return tuple(u for u in range(1, K + 1) if mask >> (u - 1) & 1)
+
+
+def _round_columns(
+    K: int, shape: tuple[int, int, int, int], partitions: list[list]
+) -> tuple[np.ndarray, ...]:
+    """Round s's symbols, partition after partition, as int columns, in the
+    order of :func:`parallel_user_delivery`: per symbol its sender, its
+    group's bitmask (user u is bit u - 1), its kind (0 for a regular group,
+    1 for the remainder group) and its constituent count; per constituent
+    its receiver, the bitmask of its subset and its kind.  Every partition
+    lays out alike: its regular groups' symbols, then the remainder
+    group's."""
+    s, regular, r, _ = shape
+    n = len(partitions)
+    G = np.array([[G for G, _ in p[:regular]] for p in partitions], np.int64)
+    G = G.reshape(n, regular, s)
+    bit = 1 << (G - 1)
+    gmask = bit.sum(axis=2)
+    o = _others(s)
+    senders, masks = [G.reshape(n, -1)], [np.repeat(gmask, s, axis=1)]
+    receivers = [G[:, :, o].reshape(n, -1)]
+    subsets = [(gmask[:, :, None, None] ^ bit[:, :, o]).reshape(n, -1)]
+    supersets = 0
+    if r:
+        idle = np.array([p[regular][0] for p in partitions], np.int64)
+        idle = idle.reshape(n, r)
+        ibit = 1 << (idle - 1)
+        imask = ibit.sum(axis=1)
+        # the s-supersets of the remainder group, adding s - r of the
+        # users outside it, in combination order
+        rest = np.sort(G.reshape(n, -1), axis=1)
+        extra = np.array(
+            list(itertools.combinations(range(K - r), s - r)), np.intp
+        ).reshape(-1, s - r)
+        smask = imask[:, None] | (1 << (rest[:, extra] - 1)).sum(axis=2)
+        supersets = len(extra)
+        o = _others(r)
+        senders.append(np.tile(idle, supersets))
+        masks.append(np.repeat(imask[:, None], supersets * r, axis=1))
+        receivers.append(np.tile(idle[:, o].reshape(n, -1), supersets))
+        subsets.append(
+            (smask[:, :, None] ^ ibit[:, o].reshape(n, 1, -1)).reshape(n, -1)
+        )
+    kind = np.repeat([0, 1], [regular * s, supersets * r])
+    ckind = np.repeat([0, 1], [regular * s * (s - 1), supersets * r * (r - 1)])
+    return (
+        np.concatenate(senders, axis=1).ravel(),
+        np.concatenate(masks, axis=1).ravel(),
+        np.tile(kind, n),
+        np.tile(np.where(kind == 0, s - 1, r - 1), n),
+        np.concatenate(receivers, axis=1).ravel(),
+        np.concatenate(subsets, axis=1).ravel(),
+        np.tile(ckind, n),
+    )
+
+
+def _draw_indices(
+    K: int,
+    s: int,
+    parts: dict[str, tuple[int, Frac]],
+    receiver: np.ndarray,
+    subset: np.ndarray,
+    kind: np.ndarray,
+) -> np.ndarray:
+    """Each constituent's fragment index in round s, audited (module
+    docstring).  A constituent of kind k uses the k-th part of ``parts``
+    (the regular groups' part comes first); its index is the number of
+    constituents before it, in schedule order, on the same (receiver,
+    subset, part), read off one stable argsort of those keys."""
+    names = list(parts)
+    counts = [parts[name][0] for name in names]
+    # (subset mask, receiver, kind) side by side: K + bit_length(K) + 1 bits
+    if K + K.bit_length() + 1 > 63:
+        raise ValueError(f"K={K} users do not fit a 63-bit fragment key")
+    key = (subset << K.bit_length() | receiver) << 1 | kind
+    index = occurrences(key)
+    count = np.array(counts, np.int64)[kind]
+    over = np.flatnonzero(index >= count)
+    if len(over):
+        i = over[0]
+        name = names[kind[i]]
+        key = (int(receiver[i]), _users(int(subset[i]), K), name)
+        raise SchedulingError(
+            f"fragment exhaustion for {key}: "
+            f"need index {int(index[i])} of {parts[name][0]}"
+        )
+    # every needed (part, T, receiver) in the order the audit names them
+    Ts = enumerate_subsets(K, s - 1)
+    tmask = np.array([sum(1 << (u - 1) for u in T) for T in Ts], np.int64)
+    sorter = np.argsort(tmask)
+    rank = sorter[np.searchsorted(tmask, subset, sorter=sorter)]
+    got = np.bincount(
+        (kind * len(Ts) + rank) * K + receiver - 1, minlength=len(names) * len(Ts) * K
+    ).reshape(len(names), len(Ts), K)
+    outside = (tmask[:, None] >> np.arange(K) & 1) == 0
+    short = outside & (got != np.array(counts)[:, None, None])
+    if short.any():
+        p, t, j = np.unravel_index(np.argmax(short), short.shape)
+        key = (int(j) + 1, Ts[t], names[p])
+        raise SchedulingError(
+            f"mini-file {key} only {int(got[p, t, j])}/{counts[p]} fragments delivered"
+        )
+    return index
+
+
 def parallel_user_delivery(
     config: SystemConfig,
     placement: DecentralPlacement,
     demands: Sequence[int],
     plan: AllocationPlan,
 ) -> DeliverySchedule:
-    """All user rounds: s = 2..K, each a walk over its round plan.
+    """All user rounds: s = 2..K, each a walk over its round plan, held as
+    int columns (a :class:`UserRounds` view).
 
     In every (group, part) pair of a partition, each member of the group in
     turn broadcasts the XOR of one fresh fragment per other member j: for a
@@ -477,61 +600,53 @@ def parallel_user_delivery(
     """
     d = validate_demands(config, demands)
     K = config.K
-    sched = DeliverySchedule()
     if plan.server_share == 1:
-        return sched
-    next_index: dict[tuple[int, tuple[int, ...], str], int] = {}
-    round_index = 0
+        return DeliverySchedule()
+    files = np.array((0, *d), np.int64)
+    groups: list[tuple] = []  # per partition
+    per_partition: list[int] = []  # its symbol count
+    sizes: dict[Frac, int] = {}
+    part_rows: dict[str, int] = {}
+    columns: list[list[np.ndarray]] = [[] for _ in range(9)]
     for shape in round_shapes(K, config.alpha_max):
-        s = shape[0]
         planned = _round_plan(config, plan, shape)
         if planned is None:
             continue
         partitions, parts = planned
-        for pairs in partitions:
-            syms: list[XorSymbol] = []
-            for group, part in pairs:
-                count, size = parts[part]
-                if part == "u2":
-                    rest = [u for u in config.users() if u not in group]
-                    supersets = [
-                        tuple(sorted(group + extra))
-                        for extra in itertools.combinations(rest, s - len(group))
-                    ]
-                else:
-                    supersets = [group]
-                for S in supersets:
-                    for sender in group:
-                        cons = []
-                        for j in group:
-                            if j == sender:
-                                continue
-                            T = tuple(x for x in S if x != j)
-                            key = (j, T, part)
-                            idx = next_index.get(key, 0)
-                            if idx >= count:
-                                raise SchedulingError(
-                                    f"fragment exhaustion for {key}: "
-                                    f"need index {idx} of {count}"
-                                )
-                            next_index[key] = idx + 1
-                            cons.append(
-                                Constituent(j, FragmentId(d[j - 1], T, part, idx, count))
-                            )
-                        syms.append(XorSymbol(sender, group, tuple(cons), size))
-            groups = tuple(sorted((G for G, _ in pairs), key=min))
-            sched.user_rounds.append((GroupPartition(groups, round_index), syms))
-            round_index += 1
-        for part, (count, _) in parts.items():
-            for T in enumerate_subsets(K, s - 1):
-                for j in config.users():
-                    got = next_index.get((j, T, part), 0)
-                    if j not in T and got != count:
-                        raise SchedulingError(
-                            f"mini-file {(j, T, part)} only {got}/{count} "
-                            "fragments delivered"
-                        )
-    return sched
+        partitions = list(partitions)
+        sender, gmask, kind, arity, receiver, subset, ckind = _round_columns(
+            K, shape, partitions
+        )
+        index = _draw_indices(K, shape[0], parts, receiver, subset, ckind)
+        size_row = table_rows([size for _, size in parts.values()], sizes)
+        part_row = table_rows(list(parts), part_rows)
+        count = np.array([count for count, _ in parts.values()], np.int64)
+        for column, values in zip(
+            columns,
+            (sender, gmask, size_row[kind], arity, receiver, subset,
+             part_row[ckind], index, count[ckind]),
+        ):
+            column.append(values)
+        groups += [tuple(sorted((G for G, _ in p), key=min)) for p in partitions]
+        per_partition += [len(sender) // len(partitions)] * len(partitions)
+    if not groups:
+        return DeliverySchedule()
+    sender, gmask, size, arity, receiver, subset, part, index, count = (
+        np.concatenate(column) for column in columns
+    )
+    group_masks, group = np.unique(gmask, return_inverse=True)
+    subset_masks, subset = np.unique(subset, return_inverse=True)
+    table = SymbolTable(
+        sender, group, size, np.zeros(len(sender), dtype=bool), offsets(arity),
+        receiver, files[receiver], subset, part, index, count,
+        [_users(m, K) for m in group_masks.tolist()],
+        list(sizes),
+        [_users(m, K) for m in subset_masks.tolist()],
+        list(part_rows),
+    )
+    return DeliverySchedule(
+        UserRounds(groups, list(range(len(groups))), offsets(per_partition), table)
+    )
 
 
 def server_delivery_decentralized(

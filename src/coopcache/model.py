@@ -27,9 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
+from operator import attrgetter
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction as Frac
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 RationalLike = Union[int, str, Frac]
 
@@ -300,9 +304,15 @@ class XorSymbol:
     redundant: bool = False
 
     def receivers(self) -> tuple[int, ...]:
-        if self.sender == 0:
-            return self.group
-        return tuple(u for u in self.group if u != self.sender)
+        return receivers_of(self.sender, self.group)
+
+
+def receivers_of(sender: int, group: tuple[int, ...]) -> tuple[int, ...]:
+    """Who hears a symbol: everyone in ``group`` from the server (sender
+    0), the rest of the group from a user."""
+    if sender == 0:
+        return group
+    return tuple([u for u in group if u != sender])
 
 
 def server_shares(
@@ -318,19 +328,329 @@ def server_shares(
     )
 
 
+# ---------------------------------------------------------------------------
+# symbols as int columns, and read-only views that build the value objects
+# ---------------------------------------------------------------------------
+
+
+def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index runs ``lo[i]:hi[i]``, concatenated in order."""
+    n = hi - lo
+    ends = np.cumsum(n)
+    return np.repeat(lo - ends + n, n) + np.arange(ends[-1] if len(n) else 0)
+
+
+def offsets(lengths: Iterable[int]) -> np.ndarray:
+    """0 followed by the running sums of ``lengths``: run i is
+    ``out[i]:out[i + 1]``."""
+    runs = np.fromiter(lengths, np.int64)
+    out = np.zeros(len(runs) + 1, np.int64)
+    np.cumsum(runs, out=out[1:])
+    return out
+
+
+def occurrences(key: np.ndarray) -> np.ndarray:
+    """Per row, how many earlier rows hold the same key (one stable
+    argsort)."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    out = np.empty(len(key), np.int64)
+    out[order] = np.arange(len(key)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    return out
+
+
+def table_rows(values: list, table: dict) -> np.ndarray:
+    """Each value's row in ``table``, a dict of value -> row that new
+    values join in order of first use."""
+    for v in dict.fromkeys(values):
+        table.setdefault(v, len(table))
+    return np.fromiter(map(table.__getitem__, values), np.int32, len(values))
+
+
+def size_rows(sizes: Iterable[Frac], table: dict) -> np.ndarray:
+    """``table_rows`` of sizes, hashing a run of one object once: a
+    ``Fraction`` is slow to hash, and a schedule's symbols share a few."""
+    out: list[int] = []
+    last, row = out, -1  # ``out`` is no size
+    for size in sizes:
+        if size is not last:
+            last, row = size, table.setdefault(size, len(table))
+        out.append(row)
+    return np.array(out, dtype=np.int32).reshape(-1)
+
+
+def int_column(objects: Sequence, name: str, dtype: type = np.int32) -> np.ndarray:
+    """Attribute ``name`` of each object, as an int column."""
+    return np.fromiter(map(attrgetter(name), objects), dtype, len(objects))
+
+
+@dataclass(eq=False)
+class SymbolTable:
+    """XOR symbols as int columns.
+
+    Per symbol: ``sender``, ``group`` (a row of ``groups``), ``size`` (a row
+    of ``sizes``) and ``redundant``.  Symbol i's constituents are rows
+    ``cstart[i]:cstart[i + 1]`` of the constituent columns ``receiver``,
+    ``file``, ``subset`` (a row of ``subsets``), ``part`` (a row of
+    ``parts``), ``index`` and ``count``.  The four tables hold distinct
+    values, so two rows are equal exactly when their values are, and sizes
+    stay exact ``Fraction``s.  Every column but ``file`` and ``cstart``
+    counts users, rows or fragments, so the adapter keeps it in int32.  :meth:`symbols` builds the value objects of
+    any rows on demand; a row the adapter made from an object (in
+    ``objects``, None elsewhere) gives that object back.
+    """
+
+    sender: np.ndarray
+    group: np.ndarray
+    size: np.ndarray
+    redundant: np.ndarray
+    cstart: np.ndarray
+    receiver: np.ndarray
+    file: np.ndarray
+    subset: np.ndarray
+    part: np.ndarray
+    index: np.ndarray
+    count: np.ndarray
+    groups: list[tuple[int, ...]]
+    sizes: list[Frac]
+    subsets: list[tuple[int, ...]]
+    parts: list[str]
+    objects: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.sender)
+
+    @classmethod
+    def from_symbols(cls, symbols: Sequence[XorSymbol]) -> "SymbolTable":
+        """The one adapter from value objects to columns.  Payloads are not
+        kept: a log holds them per entry."""
+        per_symbol = list(map(attrgetter("constituents"), symbols))
+        cons = list(itertools.chain.from_iterable(per_symbol))
+        frags = list(map(attrgetter("fragment"), cons))
+        groups: dict = {}
+        sizes: dict = {}
+        subsets: dict = {}
+        parts: dict = {}
+        return cls(
+            int_column(symbols, "sender"),
+            table_rows(list(map(attrgetter("group"), symbols)), groups),
+            size_rows(map(attrgetter("size"), symbols), sizes),
+            np.fromiter(map(attrgetter("redundant"), symbols), bool, len(symbols)),
+            offsets(map(len, per_symbol)),
+            int_column(cons, "receiver"),
+            int_column(frags, "file", np.int64),  # file ids are not bounded
+            table_rows(list(map(attrgetter("subset"), frags)), subsets),
+            table_rows(list(map(attrgetter("part"), frags)), parts),
+            int_column(frags, "index"),
+            int_column(frags, "count"),
+            list(groups), list(sizes), list(subsets), list(parts),
+            list(symbols),
+        )
+
+    @classmethod
+    def concat(cls, first: "SymbolTable", second: "SymbolTable") -> "SymbolTable":
+        """``first``'s symbols, then ``second``'s, over merged tables."""
+        both = (first, second)
+        tables: dict[str, dict] = {t: {} for t in ("groups", "sizes", "subsets", "parts")}
+
+        def rows(column: str, table: str) -> np.ndarray:
+            return np.concatenate(
+                [table_rows(getattr(t, table), tables[table])[getattr(t, column)] for t in both]
+            )
+
+        def joined(column: str) -> np.ndarray:
+            return np.concatenate([getattr(t, column) for t in both])
+
+        return cls(
+            joined("sender"), rows("group", "groups"), rows("size", "sizes"),
+            joined("redundant"),
+            np.concatenate([first.cstart[:-1], second.cstart + first.cstart[-1]]),
+            joined("receiver"), joined("file"), rows("subset", "subsets"),
+            rows("part", "parts"), joined("index"), joined("count"),
+            *map(list, tables.values()),
+            None if first.objects is second.objects is None else [
+                *(first.objects or [None] * len(first)),
+                *(second.objects or [None] * len(second)),
+            ],
+        )
+
+    def fragments(self, at: np.ndarray) -> list[FragmentId]:
+        """The fragments of constituent rows ``at``, as value objects."""
+        subsets, parts = self.subsets, self.parts
+        return list(
+            map(
+                FragmentId,
+                self.file[at].tolist(),
+                [subsets[i] for i in self.subset[at].tolist()],
+                [parts[i] for i in self.part[at].tolist()],
+                self.index[at].tolist(),
+                self.count[at].tolist(),
+            )
+        )
+
+    def symbols(
+        self, rows: np.ndarray, payloads: Optional[Sequence] = None
+    ) -> list[XorSymbol]:
+        """The symbols of ``rows`` as value objects, carrying ``payloads``
+        (one per row) if given."""
+        if payloads is not None or self.objects is None:
+            return self._build(rows, payloads)
+        out = [self.objects[r] for r in rows.tolist()]
+        todo = [i for i, sym in enumerate(out) if sym is None]
+        for i, sym in zip(todo, self._build(rows[todo])):
+            out[i] = sym
+        return out
+
+    def _build(self, rows: np.ndarray, payloads: Optional[Sequence] = None) -> list:
+        lo, hi = self.cstart[rows], self.cstart[rows + 1]
+        at = ranges(lo, hi)
+        cons = list(map(Constituent, self.receiver[at].tolist(), self.fragments(at)))
+        groups, sizes = self.groups, self.sizes
+        out = []
+        start = 0
+        for sender, g, z, redundant, end, payload in zip(
+            self.sender[rows].tolist(),
+            self.group[rows].tolist(),
+            self.size[rows].tolist(),
+            self.redundant[rows].tolist(),
+            np.cumsum(hi - lo).tolist(),
+            payloads if payloads is not None else itertools.repeat(None),
+        ):
+            out.append(
+                XorSymbol(
+                    sender, groups[g], tuple(cons[start:end]), sizes[z], payload, redundant
+                )
+            )
+            start = end
+        return out
+
+
+class ListView(Sequence):
+    """A read-only list whose items a subclass builds on demand, a run at a
+    time, in ``_items(lo, hi)``.  Each item is built once and kept, so a
+    second read costs what a list's does; reading one item builds the run
+    of ``CHUNK`` it falls in, so that items read one by one are built in
+    runs too.  ``len`` is the subclass's own, O(1); a slice is a list, and
+    ``==`` and ``repr`` are those of the list of every item."""
+
+    CHUNK = 256
+    __hash__ = None  # type: ignore[assignment]
+    _built: Optional[list] = None
+    _have: Optional[np.ndarray] = None
+
+    def _items(self, lo: int, hi: int) -> list:
+        raise NotImplementedError
+
+    def _run(self, lo: int, hi: int) -> list:
+        """Items ``lo:hi``, building each missing run of them."""
+        if self._built is None:
+            self._built, self._have = [None] * len(self), np.zeros(len(self), bool)
+        missing = lo + np.flatnonzero(~self._have[lo:hi])
+        for run in np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1):
+            if len(run):
+                a, b = int(run[0]), int(run[-1]) + 1
+                self._built[a:b] = self._items(a, b)
+        self._have[lo:hi] = True
+        return self._built[lo:hi]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(len(self))
+            if step == 1:
+                return self._run(lo, max(lo, hi))
+            return [self[j] for j in range(lo, hi, step)]
+        i = range(len(self))[i]  # a list's IndexError and negative indices
+        if self._have is None or not self._have[i]:
+            lo = i - i % self.CHUNK
+            self._run(lo, min(lo + self.CHUNK, len(self)))
+        return self._built[i]
+
+    def __iter__(self):
+        n = len(self)
+        for lo in range(0, n, 1024):
+            yield from self._run(lo, min(lo + 1024, n))
+
+    def __eq__(self, other):
+        if isinstance(other, ListView):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class UserRounds(ListView):
+    """User rounds held as columns: round i is ``GroupPartition(groups[i],
+    labels[i])`` with the symbols of rows ``starts[i]:starts[i + 1]`` of
+    ``table``."""
+
+    def __init__(
+        self, groups: list, labels: list[int], starts: np.ndarray, table: SymbolTable
+    ) -> None:
+        self.groups, self.labels, self.starts, self.table = groups, labels, starts, table
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def _items(self, lo: int, hi: int) -> list:
+        starts = self.starts[lo : hi + 1].tolist()
+        base = starts[0]
+        symbols = self.table.symbols(np.arange(base, starts[-1]))
+        return [
+            (GroupPartition(self.groups[i], self.labels[i]), symbols[a - base : b - base])
+            for i, a, b in zip(range(lo, hi), starts, starts[1:])
+        ]
+
+    def outline(self) -> list[tuple[GroupPartition, int]]:
+        """Each round's partition and symbol count, building no symbol."""
+        counts = np.diff(self.starts).tolist()
+        return [
+            (GroupPartition(g, r), n) for g, r, n in zip(self.groups, self.labels, counts)
+        ]
+
+    @classmethod
+    def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
+        """``rounds``, a view or a list of (GroupPartition, symbols) pairs,
+        over a table whose first rows hold the symbols ``first``: a view's
+        table follows theirs, and a list's symbols pass through the adapter
+        with them, in one table."""
+        if isinstance(rounds, UserRounds):
+            table = SymbolTable.concat(SymbolTable.from_symbols(first), rounds.table)
+            return cls(rounds.groups, rounds.labels, rounds.starts + len(first), table)
+        return cls(
+            [part.groups for part, _ in rounds],
+            [part.round_index for part, _ in rounds],
+            offsets(len(syms) for _, syms in rounds) + len(first),
+            SymbolTable.from_symbols([*first, *(sym for _, syms in rounds for sym in syms)]),
+        )
+
+
 @dataclass
 class DeliverySchedule:
     """Complete delivery plan: parallel user rounds plus server symbols.
 
     Each user round is a (GroupPartition, symbols) pair; all symbols in the
     round are sent by members of the partition's groups, one active sender
-    per group at a time.
+    per group at a time.  ``user_rounds`` is a list of those pairs, or a
+    :class:`UserRounds` view of rounds held as columns, which builds them on
+    demand and compares equal to the list.
     """
 
-    user_rounds: list[tuple[GroupPartition, list[XorSymbol]]] = field(
+    user_rounds: Sequence[tuple[GroupPartition, list[XorSymbol]]] = field(
         default_factory=list
     )
     server_symbols: list[XorSymbol] = field(default_factory=list)
 
     def user_symbol_count(self) -> int:
+        if isinstance(self.user_rounds, UserRounds):
+            return len(self.user_rounds.table)
         return sum(len(syms) for _, syms in self.user_rounds)
+
+    def round_outline(self) -> list[tuple[GroupPartition, int]]:
+        """Each user round's partition and symbol count; a view reads them
+        off its columns."""
+        if isinstance(self.user_rounds, UserRounds):
+            return self.user_rounds.outline()
+        return [(part, len(syms)) for part, syms in self.user_rounds]

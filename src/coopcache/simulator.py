@@ -17,20 +17,23 @@ Two payload modes:
 Loads: R1 is the total on the server link; R2 sums, round by round, the
 busiest cooperation lane (groups inside one round transmit in parallel, so
 the round lasts as long as its most loaded group).  Both are summed as
-integer numerators over the lcm of the entries' denominators (bit counts
-over F in bit mode) and become one Fraction at the end.
+integer numerators over the lcm of the log's size denominators (bit counts
+over F in bit mode), in Python ints so that none overflows, and become one
+Fraction at the end.
 
 :func:`brute_force_decode_check` re-derives what every user can decode by
 peeling: starting from its cache, a user resolves any received symbol with
 exactly one unknown constituent, until no symbol resolves anything more.
-Each check first interns the log in one pass over its entries and its
-resolver, and nothing else, in both modes: every distinct fragment becomes
-an int id, filed under its (file, subset, part, count) group, whose caching
-users and size (a numerator over one common denominator in fluid mode; in
-bit mode each fragment keeps its own bit count) are worked out once; every
-nonempty constituent becomes one row of int32 columns (fragment id,
-receivers, subset).  The tables live for that one call, and nothing is
-cached on the log.
+Each check first interns the log from its columns and its resolver, and
+nothing else, in both modes: fragment ids come from one sort of the
+constituents' key columns (file, subset, part, count, index), read by
+value, so no id the scheduler chose is used; fragments sharing (file,
+subset, part, count) form a group, whose caching users and size (a
+numerator over one common denominator in fluid mode; in bit mode each
+fragment keeps its own bit count) are worked out once; every nonempty
+constituent becomes one row of int columns (fragment id, receivers,
+subset).  The tables live for that one call, and nothing is cached on the
+log.
 
 In fluid mode the verdict depends only on what each user ends up knowing,
 its peeling closure, which is the same whatever order symbols resolve in.
@@ -54,6 +57,20 @@ cut into L1 equal slices (1 decentralized) of count/L1 near-equal fragments;
 split of the round serving |T|, then cut near-equally.  A fragment's fluid
 size is its part's share over its count, times its subfile's size.
 
+Schedules and logs are held as int columns (``model.SymbolTable``).  The
+decentralized scheduler builds its user rounds as columns, and
+:func:`execute_schedule` writes each log entry as a row of
+:class:`LogColumns`, with each round's lanes slotted by one lexsort.
+Symbols held as value objects, the centralized user rounds and every
+server schedule, come in through one adapter
+(``SymbolTable.from_symbols``), and so does a log given as a list of
+entries.  ``schedule.user_rounds`` and ``log.entries`` are read-only views
+(``model.UserRounds``, :class:`LogEntries`): each ``LogEntry``,
+``XorSymbol`` and fragment is built only when read, then kept, and a view
+compares equal to the list it stands for and prints as it.  Loads, the
+slot discipline, the export and the decode check read the columns, so a
+run builds no value object per user symbol unless one is read.
+
 Both schemes run through one path.  ``run_centralized`` and
 ``run_decentralized`` each supply only their scheme's front half: placement,
 delivery schedule, fragment resolver and closed-form rates.  The shared
@@ -64,14 +81,14 @@ check.
 
 Everything after those checks runs with the process-wide cyclic garbage
 collector paused, and the collector's state is restored afterwards, on
-every exit path.  A run allocates hundreds of thousands of small value
-objects (fragments, constituents, symbols, log entries), and the
-collector would re-scan all of them several times while the schedule
-grows.  None of them can take part in a reference cycle, and a run builds
-no cyclic structure, so its garbage is freed by reference counting alone
-and the pause leaves nothing behind for the collector.  Its allocation
-counts are reset before it comes back on, so no young collection scans
-what the run returns either.
+every exit path.  A centralized run still builds its user schedule as
+value objects (tens of thousands of fragments, constituents and symbols),
+and the collector would re-scan all of them several times while the
+schedule grows.  None of them can take part in a reference cycle, and a
+run builds no cyclic structure, so its garbage is freed by reference
+counting alone and the pause leaves nothing behind for the collector.  Its
+allocation counts are reset before it comes back on, so no young
+collection scans what the run returns either.
 """
 
 from __future__ import annotations
@@ -90,8 +107,8 @@ import numpy as np
 from .centralized import (
     CentralPlacement,
     SplitPlan,
+    _delivery,
     build_central_placement,
-    build_delivery,
     centralized_rates,
 )
 from .decentralized import (
@@ -106,10 +123,20 @@ from .decentralized import (
 from .model import (
     DeliverySchedule,
     FragmentId,
+    ListView,
+    SymbolTable,
     SystemConfig,
+    UserRounds,
     XorSymbol,
     enumerate_subsets,
+    int_column,
+    occurrences,
+    offsets,
+    ranges,
+    receivers_of,
+    size_rows,
     slot_init,
+    table_rows,
     validate_demands,
 )
 
@@ -151,65 +178,203 @@ class LogEntry:
     symbol: XorSymbol
 
 
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows equal in every column share one id: (each row's id, the first
+    row of each id).  Ids follow the sorted order of the columns, the last
+    one primary.  The columns are packed side by side into one int64 key
+    when they are checked to be nonnegative and their bit widths to sum to
+    at most 63, and sorted by one stable argsort; otherwise by
+    ``np.lexsort``."""
+    n = len(columns[0])
+    widths = [int(c.max()).bit_length() for c in columns] if n else []
+    if n and sum(widths) <= 63 and min(int(c.min()) for c in columns) >= 0:
+        key = np.zeros(n, np.int64)
+        for column, width in zip(reversed(columns), reversed(widths)):
+            key = key << width | column
+        order = np.argsort(key, kind="stable")
+        columns = (key,)
+    else:
+        order = np.lexsort(columns)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(n, np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+@dataclass
+class LogColumns:
+    """A log's entries as int columns.
+
+    Per entry: ``slot``, ``round`` (the round index), ``sender``, ``group``
+    (a row of ``groups``), ``receivers`` (a row of ``receiver_sets``),
+    ``size`` (a row of ``sizes``: the entry's ``bits``) and ``symbol``, the
+    row of ``table`` that holds its symbol; in bit mode ``payloads`` holds
+    each entry's payload.  The tables hold distinct values.
+    """
+
+    slot: np.ndarray
+    round: np.ndarray
+    sender: np.ndarray
+    group: np.ndarray
+    receivers: np.ndarray
+    size: np.ndarray
+    symbol: np.ndarray
+    groups: list[tuple[int, ...]]
+    receiver_sets: list[tuple[int, ...]]
+    sizes: list[Union[int, Frac]]
+    table: SymbolTable
+    payloads: Optional[list] = None
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[LogEntry]) -> "LogColumns":
+        """The adapter for a log given as a list of entries."""
+        groups: dict = {}
+        receiver_sets: dict = {}
+        sizes: dict = {}
+        symbols = [e.symbol for e in entries]
+        return cls(
+            int_column(entries, "slot", np.int64),
+            int_column(entries, "round_index", np.int64),
+            int_column(entries, "sender", np.int64),
+            table_rows([e.group for e in entries], groups),
+            table_rows([e.receivers for e in entries], receiver_sets),
+            size_rows((e.bits for e in entries), sizes),
+            np.arange(len(entries)),
+            list(groups),
+            list(receiver_sets),
+            list(sizes),
+            SymbolTable.from_symbols(symbols),
+            [sym.payload for sym in symbols],
+        )
+
+
+class LogEntries(ListView):
+    """A log's entries as a read-only view of its :class:`LogColumns`:
+    ``len`` reads a column, and each ``LogEntry`` is built on demand."""
+
+    def __init__(self, columns: LogColumns) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns.slot)
+
+    def _items(self, lo: int, hi: int) -> list:
+        c = self.columns
+        payloads = None if c.payloads is None else c.payloads[lo:hi]
+        return list(
+            map(
+                LogEntry,
+                c.slot[lo:hi].tolist(),
+                c.round[lo:hi].tolist(),
+                c.sender[lo:hi].tolist(),
+                [c.groups[i] for i in c.group[lo:hi].tolist()],
+                [c.receiver_sets[i] for i in c.receivers[lo:hi].tolist()],
+                [c.sizes[i] for i in c.size[lo:hi].tolist()],
+                c.table.symbols(c.symbol[lo:hi], payloads),
+            )
+        )
+
+
 @dataclass
 class TransmissionLog:
-    """Ordered record of an executed schedule, with load accounting."""
+    """Ordered record of an executed schedule, with load accounting.
+
+    ``entries`` is a list of ``LogEntry``, or the :class:`LogEntries` view
+    that :func:`execute_schedule` makes.  Loads, the slot discipline, the
+    export and the decode check all read the entries' columns: a view's
+    own, or those the adapter makes from a list.
+    """
 
     config: SystemConfig
     mode: str  # "fluid" | "bits"
-    entries: list[LogEntry] = field(default_factory=list)
+    entries: Sequence[LogEntry] = field(default_factory=list)
     resolver: Optional["FragmentResolver"] = None
 
-    def _numerators(self, entries: list[LogEntry]) -> tuple[list[int], int]:
-        """The entries' sizes as integer numerators over one denominator,
-        and that denominator as a fraction of F: the lcm of the sizes'
-        denominators (an int size has 1), times F in bit mode."""
-        ratios = [e.bits.as_integer_ratio() for e in entries]
+    def columns(self) -> LogColumns:
+        if isinstance(self.entries, LogEntries):
+            return self.entries.columns
+        return LogColumns.from_entries(self.entries)
+
+    def _numerators(self, c: LogColumns) -> tuple[list[int], int]:
+        """Each size's integer numerator over one denominator, and that
+        denominator as a fraction of F: the lcm of the sizes' denominators
+        (an int size has 1), times F in bit mode."""
+        ratios = [x.as_integer_ratio() for x in c.sizes]
         den = math.lcm(*{d for _, d in ratios})
         unit = self.config.F if self.mode == "bits" else 1
         return [n * (den // d) for n, d in ratios], den * unit
 
     def server_load(self) -> Frac:
         """Total traffic on the server link, as a fraction of F."""
-        nums, den = self._numerators([e for e in self.entries if e.sender == 0])
-        return Frac(sum(nums), den)
+        c = self.columns()
+        nums, den = self._numerators(c)
+        counts = np.bincount(c.size[c.sender == 0], minlength=len(nums)).tolist()
+        return Frac(sum(n * k for n, k in zip(nums, counts)), den)
 
     def user_load(self) -> Frac:
-        """Cooperation-link delay: per round, the busiest lane; summed."""
-        users = [e for e in self.entries if e.sender != 0]
-        nums, den = self._numerators(users)
-        per_round_lane: dict[int, dict[tuple, int]] = {}
-        for e, x in zip(users, nums):
-            lanes = per_round_lane.setdefault(e.round_index, {})
-            lanes[e.group] = lanes.get(e.group, 0) + x
-        return Frac(sum(max(lanes.values()) for lanes in per_round_lane.values()), den)
+        """Cooperation-link delay: per round, the busiest lane; summed.
+        The sums are taken over Python ints, so no numerator overflows."""
+        c = self.columns()
+        nums, den = self._numerators(c)
+        user = c.sender != 0
+        if not user.any():
+            return Frac(0)
+        lanes, first = _distinct(c.group[user], c.round[user])
+        loads = np.zeros(len(first), dtype=object)
+        np.add.at(loads, lanes, np.array(nums, dtype=object)[c.size[user]])
+        rnd = c.round[user][first]  # lanes come round by round
+        rounds = np.flatnonzero(np.diff(rnd, prepend=rnd[0] - 1))
+        return Frac(sum(np.maximum.reduceat(loads, rounds).tolist()), den)
 
     def delay(self) -> Frac:
         return max(self.server_load(), self.user_load())
 
     def verify_slot_discipline(self) -> None:
         """Each slot: at most one server symbol; user senders bounded by
-        alpha_max and their groups pairwise disjoint."""
-        server_slots = set()
-        user_slots: dict[int, list[LogEntry]] = {}
-        for e in self.entries:
-            if e.sender == 0:
-                if e.slot in server_slots:
-                    raise ValueError(f"two server symbols in slot {e.slot}")
-                server_slots.add(e.slot)
-            else:
-                user_slots.setdefault(e.slot, []).append(e)
-        for slot, entries in user_slots.items():
-            if len(entries) > self.config.alpha_max:
-                raise ValueError(
-                    f"slot {slot} has {len(entries)} user senders "
-                    f"(alpha_max={self.config.alpha_max})"
-                )
-            seen: set[int] = set()
-            for e in entries:
-                if seen & set(e.group):
-                    raise ValueError(f"slot {slot} has overlapping groups")
-                seen |= set(e.group)
+        alpha_max and their groups pairwise disjoint.  User slots are
+        checked in the order they first appear, each for its sender count
+        before its groups."""
+        c = self.columns()
+        server = c.sender == 0
+        slots = c.slot[server]
+        _, first = _distinct(slots)
+        if len(first) < len(slots):
+            repeat = np.ones(len(slots), dtype=bool)
+            repeat[first] = False
+            raise ValueError(f"two server symbols in slot {slots[repeat][0]}")
+        slots, group = c.slot[~server], c.group[~server]
+        if not len(slots):
+            return
+        ids, first = _distinct(slots)
+        senders = np.bincount(ids)
+        # a slot's groups are disjoint iff their sizes sum to the size of
+        # their union, taken as an OR of member bitmasks (Python ints)
+        bit = {u: 1 << i for i, u in enumerate(dict.fromkeys(chain(*c.groups)))}
+        members = [set(g) for g in c.groups]
+        masks = np.array([sum(map(bit.get, m)) for m in members], dtype=object)
+        sizes = np.array([len(m) for m in members], np.int64)
+        order = np.argsort(ids, kind="stable")
+        starts = offsets(senders)[:-1]
+        union = np.bitwise_or.reduceat(masks[group[order]], starts)
+        overlap = np.add.reduceat(sizes[group[order]], starts) != [
+            u.bit_count() for u in union.tolist()
+        ]
+        crowded = senders > self.config.alpha_max
+        bad = np.flatnonzero(crowded | overlap)
+        if not len(bad):
+            return
+        worst = bad[np.argmin(first[bad])]
+        slot = slots[first[worst]]
+        if crowded[worst]:
+            raise ValueError(
+                f"slot {slot} has {senders[worst]} user senders "
+                f"(alpha_max={self.config.alpha_max})"
+            )
+        raise ValueError(f"slot {slot} has overlapping groups")
 
     def export_lines(self) -> list[str]:
         """Stable text export, one record per symbol.
@@ -218,11 +383,15 @@ class TransmissionLog:
         entry; receivers are '|'-joined user ids; bits is an integer in bit
         mode and an exact fraction of F (like ``1/45``) in fluid mode.
         """
-        out = ["slot,sender,receivers,bits"]
-        for e in self.entries:
-            recv = "|".join(str(r) for r in e.receivers)
-            out.append(f"{e.slot},{e.sender},{recv},{e.bits}")
-        return out
+        c = self.columns()
+        receivers = ["|".join(map(str, users)) for users in c.receiver_sets]
+        bits = [str(x) for x in c.sizes]
+        return ["slot,sender,receivers,bits"] + [
+            f"{slot},{sender},{receivers[r]},{bits[z]}"
+            for slot, sender, r, z in zip(
+                c.slot.tolist(), c.sender.tolist(), c.receivers.tolist(), c.size.tolist()
+            )
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +437,18 @@ class FragmentResolver:
         raise ValueError(f"unknown fragment part {part!r}")
 
     def frag_size(self, frag: FragmentId) -> Frac:
-        key = (frag.part, frag.count, len(frag.subset))
+        return self.fragment_size(frag.part, frag.count, frag.subset)
+
+    def fragment_size(self, part: str, count: int, subset: tuple[int, ...]) -> Frac:
+        """Size of each of the ``count`` equal fragments of ``part`` of a
+        subfile W_{n,subset}, for any n, as a fraction of F."""
+        key = (part, count, len(subset))
         size = self._frag_sizes.get(key)
         if size is None:
             share = Frac(1)
-            for cut, keep_rest in self._cuts(frag.part, len(frag.subset)):
+            for cut, keep_rest in self._cuts(part, len(subset)):
                 share *= 1 - cut if keep_rest else cut
-            size = share / frag.count * self.subfile_size(frag.subset)
+            size = share / count * self.subfile_size(subset)
             self._frag_sizes[key] = size
         return size
 
@@ -394,18 +568,40 @@ class DecentralFragmentResolver(FragmentResolver):
 # ---------------------------------------------------------------------------
 
 
-def _symbol_payload(
-    sym: XorSymbol, resolver: FragmentResolver, library: BitLibrary
-) -> tuple[np.ndarray, int]:
-    parts = [
-        library.files[c.fragment.file][resolver.frag_positions(c.fragment)]
-        for c in sym.constituents
-    ]
-    length = max((len(p) for p in parts), default=0)
-    out = np.zeros(length, dtype=np.uint8)
-    for p in parts:
-        out[: len(p)] ^= p
-    return out, length
+def _payloads(
+    table: SymbolTable, rows: np.ndarray, resolver: FragmentResolver, library: BitLibrary
+) -> list[np.ndarray]:
+    """Per symbol row, the XOR of its constituents' library bits, as long
+    as the longest of them (bit mode)."""
+    lo, hi = table.cstart[rows], table.cstart[rows + 1]
+    frags = table.fragments(ranges(lo, hi))
+    out = []
+    start = 0
+    for end in np.cumsum(hi - lo).tolist():
+        parts = [library.files[f.file][resolver.frag_positions(f)] for f in frags[start:end]]
+        payload = np.zeros(max((len(p) for p in parts), default=0), dtype=np.uint8)
+        for p in parts:
+            payload[: len(p)] ^= p
+        out.append(payload)
+        start = end
+    return out
+
+
+def _slots(rnd: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry order and slots of the user symbols, given each one's round
+    (nondecreasing) and lane (its group's row).
+
+    Each round packs its lanes in parallel: a lane's j-th symbol sits in the
+    round's relative slot j, the symbols of one slot go in the order their
+    lanes first appear in the round, and the round lasts as long as its
+    longest lane.  Returns the symbols in entry order and, in that order,
+    their slots."""
+    lanes, first = _distinct(lane, rnd)
+    pos = occurrences(lanes)
+    depth = np.zeros(rnd[-1] + 1 if len(rnd) else 0, np.int64)
+    np.maximum.at(depth, rnd, pos + 1)
+    order = np.lexsort((first[lanes], pos, rnd))
+    return order, (offsets(depth)[rnd] + pos)[order]
 
 
 def execute_schedule(
@@ -415,47 +611,56 @@ def execute_schedule(
     mode: str,
     library: Optional[BitLibrary] = None,
 ) -> TransmissionLog:
-    """Run a built schedule into a transmission log.
+    """Run a built schedule into a transmission log held as columns.
 
     Server symbols occupy their own link's slots 0..; each user round packs
-    its lanes in parallel (lane i's j-th symbol in relative slot j).  Bit
-    mode attaches XOR payloads and counts real lengths; fluid mode carries
-    the symbols' rational sizes.
+    its lanes in parallel (:func:`_slots`).  Bit mode attaches XOR payloads
+    and counts real lengths; fluid mode carries the symbols' rational sizes.
+    Symbols held as value objects (the server's, and a list of user rounds)
+    come in through the adapter; a :class:`UserRounds` view is read as it
+    is.
     """
     if mode == "bits" and library is None:
         raise ValueError("bit mode needs a BitLibrary")
-    log = TransmissionLog(config, mode, resolver=resolver)
-    heard_by: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-    def entry(slot: int, round_index: int, sym: XorSymbol) -> LogEntry:
-        key = (sym.sender, sym.group)
-        receivers = heard_by.get(key)
-        if receivers is None:
-            receivers = heard_by[key] = sym.receivers()
-        if mode == "fluid":
-            bits: Union[int, Frac] = sym.size
-        else:
-            payload, bits = _symbol_payload(sym, resolver, library)
-            sym = XorSymbol(
-                sym.sender, sym.group, sym.constituents, sym.size, payload, sym.redundant
-            )
-        return LogEntry(slot, round_index, sym.sender, sym.group, receivers, bits, sym)
-
-    for slot, sym in enumerate(schedule.server_symbols):
-        log.entries.append(entry(slot, -1, sym))
-    base = 0
-    for partition, symbols in schedule.user_rounds:
-        lanes: dict[tuple, list[XorSymbol]] = {}
-        for sym in symbols:
-            lanes.setdefault(sym.group, []).append(sym)
-        depth = max((len(v) for v in lanes.values()), default=0)
-        for j in range(depth):
-            for lane_syms in lanes.values():
-                if j < len(lane_syms):
-                    log.entries.append(
-                        entry(base + j, partition.round_index, lane_syms[j])
-                    )
-        base += depth
+    n_server = len(schedule.server_symbols)
+    rounds = UserRounds.of(schedule.user_rounds, schedule.server_symbols)
+    table = rounds.table  # the server symbols, then the user rounds'
+    rnd = np.repeat(np.arange(len(rounds)), np.diff(rounds.starts))
+    order, slot = _slots(rnd, table.group[n_server:])
+    symbol = np.concatenate([np.arange(n_server), order + n_server])
+    sender, group = table.sender[symbol], table.group[symbol]
+    pair, first = _distinct(sender, group)
+    receiver_sets: dict = {}
+    receivers = table_rows(
+        [
+            receivers_of(u, table.groups[g])
+            for u, g in zip(sender[first].tolist(), group[first].tolist())
+        ],
+        receiver_sets,
+    )[pair]
+    if mode == "fluid":
+        sizes, size, payloads = table.sizes, table.size[symbol], None
+    else:
+        payloads = _payloads(table, symbol, resolver, library)
+        lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
+        distinct, size = np.unique(lengths, return_inverse=True)
+        sizes = distinct.tolist()
+    labels = np.array(rounds.labels, np.int64)
+    columns = LogColumns(
+        np.concatenate([np.arange(n_server), slot]),
+        np.concatenate([np.full(n_server, -1), labels[rnd[order]]]),
+        sender,
+        group,
+        receivers,
+        size,
+        symbol,
+        table.groups,
+        list(receiver_sets),
+        sizes,
+        table,
+        payloads,
+    )
+    log = TransmissionLog(config, mode, LogEntries(columns), resolver)
     log.verify_slot_discipline()
     return log
 
@@ -469,16 +674,17 @@ def execute_schedule(
 class _LogTables:
     """What the decoder reads off one log, interned by :func:`_intern_log`.
 
-    Each distinct fragment gets an int id, in first-use order, and ``frags``
-    maps it back.  Fragments that share (file, subset, part, count) form a
-    group: per group, ``groups`` holds its file, its subset, whether its
-    part is "full", and its size, an integer numerator over one common
-    denominator in fluid mode (0 in bit mode, where ``bit_counts`` holds
-    each fragment's own bit count); ``group`` maps each fragment id to its
-    group and ``fsub`` to its subset's row.
+    Each distinct fragment gets an int id, in the sorted order of its key
+    (file, subset, part, count, index), and ``frags`` builds the
+    ``FragmentId`` of an id on demand.  Fragments that share (file, subset,
+    part, count) form a group: per group, ``groups`` holds its file, its
+    subset, whether its part is "full", and its size, an integer numerator
+    over one common denominator in fluid mode (0 in bit mode, where
+    ``bit_counts`` holds each fragment's own bit count); ``group`` maps
+    each fragment id to its group and ``fsub`` to its subset's row.
 
     The log's live constituents (those of nonzero size, repeats kept) are
-    flattened, entry after entry, into int32 columns: ``cons`` the fragment
+    flattened, entry after entry, into int columns: ``cons`` the fragment
     id, ``crow`` the entry's receivers row and ``csub`` the fragment's
     subset row.  Entries left with no live constituent are dropped;
     ``entry``, ``starts`` and ``lengths`` give each kept entry's index in
@@ -487,10 +693,11 @@ class _LogTables:
     rows, so whether user k hears a constituent's entry, or caches its
     subfile, is one gather; users outside 1..K are in neither.
     ``subfiles`` lists every subfile key T with, in fluid mode, its size
-    as a numerator over the same denominator.
+    as a numerator over the same denominator; ``payloads`` holds each
+    entry's payload in bit mode.
     """
 
-    frags: list[FragmentId]
+    frags: Sequence[FragmentId]
     group: np.ndarray
     fsub: np.ndarray
     groups: list[tuple[int, tuple[int, ...], bool, int]]
@@ -504,6 +711,21 @@ class _LogTables:
     heard: np.ndarray
     caches: np.ndarray
     subfiles: list[tuple[tuple[int, ...], int]]
+    payloads: Optional[list]
+
+
+class _Fragments(ListView):
+    """The ``FragmentId`` of each fragment id, built on demand from one of
+    its constituent rows of a symbol table."""
+
+    def __init__(self, table: SymbolTable, rows: np.ndarray) -> None:
+        self.table, self.rows = table, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _items(self, lo: int, hi: int) -> list:
+        return self.table.fragments(self.rows[lo:hi])
 
 
 def _member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
@@ -517,92 +739,80 @@ def _member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
     return out
 
 
+def _first_equal(values: Sequence) -> np.ndarray:
+    """Per row of a table, the first row holding an equal value."""
+    first: dict = {}
+    return np.array([first.setdefault(v, i) for i, v in enumerate(values)], np.int32)
+
+
 def _intern_log(log: TransmissionLog) -> _LogTables:
-    """Intern the log from its entries, with sizes read from its resolver,
+    """Intern the log from its columns, with sizes read from its resolver,
     and nothing else.  Nothing is kept on the log.
 
-    One pass streams every constituent's fragment id into an int32 array;
-    the intern dict is deleted before the per-fragment tables are built,
-    since it is the largest allocation of the check.  Membership
-    and sizes are worked out once per group, receivers once per distinct
-    receivers tuple (a log shares one tuple among the entries of a sender
-    and group).  An empty fragment is known to every user, so it is dropped
-    from every entry and no symbol waits on it.
+    Fragment ids come from one lexsort of the constituents' key columns
+    (file, subset, part, count, index), whose subset and part rows are
+    first mapped to the first row of an equal value: an id depends on the
+    key's values alone, and no id or row numbering the scheduler chose is
+    read.  Membership and sizes are worked out once per group, receivers
+    once per receivers row.  An empty fragment is known to every user, so
+    it is dropped from every entry and no symbol waits on it.
     """
-    resolver = log.resolver
-    K = log.config.K
-    entries = log.entries
-    lengths = np.fromiter(
-        (len(e.symbol.constituents) for e in entries), np.int32, len(entries)
-    )
-    ids: dict[FragmentId, int] = {}
-    intern = ids.setdefault
-    cons = np.fromiter(
-        (intern(c.fragment, len(ids)) for e in entries for c in e.symbol.constituents),
-        np.int32,
-        int(lengths.sum()),
-    )
-    frags = list(ids)  # in id order
-    del ids, intern
-
-    rows: dict[int, int] = {}
-    receivers: list[tuple[int, ...]] = []
-
-    def receivers_row(users: tuple[int, ...]) -> int:
-        row = rows.get(id(users))
-        if row is None:
-            row = rows[id(users)] = len(receivers)
-            receivers.append(users)
-        return row
-
-    erow = np.fromiter(
-        (receivers_row(e.receivers) for e in entries), np.int32, len(entries)
-    )
-    heard = _member_columns(receivers, K)
-
-    keys: dict[tuple, int] = {}
-    key = keys.setdefault
-    group = np.fromiter(
-        (key((f.file, f.subset, f.part, f.count), len(keys)) for f in frags),
-        np.int32,
-        len(frags),
-    )
-    subsets: dict[tuple[int, ...], int] = {}
-    gsub = np.array(
-        [subsets.setdefault(k[1], len(subsets)) for k in keys], dtype=np.int32
-    )
-    fsub = gsub[group]
-    caches = _member_columns(list(subsets), K)
+    c = log.columns()
+    t, resolver, K = c.table, log.resolver, log.config.K
+    lo, hi = t.cstart[c.symbol], t.cstart[c.symbol + 1]
+    at = ranges(lo, hi)  # the constituents, entry after entry
+    file, index, count = t.file[at], t.index[at], t.count[at]
+    subset = _first_equal(t.subsets)[t.subset[at]]
+    part = _first_equal(t.parts)[t.part[at]]
+    cons, first = _distinct(index, count, part, subset, file)
+    group, members = _distinct(count[first], part[first], subset[first], file[first])
+    fsub = subset[first]
+    rep = first[members]  # one constituent of each group
     subfile_keys = resolver.subfile_keys()
-    if log.mode == "bits":
+    if log.mode == "bits":  # which reads every fragment
+        frags: Sequence[FragmentId] = t.fragments(at[first])
         bit_counts = [len(resolver.frag_positions(f)) for f in frags]
-        nonempty = np.array(bit_counts, dtype=bool)
-        sizes = [0] * len(keys)
+        nonempty = np.array(bit_counts, dtype=bool).reshape(-1)
+        sizes = [0] * len(rep)
         subfiles = [(T, 0) for T in subfile_keys]
     else:
+        frags = _Fragments(t, at[first])
         bit_counts = []
-        first = np.unique(group, return_index=True)[1]
-        shares = [resolver.frag_size(frags[i]) for i in first.tolist()]
+        # a size depends on (part, count, |T|) only, so it is asked once per
+        # such shape
+        lengths = np.fromiter(map(len, t.subsets), np.int64, len(t.subsets))
+        shape, shapes = _distinct(count[rep], part[rep], lengths[subset[rep]])
+        shares = [
+            resolver.fragment_size(t.parts[p], n, t.subsets[T])
+            for p, n, T in zip(
+                part[rep][shapes].tolist(),
+                count[rep][shapes].tolist(),
+                subset[rep][shapes].tolist(),
+            )
+        ]
         whole = [resolver.subfile_size(T) for T in subfile_keys]
         den = math.lcm(*{x.denominator for x in shares + whole})
-        sizes = [x.numerator * (den // x.denominator) for x in shares]
+        nums = [x.numerator * (den // x.denominator) for x in shares]
+        sizes = [nums[i] for i in shape.tolist()]
         subfiles = [
             (T, x.numerator * (den // x.denominator))
             for T, x in zip(subfile_keys, whole)
         ]
-        nonempty = np.array([size != 0 for size in sizes], dtype=bool)[group]
+        nonempty = np.array([x != 0 for x in nums], dtype=bool)[shape][group]
     groups = [
-        (file, subset, part == "full", size)
-        for (file, subset, part, _), size in zip(keys, sizes)
+        (f, t.subsets[T], t.parts[p] == "full", size)
+        for f, T, p, size in zip(
+            file[rep].tolist(), subset[rep].tolist(), part[rep].tolist(), sizes
+        )
     ]
 
-    entry = np.repeat(np.arange(len(entries), dtype=np.int32), lengths)
+    entry = np.repeat(np.arange(len(c.symbol)), hi - lo)
     if not nonempty.all():
         live = nonempty[cons]
         cons, entry = cons[live], entry[live]
     # entries are in log order, so each kept one is a run of ``entry``
     starts = np.flatnonzero(np.diff(entry, prepend=-1))
-    lengths = np.diff(starts, append=len(entry)).astype(np.int32)
+    lengths = np.diff(starts, append=len(entry))
     return _LogTables(
         frags,
         group,
@@ -610,14 +820,15 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         groups,
         bit_counts,
         cons,
-        erow[entry],
+        c.receivers[entry],
         fsub[cons],
         entry[starts],
         starts,
         lengths,
-        heard,
-        caches,
+        _member_columns(c.receiver_sets, K),
+        _member_columns(t.subsets, K),
         subfiles,
+        c.payloads,
     )
 
 
@@ -717,7 +928,7 @@ def _peel_known_fragments(
     frags = tables.frags
     cached = tables.caches[user][tables.fsub].tolist()
     _, counts = _unknown(tables, user)
-    n = len(log.entries)
+    n = len(tables.payloads)
     rows: dict[int, list[int]] = {}
     ready: list[int] = []  # sweep 0, in order: a heap
     missing: dict[int, int] = {}
@@ -748,7 +959,7 @@ def _peel_known_fragments(
                 break
         else:  # another symbol yielded it first
             continue
-        acc = np.array(log.entries[i].symbol.payload, copy=True)
+        acc = np.array(tables.payloads[i], copy=True)
         for f in ids:
             if f == target:
                 continue
@@ -983,11 +1194,11 @@ def run_centralized(
     """
 
     def front(demands):
-        # the schedule's size guard runs before the placement is enumerated
-        plan, schedule = build_delivery(
-            config, demands, alpha=alpha, server_share=server_share
-        )
-        placement = build_central_placement(config)
+        # the schedule's size guard runs before the placement is enumerated,
+        # and the placement the user schedule built is reused
+        plan, schedule, placement = _delivery(config, demands, alpha, server_share)
+        if placement is None:  # users deliver nothing
+            placement = build_central_placement(config)
         F = config.F if mode == "bits" else None
         resolver = CentralFragmentResolver(placement, plan, F)
         closed = centralized_rates(

@@ -580,7 +580,7 @@ def test_simulate_centralized_scheduling_error_exits_1(capsys, monkeypatch):
     def infeasible(config, plan, demands):
         raise SchedulingError("user delivery infeasible for K=4, t=2, alpha=1")
 
-    monkeypatch.setattr(centralized, "build_user_schedule", infeasible)
+    monkeypatch.setattr(centralized, "_user_schedule", infeasible)
     code, out, err = _run(
         capsys,
         ["simulate", "--scheme", "centralized", "--N", "4", "--K", "4",

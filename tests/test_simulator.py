@@ -319,7 +319,7 @@ def test_centralized_mode_is_checked_before_any_work(monkeypatch):
     def stop(*args, **kwargs):
         raise AssertionError("delivery built before the mode check")
 
-    monkeypatch.setattr(simulator, "build_delivery", stop)
+    monkeypatch.setattr(simulator, "_delivery", stop)
     with pytest.raises(ValueError, match="unknown mode 'bitz'"):
         run_centralized(SystemConfig(4, 4, 2, alpha_max=2), mode="bitz")
 
@@ -328,7 +328,7 @@ def test_bit_mode_without_F_is_refused_before_any_work(monkeypatch):
     def stop(*args, **kwargs):
         raise AssertionError("built before the file size check")
 
-    monkeypatch.setattr(simulator, "build_delivery", stop)
+    monkeypatch.setattr(simulator, "_delivery", stop)
     monkeypatch.setattr(simulator, "build_decentral_placement", stop)
     cfg = SystemConfig(4, 4, 2, alpha_max=2)
     for run in (run_centralized, run_decentralized):
@@ -385,13 +385,15 @@ def test_disjoint_group_choices_leave_no_cyclic_garbage():
 
 
 def _record_collector_state(monkeypatch, seen):
-    place = simulator.build_central_placement
+    import coopcache.centralized as centralized
+
+    place = centralized.build_central_placement
 
     def recording(config):
         seen.append(gc.isenabled())
         return place(config)
 
-    monkeypatch.setattr(simulator, "build_central_placement", recording)
+    monkeypatch.setattr(centralized, "build_central_placement", recording)
 
 
 def test_a_run_pauses_the_collector_and_restores_it(monkeypatch):
@@ -409,7 +411,7 @@ def test_a_failed_run_restores_the_collector(monkeypatch):
         seen.append(gc.isenabled())
         raise SchedulingError("user delivery infeasible")
 
-    monkeypatch.setattr(simulator, "build_delivery", infeasible)
+    monkeypatch.setattr(simulator, "_delivery", infeasible)
     with pytest.raises(SchedulingError):
         run_centralized(SystemConfig(4, 4, 2, alpha_max=2))
     assert seen == [False] and gc.isenabled()
@@ -464,9 +466,9 @@ def test_a_run_keeps_its_callers_frozen_objects_frozen():
         gc.unfreeze()
 
 
-def test_a_centralized_run_builds_its_placement_twice(monkeypatch):
-    # once for the user schedule and once for the fragment resolver; the
-    # server schedule needs only t
+def test_a_centralized_run_builds_its_placement_once(monkeypatch):
+    # for the user schedule, whose placement the fragment resolver reuses;
+    # the server schedule needs only t
     import coopcache.centralized as centralized
 
     built = []
@@ -479,7 +481,7 @@ def test_a_centralized_run_builds_its_placement_twice(monkeypatch):
     monkeypatch.setattr(centralized, "build_central_placement", counting)
     monkeypatch.setattr(simulator, "build_central_placement", counting)
     assert run_centralized(SystemConfig(6, 6, 4, alpha_max=3)).decode_ok
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
