@@ -37,12 +37,14 @@ source-sink paths, and an iterative search that resumes after each
 augmentation at the first saturated edge, pushing the paths the plain
 recursive search pushes; see ``_Dinic``).
 
-The chosen rung is assembled in one pass (:func:`_assemble_schedule`):
-each pico-file is built once, as the ``Constituent`` its symbol carries,
-in its hosting group's list for its receiver; each group's symbols draw
-those lists through per-receiver iterators; and the rounds follow the slot
-sequence by partition index.  The audit then re-checks the finished
-schedule on bitmasks, independently of how it was assembled.
+The chosen rung is laid out as int columns (:func:`_assemble_schedule`,
+a ``model.SymbolTable`` shown as a ``model.UserRounds`` view), with no
+value object per symbol: each hosting group's load for a receiver is a
+run of pico-files, a group's senders take contiguous blocks of its
+symbols, so a receiver's pico-file in each symbol is found by index
+arithmetic, and the rounds follow the slot sequence by partition index.
+The audit then re-checks the finished schedule on those columns, with
+boolean membership tables, independently of how it was assembled.
 
 Before anything is enumerated, :func:`check_schedule_size` counts in closed
 form the placement's subsets, the server's symbols and the uniform rung's
@@ -62,16 +64,20 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .model import (
-    Constituent,
     DeliverySchedule,
-    FragmentId,
-    GroupPartition,
     SchedulingError,
+    SymbolTable,
     SystemConfig,
+    UserRounds,
     XorSymbol,
     enumerate_equal_partitions,
     enumerate_subsets,
     equal_partition_count,
+    member_columns,
+    occurrences,
+    offsets,
+    others,
+    ranges,
     server_shares,
     validate_demands,
 )
@@ -729,71 +735,74 @@ def _assemble_schedule(
     L: int,
     fp: int,
 ) -> DeliverySchedule:
-    """The user rounds of a feasible rung, built in one pass, then audited.
+    """The user rounds of a feasible rung as int columns (a
+    :class:`UserRounds` view), then audited.
 
     * Loads: classes (j, T) in sorted order, each class's hosting groups in
       sorted order; the class's layers count up from 0 across its hosts,
-      and each pico-file joins its host's list for receiver j as its
-      ``Constituent``.
+      and each pico-file joins its host's load for receiver j.
     * Symbols (a Latin assembly per group): in group G with quota Q, member
-      u sends Q - (u's load) symbols, senders in G's order, and a symbol
-      takes the next constituent of every other member from that member's
-      iterator, so j's pico-files land exactly on the symbols j does not
-      send.
+      u sends Q - (u's load) symbols, senders in contiguous blocks in G's
+      order, and symbol k codes one pico-file of every other member j: j's
+      load at position k less the symbols j sent before k.
     * Rounds: slot i runs partition (offset + i) mod beta, each of its
       groups sending its next symbol.  The canonical partitions are
       distinct, so consecutive slots repeat a partition only when beta = 1:
       then every slot merges into one round, otherwise each slot is a
       round of its own.
     """
-    K = config.K
     m = fp - 1
-    size = (1 - plan.server_share) / Frac(math.comb(K, placement.t) * L)
-
-    group_load: dict[tuple[int, ...], dict[int, list[Constituent]]] = {
-        G: {u: [] for u in G} for G, q in quotas.items() if q > 0
-    }
+    size = (1 - plan.server_share) / Frac(math.comb(config.K, placement.t) * L)
+    groups = [G for G, q in quotas.items() if q > 0]
+    gid = {G: g for g, G in enumerate(groups)}
+    members = np.array(groups, np.int64).reshape(len(groups), fp)
+    Q = np.array([quotas[G] for G in groups], np.int64)
+    # per (class, host): its lane (host, receiver's position in the host),
+    # subset, first layer and layer count
+    tid = {T: i for i, T in enumerate(placement.subsets)}
+    rows = []
     for (j, T), hosts in sorted(assignment.items()):
-        file = demands[j - 1]
         layer = 0
         for G, units in sorted(hosts):
-            group_load[G][j] += [
-                Constituent(j, FragmentId(file, T, "u", i, L))
-                for i in range(layer, layer + units)
-            ]
+            rows.append((gid[G] * fp + G.index(j), tid[T], layer, units))
             layer += units
-
-    group_symbols: dict[tuple[int, ...], Iterator[XorSymbol]] = {}
-    for G, per_recv in group_load.items():
-        Q = quotas[G]
-        counts = [len(per_recv[u]) for u in G]
-        if max(counts) > Q or sum(counts) != m * Q:
-            raise SchedulingError(f"group {G} workload inconsistent with quota {Q}")
-        feeds = {u: iter(per_recv[u]) for u in G}
-        symbols: list[XorSymbol] = []
-        for u, c in zip(G, counts):
-            others = [feeds[j] for j in G if j != u]
-            symbols += [
-                XorSymbol(u, G, tuple(map(next, others)), size) for _ in range(Q - c)
-            ]
-        group_symbols[G] = iter(symbols)
+    lane, subset, layer, units = np.array(rows, np.int64).reshape(-1, 4).T
+    # the pico-files lane after lane, lane l's load from loads[l]
+    lane = np.repeat(lane, units)
+    order = np.argsort(lane, kind="stable")
+    subset, layer = np.repeat(subset, units)[order], ranges(layer, layer + units)[order]
+    load = np.bincount(lane, minlength=len(groups) * fp).reshape(-1, fp)
+    loads = offsets(load.ravel())
+    bad = (load.max(axis=1) > Q) | (load.sum(axis=1) != m * Q)
+    if bad.any():
+        g = np.argmax(bad)
+        raise SchedulingError(f"group {groups[g]} workload inconsistent with quota {Q[g]}")
+    sent = Q[:, None] - load  # each member's block of symbols, in G's order
+    ends = np.cumsum(sent, axis=1)
 
     beta = len(partitions)
-    runs = (
-        [(partitions[0], slots)]
-        if beta == 1
-        else [(partitions[(offset + i) % beta], 1) for i in range(slots)]
+    window = [partitions[(offset + i) % beta] for i in range(min(slots, beta))]
+    g = np.array([[gid[G] for G in p] for p in window])[np.arange(slots) % len(window)]
+    g = g.ravel()  # each symbol's group
+    k = occurrences(g)  # its position in the group's symbols
+    a = (k[:, None] >= ends[g]).sum(axis=1)  # its sender's position
+    b = others(fp)[a]  # its receivers' positions
+    gb, kb = g[:, None], k[:, None]
+    pico = loads[gb * fp + b] + kb - np.clip(kb - ends[gb, b] + sent[gb, b], 0, sent[gb, b])
+    receiver = members[gb, b].ravel()
+    n = len(g)
+    table = SymbolTable(
+        members[g, a].astype(np.int32), g.astype(np.int32), np.zeros(n, np.int32),
+        np.zeros(n, bool), np.arange(n + 1) * m, receiver.astype(np.int32),
+        np.array((0, *demands), np.int64)[receiver], subset[pico].ravel().astype(np.int32),
+        np.zeros(n * m, np.int32), layer[pico].ravel().astype(np.int32),
+        np.full(n * m, L, np.int32), groups, [size], list(placement.subsets), ["u"],
     )
-    sched = DeliverySchedule()
-    for round_index, (groups, span) in enumerate(runs):
-        feeds = [group_symbols[G] for G in groups]
-        sched.user_rounds.append(
-            (
-                GroupPartition(groups, round_index),
-                [next(f) for _ in range(span) for f in feeds],
-            )
-        )
-
+    runs = 1 if beta == 1 else slots
+    sched = DeliverySchedule(UserRounds(
+        [partitions[(offset + i) % beta] for i in range(runs)], list(range(runs)),
+        np.arange(runs + 1) * (n // runs), table,
+    ))
     _audit_user_schedule(config, placement, demands, sched, L, m, size)
     return sched
 
@@ -810,70 +819,66 @@ def _audit_user_schedule(
     """Hard guarantees: every pico-file delivered exactly once, every symbol
     decodable by construction, every constituent cached by its co-members.
 
-    Checked on bitmasks, user u being bit u.  Each (sender, group) is masked
-    once, as the group's mask and the mask of its receivers; each subset
-    once, as its cachers' mask and its placement id (None off the
-    placement).  A delivery of pico (T, layer) to a receiver j outside T is
-    recorded as one int key; every such pico is delivered exactly once iff
-    the keys are distinct and as many as the picos.  Only when they are not
-    are they counted, to name the first pico delivered a wrong number of
-    times.
+    Checked on the schedule's columns (a list of rounds passes through the
+    adapter), with boolean membership tables in which users outside 1..K
+    are in no group and no subset.  The first failure is named in schedule
+    order: per symbol its arity, size and sender, then per constituent its
+    receiver and whether the rest of its group caches its subset (worked
+    out once per group and subset).  A delivery of pico (T, layer) to a
+    receiver j outside T is one int key; every such pico is delivered
+    exactly once iff the keys are distinct and as many as the picos.  Only
+    when they are not are they counted, to name the first pico delivered a
+    wrong number of times.
     """
-    bit = {u: 1 << u for u in config.users()}
+    t = UserRounds.of(sched.user_rounds).table
+    K, n_T = config.K, len(placement.subsets)
+    sender, j = (np.where((u >= 1) & (u <= K), u, 0) for u in (t.sender, t.receiver))
+    in_group = member_columns(t.groups, K)
+    caches = member_columns(t.subsets, K)
+    arity = np.diff(t.cstart)
+    sized = np.array([z is size or z == size for z in t.sizes], bool)
+    symbol_bad = (arity != m) | ~sized[t.size] | ~in_group[sender, t.group]
+    of = np.repeat(np.arange(len(t)), arity)  # each constituent's symbol
+    group = t.group[of]
+    misplaced = ~in_group[j, group] | (t.receiver == t.sender[of])
+    n_sub = len(t.subsets)
+    pair, inverse = np.unique(group * np.int64(n_sub) + t.subset, return_inverse=True)
+    # the members of each (group, subset) pair not caching it; j may be one
+    uncached = in_group[:, pair // n_sub] & ~caches[:, pair % n_sub]
+    strip = uncached.sum(axis=0)[inverse] > uncached[j, inverse]
+    bad_symbols = np.flatnonzero(symbol_bad)
+    bad_cons = np.flatnonzero(misplaced | strip)
+    i = bad_symbols[0] if len(bad_symbols) else len(t)
+    if len(bad_cons) and of[bad_cons[0]] < i:
+        c = bad_cons[0]
+        if misplaced[c]:
+            raise SchedulingError("constituent receiver misplaced")
+        raise SchedulingError(
+            f"group {t.groups[group[c]]} cannot strip "
+            f"{t.fragments(bad_cons[:1])[0]} for user {t.receiver[c]}"
+        )
+    if i < len(t):
+        if arity[i] != m:
+            raise SchedulingError(f"symbol codes {arity[i]} != {m}")
+        if not sized[t.size[i]]:
+            raise SchedulingError("unequal pico sizes in user schedule")
+        raise SchedulingError("sender outside its group")
 
-    def mask(users: tuple[int, ...]) -> int:
-        return sum(bit.get(u, 0) for u in users)
-
-    subsets: dict[tuple[int, ...], tuple[int, Optional[int]]] = {
-        T: (mask(T), i) for i, T in enumerate(placement.subsets)
-    }
-    lanes: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-    width = config.K + 1
-    keys: list[int] = []
-    for _, syms in sched.user_rounds:
-        for sym in syms:
-            if len(sym.constituents) != m:
-                raise SchedulingError(f"symbol codes {len(sym.constituents)} != {m}")
-            if sym.size is not size and sym.size != size:
-                raise SchedulingError("unequal pico sizes in user schedule")
-            lane = lanes.get((sym.sender, sym.group))
-            if lane is None:
-                group = mask(sym.group)
-                if not group & bit.get(sym.sender, 0):
-                    raise SchedulingError("sender outside its group")
-                lane = lanes[sym.sender, sym.group] = (group, group & ~bit[sym.sender])
-            group, receivers = lane
-            for c in sym.constituents:
-                j, frag = c.receiver, c.fragment
-                jbit = bit.get(j, 0)
-                if not receivers & jbit:
-                    raise SchedulingError("constituent receiver misplaced")
-                code = subsets.get(frag.subset)
-                if code is None:
-                    code = subsets[frag.subset] = (mask(frag.subset), None)
-                cachers, tid = code
-                if group & ~jbit & ~cachers:
-                    raise SchedulingError(
-                        f"group {sym.group} cannot strip {frag} for user {j}"
-                    )
-                if tid is not None and frag.index < L and not cachers & jbit:
-                    keys.append((tid * L + frag.index) * width + j)
-    picos = len(placement.subsets) * (config.K - placement.t) * L
-    if len(keys) == picos and len(set(keys)) == picos:
+    ids = {T: i for i, T in enumerate(placement.subsets)}
+    tid = np.array([ids.get(T, -1) for T in t.subsets], np.int64)[t.subset]
+    kept = (tid >= 0) & (t.index < L) & ~caches[j, t.subset]
+    keys = ((tid * L + t.index) * (K + 1) + j)[kept]
+    seen = np.bincount(keys, minlength=n_T * L * (K + 1))
+    if len(keys) == n_T * (K - placement.t) * L and seen.max(initial=0) <= 1:
         return
-    seen = Counter(keys)
-    for j in config.users():
-        for T in placement.subsets:
-            cachers, tid = subsets[T]
-            if cachers & bit[j]:
-                continue
-            for layer in range(L):
-                got = seen[(tid * L + layer) * width + j]
-                if got != 1:
-                    raise SchedulingError(
-                        f"pico (user {j}, T={T}, layer {layer}) delivered "
-                        f"{got} times"
-                    )
+    # every pico in (user, subset, layer) order, a user's own subsets skipped
+    seen = seen.reshape(n_T, L, K + 1).transpose(2, 0, 1)[1:]
+    wrong = (seen != 1) & ~member_columns(placement.subsets, K)[1:, :, None]
+    u, T, layer = np.unravel_index(np.argmax(wrong), wrong.shape)
+    raise SchedulingError(
+        f"pico (user {u + 1}, T={placement.subsets[T]}, layer {layer}) delivered "
+        f"{seen[u, T, layer]} times"
+    )
 
 
 def build_delivery(

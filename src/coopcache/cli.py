@@ -42,7 +42,7 @@ from .centralized import (
 )
 from .decentralized import check_run_size, decentralized_gains, decentralized_rates
 from .model import SystemConfig, as_frac, validate_demands
-from .simulator import check_mode, run_centralized, run_decentralized
+from .simulator import check_central_F, check_mode, run_centralized, run_decentralized
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -288,6 +288,8 @@ def cmd_simulate(args, out: TextIO) -> int:
     else:
         plan = make_split_plan(config, alpha=args.alpha, server_share=server_share)
         check_schedule_size(config, plan)
+        if args.mode == "bits":
+            check_central_F(config.F, config, plan)
     out.write(
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"
@@ -320,16 +322,13 @@ def cmd_simulate(args, out: TextIO) -> int:
     )
     if args.detail_round is not None:
         shown = 0
-        for partition, symbols in sched.round_outline():
+        for groups, round_index, symbols in sched.round_outline():
             # a delivery stage's regular groups have the stage's size s;
             # a shorter remainder group never exceeds it
-            size = max(len(g) for g in partition.groups)
-            if size != args.detail_round:
+            if max(len(g) for g in groups) != args.detail_round:
                 continue
-            groups = " ".join(
-                "{" + ",".join(str(u) for u in g) + "}" for g in partition.groups
-            )
-            out.write(f"  round {partition.round_index}: {groups} ({symbols} symbols)\n")
+            shown_groups = " ".join("{" + ",".join(str(u) for u in g) + "}" for g in groups)
+            out.write(f"  round {round_index}: {shown_groups} ({symbols} symbols)\n")
             shown += 1
         out.write(f"  {shown} partitions with group size {args.detail_round}\n")
     r = res.rates

@@ -76,6 +76,7 @@ from .model import (
     equal_partition_count,
     occurrences,
     offsets,
+    others,
     server_shares,
     table_rows,
     validate_demands,
@@ -467,13 +468,6 @@ def _round_plan(
     }
 
 
-def _others(n: int) -> np.ndarray:
-    """n x (n - 1) positions: row a lists 0..n-1 without a."""
-    return np.array(
-        [[b for b in range(n) if b != a] for a in range(n)], dtype=np.intp
-    ).reshape(n, n - 1)
-
-
 def _users(mask: int, K: int) -> tuple[int, ...]:
     """The users of a bitmask, user u being bit u - 1, ascending."""
     return tuple(u for u in range(1, K + 1) if mask >> (u - 1) & 1)
@@ -495,7 +489,7 @@ def _round_columns(
     G = G.reshape(n, regular, s)
     bit = 1 << (G - 1)
     gmask = bit.sum(axis=2)
-    o = _others(s)
+    o = others(s)
     senders, masks = [G.reshape(n, -1)], [np.repeat(gmask, s, axis=1)]
     receivers = [G[:, :, o].reshape(n, -1)]
     subsets = [(gmask[:, :, None, None] ^ bit[:, :, o]).reshape(n, -1)]
@@ -513,7 +507,7 @@ def _round_columns(
         ).reshape(-1, s - r)
         smask = imask[:, None] | (1 << (rest[:, extra] - 1)).sum(axis=2)
         supersets = len(extra)
-        o = _others(r)
+        o = others(r)
         senders.append(np.tile(idle, supersets))
         masks.append(np.repeat(imask[:, None], supersets * r, axis=1))
         receivers.append(np.tile(idle[:, o].reshape(n, -1), supersets))

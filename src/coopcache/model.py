@@ -361,6 +361,26 @@ def occurrences(key: np.ndarray) -> np.ndarray:
     return out
 
 
+def member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
+    """(K + 1) x len(sets) booleans: row k marks the sets holding user k.
+    Row 0 and users outside 1..K mark none, so a user outside 1..K may be
+    looked up as 0."""
+    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+    users = np.fromiter(itertools.chain.from_iterable(sets), np.int64, int(sizes.sum()))
+    column = np.repeat(np.arange(len(sets)), sizes)
+    inside = (users >= 1) & (users <= K)
+    out = np.zeros((K + 1, len(sets)), dtype=bool)
+    out[users[inside], column[inside]] = True
+    return out
+
+
+def others(n: int) -> np.ndarray:
+    """n x (n - 1) positions: row a lists 0..n-1 without a."""
+    return np.array(
+        [[b for b in range(n) if b != a] for a in range(n)], dtype=np.intp
+    ).reshape(n, n - 1)
+
+
 def table_rows(values: list, table: dict) -> np.ndarray:
     """Each value's row in ``table``, a dict of value -> row that new
     values join in order of first use."""
@@ -397,9 +417,8 @@ class SymbolTable:
     ``parts``), ``index`` and ``count``.  The four tables hold distinct
     values, so two rows are equal exactly when their values are, and sizes
     stay exact ``Fraction``s.  Every column but ``file`` and ``cstart``
-    counts users, rows or fragments, so the adapter keeps it in int32.  :meth:`symbols` builds the value objects of
-    any rows on demand; a row the adapter made from an object (in
-    ``objects``, None elsewhere) gives that object back.
+    counts users, rows or fragments, so the adapter keeps it in int32.
+    :meth:`symbols` builds the value objects of any rows on demand.
     """
 
     sender: np.ndarray
@@ -417,7 +436,6 @@ class SymbolTable:
     sizes: list[Frac]
     subsets: list[tuple[int, ...]]
     parts: list[str]
-    objects: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.sender)
@@ -446,7 +464,6 @@ class SymbolTable:
             int_column(frags, "index"),
             int_column(frags, "count"),
             list(groups), list(sizes), list(subsets), list(parts),
-            list(symbols),
         )
 
     @classmethod
@@ -470,10 +487,6 @@ class SymbolTable:
             joined("receiver"), joined("file"), rows("subset", "subsets"),
             rows("part", "parts"), joined("index"), joined("count"),
             *map(list, tables.values()),
-            None if first.objects is second.objects is None else [
-                *(first.objects or [None] * len(first)),
-                *(second.objects or [None] * len(second)),
-            ],
         )
 
     def fragments(self, at: np.ndarray) -> list[FragmentId]:
@@ -495,15 +508,6 @@ class SymbolTable:
     ) -> list[XorSymbol]:
         """The symbols of ``rows`` as value objects, carrying ``payloads``
         (one per row) if given."""
-        if payloads is not None or self.objects is None:
-            return self._build(rows, payloads)
-        out = [self.objects[r] for r in rows.tolist()]
-        todo = [i for i, sym in enumerate(out) if sym is None]
-        for i, sym in zip(todo, self._build(rows[todo])):
-            out[i] = sym
-        return out
-
-    def _build(self, rows: np.ndarray, payloads: Optional[Sequence] = None) -> list:
         lo, hi = self.cstart[rows], self.cstart[rows + 1]
         at = ranges(lo, hi)
         cons = list(map(Constituent, self.receiver[at].tolist(), self.fragments(at)))
@@ -603,12 +607,9 @@ class UserRounds(ListView):
             for i, a, b in zip(range(lo, hi), starts, starts[1:])
         ]
 
-    def outline(self) -> list[tuple[GroupPartition, int]]:
-        """Each round's partition and symbol count, building no symbol."""
-        counts = np.diff(self.starts).tolist()
-        return [
-            (GroupPartition(g, r), n) for g, r, n in zip(self.groups, self.labels, counts)
-        ]
+    def outline(self) -> list[tuple[tuple, int, int]]:
+        """Each round's groups, label and symbol count, building no object."""
+        return list(zip(self.groups, self.labels, np.diff(self.starts).tolist()))
 
     @classmethod
     def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
@@ -617,6 +618,8 @@ class UserRounds(ListView):
         table follows theirs, and a list's symbols pass through the adapter
         with them, in one table."""
         if isinstance(rounds, UserRounds):
+            if not first:
+                return rounds
             table = SymbolTable.concat(SymbolTable.from_symbols(first), rounds.table)
             return cls(rounds.groups, rounds.labels, rounds.starts + len(first), table)
         return cls(
@@ -648,9 +651,9 @@ class DeliverySchedule:
             return len(self.user_rounds.table)
         return sum(len(syms) for _, syms in self.user_rounds)
 
-    def round_outline(self) -> list[tuple[GroupPartition, int]]:
-        """Each user round's partition and symbol count; a view reads them
-        off its columns."""
+    def round_outline(self) -> list[tuple[tuple, int, int]]:
+        """Each user round's groups, round index and symbol count; a view
+        reads them off its columns."""
         if isinstance(self.user_rounds, UserRounds):
             return self.user_rounds.outline()
-        return [(part, len(syms)) for part, syms in self.user_rounds]
+        return [(part.groups, part.round_index, len(syms)) for part, syms in self.user_rounds]

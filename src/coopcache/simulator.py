@@ -57,12 +57,12 @@ cut into L1 equal slices (1 decentralized) of count/L1 near-equal fragments;
 split of the round serving |T|, then cut near-equally.  A fragment's fluid
 size is its part's share over its count, times its subfile's size.
 
-Schedules and logs are held as int columns (``model.SymbolTable``).  The
-decentralized scheduler builds its user rounds as columns, and
+Schedules and logs are held as int columns (``model.SymbolTable``).  Both
+schedulers build their user rounds as columns, and
 :func:`execute_schedule` writes each log entry as a row of
 :class:`LogColumns`, with each round's lanes slotted by one lexsort.
-Symbols held as value objects, the centralized user rounds and every
-server schedule, come in through one adapter
+Symbols held as value objects, every server schedule and user rounds
+given as a list, come in through one adapter
 (``SymbolTable.from_symbols``), and so does a log given as a list of
 entries.  ``schedule.user_rounds`` and ``log.entries`` are read-only views
 (``model.UserRounds``, :class:`LogEntries`): each ``LogEntry``,
@@ -81,14 +81,14 @@ check.
 
 Everything after those checks runs with the process-wide cyclic garbage
 collector paused, and the collector's state is restored afterwards, on
-every exit path.  A centralized run still builds its user schedule as
-value objects (tens of thousands of fragments, constituents and symbols),
-and the collector would re-scan all of them several times while the
-schedule grows.  None of them can take part in a reference cycle, and a
-run builds no cyclic structure, so its garbage is freed by reference
-counting alone and the pause leaves nothing behind for the collector.  Its
-allocation counts are reset before it comes back on, so no young
-collection scans what the run returns either.
+every exit path.  A run still builds its server schedule as value objects
+(up to thousands of fragments, constituents and symbols), and the
+collector would re-scan them while the schedule grows.  None of them can
+take part in a reference cycle, and a run builds no cyclic structure, so
+its garbage is freed by reference counting alone and the pause leaves
+nothing behind for the collector.  Its allocation counts are reset before
+it comes back on, so no young collection scans what the run returns
+either.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ from .centralized import (
     _delivery,
     build_central_placement,
     centralized_rates,
+    make_split_plan,
 )
 from .decentralized import (
     AllocationPlan,
@@ -130,6 +131,7 @@ from .model import (
     XorSymbol,
     enumerate_subsets,
     int_column,
+    member_columns,
     occurrences,
     offsets,
     ranges,
@@ -487,6 +489,14 @@ def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
     return math.lcm(*dens)
 
 
+def check_central_F(F: int, config: SystemConfig, plan: SplitPlan) -> None:
+    """Refuse a file size F that leaves some centralized fragment a
+    fractional number of bits (:func:`required_central_F`)."""
+    need = required_central_F(config, plan)
+    if F % need:
+        raise ValueError(f"F={F} cannot be split exactly; use a multiple of {need}")
+
+
 def _near_equal_part(n: int, parts: int, i: int) -> tuple[int, int]:
     """(start, length) of part ``i`` when ``n`` items are cut into ``parts``
     near-equal runs, the longer ones first, as ``np.array_split`` cuts."""
@@ -510,11 +520,7 @@ class CentralFragmentResolver(FragmentResolver):
         self._index = {T: i for i, T in enumerate(placement.subsets)}
         self._subfile_size = Frac(1, len(self._index))
         if F is not None:
-            need = required_central_F(placement.config, plan)
-            if F % need:
-                raise ValueError(
-                    f"F={F} cannot be split exactly; use a multiple of {need}"
-                )
+            check_central_F(F, placement.config, plan)
             self.sub_len = F // len(self._index)
 
     def subfile_keys(self) -> list[tuple[int, ...]]:
@@ -728,17 +734,6 @@ class _Fragments(ListView):
         return self.table.fragments(self.rows[lo:hi])
 
 
-def _member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
-    """(K + 1) x len(sets) booleans: row k marks the sets holding user k."""
-    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
-    users = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
-    column = np.repeat(np.arange(len(sets)), sizes)
-    inside = (users >= 1) & (users <= K)
-    out = np.zeros((K + 1, len(sets)), dtype=bool)
-    out[users[inside], column[inside]] = True
-    return out
-
-
 def _first_equal(values: Sequence) -> np.ndarray:
     """Per row of a table, the first row holding an equal value."""
     first: dict = {}
@@ -825,8 +820,8 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         entry[starts],
         starts,
         lengths,
-        _member_columns(c.receiver_sets, K),
-        _member_columns(t.subsets, K),
+        member_columns(c.receiver_sets, K),
+        member_columns(t.subsets, K),
         subfiles,
         c.payloads,
     )
@@ -1194,8 +1189,11 @@ def run_centralized(
     """
 
     def front(demands):
-        # the schedule's size guard runs before the placement is enumerated,
-        # and the placement the user schedule built is reused
+        # the file size and the schedule's size guard are checked before the
+        # placement is enumerated, and the placement the user schedule built
+        # is reused
+        if mode == "bits":
+            check_central_F(config.F, config, make_split_plan(config, alpha, server_share))
         plan, schedule, placement = _delivery(config, demands, alpha, server_share)
         if placement is None:  # users deliver nothing
             placement = build_central_placement(config)

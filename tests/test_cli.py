@@ -515,6 +515,25 @@ def test_simulate_bit_mode_without_F_exits_2(scheme, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,need",
+    [
+        (["--N", "12", "--K", "12", "--M", "6", "--alpha", "3", "--alpha-max", "3"], 14784),
+        (["--N", "4", "--K", "4", "--M", "2"], 30),
+    ],
+)
+def test_simulate_refuses_an_unsplittable_F_before_any_work(argv, need, capsys, monkeypatch):
+    def stop(*args):
+        raise AssertionError("user schedule built before the file size check")
+
+    monkeypatch.setattr(centralized, "_user_schedule", stop)
+    code, out, err = _run(
+        capsys, ["simulate", "--scheme", "centralized", *argv, "--mode", "bits", "--F", "7"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: F=7 cannot be split exactly; use a multiple of {need}\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["--scheme", "centralized", "--M", "3/2"],

@@ -193,11 +193,14 @@ def test_slot_discipline_gives_the_oracle_verdict_on_moved_entries():
     assert len(verdicts) >= 3
 
 
-def _count_value_objects(monkeypatch):
-    """A list that grows by one per FragmentId, Constituent, XorSymbol or
-    LogEntry built."""
+VALUE_CLASSES = (FragmentId, Constituent, XorSymbol, LogEntry)
+
+
+def _count_value_objects(monkeypatch, classes=VALUE_CLASSES):
+    """A list that grows by one per object of ``classes`` (by default a
+    FragmentId, Constituent, XorSymbol or LogEntry) built."""
     built = []
-    for cls in (FragmentId, Constituent, XorSymbol, LogEntry):
+    for cls in classes:
         init = cls.__init__
 
         def counting(self, *args, _init=init, **kwargs):

@@ -14,6 +14,7 @@ from fractions import Fraction as Frac
 import numpy as np
 import pytest
 
+import coopcache.centralized as centralized
 import coopcache.simulator as simulator
 import load_oracle
 from coopcache import (
@@ -334,6 +335,16 @@ def test_bit_mode_without_F_is_refused_before_any_work(monkeypatch):
     for run in (run_centralized, run_decentralized):
         with pytest.raises(ValueError, match="^bit mode needs a file size F$"):
             run(cfg, mode="bits")
+
+
+def test_an_unsplittable_F_is_refused_before_any_work(monkeypatch):
+    def stop(*args):
+        raise AssertionError("user schedule built before the file size check")
+
+    monkeypatch.setattr(centralized, "_user_schedule", stop)
+    cfg = SystemConfig(4, 4, 2, alpha_max=2, F=7)
+    with pytest.raises(ValueError, match="^F=7 cannot be split exactly; use a multiple of 30$"):
+        run_centralized(cfg, mode="bits")
 
 
 # ---------------------------------------------------------------------------
