@@ -30,23 +30,29 @@ constituents' key columns (file, subset, part, count, index), read by
 value, so no id the scheduler chose is used; fragments sharing (file,
 subset, part, count) form a group, whose caching users and size (a
 numerator over one common denominator in fluid mode; in bit mode each
-fragment keeps its own bit count) are worked out once; every nonempty
-constituent becomes one row of int columns (fragment id, receivers,
-subset).  The tables live for that one call, and nothing is cached on the
-log.
+fragment's [lo, hi) span in its subfile, from one array pass of the
+resolver) are worked out once; every nonempty constituent becomes one row
+of int columns (fragment id, receivers, subset).  The tables live for that
+one call, and nothing is cached on the log.
 
-In fluid mode the verdict depends only on what each user ends up knowing,
-its peeling closure, which is the same whatever order symbols resolve in.
-So each user's closure is computed on numpy columns, every ready symbol at
-once (the peeling decoder of Luby's LT codes run in rounds): it counts each
-entry's unknown constituents, learns the one unknown of every entry with a
-count of 1, and recounts only the entries that still hold two or more.
-Coverage then sums, per needed subfile, each group's learned count times
-its size, in Python ints.  In bit mode which payload a user learns can
+A user's peeling closure, what it ends up knowing, is the same whatever
+order symbols resolve in.  So each user's closure is computed on numpy
+columns, every ready symbol at once (the peeling decoder of Luby's LT codes
+run in rounds): it counts each entry's unknown constituents, learns the one
+unknown of every entry with a count of 1, and recounts only the entries
+that still hold two or more.  In fluid mode coverage then sums, per needed
+subfile, each group's learned count times its size, in Python ints.
+
+In bit mode each entry's payload is first checked once against the XOR of
+its constituents' library bits, at the length of the longest.  If every
+entry agrees, every fragment a user learns carries its library bits, so
+the verdict is the closure plus bit coverage: per needed subfile, the union
+of the learned fragments' spans.  Otherwise which payload a user learns can
 depend on the order (a corrupted log may carry two versions of a
 fragment), so each user peels from a worklist in the order repeated
 in-order sweeps would meet the symbols, and the file is reassembled bit
-for bit.  The check never consults the scheduler's own coverage
+for bit; an entry whose payload is not as long as its longest constituent
+teaches nothing.  The check never consults the scheduler's own coverage
 bookkeeping, so scheduler bugs cannot vouch for themselves.  On failure it
 names the first user, file and subfile that cannot be recovered.
 
@@ -99,7 +105,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -407,9 +413,11 @@ class FragmentResolver:
     This is protocol knowledge — placement layout plus the public split
     plan — available to every decoder, as opposed to the scheduler's private
     bookkeeping of who decodes what when.  It holds the layout rule of the
-    module docstring; a subclass supplies its subfile table
-    (``subfile_keys``, ``subfile_size`` of |T| only, ``subfile_positions``)
-    and a ``frag_positions`` mapping :meth:`_frag_range` onto it.
+    module docstring; a subclass supplies its subfile table (``_index``,
+    the row of each subfile key; ``subfile_keys``, ``subfile_size`` of |T|
+    only, ``subfile_positions``, ``subfile_lengths``), a ``frag_positions``
+    mapping :meth:`_frag_range` onto it, and ``span_bits``, the library
+    bits at a span of :meth:`frag_spans`.
     """
 
     def __init__(
@@ -454,17 +462,21 @@ class FragmentResolver:
             self._frag_sizes[key] = size
         return size
 
-    def _frag_range(self, frag: FragmentId, n: int) -> tuple[int, int]:
-        """[lo, hi) of the fragment inside its subfile of ``n`` bits."""
-        key = (frag.part, len(frag.subset), n)
+    def _part_bounds(self, part: str, size: int, n: int) -> tuple[int, int, int]:
+        """[lo, hi) of ``part`` inside a subfile of ``n`` bits of a |T| =
+        ``size`` subset, and the number of slices it is cut into."""
+        key = (part, size, n)
         if key not in self._bounds:
             lo, hi = 0, n
-            for cut, keep_rest in self._cuts(frag.part, len(frag.subset)):
+            for cut, keep_rest in self._cuts(part, size):
                 mid = lo + math.floor(cut * (hi - lo))
                 lo, hi = (mid, hi) if keep_rest else (lo, mid)
-            slices = self._slices if frag.part == "u" else 1
-            self._bounds[key] = lo, hi, slices
-        lo, hi, slices = self._bounds[key]
+            self._bounds[key] = lo, hi, self._slices if part == "u" else 1
+        return self._bounds[key]
+
+    def _frag_range(self, frag: FragmentId, n: int) -> tuple[int, int]:
+        """[lo, hi) of the fragment inside its subfile of ``n`` bits."""
+        lo, hi, slices = self._part_bounds(frag.part, len(frag.subset), n)
         if frag.count % slices:
             raise ValueError(
                 f"fragment count {frag.count} does not refine {slices} slices"
@@ -474,6 +486,44 @@ class FragmentResolver:
         first, length = _near_equal_part(width, per_slice, frag.index % per_slice)
         start = lo + (frag.index // per_slice) * width + first
         return start, start + length
+
+    def frag_spans(
+        self, table: SymbolTable, at: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_frag_range` of the fragments of constituent rows ``at``
+        of ``table``, in one array pass: each one's subfile, as a row of
+        ``subfile_keys()``, and its [lo, hi) inside that subfile's position
+        run.  Part bounds are worked out once per (part, |T|, length)."""
+        subset = table.subset[at]
+        used = np.unique(subset)
+        rows = np.zeros(len(table.subsets), np.int64)
+        rows[used] = [self._index[table.subsets[s]] for s in used.tolist()]
+        sub, part = rows[subset], table.part[at]
+        n = self.subfile_lengths(table.file[at], sub)
+        size = np.fromiter(map(len, table.subsets), np.int64, len(table.subsets))[subset]
+        shape, first = _distinct(n, size, part)
+        bounds = np.array(
+            [
+                self._part_bounds(table.parts[p], z, m)
+                for p, z, m in zip(
+                    part[first].tolist(), size[first].tolist(), n[first].tolist()
+                )
+            ],
+            np.int64,
+        ).reshape(-1, 3)
+        lo, hi, slices = bounds[shape].T
+        count, index = table.count[at], table.index[at]
+        bad = np.flatnonzero(count % slices)
+        if len(bad):
+            raise ValueError(
+                f"fragment count {count[bad[0]]} does not refine {slices[bad[0]]} slices"
+            )
+        per_slice = count // slices
+        width = (hi - lo) // slices
+        i = index % per_slice  # as in _near_equal_part
+        q, r = np.divmod(width, per_slice)
+        start = lo + index // per_slice * width + i * q + np.minimum(i, r)
+        return sub, start, start + q + (i < r)
 
 
 def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
@@ -533,10 +583,20 @@ class CentralFragmentResolver(FragmentResolver):
         start = self._index[T] * self.sub_len
         return np.arange(start, start + self.sub_len)
 
+    def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
+        return np.full(len(subs), self.sub_len, np.int64)
+
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
         lo, hi = self._frag_range(frag, self.sub_len)
         start = self._index[frag.subset] * self.sub_len
         return np.arange(start + lo, start + hi)
+
+    def span_bits(
+        self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """A view of the file's bits: the subfile is one contiguous run."""
+        start = sub * self.sub_len
+        return library.files[file][start + lo : start + hi]
 
 
 class DecentralFragmentResolver(FragmentResolver):
@@ -550,6 +610,7 @@ class DecentralFragmentResolver(FragmentResolver):
         self._keys = [
             T for size in range(K + 1) for T in enumerate_subsets(K, size)
         ]
+        self._index = {T: i for i, T in enumerate(self._keys)}
         self._subfile_sizes: dict[int, Frac] = {}
 
     def subfile_keys(self) -> list[tuple[int, ...]]:
@@ -563,10 +624,28 @@ class DecentralFragmentResolver(FragmentResolver):
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         return self.placement.subfile_positions[(file, T)]
 
+    def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
+        pair, first = _distinct(subs, files)
+        positions, keys = self.placement.subfile_positions, self._keys
+        return np.array(
+            [
+                len(positions[(f, keys[T])])
+                for f, T in zip(files[first].tolist(), subs[first].tolist())
+            ],
+            np.int64,
+        ).reshape(-1)[pair]
+
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
         pos = self.subfile_positions(frag.file, frag.subset)
         lo, hi = self._frag_range(frag, len(pos))
         return pos[lo:hi]
+
+    def span_bits(
+        self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """The file's bits at a slice of the subfile's placement order."""
+        positions = self.placement.subfile_positions[(file, self._keys[sub])]
+        return library.files[file][positions[lo:hi]]
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +657,18 @@ def _payloads(
     table: SymbolTable, rows: np.ndarray, resolver: FragmentResolver, library: BitLibrary
 ) -> list[np.ndarray]:
     """Per symbol row, the XOR of its constituents' library bits, as long
-    as the longest of them (bit mode)."""
+    as the longest of them (bit mode), read through their spans."""
     lo, hi = table.cstart[rows], table.cstart[rows + 1]
-    frags = table.fragments(ranges(lo, hi))
+    at = ranges(lo, hi)
+    sub, start, stop = resolver.frag_spans(table, at)
+    spans = zip(table.file[at].tolist(), sub.tolist(), start.tolist(), stop.tolist())
     out = []
-    start = 0
-    for end in np.cumsum(hi - lo).tolist():
-        parts = [library.files[f.file][resolver.frag_positions(f)] for f in frags[start:end]]
-        payload = np.zeros(max((len(p) for p in parts), default=0), dtype=np.uint8)
+    for n in (hi - lo).tolist():
+        parts = [resolver.span_bits(library, *span) for span in islice(spans, n)]
+        payload = np.zeros(max(map(len, parts), default=0), dtype=np.uint8)
         for p in parts:
             payload[: len(p)] ^= p
         out.append(payload)
-        start = end
     return out
 
 
@@ -685,9 +764,12 @@ class _LogTables:
     ``FragmentId`` of an id on demand.  Fragments that share (file, subset,
     part, count) form a group: per group, ``groups`` holds its file, its
     subset, whether its part is "full", and its size, an integer numerator
-    over one common denominator in fluid mode (0 in bit mode, where
-    ``bit_counts`` holds each fragment's own bit count); ``group`` maps
-    each fragment id to its group and ``fsub`` to its subset's row.
+    over one common denominator in fluid mode (0 in bit mode, where each
+    fragment has its own bit count); ``group`` maps each fragment id to its
+    group and ``fsub`` to its subset's row.  In bit mode ``spans`` holds,
+    per fragment id, its file, its subfile's row in ``subfiles`` and its
+    [lo, hi) in that subfile's position run (``frag_spans``), so its bit
+    count is hi - lo.
 
     The log's live constituents (those of nonzero size, repeats kept) are
     flattened, entry after entry, into int columns: ``cons`` the fragment
@@ -699,15 +781,16 @@ class _LogTables:
     rows, so whether user k hears a constituent's entry, or caches its
     subfile, is one gather; users outside 1..K are in neither.
     ``subfiles`` lists every subfile key T with, in fluid mode, its size
-    as a numerator over the same denominator; ``payloads`` holds each
-    entry's payload in bit mode.
+    as a numerator over the same denominator.  In bit mode ``payloads``
+    holds each entry's payload, and ``fits`` marks the kept entries whose
+    payload is exactly as long as their longest live constituent.
     """
 
     frags: Sequence[FragmentId]
     group: np.ndarray
     fsub: np.ndarray
     groups: list[tuple[int, tuple[int, ...], bool, int]]
-    bit_counts: list[int]
+    spans: np.ndarray
     cons: np.ndarray
     crow: np.ndarray
     csub: np.ndarray
@@ -718,6 +801,7 @@ class _LogTables:
     caches: np.ndarray
     subfiles: list[tuple[tuple[int, ...], int]]
     payloads: Optional[list]
+    fits: Optional[np.ndarray]
 
 
 class _Fragments(ListView):
@@ -764,15 +848,15 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     fsub = subset[first]
     rep = first[members]  # one constituent of each group
     subfile_keys = resolver.subfile_keys()
-    if log.mode == "bits":  # which reads every fragment
-        frags: Sequence[FragmentId] = t.fragments(at[first])
-        bit_counts = [len(resolver.frag_positions(f)) for f in frags]
-        nonempty = np.array(bit_counts, dtype=bool).reshape(-1)
+    frags = _Fragments(t, at[first])
+    if log.mode == "bits":
+        sub, flo, fhi = resolver.frag_spans(t, at[first])
+        spans = np.stack([file[first], sub, flo, fhi], axis=1)
+        nonempty = fhi > flo
         sizes = [0] * len(rep)
         subfiles = [(T, 0) for T in subfile_keys]
     else:
-        frags = _Fragments(t, at[first])
-        bit_counts = []
+        spans = np.zeros((0, 4), np.int64)
         # a size depends on (part, count, |T|) only, so it is asked once per
         # such shape
         lengths = np.fromiter(map(len, t.subsets), np.int64, len(t.subsets))
@@ -808,12 +892,17 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     # entries are in log order, so each kept one is a run of ``entry``
     starts = np.flatnonzero(np.diff(entry, prepend=-1))
     lengths = np.diff(starts, append=len(entry))
+    fits = None
+    if log.mode == "bits":
+        longest = np.maximum.reduceat(spans[cons, 3] - spans[cons, 2], starts)
+        payloads = c.payloads
+        fits = longest == [len(payloads[i]) for i in entry[starts].tolist()]
     return _LogTables(
         frags,
         group,
         fsub,
         groups,
-        bit_counts,
+        spans,
         cons,
         c.receivers[entry],
         fsub[cons],
@@ -824,6 +913,7 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         member_columns(t.subsets, K),
         subfiles,
         c.payloads,
+        fits,
     )
 
 
@@ -837,7 +927,7 @@ def _unknown(tables: _LogTables, user: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fluid_closure(tables: _LogTables, user: int) -> np.ndarray:
     """Which fragment ids ``user`` learns by peeling, as a boolean per id
-    (fluid mode).
+    (fluid mode, and bit mode once every payload has checked out).
 
     Every entry with exactly one unknown constituent yields it, all at
     once; then only the entries that still hold two or more unknowns are
@@ -892,6 +982,66 @@ def _coverage_gap(
     return None
 
 
+def _bit_coverage_gap(
+    log: TransmissionLog,
+    tables: _LogTables,
+    user: int,
+    want: int,
+    learned: np.ndarray,
+    needed: np.ndarray,
+) -> Optional[tuple[int, ...]]:
+    """First needed subfile of ``want`` whose bits the ``learned``
+    fragments do not cover whole (bit mode, once every payload has checked
+    out); ``needed`` marks the subfiles ``user`` does not cache.
+
+    A subfile is covered when the union of its learned fragments' [lo, hi)
+    spans is all of its position run.  The union, not the sum of their
+    lengths: a subfile and its own server share may both be learned.  The
+    spans are sorted by (subfile, lo) and shifted by subfile * (F + 1), so
+    one running maximum of hi, which never crosses into the next subfile,
+    says how far each subfile is covered before each span starts."""
+    spans = tables.spans[learned]
+    file, sub, lo, hi = spans[spans[:, 0] == want].T
+    order = np.lexsort((lo, sub))
+    sub = sub[order]
+    base = sub * (log.config.F + 1)
+    lo, hi = base + lo[order], base + hi[order]
+    reach = np.maximum.accumulate(hi)
+    before = np.maximum(np.concatenate([[0], reach[:-1]]), base)
+    last = np.flatnonzero(np.diff(sub, append=-1))  # one row per subfile
+    lengths = log.resolver.subfile_lengths(
+        np.full(len(needed), want, np.int64), np.arange(len(needed))
+    )
+    covered = lengths == 0
+    covered[sub[last]] = reach[last] == base[last] + lengths[sub[last]]
+    covered[sub[lo > before]] = False
+    gaps = np.flatnonzero(needed & ~covered)
+    return tables.subfiles[gaps[0]][0] if len(gaps) else None
+
+
+def _payloads_agree(
+    log: TransmissionLog, tables: _LogTables, library: BitLibrary
+) -> bool:
+    """Whether every kept entry's payload is the XOR of its live
+    constituents' library bits, taken as long as the longest of them (bit
+    mode): one XOR per entry, read through the fragments' spans."""
+    if not tables.fits.all():
+        return False
+    read = log.resolver.span_bits
+    spans = tables.spans.tolist()
+    cons = tables.cons.tolist()
+    for i, lo, n in zip(
+        tables.entry.tolist(), tables.starts.tolist(), tables.lengths.tolist()
+    ):
+        acc = np.array(tables.payloads[i], copy=True)
+        for f in cons[lo : lo + n]:
+            part = read(library, *spans[f])
+            acc[: len(part)] ^= part
+        if acc.any():
+            return False
+    return True
+
+
 def _peel_known_fragments(
     log: TransmissionLog,
     user: int,
@@ -911,7 +1061,8 @@ def _peel_known_fragments(
     whose count reaches 1 joins the worklist.  A symbol whose unknown was
     learned from another symbol before its turn is passed over.  Each
     received constituent is handled a bounded number of times, so the cost
-    is linear in what the user receives.
+    is linear in what the user receives.  An entry whose payload is not
+    exactly as long as its longest live constituent teaches nothing.
 
     The worklist is keyed ``sweep * n + i``, i the entry's index in the log
     of n entries: symbols resolve in the order repeated in-order sweeps
@@ -919,8 +1070,8 @@ def _peel_known_fragments(
     yield the same fragment with different payloads (a corrupted log), the
     one a sweeping decoder reaches first wins.
     """
-    resolver = log.resolver
-    frags = tables.frags
+    read = log.resolver.span_bits
+    spans = tables.spans.tolist()
     cached = tables.caches[user][tables.fsub].tolist()
     _, counts = _unknown(tables, user)
     n = len(tables.payloads)
@@ -929,7 +1080,7 @@ def _peel_known_fragments(
     missing: dict[int, int] = {}
     waiting: dict[int, list[int]] = {}
     cons = tables.cons.tolist()
-    teaching = np.flatnonzero(counts)
+    teaching = np.flatnonzero((counts > 0) & tables.fits)
     for i, lo, length, count in zip(
         tables.entry[teaching].tolist(),
         tables.starts[teaching].tolist(),
@@ -959,13 +1110,10 @@ def _peel_known_fragments(
             if f == target:
                 continue
             # a cached fragment is read straight off the subfile bits
-            part = (
-                known[f]
-                if f in known
-                else library.files[frags[f].file][resolver.frag_positions(frags[f])]
-            )
+            part = known[f] if f in known else read(library, *spans[f])
             acc[: len(part)] ^= part
-        known[target] = acc[: tables.bit_counts[target]]
+        file, sub, lo, hi = spans[target]
+        known[target] = acc[: hi - lo]
         for w in waiting.pop(target, ()):
             missing[w] -= 1
             if missing[w] == 1:
@@ -1019,8 +1167,24 @@ def _first_decode_failure(
     of the scheduler.
 
     Fluid mode checks exact size coverage of every needed subfile, from
-    each user's peeling closure; bit mode peels in sweep order, reassembles
-    the file bit-for-bit and compares against the library.
+    each user's peeling closure.
+
+    Bit mode first checks each payload once (:func:`_payloads_agree`).  If
+    every entry agrees with its constituents' library bits, then by
+    induction over the peeling steps every fragment a user learns carries
+    its library bits, whatever the order: the payload XOR its other
+    constituents' bits, each cached (library bits) or learned before, is
+    the target's bits padded with zeros, cut to the target's length.  So a
+    user learns its peeling closure, each fragment with its library bits,
+    exactly as the sweep-order worklist would; two learned fragments never
+    disagree on a bit; and a needed subfile is rebuilt exactly when its
+    learned fragments' positions cover it.  Subfiles partition their file
+    and a fragment's positions are the [lo, hi) slice of its subfile's
+    run, so that is the union coverage of :func:`_bit_coverage_gap`, which
+    names the same first subfile as :func:`_misassembled_subfile`.  If any
+    entry disagrees, which payload a user learns can depend on the order,
+    so each user peels in sweep order (:func:`_peel_known_fragments`), the
+    file is reassembled bit for bit and compared against the library.
     """
     config = log.config
     if log.resolver is None:
@@ -1030,10 +1194,16 @@ def _first_decode_failure(
     demands = validate_demands(config, demands)
 
     tables = _intern_log(log)
+    closure = log.mode == "bits" and _payloads_agree(log, tables, library)
+    if closure:
+        needed = ~member_columns([T for T, _ in tables.subfiles], config.K)
     for k in config.users():
         want = demands[k - 1]
         if log.mode == "fluid":
             T = _coverage_gap(tables, k, want, _fluid_closure(tables, k))
+        elif closure:
+            learned = _fluid_closure(tables, k)
+            T = _bit_coverage_gap(log, tables, k, want, learned, needed[k])
         else:
             known = _peel_known_fragments(log, k, library, tables)
             T = _misassembled_subfile(log, tables, k, want, known, library)

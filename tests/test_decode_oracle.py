@@ -6,6 +6,11 @@ fast decoder must reach the same verdict and learn the same fragments per
 user: in bit mode in the same order and with the same payloads; in fluid
 mode, where the decoder computes each user's peeling closure at once, the
 same set.
+
+In bit mode the check decides a log whose payloads all agree with the
+library by peeling closure and bit coverage, and any other log by the
+sweep-order worklist; on every bit-mode log here its verdict must be the
+worklist's own.
 """
 
 import dataclasses
@@ -28,11 +33,15 @@ from coopcache import (
     run_centralized,
     run_decentralized,
 )
+from coopcache import simulator
+from coopcache.centralized import make_split_plan
 from coopcache.simulator import (
     _first_decode_failure,
     _fluid_closure,
     _intern_log,
+    _misassembled_subfile,
     _peel_known_fragments,
+    required_central_F,
 )
 
 
@@ -44,6 +53,17 @@ def _learned(log, user, library, tables):
         return {tables.frags[f] for f in np.flatnonzero(closure).tolist()}
     known = _peel_known_fragments(log, user, library, tables)
     return {tables.frags[f]: payload for f, payload in known.items()}
+
+
+def _worklist_failure(log, demands, library):
+    """The first failure by the sweep-order worklist alone (bit mode)."""
+    tables = _intern_log(log)
+    for k in log.config.users():
+        known = _peel_known_fragments(log, k, library, tables)
+        T = _misassembled_subfile(log, tables, k, demands[k - 1], known, library)
+        if T is not None:
+            return k, demands[k - 1], T
+    return None
 
 
 def _assert_agree(log, demands, library=None):
@@ -61,6 +81,8 @@ def _assert_agree(log, demands, library=None):
     if log.mode == "fluid":
         assert failure == oracle.first_uncovered(log, demands)
         assert failure == worklist_oracle.decode(log, demands)[1]
+    else:
+        assert failure == _worklist_failure(log, demands, library)
 
 
 def _without(log, i):
@@ -76,6 +98,20 @@ def _flipped(log, i):
     payload[-1] ^= 1
     entry = dataclasses.replace(
         entry, symbol=dataclasses.replace(entry.symbol, payload=payload)
+    )
+    return TransmissionLog(
+        log.config, log.mode, log.entries[:i] + [entry] + log.entries[i + 1 :],
+        log.resolver,
+    )
+
+
+def _truncated(log, i):
+    """The log with the last bit of entry i's payload cut off."""
+    entry = log.entries[i]
+    payload = entry.symbol.payload[:-1]
+    entry = dataclasses.replace(
+        entry, bits=len(payload),
+        symbol=dataclasses.replace(entry.symbol, payload=payload),
     )
     return TransmissionLog(
         log.config, log.mode, log.entries[:i] + [entry] + log.entries[i + 1 :],
@@ -118,18 +154,57 @@ def test_every_single_deletion_agrees(run):
         _assert_agree(_without(res.log, i), demands)
 
 
+def _bit_mutation_run(run):
+    if run == "centralized":
+        return run_centralized(SystemConfig(4, 4, 2, alpha_max=2, F=120), mode="bits")
+    return run_decentralized(
+        SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600), mode="bits"
+    )
+
+
 @pytest.mark.parametrize("run", ["centralized", "decentralized"])
 def test_every_bit_mode_mutation_agrees(run):
-    if run == "centralized":
-        res = run_centralized(SystemConfig(4, 4, 2, alpha_max=2, F=120), mode="bits")
-    else:
-        res = run_decentralized(
-            SystemConfig(3, 3, Frac(3, 2), alpha_max=1, F=600), mode="bits"
-        )
+    res = _bit_mutation_run(run)
     demands = tuple(res.log.config.users())
     for i in range(len(res.log.entries)):
         _assert_agree(_without(res.log, i), demands, res.library)
         _assert_agree(_flipped(res.log, i), demands, res.library)
+
+
+@pytest.mark.parametrize("run", ["centralized", "decentralized"])
+def test_a_truncated_payload_teaches_nothing(run):
+    # a payload shorter than its longest constituent is no XOR of them: the
+    # check names the failure the log without that entry has, and raises
+    # nothing
+    res = _bit_mutation_run(run)
+    demands = tuple(res.log.config.users())
+    for i in range(len(res.log.entries)):
+        assert _first_decode_failure(
+            _truncated(res.log, i), demands, res.library
+        ) == _first_decode_failure(_without(res.log, i), demands, res.library), i
+
+
+def _refuse(*args):
+    raise AssertionError("the sweep-order worklist ran")
+
+
+@pytest.mark.parametrize("run", ["centralized-bits", "decentralized-bits"])
+def test_intact_bit_logs_never_enter_the_worklist(run, monkeypatch):
+    res = WORKED_RUNS[run]()
+    demands = tuple(res.log.config.users())
+    monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
+    assert _first_decode_failure(res.log, demands, res.library) is None
+    # a log missing an entry fails, still without the worklist
+    assert _first_decode_failure(_without(res.log, 0), demands, res.library)
+
+
+def test_a_flipped_payload_enters_the_worklist(monkeypatch):
+    res = WORKED_RUNS["decentralized-bits"]()
+    demands = tuple(res.log.config.users())
+    log = _flipped(res.log, len(res.log.entries) - 1)
+    monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
+    with pytest.raises(AssertionError, match="worklist"):
+        _first_decode_failure(log, demands, res.library)
 
 
 @given(st.data())
@@ -151,6 +226,33 @@ def test_small_configs_agree(data):
     log = res.log
     drop = data.draw(st.integers(-1, len(log.entries) - 1), label="drop")
     _assert_agree(log if drop < 0 else _without(log, drop), demands)
+
+
+@given(st.data())
+def test_small_bit_mode_configs_agree(data):
+    K = data.draw(st.integers(2, 4), label="K")
+    t = data.draw(st.integers(0, K), label="t")
+    amax = max(1, K // 2)
+    demands = tuple(data.draw(st.permutations(range(1, K + 1)), label="demands"))
+    if data.draw(st.booleans(), label="centralized"):
+        alpha = data.draw(st.integers(1, amax), label="alpha")
+        cfg = SystemConfig(K, K, t, alpha_max=amax)
+        F = required_central_F(cfg, make_split_plan(cfg, alpha))
+        res = run_centralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands,
+            alpha=alpha, mode="bits", check_decode=False,
+        )
+    else:
+        F = data.draw(st.integers(20, 200), label="F")
+        res = run_decentralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands,
+            mode="bits", check_decode=False,
+        )
+    log = res.log
+    i = data.draw(st.integers(-1, len(log.entries) - 1), label="entry")
+    if i >= 0 and len(log.entries[i].symbol.payload):
+        log = data.draw(st.sampled_from([_without, _flipped]), label="how")(log, i)
+    _assert_agree(log, demands, res.library)
 
 
 # hand-made logs: shapes no scheduler emits, where a careless worklist would
@@ -205,3 +307,34 @@ def test_a_fragment_held_twice_is_not_learned():
     known = _learned(log, 1, res.library, _intern_log(log))
     assert G in known and F not in known
     _assert_agree(log, (1, 2, 3, 4), res.library)
+
+
+def _xor(*parts):
+    """The XOR of bit arrays, as long as the longest of them."""
+    out = np.zeros(max(map(len, parts)), np.uint8)
+    for p in parts:
+        out[: len(p)] ^= p
+    return out
+
+
+def test_coverage_needs_the_closure_and_the_union_of_spans():
+    # user 1 learns G and W_{1,(2,3)} in the first round of peeling, and
+    # W_{1,(2,4)} only in the second, from the pair; G is the server share
+    # of W_{1,(2,3)}, so the bits of (2,3) are covered twice over and a sum
+    # of lengths would overshoot.  (3, 4) is never sent.
+    whole = {T: FragmentId(1, T, "full", 0, 1) for T in [(2, 3), (2, 4)]}
+
+    def symbols(bits):
+        pair = (G, whole[(2, 4)])
+        return [
+            (pair, _xor(*map(bits, pair))),
+            ((G,), bits(G)),
+            ((whole[(2, 3)],), bits(whole[(2, 3)])),
+        ]
+
+    log, res = _hand_log(symbols)
+    users = (1, 2, 3, 4)
+    assert _first_decode_failure(log, users, res.library) == (1, 1, (3, 4))
+    _assert_agree(log, users, res.library)
+    for i in range(len(log.entries)):
+        _assert_agree(_flipped(log, i), users, res.library)
