@@ -1001,7 +1001,7 @@ def _bit_coverage_gap(
     one running maximum of hi, which never crosses into the next subfile,
     says how far each subfile is covered before each span starts."""
     spans = tables.spans[learned]
-    file, sub, lo, hi = spans[spans[:, 0] == want].T
+    _, sub, lo, hi = spans[spans[:, 0] == want].T
     order = np.lexsort((lo, sub))
     sub = sub[order]
     base = sub * (log.config.F + 1)
@@ -1112,7 +1112,7 @@ def _peel_known_fragments(
             # a cached fragment is read straight off the subfile bits
             part = known[f] if f in known else read(library, *spans[f])
             acc[: len(part)] ^= part
-        file, sub, lo, hi = spans[target]
+        _, _, lo, hi = spans[target]
         known[target] = acc[: hi - lo]
         for w in waiting.pop(target, ()):
             missing[w] -= 1
