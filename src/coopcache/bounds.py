@@ -18,6 +18,17 @@ the intermediate-parallelism regime.  Both take the ratio by one rule,
 over converse.  p_th(K) is the unique root of
 (K+1)(1-p)^(K-1) = 1; side-of-threshold tests are exact integer
 comparisons, and the reported value is a bisection interval of width 1e-9.
+
+Certification compares exact integers and builds no ``Fraction`` per point.
+Each quantity is a (numerator, positive denominator) pair: the converse from
+the same cut core as ``lower_bound``, the centralized delay at integer t as
+(K-t)/(1+t+alpha*m) (other t go through ``centralized_delay``), the
+decentralized delay from the integer rate numerators, and the ratio by the
+``gap_ratio`` rule.  Two ratios, or a ratio and a bound, are compared by
+cross-multiplying, and a strict > keeps the first point of a tie as the
+worst.  Only the points a report carries (worst points, violations,
+min-form exceedances) are built as ``GapPoint``s with ``Fraction`` ratios.
+The closed-form R_u bounds are checked the same way against R_u and 4*R_s.
 """
 
 from __future__ import annotations
@@ -30,13 +41,8 @@ from fractions import Fraction as Frac
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Union
 
-from .centralized import centralized_delay, choose_alpha
-from .decentralized import (
-    corollary_bounds,
-    decentralized_delay,
-    parallelism_regime,
-    rate_components,
-)
+from .centralized import _best_alpha, centralized_delay, choose_alpha
+from .decentralized import _corollary_ints, _delay_ints, _rate_ints, parallelism_regime
 from .model import SystemConfig, as_frac
 
 # ---------------------------------------------------------------------------
@@ -48,7 +54,10 @@ def p_at_least_threshold(K: int, p: Frac) -> bool:
     """Exact test of p >= p_th(K): (K+1)(b-a)^(K-1) <= b^(K-1), p = a/b."""
     if K < 2:
         raise ValueError(f"threshold needs K >= 2, got {K}")
-    a, b = p.numerator, p.denominator
+    return _at_least_threshold(K, p.numerator, p.denominator)
+
+
+def _at_least_threshold(K: int, a: int, b: int) -> bool:
     return (K + 1) * (b - a) ** (K - 1) <= b ** (K - 1)
 
 
@@ -107,18 +116,25 @@ def gap_regime(config: SystemConfig) -> str:
 
 def gap_ratio(achievable: Frac, converse: Frac) -> Frac:
     """Achievable delay over the converse; 1 where both are 0 (M = N)."""
-    if achievable == 0 and converse == 0:
-        return Frac(1)
-    return achievable / converse
+    return Frac(*_ratio(*achievable.as_integer_ratio(), *converse.as_integer_ratio()))
 
 
-def lower_bound(config: SystemConfig) -> BoundReport:
-    """Best cut-set lower bound on the optimal delay (exact rational).
+def _ratio(an: int, ad: int, cn: int, cd: int) -> tuple[int, int]:
+    """``gap_ratio`` of achievable an/ad over converse cn/cd (positive
+    denominators) as (numerator, denominator); the denominator is positive
+    where the converse is, as it is at every config."""
+    if cn == 0:
+        if an == 0:
+            return 1, 1
+        raise ZeroDivisionError(f"achievable delay {an}/{ad} over a zero converse")
+    return an * cd, ad * cn
 
-    Inner terms may go negative for large M; the max is still taken, and the
-    half-rate term keeps the bound nonnegative.
-    """
-    N, K, a, b = config.N, config.K, config.M.numerator, config.M.denominator
+
+def _cuts(
+    N: int, K: int, a: int, b: int, alpha_max: int
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The half-rate, server-only and cooperative cut maxima at M = a/b, each
+    as (numerator, positive denominator)."""
     # each family's best cut so far as (numerator, denominator), from s = 1
     (sn, sd), (cn, cd) = (N * b - K * a, N * b), (N * b - a, N * b)
     for s in range(2, K + 1):
@@ -127,14 +143,28 @@ def lower_bound(config: SystemConfig) -> BoundReport:
             sn, sd = s * d - K * a, d
         if s * (d - a) * cd > cn * d:
             cn, cd = s * (d - a), d
-    half, server_only = Frac(N * b - a, 2 * N * b), Frac(sn, sd)
-    coop = Frac(cn, cd * (1 + config.alpha_max))
-    return BoundReport(
-        (half, server_only, coop),
-        max(half, server_only, coop),
-        gap_regime(config),
-        _p_th_midpoint(K),
-    )
+    return (N * b - a, 2 * N * b), (sn, sd), (cn, cd * (1 + alpha_max))
+
+
+def _converse(N: int, K: int, a: int, b: int, alpha_max: int) -> tuple[int, int]:
+    """T_lower at M = a/b as (numerator, positive denominator)."""
+    (n, d), *rest = _cuts(N, K, a, b, alpha_max)
+    for rn, rd in rest:
+        if rn * d > n * rd:
+            n, d = rn, rd
+    return n, d
+
+
+def lower_bound(config: SystemConfig) -> BoundReport:
+    """Best cut-set lower bound on the optimal delay (exact rational).
+
+    Inner terms may go negative for large M; the max is still taken, and the
+    half-rate term keeps the bound nonnegative.
+    """
+    N, K, M = config.N, config.K, config.M
+    cuts = _cuts(N, K, M.numerator, M.denominator, config.alpha_max)
+    terms = tuple(Frac(n, d) for n, d in cuts)
+    return BoundReport(terms, max(terms), gap_regime(config), _p_th_midpoint(K))
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +271,54 @@ class CentralizedGapReport:
         return self.points > 0 and not self.violations
 
 
-def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport:
-    """Check T_central/T_lower <= 31 on ``grid`` (and <= 2 where t >= K-1).
+def _central_delay(config: SystemConfig) -> tuple[int, int]:
+    """``centralized_delay(config)`` as (numerator, positive denominator); at
+    integer t, (K-t)/(1+t+alpha*m) with m = min(K//alpha - 1, t)."""
+    K, M = config.K, config.M
+    tn, td = K * M.numerator, config.N * M.denominator
+    if tn % td:
+        T = centralized_delay(config)
+        return T.numerator, T.denominator
+    t = tn // td
+    alpha = _best_alpha(K, t, 1, config.alpha_max)
+    return K - t, 1 + t + alpha * min(K // alpha - 1, t)
 
-    Ratios are exact ``gap_ratio`` values.  Every offending config lands
-    in ``violations``.
+
+def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport:
+    """Check T_central/T_lower <= BOUND = 31 on ``grid`` (and <= HIGH_T_BOUND
+    = 2 where t >= K-1).
+
+    Ratios are exact ``gap_ratio`` values, compared in integers; the worst
+    point (the first of a tie) and every offending config are reported.
     """
     report = CentralizedGapReport()
+    bn, bd = report.BOUND.numerator, report.BOUND.denominator
+    hn, hd = report.HIGH_T_BOUND.numerator, report.HIGH_T_BOUND.denominator
+    worst = worst_high = None  # (ratio numerator, denominator, config)
     for config in grid:
-        rep = lower_bound(config)
-        point = GapPoint(
-            config, gap_ratio(centralized_delay(config), rep.T_lower), rep.regime
-        )
+        N, K, M = config.N, config.K, config.M
+        a, b = M.numerator, M.denominator
+        converse = _converse(N, K, a, b, config.alpha_max)
+        rn, rd = _ratio(*_central_delay(config), *converse)
         report.points += 1
-        if report.worst is None or point.ratio > report.worst.ratio:
-            report.worst = point
-        high_t = config.t >= config.K - 1
-        if high_t and (
-            report.worst_high_t is None or point.ratio > report.worst_high_t.ratio
-        ):
-            report.worst_high_t = point
-        bound = report.HIGH_T_BOUND if high_t else report.BOUND
-        if point.ratio > bound:
-            report.violations.append(point)
+        if worst is None or rn * worst[1] > worst[0] * rd:
+            worst = rn, rd, config
+        if K * a >= (K - 1) * N * b:  # t >= K-1
+            if worst_high is None or rn * worst_high[1] > worst_high[0] * rd:
+                worst_high = rn, rd, config
+            if rn * hd > hn * rd:
+                report.violations.append(_central_point(rn, rd, config))
+        elif rn * bd > bn * rd:
+            report.violations.append(_central_point(rn, rd, config))
+    if worst is not None:
+        report.worst = _central_point(*worst)
+    if worst_high is not None:
+        report.worst_high_t = _central_point(*worst_high)
     return report
+
+
+def _central_point(rn: int, rd: int, config: SystemConfig) -> GapPoint:
+    return GapPoint(config, Frac(rn, rd), gap_regime(config))
 
 
 def decentralized_gap_bound(config: SystemConfig) -> tuple[Frac, str, Optional[Frac]]:
@@ -311,21 +365,38 @@ def verify_gap_decentralized(grid: Iterable[SystemConfig]) -> DecentralizedGapRe
 
     Points whose ratio exceeds the bare min-form bound (but not the floored
     branch bound) are recorded in ``min_form_exceedances`` rather than
-    failed.
+    failed.  Ratios and bounds are compared in integers; the branch bound
+    depends only on (K, alpha_max, side of p_th) and is looked up once per
+    such key in this call.
     """
     report = DecentralizedGapReport()
+    branch_bounds: dict[tuple[int, int, bool], tuple] = {}
+    worst: dict[str, tuple[int, int, SystemConfig]] = {}
     for config in grid:
-        ratio = gap_ratio(decentralized_delay(config), lower_bound(config).T_lower)
-        bound, branch, min_form = decentralized_gap_bound(config)
-        point = GapPoint(config, ratio, branch)
+        N, K, amax, M = config.N, config.K, config.alpha_max, config.M
+        a, b = M.numerator, M.denominator
+        g = math.gcd(a, N * b)
+        pa, pb = a // g, N * b // g  # p = M/N in lowest terms
+        key = (K, amax, _at_least_threshold(K, pa, pb))
+        if key not in branch_bounds:
+            bound, branch, min_form = decentralized_gap_bound(config)
+            if min_form is not None:
+                min_form = min_form.as_integer_ratio()
+            branch_bounds[key] = bound.as_integer_ratio(), branch, min_form
+        (bn, bd), branch, min_form = branch_bounds[key]
+        rn, rd = _ratio(*_delay_ints(K, amax, pa, pb), *_converse(N, K, a, b, amax))
         report.points += 1
-        cur = report.worst_by_branch.get(branch)
-        if cur is None or ratio > cur.ratio:
-            report.worst_by_branch[branch] = point
-        if ratio > bound:
-            report.violations.append(point)
-        elif min_form is not None and ratio > min_form:
-            report.min_form_exceedances.append(point)
+        cur = worst.get(branch)
+        if cur is None or rn * cur[1] > cur[0] * rd:
+            worst[branch] = rn, rd, config
+        if rn * bd > bn * rd:
+            report.violations.append(GapPoint(config, Frac(rn, rd), branch))
+        elif min_form is not None and rn * min_form[1] > min_form[0] * rd:
+            report.min_form_exceedances.append(GapPoint(config, Frac(rn, rd), branch))
+    report.worst_by_branch = {
+        branch: GapPoint(config, Frac(rn, rd), branch)
+        for branch, (rn, rd, config) in worst.items()
+    }
     return report
 
 
@@ -335,20 +406,23 @@ def verify_user_rate_bounds() -> tuple[Optional[tuple[SystemConfig, str]], bool]
     Returns (first_failure, shared_ok): the first (config, regime), scanning
     K, then alpha_max in {1, 2, floor(K/2)}, then p, whose bound falls below
     R_u (None if none does), and whether the shared-link bound stays below
-    4*R_s at every alpha_max = 1 point.  Each config is built, bounded and
-    rated once.
+    4*R_s at every alpha_max = 1 point.  Bounds and rates are compared in
+    integers over their own positive denominators; only a failing point
+    builds its config.
     """
     first_failure = None
     shared_ok = True
     for K in range(4, 13):
         for amax in sorted({1, 2, K // 2}):
             for i in range(1, 100):
-                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
-                regime, bound = corollary_bounds(cfg)
-                rc = rate_components(cfg)
-                if first_failure is None and bound < rc.R_u:
+                g = math.gcd(i, 100)
+                a, b = i // g, 100 // g
+                regime, (cn, cd) = _corollary_ints(K, amax, a, b)
+                _, S, U, D = _rate_ints(K, amax, a, b)
+                if first_failure is None and cn * D < U * cd:
+                    cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
                     first_failure = (cfg, regime)
-                if amax == 1 and not bound < 4 * rc.R_s:
+                if amax == 1 and not cn * D < 4 * S * cd:
                     shared_ok = False
     return first_failure, shared_ok
 

@@ -53,6 +53,7 @@ closed-form target and max(R1, R2) is what the schedule realises.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -124,6 +125,28 @@ def f_ks(K: int, s: int) -> int:
     return round_shapes(K, K)[s - 2][3]
 
 
+@functools.lru_cache(maxsize=None)
+def _round_coefficients(
+    K: int, alpha_max: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """((s, s*C(K,s) * den/D_s) per round, den): the R_u terms' integer
+    coefficients over den, the lcm of the rounds' D_s (``round_shapes``)."""
+    shapes = round_shapes(K, alpha_max)
+    den = math.lcm(*(D for _, _, _, D in shapes))
+    return tuple((s, s * math.comb(K, s) * (den // D)) for s, _, _, D in shapes), den
+
+
+def _rate_ints(K: int, alpha_max: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """:func:`_rate_numerators` at p = a/b, in lowest terms."""
+    if a == 0:
+        return K, K, 0, 1
+    c, bK = b - a, b**K
+    coefs, den = _round_coefficients(K, alpha_max)
+    num = sum(coef * a ** (s - 1) * c ** (K - s + 1) for s, coef in coefs)
+    cK = c**K
+    return K * cK * a * den, c * (bK - cK) * den, num * a, a * den * bK
+
+
 def _rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:
     """R_empty, R_s, R_u of :func:`rate_components` as integer numerators
     over one common denominator: (E, S, U, D) with R_empty = E/D and so on.
@@ -133,18 +156,17 @@ def _rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:
     c^(K-s+1) / (D_s b^K) are summed over the lcm of the rounds' D_s.  At
     p = 0, R_s takes its continuity value K and R_u is 0.
     """
-    K = config.K
-    a, b = config.p.numerator, config.p.denominator
-    c, bK = b - a, b**K
-    if a == 0:
-        return K, K, 0, 1
-    num, den = 0, 1
-    for s, _, _, D in round_shapes(K, config.alpha_max):
-        lcm = math.lcm(den, D)
-        coef = s * math.comb(K, s) * (lcm // D)
-        num = num * (lcm // den) + coef * a ** (s - 1) * c ** (K - s + 1)
-        den = lcm
-    return K * c**K * a * den, c * (bK - c**K) * den, num * a, a * den * bK
+    p = config.p
+    return _rate_ints(config.K, config.alpha_max, p.numerator, p.denominator)
+
+
+def _balanced_delay(E: int, S: int, U: int, D: int) -> Optional[tuple[int, int]]:
+    """The balance rule of :func:`decentralized_rates` on (E, S, U, D): None
+    when lambda is 0 (U < E, or S + U = E), where T = R_empty = E/D; else
+    T = S*U / (D (S + U - E)) as (numerator, positive denominator)."""
+    if U < E or S + U == E:
+        return None
+    return S * U, D * (S + U - E)
 
 
 def rate_components(config: SystemConfig) -> RateComponents:
@@ -219,16 +241,24 @@ def decentralized_rates(config: SystemConfig) -> DecentralizedRates:
     """
     E, S, U, D = _rate_numerators(config)
     rc = RateComponents(Frac(E, D), Frac(S, D), Frac(U, D))
-    if U < E or S + U == E:
+    T = _balanced_delay(E, S, U, D)
+    if T is None:
         return DecentralizedRates(rc.R_empty, rc.R_u, rc.R_empty, Frac(0), rc)
     balanced = Frac(U * (E + S), D * (S + U))
-    T = Frac(S * U, D * (S + U - E))
-    return DecentralizedRates(balanced, balanced, T, Frac(U - E, S + U), rc)
+    return DecentralizedRates(balanced, balanced, Frac(*T), Frac(U - E, S + U), rc)
+
+
+def _delay_ints(K: int, alpha_max: int, a: int, b: int) -> tuple[int, int]:
+    """Headline delay T at p = a/b, in lowest terms, as (numerator,
+    positive denominator)."""
+    E, S, U, D = _rate_ints(K, alpha_max, a, b)
+    return _balanced_delay(E, S, U, D) or (E, D)
 
 
 def decentralized_delay(config: SystemConfig) -> Frac:
-    """Headline decentralized delay T (exact)."""
-    return decentralized_rates(config).T
+    """Headline decentralized delay T (exact), ``decentralized_rates(config).T``."""
+    p = config.p
+    return Frac(*_delay_ints(config.K, config.alpha_max, p.numerator, p.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +300,45 @@ def parallelism_regime(config: SystemConfig) -> str:
 
     K = 2 and K = 3 allow only alpha_max = 1 = floor(K/2): flexible.
     """
-    if config.alpha_max == config.K // 2:
+    return _regime(config.K, config.alpha_max)
+
+
+def _regime(K: int, alpha_max: int) -> str:
+    if alpha_max == K // 2:
         return "flexible"
-    return "shared" if config.alpha_max == 1 else "middle"
+    return "shared" if alpha_max == 1 else "middle"
+
+
+def _corollary_ints(
+    K: int, alpha_max: int, a: int, b: int
+) -> tuple[str, Optional[tuple[int, int]]]:
+    """:func:`corollary_bounds` at p = a/b as (regime, (numerator, positive
+    denominator)); the bound is None at p = 0.
+
+    With c = b - a, the shared form is c X / (2(K+1) a^2 b^K), where
+    X = 2(K+1) a b^K - 5K(K+1) a^2 c^(K-1) - 8(K+1) a c^K
+    + 6(b^(K+1) - c^(K+1)); the flexible form is
+    K c Y / ((K-1)(K-2) a b^(K+1)), where
+    Y = (K-2) a b (b^(K-1) - c^(K-1)) + 2b(b^K - c^K - K a c^(K-1)).
+    """
+    regime = "shared" if K == 2 else _regime(K, alpha_max)
+    if a == 0:
+        return regime, None
+    c = b - a
+    bK1, cK1 = b ** (K - 1), c ** (K - 1)
+    bK, cK = bK1 * b, cK1 * c
+    if regime != "flexible":
+        X = 2 * (K + 1) * a * bK - 5 * K * (K + 1) * a * a * cK1
+        X += 6 * (bK * b - cK * c) - 8 * (K + 1) * a * cK
+        shared = c * X, 2 * (K + 1) * a * a * bK
+        if regime == "shared":
+            return regime, shared
+    Y = (K - 2) * a * b * (bK1 - cK1) + 2 * b * (bK - cK - K * a * cK1)
+    flexible = K * c * Y, (K - 1) * (K - 2) * a * bK * b
+    if regime == "flexible":
+        return regime, flexible
+    (sn, sd), (fn, fd) = shared, flexible
+    return regime, (sn * fd + fn * sd * alpha_max, sd * alpha_max * fd)
 
 
 def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
@@ -285,32 +351,14 @@ def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
       middle:   shared/alpha_max + flexible
 
     K = 2 takes the shared form and label: the flexible form divides by
-    K-2.  p = 0 returns math.inf (the bounds blow up as 1/p).
+    K-2.  p = 0 returns math.inf (the bounds blow up as 1/p).  Computed in
+    integers (:func:`_corollary_ints`).
     """
-    K, p, amax = config.K, config.p, config.alpha_max
-    regime = "shared" if K == 2 else parallelism_regime(config)
-    if p == 0:
-        return regime, math.inf
-    q = 1 - p
-
-    def shared() -> Frac:
-        return (q / p) * (
-            1
-            - Frac(5, 2) * K * p * q ** (K - 1)
-            - 4 * q**K
-            + 3 * (1 - q ** (K + 1)) / ((K + 1) * p)
-        )
-
-    def flexible() -> Frac:
-        return (Frac(K) * q / (K - 1)) * (
-            1 - q ** (K - 1) + Frac(2) / p * (1 - q**K - K * p * q ** (K - 1)) / (K - 2)
-        )
-
-    if regime == "shared":
-        return regime, shared()
-    if regime == "flexible":
-        return regime, flexible()
-    return regime, shared() / amax + flexible()
+    p = config.p
+    regime, bound = _corollary_ints(
+        config.K, config.alpha_max, p.numerator, p.denominator
+    )
+    return regime, math.inf if bound is None else Frac(*bound)
 
 
 # ---------------------------------------------------------------------------

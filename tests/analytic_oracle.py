@@ -6,8 +6,12 @@ integer-t centralized rates below are what the package evaluated before it
 compared the cuts and summed the closed forms in integers: every cut,
 power and coefficient is its own ``Fraction``.  ``coding_gain_m``,
 ``choose_alpha`` and ``make_split_plan`` are the Fraction versions the
-centralized rates were built on.  They serve only as the oracle the integer path in ``coopcache``
-is checked against.
+centralized rates were built on.  ``gap_ratio``, ``corollary_bounds`` and
+the three certifications (``verify_gap_centralized``,
+``verify_gap_decentralized``, ``verify_user_rate_bounds``) are the versions
+that built a ``Fraction`` ratio, converse and bound at every grid point,
+before the package compared them in integers.  They serve only as the
+oracle the integer path in ``coopcache`` is checked against.
 """
 
 from __future__ import annotations
@@ -15,17 +19,25 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction as Frac
-from typing import Optional
+from typing import Iterable, Optional
 
 from coopcache import (
     BoundReport,
+    CentralizedGapReport,
     CentralizedRates,
+    DecentralizedGapReport,
+    GapPoint,
     RateComponents,
     SplitPlan,
     SystemConfig,
+    centralized_delay,
+    decentralized_delay,
+    decentralized_gap_bound,
     f_ks,
     parallelism_regime,
+    round_shapes,
 )
+from coopcache import lower_bound as package_lower_bound
 
 # ---------------------------------------------------------------------------
 # threshold and converse
@@ -117,6 +129,23 @@ def rate_components(config: SystemConfig) -> RateComponents:
             * q ** (K - s + 1)
         )
     return RateComponents(R_empty, R_s, R_u)
+
+
+def rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:
+    """(E, S, U, D) with R_empty = E/D, R_s = S/D, R_u = U/D, the R_u terms
+    summed over a running lcm of the rounds' D_s, one round at a time."""
+    K = config.K
+    a, b = config.p.numerator, config.p.denominator
+    c, bK = b - a, b**K
+    if a == 0:
+        return K, K, 0, 1
+    num, den = 0, 1
+    for s, _, _, D in round_shapes(K, config.alpha_max):
+        lcm = math.lcm(den, D)
+        coef = s * math.comb(K, s) * (lcm // D)
+        num = num * (lcm // den) + coef * a ** (s - 1) * c ** (K - s + 1)
+        den = lcm
+    return K * c**K * a * den, c * (bK - c**K) * den, num * a, a * den * bK
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +253,132 @@ def centralized_rates(
         None,
         interpolated=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form R_u bounds and the grid certifications
+# ---------------------------------------------------------------------------
+
+# The certifications take the converse from the package's ``lower_bound``,
+# as they did in the package; the Fraction ``lower_bound`` above is checked
+# against it at every point of both shipped grids.
+
+
+def gap_ratio(achievable: Frac, converse: Frac) -> Frac:
+    """Achievable delay over the converse; 1 where both are 0 (M = N)."""
+    if achievable == 0 and converse == 0:
+        return Frac(1)
+    return achievable / converse
+
+
+def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
+    """Closed-form upper bound on R_u for the config's parallelism regime.
+
+    Returns (regime, bound), the regime as ``parallelism_regime`` names it:
+
+      shared:   (q/p)[1 - (5/2)Kpq^(K-1) - 4q^K + 3(1-q^(K+1))/((K+1)p)]
+      flexible: (Kq/(K-1))[1 - q^(K-1) + (2/p)(1 - q^K - Kpq^(K-1))/(K-2)]
+      middle:   shared/alpha_max + flexible
+
+    K = 2 takes the shared form and label: the flexible form divides by
+    K-2.  p = 0 returns math.inf (the bounds blow up as 1/p).
+    """
+    K, p, amax = config.K, config.p, config.alpha_max
+    regime = "shared" if K == 2 else parallelism_regime(config)
+    if p == 0:
+        return regime, math.inf
+    q = 1 - p
+
+    def shared() -> Frac:
+        return (q / p) * (
+            1
+            - Frac(5, 2) * K * p * q ** (K - 1)
+            - 4 * q**K
+            + 3 * (1 - q ** (K + 1)) / ((K + 1) * p)
+        )
+
+    def flexible() -> Frac:
+        return (Frac(K) * q / (K - 1)) * (
+            1 - q ** (K - 1) + Frac(2) / p * (1 - q**K - K * p * q ** (K - 1)) / (K - 2)
+        )
+
+    if regime == "shared":
+        return regime, shared()
+    if regime == "flexible":
+        return regime, flexible()
+    return regime, shared() / amax + flexible()
+
+
+def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport:
+    """Check T_central/T_lower <= 31 on ``grid`` (and <= 2 where t >= K-1).
+
+    Ratios are exact ``gap_ratio`` values.  Every offending config lands
+    in ``violations``.
+    """
+    report = CentralizedGapReport()
+    for config in grid:
+        rep = package_lower_bound(config)
+        point = GapPoint(
+            config, gap_ratio(centralized_delay(config), rep.T_lower), rep.regime
+        )
+        report.points += 1
+        if report.worst is None or point.ratio > report.worst.ratio:
+            report.worst = point
+        high_t = config.t >= config.K - 1
+        if high_t and (
+            report.worst_high_t is None or point.ratio > report.worst_high_t.ratio
+        ):
+            report.worst_high_t = point
+        bound = report.HIGH_T_BOUND if high_t else report.BOUND
+        if point.ratio > bound:
+            report.violations.append(point)
+    return report
+
+
+def verify_gap_decentralized(grid: Iterable[SystemConfig]) -> DecentralizedGapReport:
+    """Check T_decentral/T_lower against the branch bounds on ``grid``.
+
+    Points whose ratio exceeds the bare min-form bound (but not the floored
+    branch bound) are recorded in ``min_form_exceedances`` rather than
+    failed.
+    """
+    report = DecentralizedGapReport()
+    for config in grid:
+        ratio = gap_ratio(
+            decentralized_delay(config), package_lower_bound(config).T_lower
+        )
+        bound, branch, min_form = decentralized_gap_bound(config)
+        point = GapPoint(config, ratio, branch)
+        report.points += 1
+        cur = report.worst_by_branch.get(branch)
+        if cur is None or ratio > cur.ratio:
+            report.worst_by_branch[branch] = point
+        if ratio > bound:
+            report.violations.append(point)
+        elif min_form is not None and ratio > min_form:
+            report.min_form_exceedances.append(point)
+    return report
+
+
+def verify_user_rate_bounds() -> tuple[Optional[tuple[SystemConfig, str]], bool]:
+    """Check the closed-form R_u bounds on K in 4..12, p in 1/100..99/100.
+
+    Returns (first_failure, shared_ok): the first (config, regime), scanning
+    K, then alpha_max in {1, 2, floor(K/2)}, then p, whose bound falls below
+    R_u (None if none does), and whether the shared-link bound stays below
+    4*R_s at every alpha_max = 1 point.  Each config is built, bounded and
+    rated once.
+    """
+    first_failure = None
+    shared_ok = True
+    for K in range(4, 13):
+        for amax in sorted({1, 2, K // 2}):
+            for i in range(1, 100):
+                cfg = SystemConfig(N=K, K=K, M=Frac(i * K, 100), alpha_max=amax)
+                regime, bound = corollary_bounds(cfg)
+                rc = rate_components(cfg)
+                if first_failure is None and bound < rc.R_u:
+                    first_failure = (cfg, regime)
+                if amax == 1 and not bound < 4 * rc.R_s:
+                    shared_ok = False
+    return first_failure, shared_ok

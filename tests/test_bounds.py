@@ -372,7 +372,9 @@ def test_min_form_exceedance_is_noted_not_failed(monkeypatch):
     assert min_form < bound == 77
     T_lower = lower_bound(cfg).T_lower
     monkeypatch.setattr(
-        bounds_module, "decentralized_delay", lambda c: (min_form + 1) * T_lower
+        bounds_module,
+        "_delay_ints",
+        lambda K, amax, a, b: ((min_form + 1) * T_lower).as_integer_ratio(),
     )
     report = verify_gap_decentralized([cfg])
     assert report.passed

@@ -409,16 +409,16 @@ def test_verify_names_the_first_user_rate_bound_failure(tmp_path, capsys, monkey
                             "alpha_max_choices": [1]},
         "decentralized_gap": {"K": [3, 3], "p_grid_denominator": 4},
     }))
-    real = bounds.corollary_bounds
+    real = bounds._corollary_ints
     failing = {(5, 2, Frac(3, 10)), (9, 4, Frac(1, 2))}
 
-    def corollary_bounds(cfg):
-        regime, bound = real(cfg)
-        if (cfg.K, cfg.alpha_max, cfg.p) in failing:
-            return regime, Frac(0)
+    def corollary_ints(K, amax, a, b):
+        regime, bound = real(K, amax, a, b)
+        if (K, amax, Frac(a, b)) in failing:
+            return regime, (0, 1)
         return regime, bound
 
-    monkeypatch.setattr(bounds, "corollary_bounds", corollary_bounds)
+    monkeypatch.setattr(bounds, "_corollary_ints", corollary_ints)
     code, out, _ = _run(capsys, ["verify", "--grid", str(grid)])
     assert code == 1
     line = next(x for x in out.splitlines() if "dominate R_u" in x)
