@@ -67,9 +67,9 @@ from .model import (
     DeliverySchedule,
     SchedulingError,
     SymbolTable,
+    Symbols,
     SystemConfig,
     UserRounds,
-    XorSymbol,
     enumerate_equal_partitions,
     enumerate_subsets,
     equal_partition_count,
@@ -78,7 +78,7 @@ from .model import (
     offsets,
     others,
     ranges,
-    server_shares,
+    server_multicast,
     validate_demands,
 )
 
@@ -281,20 +281,15 @@ def centralized_delay(config: SystemConfig, alpha: Optional[int] = None) -> Frac
 
 def build_server_schedule(
     config: SystemConfig, plan: SplitPlan, demands: Sequence[int]
-) -> list[XorSymbol]:
-    """Server multicast: for each (t+1)-subset S, XOR of server shares
-    W^s_{d_k, S\\{k}} over k in S; each symbol is lambda*F/C(K,t) long."""
+) -> Symbols:
+    """Server multicast (:func:`model.server_multicast`): for each
+    (t+1)-subset S, XOR of server shares W^s_{d_k, S\\{k}} over k in S;
+    each symbol is lambda*F/C(K,t) long."""
     d = validate_demands(config, demands)
     t, K = _integer_t(config), config.K
     lam = plan.server_share
-    if lam == 0 or t >= K:
-        return []
-    size = lam / math.comb(K, t)
-    everyone = tuple(config.users())
-    return [
-        XorSymbol(0, everyone, server_shares(d, S), size)
-        for S in enumerate_subsets(K, t + 1)
-    ]
+    runs = [] if lam == 0 or t >= K else [(t + 1, "s", lam / math.comb(K, t), False)]
+    return server_multicast(K, d, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -888,19 +883,15 @@ def build_delivery(
     server_share: Optional[Frac] = None,
 ) -> tuple[SplitPlan, DeliverySchedule]:
     """Full centralized delivery: server symbols plus user rounds."""
-    plan, sched, _ = _delivery(config, demands, alpha, server_share)
-    return plan, sched
+    plan = make_split_plan(config, alpha=alpha, server_share=server_share)
+    return plan, _delivery(config, plan, demands)[0]
 
 
 def _delivery(
-    config: SystemConfig,
-    demands: Sequence[int],
-    alpha: Optional[int],
-    server_share: Optional[Frac],
-) -> tuple[SplitPlan, DeliverySchedule, Optional[CentralPlacement]]:
-    """:func:`build_delivery`, and the placement its user schedule built
-    (None when users deliver nothing), which a run reuses."""
-    plan = make_split_plan(config, alpha=alpha, server_share=server_share)
+    config: SystemConfig, plan: SplitPlan, demands: Sequence[int]
+) -> tuple[DeliverySchedule, Optional[CentralPlacement]]:
+    """:func:`build_delivery` at ``plan``, and the placement its user
+    schedule built (None when users deliver nothing), which a run reuses."""
     sched, placement = _user_schedule(config, plan, demands)
     sched.server_symbols = build_server_schedule(config, plan, demands)
-    return plan, sched, placement
+    return sched, placement

@@ -34,15 +34,10 @@ from .bounds import (
     verify_gap_decentralized,
     verify_user_rate_bounds,
 )
-from .centralized import (
-    MAX_USER_SYMBOLS,
-    centralized_rates,
-    check_schedule_size,
-    make_split_plan,
-)
-from .decentralized import check_run_size, decentralized_gains, decentralized_rates
-from .model import SystemConfig, as_frac, validate_demands
-from .simulator import check_central_F, check_mode, run_centralized, run_decentralized
+from .centralized import MAX_USER_SYMBOLS, centralized_rates
+from .decentralized import decentralized_gains, decentralized_rates
+from .model import SystemConfig, as_frac
+from .simulator import run_centralized, run_decentralized
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -279,18 +274,9 @@ def cmd_simulate(args, out: TextIO) -> int:
     demands = (
         [int(x) for x in args.demands.split(",")] if args.demands else None
     )
-    # every refusal comes before anything is written
-    check_mode(config, args.mode)
-    if demands is not None:
-        validate_demands(config, demands)
-    if args.scheme == "decentralized":
-        check_run_size(config)
-    else:
-        plan = make_split_plan(config, alpha=args.alpha, server_share=server_share)
-        check_schedule_size(config, plan)
-        if args.mode == "bits":
-            check_central_F(config.F, config, plan)
-    out.write(
+    # the header is written after the run, so that a refusal, which the
+    # run raises before any work, comes before anything is written
+    header = (
         f"scheme: {args.scheme} N={config.N} K={config.K} M={config.M} "
         f"alpha_max={config.alpha_max} mode={args.mode} seed={args.seed}\n"
     )
@@ -307,8 +293,9 @@ def cmd_simulate(args, out: TextIO) -> int:
         else:
             res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
     except RuntimeError as e:  # a schedule that could not be built
-        out.write(f"error: {e}\n")
+        out.write(f"{header}error: {e}\n")
         return 1
+    out.write(header)
     plan = res.plan
     if args.scheme == "centralized":
         out.write(f"alpha={plan.alpha} lambda={plan.server_share} L1={plan.L1}\n")

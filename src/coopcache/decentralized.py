@@ -64,21 +64,19 @@ import numpy as np
 
 from .centralized import MAX_USER_SYMBOLS
 from .model import (
-    Constituent,
     DeliverySchedule,
-    FragmentId,
     SchedulingError,
     SymbolTable,
+    Symbols,
     SystemConfig,
     UserRounds,
-    XorSymbol,
     _disjoint_group_choices,
     enumerate_subsets,
     equal_partition_count,
     occurrences,
     offsets,
     others,
-    server_shares,
+    server_multicast,
     table_rows,
     validate_demands,
 )
@@ -696,8 +694,9 @@ def server_delivery_decentralized(
     placement: DecentralPlacement,
     demands: Sequence[int],
     plan: AllocationPlan,
-) -> list[XorSymbol]:
-    """Server phase: raw uncached subfiles, then the lambda-share multicast.
+) -> Symbols:
+    """Server phase (:func:`model.server_multicast`): raw uncached
+    subfiles, then the lambda-share multicast.
 
     For every nonempty S the server XORs the server shares W^s_{d_k,S\\{k}}
     of its members (singleton S symbols repeat material already inside the
@@ -708,30 +707,13 @@ def server_delivery_decentralized(
     K, p = config.K, config.p
     q = 1 - p
     lam = plan.server_share
-    everyone = tuple(config.users())
-    out: list[XorSymbol] = []
-    raw_size = q**K
-    if raw_size > 0:
-        for k in everyone:
-            out.append(
-                XorSymbol(
-                    0,
-                    everyone,
-                    (Constituent(k, FragmentId(d[k - 1], (), "full", 0, 1)),),
-                    raw_size,
-                )
-            )
-    if lam == 0:
-        return out
-    for s_sz in range(1, K + 1):
-        size = lam * p ** (s_sz - 1) * q ** (K - s_sz + 1)
-        if size == 0:
-            continue
-        for S in enumerate_subsets(K, s_sz):
-            out.append(
-                XorSymbol(0, everyone, server_shares(d, S), size, redundant=(s_sz == 1))
-            )
-    return out
+    runs = [(1, "full", q**K, False)] if q**K > 0 else []
+    if lam > 0:
+        for s in range(1, K + 1):
+            size = lam * p ** (s - 1) * q ** (K - s + 1)
+            if size:
+                runs.append((s, "s", size, s == 1))
+    return server_multicast(K, d, runs)
 
 
 def build_decentral_delivery(

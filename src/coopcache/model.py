@@ -29,7 +29,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from operator import attrgetter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Iterable, Optional, Union
 
@@ -54,34 +54,6 @@ def as_frac(x: RationalLike) -> Frac:
 
 class SchedulingError(RuntimeError):
     """A delivery schedule could not be constructed (or failed its own audit)."""
-
-
-def slot_init(cls: type) -> type:
-    """Replace the ``__init__`` of a frozen slotted dataclass by one with the
-    same parameters and defaults that stores each field through its slot's
-    member descriptor and then calls ``__post_init__``, if the class has one
-    (module docstring).  Apply it on top of ``@dataclass(frozen=True,
-    slots=True)``; a field without a plain ``init`` value is refused."""
-    env: dict[str, object] = {}
-    params, body = [], []
-    for f in fields(cls):
-        if not f.init or f.default_factory is not MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name} needs a plain init field")
-        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            env[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**cls.__init__.__annotations__}
-    cls.__init__ = init
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +134,6 @@ def enumerate_subsets(K: int, size: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, K + 1), size))
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class GroupPartition:
     """Pairwise-disjoint user groups transmitting in parallel.
@@ -252,7 +223,6 @@ def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class FragmentId:
     """Identity of one delivered piece of a subfile.
@@ -275,7 +245,6 @@ class FragmentId:
             raise ValueError(f"fragment index {self.index} outside 0..{self.count - 1}")
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class Constituent:
     """One fragment inside an XOR symbol, tagged with its intended receiver."""
@@ -284,7 +253,6 @@ class Constituent:
     fragment: FragmentId
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class XorSymbol:
     """One broadcast: XOR of fragments, sent by ``sender`` to ``group``.
@@ -313,19 +281,6 @@ def receivers_of(sender: int, group: tuple[int, ...]) -> tuple[int, ...]:
     if sender == 0:
         return group
     return tuple([u for u in group if u != sender])
-
-
-def server_shares(
-    demands: Sequence[int], S: tuple[int, ...]
-) -> tuple[Constituent, ...]:
-    """What the server XORs into its symbol for user set S: each member k's
-    server share W^s_{d_k, S\\{k}}."""
-    return tuple(
-        Constituent(
-            k, FragmentId(demands[k - 1], tuple(x for x in S if x != k), "s", 0, 1)
-        )
-        for k in S
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +344,6 @@ def table_rows(values: list, table: dict) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, values), np.int32, len(values))
 
 
-def size_rows(sizes: Iterable[Frac], table: dict) -> np.ndarray:
-    """``table_rows`` of sizes, hashing a run of one object once: a
-    ``Fraction`` is slow to hash, and a schedule's symbols share a few."""
-    out: list[int] = []
-    last, row = out, -1  # ``out`` is no size
-    for size in sizes:
-        if size is not last:
-            last, row = size, table.setdefault(size, len(table))
-        out.append(row)
-    return np.array(out, dtype=np.int32).reshape(-1)
-
-
 def int_column(objects: Sequence, name: str, dtype: type = np.int32) -> np.ndarray:
     """Attribute ``name`` of each object, as an int column."""
     return np.fromiter(map(attrgetter(name), objects), dtype, len(objects))
@@ -416,7 +359,9 @@ class SymbolTable:
     ``file``, ``subset`` (a row of ``subsets``), ``part`` (a row of
     ``parts``), ``index`` and ``count``.  The four tables hold distinct
     values, so two rows are equal exactly when their values are, and sizes
-    stay exact ``Fraction``s.  Every column but ``file`` and ``cstart``
+    stay exact ``Fraction``s.  Both schedulers and :func:`server_multicast`
+    write their tables directly; :meth:`from_symbols` is the adapter for
+    symbols given as a list.  Every column but ``file`` and ``cstart``
     counts users, rows or fragments, so the adapter keeps it in int32.
     :meth:`symbols` builds the value objects of any rows on demand.
     """
@@ -454,7 +399,7 @@ class SymbolTable:
         return cls(
             int_column(symbols, "sender"),
             table_rows(list(map(attrgetter("group"), symbols)), groups),
-            size_rows(map(attrgetter("size"), symbols), sizes),
+            table_rows(list(map(attrgetter("size"), symbols)), sizes),
             np.fromiter(map(attrgetter("redundant"), symbols), bool, len(symbols)),
             offsets(map(len, per_symbol)),
             int_column(cons, "receiver"),
@@ -581,8 +526,62 @@ class ListView(Sequence):
             other = list(other)
         return list(self) == other if isinstance(other, list) else NotImplemented
 
+    def __add__(self, other):
+        if isinstance(other, ListView):
+            other = list(other)
+        return list(self) + other if isinstance(other, list) else NotImplemented
+
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+class Symbols(ListView):
+    """The rows of a :class:`SymbolTable` as a read-only list: item i is the
+    ``XorSymbol`` of row i."""
+
+    def __init__(self, table: SymbolTable) -> None:
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def _items(self, lo: int, hi: int) -> list:
+        return self.table.symbols(np.arange(lo, hi))
+
+
+def server_multicast(
+    K: int, demands: Sequence[int], runs: Sequence[tuple[int, str, Frac, bool]]
+) -> Symbols:
+    """The server's symbols in both schemes, the classic multicast of
+    Maddah-Ali and Niesen, written straight into a table.
+
+    Each run (s, part, size, redundant), in order, sends for every s-subset
+    S of users 1..K, in lex order, one symbol of ``size`` (flagged
+    ``redundant``) from the server to everyone, which XORs for each k in S
+    the fragment (d_k, S\\{k}, part, 0, 1) with receiver k."""
+    sizes: dict = {}
+    parts: dict = {}
+    subsets: dict = {}
+    sets = [list(itertools.combinations(range(1, K + 1), s)) for s, *_ in runs]
+    n = np.array([len(run) for run in sets], np.int64)
+    arity = np.array([s for s, *_ in runs], np.int64)
+    receiver = np.array([k for run in sets for S in run for k in S], np.int32)
+    rests = [S[:i] + S[i + 1 :] for run in sets for S in run for i in range(len(S))]
+    table = SymbolTable(
+        np.zeros(n.sum(), np.int32),
+        np.zeros(n.sum(), np.int32),
+        np.repeat(table_rows([size for _, _, size, _ in runs], sizes), n),
+        np.repeat(np.array([redundant for *_, redundant in runs], bool), n),
+        offsets(np.repeat(arity, n)),
+        receiver,
+        np.array((0, *demands), np.int64)[receiver],
+        table_rows(rests, subsets),
+        np.repeat(table_rows([part for _, part, _, _ in runs], parts), n * arity),
+        np.zeros(len(receiver), np.int32),
+        np.ones(len(receiver), np.int32),
+        [tuple(range(1, K + 1))], list(sizes), list(subsets), list(parts),
+    )
+    return Symbols(table)
 
 
 class UserRounds(ListView):
@@ -614,20 +613,21 @@ class UserRounds(ListView):
     @classmethod
     def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
         """``rounds``, a view or a list of (GroupPartition, symbols) pairs,
-        over a table whose first rows hold the symbols ``first``: a view's
-        table follows theirs, and a list's symbols pass through the adapter
-        with them, in one table."""
-        if isinstance(rounds, UserRounds):
-            if not first:
-                return rounds
-            table = SymbolTable.concat(SymbolTable.from_symbols(first), rounds.table)
-            return cls(rounds.groups, rounds.labels, rounds.starts + len(first), table)
-        return cls(
-            [part.groups for part, _ in rounds],
-            [part.round_index for part, _ in rounds],
-            offsets(len(syms) for _, syms in rounds) + len(first),
-            SymbolTable.from_symbols([*first, *(sym for _, syms in rounds for sym in syms)]),
-        )
+        over a table whose first rows hold the symbols ``first``, a
+        :class:`Symbols` view or a list.  A view's table is read as it is;
+        a list's symbols pass through the adapter."""
+        if not isinstance(rounds, UserRounds):
+            rounds = cls(
+                [part.groups for part, _ in rounds],
+                [part.round_index for part, _ in rounds],
+                offsets(len(syms) for _, syms in rounds),
+                SymbolTable.from_symbols([sym for _, syms in rounds for sym in syms]),
+            )
+        if not len(first):
+            return rounds
+        head = first.table if isinstance(first, Symbols) else SymbolTable.from_symbols(first)
+        table = SymbolTable.concat(head, rounds.table)
+        return cls(rounds.groups, rounds.labels, rounds.starts + len(first), table)
 
 
 @dataclass
@@ -638,22 +638,19 @@ class DeliverySchedule:
     round are sent by members of the partition's groups, one active sender
     per group at a time.  ``user_rounds`` is a list of those pairs, or a
     :class:`UserRounds` view of rounds held as columns, which builds them on
-    demand and compares equal to the list.
+    demand and compares equal to the list; ``server_symbols`` is a list, or
+    the :class:`Symbols` view :func:`server_multicast` returns.
     """
 
     user_rounds: Sequence[tuple[GroupPartition, list[XorSymbol]]] = field(
         default_factory=list
     )
-    server_symbols: list[XorSymbol] = field(default_factory=list)
+    server_symbols: Sequence[XorSymbol] = field(default_factory=list)
 
     def user_symbol_count(self) -> int:
-        if isinstance(self.user_rounds, UserRounds):
-            return len(self.user_rounds.table)
-        return sum(len(syms) for _, syms in self.user_rounds)
+        return len(UserRounds.of(self.user_rounds).table)
 
     def round_outline(self) -> list[tuple[tuple, int, int]]:
-        """Each user round's groups, round index and symbol count; a view
-        reads them off its columns."""
-        if isinstance(self.user_rounds, UserRounds):
-            return self.user_rounds.outline()
-        return [(part.groups, part.round_index, len(syms)) for part, syms in self.user_rounds]
+        """Each user round's groups, round index and symbol count, read off
+        the rounds' columns."""
+        return UserRounds.of(self.user_rounds).outline()

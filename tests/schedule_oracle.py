@@ -1,10 +1,12 @@
-"""The object decentralized schedule and the object execution, kept as the
-reference for the columnar ones.
+"""The object schedules and the object execution, kept as the reference for
+the columnar ones.
 
 ``parallel_user_delivery`` is the decentralized user schedule the package
 built before it held schedules as int columns: one ``XorSymbol`` per
 symbol, drawing each fragment index from a ``next_index`` dict keyed by
 (receiver, subset, part) and auditing the dict at the end of every round.
+``build_server_schedule`` and ``server_delivery_decentralized`` built the
+two schemes' server symbols as objects, each XOR from ``server_shares``.
 ``execute_schedule`` ran a schedule into a log of ``LogEntry`` objects,
 grouping each round's symbols into lanes by their group, computing
 ``receivers()`` once per (sender, group), and checking the slot discipline
@@ -17,11 +19,13 @@ same ``repr``, and raise the same ``SchedulingError`` messages.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Frac
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from coopcache.centralized import SplitPlan, _integer_t
 from coopcache.decentralized import (
     AllocationPlan,
     DecentralPlacement,
@@ -40,6 +44,80 @@ from coopcache.model import (
     validate_demands,
 )
 from coopcache.simulator import BitLibrary, FragmentResolver, LogEntry, TransmissionLog
+
+
+def server_shares(
+    demands: Sequence[int], S: tuple[int, ...]
+) -> tuple[Constituent, ...]:
+    """What the server XORs into its symbol for user set S: each member k's
+    server share W^s_{d_k, S\\{k}}."""
+    return tuple(
+        Constituent(
+            k, FragmentId(demands[k - 1], tuple(x for x in S if x != k), "s", 0, 1)
+        )
+        for k in S
+    )
+
+
+def build_server_schedule(
+    config: SystemConfig, plan: SplitPlan, demands: Sequence[int]
+) -> list[XorSymbol]:
+    """Server multicast: for each (t+1)-subset S, XOR of server shares
+    W^s_{d_k, S\\{k}} over k in S; each symbol is lambda*F/C(K,t) long."""
+    d = validate_demands(config, demands)
+    t, K = _integer_t(config), config.K
+    lam = plan.server_share
+    if lam == 0 or t >= K:
+        return []
+    size = lam / math.comb(K, t)
+    everyone = tuple(config.users())
+    return [
+        XorSymbol(0, everyone, server_shares(d, S), size)
+        for S in enumerate_subsets(K, t + 1)
+    ]
+
+
+def server_delivery_decentralized(
+    config: SystemConfig,
+    placement: DecentralPlacement,
+    demands: Sequence[int],
+    plan: AllocationPlan,
+) -> list[XorSymbol]:
+    """Server phase: raw uncached subfiles, then the lambda-share multicast.
+
+    For every nonempty S the server XORs the server shares W^s_{d_k,S\\{k}}
+    of its members (singleton S symbols repeat material already inside the
+    raw W_{d_k,empty} transmissions; they are kept — flagged redundant — so
+    the fluid server load is exactly R_empty + lambda*R_s).
+    """
+    d = validate_demands(config, demands)
+    K, p = config.K, config.p
+    q = 1 - p
+    lam = plan.server_share
+    everyone = tuple(config.users())
+    out: list[XorSymbol] = []
+    raw_size = q**K
+    if raw_size > 0:
+        for k in everyone:
+            out.append(
+                XorSymbol(
+                    0,
+                    everyone,
+                    (Constituent(k, FragmentId(d[k - 1], (), "full", 0, 1)),),
+                    raw_size,
+                )
+            )
+    if lam == 0:
+        return out
+    for s_sz in range(1, K + 1):
+        size = lam * p ** (s_sz - 1) * q ** (K - s_sz + 1)
+        if size == 0:
+            continue
+        for S in enumerate_subsets(K, s_sz):
+            out.append(
+                XorSymbol(0, everyone, server_shares(d, S), size, redundant=(s_sz == 1))
+            )
+    return out
 
 
 def parallel_user_delivery(

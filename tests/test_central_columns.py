@@ -2,7 +2,7 @@
 
 The rung the ladder chooses is laid out as a ``SymbolTable`` and shown as a
 ``UserRounds`` view, and the audit reads the columns.  A fluid centralized
-run must build no value object per user symbol, and when a schedule breaks
+run must build no value object, and when a schedule breaks
 in more than one place the column audit must name the failure the
 reference audit (``assembly_oracle``) names: the first one.
 """
@@ -19,35 +19,22 @@ from coopcache import (
     GroupPartition,
     SystemConfig,
     XorSymbol,
-    build_server_schedule,
-    make_split_plan,
     run_centralized,
 )
 from coopcache.cli import main
 from test_assembly_oracle import _verdicts, _worked_schedule
 from test_centralized import AUDIT_BREAKS, _outsider, _with_constituent
-from test_schedule_oracle import VALUE_CLASSES, _count_value_objects
+from test_schedule_oracle import _count_value_objects
 
 # (20, 10, 4, 5), a central_fluid benchmark shape: 8400 rounds of three
 # groups of three, 25200 user symbols and 120 server symbols
 SHAPE = SystemConfig(20, 10, 4, alpha_max=5)
 
 
-def _count_with_partitions(monkeypatch):
-    """The objects built, GroupPartitions too, and how many building the
-    server symbols alone takes."""
-    built = _count_value_objects(monkeypatch, (*VALUE_CLASSES, GroupPartition))
-    build_server_schedule(SHAPE, make_split_plan(SHAPE), tuple(SHAPE.users()))
-    server = len(built)
-    built.clear()
-    return built, server
-
-
 def test_a_fluid_centralized_run_builds_no_object_per_user_symbol(monkeypatch):
-    built, server = _count_with_partitions(monkeypatch)
+    built = _count_value_objects(monkeypatch)
     res = run_centralized(SHAPE)
-    assert res.decode_ok and len(built) <= server
-    built.clear()
+    assert res.decode_ok and built == []
     rounds = res.schedule.user_rounds
     assert (len(rounds), res.schedule.user_symbol_count()) == (8400, 25200)
     assert len(res.log.entries) == 25200 + 120
@@ -63,8 +50,7 @@ def test_a_fluid_centralized_run_builds_no_object_per_user_symbol(monkeypatch):
 
 def test_simulate_centralized_reads_the_columns(monkeypatch, tmp_path, capsys):
     # header counts, --detail-round and --export-log build no value object
-    # beyond the server symbols' own
-    built, server = _count_with_partitions(monkeypatch)
+    built = _count_value_objects(monkeypatch)
     argv = ["simulate", "--scheme", "centralized", "--N", "20", "--K", "10",
             "--M", "4", "--alpha-max", "5", "--detail-round", "3",
             "--export-log", str(tmp_path / "log.csv")]
@@ -74,7 +60,7 @@ def test_simulate_centralized_reads_the_columns(monkeypatch, tmp_path, capsys):
     assert "  round 0: {1,2,3} {4,5,6} {7,8,9} (3 symbols)\n" in out
     assert "  8400 partitions with group size 3\n" in out
     assert (tmp_path / "log.csv").read_text().count("\n") == 25200 + 120 + 1
-    assert len(built) <= server
+    assert built == []
 
 
 def _break_symbols(sched, changes):

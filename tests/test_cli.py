@@ -613,13 +613,19 @@ def test_simulate_centralized_scheduling_error_exits_1(capsys, monkeypatch):
 
 
 def test_simulate_refuses_an_oversized_schedule_with_exit_2(capsys):
-    code, out, err = _run(
-        capsys,
-        ["simulate", "--scheme", "centralized", "--N", "28", "--K", "14",
-         "--M", "4", "--alpha-max", "7"],
-    )
-    assert (code, out) == (2, "")
-    assert "16816800 user symbols" in err
+    # in bit mode too, the schedule's size is refused before F = 7, which
+    # no fragment layout divides
+    for mode in ([], ["--mode", "bits", "--F", "7"]):
+        code, out, err = _run(
+            capsys,
+            ["simulate", "--scheme", "centralized", "--N", "28", "--K", "14",
+             "--M", "4", "--alpha-max", "7", *mode],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: user schedule for K=14, t=2, alpha=4 may need 16816800 "
+            "user symbols, above the limit of 500000\n"
+        )
 
 
 def test_simulate_refuses_an_oversized_server_only_plan_with_exit_2(capsys):

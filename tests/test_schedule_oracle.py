@@ -1,14 +1,15 @@
-"""The columnar decentralized schedule and transmission log against the
-object ones they replaced.
+"""The columnar schedules and transmission log against the object ones
+they replaced.
 
-``schedule_oracle`` keeps the object ``parallel_user_delivery`` and
-``execute_schedule``.  The package now holds both as int columns and shows
-``schedule.user_rounds`` and ``log.entries`` through read-only views; every
-item of a view must equal the oracle's, with the same ``repr``, on the
-benchmark's decentralized shapes in both modes and on every shape with
-K <= 8 at p = 1/3 and 1/2.  A fluid decentralized run must build no value
-object per user symbol, and the column audit must raise the oracle's
-messages.
+``schedule_oracle`` keeps the object ``parallel_user_delivery``, both
+schemes' object server schedules and ``execute_schedule``.  The package
+now holds them as int columns and shows ``schedule.user_rounds``,
+``schedule.server_symbols`` and ``log.entries`` through read-only views;
+every item of a view must equal the oracle's, with the same ``repr``, on
+the benchmark's decentralized shapes in both modes and on every shape with
+K <= 8 at p = 1/3 and 1/2, and the server views on their own grids.  A
+fluid decentralized run must build no value object, and the column audit
+must raise the oracle's messages.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from coopcache import (
     DecentralFragmentResolver,
     DeliverySchedule,
     FragmentId,
+    GroupPartition,
     LogEntry,
     SchedulingError,
     SystemConfig,
@@ -32,14 +34,16 @@ from coopcache import (
     XorSymbol,
     allocation_plan,
     build_decentral_placement,
+    build_server_schedule,
     execute_schedule,
+    make_split_plan,
     parallel_user_delivery,
     run_decentralized,
     server_delivery_decentralized,
 )
 from coopcache import decentralized
 from coopcache.cli import main
-from coopcache.model import ListView
+from coopcache.model import ListView, Symbols
 from coopcache.simulator import BitLibrary, _first_decode_failure
 
 # (N, K, M, alpha_max) of the benchmark's decentral_fluid ops and of its
@@ -193,12 +197,12 @@ def test_slot_discipline_gives_the_oracle_verdict_on_moved_entries():
     assert len(verdicts) >= 3
 
 
-VALUE_CLASSES = (FragmentId, Constituent, XorSymbol, LogEntry)
+VALUE_CLASSES = (FragmentId, Constituent, XorSymbol, LogEntry, GroupPartition)
 
 
 def _count_value_objects(monkeypatch, classes=VALUE_CLASSES):
     """A list that grows by one per object of ``classes`` (by default a
-    FragmentId, Constituent, XorSymbol or LogEntry) built."""
+    FragmentId, Constituent, XorSymbol, LogEntry or GroupPartition) built."""
     built = []
     for cls in classes:
         init = cls.__init__
@@ -213,15 +217,10 @@ def _count_value_objects(monkeypatch, classes=VALUE_CLASSES):
 
 def test_a_fluid_decentralized_run_builds_no_object_per_user_symbol(monkeypatch):
     cfg = SystemConfig(8, 8, Frac(8, 3), alpha_max=4)
-    placement = build_decentral_placement(cfg)
     built = _count_value_objects(monkeypatch)
-    server_delivery_decentralized(cfg, placement, tuple(cfg.users()), allocation_plan(cfg))
-    server = len(built)
-    built.clear()
     res = run_decentralized(cfg)
     assert res.decode_ok and res.schedule.user_symbol_count() > 9000
-    assert len(built) <= server
-    built.clear()
+    assert built == []
     assert len(res.log.entries) == len(res.schedule.server_symbols) + 9192
     assert len(res.schedule.user_rounds) == 513
     assert res.schedule.user_symbol_count() == 9192
@@ -237,13 +236,7 @@ def test_a_fluid_decentralized_run_builds_no_object_per_user_symbol(monkeypatch)
 
 def test_simulate_reads_the_columns(monkeypatch, tmp_path, capsys):
     # header counts, --detail-round and --export-log build no value object
-    # beyond the server symbols' own
-    cfg = SystemConfig(7, 7, Frac(7, 3), alpha_max=3)
-    placement = build_decentral_placement(cfg)
     built = _count_value_objects(monkeypatch)
-    server_delivery_decentralized(cfg, placement, tuple(cfg.users()), allocation_plan(cfg))
-    server = len(built)
-    built.clear()
     argv = ["simulate", "--scheme", "decentralized", "--N", "7", "--K", "7",
             "--M", "7/3", "--alpha-max", "3", "--detail-round", "3",
             "--export-log", str(tmp_path / "log.csv")]
@@ -251,7 +244,7 @@ def test_simulate_reads_the_columns(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "user symbols: 2184" in out and "partitions with group size 3" in out
     assert (tmp_path / "log.csv").read_text().count("\n") == 2184 + 134 + 1
-    assert len(built) <= server
+    assert built == []
 
 
 REAL_ROUND_PLAN = decentralized._round_plan
@@ -298,14 +291,61 @@ def test_the_column_audit_raises_the_oracle_messages(
 
 def test_views_behave_as_read_only_lists():
     res = run_decentralized(SystemConfig(4, 4, 2, alpha_max=2))
-    for view in (res.log.entries, res.schedule.user_rounds):
+    for view in (res.log.entries, res.schedule.user_rounds, res.schedule.server_symbols):
         items = list(view)
         assert view == items and items == view and not view != items
         assert view != items[:-1] and view != tuple(items)
         assert repr(view) == repr(items) and len(view) == len(items)
         assert view[-1] == items[-1] and view[1:3] == items[1:3]
         assert view[::2] == items[::2] and view[5:2] == []
+        assert view + items[:2] == items + items[:2] and view + view == items + items
         with pytest.raises(IndexError):
             view[len(items)]
         with pytest.raises(TypeError):
             hash(view)
+        with pytest.raises(TypeError):
+            view + tuple(items)
+
+
+def _assert_same_symbols(view, symbols):
+    assert isinstance(view, Symbols)
+    assert view == symbols and repr(view) == repr(symbols)
+    assert [sym.redundant for sym in view] == [sym.redundant for sym in symbols]
+
+
+def _demand_vectors(N, K):
+    return [tuple(range(1, K + 1)), tuple(random.Random(N * K).sample(range(1, N + 1), K))]
+
+
+@pytest.mark.parametrize("K", [4, 6])
+def test_centralized_server_symbols_match_the_oracle(K):
+    N = K + 2
+    for t in range(K + 1):
+        cfg = SystemConfig(N, K, Frac(t * N, K), alpha_max=K // 2)
+        for alpha in range(1, K // 2):
+            for share in (None, Frac(0), Frac(1)):
+                plan = make_split_plan(cfg, alpha=alpha, server_share=share)
+                for demands in _demand_vectors(N, K):
+                    want = oracle.build_server_schedule(cfg, plan, demands)
+                    _assert_same_symbols(build_server_schedule(cfg, plan, demands), want)
+                    assert (t < K and share != 0) == bool(want)
+
+
+DECENTRAL_SERVER = [
+    (K + 2, K, p * (K + 2), amax)
+    for K in range(2, 10)
+    for p in (Frac(0), Frac(1, 4), Frac(1, 2), Frac(1))
+    for amax in sorted({1, K // 2})
+] + [(5, 5, Frac(1, 4), 1)]
+
+
+@pytest.mark.parametrize("shape", DECENTRAL_SERVER, ids=_ids(DECENTRAL_SERVER))
+def test_decentralized_server_symbols_match_the_oracle(shape):
+    N, K, M, amax = shape
+    cfg = SystemConfig(N, K, M, alpha_max=amax)
+    placement = build_decentral_placement(cfg)
+    plan = allocation_plan(cfg)
+    for demands in _demand_vectors(N, K):
+        want = oracle.server_delivery_decentralized(cfg, placement, demands, plan)
+        got = server_delivery_decentralized(cfg, placement, demands, plan)
+        _assert_same_symbols(got, want)
