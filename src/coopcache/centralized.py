@@ -28,14 +28,16 @@ in its own sender slot.  A refinement factor rho (pico-files sub-split into
 rho equal units) is raised through a deterministic ladder until the routing
 is feasible; a uniform full-cycle sequence is always feasible, so the ladder
 terminates.  Rates are invariant to rho.  A rung's quotas come in closed
-form (full cycles plus a tail, the tail slid on from the previous offset at
-the same rho); the slot sequence is never built.  With groups of t+1
-members (m = t) every pico-file has one possible hosting group, so a rung
-is decided by a quota check; otherwise by a small integer max-flow
-(Dinic's algorithm: levels computed in numpy and pruned to the shortest
-source-sink paths, and an iterative search that resumes after each
-augmentation at the first saturated edge, pushing the paths the plain
-recursive search pushes; see ``_Dinic``).
+form (full cycles plus a tail) from the canonical partitions, held as a
+table of group ranks; the slot sequence is never built.  With groups of
+t+1 members (m = t) every pico-file has one possible hosting group, so a
+rung is decided by a quota check; otherwise by a small integer max-flow
+over int arrays laid out once per run, of which a rung keeps the live
+edges (``_HostingNetwork``).  The flow is Dinic's algorithm: levels
+computed in numpy and pruned to the shortest source-sink paths, and an
+iterative search that resumes after each augmentation at the first
+saturated edge, pushing the paths the plain recursive search pushes
+(``_Dinic``).
 
 The chosen rung is laid out as int columns (:func:`_assemble_schedule`,
 a ``model.SymbolTable`` shown as a ``model.UserRounds`` view), with no
@@ -56,10 +58,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,15 +71,16 @@ from .model import (
     Symbols,
     SystemConfig,
     UserRounds,
-    enumerate_equal_partitions,
     enumerate_subsets,
     equal_partition_count,
     member_columns,
     occurrences,
     offsets,
     others,
+    partition_table,
     ranges,
     server_multicast,
+    subset_ranks,
     validate_demands,
 )
 
@@ -303,17 +305,19 @@ MAX_USER_SYMBOLS = 500_000
 
 
 class _Dinic:
-    """Small deterministic integer max-flow (adjacency in insertion order).
+    """Small deterministic integer max-flow over prebuilt edge arrays.
 
+    Edge e leads from ``head[e ^ 1]`` to ``head[e]`` with residual
+    capacity ``cap[e]`` (a list of ints that fit in int32); node u's edges,
+    in the order the search takes them, are ``order[start[u]:start[u+1]]``.
     Dinic's algorithm: each phase levels the residual network by BFS from
     the source, then pushes a blocking flow along level-increasing edges by
-    a depth-first search that takes each node's edges in insertion order.
-    Edge e leads from ``to[e ^ 1]`` to ``to[e]``; capacities must fit in
-    int32.  Three things make a phase cheap without changing its paths:
+    a depth-first search that takes each node's edges in that order.
+    Three things make a phase cheap without changing its paths:
 
     * Vectorised levels.  The BFS runs in numpy, one level at a time, over
-      the edges out of the frontier, gathered from one flat array of every
-      node's edges in adjacency order; it stops at the sink's level.
+      the edges out of the frontier, gathered from ``order``; it stops at
+      the sink's level.
     * Pruning.  A backward sweep from the sink, also a level at a time,
       keeps the nodes on some shortest source-sink path and gives every
       other node level -1, so the search never enters it.
@@ -337,27 +341,22 @@ class _Dinic:
     cut.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    def __init__(
+        self, head: np.ndarray, cap: list[int], order: np.ndarray, start: np.ndarray
+    ) -> None:
+        self.n = len(start) - 1
+        self.head, self.cap, self.order, self.start = head, cap, order, start
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
+    def _edges_out(self, nodes: np.ndarray) -> np.ndarray:
+        lo = self.start[nodes]
+        counts = self.start[nodes + 1] - lo
+        ends = np.cumsum(counts)
+        return self.order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
 
-    def _levels(self, edges_out, head, s: int, t: int) -> Optional[list[int]]:
+    def _levels(self, s: int, t: int) -> Optional[list[int]]:
         """BFS levels of the residual network, -1 off every shortest s-t
-        path; None when the sink is out of reach.  ``edges_out(nodes)`` lists
-        the edges out of ``nodes``, and edge e leads to ``head[e]``."""
-        n, cap = self.n, self.cap
+        path; None when the sink is out of reach."""
+        n, cap, head, edges_out = self.n, self.cap, self.head, self._edges_out
         live = np.fromiter(cap, np.int32, len(cap)) > 0
         level = np.full(n, -1, np.int32)
         level[s] = 0
@@ -387,26 +386,14 @@ class _Dinic:
         return level.tolist()
 
     def max_flow(self, s: int, t: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        head = np.array(to, np.int32)
-        # the edges in adjacency order, node u's from start[u] to start[u + 1]
-        order = np.fromiter(itertools.chain.from_iterable(adj), np.int32, len(to))
-        start = np.zeros(self.n + 1, np.int32)
-        np.cumsum([len(edges) for edges in adj], out=start[1:])
-
-        def edges_out(nodes):
-            lo = start[nodes]
-            counts = start[nodes + 1] - lo
-            ends = np.cumsum(counts)
-            offsets = np.repeat(lo - (ends - counts), counts)
-            return order[offsets + np.arange(len(offsets), dtype=np.int32)]
-
+        cap, to = self.cap, self.head.tolist()
+        order, start = self.order.tolist(), self.start.tolist()
         flow = 0
         while True:
-            level = self._levels(edges_out, head, s, t)
+            level = self._levels(s, t)
             if level is None:
                 return flow
-            it = [0] * self.n
+            it = start[:-1]  # each node's next edge, a position in order
             # Depth-first search for blocking flow, with an explicit path of
             # edges instead of recursion.  A node's pointer it[u] advances
             # only past an edge that is unusable or leads to a dead end,
@@ -429,15 +416,14 @@ class _Dinic:
                     u = to[path[cut] ^ 1]
                     del path[cut:], least[cut + 1:]
                     continue
-                edges, nxt, i = adj[u], level[u] + 1, it[u]
-                n_edges = len(edges)
-                while i < n_edges:
-                    eid = edges[i]
+                nxt, i, end = level[u] + 1, it[u], start[u + 1]
+                while i < end:
+                    eid = order[i]
                     if cap[eid] > 0 and level[to[eid]] == nxt:
                         break
                     i += 1
                 it[u] = i
-                if i < n_edges:
+                if i < end:
                     path.append(eid)
                     b = flow + cap[eid]
                     least.append(b if b < least[-1] else least[-1])
@@ -452,140 +438,142 @@ class _Dinic:
                 raise SchedulingError("max-flow phase pushed no flow")
 
 
+class _HostingNetwork:
+    """The hosting flow of every ladder rung of one (K, t, m), as int
+    arrays built once; a rung only sets capacities.
+
+    A class is a receiver j and a t-subset T without j, in (j, T) order;
+    its candidate hosts are the groups G = {j} + B over the m-subsets B of
+    T, in combination order, each held as its row in the lex list of
+    (m+1)-subsets (``cand``).  Nodes, numbered alike on every rung: the
+    source 0, the classes, every (receiver, group) pair in sorted order
+    (``pairs``), every group, the sink.  Edges, in the order the search
+    takes each node's: per class, source -> class (L units) then class ->
+    (j, G) per candidate (L); then (j, G) -> G per pair (quota(G)); then
+    G -> sink per group (m*quota(G)).  The pair layer caps a receiver's
+    hosting inside one group at quota(G): a receiver occupies at most one
+    constituent per symbol.  Each edge is gated by a group, ``gate``
+    (len(groups) for a source edge, which every rung keeps), and its
+    capacity is L where ``scale`` is 0, its gate's quota times ``scale``
+    elsewhere.
+    """
+
+    def __init__(self, K: int, t: int, m: int) -> None:
+        subsets = enumerate_subsets(K, t)
+        j, T = np.nonzero(~member_columns(subsets, K)[1:])
+        self.classes = list(zip((j + 1).tolist(), map(subsets.__getitem__, T.tolist())))
+        self.groups = enumerate_subsets(K, m + 1)
+        picks = np.array(list(itertools.combinations(range(t), m)), np.intp)
+        hosts = np.array(subsets, np.int64).reshape(-1, t)[T][:, picks]
+        receiver = np.broadcast_to(j[:, None, None] + 1, (*hosts.shape[:2], 1))
+        self.cand = subset_ranks(np.sort(np.concatenate([hosts, receiver], axis=2)), K)
+        n_class, n_cand = self.cand.shape
+        n_groups = len(self.groups)
+        keys, pair = np.unique(j[:, None] * n_groups + self.cand, return_inverse=True)
+        pair = pair.reshape(n_class, n_cand)
+        self.pairs = np.stack([keys // n_groups + 1, keys % n_groups], axis=1)
+        pair_node = 1 + n_class + np.arange(len(keys))
+        group_node = pair_node[-1] + 1 + np.arange(n_groups)
+        sink = group_node[-1] + 1
+        # per edge its tail, head and gate, in the order the nodes take them
+        block = lambda *columns: np.stack(np.broadcast_arrays(*columns), axis=-1)
+        cls = np.arange(1, n_class + 1)[:, None]
+        per_class = [block(0, cls, n_groups), block(cls, pair_node[pair], self.cand)]
+        tail, head, self.gate = np.concatenate([
+            np.hstack(per_class).reshape(-1, 3),
+            block(pair_node, group_node[self.pairs[:, 1]], self.pairs[:, 1]),
+            block(group_node, sink, np.arange(n_groups)),
+        ]).T
+        self.scale = np.repeat([0, 1, m], [n_class * (1 + n_cand), len(keys), n_groups])
+        # every half-edge: edge e's head, then its reverse's; each node's
+        # half-edges in id order, which is the order they were laid out in
+        self.head = np.stack([head, tail], axis=1).ravel()
+        tails = np.stack([tail, head], axis=1).ravel()
+        self.order = np.argsort(tails, kind="stable")
+        self.start = offsets(np.bincount(tails, minlength=sink + 1))
+        # the reverse half of each class's edge to each candidate
+        self.hosting = 2 * np.arange(n_class * (1 + n_cand)).reshape(n_class, -1)[:, 1:] + 1
+
+    def rung(self, quotas: np.ndarray, L: int) -> tuple[_Dinic, np.ndarray]:
+        """A rung's network on its live edges, those of groups with positive
+        quota, in order, and each half-edge's id in it.  A dead edge is left
+        out, not kept at capacity 0, so that the search does not scan it."""
+        quota = np.append(quotas, 1)[self.gate]
+        live = np.repeat(quota > 0, 2)
+        cap = np.zeros(len(live), np.int64)
+        cap[::2] = np.where(self.scale, quota * self.scale, L)
+        ids = np.cumsum(live) - 1
+        kept = live[self.order]
+        start = np.concatenate([[0], np.cumsum(kept)])[self.start]
+        net = _Dinic(self.head[live], cap[live].tolist(), ids[self.order[kept]], start)
+        return net, ids
+
+
 def _solve_hosting(
-    classes: list[tuple[int, tuple[int, ...]]],
-    candidates: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]],
-    quotas: dict[tuple[int, ...], int],
-    L: int,
-    m: int,
+    network: _HostingNetwork, quotas: np.ndarray, L: int
 ) -> Optional[dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]]]:
     """Route L pico-file units per class (receiver j, subset T) to hosting
     groups, respecting per-(receiver, group) caps of quota(G) (a receiver
     occupies at most one constituent slot per symbol) and per-group totals
-    of m*quota(G) (each symbol carries m constituents).
+    of m*quota(G) (each symbol carries m constituents).  ``quotas`` holds
+    one count per group, in lex order.
 
     Returns {class: [(group, units), ...]} or None if infeasible.
     """
-    total = L * len(classes)
-    groups = sorted(g for g, q in quotas.items() if q > 0)
-    gid = {g: i for i, g in enumerate(groups)}
-    usable = [[G for G in candidates[cls] if G in gid] for cls in classes]
-    n_class = len(classes)
-    # nodes: src, classes, (receiver, group) pairs, groups, sink.  The
-    # receiver-group layer caps a receiver's total hosting inside one group
-    # at quota(G): a receiver occupies at most one constituent per symbol.
-    jg_ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (j, _), gs in zip(classes, usable):
-        for G in gs:
-            if (j, G) not in jg_ids:
-                jg_ids[j, G] = len(jg_ids)
-    n_nodes = 1 + n_class + len(jg_ids) + len(groups) + 1
-    src, dst = 0, n_nodes - 1
-    jg_base = 1 + n_class
-    grp_base = jg_base + len(jg_ids)
-    net = _Dinic(n_nodes)
-    add_edge = net.add_edge
-    firsts = []  # the edge id of each class's first hosting edge
-    for ci, ((j, _), gs) in enumerate(zip(classes, usable), 1):
-        firsts.append(add_edge(src, ci, L) + 2)
-        for G in gs:
-            add_edge(ci, jg_base + jg_ids[j, G], L)
-    for (j, G), ji in sorted(jg_ids.items()):
-        add_edge(jg_base + ji, grp_base + gid[G], quotas[G])
-    for G in groups:
-        add_edge(grp_base + gid[G], dst, m * quotas[G])
-    if net.max_flow(src, dst) != total:
+    classes = network.classes
+    net, ids = network.rung(quotas, L)
+    if net.max_flow(0, net.n - 1) != L * len(classes):
         return None
-    out: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]] = {}
-    for cls, gs, first in zip(classes, usable, firsts):
-        used = net.cap[first + 1 : first + 2 * len(gs) : 2]  # reverse residuals
-        out[cls] = [(G, units) for G, units in zip(gs, used) if units]
+    cap = np.array(net.cap)
+    used = np.where(quotas[network.cand] > 0, cap[ids[network.hosting]], 0)
+    at, host = np.nonzero(used)
+    out: dict = {cls: [] for cls in classes}
+    hosts, groups = network.cand[at, host].tolist(), network.groups
+    for i, g, units in zip(at.tolist(), hosts, used[at, host].tolist()):
+        out[classes[i]].append((groups[g], units))
     return out
 
 
 def _forced_hosting(
-    classes: list[tuple[int, tuple[int, ...]]],
-    hosts: list[tuple[int, ...]],
-    quotas: Counter,
-    L: int,
-    m: int,
+    classes: list[tuple[int, tuple[int, ...]]], quotas: np.ndarray, L: int, m: int
 ) -> Optional[dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]]]:
     """``_solve_hosting`` for groups of t+1 members (m == t), without a flow.
 
     Class (j, T) can then be hosted only by G = T+{j}, so the one flow sends
     L units from each of G's fp = m+1 members into G.  It saturates iff every
-    hosting group has m*quota(G) >= fp*L, which also gives quota(G) >= L,
-    the per-receiver cap.  ``hosts`` lists every (t+1)-subset.
+    (t+1)-subset has m*quota(G) >= fp*L, which also gives quota(G) >= L,
+    the per-receiver cap.
     """
-    fp = m + 1
-    if any(m * quotas[G] < fp * L for G in hosts):
+    if (m * quotas < (m + 1) * L).any():
         return None
     return {(j, T): [(tuple(sorted(T + (j,))), L)] for (j, T) in classes}
 
 
 def _hosting_decider(K: int, t: int, m: int):
     """The hosting decision of one ladder rung, as a function of the rung's
-    quotas and unit count L: a quota check when every class has a single
-    hosting group (m == t), the max-flow otherwise."""
-    subsets_t = enumerate_subsets(K, t)
-    classes = [(j, T) for j in range(1, K + 1) for T in subsets_t if j not in T]
+    quotas (one per (m+1)-subset, in lex order) and unit count L: a quota
+    check when every class has a single hosting group (m == t), the
+    max-flow otherwise."""
     if m == t:
-        hosts = enumerate_subsets(K, m + 1)
-        return lambda quotas, L: _forced_hosting(classes, hosts, quotas, L, m)
-    candidates = {
-        (j, T): [tuple(sorted((j,) + B)) for B in itertools.combinations(T, m)]
-        for (j, T) in classes
-    }
-    return lambda quotas, L: _solve_hosting(classes, candidates, dict(quotas), L, m)
+        subsets = enumerate_subsets(K, t)
+        classes = [(j, T) for j in range(1, K + 1) for T in subsets if j not in T]
+        return lambda quotas, L: _forced_hosting(classes, quotas, L, m)
+    network = _HostingNetwork(K, t, m)
+    return lambda quotas, L: _solve_hosting(network, quotas, L)
 
 
 def _slot_quotas(
-    partitions: list[tuple[tuple[int, ...], ...]],
-    cycle: Counter,
-    slots: int,
-    offset: int,
-) -> Counter:
+    ranks: np.ndarray, cycle: np.ndarray, slots: int, offset: int
+) -> np.ndarray:
     """Per-group appearance counts of the cyclic slot sequence over the
-    canonical partition list that starts at ``offset``: the counts of one
-    full cycle (``cycle``) times the full cycles, plus the partial tail.
-    The sequence itself is not built."""
-    beta = len(partitions)
+    canonical partitions (``ranks``, each partition's groups as rows of the
+    lex group list) that starts at ``offset``: the counts of one full cycle
+    (``cycle``) times the full cycles, plus the partial tail.  The
+    sequence itself is not built."""
+    beta = len(ranks)
     full, tail = divmod(slots, beta)
-    quotas: Counter = Counter({G: full * c for G, c in cycle.items()} if full else {})
-    for i in range(tail):
-        for G in partitions[(offset + i) % beta]:
-            quotas[G] += 1
-    return quotas
-
-
-def _ladder_quotas(
-    partitions: list[tuple[tuple[int, ...], ...]],
-    cycle: Counter,
-    slots1: int,
-    ladder: list[tuple[int, int]],
-) -> Iterator[tuple[int, int, Counter]]:
-    """(rho, offset, quotas) for each rung of ``ladder``, the quotas equal
-    to ``_slot_quotas`` of the rung's slot count and offset.  A rung whose
-    offset follows the previous rung's at the same rho slides that rung's
-    tail window on by one partition (the partition at the old offset
-    leaves it, the one after its end joins it) instead of counting the
-    tail again."""
-    beta = len(partitions)
-    prev_rho, prev_offset, quotas = 0, 0, Counter()
-    for rho, offset in ladder:
-        slots = slots1 * rho
-        if rho != prev_rho or offset != prev_offset + 1:
-            quotas = _slot_quotas(partitions, cycle, slots, offset)
-        else:
-            quotas = quotas.copy()
-            for G in partitions[prev_offset % beta]:
-                quotas[G] -= 1
-                if not quotas[G]:
-                    del quotas[G]
-            for G in partitions[(prev_offset + slots) % beta]:
-                quotas[G] += 1
-        prev_rho, prev_offset = rho, offset
-        yield rho, offset, quotas
+    tail_groups = ranks[(offset + np.arange(tail)) % beta].ravel()
+    return full * cycle + np.bincount(tail_groups, minlength=len(cycle))
 
 
 def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
@@ -696,21 +684,21 @@ def _user_schedule(
     m = fp - 1
 
     decide = _hosting_decider(K, t, m)
-    partitions = enumerate_equal_partitions(K, fp, alpha)
-    cycle = Counter(G for part in partitions for G in part)
+    ranks = subset_ranks(partition_table(K, fp, alpha)[0], K)
+    cycle = np.bincount(ranks.ravel(), minlength=math.comb(K, fp))
 
     last_err = "no attempts made"
-    ladder = _rho_ladder(slots1, beta)
-    for rho, offset, quotas in _ladder_quotas(partitions, cycle, slots1, ladder):
+    for rho, offset in _rho_ladder(slots1, beta):
         L = plan.L1 * rho
         slots = slots1 * rho
+        quotas = _slot_quotas(ranks, cycle, slots, offset)
         assignment = decide(quotas, L)
         if assignment is None:
             last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
             continue
         return _assemble_schedule(
-            config, placement, plan, d, partitions, offset, slots, quotas,
-            assignment, L, fp,
+            config, placement, plan, d, ranks, offset, slots, quotas, assignment,
+            L, fp,
         ), placement
     raise SchedulingError(
         f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
@@ -722,10 +710,10 @@ def _assemble_schedule(
     placement: CentralPlacement,
     plan: SplitPlan,
     demands: tuple[int, ...],
-    partitions: list[tuple[tuple[int, ...], ...]],
+    ranks: np.ndarray,
     offset: int,
     slots: int,
-    quotas: Counter,
+    quotas: np.ndarray,
     assignment: dict,
     L: int,
     fp: int,
@@ -745,13 +733,18 @@ def _assemble_schedule(
       distinct, so consecutive slots repeat a partition only when beta = 1:
       then every slot merges into one round, otherwise each slot is a
       round of its own.
+
+    ``ranks`` holds the canonical partitions, each group as its row in the
+    lex list of fp-subsets, which also indexes ``quotas``.
     """
     m = fp - 1
     size = (1 - plan.server_share) / Frac(math.comb(config.K, placement.t) * L)
-    groups = [G for G, q in quotas.items() if q > 0]
+    sets = enumerate_subsets(config.K, fp)
+    live = np.flatnonzero(quotas)
+    groups = [sets[G] for G in live.tolist()]
     gid = {G: g for g, G in enumerate(groups)}
     members = np.array(groups, np.int64).reshape(len(groups), fp)
-    Q = np.array([quotas[G] for G in groups], np.int64)
+    Q = quotas[live]
     # per (class, host): its lane (host, receiver's position in the host),
     # subset, first layer and layer count
     tid = {T: i for i, T in enumerate(placement.subsets)}
@@ -775,9 +768,9 @@ def _assemble_schedule(
     sent = Q[:, None] - load  # each member's block of symbols, in G's order
     ends = np.cumsum(sent, axis=1)
 
-    beta = len(partitions)
-    window = [partitions[(offset + i) % beta] for i in range(min(slots, beta))]
-    g = np.array([[gid[G] for G in p] for p in window])[np.arange(slots) % len(window)]
+    beta = len(ranks)
+    window = ranks[(offset + np.arange(min(slots, beta))) % beta]
+    g = np.searchsorted(live, window)[np.arange(slots) % len(window)]
     g = g.ravel()  # each symbol's group
     k = occurrences(g)  # its position in the group's symbols
     a = (k[:, None] >= ends[g]).sum(axis=1)  # its sender's position
@@ -794,8 +787,9 @@ def _assemble_schedule(
         np.full(n * m, L, np.int32), groups, [size], list(placement.subsets), ["u"],
     )
     runs = 1 if beta == 1 else slots
+    shown = [tuple(sets[G] for G in p) for p in window.tolist()]
     sched = DeliverySchedule(UserRounds(
-        [partitions[(offset + i) % beta] for i in range(runs)], list(range(runs)),
+        [shown[i % beta] for i in range(runs)], list(range(runs)),
         np.arange(runs + 1) * (n // runs), table,
     ))
     _audit_user_schedule(config, placement, demands, sched, L, m, size)

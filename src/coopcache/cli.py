@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Optional, Sequence, TextIO
 
@@ -261,6 +261,8 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
+    if args.detail_round is not None and args.detail_round < 1:
+        raise ValueError(f"--detail-round must be at least 1, got {args.detail_round}")
     if args.scheme == "decentralized" and (
         args.alpha is not None or args.server_share is not None
     ):
@@ -466,6 +468,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             spec = _sweep_spec(args)
             rows = cmd_sweep(spec)
+            if not rows:
+                print("warning: empty grid — no rows", file=sys.stderr)
             if args.out:
                 with open(args.out, "w") as fh:
                     _emit_rows(rows, spec.fmt, fh)

@@ -58,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,12 +70,12 @@ from .model import (
     Symbols,
     SystemConfig,
     UserRounds,
-    _disjoint_group_choices,
     enumerate_subsets,
     equal_partition_count,
     occurrences,
     offsets,
     others,
+    partition_table,
     server_multicast,
     table_rows,
     validate_demands,
@@ -479,16 +479,17 @@ def build_decentral_placement(
 
 def _round_plan(
     config: SystemConfig, plan: AllocationPlan, shape: tuple[int, int, int, int]
-) -> Optional[tuple[Iterator[list], dict[str, tuple[int, Frac]]]]:
+) -> Optional[tuple[tuple[np.ndarray, np.ndarray], dict[str, tuple[int, Frac]]]]:
     """Round s, of shape (s, regular, r, D) from ``round_shapes``, as
     (partitions, parts), both worked out once for the round; None, before
     any partition is enumerated, when the round's mini-files are empty.
 
-    Each partition is a list of (group, part) pairs, any remainder group
-    last: ``regular`` disjoint s-groups work on part "u", or on "u1" when
-    the users they leave idle form a remainder group of size r, which works
-    on "u2".  ``parts`` maps each part to (fragment count, fragment size as
-    a fraction of F).  A part's count is the number of times the round uses
+    ``partitions`` is :func:`model.partition_table` of ``regular``
+    disjoint s-groups: per partition its groups and its idle users, who
+    form a remainder group when r > 0.  ``parts`` maps each part to
+    (fragment count, fragment size as a fraction of F): the s-groups work
+    on its first part, "u", or "u1" when there is a remainder group, which
+    works on "u2".  A part's count is the number of times the round uses
     each of its mini-files: (s-1) rotations per appearance of an s-group,
     (r-1)*C(s-1, r-1) per appearance of the remainder group, times the
     group's multiplicity across the round's partitions.
@@ -499,15 +500,11 @@ def _round_plan(
     if w_u == 0:
         return None
     n1 = (s - 1) * equal_partition_count(K - s, s, regular - 1)
-    choices = _disjoint_group_choices(K, s, regular)
+    partitions = partition_table(K, s, regular)
     if not r:
-        partitions = ([(G, "u") for G in groups] for groups, _ in choices)
         return partitions, {"u": (n1, w_u / n1)}
     lam2 = plan.lambda2_by_round[s]
     n2 = (r - 1) * math.comb(s - 1, r - 1) * equal_partition_count(K - r, s, regular)
-    partitions = (
-        [*((G, "u1") for G in groups), (idle, "u2")] for groups, idle in choices
-    )
     return partitions, {
         "u1": (n1, lam2 * w_u / n1),
         "u2": (n2, (1 - lam2) * w_u / n2),
@@ -520,7 +517,7 @@ def _users(mask: int, K: int) -> tuple[int, ...]:
 
 
 def _round_columns(
-    K: int, shape: tuple[int, int, int, int], partitions: list[list]
+    K: int, shape: tuple[int, int, int, int], partitions: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, ...]:
     """Round s's symbols, partition after partition, as int columns, in the
     order of :func:`parallel_user_delivery`: per symbol its sender, its
@@ -530,9 +527,8 @@ def _round_columns(
     lays out alike: its regular groups' symbols, then the remainder
     group's."""
     s, regular, r, _ = shape
-    n = len(partitions)
-    G = np.array([[G for G, _ in p[:regular]] for p in partitions], np.int64)
-    G = G.reshape(n, regular, s)
+    G, idle = partitions
+    n = len(G)
     bit = 1 << (G - 1)
     gmask = bit.sum(axis=2)
     o = others(s)
@@ -541,8 +537,6 @@ def _round_columns(
     subsets = [(gmask[:, :, None, None] ^ bit[:, :, o]).reshape(n, -1)]
     supersets = 0
     if r:
-        idle = np.array([p[regular][0] for p in partitions], np.int64)
-        idle = idle.reshape(n, r)
         ibit = 1 << (idle - 1)
         imask = ibit.sum(axis=1)
         # the s-supersets of the remainder group, adding s - r of the
@@ -653,7 +647,6 @@ def parallel_user_delivery(
         if planned is None:
             continue
         partitions, parts = planned
-        partitions = list(partitions)
         sender, gmask, kind, arity, receiver, subset, ckind = _round_columns(
             K, shape, partitions
         )
@@ -667,8 +660,11 @@ def parallel_user_delivery(
              part_row[ckind], index, count[ckind]),
         ):
             column.append(values)
-        groups += [tuple(sorted((G for G, _ in p), key=min)) for p in partitions]
-        per_partition += [len(sender) // len(partitions)] * len(partitions)
+        rows, idle = (table.tolist() for table in partitions)
+        if shape[2]:  # the remainder group joins in order of smallest member
+            rows = [sorted([*row, rest]) for row, rest in zip(rows, idle)]
+        groups += [tuple(map(tuple, row)) for row in rows]
+        per_partition += [len(sender) // len(rows)] * len(rows)
     if not groups:
         return DeliverySchedule()
     sender, gmask, size, arity, receiver, subset, part, index, count = (

@@ -159,38 +159,43 @@ class GroupPartition:
             raise ValueError(f"groups not sorted by smallest member: {self.groups}")
 
 
-def _disjoint_group_choices(K: int, s: int, count: int) -> list[tuple]:
-    """(groups, idle users) for every unordered choice of ``count`` disjoint
-    s-subsets of 1..K: groups sorted by smallest member, choices in
-    lexicographic order of the flattened groups.
+def subset_ranks(sets: np.ndarray, K: int) -> np.ndarray:
+    """The row in ``enumerate_subsets(K, k)`` of each ascending k-subset of
+    1..K along the last axis of ``sets``: its lexicographic rank,
+    C(K, k) - 1 less the sum of C(K - u_r, k + 1 - r) over its r-th
+    smallest member u_r."""
+    k = sets.shape[-1]
+    binom = np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(K + 1)])
+    return math.comb(K, k) - 1 - binom[K - sets, np.arange(k, 0, -1)].sum(axis=-1)
 
-    A depth-first walk over an explicit stack: ``chosen[i]`` is the group
-    taken from ``stack[i]``'s candidates.  It forms no reference cycle, so
-    its garbage is freed by reference counting alone (a self-referencing
-    recursive closure would leave every call's output to the cyclic
-    collector)."""
-    out: list[tuple] = []
-    chosen: list[tuple[int, ...]] = []
-    pool = tuple(range(1, K + 1))
-    if count == 0:
-        return [((), pool)]
-    stack = [(pool, itertools.combinations(pool, s))]
-    while stack:
-        pool, candidates = stack[-1]
-        min_first = chosen[-1][0] if chosen else 0
-        g = next((g for g in candidates if g[0] > min_first), None)
-        if g is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        rest = tuple(x for x in pool if x not in g)
-        if len(chosen) + 1 == count:
-            out.append(((*chosen, g), rest))
-        else:
-            chosen.append(g)
-            stack.append((rest, itertools.combinations(rest, s)))
-    return out
+
+def partition_table(K: int, s: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered choice of ``count`` disjoint s-subsets of 1..K, as
+    (groups, idle) int tables: ``groups[i]`` holds choice i's groups, one
+    ascending row each, rows sorted by smallest member, and ``idle[i]`` the
+    users it leaves idle, ascending; choices in lexicographic order of the
+    flattened groups.
+
+    Built a group at a time: a choice's next group is an s-subset of its
+    idle users whose smallest member exceeds its last group's, so, in
+    combination order of the idle users' positions, its candidates are a
+    suffix of that order."""
+    groups = np.zeros((1, 0, s), np.int64)
+    idle = np.arange(1, K + 1)[None, :]
+    for _ in range(count):
+        n, free = idle.shape
+        picks = np.array(list(itertools.combinations(range(free), s)), np.intp)
+        left = np.ones((len(picks), free), bool)
+        left[np.arange(len(picks))[:, None], picks] = False
+        rest = np.nonzero(left)[1].reshape(len(picks), free - s)
+        last = groups[:, -1, 0] if groups.shape[1] else np.zeros(n, np.int64)
+        first = np.searchsorted(picks[:, 0], (idle <= last[:, None]).sum(axis=1))
+        row = np.repeat(np.arange(n), len(picks) - first)
+        pick = ranges(first, np.full(n, len(picks)))
+        new = idle[row[:, None], picks[pick]]
+        groups = np.concatenate([groups[row], new[:, None]], axis=1)
+        idle = idle[row[:, None], rest[pick]]
+    return groups, idle
 
 
 def enumerate_equal_partitions(
@@ -206,7 +211,8 @@ def enumerate_equal_partitions(
         raise ValueError(f"groups need at least two members, got s={s}")
     if alpha_d < 1 or alpha_d * s > K:
         raise ValueError(f"cannot fit {alpha_d} disjoint {s}-subsets in 1..{K}")
-    return [groups for groups, _ in _disjoint_group_choices(K, s, alpha_d)]
+    groups = partition_table(K, s, alpha_d)[0].tolist()
+    return [tuple(map(tuple, part)) for part in groups]
 
 
 def equal_partition_count(K: int, s: int, alpha_d: int) -> int:

@@ -90,7 +90,7 @@ check.
 Everything after those checks runs with the process-wide cyclic garbage
 collector paused, and the collector's state is restored afterwards, on
 every exit path (:func:`_collector_paused`).  A run builds no symbol,
-fragment or log entry object, but the centralized hosting flow and the
+fragment or log entry object, but the schedulers' assembly and the
 decode check still build many thousands of Python tuples, lists and
 dicts, which the collector would re-scan while they grow.  A run builds
 no cyclic structure, so its garbage is freed by reference counting alone
@@ -124,7 +124,6 @@ from .centralized import (
 from .decentralized import (
     AllocationPlan,
     DecentralPlacement,
-    allocation_plan,
     build_decentral_delivery,
     build_decentral_placement,
     check_run_size,
@@ -1291,9 +1290,10 @@ def _collector_paused() -> Iterator[None]:
     paused it keeps it paused.
 
     A run's containers are acyclic, yet the collector scans them as they
-    grow: unpaused, that took 0.034-0.042 s of a 0.5 s ``central_fluid``
-    pass, mostly in the hosting flow, and 0.007-0.008 s of a 0.22 s
-    ``decentral_fluid`` pass (2 vCPU, Python 3.11).
+    grow: unpaused, that took 0.011-0.013 s of a 0.47 s ``central_fluid``
+    pass, spread over the assembly, the hosting result and the decode
+    check, and 0.008-0.009 s of a 0.22 s ``decentral_fluid`` pass (2 vCPU,
+    Python 3.11).
 
     The collector counts allocations while it is paused, so re-enabling it
     as is would start a young collection at the next allocation, which

@@ -139,8 +139,15 @@ def parallel_user_delivery(
         planned = _round_plan(config, plan, shape)
         if planned is None:
             continue
-        partitions, parts = planned
-        for pairs in partitions:
+        (table, idle), parts = planned
+        # each partition's (group, part) pairs: its s-groups on the first
+        # part, its idle users, when they form a remainder group, on the
+        # second
+        names = list(parts)
+        for row, rest in zip(table.tolist(), idle.tolist()):
+            pairs = [(tuple(G), names[0]) for G in row]
+            if len(names) > 1:
+                pairs.append((tuple(rest), names[1]))
             syms: list[XorSymbol] = []
             for group, part in pairs:
                 count, size = parts[part]

@@ -22,6 +22,7 @@ from coopcache import (
     SystemConfig,
     build_central_placement,
     build_user_schedule,
+    enumerate_subsets,
     make_split_plan,
 )
 from test_centralized import AUDIT_BREAKS, _replace_symbol
@@ -54,11 +55,14 @@ def _both_assemblies(cfg, plan, demands, monkeypatch):
     sched = build_user_schedule(cfg, plan, demands)
     if not calls:
         return sched, None
-    [(config, placement, plan, d, partitions, offset, slots, quotas, assignment,
+    [(config, placement, plan, d, ranks, offset, slots, quotas, assignment,
       L, fp)] = calls
+    groups = enumerate_subsets(config.K, fp)
+    partitions = [tuple(groups[G] for G in p) for p in ranks.tolist()]
     seq = [partitions[(offset + i) % len(partitions)] for i in range(slots)]
+    counts = {G: q for G, q in zip(groups, quotas.tolist()) if q}
     ref = oracle._assemble_schedule(
-        config, placement, plan, d, seq, quotas, assignment, L, fp
+        config, placement, plan, d, seq, counts, assignment, L, fp
     )
     return sched, ref
 

@@ -288,7 +288,7 @@ def test_size_guard_admits_schedules_below_the_limit(shape, monkeypatch):
         raise _Enumerated
 
     # the guard runs first; reaching the partition enumeration means it passed
-    monkeypatch.setattr(centralized, "enumerate_equal_partitions", stop)
+    monkeypatch.setattr(centralized, "partition_table", stop)
     N, K, M, amax = shape
     with pytest.raises(_Enumerated):
         build_delivery(SystemConfig(N, K, M, alpha_max=amax), tuple(range(1, K + 1)))

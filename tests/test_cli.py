@@ -314,6 +314,18 @@ def test_verify_empty_grid_warns(tmp_path, capsys):
     assert "empty grid" in out
 
 
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized", "bounds"])
+def test_sweep_empty_grid_warns_on_stderr(scheme, tmp_path, capsys):
+    argv = ["sweep", "--scheme", scheme, "--N", "4", "--K", "4", "--alpha-max", "2",
+            "--grid", "4:0:1" if scheme != "decentralized" else "1:0:1/2"]
+    assert _run(capsys, argv) == (0, "", "warning: empty grid — no rows\n")
+    path = tmp_path / "rows.csv"
+    assert _run(capsys, [*argv, "--out", str(path)]) == (
+        0, "", "warning: empty grid — no rows\n"
+    )
+    assert path.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "spec,message",
     [
@@ -472,6 +484,22 @@ def test_simulate_decentralized_detail_round(capsys):
     assert code == 0
     assert "partitions with group size 3" in out
     assert "decode OK" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_refuses_a_detail_round_below_one(scheme, value, capsys, monkeypatch):
+    def stop(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, f"run_{scheme}", stop)
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+         "--alpha-max", "2", "--detail-round", value],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --detail-round must be at least 1, got {value}\n"
 
 
 def test_simulate_usage_errors(capsys):

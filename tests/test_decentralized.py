@@ -371,7 +371,7 @@ def test_empty_rounds_are_skipped_before_enumeration(monkeypatch):
     def stop(*args):
         raise AssertionError("enumerated an empty round")
 
-    monkeypatch.setattr(decentralized, "_disjoint_group_choices", stop)
+    monkeypatch.setattr(decentralized, "partition_table", stop)
     for M in (0, 6):
         cfg = SystemConfig(6, 6, M, alpha_max=3)
         placement = build_decentral_placement(cfg)

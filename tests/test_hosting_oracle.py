@@ -5,19 +5,22 @@ rung of the (rho, offset) ladder is decided by a full max-flow over quotas
 counted from the whole slot sequence.  The scheduler now counts quotas in
 closed form, settles forced rungs (groups of t+1 members, m == t) by a quota
 check and runs the flow on numpy levels pruned to the shortest paths, with
-an iterative search that resumes after each augmentation.  On every rung
-checked here it must reach the same decision, with the same assignment, and
-on every network generated here the flow must leave the same residual
-network, edge for edge.
+an iterative search that resumes after each augmentation, over a network
+laid out once per (K, t, m) as int arrays of which a rung keeps the live
+edges.  On every rung checked here it must reach the same decision, with
+the same assignment; each rung's network must be the one that adding its
+edges one by one builds (``_Edges``), edge for edge; and on every network
+generated here the flow must leave the same residual network, edge for
+edge.
 """
 
 import hashlib
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +31,55 @@ from coopcache.centralized import (
     _Dinic,
     _forced_hosting,
     _hosting_decider,
-    _ladder_quotas,
+    _HostingNetwork,
     _rho_ladder,
     _slot_quotas,
     _solve_hosting,
     build_delivery,
 )
 from coopcache.cli import main
+from coopcache.model import enumerate_subsets, offsets, partition_table, subset_ranks
+
+
+class _Edges:
+    """A network built edge by edge: each node's edges in insertion order,
+    edge e from ``to[e ^ 1]`` to ``to[e]``.  ``dinic`` hands it to the
+    package's max-flow as edge arrays."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        eid = len(self.to)
+        self.adj[u].append(eid)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(eid + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return eid
+
+    def dinic(self) -> _Dinic:
+        order = np.array([e for edges in self.adj for e in edges], np.int64)
+        start = offsets(len(edges) for edges in self.adj)
+        return _Dinic(np.array(self.to, np.int64), list(self.cap), order, start)
+
+
+def _quotas(K, fp, partitions, slots, offset):
+    """The oracle's quotas of a rung, as the scheduler's vector: one count
+    per fp-subset, in lex order."""
+    counts = oracle._slot_quotas(partitions, slots, offset)[1]
+    return np.array([counts[G] for G in enumerate_subsets(K, fp)], np.int64)
+
+
+def _ranks(K, fp, alpha):
+    """The canonical partitions' groups as rows of the lex fp-subset list,
+    and one cycle's count of each."""
+    ranks = subset_ranks(partition_table(K, fp, alpha)[0], K)
+    return ranks, np.bincount(ranks.ravel(), minlength=math.comb(K, fp))
 
 
 def _classes_and_candidates(K, t, m):
@@ -61,7 +106,7 @@ def _walk_ladder(K, t, alpha, last_rung=False):
     m = fp - 1
     classes, candidates = _classes_and_candidates(K, t, m)
     partitions = enumerate_equal_partitions(K, fp, alpha)
-    cycle = Counter(G for part in partitions for G in part)
+    ranks, cycle = _ranks(K, fp, alpha)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
     decide = _hosting_decider(K, t, m)
     beta = len(partitions)
@@ -69,15 +114,16 @@ def _walk_ladder(K, t, alpha, last_rung=False):
     if last_rung:
         rho, offset = ladder[-1]
         assert (rho, offset) == (beta // math.gcd(slots1, beta), 0)
-        quotas = _slot_quotas(partitions, cycle, slots1 * rho, offset)
+        quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
         assert decide(quotas, plan.L1 * rho) is not None, (K, t, alpha)
     rungs = 0
     for rho, offset in ladder:
         L, slots = plan.L1 * rho, slots1 * rho
-        quotas = _slot_quotas(partitions, cycle, slots, offset)
-        assert quotas == oracle._slot_quotas(partitions, slots, offset)[1]
+        quotas = _slot_quotas(ranks, cycle, slots, offset)
+        assert quotas.tolist() == _quotas(K, fp, partitions, slots, offset).tolist()
+        counts = dict(oracle._slot_quotas(partitions, slots, offset)[1])
         got = decide(quotas, L)
-        assert got == oracle._solve_hosting(classes, candidates, dict(quotas), L, m), (
+        assert got == oracle._solve_hosting(classes, candidates, counts, L, m), (
             K, t, alpha, rho, offset,
         )
         rungs += 1
@@ -108,20 +154,20 @@ def test_every_rung_agrees_with_the_oracle_for_k_up_to_7():
 
 @pytest.mark.parametrize("K", range(2, 10))
 def test_sliding_ladder_quotas_agree_with_the_oracle_on_every_rung(K):
+    # every rung's quotas, counted in closed form from the partition table,
+    # against the oracle's count over the whole slot sequence
     slid = 0
     for t in range(1, K):
         for alpha in range(1, K // 2 + 1):
             plan = make_split_plan(SystemConfig(K, K, t, alpha_max=K // 2), alpha=alpha)
             fp = min(K // alpha, t + 1)
             partitions = enumerate_equal_partitions(K, fp, alpha)
-            cycle = Counter(G for part in partitions for G in part)
+            ranks, cycle = _ranks(K, fp, alpha)
             slots1 = K * math.comb(K - 1, t) * plan.L1 // ((fp - 1) * alpha)
-            ladder = _rho_ladder(slots1, len(partitions))
-            rungs = list(_ladder_quotas(partitions, cycle, slots1, ladder))
-            assert [(rho, offset) for rho, offset, _ in rungs] == ladder
-            for rho, offset, quotas in rungs:
-                expected = oracle._slot_quotas(partitions, slots1 * rho, offset)[1]
-                assert dict(quotas) == dict(expected), (K, t, alpha, rho, offset)
+            for rho, offset in _rho_ladder(slots1, len(partitions)):
+                quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
+                expected = _quotas(K, fp, partitions, slots1 * rho, offset)
+                assert quotas.tolist() == expected.tolist(), (K, t, alpha, rho, offset)
                 slid += offset > 0
     assert slid > 0 or K < 4
 
@@ -148,16 +194,16 @@ def test_forced_rung_with_uneven_quotas_is_infeasible():
     classes = [(j, T) for j in range(1, K + 1)
                for T in itertools.combinations(range(1, K + 1), t) if j not in T]
     candidates = {(j, T): [tuple(sorted((j,) + T))] for (j, T) in classes}
-    even = Counter({G: (t + 1) * L // m for G in hosts})
+    even = np.full(len(hosts), (t + 1) * L // m)
     forced = {(j, T): [(tuple(sorted((j,) + T)), L)] for (j, T) in classes}
     assert decide(even, L) == forced
-    assert oracle._solve_hosting(classes, candidates, dict(even), L, m) == forced
-    uneven = Counter(even)
-    uneven[hosts[0]] -= 1
-    uneven[hosts[-1]] += 1  # same total, one group short
+    assert oracle._solve_hosting(classes, candidates, dict(zip(hosts, even)), L, m) == forced
+    uneven = even.copy()
+    uneven[0] -= 1
+    uneven[-1] += 1  # same total, one group short
     assert decide(uneven, L) is None
-    assert _forced_hosting(classes, hosts, uneven, L, m) is None
-    assert oracle._solve_hosting(classes, candidates, dict(uneven), L, m) is None
+    assert _forced_hosting(classes, uneven, L, m) is None
+    assert oracle._solve_hosting(classes, candidates, dict(zip(hosts, uneven)), L, m) is None
 
 
 def _copy_network(net, cls):
@@ -171,12 +217,13 @@ def _copy_network(net, cls):
 def test_iterative_dinic_finds_the_recursive_flow(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 12)
-    net = _Dinic(n)
+    edges = _Edges(n)
     for _ in range(rng.randint(0, 40)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            net.add_edge(u, v, rng.randint(0, 9))
-    ref = _copy_network(net, oracle._Dinic)
+            edges.add_edge(u, v, rng.randint(0, 9))
+    ref = _copy_network(edges, oracle._Dinic)
+    net = edges.dinic()
     assert net.max_flow(0, n - 1) == ref.max_flow(0, n - 1)
     assert net.cap == ref.cap  # same residual network, edge for edge
 
@@ -221,7 +268,7 @@ def _hosting_network(rng):
             pairs.setdefault((j, g), len(pairs))
     jg_base = 1 + len(classes)
     grp_base = jg_base + len(pairs)
-    net = _Dinic(grp_base + n_groups + 1)
+    net = _Edges(grp_base + n_groups + 1)
     for ci, (j, picks) in enumerate(classes):
         net.add_edge(0, 1 + ci, L)
         for g in picks:
@@ -237,9 +284,10 @@ def test_hosting_shaped_flows_match_the_recursive_flow(monkeypatch):
     phases = _count_phases(monkeypatch)
     deep = saturated = 0
     for seed in range(300):
-        net = _hosting_network(random.Random(seed))
-        ref = _copy_network(net, oracle._Dinic)
-        total = sum(net.cap[eid] for eid in net.adj[0])
+        edges = _hosting_network(random.Random(seed))
+        ref = _copy_network(edges, oracle._Dinic)
+        total = sum(edges.cap[eid] for eid in edges.adj[0])
+        net = edges.dinic()
         phases.clear()
         flow = net.max_flow(0, net.n - 1)
         assert flow == ref.max_flow(0, net.n - 1), seed
@@ -261,14 +309,99 @@ def test_solve_hosting_matches_the_oracle_on_the_central_fluid_flow(monkeypatch)
     m = fp - 1
     assert m < t  # not a forced shape: the rung is decided by the flow
     classes, candidates = _classes_and_candidates(K, t, m)
-    partitions = enumerate_equal_partitions(K, fp, alpha)
-    cycle = Counter(G for part in partitions for G in part)
+    ranks, cycle = _ranks(K, fp, alpha)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
-    quotas = dict(_slot_quotas(partitions, cycle, slots1, 0))
+    quotas = _slot_quotas(ranks, cycle, slots1, 0)
+    counts = {G: q for G, q in zip(enumerate_subsets(K, fp), quotas.tolist()) if q}
     phases = _count_phases(monkeypatch)
-    got = _solve_hosting(classes, candidates, quotas, plan.L1, m)
+    got = _solve_hosting(_HostingNetwork(K, t, m), quotas, plan.L1)
     assert got is not None and len(phases) - 1 == 7
-    assert got == oracle._solve_hosting(classes, candidates, quotas, plan.L1, m)
+    assert got == oracle._solve_hosting(classes, candidates, counts, plan.L1, m)
+
+
+def _added_network(classes, candidates, quotas, L, m):
+    """A rung's hosting network added edge by edge, as the scheduler built
+    it before it laid the network out as arrays, with each node's label:
+    "source", ("class", (j, T)), ("pair", j, G), ("group", G) or "sink"."""
+    groups = sorted(g for g, q in quotas.items() if q > 0)
+    gid = {g: i for i, g in enumerate(groups)}
+    usable = [[G for G in candidates[cls] if G in gid] for cls in classes]
+    jg_ids = {}
+    for (j, _), gs in zip(classes, usable):
+        for G in gs:
+            if (j, G) not in jg_ids:
+                jg_ids[j, G] = len(jg_ids)
+    jg_base = 1 + len(classes)
+    grp_base = jg_base + len(jg_ids)
+    net = _Edges(grp_base + len(groups) + 1)
+    for ci, ((j, _), gs) in enumerate(zip(classes, usable), 1):
+        net.add_edge(0, ci, L)
+        for G in gs:
+            net.add_edge(ci, jg_base + jg_ids[j, G], L)
+    for (j, G), ji in sorted(jg_ids.items()):
+        net.add_edge(jg_base + ji, grp_base + gid[G], quotas[G])
+    for G in groups:
+        net.add_edge(grp_base + gid[G], net.n - 1, m * quotas[G])
+    pairs = sorted(jg_ids, key=jg_ids.get)
+    labels = ["source", *(("class", c) for c in classes),
+              *(("pair", j, G) for j, G in pairs), *(("group", G) for G in groups), "sink"]
+    return net, labels
+
+
+def _same_network(network, quotas, L, m, classes, candidates):
+    """Assert that a rung's network, on its fixed node ids, is the one
+    added edge by edge, edge for edge: the same heads, capacities and
+    adjacency order of every node, matched by label.  Returns both."""
+    net, _ = network.rung(quotas, L)
+    counts = {G: q for G, q in zip(network.groups, quotas.tolist()) if q}
+    edges, added = _added_network(classes, candidates, counts, L, m)
+    labels = ["source", *(("class", c) for c in network.classes),
+              *(("pair", j, network.groups[g]) for j, g in network.pairs.tolist()),
+              *(("group", G) for G in network.groups), "sink"]
+    assert [labels[v] for v in net.head.tolist()] == [added[v] for v in edges.to]
+    assert net.cap == edges.cap
+    order, start = net.order.tolist(), net.start.tolist()
+    adjacency = {labels[u]: order[start[u]:start[u + 1]] for u in range(net.n)}
+    assert {u: e for u, e in adjacency.items() if e} == dict(zip(added, edges.adj))
+    return net, edges
+
+
+@pytest.mark.parametrize("K", range(4, 10))
+def test_every_rung_network_is_the_edge_by_edge_network(K):
+    rungs = dead = 0
+    for t in range(1, K):
+        for alpha in range(1, K // 2 + 1):
+            fp = min(K // alpha, t + 1)
+            m = fp - 1
+            if m == t:  # a forced shape: its rungs run no flow
+                continue
+            plan = make_split_plan(SystemConfig(K, K, t, alpha_max=K // 2), alpha=alpha)
+            network = _HostingNetwork(K, t, m)
+            classes, candidates = _classes_and_candidates(K, t, m)
+            ranks, cycle = _ranks(K, fp, alpha)
+            slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
+            for rho, offset in _rho_ladder(slots1, len(ranks)):
+                quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
+                _same_network(network, quotas, plan.L1 * rho, m, classes, candidates)
+                rungs += 1
+                dead += (quotas == 0).any()
+    # many rungs leave some groups' edges out
+    assert rungs > dead > 0
+
+
+def test_the_central_fluid_rung_network_flows_as_the_edge_by_edge_one():
+    # the first rung of the flow of the test above
+    plan = make_split_plan(SystemConfig(12, 12, 6, alpha_max=3))
+    K, t, alpha, L = 12, 6, plan.alpha, plan.L1
+    fp = min(K // alpha, t + 1)
+    m = fp - 1
+    ranks, cycle = _ranks(K, fp, alpha)
+    quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
+    classes, candidates = _classes_and_candidates(K, t, m)
+    net, edges = _same_network(_HostingNetwork(K, t, m), quotas, L, m, classes, candidates)
+    ref = edges.dinic()
+    assert net.max_flow(0, net.n - 1) == ref.max_flow(0, ref.n - 1) == L * len(classes)
+    assert net.cap == ref.cap  # the same residual network, edge for edge
 
 
 # (N, K, M, alpha_max, alpha, server share) -> SHA-256 of the export and of

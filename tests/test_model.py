@@ -174,18 +174,18 @@ def _check_round_plan(K, s, alpha_max):
     assert D == (s - 1) * regular + max(r - 1, 0)
     if alpha_max >= -(-K // s):
         assert D == f_ks(K, s)
-    partitions, parts = _round_plan(cfg, allocation_plan(cfg), shape)
+    (table, idle), parts = _round_plan(cfg, allocation_plan(cfg), shape)
+    # the s-groups work on the first part, a remainder group on the second
+    assert list(parts) == (["u1", "u2"] if r else ["u"])
     seen, distinct = {}, set()
-    for pairs in partitions:
-        groups = tuple(G for G, _ in pairs)
+    for row, rest in zip(table.tolist(), idle.tolist()):
+        groups = tuple(map(tuple, row)) + ((tuple(rest),) if r else ())
         assert groups not in distinct
         distinct.add(groups)
+        assert len(row) == regular
         if r:
-            assert [part for _, part in pairs] == ["u1"] * regular + ["u2"]
             assert len(groups[-1]) == r
             assert sorted(u for G in groups for u in G) == list(range(1, K + 1))
-        else:
-            assert [part for _, part in pairs] == ["u"] * regular
         GroupPartition(groups[:regular])  # canonical and disjoint, or this raises
         assert all(len(G) == s for G in groups[:regular])
         for G in groups:
@@ -288,8 +288,7 @@ def test_remainder_partitions_properties(K, data):
     cfg = SystemConfig(K, K, Frac(K, 2), alpha_max=q + 1)
     shape = round_shapes(K, q + 1)[s - 2]
     assert shape[1:3] == (q, r)
-    partitions, parts = _round_plan(cfg, allocation_plan(cfg), shape)
-    partitions = list(partitions)
+    (partitions, _), parts = _round_plan(cfg, allocation_plan(cfg), shape)
     reg = equal_partition_count(K - s, s, q - 1)
     rem = equal_partition_count(K - r, s, q)
     assert parts["u1"][0] == (s - 1) * reg

@@ -1,9 +1,45 @@
-"""The package's export list."""
+"""The package's export list, and its modules' imports."""
+
+import ast
+from pathlib import Path
 
 import coopcache
+
+SOURCES = sorted(Path(coopcache.__file__).parent.glob("*.py"))
 
 
 def test_all_has_no_duplicates_and_every_name_resolves():
     names = coopcache.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(coopcache, n)] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never references (a name listed in
+    its ``__all__`` counts as referenced: it is re-exported)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_unused_import_scan_finds_an_unused_name():
+    source = "import os\nfrom typing import Optional, Sequence\nx: Optional[int] = os.sep\n"
+    assert _unused_imports(source) == ["line 2: Sequence"]
+    assert _unused_imports("import a\n__all__ = ['a']\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(path.read_text()) for path in SOURCES}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -34,7 +34,7 @@ from coopcache import (
     run_decentralized,
 )
 from coopcache.cli import main
-from coopcache.model import _disjoint_group_choices
+from coopcache.model import partition_table
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3, F=4500)
 
@@ -387,9 +387,9 @@ def test_disjoint_group_choices_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        choices = _disjoint_group_choices(9, 3, 3)
-        assert len(choices) == 280
-        del choices
+        groups, idle = partition_table(9, 3, 3)
+        assert len(groups) == len(idle) == 280
+        del groups, idle
         assert gc.collect() == 0
     finally:
         gc.enable()
