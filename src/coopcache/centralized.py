@@ -29,11 +29,15 @@ rho equal units) is raised through a deterministic ladder until the routing
 is feasible; a uniform full-cycle sequence is always feasible, so the ladder
 terminates.  Rates are invariant to rho.  A rung's quotas come in closed
 form (full cycles plus a tail) from the canonical partitions, held as a
-table of group ranks; the slot sequence is never built.  With groups of
-t+1 members (m = t) every pico-file has one possible hosting group, so a
-rung is decided by a quota check; otherwise by a small integer max-flow
-over int arrays laid out once per run, of which a rung keeps the live
-edges (``_HostingNetwork``).  The flow is Dinic's algorithm: levels
+table of group ranks; the slot sequence is never built.  The hosting
+classes (receiver, subset) and each one's candidate groups are enumerated
+once per run as int arrays (``_hosting_classes``).  With groups of t+1
+members (m = t) every pico-file has one possible hosting group, so a rung
+is decided by a quota check; otherwise by a small integer max-flow over
+int arrays laid out once per run, of which a rung keeps the live edges
+(``_HostingNetwork``).  Either way the decision is (class, group, units)
+int arrays, by class and then by group, the order in which the classes
+and their candidates are laid out.  The flow is Dinic's algorithm: levels
 computed in numpy and pruned to the shortest source-sink paths, and an
 iterative search that resumes after each augmentation at the first
 saturated edge, pushing the paths the plain recursive search pushes
@@ -41,10 +45,11 @@ saturated edge, pushing the paths the plain recursive search pushes
 
 The chosen rung is laid out as int columns (:func:`_assemble_schedule`,
 a ``model.SymbolTable`` shown as a ``model.UserRounds`` view), with no
-value object per symbol: each hosting group's load for a receiver is a
-run of pico-files, a group's senders take contiguous blocks of its
-symbols, so a receiver's pico-file in each symbol is found by index
-arithmetic, and the rounds follow the slot sequence by partition index.
+value object per symbol and no sort of the hosting: each hosting
+group's load for a receiver is a run of pico-files, a group's senders
+take contiguous blocks of its symbols, so a receiver's pico-file in each
+symbol is found by index arithmetic, and the rounds follow the slot
+sequence by partition index.
 The audit then re-checks the finished schedule on those columns, with
 boolean membership tables, independently of how it was assembled.
 
@@ -78,7 +83,6 @@ from .model import (
     offsets,
     others,
     partition_table,
-    ranges,
     server_multicast,
     subset_ranks,
     validate_demands,
@@ -438,47 +442,58 @@ class _Dinic:
                 raise SchedulingError("max-flow phase pushed no flow")
 
 
-class _HostingNetwork:
-    """The hosting flow of every ladder rung of one (K, t, m), as int
-    arrays built once; a rung only sets capacities.
+def _hosting_classes(K: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hosting classes of (K, t, m) as (receiver, subset, cand) arrays.
 
     A class is a receiver j and a t-subset T without j, in (j, T) order;
-    its candidate hosts are the groups G = {j} + B over the m-subsets B of
-    T, in combination order, each held as its row in the lex list of
-    (m+1)-subsets (``cand``).  Nodes, numbered alike on every rung: the
-    source 0, the classes, every (receiver, group) pair in sorted order
-    (``pairs``), every group, the sink.  Edges, in the order the search
-    takes each node's: per class, source -> class (L units) then class ->
-    (j, G) per candidate (L); then (j, G) -> G per pair (quota(G)); then
-    G -> sink per group (m*quota(G)).  The pair layer caps a receiver's
-    hosting inside one group at quota(G): a receiver occupies at most one
+    ``subset`` holds T's row in the lex list of t-subsets.  Its candidate
+    hosts are the groups G = {j} + B over the m-subsets B of T, in
+    combination order, each held as its row in the lex list of
+    (m+1)-subsets (``cand``, one row per class).  Adding j to every B keeps
+    their lex order, so each row of ``cand`` is strictly increasing; at
+    m = t it holds the one group T + {j}.
+    """
+    subsets = enumerate_subsets(K, t)
+    j, T = np.nonzero(~member_columns(subsets, K)[1:])
+    picks = np.array(list(itertools.combinations(range(t), m)), np.intp)
+    hosts = np.array(subsets, np.int64).reshape(-1, t)[T][:, picks]
+    receiver = np.broadcast_to(j[:, None, None] + 1, (*hosts.shape[:2], 1))
+    cand = subset_ranks(np.sort(np.concatenate([hosts, receiver], axis=2)), K)
+    return j + 1, T, cand
+
+
+class _HostingNetwork:
+    """The hosting flow of every ladder rung of one (K, m), over the classes
+    of :func:`_hosting_classes`, as int arrays built once; a rung only sets
+    capacities.
+
+    Nodes, numbered alike on every rung: the source 0, the classes, every
+    (receiver, group) pair in sorted order (``pairs``), every
+    (m+1)-subset group, the sink.  Edges, in the order the search takes
+    each node's: per class, source -> class (L units) then class -> (j, G)
+    per candidate (L); then (j, G) -> G per pair (quota(G)); then G -> sink
+    per group (m*quota(G)).  The pair layer caps a receiver's hosting
+    inside one group at quota(G): a receiver occupies at most one
     constituent per symbol.  Each edge is gated by a group, ``gate``
-    (len(groups) for a source edge, which every rung keeps), and its
+    (the group count for a source edge, which every rung keeps), and its
     capacity is L where ``scale`` is 0, its gate's quota times ``scale``
     elsewhere.
     """
 
-    def __init__(self, K: int, t: int, m: int) -> None:
-        subsets = enumerate_subsets(K, t)
-        j, T = np.nonzero(~member_columns(subsets, K)[1:])
-        self.classes = list(zip((j + 1).tolist(), map(subsets.__getitem__, T.tolist())))
-        self.groups = enumerate_subsets(K, m + 1)
-        picks = np.array(list(itertools.combinations(range(t), m)), np.intp)
-        hosts = np.array(subsets, np.int64).reshape(-1, t)[T][:, picks]
-        receiver = np.broadcast_to(j[:, None, None] + 1, (*hosts.shape[:2], 1))
-        self.cand = subset_ranks(np.sort(np.concatenate([hosts, receiver], axis=2)), K)
-        n_class, n_cand = self.cand.shape
-        n_groups = len(self.groups)
-        keys, pair = np.unique(j[:, None] * n_groups + self.cand, return_inverse=True)
+    def __init__(self, K: int, m: int, receiver: np.ndarray, cand: np.ndarray) -> None:
+        self.cand = cand
+        n_class, n_cand = cand.shape
+        n_groups = math.comb(K, m + 1)
+        keys, pair = np.unique(receiver[:, None] * n_groups + cand, return_inverse=True)
         pair = pair.reshape(n_class, n_cand)
-        self.pairs = np.stack([keys // n_groups + 1, keys % n_groups], axis=1)
+        self.pairs = np.stack([keys // n_groups, keys % n_groups], axis=1)
         pair_node = 1 + n_class + np.arange(len(keys))
         group_node = pair_node[-1] + 1 + np.arange(n_groups)
         sink = group_node[-1] + 1
         # per edge its tail, head and gate, in the order the nodes take them
         block = lambda *columns: np.stack(np.broadcast_arrays(*columns), axis=-1)
         cls = np.arange(1, n_class + 1)[:, None]
-        per_class = [block(0, cls, n_groups), block(cls, pair_node[pair], self.cand)]
+        per_class = [block(0, cls, n_groups), block(cls, pair_node[pair], cand)]
         tail, head, self.gate = np.concatenate([
             np.hstack(per_class).reshape(-1, 3),
             block(pair_node, group_node[self.pairs[:, 1]], self.pairs[:, 1]),
@@ -511,54 +526,53 @@ class _HostingNetwork:
 
 def _solve_hosting(
     network: _HostingNetwork, quotas: np.ndarray, L: int
-) -> Optional[dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]]]:
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Route L pico-file units per class (receiver j, subset T) to hosting
     groups, respecting per-(receiver, group) caps of quota(G) (a receiver
     occupies at most one constituent slot per symbol) and per-group totals
     of m*quota(G) (each symbol carries m constituents).  ``quotas`` holds
     one count per group, in lex order.
 
-    Returns {class: [(group, units), ...]} or None if infeasible.
+    Returns (cls, group, units) int arrays, or None if infeasible: one
+    entry per group hosting some of a class's units, with the class as its
+    row in :func:`_hosting_classes` and the group as its row in the lex
+    list of (m+1)-subsets.  They are the nonzero entries of the (class,
+    candidate) matrix of flows, read from the reverse residuals, which
+    ``np.nonzero`` takes in row-major order: by class, and within a class
+    by increasing group, since each class's candidates are.
     """
-    classes = network.classes
     net, ids = network.rung(quotas, L)
-    if net.max_flow(0, net.n - 1) != L * len(classes):
+    if net.max_flow(0, net.n - 1) != L * len(network.cand):
         return None
     cap = np.array(net.cap)
     used = np.where(quotas[network.cand] > 0, cap[ids[network.hosting]], 0)
-    at, host = np.nonzero(used)
-    out: dict = {cls: [] for cls in classes}
-    hosts, groups = network.cand[at, host].tolist(), network.groups
-    for i, g, units in zip(at.tolist(), hosts, used[at, host].tolist()):
-        out[classes[i]].append((groups[g], units))
-    return out
+    cls, host = np.nonzero(used)
+    return cls, network.cand[cls, host], used[cls, host]
 
 
 def _forced_hosting(
-    classes: list[tuple[int, tuple[int, ...]]], quotas: np.ndarray, L: int, m: int
-) -> Optional[dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]]]:
+    cand: np.ndarray, quotas: np.ndarray, L: int, m: int
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_solve_hosting`` for groups of t+1 members (m == t), without a flow.
 
-    Class (j, T) can then be hosted only by G = T+{j}, so the one flow sends
-    L units from each of G's fp = m+1 members into G.  It saturates iff every
-    (t+1)-subset has m*quota(G) >= fp*L, which also gives quota(G) >= L,
-    the per-receiver cap.
+    Class (j, T) can then be hosted only by G = T+{j}, its one candidate, so
+    the one flow sends L units from each of G's fp = m+1 members into G.  It
+    saturates iff every (t+1)-subset has m*quota(G) >= fp*L, which also
+    gives quota(G) >= L, the per-receiver cap.
     """
     if (m * quotas < (m + 1) * L).any():
         return None
-    return {(j, T): [(tuple(sorted(T + (j,))), L)] for (j, T) in classes}
+    return np.arange(len(cand)), cand[:, 0], np.full(len(cand), L)
 
 
-def _hosting_decider(K: int, t: int, m: int):
-    """The hosting decision of one ladder rung, as a function of the rung's
-    quotas (one per (m+1)-subset, in lex order) and unit count L: a quota
-    check when every class has a single hosting group (m == t), the
-    max-flow otherwise."""
-    if m == t:
-        subsets = enumerate_subsets(K, t)
-        classes = [(j, T) for j in range(1, K + 1) for T in subsets if j not in T]
-        return lambda quotas, L: _forced_hosting(classes, quotas, L, m)
-    network = _HostingNetwork(K, t, m)
+def _hosting_decider(K: int, m: int, receiver: np.ndarray, cand: np.ndarray):
+    """The hosting decision of one ladder rung over the classes of
+    :func:`_hosting_classes`, as a function of the rung's quotas (one per
+    (m+1)-subset, in lex order) and unit count L: a quota check when every
+    class has a single candidate group (m == t), the max-flow otherwise."""
+    if cand.shape[1] == 1:
+        return lambda quotas, L: _forced_hosting(cand, quotas, L, m)
+    network = _HostingNetwork(K, m, receiver, cand)
     return lambda quotas, L: _solve_hosting(network, quotas, L)
 
 
@@ -683,7 +697,8 @@ def _user_schedule(
     K, alpha = config.K, plan.alpha
     m = fp - 1
 
-    decide = _hosting_decider(K, t, m)
+    receiver, subset, cand = _hosting_classes(K, t, m)
+    decide = _hosting_decider(K, m, receiver, cand)
     ranks = subset_ranks(partition_table(K, fp, alpha)[0], K)
     cycle = np.bincount(ranks.ravel(), minlength=math.comb(K, fp))
 
@@ -692,13 +707,13 @@ def _user_schedule(
         L = plan.L1 * rho
         slots = slots1 * rho
         quotas = _slot_quotas(ranks, cycle, slots, offset)
-        assignment = decide(quotas, L)
-        if assignment is None:
+        hosting = decide(quotas, L)
+        if hosting is None:
             last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
             continue
         return _assemble_schedule(
-            config, placement, plan, d, ranks, offset, slots, quotas, assignment,
-            L, fp,
+            config, placement, plan, d, ranks, offset, slots, quotas,
+            (receiver, subset), hosting, L, fp,
         ), placement
     raise SchedulingError(
         f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
@@ -714,16 +729,21 @@ def _assemble_schedule(
     offset: int,
     slots: int,
     quotas: np.ndarray,
-    assignment: dict,
+    classes: tuple[np.ndarray, np.ndarray],
+    hosting: tuple[np.ndarray, np.ndarray, np.ndarray],
     L: int,
     fp: int,
 ) -> DeliverySchedule:
     """The user rounds of a feasible rung as int columns (a
     :class:`UserRounds` view), then audited.
 
-    * Loads: classes (j, T) in sorted order, each class's hosting groups in
-      sorted order; the class's layers count up from 0 across its hosts,
-      and each pico-file joins its host's load for receiver j.
+    * Loads: the (cls, group, units) entries of ``hosting``
+      (:func:`_solve_hosting`) as they come, by class in (j, T) order and
+      within a class by increasing group, as :func:`_hosting_classes` lays
+      the classes and their candidates out, so no sort is needed;
+      ``classes`` holds each class's receiver and subset rank.  The class's
+      layers count up from 0 across its hosts, and each pico-file joins its
+      host's load for receiver j.
     * Symbols (a Latin assembly per group): in group G with quota Q, member
       u sends Q - (u's load) symbols, senders in contiguous blocks in G's
       order, and symbol k codes one pico-file of every other member j: j's
@@ -742,23 +762,17 @@ def _assemble_schedule(
     sets = enumerate_subsets(config.K, fp)
     live = np.flatnonzero(quotas)
     groups = [sets[G] for G in live.tolist()]
-    gid = {G: g for g, G in enumerate(groups)}
     members = np.array(groups, np.int64).reshape(len(groups), fp)
     Q = quotas[live]
-    # per (class, host): its lane (host, receiver's position in the host),
-    # subset, first layer and layer count
-    tid = {T: i for i, T in enumerate(placement.subsets)}
-    rows = []
-    for (j, T), hosts in sorted(assignment.items()):
-        layer = 0
-        for G, units in sorted(hosts):
-            rows.append((gid[G] * fp + G.index(j), tid[T], layer, units))
-            layer += units
-    lane, subset, layer, units = np.array(rows, np.int64).reshape(-1, 4).T
+    # each pico-file's lane (host, receiver's position in the host), taking
+    # each (class, host) entry's units in turn: every class hosts L units
+    # in all, so pico-file k is layer k % L of class k // L
+    (j, subset), (cls, group, units) = classes, hosting
+    host = np.searchsorted(live, group)
+    lane = np.repeat(host * fp + (members[host] < j[cls, None]).sum(axis=1), units)
     # the pico-files lane after lane, lane l's load from loads[l]
-    lane = np.repeat(lane, units)
     order = np.argsort(lane, kind="stable")
-    subset, layer = np.repeat(subset, units)[order], ranges(layer, layer + units)[order]
+    subset, layer = subset[order // L], order % L
     load = np.bincount(lane, minlength=len(groups) * fp).reshape(-1, fp)
     loads = offsets(load.ravel())
     bad = (load.max(axis=1) > Q) | (load.sum(axis=1) != m * Q)

@@ -261,8 +261,6 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
-    if args.detail_round is not None and args.detail_round < 1:
-        raise ValueError(f"--detail-round must be at least 1, got {args.detail_round}")
     if args.scheme == "decentralized" and (
         args.alpha is not None or args.server_share is not None
     ):
@@ -273,6 +271,10 @@ def cmd_simulate(args, out: TextIO) -> int:
     config = SystemConfig(
         N=args.N, K=args.K, M=as_frac(args.M), alpha_max=args.alpha_max, F=args.F
     )
+    if args.detail_round is not None and not 1 <= args.detail_round <= config.K:
+        # a group has 1 to K members, so no partition would be listed
+        bound = "at least 1" if args.detail_round < 1 else f"at most K={config.K}"
+        raise ValueError(f"--detail-round must be {bound}, got {args.detail_round}")
     demands = (
         [int(x) for x in args.demands.split(",")] if args.demands else None
     )
@@ -297,6 +299,8 @@ def cmd_simulate(args, out: TextIO) -> int:
     except RuntimeError as e:  # a schedule that could not be built
         out.write(f"{header}error: {e}\n")
         return 1
+    if args.mode == "fluid" and args.F is not None:
+        print("warning: --F is ignored in fluid mode", file=sys.stderr)
     out.write(header)
     plan = res.plan
     if args.scheme == "centralized":
@@ -421,6 +425,7 @@ _SWEEP_DEFAULTS = {
 
 def _sweep_spec(args) -> SweepSpec:
     merged = dict(_SWEEP_DEFAULTS)
+    default_grid = args.grid is None
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -432,6 +437,7 @@ def _sweep_spec(args) -> SweepSpec:
                 f"unknown key(s) in {args.config}: {', '.join(unknown)}"
             )
         merged.update(loaded)
+        default_grid &= "grid" not in loaded
     for key in ("scheme", "N", "K", "alpha_max", "grid", "format"):
         v = getattr(args, key)
         if v is not None:
@@ -451,14 +457,20 @@ def _sweep_spec(args) -> SweepSpec:
             f"grid must be a string or a list of integers and 'p/q' strings, "
             f"got {grid!r}"
         )
-    return SweepSpec(
-        scheme=merged["scheme"],
-        N=merged["N"],
-        K=merged["K"],
-        alpha_max=merged["alpha_max"],
-        grid=values,
-        fmt=merged["format"],
-    )
+    try:
+        return SweepSpec(
+            scheme=merged["scheme"],
+            N=merged["N"],
+            K=merged["K"],
+            alpha_max=merged["alpha_max"],
+            grid=values,
+            fmt=merged["format"],
+        )
+    except ValueError as e:
+        # a value the user never typed: say where it came from
+        if default_grid and str(e).startswith("grid value"):
+            raise ValueError(f"{e} in the default grid {grid}; pass --grid") from None
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1290,10 +1290,10 @@ def _collector_paused() -> Iterator[None]:
     paused it keeps it paused.
 
     A run's containers are acyclic, yet the collector scans them as they
-    grow: unpaused, that took 0.011-0.013 s of a 0.47 s ``central_fluid``
-    pass, spread over the assembly, the hosting result and the decode
-    check, and 0.008-0.009 s of a 0.22 s ``decentral_fluid`` pass (2 vCPU,
-    Python 3.11).
+    grow: unpaused, that took 0.005 s of a 0.40 s ``central_fluid`` pass,
+    spread over the decode check, the assembly and the server symbols, and
+    0.007-0.008 s of a 0.23 s ``decentral_fluid`` pass (2 vCPU, Python
+    3.11).
 
     The collector counts allocations while it is paused, so re-enabling it
     as is would start a young collection at the next allocation, which

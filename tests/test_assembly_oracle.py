@@ -26,6 +26,7 @@ from coopcache import (
     make_split_plan,
 )
 from test_centralized import AUDIT_BREAKS, _replace_symbol
+from test_hosting_oracle import _assignment
 
 # (N, K, M, alpha_max) of the benchmark's central_fluid workload
 CENTRAL_FLUID = [
@@ -55,12 +56,13 @@ def _both_assemblies(cfg, plan, demands, monkeypatch):
     sched = build_user_schedule(cfg, plan, demands)
     if not calls:
         return sched, None
-    [(config, placement, plan, d, ranks, offset, slots, quotas, assignment,
+    [(config, placement, plan, d, ranks, offset, slots, quotas, classes, hosting,
       L, fp)] = calls
     groups = enumerate_subsets(config.K, fp)
     partitions = [tuple(groups[G] for G in p) for p in ranks.tolist()]
     seq = [partitions[(offset + i) % len(partitions)] for i in range(slots)]
     counts = {G: q for G, q in zip(groups, quotas.tolist()) if q}
+    assignment = _assignment(config.K, placement.t, fp - 1, classes, hosting)
     ref = oracle._assemble_schedule(
         config, placement, plan, d, seq, counts, assignment, L, fp
     )

@@ -195,6 +195,20 @@ def test_sweep_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_range_error_names_the_default_grid(tmp_path, capsys):
+    code, out, err = _run(capsys, ["sweep", "--N", "4", "--K", "4"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: grid value 6 outside [0, 4] in the default grid 0:20:2; pass --grid\n"
+    )
+    # a grid the user gave, by flag or config file, is named as before
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"grid": "0:20:2"}))
+    for given in (["--grid", "0:20:2"], ["--config", str(cfg)]):
+        code, out, err = _run(capsys, ["sweep", "--N", "4", "--K", "4", *given])
+        assert (code, out, err) == (2, "", "error: grid value 6 outside [0, 4]\n")
+
+
 def test_sweep_refuses_an_oversized_grid_before_building_it(capsys, monkeypatch):
     argv = ["sweep", "--scheme", "bounds", "--N", "2", "--K", "2",
             "--alpha-max", "1", "--grid", "0:1:1/10"]  # 11 values
@@ -500,6 +514,35 @@ def test_simulate_refuses_a_detail_round_below_one(scheme, value, capsys, monkey
     )
     assert (code, out) == (2, "")
     assert err == f"error: --detail-round must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["5", "99999"])
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_refuses_a_detail_round_above_k(scheme, value, capsys, monkeypatch):
+    # no group has more than K members, so the listing would be empty
+    def stop(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, f"run_{scheme}", stop)
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+         "--alpha-max", "2", "--detail-round", value],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --detail-round must be at most K=4, got {value}\n"
+
+
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_fluid_mode_warns_that_f_is_ignored(scheme, capsys):
+    argv = ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+            "--alpha-max", "2"]
+    code, plain, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    for mode in ([], ["--mode", "fluid"]):
+        code, out, err = _run(capsys, [*argv, *mode, "--F", "10"])
+        assert (code, out) == (0, plain)
+        assert err == "warning: --F is ignored in fluid mode\n"
 
 
 def test_simulate_usage_errors(capsys):

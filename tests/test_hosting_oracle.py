@@ -7,11 +7,13 @@ closed form, settles forced rungs (groups of t+1 members, m == t) by a quota
 check and runs the flow on numpy levels pruned to the shortest paths, with
 an iterative search that resumes after each augmentation, over a network
 laid out once per (K, t, m) as int arrays of which a rung keeps the live
-edges.  On every rung checked here it must reach the same decision, with
-the same assignment; each rung's network must be the one that adding its
-edges one by one builds (``_Edges``), edge for edge; and on every network
-generated here the flow must leave the same residual network, edge for
-edge.
+edges, and hands the assembly its decision as (class, group, units) int
+arrays, which ``_assignment`` turns into the oracle's dict.  On every rung
+checked here it must reach the same decision, with the same assignment,
+its entries in the oracle's order; each rung's network must be the one
+that adding its edges one by one builds (``_Edges``), edge for edge; and
+on every network generated here the flow must leave the same residual
+network, edge for edge.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ from coopcache import SystemConfig, enumerate_equal_partitions, make_split_plan
 from coopcache.centralized import (
     _Dinic,
     _forced_hosting,
+    _hosting_classes,
     _hosting_decider,
     _HostingNetwork,
     _rho_ladder,
@@ -95,6 +98,47 @@ def _classes_and_candidates(K, t, m):
     return classes, candidates
 
 
+def _network(K, t, m):
+    """The hosting network of (K, t, m) and the classes it is built over,
+    each one's receiver and subset rank."""
+    receiver, subset, cand = _hosting_classes(K, t, m)
+    return _HostingNetwork(K, m, receiver, cand), (receiver, subset)
+
+
+def _assignment(K, t, m, classes, hosting):
+    """A hosting decision's (class, group, units) arrays as the oracle's
+    {(j, T): [(G, units)]} dict, each class's list in the arrays' order;
+    None, an infeasible rung, stays None.  ``classes`` holds each class's
+    receiver and subset rank."""
+    if hosting is None:
+        return None
+    subsets, groups = enumerate_subsets(K, t), enumerate_subsets(K, m + 1)
+    keys = [(j, subsets[T]) for j, T in zip(*(c.tolist() for c in classes))]
+    out = {key: [] for key in keys}
+    for c, g, units in zip(*(a.tolist() for a in hosting)):
+        out[keys[c]].append((groups[g], units))
+    return out
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_classes_and_candidates_come_in_the_order_the_assembly_reads(K):
+    # the assembly lays the hosting out in the order its arrays come in,
+    # with no sort: classes in (j, T) order, and each class's candidate
+    # groups in strictly increasing rank (a single group at m == t)
+    for t in range(1, K):
+        for m in range(1, t + 1):
+            receiver, subset, cand = _hosting_classes(K, t, m)
+            assert (np.diff(receiver * math.comb(K, t) + subset) > 0).all(), (K, t, m)
+            assert cand.shape[1] == math.comb(t, m)
+            assert (np.diff(cand, axis=1) > 0).all(), (K, t, m)
+            classes, candidates = _classes_and_candidates(K, t, m)
+            subsets, groups = enumerate_subsets(K, t), enumerate_subsets(K, m + 1)
+            assert [(j, subsets[T]) for j, T in zip(receiver.tolist(), subset.tolist())] \
+                == classes
+            assert [[groups[g] for g in row] for row in cand.tolist()] \
+                == [candidates[c] for c in classes]
+
+
 def _walk_ladder(K, t, alpha, last_rung=False):
     """Check every rung up to and including the first feasible one; return
     (rungs checked, whether the shape is forced).  With ``last_rung``, also
@@ -108,7 +152,8 @@ def _walk_ladder(K, t, alpha, last_rung=False):
     partitions = enumerate_equal_partitions(K, fp, alpha)
     ranks, cycle = _ranks(K, fp, alpha)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
-    decide = _hosting_decider(K, t, m)
+    receiver, subset, cand = _hosting_classes(K, t, m)
+    decide = _hosting_decider(K, m, receiver, cand)
     beta = len(partitions)
     ladder = _rho_ladder(slots1, beta)
     if last_rung:
@@ -122,7 +167,7 @@ def _walk_ladder(K, t, alpha, last_rung=False):
         quotas = _slot_quotas(ranks, cycle, slots, offset)
         assert quotas.tolist() == _quotas(K, fp, partitions, slots, offset).tolist()
         counts = dict(oracle._slot_quotas(partitions, slots, offset)[1])
-        got = decide(quotas, L)
+        got = _assignment(K, t, m, (receiver, subset), decide(quotas, L))
         assert got == oracle._solve_hosting(classes, candidates, counts, L, m), (
             K, t, alpha, rho, offset,
         )
@@ -189,20 +234,21 @@ def test_rungs_agree_with_the_oracle_for_k_8_and_9(shape):
 def test_forced_rung_with_uneven_quotas_is_infeasible():
     K, t, L = 6, 2, 2
     m = t  # groups of t+1 = 3 members, alpha = 2
-    decide = _hosting_decider(K, t, m)
+    receiver, subset, cand = _hosting_classes(K, t, m)
+    decide = _hosting_decider(K, m, receiver, cand)
     hosts = list(itertools.combinations(range(1, K + 1), t + 1))
     classes = [(j, T) for j in range(1, K + 1)
                for T in itertools.combinations(range(1, K + 1), t) if j not in T]
     candidates = {(j, T): [tuple(sorted((j,) + T))] for (j, T) in classes}
     even = np.full(len(hosts), (t + 1) * L // m)
     forced = {(j, T): [(tuple(sorted((j,) + T)), L)] for (j, T) in classes}
-    assert decide(even, L) == forced
+    assert _assignment(K, t, m, (receiver, subset), decide(even, L)) == forced
     assert oracle._solve_hosting(classes, candidates, dict(zip(hosts, even)), L, m) == forced
     uneven = even.copy()
     uneven[0] -= 1
     uneven[-1] += 1  # same total, one group short
     assert decide(uneven, L) is None
-    assert _forced_hosting(classes, uneven, L, m) is None
+    assert _forced_hosting(cand, uneven, L, m) is None
     assert oracle._solve_hosting(classes, candidates, dict(zip(hosts, uneven)), L, m) is None
 
 
@@ -314,7 +360,8 @@ def test_solve_hosting_matches_the_oracle_on_the_central_fluid_flow(monkeypatch)
     quotas = _slot_quotas(ranks, cycle, slots1, 0)
     counts = {G: q for G, q in zip(enumerate_subsets(K, fp), quotas.tolist()) if q}
     phases = _count_phases(monkeypatch)
-    got = _solve_hosting(_HostingNetwork(K, t, m), quotas, plan.L1)
+    network, arrays = _network(K, t, m)
+    got = _assignment(K, t, m, arrays, _solve_hosting(network, quotas, plan.L1))
     assert got is not None and len(phases) - 1 == 7
     assert got == oracle._solve_hosting(classes, candidates, counts, plan.L1, m)
 
@@ -348,16 +395,20 @@ def _added_network(classes, candidates, quotas, L, m):
     return net, labels
 
 
-def _same_network(network, quotas, L, m, classes, candidates):
+def _same_network(K, t, m, built, quotas, L, classes, candidates):
     """Assert that a rung's network, on its fixed node ids, is the one
     added edge by edge, edge for edge: the same heads, capacities and
-    adjacency order of every node, matched by label.  Returns both."""
+    adjacency order of every node, matched by label.  ``built`` is what
+    ``_network`` returns.  Returns both."""
+    network, (receiver, subset) = built
     net, _ = network.rung(quotas, L)
-    counts = {G: q for G, q in zip(network.groups, quotas.tolist()) if q}
+    subsets, groups = enumerate_subsets(K, t), enumerate_subsets(K, m + 1)
+    counts = {G: q for G, q in zip(groups, quotas.tolist()) if q}
     edges, added = _added_network(classes, candidates, counts, L, m)
-    labels = ["source", *(("class", c) for c in network.classes),
-              *(("pair", j, network.groups[g]) for j, g in network.pairs.tolist()),
-              *(("group", G) for G in network.groups), "sink"]
+    labels = ["source",
+              *(("class", (j, subsets[T])) for j, T in zip(receiver.tolist(), subset.tolist())),
+              *(("pair", j, groups[g]) for j, g in network.pairs.tolist()),
+              *(("group", G) for G in groups), "sink"]
     assert [labels[v] for v in net.head.tolist()] == [added[v] for v in edges.to]
     assert net.cap == edges.cap
     order, start = net.order.tolist(), net.start.tolist()
@@ -376,13 +427,13 @@ def test_every_rung_network_is_the_edge_by_edge_network(K):
             if m == t:  # a forced shape: its rungs run no flow
                 continue
             plan = make_split_plan(SystemConfig(K, K, t, alpha_max=K // 2), alpha=alpha)
-            network = _HostingNetwork(K, t, m)
+            built = _network(K, t, m)
             classes, candidates = _classes_and_candidates(K, t, m)
             ranks, cycle = _ranks(K, fp, alpha)
             slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
             for rho, offset in _rho_ladder(slots1, len(ranks)):
                 quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
-                _same_network(network, quotas, plan.L1 * rho, m, classes, candidates)
+                _same_network(K, t, m, built, quotas, plan.L1 * rho, classes, candidates)
                 rungs += 1
                 dead += (quotas == 0).any()
     # many rungs leave some groups' edges out
@@ -398,7 +449,7 @@ def test_the_central_fluid_rung_network_flows_as_the_edge_by_edge_one():
     ranks, cycle = _ranks(K, fp, alpha)
     quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
     classes, candidates = _classes_and_candidates(K, t, m)
-    net, edges = _same_network(_HostingNetwork(K, t, m), quotas, L, m, classes, candidates)
+    net, edges = _same_network(K, t, m, _network(K, t, m), quotas, L, classes, candidates)
     ref = edges.dinic()
     assert net.max_flow(0, net.n - 1) == ref.max_flow(0, ref.n - 1) == L * len(classes)
     assert net.cap == ref.cap  # the same residual network, edge for edge

@@ -1,4 +1,5 @@
-"""The package's export list, and its modules' imports."""
+"""The package's export list, its modules' imports and its private
+helpers."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,41 @@ def test_the_unused_import_scan_finds_an_unused_name():
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text()) for path in SOURCES}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """The module-private functions and classes (``_name``, not dunder)
+    defined at the top of a module that no module in ``sources`` (name ->
+    source) references, by name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_the_private_def_scan_finds_an_unreferenced_helper():
+    sources = {
+        "a.py": "def _dead():\n    pass\ndef _live():\n    pass\nclass _Gone:\n"
+                "    def _method(self):\n        pass\nx = _live()\n",
+        "b.py": "import a\ndef _by_attribute():\n    pass\ndef __dunder__():\n"
+                "    pass\na._by_attribute()\n",
+    }
+    assert _unreferenced_private_defs(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert _unreferenced_private_defs(sources) == []
