@@ -801,11 +801,9 @@ def _assemble_schedule(
         np.full(n * m, L, np.int32), groups, [size], list(placement.subsets), ["u"],
     )
     runs = 1 if beta == 1 else slots
-    shown = [tuple(sets[G] for G in p) for p in window.tolist()]
-    sched = DeliverySchedule(UserRounds(
-        [shown[i % beta] for i in range(runs)], list(range(runs)),
-        np.arange(runs + 1) * (n // runs), table,
-    ))
+    sched = DeliverySchedule(
+        UserRounds(list(range(runs)), np.arange(runs + 1) * (n // runs), table)
+    )
     _audit_user_schedule(config, placement, demands, sched, L, m, size)
     return sched
 

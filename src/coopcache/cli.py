@@ -480,13 +480,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             spec = _sweep_spec(args)
             rows = cmd_sweep(spec)
-            if not rows:
-                print("warning: empty grid — no rows", file=sys.stderr)
             if args.out:
                 with open(args.out, "w") as fh:
                     _emit_rows(rows, spec.fmt, fh)
             else:
                 _emit_rows(rows, spec.fmt, sys.stdout)
+            if not rows:  # once the output is written, so a refusal stays alone
+                print("warning: empty grid — no rows", file=sys.stderr)
             return 0
         if args.command == "verify":
             if args.out:

@@ -637,8 +637,7 @@ def parallel_user_delivery(
     if plan.server_share == 1:
         return DeliverySchedule()
     files = np.array((0, *d), np.int64)
-    groups: list[tuple] = []  # per partition
-    per_partition: list[int] = []  # its symbol count
+    per_partition: list[int] = []  # each partition's symbol count
     sizes: dict[Frac, int] = {}
     part_rows: dict[str, int] = {}
     columns: list[list[np.ndarray]] = [[] for _ in range(9)]
@@ -660,12 +659,9 @@ def parallel_user_delivery(
              part_row[ckind], index, count[ckind]),
         ):
             column.append(values)
-        rows, idle = (table.tolist() for table in partitions)
-        if shape[2]:  # the remainder group joins in order of smallest member
-            rows = [sorted([*row, rest]) for row, rest in zip(rows, idle)]
-        groups += [tuple(map(tuple, row)) for row in rows]
-        per_partition += [len(sender) // len(rows)] * len(rows)
-    if not groups:
+        n = len(partitions[0])
+        per_partition += [len(sender) // n] * n
+    if not per_partition:
         return DeliverySchedule()
     sender, gmask, size, arity, receiver, subset, part, index, count = (
         np.concatenate(column) for column in columns
@@ -681,7 +677,7 @@ def parallel_user_delivery(
         list(part_rows),
     )
     return DeliverySchedule(
-        UserRounds(groups, list(range(len(groups))), offsets(per_partition), table)
+        UserRounds(list(range(len(per_partition))), offsets(per_partition), table)
     )
 
 

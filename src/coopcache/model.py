@@ -564,15 +564,28 @@ def server_multicast(
     Each run (s, part, size, redundant), in order, sends for every s-subset
     S of users 1..K, in lex order, one symbol of ``size`` (flagged
     ``redundant``) from the server to everyone, which XORs for each k in S
-    the fragment (d_k, S\\{k}, part, 0, 1) with receiver k."""
+    the fragment (d_k, S\\{k}, part, 0, 1) with receiver k.  The subsets
+    table lists the (s-1)-subsets of each new s in lex order, so a
+    constituent's subset row is the lex rank of S\\{k} (:func:`subset_ranks`)
+    past the first row of its size."""
     sizes: dict = {}
     parts: dict = {}
-    subsets: dict = {}
-    sets = [list(itertools.combinations(range(1, K + 1), s)) for s, *_ in runs]
-    n = np.array([len(run) for run in sets], np.int64)
+    first: dict[int, int] = {}  # the first row of the (s-1)-subsets
+    subsets: list[tuple[int, ...]] = []
+    for s, *_ in runs:
+        if s - 1 not in first:
+            first[s - 1] = len(subsets)
+            subsets += enumerate_subsets(K, s - 1)
+    sets = [np.array(enumerate_subsets(K, s), np.int64).reshape(-1, s) for s, *_ in runs]
+    n = np.array([len(S) for S in sets], np.int64)
     arity = np.array([s for s, *_ in runs], np.int64)
-    receiver = np.array([k for run in sets for S in run for k in S], np.int32)
-    rests = [S[:i] + S[i + 1 :] for run in sets for S in run for i in range(len(S))]
+    none = [np.zeros(0, np.int64)]  # what no run concatenates to
+    receiver = np.concatenate(none + [S.ravel() for S in sets]).astype(np.int32)
+    rest = np.concatenate(
+        none
+        + [first[s - 1] + subset_ranks(S[:, others(s)], K).ravel()
+           for S, (s, *_) in zip(sets, runs)]
+    ).astype(np.int32)
     table = SymbolTable(
         np.zeros(n.sum(), np.int32),
         np.zeros(n.sum(), np.int32),
@@ -581,40 +594,62 @@ def server_multicast(
         offsets(np.repeat(arity, n)),
         receiver,
         np.array((0, *demands), np.int64)[receiver],
-        table_rows(rests, subsets),
+        rest,
         np.repeat(table_rows([part for _, part, _, _ in runs], parts), n * arity),
         np.zeros(len(receiver), np.int32),
         np.ones(len(receiver), np.int32),
-        [tuple(range(1, K + 1))], list(sizes), list(subsets), list(parts),
+        [tuple(range(1, K + 1))], list(sizes), subsets, list(parts),
     )
     return Symbols(table)
 
 
 class UserRounds(ListView):
-    """User rounds held as columns: round i is ``GroupPartition(groups[i],
-    labels[i])`` with the symbols of rows ``starts[i]:starts[i + 1]`` of
-    ``table``."""
+    """User rounds held as columns: round i, labelled ``labels[i]``, holds
+    the symbols of rows ``starts[i]:starts[i + 1]`` of ``table``.  Its
+    partition is not stored: it is the distinct groups of those symbols,
+    ordered by smallest member, built only when a round or
+    :meth:`outline` is read.  Every group of a round the schedulers
+    build sends, so that is the partition the round ran."""
 
-    def __init__(
-        self, groups: list, labels: list[int], starts: np.ndarray, table: SymbolTable
-    ) -> None:
-        self.groups, self.labels, self.starts, self.table = groups, labels, starts, table
+    def __init__(self, labels: list[int], starts: np.ndarray, table: SymbolTable) -> None:
+        self.labels, self.starts, self.table = labels, starts, table
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(self.labels)
+
+    def _partitions(self, lo: int, hi: int) -> list[tuple]:
+        """The groups of rounds ``lo:hi``, one tuple of groups per round."""
+        starts = self.starts[lo : hi + 1]
+        group = self.table.group[starts[0] : starts[-1]]
+        groups = self.table.groups
+        smallest = np.zeros(len(groups), np.int64)
+        used = np.unique(group)
+        smallest[used] = [min(groups[g], default=0) for g in used.tolist()]
+        rnd = np.repeat(np.arange(hi - lo), np.diff(starts))
+        order = np.lexsort((group, smallest[group], rnd))
+        rnd, group = rnd[order], group[order]
+        new = np.ones(len(group), bool)
+        new[1:] = (rnd[1:] != rnd[:-1]) | (group[1:] != group[:-1])
+        rows = group[new].tolist()
+        cuts = np.searchsorted(rnd[new], np.arange(hi - lo + 1)).tolist()
+        return [tuple(groups[g] for g in rows[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def _items(self, lo: int, hi: int) -> list:
         starts = self.starts[lo : hi + 1].tolist()
         base = starts[0]
         symbols = self.table.symbols(np.arange(base, starts[-1]))
         return [
-            (GroupPartition(self.groups[i], self.labels[i]), symbols[a - base : b - base])
-            for i, a, b in zip(range(lo, hi), starts, starts[1:])
+            (GroupPartition(groups, label), symbols[a - base : b - base])
+            for groups, label, a, b in zip(
+                self._partitions(lo, hi), self.labels[lo:hi], starts, starts[1:]
+            )
         ]
 
     def outline(self) -> list[tuple[tuple, int, int]]:
         """Each round's groups, label and symbol count, building no object."""
-        return list(zip(self.groups, self.labels, np.diff(self.starts).tolist()))
+        return list(
+            zip(self._partitions(0, len(self)), self.labels, np.diff(self.starts).tolist())
+        )
 
     @classmethod
     def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
@@ -624,7 +659,6 @@ class UserRounds(ListView):
         a list's symbols pass through the adapter."""
         if not isinstance(rounds, UserRounds):
             rounds = cls(
-                [part.groups for part, _ in rounds],
                 [part.round_index for part, _ in rounds],
                 offsets(len(syms) for _, syms in rounds),
                 SymbolTable.from_symbols([sym for _, syms in rounds for sym in syms]),
@@ -633,7 +667,7 @@ class UserRounds(ListView):
             return rounds
         head = first.table if isinstance(first, Symbols) else SymbolTable.from_symbols(first)
         table = SymbolTable.concat(head, rounds.table)
-        return cls(rounds.groups, rounds.labels, rounds.starts + len(first), table)
+        return cls(rounds.labels, rounds.starts + len(first), table)
 
 
 @dataclass

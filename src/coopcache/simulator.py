@@ -87,28 +87,18 @@ before any of that is built, then builds the library, executes the
 schedule, measures R1 and R2 against the closed forms, and runs the decode
 check.
 
-Everything after those checks runs with the process-wide cyclic garbage
-collector paused, and the collector's state is restored afterwards, on
-every exit path (:func:`_collector_paused`).  A run builds no symbol,
-fragment or log entry object, but the schedulers' assembly and the
-decode check still build many thousands of Python tuples, lists and
-dicts, which the collector would re-scan while they grow.  A run builds
-no cyclic structure, so its garbage is freed by reference counting alone
-and the pause leaves nothing behind for the collector.  Its allocation
-counts are reset before it comes back on, so no young collection scans
-what the run returns either.
+A run leaves the cyclic garbage collector alone and builds no cyclic
+data: no per-row Python object, so reference counting frees it all.
 """
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -358,18 +348,19 @@ class TransmissionLog:
             return
         ids, first = _distinct(slots)
         senders = np.bincount(ids)
-        # a slot's groups are disjoint iff their sizes sum to the size of
-        # their union, taken as an OR of member bitmasks (Python ints)
-        bit = {u: 1 << i for i, u in enumerate(dict.fromkeys(chain(*c.groups)))}
-        members = [set(g) for g in c.groups]
-        masks = np.array([sum(map(bit.get, m)) for m in members], dtype=object)
-        sizes = np.array([len(m) for m in members], np.int64)
-        order = np.argsort(ids, kind="stable")
-        starts = offsets(senders)[:-1]
-        union = np.bitwise_or.reduceat(masks[group[order]], starts)
-        overlap = np.add.reduceat(sizes[group[order]], starts) != [
-            u.bit_count() for u in union.tolist()
-        ]
+        # a slot's groups overlap iff one user is a member of two of its
+        # entries' groups: each group's distinct members, group after group,
+        # then one (slot, user) seat per member of each entry's group
+        sizes = np.fromiter(map(len, c.groups), np.intp, len(c.groups))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        users = np.fromiter(chain.from_iterable(c.groups), np.int64, len(owner))
+        _, once = _distinct(users, owner)
+        at = offsets(np.bincount(owner[once], minlength=len(sizes)))
+        lo, hi = at[group], at[group + 1]
+        in_slot = np.repeat(ids, hi - lo)
+        seat, _ = _distinct(users[once][ranges(lo, hi)], in_slot)
+        overlap = np.zeros(len(first), dtype=bool)
+        overlap[in_slot[np.bincount(seat)[seat] > 1]] = True
         crowded = senders > self.config.alpha_max
         bad = np.flatnonzero(crowded | overlap)
         if not len(bad):
@@ -412,11 +403,11 @@ class FragmentResolver:
     This is protocol knowledge — placement layout plus the public split
     plan — available to every decoder, as opposed to the scheduler's private
     bookkeeping of who decodes what when.  It holds the layout rule of the
-    module docstring; a subclass supplies its subfile table (``_index``,
-    the row of each subfile key; ``subfile_keys``, ``subfile_size`` of |T|
-    only, ``subfile_positions``, ``subfile_lengths``), a ``frag_positions``
-    mapping :meth:`_frag_range` onto it, and ``span_bits``, the library
-    bits at a span of :meth:`frag_spans`.
+    module docstring, in one array rule (:meth:`_spans`); a subclass
+    supplies its subfile table (``_index``, the row of each subfile key;
+    ``subfile_keys``, ``subfile_size`` of |T| only, ``subfile_positions``,
+    ``subfile_lengths``) and ``span_bits``, the library bits at a span of
+    :meth:`frag_spans`.
     """
 
     def __init__(
@@ -473,37 +464,24 @@ class FragmentResolver:
             self._bounds[key] = lo, hi, self._slices if part == "u" else 1
         return self._bounds[key]
 
-    def _frag_range(self, frag: FragmentId, n: int) -> tuple[int, int]:
-        """[lo, hi) of the fragment inside its subfile of ``n`` bits."""
-        lo, hi, slices = self._part_bounds(frag.part, len(frag.subset), n)
-        if frag.count % slices:
-            raise ValueError(
-                f"fragment count {frag.count} does not refine {slices} slices"
-            )
-        per_slice = frag.count // slices
-        width = (hi - lo) // slices
-        first, length = _near_equal_part(width, per_slice, frag.index % per_slice)
-        start = lo + (frag.index // per_slice) * width + first
-        return start, start + length
-
-    def frag_spans(
-        self, table: SymbolTable, at: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_frag_range` of the fragments of constituent rows ``at``
-        of ``table``, in one array pass: each one's subfile, as a row of
-        ``subfile_keys()``, and its [lo, hi) inside that subfile's position
-        run.  Part bounds are worked out once per (part, |T|, length)."""
-        subset = table.subset[at]
-        used = np.unique(subset)
-        rows = np.zeros(len(table.subsets), np.int64)
-        rows[used] = [self._index[table.subsets[s]] for s in used.tolist()]
-        sub, part = rows[subset], table.part[at]
-        n = self.subfile_lengths(table.file[at], sub)
-        size = np.fromiter(map(len, table.subsets), np.int64, len(table.subsets))[subset]
+    def _spans(
+        self,
+        parts: Sequence[str],
+        part: np.ndarray,
+        size: np.ndarray,
+        n: np.ndarray,
+        count: np.ndarray,
+        index: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) of each fragment inside its subfile of ``n`` bits, in
+        one array pass: fragment ``index`` of ``count`` of part ``parts[part]``
+        of a |T| = ``size`` subfile.  Part bounds are worked out once per
+        (part, |T|, length); the slices of a part are cut near-equally, the
+        longer ones first, as ``np.array_split`` cuts."""
         shape, first = _distinct(n, size, part)
         bounds = np.array(
             [
-                self._part_bounds(table.parts[p], z, m)
+                self._part_bounds(parts[p], z, m)
                 for p, z, m in zip(
                     part[first].tolist(), size[first].tolist(), n[first].tolist()
                 )
@@ -511,7 +489,6 @@ class FragmentResolver:
             np.int64,
         ).reshape(-1, 3)
         lo, hi, slices = bounds[shape].T
-        count, index = table.count[at], table.index[at]
         bad = np.flatnonzero(count % slices)
         if len(bad):
             raise ValueError(
@@ -519,10 +496,34 @@ class FragmentResolver:
             )
         per_slice = count // slices
         width = (hi - lo) // slices
-        i = index % per_slice  # as in _near_equal_part
+        i = index % per_slice
         q, r = np.divmod(width, per_slice)
         start = lo + index // per_slice * width + i * q + np.minimum(i, r)
-        return sub, start, start + q + (i < r)
+        return start, start + q + (i < r)
+
+    def frag_spans(
+        self, table: SymbolTable, at: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_spans` of the fragments of constituent rows ``at`` of
+        ``table``: each one's subfile, as a row of ``subfile_keys()``, and
+        its [lo, hi) inside that subfile's position run."""
+        subset = table.subset[at]
+        used = np.unique(subset)
+        rows = np.zeros(len(table.subsets), np.int64)
+        rows[used] = [self._index[table.subsets[s]] for s in used.tolist()]
+        sub = rows[subset]
+        size = np.fromiter(map(len, table.subsets), np.int64, len(table.subsets))[subset]
+        return sub, *self._spans(
+            table.parts, table.part[at], size, self.subfile_lengths(table.file[at], sub),
+            table.count[at], table.index[at],
+        )
+
+    def frag_positions(self, frag: FragmentId) -> np.ndarray:
+        """The fragment's bit positions in its file (:meth:`_spans`)."""
+        pos = self.subfile_positions(frag.file, frag.subset)
+        one = (np.array([x]) for x in (0, len(frag.subset), len(pos), frag.count, frag.index))
+        (lo,), (hi,) = self._spans([frag.part], *one)
+        return pos[lo:hi]
 
 
 def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
@@ -544,13 +545,6 @@ def check_central_F(F: int, config: SystemConfig, plan: SplitPlan) -> None:
     need = required_central_F(config, plan)
     if F % need:
         raise ValueError(f"F={F} cannot be split exactly; use a multiple of {need}")
-
-
-def _near_equal_part(n: int, parts: int, i: int) -> tuple[int, int]:
-    """(start, length) of part ``i`` when ``n`` items are cut into ``parts``
-    near-equal runs, the longer ones first, as ``np.array_split`` cuts."""
-    q, r = divmod(n, parts)
-    return i * q + min(i, r), q + (i < r)
 
 
 class CentralFragmentResolver(FragmentResolver):
@@ -584,11 +578,6 @@ class CentralFragmentResolver(FragmentResolver):
 
     def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
         return np.full(len(subs), self.sub_len, np.int64)
-
-    def frag_positions(self, frag: FragmentId) -> np.ndarray:
-        lo, hi = self._frag_range(frag, self.sub_len)
-        start = self._index[frag.subset] * self.sub_len
-        return np.arange(start + lo, start + hi)
 
     def span_bits(
         self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
@@ -633,11 +622,6 @@ class DecentralFragmentResolver(FragmentResolver):
             ],
             np.int64,
         ).reshape(-1)[pair]
-
-    def frag_positions(self, frag: FragmentId) -> np.ndarray:
-        pos = self.subfile_positions(frag.file, frag.subset)
-        lo, hi = self._frag_range(frag, len(pos))
-        return pos[lo:hi]
 
     def span_bits(
         self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
@@ -761,14 +745,15 @@ class _LogTables:
     Each distinct fragment gets an int id, in the sorted order of its key
     (file, subset, part, count, index), and ``frags`` builds the
     ``FragmentId`` of an id on demand.  Fragments that share (file, subset,
-    part, count) form a group: per group, ``groups`` holds its file, its
-    subset, whether its part is "full", and its size, an integer numerator
-    over one common denominator in fluid mode (0 in bit mode, where each
-    fragment has its own bit count); ``group`` maps each fragment id to its
-    group and ``fsub`` to its subset's row.  In bit mode ``spans`` holds,
-    per fragment id, its file, its subfile's row in ``subfiles`` and its
-    [lo, hi) in that subfile's position run (``frag_spans``), so its bit
-    count is hi - lo.
+    part, count) form a group: per group, the columns ``group_file``,
+    ``group_subfile`` (its subset's row in ``subfiles``, -1 if none),
+    ``group_full`` (whether its part is "full") and ``group_size``, an
+    integer numerator over one common denominator in fluid mode (0 in bit
+    mode, where each fragment has its own bit count); ``group`` maps each
+    fragment id to its group and ``fsub`` to its subset's row.  In bit
+    mode ``spans`` holds, per fragment id, its file, its subfile's row in
+    ``subfiles`` and its [lo, hi) in that subfile's position run
+    (``frag_spans``), so its bit count is hi - lo.
 
     The log's live constituents (those of nonzero size, repeats kept) are
     flattened, entry after entry, into int columns: ``cons`` the fragment
@@ -779,16 +764,21 @@ class _LogTables:
     are user k's boolean columns over the receivers rows and the subset
     rows, so whether user k hears a constituent's entry, or caches its
     subfile, is one gather; users outside 1..K are in neither.
-    ``subfiles`` lists every subfile key T with, in fluid mode, its size
-    as a numerator over the same denominator.  In bit mode ``payloads``
-    holds each entry's payload, and ``fits`` marks the kept entries whose
-    payload is exactly as long as their longest live constituent.
+    ``subfiles`` lists the resolver's subfile keys T, ``subfile_size``
+    holds, in fluid mode, each one's size as a numerator over the same
+    denominator, and ``needed[k]`` marks those user k does not cache.  In
+    bit mode ``payloads`` holds each entry's payload, and ``fits`` marks
+    the kept entries whose payload is exactly as long as their longest
+    live constituent.
     """
 
     frags: Sequence[FragmentId]
     group: np.ndarray
     fsub: np.ndarray
-    groups: list[tuple[int, tuple[int, ...], bool, int]]
+    group_file: np.ndarray
+    group_subfile: np.ndarray
+    group_full: np.ndarray
+    group_size: np.ndarray
     spans: np.ndarray
     cons: np.ndarray
     crow: np.ndarray
@@ -798,7 +788,9 @@ class _LogTables:
     lengths: np.ndarray
     heard: np.ndarray
     caches: np.ndarray
-    subfiles: list[tuple[tuple[int, ...], int]]
+    subfiles: list[tuple[int, ...]]
+    subfile_size: np.ndarray
+    needed: np.ndarray
     payloads: Optional[list]
     fits: Optional[np.ndarray]
 
@@ -846,14 +838,15 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     group, members = _distinct(count[first], part[first], subset[first], file[first])
     fsub = subset[first]
     rep = first[members]  # one constituent of each group
-    subfile_keys = resolver.subfile_keys()
+    subfiles = resolver.subfile_keys()
+    subfile_of = np.array([resolver._index.get(T, -1) for T in t.subsets], np.int64)
     frags = _Fragments(t, at[first])
     if log.mode == "bits":
         sub, flo, fhi = resolver.frag_spans(t, at[first])
         spans = np.stack([file[first], sub, flo, fhi], axis=1)
         nonempty = fhi > flo
-        sizes = [0] * len(rep)
-        subfiles = [(T, 0) for T in subfile_keys]
+        group_size = np.zeros(len(rep), np.int64)
+        subfile_size = np.zeros(len(subfiles), np.int64)
     else:
         spans = np.zeros((0, 4), np.int64)
         # a size depends on (part, count, |T|) only, so it is asked once per
@@ -868,21 +861,15 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
                 subset[rep][shapes].tolist(),
             )
         ]
-        whole = [resolver.subfile_size(T) for T in subfile_keys]
+        whole = [resolver.subfile_size(T) for T in subfiles]
         den = math.lcm(*{x.denominator for x in shares + whole})
-        nums = [x.numerator * (den // x.denominator) for x in shares]
-        sizes = [nums[i] for i in shape.tolist()]
-        subfiles = [
-            (T, x.numerator * (den // x.denominator))
-            for T, x in zip(subfile_keys, whole)
-        ]
-        nonempty = np.array([x != 0 for x in nums], dtype=bool)[shape][group]
-    groups = [
-        (f, t.subsets[T], t.parts[p] == "full", size)
-        for f, T, p, size in zip(
-            file[rep].tolist(), subset[rep].tolist(), part[rep].tolist(), sizes
+        nums = np.array([x.numerator * (den // x.denominator) for x in shares], object)
+        group_size = nums[shape]
+        subfile_size = np.array(
+            [x.numerator * (den // x.denominator) for x in whole], object
         )
-    ]
+        nonempty = (nums != 0)[shape][group]
+    full = np.array([p == "full" for p in t.parts], bool)[part[rep]]
 
     entry = np.repeat(np.arange(len(c.symbol)), hi - lo)
     if not nonempty.all():
@@ -900,7 +887,10 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         frags,
         group,
         fsub,
-        groups,
+        file[rep],
+        subfile_of[subset[rep]],
+        full,
+        group_size,
         spans,
         cons,
         c.receivers[entry],
@@ -911,6 +901,8 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         member_columns(c.receiver_sets, K),
         member_columns(t.subsets, K),
         subfiles,
+        subfile_size,
+        ~member_columns(subfiles, K),
         c.payloads,
         fits,
     )
@@ -959,26 +951,18 @@ def _coverage_gap(
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` that the ``learned`` fragments do
     not fully cover (fluid mode; exact size bookkeeping, parts partition
-    their subfile).  Each group adds its learned count times its size, in
-    Python ints; a "full" part covers its subfile whole."""
-    counts = np.bincount(tables.group[learned], minlength=len(tables.groups))
-    whole: set[tuple[int, ...]] = set()
-    covered: dict[tuple[int, ...], int] = {}
-    learned_groups = np.flatnonzero(counts)
-    for g, n in zip(learned_groups.tolist(), counts[learned_groups].tolist()):
-        file, subset, full, size = tables.groups[g]
-        if file != want:
-            continue
-        if full:
-            whole.add(subset)
-        else:
-            covered[subset] = covered.get(subset, 0) + n * size
-    for T, size in tables.subfiles:
-        if user in T or T in whole:
-            continue
-        if covered.get(T, 0) != size:
-            return T
-    return None
+    their subfile).  Each group adds its learned count times its size to
+    its subfile, in Python ints; a "full" part covers its subfile whole."""
+    counts = np.bincount(tables.group[learned], minlength=len(tables.group_file))
+    sub = tables.group_subfile
+    mine = (counts > 0) & (tables.group_file == want) & (sub >= 0)
+    part = mine & ~tables.group_full
+    covered = np.zeros(len(tables.subfiles), object)
+    np.add.at(covered, sub[part], counts[part] * tables.group_size[part])
+    whole = sub[mine & tables.group_full]
+    covered[whole] = tables.subfile_size[whole]
+    gaps = np.flatnonzero(tables.needed[user] & (covered != tables.subfile_size))
+    return tables.subfiles[gaps[0]] if len(gaps) else None
 
 
 def _bit_coverage_gap(
@@ -987,11 +971,10 @@ def _bit_coverage_gap(
     user: int,
     want: int,
     learned: np.ndarray,
-    needed: np.ndarray,
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` whose bits the ``learned``
     fragments do not cover whole (bit mode, once every payload has checked
-    out); ``needed`` marks the subfiles ``user`` does not cache.
+    out).
 
     A subfile is covered when the union of its learned fragments' [lo, hi)
     spans is all of its position run.  The union, not the sum of their
@@ -1008,14 +991,13 @@ def _bit_coverage_gap(
     reach = np.maximum.accumulate(hi)
     before = np.maximum(np.concatenate([[0], reach[:-1]]), base)
     last = np.flatnonzero(np.diff(sub, append=-1))  # one row per subfile
-    lengths = log.resolver.subfile_lengths(
-        np.full(len(needed), want, np.int64), np.arange(len(needed))
-    )
+    n = len(tables.subfiles)
+    lengths = log.resolver.subfile_lengths(np.full(n, want, np.int64), np.arange(n))
     covered = lengths == 0
     covered[sub[last]] = reach[last] == base[last] + lengths[sub[last]]
     covered[sub[lo > before]] = False
-    gaps = np.flatnonzero(needed & ~covered)
-    return tables.subfiles[gaps[0]][0] if len(gaps) else None
+    gaps = np.flatnonzero(tables.needed[user] & ~covered)
+    return tables.subfiles[gaps[0]] if len(gaps) else None
 
 
 def _payloads_agree(
@@ -1136,19 +1118,20 @@ def _misassembled_subfile(
     resolver = log.resolver
     original = library.files[want]
     rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
+    spans = tables.spans.tolist()
     for f, payload in known.items():
-        frag = tables.frags[f]
-        if frag.file == want:
-            pos = resolver.frag_positions(frag)
+        file, sub, lo, hi = spans[f]
+        if file == want:
+            T = tables.subfiles[sub]
+            pos = resolver.subfile_positions(want, T)[lo:hi]
             # a fragment learned twice (a subfile and its own server share)
             # must agree with what is already in place
             before = rebuilt[pos]
             if np.any((before != 2) & (before != payload)):
-                return frag.subset
+                return T
             rebuilt[pos] = payload
-    for T, _ in tables.subfiles:
-        if user in T:
-            continue
+    for i in np.flatnonzero(tables.needed[user]).tolist():
+        T = tables.subfiles[i]
         pos = resolver.subfile_positions(want, T)
         if not np.array_equal(rebuilt[pos], original[pos]):
             return T
@@ -1194,15 +1177,13 @@ def _first_decode_failure(
 
     tables = _intern_log(log)
     closure = log.mode == "bits" and _payloads_agree(log, tables, library)
-    if closure:
-        needed = ~member_columns([T for T, _ in tables.subfiles], config.K)
     for k in config.users():
         want = demands[k - 1]
         if log.mode == "fluid":
             T = _coverage_gap(tables, k, want, _fluid_closure(tables, k))
         elif closure:
             learned = _fluid_closure(tables, k)
-            T = _bit_coverage_gap(log, tables, k, want, learned, needed[k])
+            T = _bit_coverage_gap(log, tables, k, want, learned)
         else:
             known = _peel_known_fragments(log, k, library, tables)
             T = _misassembled_subfile(log, tables, k, want, known, library)
@@ -1261,12 +1242,11 @@ class RateReport:
 
 @dataclass
 class SimulationResult:
-    """One end-to-end run.  ``decode_ok`` is None when the decode check was
-    skipped; on a failed check ``decode_failure`` holds the first user,
-    file and subfile that cannot be recovered."""
+    """One end-to-end run.  On a failed decode check ``decode_failure``
+    holds the first user, file and subfile that cannot be recovered."""
 
     log: TransmissionLog
-    decode_ok: Optional[bool]
+    decode_ok: bool
     rates: RateReport
     plan: object
     schedule: DeliverySchedule
@@ -1283,69 +1263,27 @@ def check_mode(config: SystemConfig, mode: str) -> None:
         raise ValueError("bit mode needs a file size F")
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Disable the cyclic garbage collector for the block; re-enable it
-    afterwards only if it was enabled before, so a caller that had already
-    paused it keeps it paused.
-
-    A run's containers are acyclic, yet the collector scans them as they
-    grow: unpaused, that took 0.005 s of a 0.40 s ``central_fluid`` pass,
-    spread over the decode check, the assembly and the server symbols, and
-    0.007-0.008 s of a 0.23 s ``decentral_fluid`` pass (2 vCPU, Python
-    3.11).
-
-    The collector counts allocations while it is paused, so re-enabling it
-    as is would start a young collection at the next allocation, which
-    scans everything the block built.  Before re-enabling, ``gc.freeze()``
-    then ``gc.unfreeze()`` resets those counts.  Its side effect: every
-    tracked object moves to the oldest generation, where only a full
-    collection scans it.  That is skipped when a caller holds objects
-    frozen (``gc.get_freeze_count()`` > 0), since unfreezing would release
-    them too."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            if gc.get_freeze_count() == 0:
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
-
-
 def _run(
     config: SystemConfig,
     demands: Optional[Sequence[int]],
     seed: int,
     mode: str,
-    check_decode: bool,
     front: Callable[[tuple[int, ...]], tuple],
 ) -> SimulationResult:
     """The back half of a run, shared by both schemes (module docstring).
     ``front(demands)`` builds the scheme's (placement, plan, schedule,
-    resolver, closed rates) once the mode and demands have passed; it and
-    everything after it run with the cyclic collector paused."""
+    resolver, closed rates) once the mode and demands have passed."""
     check_mode(config, mode)
     demands = validate_demands(
         config, demands if demands is not None else list(config.users())
     )
-    with _collector_paused():
-        placement, plan, schedule, resolver, closed = front(demands)
-        library = (
-            BitLibrary.build(config.N, config.F, seed) if mode == "bits" else None
-        )
-        log = execute_schedule(config, schedule, resolver, mode, library)
-        rates = RateReport(
-            log.server_load(), log.user_load(), closed.R1, closed.R2, closed.T
-        )
-        failure = (
-            _first_decode_failure(log, demands, library) if check_decode else None
-        )
-    decode_ok = failure is None if check_decode else None
+    placement, plan, schedule, resolver, closed = front(demands)
+    library = BitLibrary.build(config.N, config.F, seed) if mode == "bits" else None
+    log = execute_schedule(config, schedule, resolver, mode, library)
+    rates = RateReport(log.server_load(), log.user_load(), closed.R1, closed.R2, closed.T)
+    failure = _first_decode_failure(log, demands, library)
     return SimulationResult(
-        log, decode_ok, rates, plan, schedule, placement, library, failure
+        log, failure is None, rates, plan, schedule, placement, library, failure
     )
 
 
@@ -1356,7 +1294,6 @@ def run_centralized(
     mode: str = "fluid",
     alpha: Optional[int] = None,
     server_share: Optional[Frac] = None,
-    check_decode: bool = True,
 ) -> SimulationResult:
     """Place, schedule, execute, measure, and decode the centralized scheme.
 
@@ -1370,6 +1307,12 @@ def run_centralized(
         # the placement is enumerated, and the placement the user schedule
         # built is reused
         plan = make_split_plan(config, alpha, server_share)
+        if config.t == 0 and plan.server_share != 1:
+            # the closed forms put R2 = 0, but no user caches anything to send
+            raise ValueError(
+                f"server share {plan.server_share} at t=0: users cache nothing to "
+                "send, so it must be 1"
+            )
         check_schedule_size(config, plan)
         if mode == "bits":
             check_central_F(config.F, config, plan)
@@ -1383,7 +1326,7 @@ def run_centralized(
         )
         return placement, plan, schedule, resolver, closed
 
-    return _run(config, demands, seed, mode, check_decode, front)
+    return _run(config, demands, seed, mode, front)
 
 
 def run_decentralized(
@@ -1391,7 +1334,6 @@ def run_decentralized(
     demands: Optional[Sequence[int]] = None,
     seed: int = 0,
     mode: str = "fluid",
-    check_decode: bool = True,
 ) -> SimulationResult:
     """Place, schedule, execute, measure, and decode the decentralized
     scheme.  Fluid mode must reproduce the component rate identities
@@ -1405,4 +1347,4 @@ def run_decentralized(
         resolver = DecentralFragmentResolver(placement, plan)
         return placement, plan, schedule, resolver, decentralized_rates(config)
 
-    return _run(config, demands, seed, mode, check_decode, front)
+    return _run(config, demands, seed, mode, front)

@@ -5,9 +5,10 @@ Property tests here explore combinatorial structure, not performance, so
 the per-example deadline is disabled (schedule builds can be slow on the
 odd large draw) and the example budget is kept moderate.
 
-A simulation run pauses the process-wide cyclic collector and must restore
-it on every exit path; a test that leaves the collector switched otherwise
-than it found it fails, so a leaked pause cannot pass the suite silently.
+A simulation run leaves the process-wide cyclic collector alone, and tests
+switch it off and on themselves; a test that leaves the collector switched
+otherwise than it found it fails, so a leaked switch cannot pass the suite
+silently.
 """
 
 import gc

@@ -75,7 +75,7 @@ def test_criterion_03_centralized_rate_identity():
         for t in range(1, K):
             for alpha in range(1, max(1, K // 2) + 1):
                 cfg = SystemConfig(K, K, t, alpha_max=max(1, K // 2))
-                res = run_centralized(cfg, alpha=alpha, check_decode=False)
+                res = run_centralized(cfg, alpha=alpha)
                 assert res.rates.matches_closed, (K, t, alpha)
                 assert res.rates.R1 == res.rates.R2, (K, t, alpha)
                 checked += 1
@@ -92,14 +92,14 @@ def test_criterion_04_exhaustive_decodability():
         for t in range(0, K + 1):
             cfg = SystemConfig(K, K, t, alpha_max=amax)
             for demands in itertools.permutations(range(1, K + 1)):
-                res = run_centralized(cfg, demands=demands, check_decode=False)
+                res = run_centralized(cfg, demands=demands)
                 assert brute_force_decode_check(res.log, res.placement, demands), (
                     K, t, demands,
                 )
                 decoded += 1
             # deletion mutations at the identity demand vector
             identity = tuple(range(1, K + 1))
-            res = run_centralized(cfg, demands=identity, check_decode=False)
+            res = run_centralized(cfg, demands=identity)
             for i in range(len(res.log.entries)):
                 mutated = TransmissionLog(cfg, "fluid", resolver=res.log.resolver)
                 mutated.entries = res.log.entries[:i] + res.log.entries[i + 1 :]
@@ -118,7 +118,7 @@ def test_criterion_05_decentralized_fluid_identity():
             for i in range(1, 8):
                 cfg = SystemConfig(K, K, Frac(i * K, 8), alpha_max=amax)
                 rc = rate_components(cfg)
-                res = run_decentralized(cfg, check_decode=False)
+                res = run_decentralized(cfg)
                 lam = res.plan.server_share
                 assert res.log.server_load() == rc.R_empty + lam * rc.R_s, (K, amax, i)
                 assert res.log.user_load() == (1 - lam) * rc.R_u, (K, amax, i)
@@ -136,13 +136,13 @@ def test_criterion_05_decentralized_fluid_identity():
 def test_criterion_06_monte_carlo_convergence():
     cfg1 = SystemConfig(5, 5, 2, F=10**5)
     cfg2 = SystemConfig(5, 5, 2, F=10**6)
-    closed = run_decentralized(cfg1, check_decode=False)  # fluid reference
+    closed = run_decentralized(cfg1)  # fluid reference
     fluid_R1, fluid_R2 = closed.rates.closed_R1, closed.rates.closed_R2
 
     def rel_errors(cfg):
         errs = []
         for seed in range(20):
-            res = run_decentralized(cfg, seed=seed, mode="bits", check_decode=False)
+            res = run_decentralized(cfg, seed=seed, mode="bits")
             errs.append(abs(float(res.rates.R1 / fluid_R1) - 1.0))
             errs.append(abs(float(res.rates.R2 / fluid_R2) - 1.0))
         return errs

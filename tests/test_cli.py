@@ -338,6 +338,10 @@ def test_sweep_empty_grid_warns_on_stderr(scheme, tmp_path, capsys):
         0, "", "warning: empty grid — no rows\n"
     )
     assert path.read_text() == ""
+    # an output that cannot be written is refused alone, with no warning
+    unwritable = str(tmp_path / "missing" / "rows.csv")
+    code, out, err = _run(capsys, [*argv, "--out", unwritable])
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -216,13 +216,10 @@ def test_small_configs_agree(data):
     if data.draw(st.booleans(), label="centralized"):
         alpha = data.draw(st.integers(1, amax), label="alpha")
         res = run_centralized(
-            SystemConfig(K, K, t, alpha_max=amax), demands=demands, alpha=alpha,
-            check_decode=False,
+            SystemConfig(K, K, t, alpha_max=amax), demands=demands, alpha=alpha
         )
     else:
-        res = run_decentralized(
-            SystemConfig(K, K, t, alpha_max=amax), demands=demands, check_decode=False
-        )
+        res = run_decentralized(SystemConfig(K, K, t, alpha_max=amax), demands=demands)
     log = res.log
     drop = data.draw(st.integers(-1, len(log.entries) - 1), label="drop")
     _assert_agree(log if drop < 0 else _without(log, drop), demands)
@@ -240,13 +237,13 @@ def test_small_bit_mode_configs_agree(data):
         F = required_central_F(cfg, make_split_plan(cfg, alpha))
         res = run_centralized(
             SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands,
-            alpha=alpha, mode="bits", check_decode=False,
+            alpha=alpha, mode="bits"
         )
     else:
         F = data.draw(st.integers(20, 200), label="F")
         res = run_decentralized(
             SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands,
-            mode="bits", check_decode=False,
+            mode="bits"
         )
     log = res.log
     i = data.draw(st.integers(-1, len(log.entries) - 1), label="entry")

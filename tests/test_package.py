@@ -82,3 +82,23 @@ def test_the_private_def_scan_finds_an_unreferenced_helper():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert _unreferenced_private_defs(sources) == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level modules a module imports, relative imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_the_garbage_collector():
+    # a run leaves the process-wide cyclic collector alone
+    assert _imported_modules("import gc as g\nfrom os.path import sep\nfrom . import gc\n") == {
+        "gc", "os"
+    }
+    importing = [path.name for path in SOURCES if "gc" in _imported_modules(path.read_text())]
+    assert importing == []

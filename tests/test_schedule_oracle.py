@@ -158,7 +158,7 @@ def test_execution_orders_each_slot_by_first_appearance_of_its_lane():
     # symbol first, as the lane that appeared first; round 1 repeats a
     # group of round 0, which must not continue its lane
     cfg = SystemConfig(4, 4, 2, alpha_max=2)
-    res = run_decentralized(cfg, check_decode=False)
+    res = run_decentralized(cfg)
     (p0, syms0), (p1, syms1) = res.schedule.user_rounds[:2]
     A, B = p0.groups[0], p0.groups[1]
     a = [sym for sym in syms0 if sym.group == A][:2]

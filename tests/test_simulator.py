@@ -19,6 +19,7 @@ import coopcache.simulator as simulator
 import load_oracle
 from coopcache import (
     BitLibrary,
+    Constituent,
     FragmentId,
     LogEntry,
     SchedulingError,
@@ -34,7 +35,7 @@ from coopcache import (
     run_decentralized,
 )
 from coopcache.cli import main
-from coopcache.model import partition_table
+from coopcache.model import SymbolTable, partition_table
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3, F=4500)
 
@@ -159,7 +160,7 @@ def test_centralized_decodes_under_permuted_demands():
 def test_centralized_rate_identity_on_alpha_sweep():
     for K, t, alpha in [(4, 2, 2), (6, 2, 3), (6, 3, 2), (8, 4, 3)]:
         cfg = SystemConfig(K, K, t, alpha_max=max(1, K // 2))
-        res = run_centralized(cfg, alpha=alpha, check_decode=False)
+        res = run_centralized(cfg, alpha=alpha)
         assert res.rates.matches_closed, (K, t, alpha)
 
 
@@ -184,7 +185,7 @@ def test_decentralized_fluid_identities():
 
 def test_decentralized_reports_intra_round_splits():
     cfg = SystemConfig(5, 5, Frac(5, 2), alpha_max=2)
-    res = run_decentralized(cfg, check_decode=False)
+    res = run_decentralized(cfg)
     assert set(res.plan.lambda2_by_round) == {3}
     assert res.rates.matches_closed
 
@@ -200,7 +201,7 @@ def test_decentralized_bits_converge_to_fluid_rates():
     cfg = SystemConfig(4, 4, 2, alpha_max=2, F=20000)
     closed = decentralized_rates(cfg)
     for seed in (0, 1):
-        res = run_decentralized(cfg, seed=seed, mode="bits", check_decode=False)
+        res = run_decentralized(cfg, seed=seed, mode="bits")
         for got, want in [(res.rates.R1, closed.R1), (res.rates.R2, closed.R2)]:
             assert abs(float(got) - float(want)) / float(want) < 0.1
 
@@ -240,7 +241,7 @@ def test_deleting_decentralized_symbols_breaks_decode_unless_redundant():
 
 def test_decode_failure_is_reported_not_swallowed():
     cfg = SystemConfig(3, 3, Frac(3, 2), alpha_max=1)
-    res = run_decentralized(cfg, check_decode=False)
+    res = run_decentralized(cfg)
     # drop every cooperation symbol: uncached fragments can no longer arrive
     starved = TransmissionLog(cfg, "fluid", resolver=res.log.resolver)
     starved.entries = [e for e in res.log.entries if e.sender == 0]
@@ -312,8 +313,6 @@ def test_decentralized_decode_failure_names_user_file_and_subfile(mode, monkeypa
         res = run(cfg, mode=mode)
         assert res.decode_ok is False
         assert res.decode_failure == (1, 1, subfile)
-        skipped = run(cfg, mode=mode, check_decode=False)
-        assert skipped.decode_ok is None and skipped.decode_failure is None
 
 
 def test_centralized_mode_is_checked_before_any_work(monkeypatch):
@@ -347,8 +346,19 @@ def test_an_unsplittable_F_is_refused_before_any_work(monkeypatch):
         run_centralized(cfg, mode="bits")
 
 
+def test_a_user_share_at_t_0_is_refused_before_any_work(monkeypatch):
+    # no user caches anything to send: the closed forms would read R2 = 0
+    # for a schedule that cannot decode
+    def stop(*args):
+        raise AssertionError("delivery built before the split check")
+
+    monkeypatch.setattr(simulator, "_delivery", stop)
+    with pytest.raises(ValueError, match="^server share 1/2 at t=0: "):
+        run_centralized(SystemConfig(4, 4, 0, alpha_max=2), server_share=Frac(1, 2))
+
+
 # ---------------------------------------------------------------------------
-# the paused cyclic collector
+# the cyclic collector, which a run leaves alone
 # ---------------------------------------------------------------------------
 
 # both schemes in both modes, as (N, K, M, alpha_max, F); (6, 6, 3) at
@@ -367,8 +377,8 @@ ACYCLIC_RUNS = {
     "run,shape,mode", list(ACYCLIC_RUNS.values()), ids=list(ACYCLIC_RUNS)
 )
 def test_a_run_leaves_no_cyclic_garbage(run, shape, mode):
-    # the collector may be paused for a run only if reference counting
-    # alone frees everything the run built
+    # a run builds no cyclic data: reference counting alone frees
+    # everything it built
     N, K, M, amax, F = shape
     cfg = SystemConfig(N, K, M, alpha_max=amax, F=F)
     run(cfg, mode=mode)  # first-use caches fill outside the count
@@ -396,8 +406,6 @@ def test_disjoint_group_choices_leave_no_cyclic_garbage():
 
 
 def _record_collector_state(monkeypatch, seen):
-    import coopcache.centralized as centralized
-
     place = centralized.build_central_placement
 
     def recording(config):
@@ -405,14 +413,6 @@ def _record_collector_state(monkeypatch, seen):
         return place(config)
 
     monkeypatch.setattr(centralized, "build_central_placement", recording)
-
-
-def test_a_run_pauses_the_collector_and_restores_it(monkeypatch):
-    seen = []
-    _record_collector_state(monkeypatch, seen)
-    assert gc.isenabled()
-    assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
-    assert seen == [False] and gc.isenabled()
 
 
 def test_a_failed_run_restores_the_collector(monkeypatch):
@@ -425,7 +425,7 @@ def test_a_failed_run_restores_the_collector(monkeypatch):
     monkeypatch.setattr(simulator, "_delivery", infeasible)
     with pytest.raises(SchedulingError):
         run_centralized(SystemConfig(4, 4, 2, alpha_max=2))
-    assert seen == [False] and gc.isenabled()
+    assert seen == [True] and gc.isenabled()
 
 
 def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
@@ -439,6 +439,47 @@ def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
         gc.enable()
 
 
+def test_a_run_keeps_its_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_a_run_leaves_the_collector_as_its_caller_left_it(monkeypatch):
+    # switched on or off, with nothing frozen, and with an object made just
+    # before the run still in the youngest generation: after a run, and
+    # after a run that raises
+    cfg = SystemConfig(4, 4, 2, alpha_max=2)
+    run_centralized(cfg)  # first-use caches fill outside the check
+
+    def infeasible(*args, **kwargs):
+        raise SchedulingError("user delivery infeasible")
+
+    def failed_run():
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_delivery", infeasible)
+            with pytest.raises(SchedulingError):
+                run_centralized(cfg)
+
+    for run in (lambda: run_centralized(cfg), failed_run):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                gc.collect()
+                young = []
+                run()
+                assert gc.isenabled() == enabled
+                assert gc.get_freeze_count() == 0
+                assert any(obj is young for obj in gc.get_objects(0))
+            finally:
+                gc.enable()
+
+
 @pytest.mark.parametrize(
     "run,cfg",
     [
@@ -448,8 +489,8 @@ def test_a_run_keeps_a_collector_its_caller_paused(monkeypatch):
     ids=["centralized", "decentralized"],
 )
 def test_a_run_makes_no_collection(run, cfg):
-    # the allocations counted during the pause must not start a collection
-    # that scans the run's result once the collector is back on
+    # a run builds too few tracked objects to start a young collection,
+    # which would scan the caller's objects and the run's result
     run(cfg)  # first-use caches fill outside the count
     started = []
 
@@ -464,17 +505,6 @@ def test_a_run_makes_no_collection(run, cfg):
     finally:
         gc.callbacks.remove(record)
     assert started == []
-
-
-def test_a_run_keeps_its_callers_frozen_objects_frozen():
-    gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        assert frozen > 0
-        assert run_centralized(SystemConfig(4, 4, 2, alpha_max=2)).decode_ok
-        assert gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
 
 
 def test_a_centralized_run_builds_its_placement_once(monkeypatch):
@@ -516,14 +546,29 @@ def test_bit_mode_flipping_bit_0_of_a_twice_learned_subfile_breaks_decode():
             assert failure == (i + 1, i + 1, ()), i
 
 
+class _OneSubfile(simulator.FragmentResolver):
+    """The layout rule over one subfile, T = (), of ``n`` bits."""
+
+    def __init__(self, n):
+        super().__init__(Frac(0), 1, {})
+        self._index, self.n = {(): 0}, n
+
+    def subfile_lengths(self, files, subs):
+        return np.full(len(subs), self.n, np.int64)
+
+
 @pytest.mark.parametrize("n", list(range(0, 13)) + [97, 1000])
 def test_near_equal_part_matches_array_split(n):
+    # the fragments of a "full" part cut their subfile near-equally
     items = np.arange(n)
+    resolver = _OneSubfile(n)
     for parts in range(1, 9):
         pieces = np.array_split(items, parts)
+        frags = [Constituent(1, FragmentId(1, (), "full", i, parts)) for i in range(parts)]
+        table = SymbolTable.from_symbols([XorSymbol(0, (1,), tuple(frags), Frac(1))])
+        _, lo, hi = resolver.frag_spans(table, np.arange(parts))
         for i in range(parts):
-            start, length = simulator._near_equal_part(n, parts, i)
-            assert np.array_equal(items[start : start + length], pieces[i])
+            assert np.array_equal(items[lo[i] : hi[i]], pieces[i])
 
 
 # (N, K, M, alpha_max, F) -> SHA-256 of `simulate` stdout and of the
@@ -592,11 +637,10 @@ def test_fragment_layout_is_unchanged(run):
     if scheme == "centralized":
         alpha, share = override or (None, None)
         res = run_centralized(
-            cfg, mode=mode, alpha=alpha, server_share=Frac(share) if share else None,
-            check_decode=False,
+            cfg, mode=mode, alpha=alpha, server_share=Frac(share) if share else None
         )
     else:
-        res = run_decentralized(cfg, mode=mode, check_decode=False)
+        res = run_decentralized(cfg, mode=mode)
     symbols = res.schedule.server_symbols + [
         sym for _, syms in res.schedule.user_rounds for sym in syms
     ]
@@ -613,7 +657,7 @@ def test_fragment_layout_is_unchanged(run):
 def test_both_resolvers_share_one_part_vocabulary():
     central = run_centralized(WORKED, alpha=2, server_share=Frac(1, 3), mode="bits")
     decentral = run_decentralized(
-        SystemConfig(5, 5, 2, alpha_max=1, F=2000), mode="bits", check_decode=False
+        SystemConfig(5, 5, 2, alpha_max=1, F=2000), mode="bits"
     )
     for res in (central, decentral):
         resolver = res.log.resolver
@@ -682,13 +726,11 @@ def _small_runs(mode="fluid"):
                         plan = make_split_plan(cfg, alpha=alpha)
                         F = required_central_F(cfg, plan)
                         cfg = dataclasses.replace(cfg, F=F * -(-64 // F))
-                    yield cfg, run_centralized(
-                        cfg, alpha=alpha, mode=mode, check_decode=False
-                    )
+                    yield cfg, run_centralized(cfg, alpha=alpha, mode=mode)
                 for i in range(9):
                     F = 64 if mode == "bits" else None
                     cfg = SystemConfig(N, K, Frac(i * N, 8), alpha_max=alpha, F=F)
-                    yield cfg, run_decentralized(cfg, mode=mode, check_decode=False)
+                    yield cfg, run_decentralized(cfg, mode=mode)
 
 
 def test_executed_delay_is_never_below_the_converse():

@@ -77,7 +77,7 @@ def _run(scheme, shape, seed):
     N, K, M, amax = shape
     demands = tuple(random.Random(seed).sample(range(1, N + 1), K))
     run = run_centralized if scheme == "centralized" else run_decentralized
-    res = run(SystemConfig(N, K, Frac(M), alpha_max=amax), demands, check_decode=False)
+    res = run(SystemConfig(N, K, Frac(M), alpha_max=amax), demands)
     return res.log, demands
 
 
@@ -113,7 +113,7 @@ def test_users_beyond_bit_62_agree():
 
 def test_size_numerators_beyond_2_63_agree():
     log, demands = _run("decentralized", (97, 8, 50, 1), seed=5)
-    assert max(size for *_, size in _intern_log(log).groups).bit_length() > 63
+    assert max(_intern_log(log).group_size).bit_length() > 63
     assert _assert_agree(log, demands) is None
     drops = random.Random(97).sample(range(len(log.entries)), 3)
     assert any(_assert_agree(_without(log, i), demands) for i in drops)
