@@ -19,16 +19,18 @@ over converse.  p_th(K) is the unique root of
 (K+1)(1-p)^(K-1) = 1; side-of-threshold tests are exact integer
 comparisons, and the reported value is a bisection interval of width 1e-9.
 
-Certification compares exact integers and builds no ``Fraction`` per point.
-Each quantity is a (numerator, positive denominator) pair: the converse from
-the same cut core as ``lower_bound``, the centralized delay at integer t as
-(K-t)/(1+t+alpha*m) (other t go through ``centralized_delay``), the
-decentralized delay from the integer rate numerators, and the ratio by the
-``gap_ratio`` rule.  Two ratios, or a ratio and a bound, are compared by
-cross-multiplying, and a strict > keeps the first point of a tie as the
-worst.  Only the points a report carries (worst points, violations,
-min-form exceedances) are built as ``GapPoint``s with ``Fraction`` ratios.
-The closed-form R_u bounds are checked the same way against R_u and 4*R_s.
+Certification compares exact integers over integer points (N, K, a, b,
+alpha_max), M = a/b in lowest terms: ``certify_*`` read a spec's grid from
+private walkers in grid order, and ``verify_gap_*`` read configs into the
+same points.  alpha_max enters the converse only as the cooperative cut's
+1/(1+alpha_max), so each memory point's cut maxima are taken once and each
+alpha_max costs one cross-multiplied comparison.  The centralized delay at
+integer t is (K-t)/(1+t+alpha*m), the decentralized one comes from the
+integer rate numerators, ratios follow ``gap_ratio`` and are compared by
+cross-multiplying, and a strict > keeps the first of a tie as the worst.
+Only reported points (worst points, violations, min-form exceedances) and
+one point per decentralized branch-bound key build a ``SystemConfig``.  The
+closed-form R_u bounds are checked the same way against R_u and 4*R_s.
 """
 
 from __future__ import annotations
@@ -130,11 +132,9 @@ def _ratio(an: int, ad: int, cn: int, cd: int) -> tuple[int, int]:
     return an * cd, ad * cn
 
 
-def _cuts(
-    N: int, K: int, a: int, b: int, alpha_max: int
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+def _cuts(N: int, K: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
     """The half-rate, server-only and cooperative cut maxima at M = a/b, each
-    as (numerator, positive denominator)."""
+    as (numerator, positive denominator); the last without 1/(1+alpha_max)."""
     # each family's best cut so far as (numerator, denominator), from s = 1
     (sn, sd), (cn, cd) = (N * b - K * a, N * b), (N * b - a, N * b)
     for s in range(2, K + 1):
@@ -143,16 +143,23 @@ def _cuts(
             sn, sd = s * d - K * a, d
         if s * (d - a) * cd > cn * d:
             cn, cd = s * (d - a), d
-    return (N * b - a, 2 * N * b), (sn, sd), (cn, cd * (1 + alpha_max))
+    return (N * b - a, 2 * N * b), (sn, sd), (cn, cd)
 
 
-def _converse(N: int, K: int, a: int, b: int, alpha_max: int) -> tuple[int, int]:
-    """T_lower at M = a/b as (numerator, positive denominator)."""
-    (n, d), *rest = _cuts(N, K, a, b, alpha_max)
-    for rn, rd in rest:
-        if rn * d > n * rd:
-            n, d = rn, rd
-    return n, d
+def _shared_cuts(N: int, K: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """(xn, xd, cn, cd) at M = a/b, shared by every alpha_max: the larger of
+    the half-rate and server-only maxima, and the bare cooperative one."""
+    (xn, xd), (sn, sd), (cn, cd) = _cuts(N, K, a, b)
+    if sn * xd > xn * sd:
+        xn, xd = sn, sd
+    return xn, xd, cn, cd
+
+
+def _converse(xn: int, xd: int, cn: int, cd: int, alpha_max: int) -> tuple[int, int]:
+    """T_lower from ``_shared_cuts`` at ``alpha_max``, as (numerator,
+    positive denominator)."""
+    cd *= 1 + alpha_max
+    return (cn, cd) if cn * xd > xn * cd else (xn, xd)
 
 
 def lower_bound(config: SystemConfig) -> BoundReport:
@@ -162,8 +169,8 @@ def lower_bound(config: SystemConfig) -> BoundReport:
     half-rate term keeps the bound nonnegative.
     """
     N, K, M = config.N, config.K, config.M
-    cuts = _cuts(N, K, M.numerator, M.denominator, config.alpha_max)
-    terms = tuple(Frac(n, d) for n, d in cuts)
+    half, server, (cn, cd) = _cuts(N, K, M.numerator, M.denominator)
+    terms = (Frac(*half), Frac(*server), Frac(cn, cd * (1 + config.alpha_max)))
     return BoundReport(terms, max(terms), gap_regime(config), _p_th_midpoint(K))
 
 
@@ -271,16 +278,28 @@ class CentralizedGapReport:
         return self.points > 0 and not self.violations
 
 
-def _central_delay(config: SystemConfig) -> tuple[int, int]:
-    """``centralized_delay(config)`` as (numerator, positive denominator); at
-    integer t, (K-t)/(1+t+alpha*m) with m = min(K//alpha - 1, t)."""
-    K, M = config.K, config.M
-    tn, td = K * M.numerator, config.N * M.denominator
+# a grid point in integers: (N, K, a, b, alpha_max), M = a/b in lowest terms
+_Point = tuple[int, int, int, int, int]
+
+
+def _config(point: _Point) -> SystemConfig:
+    N, K, a, b, amax = point
+    return SystemConfig(N=N, K=K, M=Frac(a, b), alpha_max=amax)
+
+
+def _points(grid: Iterable[SystemConfig]) -> Iterator[_Point]:
+    return ((c.N, c.K, c.M.numerator, c.M.denominator, c.alpha_max) for c in grid)
+
+
+def _central_delay(N: int, K: int, a: int, b: int, amax: int) -> tuple[int, int]:
+    """``centralized_delay`` at M = a/b as (numerator, positive denominator);
+    at integer t, (K-t)/(1+t+alpha*m) with m = min(K//alpha - 1, t)."""
+    tn, td = K * a, N * b
     if tn % td:
-        T = centralized_delay(config)
+        T = centralized_delay(_config((N, K, a, b, amax)))
         return T.numerator, T.denominator
     t = tn // td
-    alpha = _best_alpha(K, t, 1, config.alpha_max)
+    alpha = _best_alpha(K, t, 1, amax)
     return K - t, 1 + t + alpha * min(K // alpha - 1, t)
 
 
@@ -289,36 +308,53 @@ def verify_gap_centralized(grid: Iterable[SystemConfig]) -> CentralizedGapReport
     = 2 where t >= K-1).
 
     Ratios are exact ``gap_ratio`` values, compared in integers; the worst
-    point (the first of a tie) and every offending config are reported.
+    point (the first of a tie) and every offending config are reported,
+    each config rebuilt from its (N, K, M, alpha_max).
     """
+    return _certify_centralized(_points(grid))
+
+
+def certify_centralized(spec: Optional[dict] = None) -> CentralizedGapReport:
+    """``verify_gap_centralized`` over the spec's centralized gap grid, read
+    as integer points: only the reported points build a config."""
+    return _certify_centralized(_central_points(spec))
+
+
+def _certify_centralized(points: Iterable[_Point]) -> CentralizedGapReport:
     report = CentralizedGapReport()
     bn, bd = report.BOUND.numerator, report.BOUND.denominator
     hn, hd = report.HIGH_T_BOUND.numerator, report.HIGH_T_BOUND.denominator
-    worst = worst_high = None  # (ratio numerator, denominator, config)
-    for config in grid:
-        N, K, M = config.N, config.K, config.M
-        a, b = M.numerator, M.denominator
-        converse = _converse(N, K, a, b, config.alpha_max)
-        rn, rd = _ratio(*_central_delay(config), *converse)
+    worst = worst_high = None  # (ratio numerator, denominator, point)
+    memory = None  # the (N, K, a, b) whose cuts ``shared`` holds
+    for point in points:
+        N, K, a, b, amax = point
+        if memory != (N, K, a, b):
+            memory = N, K, a, b
+            shared = _shared_cuts(N, K, a, b)
+            high = K * a >= (K - 1) * N * b  # t >= K-1
+        rn, rd = _ratio(*_central_delay(*point), *_converse(*shared, amax))
         report.points += 1
         if worst is None or rn * worst[1] > worst[0] * rd:
-            worst = rn, rd, config
-        if K * a >= (K - 1) * N * b:  # t >= K-1
+            worst = rn, rd, point
+        if high:
             if worst_high is None or rn * worst_high[1] > worst_high[0] * rd:
-                worst_high = rn, rd, config
+                worst_high = rn, rd, point
             if rn * hd > hn * rd:
-                report.violations.append(_central_point(rn, rd, config))
+                report.violations.append(_gap_point(rn, rd, point))
         elif rn * bd > bn * rd:
-            report.violations.append(_central_point(rn, rd, config))
+            report.violations.append(_gap_point(rn, rd, point))
     if worst is not None:
-        report.worst = _central_point(*worst)
+        report.worst = _gap_point(*worst)
     if worst_high is not None:
-        report.worst_high_t = _central_point(*worst_high)
+        report.worst_high_t = _gap_point(*worst_high)
     return report
 
 
-def _central_point(rn: int, rd: int, config: SystemConfig) -> GapPoint:
-    return GapPoint(config, Frac(rn, rd), gap_regime(config))
+def _gap_point(
+    rn: int, rd: int, point: _Point, regime: Optional[str] = None
+) -> GapPoint:
+    config = _config(point)
+    return GapPoint(config, Frac(rn, rd), regime or gap_regime(config))
 
 
 def decentralized_gap_bound(config: SystemConfig) -> tuple[Frac, str, Optional[Frac]]:
@@ -367,35 +403,55 @@ def verify_gap_decentralized(grid: Iterable[SystemConfig]) -> DecentralizedGapRe
     branch bound) are recorded in ``min_form_exceedances`` rather than
     failed.  Ratios and bounds are compared in integers; the branch bound
     depends only on (K, alpha_max, side of p_th) and is looked up once per
-    such key in this call.
+    such key in this call.  Reported configs are rebuilt from their
+    (N, K, M, alpha_max).
     """
+    return _certify_decentralized(_points(grid))
+
+
+def certify_decentralized(spec: Optional[dict] = None) -> DecentralizedGapReport:
+    """``verify_gap_decentralized`` over the spec's decentralized gap grid,
+    read as integer points: only the reported points and one point per
+    branch-bound key build a config."""
+    return _certify_decentralized(_decentral_points(spec))
+
+
+def _certify_decentralized(points: Iterable[_Point]) -> DecentralizedGapReport:
     report = DecentralizedGapReport()
     branch_bounds: dict[tuple[int, int, bool], tuple] = {}
-    worst: dict[str, tuple[int, int, SystemConfig]] = {}
-    for config in grid:
-        N, K, amax, M = config.N, config.K, config.alpha_max, config.M
-        a, b = M.numerator, M.denominator
-        g = math.gcd(a, N * b)
-        pa, pb = a // g, N * b // g  # p = M/N in lowest terms
-        key = (K, amax, _at_least_threshold(K, pa, pb))
+    worst: dict[str, tuple[int, int, _Point]] = {}
+    memory, memory_K = {}, None  # (N, a, b) -> (pa, pb, side, cuts) at memory_K
+    for point in points:
+        N, K, a, b, amax = point
+        if K != memory_K:
+            memory, memory_K = {}, K
+        shared = memory.get((N, a, b))
+        if shared is None:
+            g = math.gcd(a, N * b)
+            pa, pb = a // g, N * b // g  # p = M/N in lowest terms
+            shared = memory[N, a, b] = (
+                pa, pb, _at_least_threshold(K, pa, pb), _shared_cuts(N, K, a, b)
+            )
+        pa, pb, side, cuts = shared
+        key = (K, amax, side)
         if key not in branch_bounds:
-            bound, branch, min_form = decentralized_gap_bound(config)
+            bound, branch, min_form = decentralized_gap_bound(_config(point))
             if min_form is not None:
                 min_form = min_form.as_integer_ratio()
             branch_bounds[key] = bound.as_integer_ratio(), branch, min_form
         (bn, bd), branch, min_form = branch_bounds[key]
-        rn, rd = _ratio(*_delay_ints(K, amax, pa, pb), *_converse(N, K, a, b, amax))
+        rn, rd = _ratio(*_delay_ints(K, amax, pa, pb), *_converse(*cuts, amax))
         report.points += 1
         cur = worst.get(branch)
         if cur is None or rn * cur[1] > cur[0] * rd:
-            worst[branch] = rn, rd, config
+            worst[branch] = rn, rd, point
         if rn * bd > bn * rd:
-            report.violations.append(GapPoint(config, Frac(rn, rd), branch))
+            report.violations.append(_gap_point(rn, rd, point, branch))
         elif min_form is not None and rn * min_form[1] > min_form[0] * rd:
-            report.min_form_exceedances.append(GapPoint(config, Frac(rn, rd), branch))
+            report.min_form_exceedances.append(_gap_point(rn, rd, point, branch))
     report.worst_by_branch = {
-        branch: GapPoint(config, Frac(rn, rd), branch)
-        for branch, (rn, rd, config) in worst.items()
+        branch: _gap_point(rn, rd, point, branch)
+        for branch, (rn, rd, point) in worst.items()
     }
     return report
 
@@ -490,13 +546,8 @@ def load_grid_spec(path: Optional[str] = None) -> dict:
 
 
 def _alpha_max_choices(K: int, choices: list) -> list[int]:
-    out = []
-    cap = max(1, K // 2)
-    for c in choices:
-        v = K // 2 if c == "half" else int(c)
-        if 1 <= v <= cap and v not in out:
-            out.append(v)
-    return sorted(out)
+    values = {K // 2 if c == "half" else int(c) for c in choices}
+    return sorted(v for v in values if 1 <= v <= max(1, K // 2))
 
 
 def gap_grid_sizes(spec: dict) -> tuple[int, int]:
@@ -524,24 +575,38 @@ def gap_grid_sizes(spec: dict) -> tuple[int, int]:
     return central, widths * max(0, dec["p_grid_denominator"] - 1)
 
 
-def centralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
-    """Configs for the centralized gap sweep: all integer-t memory points."""
+def _central_points(spec: Optional[dict] = None) -> Iterator[_Point]:
+    """Points of the centralized gap sweep, every integer t, in the order
+    K, N, t, alpha_max."""
     spec = (load_grid_spec() if spec is None else spec)["centralized_gap"]
     K_lo, K_hi = spec["K"]
     for K in range(K_lo, K_hi + 1):
+        choices = _alpha_max_choices(K, spec["alpha_max_choices"])
         for N in range(K, spec["N_max_multiple"] * K + 1):
             for t in range(1, K + 1):
-                M = Frac(t * N, K)
-                for amax in _alpha_max_choices(K, spec["alpha_max_choices"]):
-                    yield SystemConfig(N=N, K=K, M=M, alpha_max=amax)
+                g = math.gcd(t * N, K)
+                for amax in choices:
+                    yield N, K, t * N // g, K // g, amax
 
 
-def decentralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
-    """Configs for the decentralized gap sweep: uniform interior p grid."""
+def _decentral_points(spec: Optional[dict] = None) -> Iterator[_Point]:
+    """Points of the decentralized gap sweep, N = K and p = i/den, in the
+    order K, alpha_max, i."""
     spec = (load_grid_spec() if spec is None else spec)["decentralized_gap"]
     K_lo, K_hi = spec["K"]
     den = spec["p_grid_denominator"]
     for K in range(K_lo, K_hi + 1):
         for amax in range(1, max(1, K // 2) + 1):
             for i in range(1, den):
-                yield SystemConfig(N=K, K=K, M=Frac(i * K, den), alpha_max=amax)
+                g = math.gcd(i * K, den)
+                yield K, K, i * K // g, den // g, amax
+
+
+def centralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
+    """Configs for the centralized gap sweep: all integer-t memory points."""
+    return map(_config, _central_points(spec))
+
+
+def decentralized_gap_grid(spec: Optional[dict] = None) -> Iterator[SystemConfig]:
+    """Configs for the decentralized gap sweep: uniform interior p grid."""
+    return map(_config, _decentral_points(spec))

@@ -24,14 +24,12 @@ from typing import Optional, Sequence, TextIO
 
 from .bounds import (
     centralized_gains,
-    centralized_gap_grid,
-    decentralized_gap_grid,
+    certify_centralized,
+    certify_decentralized,
     gap_grid_sizes,
     load_grid_spec,
     lower_bound,
     p_threshold,
-    verify_gap_centralized,
-    verify_gap_decentralized,
     verify_user_rate_bounds,
 )
 from .centralized import MAX_USER_SYMBOLS, centralized_rates
@@ -189,11 +187,11 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
         return 0
 
     if cen:
-        rep = verify_gap_centralized(centralized_gap_grid(spec))
+        rep = certify_centralized(spec)
         w = rep.worst
         ok &= _check(
             out,
-            f"centralized gap <= 31 on {rep.points} points",
+            f"centralized gap <= {rep.BOUND} on {rep.points} points",
             rep.passed,
             f"worst {float(w.ratio):.3f} at K={w.config.K} N={w.config.N} "
             f"M={w.config.M} alpha_max={w.config.alpha_max}",
@@ -201,18 +199,18 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
         if rep.worst_high_t is not None:
             ok &= _check(
                 out,
-                "centralized gap <= 2 on t >= K-1",
-                rep.worst_high_t.ratio <= 2,
+                f"centralized gap <= {rep.HIGH_T_BOUND} on t >= K-1",
+                rep.worst_high_t.ratio <= rep.HIGH_T_BOUND,
                 f"worst {float(rep.worst_high_t.ratio):.3f}",
             )
         for v in rep.violations[:5]:
             out.write(
                 f"  violation: ratio {float(v.ratio):.3f} at K={v.config.K} "
-                f"N={v.config.N} M={v.config.M}\n"
+                f"N={v.config.N} M={v.config.M} alpha_max={v.config.alpha_max}\n"
             )
 
     if dec:
-        rep = verify_gap_decentralized(decentralized_gap_grid(spec))
+        rep = certify_decentralized(spec)
         ok &= _check(out, f"decentralized branch bounds on {rep.points} points", rep.passed)
         for branch, pt in sorted(rep.worst_by_branch.items()):
             out.write(

@@ -12,7 +12,7 @@ import tempfile
 from fractions import Fraction as Frac
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import coopcache.bounds as bounds_module
@@ -363,6 +363,71 @@ def test_grid_sizes_count_the_enumerated_points(K_lo, span, n_mult, choices, den
         len(list(centralized_gap_grid(spec))),
         len(list(decentralized_gap_grid(spec))),
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer grid walkers
+# ---------------------------------------------------------------------------
+
+
+def _reference_central_grid(spec):
+    """The centralized gap grid as configs, in the order K, N, t, alpha_max."""
+    spec = spec["centralized_gap"]
+    for K in range(spec["K"][0], spec["K"][1] + 1):
+        choices = set()
+        for c in spec["alpha_max_choices"]:
+            v = K // 2 if c == "half" else c
+            if 1 <= v <= max(1, K // 2):
+                choices.add(v)
+        for N in range(K, spec["N_max_multiple"] * K + 1):
+            for t in range(1, K + 1):
+                for amax in sorted(choices):
+                    yield SystemConfig(N, K, Frac(t * N, K), alpha_max=amax)
+
+
+def _reference_decentral_grid(spec):
+    """The decentralized gap grid as configs, in the order K, alpha_max, i."""
+    spec = spec["decentralized_gap"]
+    den = spec["p_grid_denominator"]
+    for K in range(spec["K"][0], spec["K"][1] + 1):
+        for amax in range(1, max(1, K // 2) + 1):
+            for i in range(1, den):
+                yield SystemConfig(K, K, Frac(i * K, den), alpha_max=amax)
+
+
+def _assert_walkers_follow_the_grids(spec):
+    def as_points(grid):
+        return [(c.N, c.K, c.M.numerator, c.M.denominator, c.alpha_max) for c in grid]
+
+    central = list(bounds_module._central_points(spec))
+    assert central == as_points(centralized_gap_grid(spec))
+    assert central == as_points(_reference_central_grid(spec))
+    decentral = list(bounds_module._decentral_points(spec))
+    assert decentral == as_points(decentralized_gap_grid(spec))
+    assert decentral == as_points(_reference_decentral_grid(spec))
+    assert bounds_module.gap_grid_sizes(spec) == (len(central), len(decentral))
+
+
+def test_walkers_follow_the_shipped_grids():
+    _assert_walkers_follow_the_grids(load_grid_spec())
+
+
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.sampled_from([1, 2, 3, 4, "half"]), min_size=1, max_size=4),
+    st.integers(min_value=2, max_value=12),
+)
+# "half" is 2 at K = 4, 5, and is listed once
+@example(4, 1, 1, ["half", 2], 2)
+@example(2, 2, 1, [1, "half"], 2)
+def test_walkers_follow_sampled_grids(K_lo, span, n_mult, choices, den):
+    _assert_walkers_follow_the_grids({
+        "centralized_gap": {"K": [K_lo, K_lo + span], "N_max_multiple": n_mult,
+                            "alpha_max_choices": choices},
+        "decentralized_gap": {"K": [K_lo, K_lo + span], "p_grid_denominator": den},
+    })
 
 
 def test_min_form_exceedance_is_noted_not_failed(monkeypatch):

@@ -292,8 +292,9 @@ def test_verify_refuses_an_oversized_grid_before_enumerating(tmp_path, capsys, m
     def refuse(spec):
         raise AssertionError("grid enumerated")
 
-    monkeypatch.setattr(cli, "centralized_gap_grid", refuse)
-    monkeypatch.setattr(cli, "decentralized_gap_grid", refuse)
+    # the certifications are what enumerate a grid in ``cmd_verify``
+    monkeypatch.setattr(cli, "certify_centralized", refuse)
+    monkeypatch.setattr(cli, "certify_decentralized", refuse)
     monkeypatch.setattr(cli, "MAX_USER_SYMBOLS", 34)
     code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
     assert (code, out) == (2, "")
@@ -308,7 +309,7 @@ def test_verify_refuses_an_oversized_grid_before_enumerating(tmp_path, capsys, m
                                "alpha_max_choices": [1, 2, "half"]}
     grid.write_text(json.dumps(spec))
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "centralized_gap_grid", refuse)
+    monkeypatch.setattr(cli, "certify_centralized", refuse)
     code, out, err = _run(capsys, ["verify", "--grid", str(grid)])
     assert (code, out) == (2, "")
     assert err == (
@@ -425,11 +426,47 @@ def test_verify_reports_failure_with_exit_1(tmp_path, capsys, monkeypatch):
     bad.points = 1
     bad.worst = GapPoint(SystemConfig(4, 4, 1, alpha_max=2), Frac(99), "middle/p<p_th")
     bad.violations = [bad.worst]
-    monkeypatch.setattr(cli, "verify_gap_centralized", lambda grid: bad)
+    monkeypatch.setattr(cli, "certify_centralized", lambda spec: bad)
     code, out, _ = _run(capsys, ["verify"])
     assert code == 1
     assert "verification FAILED" in out
     assert "violation" in out
+    assert "  violation: ratio 99.000 at K=4 N=4 M=1 alpha_max=2" in out.splitlines()
+
+
+def test_verify_decides_and_labels_the_high_t_line_from_the_report(monkeypatch, capsys):
+    from coopcache.bounds import CentralizedGapReport
+
+    monkeypatch.setattr(CentralizedGapReport, "HIGH_T_BOUND", Frac(6, 5))
+    code, out, _ = _run(capsys, ["verify"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "[FAIL] centralized gap <= 6/5 on t >= K-1: worst 1.333" in lines
+    assert lines[0].startswith("[FAIL] centralized gap <= 31 on 9148 points: worst ")
+    assert [x for x in lines if x.startswith("  violation: ")] == [
+        "  violation: ratio 1.333 at K=2 N=2 M=1 alpha_max=1",
+        "  violation: ratio 1.333 at K=2 N=3 M=3/2 alpha_max=1",
+        "  violation: ratio 1.333 at K=2 N=4 M=2 alpha_max=1",
+    ]
+    assert "verification FAILED" in lines
+
+
+def test_verify_builds_no_config_per_grid_point(monkeypatch, capsys):
+    # only the reported points and one point per decentralized branch-bound
+    # key (K, alpha_max, side of p_th) build a config: 134 on the shipped
+    # grids, against one for each of their 15,385 points
+    built = []
+    real = SystemConfig.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    code, out, _ = _run(capsys, ["verify"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ANALYTIC_STDOUT[0][1]
+    assert 0 < len(built) < 200
 
 
 def test_verify_names_the_first_user_rate_bound_failure(tmp_path, capsys, monkeypatch):
