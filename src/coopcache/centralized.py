@@ -37,11 +37,18 @@ is decided by a quota check; otherwise by a small integer max-flow over
 int arrays laid out once per run, of which a rung keeps the live edges
 (``_HostingNetwork``).  Either way the decision is (class, group, units)
 int arrays, by class and then by group, the order in which the classes
-and their candidates are laid out.  The flow is Dinic's algorithm: levels
-computed in numpy and pruned to the shortest source-sink paths, and an
-iterative search that resumes after each augmentation at the first
-saturated edge, pushing the paths the plain recursive search pushes
-(``_Dinic``).
+and their candidates are laid out.  The flow is Dinic's algorithm.  Its
+first phase, whose paths all have 4 edges, is a greedy loop over the
+classes and their candidates (``_greedy_phase``); the later phases level
+the residual network in numpy, on a copy of the capacities updated after
+each phase, prune it to the shortest source-sink paths and hand an iterative
+search only the level edges, in compact lists; the search resumes after
+each augmentation at the first saturated edge.  All of it pushes the
+paths the plain recursive search pushes (``_Dinic``).  A flow that fails
+leaves the source side of a minimum cut, whose edges the network keeps;
+the ladder runs no flow on a rung where one of the last three such cuts
+has less capacity than the classes need, which proves the rung
+infeasible (Ford and Fulkerson's weak duality).
 
 The chosen rung is laid out as int columns (:func:`_assemble_schedule`,
 a ``model.SymbolTable`` shown as a ``model.UserRounds`` view), with no
@@ -63,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Optional, Sequence
@@ -317,14 +325,20 @@ class _Dinic:
     Dinic's algorithm: each phase levels the residual network by BFS from
     the source, then pushes a blocking flow along level-increasing edges by
     a depth-first search that takes each node's edges in that order.
-    Three things make a phase cheap without changing its paths:
+    Four things make a phase cheap without changing its paths:
 
     * Vectorised levels.  The BFS runs in numpy, one level at a time, over
-      the edges out of the frontier, gathered from ``order``; it stops at
-      the sink's level.
+      the live edges (positive capacity) out of the frontier, gathered from
+      ``order``; it stops at the sink's level.  The capacities are copied
+      to numpy once per flow (``residual``), and after each phase the copy
+      takes what that phase's paths pushed off their edges and onto the
+      reverses, so it ends equal to ``cap``.
     * Pruning.  A backward sweep from the sink, also a level at a time,
       keeps the nodes on some shortest source-sink path and gives every
       other node level -1, so the search never enters it.
+    * Compact level lists.  The search is handed only the level edges: live,
+      both ends on a shortest path, head one level up, in each node's order,
+      with their heads and each node's offsets.  It tests only ``cap > 0``.
     * Resuming.  After an augmentation the search resumes at the tail of
       the path's first saturated edge, keeping the path up to it.
 
@@ -332,17 +346,19 @@ class _Dinic:
     the source after each augmentation and enters every level-increasing
     edge.  Augmenting lowers the capacity of level edges and raises that of
     their reverses, which lead one level down and so are never level edges:
-    within a phase the level graph only loses edges.  A node that cannot
-    reach the sink at the start of a phase therefore never can within it,
-    and entering it is a dead-end round trip that changes no capacity,
-    advances only pointers no later path reads, and skips the edge that
-    led there, as pruning does.  Restarting from the source re-walks the
-    last path, whose edges the pointers still name, up to its first
-    saturated edge, and skips that edge; resuming there does the same
+    within a phase the level graph only loses edges, so the compact lists
+    meet the edges the full scan would, in the same order.  A node that
+    cannot reach the sink at the start of a phase therefore never can
+    within it, and entering it is a dead-end round trip that changes no
+    capacity, advances only pointers no later path reads, and skips the
+    edge that led there, as pruning does.  Restarting from the source
+    re-walks the last path, whose edges the pointers still name, up to its
+    first saturated edge, and skips that edge; resuming there does the same
     without the walk.  So every phase pushes the same paths, and the
     residual network ends the same, edge for edge.  When the sink is out of
     reach, the last BFS has reached exactly the source side of a minimum
-    cut.
+    cut, which the flow keeps as a bool mask over the nodes
+    (``source_side``).
     """
 
     def __init__(
@@ -350,6 +366,7 @@ class _Dinic:
     ) -> None:
         self.n = len(start) - 1
         self.head, self.cap, self.order, self.start = head, cap, order, start
+        self.source_side: Optional[np.ndarray] = None
 
     def _edges_out(self, nodes: np.ndarray) -> np.ndarray:
         lo = self.start[nodes]
@@ -357,11 +374,14 @@ class _Dinic:
         ends = np.cumsum(counts)
         return self.order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
 
-    def _levels(self, s: int, t: int) -> Optional[list[int]]:
-        """BFS levels of the residual network, -1 off every shortest s-t
-        path; None when the sink is out of reach."""
-        n, cap, head, edges_out = self.n, self.cap, self.head, self._edges_out
-        live = np.fromiter(cap, np.int32, len(cap)) > 0
+    def _levels(self, s: int, t: int):
+        """The level graph of the residual network as (heads, edges,
+        starts) lists: node u's level edges are ``edges[starts[u]:starts[u
+        + 1]]``, leading to ``heads`` at the same positions.  When the sink
+        is out of reach, the nodes the BFS reached instead, as a bool
+        array: the source side of a minimum cut."""
+        n, head, edges_out = self.n, self.head, self._edges_out
+        live = self.residual > 0
         level = np.full(n, -1, np.int32)
         level[s] = 0
         frontier = np.array([s])
@@ -371,7 +391,7 @@ class _Dinic:
             reached = head[out[live[out]]]
             reached = reached[level[reached] < 0]
             if not len(reached):
-                return None
+                return level >= 0
             depth += 1
             level[reached] = depth
             frontier = np.flatnonzero(level == depth)
@@ -387,25 +407,38 @@ class _Dinic:
             on_path[into[level[into] == d]] = True
             frontier = np.flatnonzero(on_path & (level == d))
         level[~on_path] = -1
-        return level.tolist()
+        nodes = np.flatnonzero(on_path)
+        out = edges_out(nodes)
+        tail = np.repeat(nodes, self.start[nodes + 1] - self.start[nodes])
+        keep = live[out] & (level[head[out]] == level[tail] + 1)
+        edges, tail = out[keep], tail[keep]
+        starts = np.searchsorted(tail, np.arange(n + 1))  # tail is sorted
+        return head[edges].tolist(), edges.tolist(), starts.tolist()
 
     def max_flow(self, s: int, t: int) -> int:
-        cap, to = self.cap, self.head.tolist()
-        order, start = self.order.tolist(), self.start.tolist()
+        cap = self.cap
+        self.residual = np.fromiter(cap, np.int64, len(cap))
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            graph = self._levels(s, t)
+            if isinstance(graph, np.ndarray):
+                self.source_side = graph
                 return flow
-            it = start[:-1]  # each node's next edge, a position in order
+            to, edge, start = graph
+            it = start[:-1]  # each node's next level edge, a position in edge
             # Depth-first search for blocking flow, with an explicit path of
-            # edges instead of recursion.  A node's pointer it[u] advances
-            # only past an edge that is unusable or leads to a dead end,
-            # never on success.  least[k] is flow plus the bottleneck of
-            # path[:k]: an augmentation lowers every edge on the path by
-            # what flow gains, so the entries it keeps stay right.
+            # edges and their tails instead of recursion.  A node's pointer
+            # it[u] advances only past an edge that is saturated or leads to
+            # a dead end, never on success.  least[k] is flow plus the
+            # bottleneck of path[:k]: an augmentation lowers every edge on
+            # the path by what flow gains, so the entries it keeps stay
+            # right.
             path: list[int] = []
+            tails: list[int] = []
             least = [math.inf]
+            # the edges of this phase's paths and what each path pushed
+            touched: list[int] = []
+            amounts: list[int] = []
             phase_start, u = flow, s
             while True:
                 if u == t:
@@ -415,31 +448,36 @@ class _Dinic:
                     for eid in path:
                         cap[eid] -= pushed
                         cap[eid ^ 1] += pushed
+                    touched += path
+                    amounts += [pushed] * len(path)
                     flow += pushed
                     cut = least.index(least[-1]) - 1  # first saturated edge
-                    u = to[path[cut] ^ 1]
-                    del path[cut:], least[cut + 1:]
+                    u = tails[cut]
+                    del path[cut:], tails[cut:], least[cut + 1:]
                     continue
-                nxt, i, end = level[u] + 1, it[u], start[u + 1]
-                while i < end:
-                    eid = order[i]
-                    if cap[eid] > 0 and level[to[eid]] == nxt:
-                        break
+                i, end = it[u], start[u + 1]
+                while i < end and not cap[edge[i]]:
                     i += 1
                 it[u] = i
                 if i < end:
+                    eid = edge[i]
                     path.append(eid)
+                    tails.append(u)
                     b = flow + cap[eid]
                     least.append(b if b < least[-1] else least[-1])
-                    u = to[eid]
+                    u = to[i]
                 elif u == s:
                     break
                 else:  # dead end: retreat and skip the edge that led here
                     least.pop()
-                    u = to[path.pop() ^ 1]
+                    path.pop()
+                    u = tails.pop()
                     it[u] += 1
             if flow == phase_start:  # the BFS reached the sink, so a path exists
                 raise SchedulingError("max-flow phase pushed no flow")
+            pushed = np.bincount(touched, amounts, len(cap)).astype(np.int64)
+            self.residual -= pushed
+            self.residual += pushed.reshape(-1, 2)[:, ::-1].ravel()  # onto e ^ 1
 
 
 def _hosting_classes(K: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,6 +500,43 @@ def _hosting_classes(K: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     return j + 1, T, cand
 
 
+def _greedy_phase(
+    L: int, classes: Sequence[int], pairs: Sequence[int], groups: Sequence[int],
+    pair_left: list[int], group_left: list[int],
+) -> list[int]:
+    """Dinic's first blocking flow on a hosting network, without a search.
+
+    The candidates come class after class, each class's in order, as three
+    parallel sequences: each one's class (``classes``), (receiver, group)
+    pair (``pairs``) and group (``groups``).  ``pair_left`` and
+    ``group_left`` hold the capacities into each group from each pair and
+    out of each group to the sink, which the flow uses up.  Every
+    source-sink path of the untouched network has its 4 edges
+    (source -> class -> pair -> group -> sink), so the first phase's
+    search, with pruning and resuming, takes the candidates in that order,
+    pushing the least of what the class, the pair and the group have left
+    until the class has sent its L units or its candidates run out.  A pair
+    or group with nothing left is one the search would find dead.  Returns
+    the units pushed through each candidate."""
+    flows: list[int] = []
+    push = flows.append
+    last = -1
+    for c, p, g in zip(classes, pairs, groups):
+        if c != last:
+            last, left = c, L
+        f = pair_left[p]
+        if group_left[g] < f:
+            f = group_left[g]
+        if left < f:
+            f = left
+        push(f)
+        if f:
+            pair_left[p] -= f
+            group_left[g] -= f
+            left -= f
+    return flows
+
+
 class _HostingNetwork:
     """The hosting flow of every ladder rung of one (K, m), over the classes
     of :func:`_hosting_classes`, as int arrays built once; a rung only sets
@@ -477,11 +552,18 @@ class _HostingNetwork:
     constituent per symbol.  Each edge is gated by a group, ``gate``
     (the group count for a source edge, which every rung keeps), and its
     capacity is L where ``scale`` is 0, its gate's quota times ``scale``
-    elsewhere.
+    elsewhere, and 0 through a group of quota 0.
+
+    A rung's flow starts from Dinic's first blocking flow, pushed by
+    :func:`_greedy_phase` (:meth:`first_phase`).  The network also keeps
+    the minimum cuts of the last three failed flows (``cuts``, each the ids of
+    the edges leaving its source side): a cut whose capacity at a later
+    rung is below the L units of every class proves that rung infeasible
+    with no flow (:meth:`certifies`).
     """
 
     def __init__(self, K: int, m: int, receiver: np.ndarray, cand: np.ndarray) -> None:
-        self.cand = cand
+        self.m, self.cand = m, cand
         n_class, n_cand = cand.shape
         n_groups = math.comb(K, m + 1)
         keys, pair = np.unique(receiver[:, None] * n_groups + cand, return_inverse=True)
@@ -504,24 +586,65 @@ class _HostingNetwork:
         # half-edges in id order, which is the order they were laid out in
         self.head = np.stack([head, tail], axis=1).ravel()
         tails = np.stack([tail, head], axis=1).ravel()
-        self.order = np.argsort(tails, kind="stable")
-        self.start = offsets(np.bincount(tails, minlength=sink + 1))
+        # a stable sort of small ints is a radix sort
+        self.order = np.argsort(tails.astype(np.min_scalar_type(sink)), kind="stable")
+        self.start = np.searchsorted(tails[self.order], np.arange(sink + 2))
         # the reverse half of each class's edge to each candidate
         self.hosting = 2 * np.arange(n_class * (1 + n_cand)).reshape(n_class, -1)[:, 1:] + 1
+        # each candidate's class, pair and group, for the greedy first phase
+        self.candidates = np.repeat(np.arange(n_class), n_cand), pair.ravel(), cand.ravel()
+        self.cuts: deque[np.ndarray] = deque(maxlen=3)
 
-    def rung(self, quotas: np.ndarray, L: int) -> tuple[_Dinic, np.ndarray]:
-        """A rung's network on its live edges, those of groups with positive
-        quota, in order, and each half-edge's id in it.  A dead edge is left
-        out, not kept at capacity 0, so that the search does not scan it."""
+    def capacities(self, quotas: np.ndarray, L: int) -> np.ndarray:
+        """Each edge's capacity at a rung, 0 through a group of quota 0."""
         quota = np.append(quotas, 1)[self.gate]
-        live = np.repeat(quota > 0, 2)
-        cap = np.zeros(len(live), np.int64)
-        cap[::2] = np.where(self.scale, quota * self.scale, L)
+        return np.where(self.scale, quota * self.scale, L * (quota > 0))
+
+    def rung(
+        self, quotas: np.ndarray, L: int, flow: np.ndarray | int = 0
+    ) -> tuple[_Dinic, np.ndarray]:
+        """A rung's network on its live edges, those of groups with positive
+        quota, in order, and each half-edge's id in it, with ``flow`` (one
+        count per edge) pushed.  A dead edge is left out, not kept at
+        capacity 0, so that the search does not scan it."""
+        cap = self.capacities(quotas, L)
+        live = np.repeat(cap > 0, 2)
+        residual = np.stack(np.broadcast_arrays(cap - flow, flow), axis=1).ravel()
         ids = np.cumsum(live) - 1
         kept = live[self.order]
         start = np.concatenate([[0], np.cumsum(kept)])[self.start]
-        net = _Dinic(self.head[live], cap[live].tolist(), ids[self.order[kept]], start)
+        net = _Dinic(self.head[live], residual[live].tolist(), ids[self.order[kept]], start)
         return net, ids
+
+    def first_phase(self, quotas: np.ndarray, L: int) -> tuple[int, np.ndarray]:
+        """The units of Dinic's first blocking flow at a rung
+        (:func:`_greedy_phase`), and the flow on each edge."""
+        pair_cap = quotas[self.pairs[:, 1]]
+        group_cap = self.m * quotas
+        pair_left, group_left = pair_cap.tolist(), group_cap.tolist()
+        f = _greedy_phase(L, *(c.tolist() for c in self.candidates), pair_left, group_left)
+        f = np.fromiter(f, np.int64, len(f)).reshape(self.cand.shape)
+        sent = f.sum(axis=1)
+        return int(sent.sum()), np.concatenate([
+            np.hstack([sent[:, None], f]).ravel(),
+            pair_cap - pair_left,
+            group_cap - group_left,
+        ])
+
+    def certifies(self, quotas: np.ndarray, L: int) -> bool:
+        """Whether a kept cut proves a rung infeasible: a cut's capacity
+        bounds every flow (weak duality), so one below the L units of every
+        class leaves some unrouted."""
+        if not self.cuts:
+            return False
+        cap = self.capacities(quotas, L)
+        return any(cap[cut].sum() < L * len(self.cand) for cut in self.cuts)
+
+    def keep_cut(self, source_side: np.ndarray) -> None:
+        """Keep a failed flow's minimum cut, given by its source side, as the
+        ids of the edges leaving it; the oldest of the kept cuts drops out."""
+        tail, head = self.head[1::2], self.head[::2]
+        self.cuts.append(np.flatnonzero(source_side[tail] & ~source_side[head]))
 
 
 def _solve_hosting(
@@ -540,12 +663,19 @@ def _solve_hosting(
     candidate) matrix of flows, read from the reverse residuals, which
     ``np.nonzero`` takes in row-major order: by class, and within a class
     by increasing group, since each class's candidates are.
+
+    A rung that a kept cut certifies infeasible runs no flow.  Otherwise
+    the flow is the greedy first phase, then ``_Dinic`` from its residual
+    network; a flow that fails leaves its minimum cut to the network.
     """
-    net, ids = network.rung(quotas, L)
-    if net.max_flow(0, net.n - 1) != L * len(network.cand):
+    if network.certifies(quotas, L):
         return None
-    cap = np.array(net.cap)
-    used = np.where(quotas[network.cand] > 0, cap[ids[network.hosting]], 0)
+    units, flow = network.first_phase(quotas, L)
+    net, ids = network.rung(quotas, L, flow)
+    if units + net.max_flow(0, net.n - 1) != L * len(network.cand):
+        network.keep_cut(net.source_side)
+        return None
+    used = np.where(quotas[network.cand] > 0, net.residual[ids[network.hosting]], 0)
     cls, host = np.nonzero(used)
     return cls, network.cand[cls, host], used[cls, host]
 
@@ -569,7 +699,10 @@ def _hosting_decider(K: int, m: int, receiver: np.ndarray, cand: np.ndarray):
     """The hosting decision of one ladder rung over the classes of
     :func:`_hosting_classes`, as a function of the rung's quotas (one per
     (m+1)-subset, in lex order) and unit count L: a quota check when every
-    class has a single candidate group (m == t), the max-flow otherwise."""
+    class has a single candidate group (m == t), the max-flow otherwise.
+    The flow's network keeps the minimum cuts of the flows that failed, so
+    one decider serves one walk of the ladder, whose later rungs they may
+    certify infeasible."""
     if cand.shape[1] == 1:
         return lambda quotas, L: _forced_hosting(cand, quotas, L, m)
     network = _HostingNetwork(K, m, receiver, cand)
@@ -673,8 +806,10 @@ def build_user_schedule(
 
     Each rung of the refinement ladder is decided on its quotas alone: by a
     quota check when groups have t+1 members (each pico-file then has one
-    hosting group), by a max-flow otherwise.  Raises ValueError, before any
-    enumeration, when :func:`check_schedule_size` refuses the plan.
+    hosting group), by a max-flow otherwise, unless the minimum cut of an
+    earlier rung's failed flow proves it infeasible.  Raises ValueError,
+    before any enumeration, when :func:`check_schedule_size` refuses the
+    plan.
     Raises SchedulingError if no feasible assignment exists at any rung of
     the ladder (which would indicate an internal inconsistency — the
     uniform full-cycle rung is provably feasible).

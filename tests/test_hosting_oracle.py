@@ -4,19 +4,24 @@
 rung of the (rho, offset) ladder is decided by a full max-flow over quotas
 counted from the whole slot sequence.  The scheduler now counts quotas in
 closed form, settles forced rungs (groups of t+1 members, m == t) by a quota
-check and runs the flow on numpy levels pruned to the shortest paths, with
-an iterative search that resumes after each augmentation, over a network
-laid out once per (K, t, m) as int arrays of which a rung keeps the live
-edges, and hands the assembly its decision as (class, group, units) int
-arrays, which ``_assignment`` turns into the oracle's dict.  On every rung
-checked here it must reach the same decision, with the same assignment,
-its entries in the oracle's order; each rung's network must be the one
-that adding its edges one by one builds (``_Edges``), edge for edge; and
-on every network generated here the flow must leave the same residual
+check and runs the flow as a greedy first phase, then numpy levels pruned
+to the shortest paths, with an iterative search over compact level lists
+that resumes after each augmentation, over a network laid out once per
+(K, t, m) as int arrays of which a rung keeps the live edges.  It runs no
+flow on a rung that the minimum cut of an earlier rung's failed flow
+certifies infeasible, and hands the assembly its decision as (class,
+group, units) int arrays, which ``_assignment`` turns into the oracle's
+dict.  On every rung checked here it must reach the same decision, with
+the same assignment, its entries in the oracle's order; each rung's
+network must be the one that adding its edges one by one builds
+(``_Edges``), edge for edge; and on every network generated here the
+flow, with or without the greedy phase, must leave the same residual
 network, edge for edge.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -28,10 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hosting_oracle as oracle
-from coopcache import SystemConfig, enumerate_equal_partitions, make_split_plan
+from coopcache import SystemConfig, centralized, enumerate_equal_partitions, make_split_plan
 from coopcache.centralized import (
     _Dinic,
     _forced_hosting,
+    _greedy_phase,
     _hosting_classes,
     _hosting_decider,
     _HostingNetwork,
@@ -288,6 +294,33 @@ def _count_phases(monkeypatch):
     return calls
 
 
+def _count_greedy_phases(monkeypatch):
+    """A list that grows by one for every greedy first phase a hosting
+    flow pushes."""
+    calls = []
+    greedy = centralized._greedy_phase
+
+    def counting(*args):
+        calls.append(1)
+        return greedy(*args)
+
+    monkeypatch.setattr(centralized, "_greedy_phase", counting)
+    return calls
+
+
+def _count_flows(monkeypatch):
+    """The ``_Dinic`` instances whose max-flow ran, in order."""
+    nets = []
+    flow = _Dinic.max_flow
+
+    def counting(self, *args):
+        nets.append(self)
+        return flow(self, *args)
+
+    monkeypatch.setattr(_Dinic, "max_flow", counting)
+    return nets
+
+
 def _hosting_network(rng):
     """A random network of the hosting flow's shape: source -> classes ->
     (receiver, group) -> groups -> sink, with L units per class, a class's
@@ -296,7 +329,12 @@ def _hosting_network(rng):
     run of consecutive groups, so that rerouting one class's units pushes
     its neighbours' on along the ring, and the quotas are tight, summing
     to about what the classes send: later phases then need long paths
-    through reverse edges."""
+    through reverse edges.
+
+    Returns the network and its layers as :func:`_greedy_phase` takes
+    them: L, each class's candidates as their classes, pairs and groups,
+    class after class, the capacity into each group from each pair and out
+    of each group, and the edges of each candidate's path."""
     receivers, n_groups = rng.randint(2, 6), rng.randint(3, 12)
     L, m = rng.randint(1, 3), rng.randint(1, 2)
     classes = []
@@ -315,22 +353,29 @@ def _hosting_network(rng):
     jg_base = 1 + len(classes)
     grp_base = jg_base + len(pairs)
     net = _Edges(grp_base + n_groups + 1)
+    class_edges = []
     for ci, (j, picks) in enumerate(classes):
-        net.add_edge(0, 1 + ci, L)
-        for g in picks:
-            net.add_edge(1 + ci, jg_base + pairs[(j, g)], L)
+        source = net.add_edge(0, 1 + ci, L)
+        class_edges += [(source, net.add_edge(1 + ci, jg_base + pairs[(j, g)], L))
+                        for g in picks]
+    pair_edges = {}
     for (j, g), ji in sorted(pairs.items()):
-        net.add_edge(jg_base + ji, grp_base + g, quotas[g])
-    for g in range(n_groups):
-        net.add_edge(grp_base + g, net.n - 1, m * quotas[g])
-    return net
+        pair_edges[ji] = net.add_edge(jg_base + ji, grp_base + g, quotas[g])
+    group_edges = [net.add_edge(grp_base + g, net.n - 1, m * quotas[g])
+                   for g in range(n_groups)]
+    candidates = [(ci, pairs[(j, g)], g) for ci, (j, picks) in enumerate(classes)
+                  for g in picks]
+    paths = [(*class_edge, pair_edges[p], group_edges[g])
+             for class_edge, (_, p, g) in zip(class_edges, candidates)]
+    pair_caps = [quotas[g] for _, g in pairs]  # in id order, which is insertion order
+    return net, (L, list(zip(*candidates)), pair_caps, [m * q for q in quotas], paths)
 
 
 def test_hosting_shaped_flows_match_the_recursive_flow(monkeypatch):
     phases = _count_phases(monkeypatch)
     deep = saturated = 0
     for seed in range(300):
-        edges = _hosting_network(random.Random(seed))
+        edges, _ = _hosting_network(random.Random(seed))
         ref = _copy_network(edges, oracle._Dinic)
         total = sum(edges.cap[eid] for eid in edges.adj[0])
         net = edges.dinic()
@@ -343,6 +388,36 @@ def test_hosting_shaped_flows_match_the_recursive_flow(monkeypatch):
     # many flows take five phases or more, so augmenting paths of 12 edges
     # or more were exercised; both feasible and infeasible flows occur
     assert deep >= 20 and 30 <= saturated <= 270
+
+
+def test_greedy_first_phase_is_the_first_blocking_flow(monkeypatch):
+    # the greedy phase, pushed along its paths, then the flow from that
+    # residual network leave the recursive flow's residual network, and
+    # the greedy phase takes the place of exactly one of its phases
+    phases = _count_phases(monkeypatch)
+    pushed_all = 0
+    for seed in range(300):
+        edges, (L, candidates, pair_caps, group_caps, paths) = _hosting_network(
+            random.Random(seed))
+        ref = _copy_network(edges, oracle._Dinic)
+        phases.clear()
+        plain = edges.dinic().max_flow(0, edges.n - 1)
+        plain_phases = len(phases)
+        flows = _greedy_phase(L, *candidates, list(pair_caps), list(group_caps))
+        assert len(flows) == len(paths), seed
+        for units, path in zip(flows, paths):
+            for eid in path:
+                edges.cap[eid] -= units
+                edges.cap[eid ^ 1] += units
+        net = edges.dinic()
+        phases.clear()
+        flow = sum(flows) + net.max_flow(0, net.n - 1)
+        assert flow == ref.max_flow(0, net.n - 1) == plain, seed
+        assert net.cap == ref.cap, seed  # same residual network, edge for edge
+        assert len(phases) == max(plain_phases - 1, 1), seed
+        pushed_all += flow == sum(flows)
+    # some flows end with the greedy phase, most need later phases
+    assert 30 <= pushed_all <= 90
 
 
 def test_solve_hosting_matches_the_oracle_on_the_central_fluid_flow(monkeypatch):
@@ -360,9 +435,12 @@ def test_solve_hosting_matches_the_oracle_on_the_central_fluid_flow(monkeypatch)
     quotas = _slot_quotas(ranks, cycle, slots1, 0)
     counts = {G: q for G, q in zip(enumerate_subsets(K, fp), quotas.tolist()) if q}
     phases = _count_phases(monkeypatch)
+    greedy = _count_greedy_phases(monkeypatch)
     network, arrays = _network(K, t, m)
     got = _assignment(K, t, m, arrays, _solve_hosting(network, quotas, plan.L1))
-    assert got is not None and len(phases) - 1 == 7
+    # seven phases: the greedy first phase, then six level graphs and the
+    # BFS that finds the sink out of reach
+    assert got is not None and len(greedy) + len(phases) - 1 == 7
     assert got == oracle._solve_hosting(classes, candidates, counts, plan.L1, m)
 
 
@@ -453,6 +531,85 @@ def test_the_central_fluid_rung_network_flows_as_the_edge_by_edge_one():
     ref = edges.dinic()
     assert net.max_flow(0, net.n - 1) == ref.max_flow(0, ref.n - 1) == L * len(classes)
     assert net.cap == ref.cap  # the same residual network, edge for edge
+
+
+def test_the_central_fluid_rung_flow_leaves_the_recursive_residual(monkeypatch):
+    # the greedy first phase, then the flow from its residual network, as
+    # the ladder runs them, against the recursive flow on the rung's
+    # network added edge by edge
+    plan = make_split_plan(SystemConfig(12, 12, 6, alpha_max=3))
+    K, t, alpha, L = 12, 6, plan.alpha, plan.L1
+    fp = min(K // alpha, t + 1)
+    m = fp - 1
+    ranks, cycle = _ranks(K, fp, alpha)
+    quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
+    classes, candidates = _classes_and_candidates(K, t, m)
+    network, arrays = built = _network(K, t, m)
+    _, edges = _same_network(K, t, m, built, quotas, L, classes, candidates)
+    ref = _copy_network(edges, oracle._Dinic)
+    assert ref.max_flow(0, ref.n - 1) == L * len(classes)
+    nets = _count_flows(monkeypatch)
+    assert _solve_hosting(network, quotas, L) is not None
+    assert len(nets) == 1 and nets[0].cap == ref.cap  # edge for edge
+
+
+def _walk_counts(monkeypatch, argv):
+    """The flows run, the rungs certified infeasible without a flow and
+    the stdout SHA-256 of one ``simulate`` command."""
+    nets = _count_flows(monkeypatch)
+    rungs = []
+    solve = centralized._solve_hosting
+
+    def counting(*args):
+        rungs.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(centralized, "_solve_hosting", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simulate", "--scheme", "centralized", *argv.split()]) == 0
+    return len(nets), len(rungs) - len(nets), hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# the ladder walks whose rungs fail by the flow, not by a quota check:
+# flows run and rungs certified, and the SHA-256 of their stdout, which
+# the walk of every rung by a flow printed
+LADDER_WALKS = {
+    "--N 12 --K 12 --M 6 --alpha 3 --alpha-max 3": (
+        7, 66, "1167f85fa3fb26eb17d4c6290a98dd3ac9399f7a0cbd39d878bb4d39bdc81513"),
+    "--N 11 --K 11 --M 5 --alpha 3 --alpha-max 3": (
+        6, 79, "44ffa8afa2aac8b7992c61be776ea6b96f7e2c9d5d5accc24b5a19e492bf402b"),
+    "--N 11 --K 11 --M 7 --alpha 2 --alpha-max 2": (
+        9, 52, "d8b6d87adb8c1a27e9ef7d50163bba784dce7335708724d83adf286579ce405b"),
+    "--N 12 --K 12 --M 4 --alpha-max 4": (
+        7, 78, "7dc8e87a01890e9febe86dbaa70babfb3ad059d10c97f1684ff5028a73b6e2eb"),
+}
+
+
+@pytest.mark.parametrize("walk", LADDER_WALKS)
+def test_ladder_walks_certify_their_infeasible_rungs(walk, monkeypatch):
+    flows, certified, digest = _walk_counts(monkeypatch, walk)
+    assert flows <= 10
+    assert (flows, certified, digest) == LADDER_WALKS[walk]
+
+
+@pytest.mark.parametrize("K", [8, 9])
+def test_certified_rungs_are_infeasible_under_the_oracle(K, monkeypatch):
+    # every rung of every shape that runs flows, up to the first feasible
+    # one, against the oracle: each rung a kept cut certifies is one the
+    # oracle finds infeasible, and the chosen rung and its assignment are
+    # the oracle's
+    nets = _count_flows(monkeypatch)
+    rungs = certified = 0
+    for t in range(1, K):
+        for alpha in range(1, K // 2 + 1):
+            if min(K // alpha, t + 1) - 1 == t:
+                continue  # a forced shape: its rungs run no flow
+            nets.clear()
+            walked, _ = _walk_ladder(K, t, alpha)
+            rungs += walked
+            certified += walked - len(nets)
+    assert (rungs, certified) == {8: (157, 113), 9: (678, 582)}[K]
 
 
 # (N, K, M, alpha_max, alpha, server share) -> SHA-256 of the export and of
