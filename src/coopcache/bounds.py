@@ -25,9 +25,11 @@ private walkers in grid order, and ``verify_gap_*`` read configs into the
 same points.  alpha_max enters the converse only as the cooperative cut's
 1/(1+alpha_max), so each memory point's cut maxima are taken once and each
 alpha_max costs one cross-multiplied comparison.  The centralized delay at
-integer t is (K-t)/(1+t+alpha*m), the decentralized one comes from the
-integer rate numerators, ratios follow ``gap_ratio`` and are compared by
-cross-multiplying, and a strict > keeps the first of a tie as the worst.
+integer t is (K-t)/(1+t+alpha*m), with alpha read from one table of
+choices per (K, t), built once in the call; the decentralized one comes
+from the integer rate numerators, ratios follow ``gap_ratio`` and are
+compared by cross-multiplying, and a strict > keeps the first of a tie as
+the worst.
 Only reported points (worst points, violations, min-form exceedances) and
 one point per decentralized branch-bound key build a ``SystemConfig``.  The
 closed-form R_u bounds are checked the same way against R_u and 4*R_s.
@@ -43,7 +45,7 @@ from fractions import Fraction as Frac
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Union
 
-from .centralized import _best_alpha, centralized_delay, choose_alpha
+from .centralized import _alpha_table, centralized_delay, choose_alpha
 from .decentralized import _corollary_ints, _delay_ints, _rate_ints, parallelism_regime
 from .model import SystemConfig, as_frac
 
@@ -291,15 +293,22 @@ def _points(grid: Iterable[SystemConfig]) -> Iterator[_Point]:
     return ((c.N, c.K, c.M.numerator, c.M.denominator, c.alpha_max) for c in grid)
 
 
-def _central_delay(N: int, K: int, a: int, b: int, amax: int) -> tuple[int, int]:
+def _central_delay(
+    N: int, K: int, a: int, b: int, amax: int, tables: dict[tuple[int, int], list[int]]
+) -> tuple[int, int]:
     """``centralized_delay`` at M = a/b as (numerator, positive denominator);
-    at integer t, (K-t)/(1+t+alpha*m) with m = min(K//alpha - 1, t)."""
+    at integer t, (K-t)/(1+t+alpha*m) with m = min(K//alpha - 1, t).  The
+    choice of alpha at integer t comes from ``tables``, which holds one
+    ``_alpha_table`` per (K, t) and is filled here on first use."""
     tn, td = K * a, N * b
     if tn % td:
         T = centralized_delay(_config((N, K, a, b, amax)))
         return T.numerator, T.denominator
     t = tn // td
-    alpha = _best_alpha(K, t, 1, amax)
+    best = tables.get((K, t))
+    if best is None:
+        best = tables[K, t] = _alpha_table(K, t, 1)
+    alpha = best[amax]
     return K - t, 1 + t + alpha * min(K // alpha - 1, t)
 
 
@@ -326,13 +335,14 @@ def _certify_centralized(points: Iterable[_Point]) -> CentralizedGapReport:
     hn, hd = report.HIGH_T_BOUND.numerator, report.HIGH_T_BOUND.denominator
     worst = worst_high = None  # (ratio numerator, denominator, point)
     memory = None  # the (N, K, a, b) whose cuts ``shared`` holds
+    tables: dict[tuple[int, int], list[int]] = {}  # (K, t) -> _alpha_table
     for point in points:
         N, K, a, b, amax = point
         if memory != (N, K, a, b):
             memory = N, K, a, b
             shared = _shared_cuts(N, K, a, b)
             high = K * a >= (K - 1) * N * b  # t >= K-1
-        rn, rd = _ratio(*_central_delay(*point), *_converse(*shared, amax))
+        rn, rd = _ratio(*_central_delay(*point, tables), *_converse(*shared, amax))
         report.points += 1
         if worst is None or rn * worst[1] > worst[0] * rd:
             worst = rn, rd, point

@@ -130,10 +130,19 @@ def build_central_placement(config: SystemConfig) -> CentralPlacement:
 # ---------------------------------------------------------------------------
 
 
-def _best_alpha(K: int, tn: int, td: int, alpha_max: int) -> int:
-    # with t = tn/td, td times the delay denominator is
-    # td + tn + alpha*min((K//alpha - 1)*td, tn); max keeps the first alpha
-    return max(range(1, alpha_max + 1), key=lambda a: a * min((K // a - 1) * td, tn))
+def _alpha_table(K: int, tn: int, td: int) -> list[int]:
+    """best[alpha_max], the delay-minimising alpha in 1..alpha_max at
+    t = tn/td, for every alpha_max in 1..K//2 (best[0] is unused)."""
+    # td times the delay denominator is td + tn + alpha*min((K//alpha - 1)*td,
+    # tn); one running argmax serves every prefix, and > keeps the first
+    # alpha of a tie
+    best, top, val = [1], 1, -1
+    for alpha in range(1, K // 2 + 1):
+        v = alpha * min((K // alpha - 1) * td, tn)
+        if v > val:
+            top, val = alpha, v
+        best.append(top)
+    return best
 
 
 def choose_alpha(config: SystemConfig) -> int:
@@ -143,7 +152,7 @@ def choose_alpha(config: SystemConfig) -> int:
     alpha in [1, alpha_max]; ties resolve to the smallest alpha.
     """
     t = config.t
-    return _best_alpha(config.K, t.numerator, t.denominator, config.alpha_max)
+    return _alpha_table(config.K, t.numerator, t.denominator)[config.alpha_max]
 
 
 def piecewise_alpha(config: SystemConfig) -> Frac:
@@ -192,7 +201,7 @@ def _split(
 ) -> tuple[int, int, Frac, int]:
     """(alpha, m, lambda, L1) at integer t, range-checked; see ``SplitPlan``."""
     if alpha is None:
-        alpha = _best_alpha(K, t, 1, alpha_max)
+        alpha = _alpha_table(K, t, 1)[alpha_max]
     if not (1 <= alpha <= alpha_max):
         raise ValueError(f"alpha={alpha} outside [1, alpha_max={alpha_max}]")
     m = min(K // alpha - 1, t)

@@ -135,14 +135,23 @@ def _round_coefficients(
 
 
 def _rate_ints(K: int, alpha_max: int, a: int, b: int) -> tuple[int, int, int, int]:
-    """:func:`_rate_numerators` at p = a/b, in lowest terms."""
+    """:func:`_rate_numerators` at p = a/b, in lowest terms.
+
+    The R_u sum of coef_s a^(s-1) c^(K-s+1) over s = 2..K is one
+    homogeneous Horner pass from s = K down: acc = acc*a + coef_s c^(K-s)
+    leaves sum coef_s a^(s-2) c^(K-s), times a*c; c^K is the last power
+    times c.
+    """
     if a == 0:
         return K, K, 0, 1
     c, bK = b - a, b**K
     coefs, den = _round_coefficients(K, alpha_max)
-    num = sum(coef * a ** (s - 1) * c ** (K - s + 1) for s, coef in coefs)
-    cK = c**K
-    return K * cK * a * den, c * (bK - cK) * den, num * a, a * den * bK
+    acc, cp = 0, 1
+    for _, coef in reversed(coefs):
+        acc = acc * a + coef * cp
+        cp *= c
+    cK = cp * c
+    return K * cK * a * den, c * (bK - cK) * den, acc * a * c * a, a * den * bK
 
 
 def _rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:

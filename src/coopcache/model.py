@@ -303,8 +303,11 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def offsets(lengths: Iterable[int]) -> np.ndarray:
     """0 followed by the running sums of ``lengths``: run i is
-    ``out[i]:out[i + 1]``."""
-    runs = np.fromiter(lengths, np.int64)
+    ``out[i]:out[i + 1]``; an ndarray is summed as it is, not walked."""
+    if isinstance(lengths, np.ndarray):
+        runs = lengths.astype(np.int64, copy=False)
+    else:
+        runs = np.fromiter(lengths, np.int64)
     out = np.zeros(len(runs) + 1, np.int64)
     np.cumsum(runs, out=out[1:])
     return out

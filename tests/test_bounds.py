@@ -15,13 +15,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import analytic_oracle
 import coopcache.bounds as bounds_module
+import coopcache.centralized as centralized
 from coopcache import (
     SystemConfig,
     baselines,
     centralized_delay,
     centralized_gains,
     centralized_gap_grid,
+    choose_alpha,
     corollary_bounds,
     decentralized_delay,
     decentralized_gap_bound,
@@ -297,6 +300,40 @@ def test_verify_gap_centralized_small_grid():
     assert not report.violations
     assert report.worst.ratio <= 31
     assert report.worst_high_t.ratio <= 2
+
+
+def test_alpha_tables_match_the_oracle_choice():
+    # every K <= 24, t in thirds (integer t among them) and alpha_max: the
+    # running argmax's entry is the exhaustive search's first minimiser
+    for K in range(2, 25):
+        for t in (Frac(j, 3) for j in range(3 * K + 1)):
+            best = centralized._alpha_table(K, t.numerator, t.denominator)
+            assert len(best) == K // 2 + 1
+            for amax in range(1, K // 2 + 1):
+                cfg = SystemConfig(K, K, t, alpha_max=amax)
+                want = analytic_oracle.choose_alpha(cfg)
+                assert best[amax] == choose_alpha(cfg) == want, cfg
+
+
+def test_certify_centralized_searches_alpha_once_per_k_and_t(monkeypatch):
+    # the shipped grid's 9,148 points hold 209 distinct (K, t); a search is
+    # a call of ``_alpha_table`` or of ``_best_alpha``, the per-point search
+    # it replaced, whichever the certification imports
+    points = list(bounds_module._central_points())
+    distinct = {(K, K * a // (N * b)) for N, K, a, b, _ in points}
+    assert (len(points), len(distinct)) == (9148, 209)
+    searches = []
+    for name in ("_alpha_table", "_best_alpha"):
+        if hasattr(bounds_module, name):
+            search = getattr(bounds_module, name)
+            monkeypatch.setattr(
+                bounds_module,
+                name,
+                lambda *args, search=search: searches.append(args) or search(*args),
+            )
+    report = bounds_module.certify_centralized()
+    assert report.passed and report.points == 9148
+    assert len(searches) <= 209
 
 
 def test_verify_gap_decentralized_small_grid():

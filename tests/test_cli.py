@@ -9,6 +9,9 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
+import re
+import shlex
 import time
 from fractions import Fraction as Frac
 
@@ -514,6 +517,24 @@ def test_simulate_worked_example(capsys):
     assert "R1=2/15 R2=1/3 T=1/3" in out
     assert "match=yes" in out
     assert "decode OK" in out
+
+
+def _readme_simulate_lines():
+    """The ``coopcache simulate`` commands of README.md's ``sh`` blocks, with
+    backslash continuations joined."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    commands = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [c for c in commands if c.startswith("coopcache simulate ")]
+
+
+def test_readme_simulate_examples_run(capsys):
+    lines = _readme_simulate_lines()
+    assert lines
+    for line in lines:
+        code, out, err = _run(capsys, shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        assert out.endswith("decode OK\n"), line
 
 
 def test_simulate_export_log(tmp_path, capsys):

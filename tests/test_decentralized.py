@@ -132,6 +132,28 @@ def test_integer_rates_match_the_fraction_path_on_a_sample(shape):
     assert decentralized_rates(cfg) == _fraction_rates(cfg)
 
 
+def test_horner_rate_numerators_match_the_oracle_exhaustively():
+    # every K = 2..16, every alpha_max and every p = a/b with b <= 30, the
+    # ends p = 0 and p = 1 among them: the integers equal the running-lcm
+    # oracle's; at b <= 20 the rates also equal the oracle's Fraction sum,
+    # which costs about 3.5 s over the whole sample
+    ps = sorted({Frac(a, b) for b in range(1, 31) for a in range(b + 1)})
+    assert (len(ps), ps[0], ps[-1]) == (279, 0, 1)
+    for K in range(2, 17):
+        for amax in range(1, K // 2 + 1):
+            for p in ps:
+                cfg = SystemConfig(K, K, p * K, alpha_max=amax)
+                E, S, U, D = decentralized._rate_ints(
+                    K, amax, p.numerator, p.denominator
+                )
+                assert (E, S, U, D) == analytic_oracle.rate_numerators(cfg), cfg
+                if p.denominator <= 20:
+                    rc = analytic_oracle.rate_components(cfg)
+                    assert (Frac(E, D), Frac(S, D), Frac(U, D)) == (
+                        rc.R_empty, rc.R_s, rc.R_u
+                    ), cfg
+
+
 def test_headline_delay_formula():
     for K in (4, 6, 8):
         for amax in (1, 2, K // 2):

@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction as Frac
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from coopcache import (
     validate_demands,
 )
 from coopcache.decentralized import _round_plan
+from coopcache.model import offsets
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,18 @@ def test_as_frac():
 # ---------------------------------------------------------------------------
 # subsets and partitions
 # ---------------------------------------------------------------------------
+
+
+def test_offsets_take_any_run_lengths_alike():
+    runs = [3, 0, 2, 5]
+    want = np.array([0, 3, 3, 5, 10], np.int64)
+    for lengths in (runs, iter(runs), (n for n in runs), np.array(runs, np.int32)):
+        out = offsets(lengths)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, want)
+    for empty in ([], iter(()), np.array([], np.int32)):
+        out = offsets(empty)
+        assert out.dtype == np.int64 and out.tolist() == [0]
 
 
 def test_enumerate_subsets_matches_itertools():
