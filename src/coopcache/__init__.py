@@ -7,171 +7,47 @@ converse lower bounds with gap verification, and a bit-level simulator with
 a scheduler-independent decode check.
 """
 
-from .model import (
-    Frac,
-    SystemConfig,
-    SchedulingError,
-    GroupPartition,
-    FragmentId,
-    Constituent,
-    XorSymbol,
-    DeliverySchedule,
-    as_frac,
-    enumerate_subsets,
-    enumerate_equal_partitions,
-    equal_partition_count,
-    validate_demands,
-)
+import importlib
 
-from .centralized import (
-    CentralPlacement,
-    CentralizedRates,
-    SplitPlan,
-    build_central_placement,
-    build_delivery,
-    build_server_schedule,
-    build_user_schedule,
-    centralized_delay,
-    centralized_rates,
-    choose_alpha,
-    make_split_plan,
-    piecewise_alpha,
-)
-from .decentralized import (
-    AllocationPlan,
-    DecentralPlacement,
-    DecentralizedRates,
-    GainReport,
-    RateComponents,
-    allocation_plan,
-    build_decentral_delivery,
-    build_decentral_placement,
-    corollary_bounds,
-    decentralized_delay,
-    decentralized_gains,
-    decentralized_rates,
-    f_ks,
-    parallel_user_delivery,
-    parallelism_regime,
-    rate_components,
-    round_shapes,
-    server_delivery_decentralized,
-)
-from .bounds import (
-    Baselines,
-    BoundReport,
-    CentralizedGapReport,
-    DecentralizedGapReport,
-    GapPoint,
-    baselines,
-    centralized_gains,
-    centralized_gap_grid,
-    decentralized_gap_bound,
-    decentralized_gap_grid,
-    gap_ratio,
-    gap_regime,
-    load_grid_spec,
-    lower_bound,
-    p_at_least_threshold,
-    p_star,
-    p_threshold,
-    piecewise_gains,
-    verify_gap_centralized,
-    verify_gap_decentralized,
-    verify_user_rate_bounds,
-)
-from .simulator import (
-    BitLibrary,
-    CentralFragmentResolver,
-    DecentralFragmentResolver,
-    LogEntry,
-    RateReport,
-    SimulationResult,
-    TransmissionLog,
-    brute_force_decode_check,
-    execute_schedule,
-    required_central_F,
-    run_centralized,
-    run_decentralized,
-)
+# module -> the names it exports; each is imported on first use
+_EXPORTS = {
+    "config": "Frac SystemConfig as_frac",
+    "model": """SchedulingError GroupPartition FragmentId Constituent XorSymbol
+        DeliverySchedule enumerate_subsets enumerate_equal_partitions
+        equal_partition_count validate_demands""",
+    "closed_forms": """CentralizedRates SplitPlan centralized_delay centralized_rates
+        choose_alpha make_split_plan piecewise_alpha AllocationPlan
+        DecentralizedRates GainReport RateComponents allocation_plan
+        corollary_bounds decentralized_delay decentralized_gains
+        decentralized_rates f_ks parallelism_regime rate_components round_shapes""",
+    "centralized": """CentralPlacement build_central_placement build_delivery
+        build_server_schedule build_user_schedule""",
+    "decentralized": """DecentralPlacement build_decentral_delivery
+        build_decentral_placement parallel_user_delivery
+        server_delivery_decentralized""",
+    "bounds": """Baselines BoundReport CentralizedGapReport DecentralizedGapReport
+        GapPoint baselines centralized_gains centralized_gap_grid
+        decentralized_gap_bound decentralized_gap_grid gap_ratio gap_regime
+        load_grid_spec lower_bound p_at_least_threshold p_star p_threshold
+        piecewise_gains verify_gap_centralized verify_gap_decentralized
+        verify_user_rate_bounds""",
+    "simulator": """BitLibrary CentralFragmentResolver DecentralFragmentResolver
+        LogEntry RateReport SimulationResult TransmissionLog
+        brute_force_decode_check execute_schedule required_central_F
+        run_centralized run_decentralized""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "Frac",
-    "SystemConfig",
-    "SchedulingError",
-    "GroupPartition",
-    "FragmentId",
-    "Constituent",
-    "XorSymbol",
-    "DeliverySchedule",
-    "as_frac",
-    "enumerate_subsets",
-    "enumerate_equal_partitions",
-    "equal_partition_count",
-    "validate_demands",
-    "CentralPlacement",
-    "CentralizedRates",
-    "SplitPlan",
-    "build_central_placement",
-    "build_delivery",
-    "build_server_schedule",
-    "build_user_schedule",
-    "centralized_delay",
-    "centralized_rates",
-    "choose_alpha",
-    "make_split_plan",
-    "piecewise_alpha",
-    "AllocationPlan",
-    "DecentralPlacement",
-    "DecentralizedRates",
-    "GainReport",
-    "RateComponents",
-    "allocation_plan",
-    "build_decentral_delivery",
-    "build_decentral_placement",
-    "corollary_bounds",
-    "decentralized_delay",
-    "decentralized_gains",
-    "decentralized_rates",
-    "f_ks",
-    "parallel_user_delivery",
-    "parallelism_regime",
-    "rate_components",
-    "round_shapes",
-    "server_delivery_decentralized",
-    "Baselines",
-    "BoundReport",
-    "CentralizedGapReport",
-    "DecentralizedGapReport",
-    "GapPoint",
-    "baselines",
-    "centralized_gains",
-    "centralized_gap_grid",
-    "decentralized_gap_bound",
-    "decentralized_gap_grid",
-    "gap_ratio",
-    "gap_regime",
-    "load_grid_spec",
-    "lower_bound",
-    "p_at_least_threshold",
-    "p_star",
-    "p_threshold",
-    "piecewise_gains",
-    "verify_gap_centralized",
-    "verify_gap_decentralized",
-    "verify_user_rate_bounds",
-    "BitLibrary",
-    "CentralFragmentResolver",
-    "DecentralFragmentResolver",
-    "LogEntry",
-    "RateReport",
-    "SimulationResult",
-    "TransmissionLog",
-    "brute_force_decode_check",
-    "execute_schedule",
-    "required_central_F",
-    "run_centralized",
-    "run_decentralized",
-]
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name's module on first use (PEP 562), so that the
+    analytic layer loads without numpy and the simulator."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -45,9 +45,16 @@ from fractions import Fraction as Frac
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Union
 
-from .centralized import _alpha_table, centralized_delay, choose_alpha
-from .decentralized import _corollary_ints, _delay_ints, _rate_ints, parallelism_regime
-from .model import SystemConfig, as_frac
+from .closed_forms import (
+    _alpha_table,
+    _corollary_ints,
+    _delay_ints,
+    _rate_ints,
+    centralized_delay,
+    choose_alpha,
+    parallelism_regime,
+)
+from .config import SystemConfig, as_frac
 
 # ---------------------------------------------------------------------------
 # threshold p_th and friends
@@ -65,13 +72,16 @@ def _at_least_threshold(K: int, a: int, b: int) -> bool:
     return (K + 1) * (b - a) ** (K - 1) <= b ** (K - 1)
 
 
+P_TH_WIDTH = Frac(1, 10**9)
+
+
 @functools.lru_cache(maxsize=None)
-def p_threshold(K: int, width: Frac = Frac(1, 10**9)) -> tuple[Frac, Frac]:
-    """Rational interval (lo, hi) of width < ``width`` bracketing p_th(K)."""
+def p_threshold(K: int) -> tuple[Frac, Frac]:
+    """Rational interval (lo, hi) of width < ``P_TH_WIDTH`` bracketing p_th(K)."""
     if K < 2:
         raise ValueError(f"threshold needs K >= 2, got {K}")
     lo, hi = Frac(0), Frac(1)
-    while hi - lo >= width:
+    while hi - lo >= P_TH_WIDTH:
         mid = (lo + hi) / 2
         if p_at_least_threshold(K, mid):
             hi = mid

@@ -77,12 +77,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .closed_forms import SplitPlan, _integer_t, make_split_plan
+from .config import MAX_USER_SYMBOLS, SystemConfig
 from .model import (
     DeliverySchedule,
     SchedulingError,
     SymbolTable,
     Symbols,
-    SystemConfig,
     UserRounds,
     enumerate_subsets,
     equal_partition_count,
@@ -110,191 +111,9 @@ class CentralPlacement:
     subsets: tuple[tuple[int, ...], ...]  # all t-subsets, lex order
 
 
-def _integer_t(config: SystemConfig) -> int:
-    t = config.t
-    if t.denominator != 1:
-        raise ValueError(
-            f"centralized placement needs integer t=K*M/N, got t={t}; "
-            "use memory sharing (rate interpolation) for this M"
-        )
-    return int(t)
-
-
 def build_central_placement(config: SystemConfig) -> CentralPlacement:
     ti = _integer_t(config)
     return CentralPlacement(config, ti, tuple(enumerate_subsets(config.K, ti)))
-
-
-# ---------------------------------------------------------------------------
-# parallelism degree and the server/user split
-# ---------------------------------------------------------------------------
-
-
-def _alpha_table(K: int, tn: int, td: int) -> list[int]:
-    """best[alpha_max], the delay-minimising alpha in 1..alpha_max at
-    t = tn/td, for every alpha_max in 1..K//2 (best[0] is unused)."""
-    # td times the delay denominator is td + tn + alpha*min((K//alpha - 1)*td,
-    # tn); one running argmax serves every prefix, and > keeps the first
-    # alpha of a tie
-    best, top, val = [1], 1, -1
-    for alpha in range(1, K // 2 + 1):
-        v = alpha * min((K // alpha - 1) * td, tn)
-        if v > val:
-            top, val = alpha, v
-        best.append(top)
-    return best
-
-
-def choose_alpha(config: SystemConfig) -> int:
-    """Delay-minimising number of parallel groups, by exhaustive search.
-
-    Minimises K(1-M/N) / (1 + t + alpha*min(K//alpha - 1, t)) over
-    alpha in [1, alpha_max]; ties resolve to the smallest alpha.
-    """
-    t = config.t
-    return _alpha_table(config.K, t.numerator, t.denominator)[config.alpha_max]
-
-
-def piecewise_alpha(config: SystemConfig) -> Frac:
-    """Analytic optimiser of the delay denominator, as an exact rational.
-
-    Three regimes: alpha* = 1 when t >= K-1 (a single full group already
-    codes t pico-files per symbol); alpha* = K/(t+1) (possibly fractional)
-    in the middle where groups of size t+1 are ideal; alpha* = alpha_max
-    when t <= K//alpha_max - 1 (caches too small to fill even the widest
-    grouping).  ``choose_alpha`` is the integer ground truth; this exposes
-    the idealised curve for cross-checking.
-    """
-    K, t = config.K, config.t
-    if t >= K - 1:
-        return Frac(1)
-    if t <= K // config.alpha_max - 1:
-        return Frac(config.alpha_max)
-    return Frac(K) / (t + 1)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Server/user delivery split: parallelism alpha, server share, layers.
-
-    ``server_share`` (lambda) is the fraction of every needed subfile the
-    server delivers; the rest is cut into L1 pico-files per subfile for user
-    delivery.  The default lambda = (1+t) / (alpha*m + 1 + t) balances the
-    two links; an explicit override (kept in [0,1]) is allowed for running
-    deliberately unbalanced schedules.  L1 is the smallest layer count
-    making the per-link user symbol count K*C(K-1,t)*L1/(alpha*m) integral.
-    """
-
-    alpha: int
-    server_share: Frac
-    L1: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.server_share <= 1):
-            raise ValueError(f"server share {self.server_share} outside [0, 1]")
-        if self.L1 < 1:
-            raise ValueError(f"layer count L1={self.L1} must be positive")
-
-
-def _split(
-    K: int, t: int, alpha_max: int, alpha: Optional[int], server_share: Optional[Frac]
-) -> tuple[int, int, Frac, int]:
-    """(alpha, m, lambda, L1) at integer t, range-checked; see ``SplitPlan``."""
-    if alpha is None:
-        alpha = _alpha_table(K, t, 1)[alpha_max]
-    if not (1 <= alpha <= alpha_max):
-        raise ValueError(f"alpha={alpha} outside [1, alpha_max={alpha_max}]")
-    m = min(K // alpha - 1, t)
-    # the default balances the two links; it is 1 at m = 0
-    lam = Frac(1 + t, alpha * m + 1 + t) if server_share is None else Frac(server_share)
-    if not (0 <= lam <= 1):
-        raise ValueError(f"server share {lam} outside [0, 1]")
-    # smallest L1 with K*C(K-1,t)*L1/(alpha*m) an integer
-    L1 = alpha * m // math.gcd(K * math.comb(K - 1, t), alpha * m) if m else 1
-    return alpha, m, lam, L1
-
-
-def make_split_plan(
-    config: SystemConfig,
-    alpha: Optional[int] = None,
-    server_share: Optional[Frac] = None,
-) -> SplitPlan:
-    """Build the delivery split for integer t; see ``SplitPlan``."""
-    alpha, _, lam, L1 = _split(
-        config.K, _integer_t(config), config.alpha_max, alpha, server_share
-    )
-    return SplitPlan(alpha, lam, L1)
-
-
-# ---------------------------------------------------------------------------
-# closed-form rates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CentralizedRates:
-    """Closed-form delivery rates: server R1, per-link user R2, delay T."""
-
-    R1: Frac
-    R2: Frac
-    T: Frac
-    alpha: Optional[int]
-    server_share: Optional[Frac]
-    L1: Optional[int]
-    interpolated: bool = False
-
-
-def _rates_integer_t(
-    config: SystemConfig,
-    ti: int,
-    alpha: Optional[int],
-    server_share: Optional[Frac],
-) -> CentralizedRates:
-    K = config.K
-    alpha, m, lam, L1 = _split(K, ti, config.alpha_max, alpha, server_share)
-    # R1 = lambda*K(1-t/K)/(1+t) and R2 = (1-lambda)*K(1-t/K)/(alpha*m),
-    # with lambda = ln/ld and K(1-t/K) = K-t
-    ln, ld = lam.numerator, lam.denominator
-    R1 = Frac(ln * (K - ti), ld * (1 + ti))
-    R2 = Frac((ld - ln) * (K - ti), ld * alpha * m) if m else Frac(0)
-    return CentralizedRates(R1, R2, max(R1, R2), alpha, lam, L1)
-
-
-def centralized_rates(
-    config: SystemConfig,
-    alpha: Optional[int] = None,
-    server_share: Optional[Frac] = None,
-) -> CentralizedRates:
-    """Delivery rates for the centralized scheme at this config.
-
-    Integer t: exact formulas at the given (or delay-optimal) alpha.
-    Non-integer t: memory sharing between the two adjacent integer-t
-    placements — the file/caches are split so each sub-placement is run at
-    its own optimum (or at the fixed alpha if given), and rates combine
-    linearly.
-    """
-    t = config.t
-    if t.denominator == 1:
-        return _rates_integer_t(config, int(t), alpha, server_share)
-    t0, t1 = int(t), int(t) + 1
-    theta = t - t0  # fraction of memory/time on the upper placement
-    lo = _rates_integer_t(config, t0, alpha, server_share)
-    hi = _rates_integer_t(config, t1, alpha, server_share)
-    mix = lambda a, b: (1 - theta) * a + theta * b
-    return CentralizedRates(
-        mix(lo.R1, hi.R1),
-        mix(lo.R2, hi.R2),
-        mix(lo.T, hi.T),
-        alpha,
-        None,
-        None,
-        interpolated=True,
-    )
-
-
-def centralized_delay(config: SystemConfig, alpha: Optional[int] = None) -> Frac:
-    """Delivery delay T = max(R1, R2) at balanced split (convenience)."""
-    return centralized_rates(config, alpha=alpha).T
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +137,6 @@ def build_server_schedule(
 # ---------------------------------------------------------------------------
 # user schedule: quota flow + Latin assembly + slot-sequence execution
 # ---------------------------------------------------------------------------
-
-
-# Refuse a user schedule whose worst-case size, the symbol count of the
-# uniform full-cycle rung, exceeds this, before anything is enumerated.
-MAX_USER_SYMBOLS = 500_000
 
 
 class _Dinic:

@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 verification/decode failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Frac
@@ -32,10 +34,8 @@ from .bounds import (
     p_threshold,
     verify_user_rate_bounds,
 )
-from .centralized import MAX_USER_SYMBOLS, centralized_rates
-from .decentralized import decentralized_gains, decentralized_rates
-from .model import SystemConfig, as_frac
-from .simulator import run_centralized, run_decentralized
+from .closed_forms import centralized_rates, decentralized_gains, decentralized_rates
+from .config import MAX_USER_SYMBOLS, SystemConfig, as_frac
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -259,6 +259,8 @@ def cmd_verify(grid_path: Optional[str], out: TextIO) -> int:
 
 
 def cmd_simulate(args, out: TextIO) -> int:
+    from . import simulator  # numpy and the schedulers load for a run only
+
     if args.scheme == "decentralized" and (
         args.alpha is not None or args.server_share is not None
     ):
@@ -276,6 +278,8 @@ def cmd_simulate(args, out: TextIO) -> int:
     demands = (
         [int(x) for x in args.demands.split(",")] if args.demands else None
     )
+    if args.export_log:
+        _check_writable(args.export_log)
     # the header is written after the run, so that a refusal, which the
     # run raises before any work, comes before anything is written
     header = (
@@ -284,7 +288,7 @@ def cmd_simulate(args, out: TextIO) -> int:
     )
     try:
         if args.scheme == "centralized":
-            res = run_centralized(
+            res = simulator.run_centralized(
                 config,
                 demands,
                 seed=args.seed,
@@ -293,7 +297,9 @@ def cmd_simulate(args, out: TextIO) -> int:
                 server_share=server_share,
             )
         else:
-            res = run_decentralized(config, demands, seed=args.seed, mode=args.mode)
+            res = simulator.run_decentralized(
+                config, demands, seed=args.seed, mode=args.mode
+            )
     except RuntimeError as e:  # a schedule that could not be built
         out.write(f"{header}error: {e}\n")
         return 1
@@ -343,6 +349,16 @@ def cmd_simulate(args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, before any work is
+    done; a file the check creates is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _parse_grid(text: str) -> list[Frac]:
@@ -475,6 +491,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "simulate":
+            return cmd_simulate(args, sys.stdout)
+        if args.out:  # written once the rows or the report are done
+            _check_writable(args.out)
         if args.command == "sweep":
             spec = _sweep_spec(args)
             rows = cmd_sweep(spec)
@@ -486,17 +506,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not rows:  # once the output is written, so a refusal stays alone
                 print("warning: empty grid — no rows", file=sys.stderr)
             return 0
-        if args.command == "verify":
-            if args.out:
-                with open(args.out, "w") as fh:
-                    return cmd_verify(args.grid, fh)
+        if not args.out:
             return cmd_verify(args.grid, sys.stdout)
-        if args.command == "simulate":
-            return cmd_simulate(args, sys.stdout)
+        report = io.StringIO()
+        code = cmd_verify(args.grid, report)
+        with open(args.out, "w") as fh:
+            fh.write(report.getvalue())
+        return code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ closed-form target and max(R1, R2) is what the schedule realises.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -62,13 +61,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .centralized import MAX_USER_SYMBOLS
+from .closed_forms import AllocationPlan, allocation_plan, round_shapes
+from .config import MAX_USER_SYMBOLS, SystemConfig
 from .model import (
     DeliverySchedule,
     SchedulingError,
     SymbolTable,
     Symbols,
-    SystemConfig,
     UserRounds,
     enumerate_subsets,
     equal_partition_count,
@@ -80,293 +79,6 @@ from .model import (
     table_rows,
     validate_demands,
 )
-
-# ---------------------------------------------------------------------------
-# rate components and the server/user allocation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateComponents:
-    """Load building blocks: uncached, server-only, and user-only rates."""
-
-    R_empty: Frac
-    R_s: Frac
-    R_u: Frac
-
-
-def round_shapes(K: int, alpha_max: int) -> list[tuple[int, int, int, int]]:
-    """(s, regular, remainder, D) for each round s = 2..K (module docstring).
-
-    regular = min(floor(K/s), alpha_max) is the number of full s-groups;
-    remainder is r = K mod s when r >= 2 and floor(K/s) < alpha_max, else 0;
-    D = (s-1)*regular + max(remainder-1, 0) is the number of fragments a
-    partition of the round codes.
-    """
-    shapes = []
-    for s in range(2, K + 1):
-        q, r = divmod(K, s)
-        if q >= alpha_max:
-            shapes.append((s, alpha_max, 0, (s - 1) * alpha_max))
-        elif r < 2:
-            shapes.append((s, q, 0, (s - 1) * q))
-        else:
-            shapes.append((s, q, r, (s - 1) * q + r - 1))
-    return shapes
-
-
-def f_ks(K: int, s: int) -> int:
-    """Round s's D from ``round_shapes`` with no cap on parallel groups:
-    floor(K/s)*(s-1) if K mod s < 2, else K - 1 - floor(K/s)."""
-    if not (2 <= s <= K):
-        raise ValueError(f"need 2 <= s <= K, got K={K}, s={s}")
-    return round_shapes(K, K)[s - 2][3]
-
-
-@functools.lru_cache(maxsize=None)
-def _round_coefficients(
-    K: int, alpha_max: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """((s, s*C(K,s) * den/D_s) per round, den): the R_u terms' integer
-    coefficients over den, the lcm of the rounds' D_s (``round_shapes``)."""
-    shapes = round_shapes(K, alpha_max)
-    den = math.lcm(*(D for _, _, _, D in shapes))
-    return tuple((s, s * math.comb(K, s) * (den // D)) for s, _, _, D in shapes), den
-
-
-def _rate_ints(K: int, alpha_max: int, a: int, b: int) -> tuple[int, int, int, int]:
-    """:func:`_rate_numerators` at p = a/b, in lowest terms.
-
-    The R_u sum of coef_s a^(s-1) c^(K-s+1) over s = 2..K is one
-    homogeneous Horner pass from s = K down: acc = acc*a + coef_s c^(K-s)
-    leaves sum coef_s a^(s-2) c^(K-s), times a*c; c^K is the last power
-    times c.
-    """
-    if a == 0:
-        return K, K, 0, 1
-    c, bK = b - a, b**K
-    coefs, den = _round_coefficients(K, alpha_max)
-    acc, cp = 0, 1
-    for _, coef in reversed(coefs):
-        acc = acc * a + coef * cp
-        cp *= c
-    cK = cp * c
-    return K * cK * a * den, c * (bK - cK) * den, acc * a * c * a, a * den * bK
-
-
-def _rate_numerators(config: SystemConfig) -> tuple[int, int, int, int]:
-    """R_empty, R_s, R_u of :func:`rate_components` as integer numerators
-    over one common denominator: (E, S, U, D) with R_empty = E/D and so on.
-
-    In integers, with p = a/b and c = b - a: R_empty = K c^K / b^K, R_s =
-    c (b^K - c^K) / (a b^K), and the R_u terms s*C(K,s) * a^(s-1)
-    c^(K-s+1) / (D_s b^K) are summed over the lcm of the rounds' D_s.  At
-    p = 0, R_s takes its continuity value K and R_u is 0.
-    """
-    p = config.p
-    return _rate_ints(config.K, config.alpha_max, p.numerator, p.denominator)
-
-
-def _balanced_delay(E: int, S: int, U: int, D: int) -> Optional[tuple[int, int]]:
-    """The balance rule of :func:`decentralized_rates` on (E, S, U, D): None
-    when lambda is 0 (U < E, or S + U = E), where T = R_empty = E/D; else
-    T = S*U / (D (S + U - E)) as (numerator, positive denominator)."""
-    if U < E or S + U == E:
-        return None
-    return S * U, D * (S + U - E)
-
-
-def rate_components(config: SystemConfig) -> RateComponents:
-    """Exact R_empty, R_s, R_u for this config.
-
-    R_empty = K q^K (content cached nowhere, q = 1-p);
-    R_s = (q/p)(1 - q^K) (server delivering everything single-handedly;
-    continuity value K at p = 0);
-    R_u = per-link user rate: round s contributes s*C(K,s)/D *
-    p^(s-1) q^(K-s+1), with D the fragments a partition codes
-    (``round_shapes``).  Computed in integers (:func:`_rate_numerators`).
-    """
-    E, S, U, D = _rate_numerators(config)
-    return RateComponents(Frac(E, D), Frac(S, D), Frac(U, D))
-
-
-@dataclass(frozen=True)
-class AllocationPlan:
-    """Server/user traffic split for decentralized delivery.
-
-    ``server_share`` (lambda) and the component rates are those of
-    :func:`decentralized_rates`.  ``lambda2_by_round`` carries the u1/u2
-    intra-round split for each round that has a remainder group.
-    """
-
-    server_share: Frac
-    lambda2_by_round: dict[int, Frac]
-    R_empty: Frac
-    R_s: Frac
-    R_u: Frac
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.server_share <= 1):
-            raise ValueError(f"server share {self.server_share} outside [0, 1]")
-        for s, l2 in self.lambda2_by_round.items():
-            if not (0 <= l2 <= 1):
-                raise ValueError(f"round {s} split {l2} outside [0, 1]")
-
-
-def allocation_plan(config: SystemConfig) -> AllocationPlan:
-    rates = decentralized_rates(config)
-    rc = rates.components
-    lam2 = {
-        s: Frac((s - 1) * regular, D)
-        for s, regular, remainder, D in round_shapes(config.K, config.alpha_max)
-        if remainder
-    }
-    return AllocationPlan(rates.server_share, lam2, rc.R_empty, rc.R_s, rc.R_u)
-
-
-@dataclass(frozen=True)
-class DecentralizedRates:
-    """Closed-form rates.  R1/R2 are the balanced link loads the schedule
-    realises; T is the headline delay formula (see module docstring)."""
-
-    R1: Frac
-    R2: Frac
-    T: Frac
-    server_share: Frac
-    components: RateComponents
-
-
-def decentralized_rates(config: SystemConfig) -> DecentralizedRates:
-    """Rates under the balance rule: lambda is 0 when users cannot even
-    absorb the uncached load (R_u < R_empty), else
-    (R_u - R_empty)/(R_s + R_u), which equalises R_empty + lambda*R_s and
-    (1-lambda)*R_u.
-
-    In integers over the common denominator D of (E, S, U): lambda =
-    (U - E)/(S + U), T = S*U / (D (S + U - E)), and both balanced loads
-    equal U (E + S) / (D (S + U)).
-    """
-    E, S, U, D = _rate_numerators(config)
-    rc = RateComponents(Frac(E, D), Frac(S, D), Frac(U, D))
-    T = _balanced_delay(E, S, U, D)
-    if T is None:
-        return DecentralizedRates(rc.R_empty, rc.R_u, rc.R_empty, Frac(0), rc)
-    balanced = Frac(U * (E + S), D * (S + U))
-    return DecentralizedRates(balanced, balanced, Frac(*T), Frac(U - E, S + U), rc)
-
-
-def _delay_ints(K: int, alpha_max: int, a: int, b: int) -> tuple[int, int]:
-    """Headline delay T at p = a/b, in lowest terms, as (numerator,
-    positive denominator)."""
-    E, S, U, D = _rate_ints(K, alpha_max, a, b)
-    return _balanced_delay(E, S, U, D) or (E, D)
-
-
-def decentralized_delay(config: SystemConfig) -> Frac:
-    """Headline decentralized delay T (exact), ``decentralized_rates(config).T``."""
-    p = config.p
-    return Frac(*_delay_ints(config.K, config.alpha_max, p.numerator, p.denominator))
-
-
-# ---------------------------------------------------------------------------
-# gains and closed-form bounds on R_u
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GainReport:
-    G_c: Frac
-    G_p: Frac
-    limit_point: bool = False  # value is a one-sided limit (p -> 1)
-
-
-def decentralized_gains(config: SystemConfig) -> GainReport:
-    """Cooperation gains: delay relative to the no-cooperation scheme.
-
-    G_c = max{R_empty/R_s, R_u/(R_s+R_u-R_empty)} (coded caching baseline),
-    G_p = G_c*(1-(1-p)^K) (uncoded baseline); both lie in [0, 1].
-    At p = 1 every component vanishes; the exact one-sided limit
-    G_c -> K/(2K-1) is returned with ``limit_point`` set.  p = 0 is a
-    domain error (no cached content, both baselines degenerate).
-    """
-    p, K = config.p, config.K
-    if p == 0:
-        raise ValueError("cooperation gain undefined at p = 0 (empty caches)")
-    if p == 1:
-        lim = Frac(K, 2 * K - 1)
-        return GainReport(lim, lim, limit_point=True)
-    rc = rate_components(config)
-    G_c = max(rc.R_empty / rc.R_s, rc.R_u / (rc.R_s + rc.R_u - rc.R_empty))
-    G_p = G_c * (1 - (1 - p) ** K)
-    return GainReport(G_c, G_p)
-
-
-def parallelism_regime(config: SystemConfig) -> str:
-    """Parallelism regime: "flexible" at alpha_max = floor(K/2), else
-    "shared" at alpha_max = 1, else "middle".
-
-    K = 2 and K = 3 allow only alpha_max = 1 = floor(K/2): flexible.
-    """
-    return _regime(config.K, config.alpha_max)
-
-
-def _regime(K: int, alpha_max: int) -> str:
-    if alpha_max == K // 2:
-        return "flexible"
-    return "shared" if alpha_max == 1 else "middle"
-
-
-def _corollary_ints(
-    K: int, alpha_max: int, a: int, b: int
-) -> tuple[str, Optional[tuple[int, int]]]:
-    """:func:`corollary_bounds` at p = a/b as (regime, (numerator, positive
-    denominator)); the bound is None at p = 0.
-
-    With c = b - a, the shared form is c X / (2(K+1) a^2 b^K), where
-    X = 2(K+1) a b^K - 5K(K+1) a^2 c^(K-1) - 8(K+1) a c^K
-    + 6(b^(K+1) - c^(K+1)); the flexible form is
-    K c Y / ((K-1)(K-2) a b^(K+1)), where
-    Y = (K-2) a b (b^(K-1) - c^(K-1)) + 2b(b^K - c^K - K a c^(K-1)).
-    """
-    regime = "shared" if K == 2 else _regime(K, alpha_max)
-    if a == 0:
-        return regime, None
-    c = b - a
-    bK1, cK1 = b ** (K - 1), c ** (K - 1)
-    bK, cK = bK1 * b, cK1 * c
-    if regime != "flexible":
-        X = 2 * (K + 1) * a * bK - 5 * K * (K + 1) * a * a * cK1
-        X += 6 * (bK * b - cK * c) - 8 * (K + 1) * a * cK
-        shared = c * X, 2 * (K + 1) * a * a * bK
-        if regime == "shared":
-            return regime, shared
-    Y = (K - 2) * a * b * (bK1 - cK1) + 2 * b * (bK - cK - K * a * cK1)
-    flexible = K * c * Y, (K - 1) * (K - 2) * a * bK * b
-    if regime == "flexible":
-        return regime, flexible
-    (sn, sd), (fn, fd) = shared, flexible
-    return regime, (sn * fd + fn * sd * alpha_max, sd * alpha_max * fd)
-
-
-def corollary_bounds(config: SystemConfig) -> tuple[str, object]:
-    """Closed-form upper bound on R_u for the config's parallelism regime.
-
-    Returns (regime, bound), the regime as ``parallelism_regime`` names it:
-
-      shared:   (q/p)[1 - (5/2)Kpq^(K-1) - 4q^K + 3(1-q^(K+1))/((K+1)p)]
-      flexible: (Kq/(K-1))[1 - q^(K-1) + (2/p)(1 - q^K - Kpq^(K-1))/(K-2)]
-      middle:   shared/alpha_max + flexible
-
-    K = 2 takes the shared form and label: the flexible form divides by
-    K-2.  p = 0 returns math.inf (the bounds blow up as 1/p).  Computed in
-    integers (:func:`_corollary_ints`).
-    """
-    p = config.p
-    regime, bound = _corollary_ints(
-        config.K, config.alpha_max, p.numerator, p.denominator
-    )
-    return regime, math.inf if bound is None else Frac(*bound)
-
 
 # ---------------------------------------------------------------------------
 # placement

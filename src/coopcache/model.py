@@ -31,83 +31,15 @@ from collections.abc import Sequence
 from operator import attrgetter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-RationalLike = Union[int, str, Frac]
-
-
-def as_frac(x: RationalLike) -> Frac:
-    """Coerce ints, "p/q" strings and Fractions to an exact Fraction; a
-    zero denominator is a ValueError."""
-    if isinstance(x, float):
-        raise TypeError(
-            f"refusing to coerce float {x!r} to an exact rational; "
-            "pass a Fraction, int or 'p/q' string"
-        )
-    try:
-        return Frac(x)
-    except ZeroDivisionError:
-        raise ValueError(f"{x!r} has a zero denominator") from None
+from .config import SystemConfig
 
 
 class SchedulingError(RuntimeError):
     """A delivery schedule could not be constructed (or failed its own audit)."""
-
-
-# ---------------------------------------------------------------------------
-# system configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Problem instance: N files, K users, cache size M, cooperation width.
-
-    ``alpha_max`` is the maximum number of user groups that may transmit in
-    parallel; it must lie in [1, max(1, K//2)] (a sending group has at least
-    two members, so more than K//2 parallel groups can never be realised).
-    ``F`` is the file size in bits; it may be None for purely analytical
-    work and must be set for bit-level simulation.
-    """
-
-    N: int
-    K: int
-    M: Frac
-    alpha_max: int = 1
-    F: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "M", as_frac(self.M))
-        if self.K < 2:
-            raise ValueError(f"need at least two users, got K={self.K}")
-        if self.N < self.K:
-            raise ValueError(
-                f"standing assumption K <= N violated: K={self.K}, N={self.N}"
-            )
-        if not (0 <= self.M <= self.N):
-            raise ValueError(f"cache size M={self.M} outside [0, N={self.N}]")
-        amax_cap = max(1, self.K // 2)
-        if not (1 <= self.alpha_max <= amax_cap):
-            raise ValueError(
-                f"alpha_max={self.alpha_max} outside [1, K//2]=[1, {amax_cap}]"
-            )
-        if self.F is not None and self.F <= 0:
-            raise ValueError(f"file size F={self.F} must be positive")
-
-    @property
-    def t(self) -> Frac:
-        """Cache replication factor K*M/N (number of copies of each bit)."""
-        return Frac(self.K) * self.M / self.N
-
-    @property
-    def p(self) -> Frac:
-        """Per-bit caching probability M/N."""
-        return self.M / self.N
-
-    def users(self) -> range:
-        return range(1, self.K + 1)
 
 
 def validate_demands(config: SystemConfig, demands: Sequence[int]) -> tuple[int, ...]:

@@ -104,27 +104,29 @@ import numpy as np
 
 from .centralized import (
     CentralPlacement,
-    SplitPlan,
     _delivery,
     build_central_placement,
-    centralized_rates,
     check_schedule_size,
+)
+from .closed_forms import (
+    AllocationPlan,
+    SplitPlan,
+    centralized_rates,
+    decentralized_rates,
     make_split_plan,
 )
+from .config import SystemConfig
 from .decentralized import (
-    AllocationPlan,
     DecentralPlacement,
     build_decentral_delivery,
     build_decentral_placement,
     check_run_size,
-    decentralized_rates,
 )
 from .model import (
     DeliverySchedule,
     FragmentId,
     ListView,
     SymbolTable,
-    SystemConfig,
     UserRounds,
     XorSymbol,
     enumerate_subsets,
@@ -1274,6 +1276,8 @@ def _run(
     ``front(demands)`` builds the scheme's (placement, plan, schedule,
     resolver, closed rates) once the mode and demands have passed."""
     check_mode(config, mode)
+    if seed < 0:  # the bit library's generator takes no negative seed
+        raise ValueError(f"seed must be non-negative, got {seed}")
     demands = validate_demands(
         config, demands if demands is not None else list(config.users())
     )

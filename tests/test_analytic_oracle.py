@@ -39,7 +39,7 @@ from coopcache import (
     verify_gap_decentralized,
     verify_user_rate_bounds,
 )
-from coopcache.decentralized import _rate_numerators
+from coopcache.closed_forms import _rate_numerators
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import analytic_oracle
 import coopcache.bounds as bounds_module
-import coopcache.centralized as centralized
+import coopcache.closed_forms as closed_forms
 from coopcache import (
     SystemConfig,
     baselines,
@@ -307,7 +307,7 @@ def test_alpha_tables_match_the_oracle_choice():
     # running argmax's entry is the exhaustive search's first minimiser
     for K in range(2, 25):
         for t in (Frac(j, 3) for j in range(3 * K + 1)):
-            best = centralized._alpha_table(K, t.numerator, t.denominator)
+            best = closed_forms._alpha_table(K, t.numerator, t.denominator)
             assert len(best) == K // 2 + 1
             for amax in range(1, K // 2 + 1):
                 cfg = SystemConfig(K, K, t, alpha_max=amax)

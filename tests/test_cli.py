@@ -551,6 +551,44 @@ def test_simulate_export_log(tmp_path, capsys):
     assert f"log written to {log}" in out
 
 
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_refuses_an_unwritable_log_before_the_run(scheme, tmp_path, capsys, monkeypatch):
+    def stop(*args, **kwargs):
+        raise ValueError("the run started")
+
+    monkeypatch.setattr(simulator, f"run_{scheme}", stop)
+    argv = ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+            "--alpha-max", "2", "--export-log"]
+    code, out, err = _run(capsys, [*argv, str(tmp_path / "missing" / "log.csv")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    # a writable path passes the check, which leaves no file behind
+    code, out, err = _run(capsys, [*argv, str(tmp_path / "log.csv")])
+    assert (code, out, err) == (2, "", "error: the run started\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_sweeps_and_verifies_leave_no_output_file(tmp_path, capsys, monkeypatch):
+    def stop(config):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(cli, "_centralized_row", stop)
+    missing = str(tmp_path / "missing" / "rows.csv")
+    code, out, err = _run(capsys, ["sweep", "--N", "4", "--K", "4", "--alpha-max", "2",
+                                   "--grid", "0:4:1", "--out", missing])
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] ")
+    # refused after the path check (alpha_max above K//2, a grid file that
+    # does not exist): the output file is neither made nor emptied
+    rows, report = tmp_path / "rows.csv", tmp_path / "report.txt"
+    report.write_text("kept\n")
+    assert _run(capsys, ["sweep", "--N", "4", "--K", "4", "--alpha-max", "3",
+                         "--grid", "0:4:1", "--out", str(rows)])[:2] == (2, "")
+    assert _run(capsys, ["verify", "--grid", str(tmp_path / "none.json"),
+                         "--out", str(report)])[:2] == (2, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["report.txt"]
+    assert report.read_text() == "kept\n"
+
+
 def test_simulate_decentralized_detail_round(capsys):
     code, out, _ = _run(
         capsys,
@@ -568,7 +606,7 @@ def test_simulate_refuses_a_detail_round_below_one(scheme, value, capsys, monkey
     def stop(*args, **kwargs):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli, f"run_{scheme}", stop)
+    monkeypatch.setattr(simulator, f"run_{scheme}", stop)
     code, out, err = _run(
         capsys,
         ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
@@ -585,7 +623,7 @@ def test_simulate_refuses_a_detail_round_above_k(scheme, value, capsys, monkeypa
     def stop(*args, **kwargs):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(cli, f"run_{scheme}", stop)
+    monkeypatch.setattr(simulator, f"run_{scheme}", stop)
     code, out, err = _run(
         capsys,
         ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
@@ -593,6 +631,17 @@ def test_simulate_refuses_a_detail_round_above_k(scheme, value, capsys, monkeypa
     )
     assert (code, out) == (2, "")
     assert err == f"error: --detail-round must be at most K=4, got {value}\n"
+
+
+@pytest.mark.parametrize("mode", ["fluid", "bits"])
+@pytest.mark.parametrize("scheme", ["centralized", "decentralized"])
+def test_simulate_refuses_a_negative_seed(scheme, mode, capsys):
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scheme", scheme, "--N", "4", "--K", "4", "--M", "2",
+         "--alpha-max", "2", "--mode", mode, "--F", "600", "--seed", "-1"],
+    )
+    assert (code, out, err) == (2, "", "error: seed must be non-negative, got -1\n")
 
 
 @pytest.mark.parametrize("scheme", ["centralized", "decentralized"])

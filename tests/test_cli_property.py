@@ -35,13 +35,14 @@ def _flag(name, values):
 # the simulate flags that can take a value argparse accepts and the program
 # must refuse or survive
 MALFORMABLE = ["--N", "--K", "--M", "--alpha-max", "--F", "--seed", "--demands", "--alpha",
-               "--server-share", "--detail-round"]
+               "--server-share", "--detail-round", "--export-log"]
 
 
 @st.composite
-def simulate_argv(draw, broken=None):
+def simulate_argv(draw, logs, broken=None):
     """Each flag absent or valid, boundaries included, but the flag named
-    ``broken``, which is malformed."""
+    ``broken``, which is malformed.  ``logs`` holds a log path that can be
+    written and one that cannot."""
     scheme = draw(st.sampled_from(SCHEMES))
     K = draw(st.integers(2, 6))
     N = draw(st.sampled_from([K, K + 1, 2 * K]))
@@ -78,6 +79,7 @@ def simulate_argv(draw, broken=None):
             st.sampled_from(["x", "1/0", "", "1/2/3", "-1/2", "2"]),
         ),
         "--detail-round": (st.integers(1, K), st.sampled_from([0, -1, K + 1])),
+        "--export-log": (st.just(logs[0]), st.just(logs[1])),
     }
     argv = ["simulate", f"--scheme={scheme}"]
     for name, (valid, malformed) in flags.items():
@@ -172,16 +174,24 @@ def _check(argv):
         assert "decode OK\n" in out and "match=yes\n" in out, (argv, out)
 
 
-@given(simulate_argv())
-def test_simulate_exits_cleanly_on_valid_argv(argv):
-    _check(argv)
+@pytest.fixture(scope="module")
+def logs(tmp_path_factory):
+    """A log path that can be written, and one in a directory that does not
+    exist."""
+    d = tmp_path_factory.mktemp("logs")
+    return str(d / "log.csv"), str(d / "missing" / "log.csv")
+
+
+@given(data=st.data())
+def test_simulate_exits_cleanly_on_valid_argv(logs, data):
+    _check(data.draw(simulate_argv(logs), label="argv"))
 
 
 @pytest.mark.parametrize("flag", MALFORMABLE)
 @settings(max_examples=15)
 @given(data=st.data())
-def test_simulate_exits_cleanly_with_a_malformed_flag(flag, data):
-    _check(data.draw(simulate_argv(broken=flag), label="argv"))
+def test_simulate_exits_cleanly_with_a_malformed_flag(logs, flag, data):
+    _check(data.draw(simulate_argv(logs, broken=flag), label="argv"))
 
 
 @given(data=st.data())

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import analytic_oracle
+import coopcache.closed_forms as closed_forms
 import coopcache.decentralized as decentralized
 import coopcache.simulator as simulator
 from hypothesis import given
@@ -143,7 +144,7 @@ def test_horner_rate_numerators_match_the_oracle_exhaustively():
         for amax in range(1, K // 2 + 1):
             for p in ps:
                 cfg = SystemConfig(K, K, p * K, alpha_max=amax)
-                E, S, U, D = decentralized._rate_ints(
+                E, S, U, D = closed_forms._rate_ints(
                     K, amax, p.numerator, p.denominator
                 )
                 assert (E, S, U, D) == analytic_oracle.rate_numerators(cfg), cfg

@@ -2,6 +2,13 @@
 helpers."""
 
 import ast
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import coopcache
@@ -13,6 +20,17 @@ def test_all_has_no_duplicates_and_every_name_resolves():
     names = coopcache.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(coopcache, n)] == []
+
+
+def test_each_export_is_the_object_its_module_defines():
+    # the export table names the module that defines each class and function
+    for name in coopcache.__all__:
+        module = importlib.import_module(f"coopcache.{coopcache._MODULE_OF[name]}")
+        value = getattr(coopcache, name)
+        assert value is getattr(module, name), name
+        if (inspect.isclass(value) or inspect.isfunction(value)) and name != "Frac":
+            assert value.__module__ == module.__name__, name
+    assert coopcache.Frac is Fraction
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,7 +46,8 @@ def _unused_imports(source: str) -> list[str]:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        # a literal ``__all__`` names re-exports; a computed one imports nothing
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
@@ -102,3 +121,67 @@ def test_no_module_imports_the_garbage_collector():
     }
     importing = [path.name for path in SOURCES if "gc" in _imported_modules(path.read_text())]
     assert importing == []
+
+
+# the analytic layer and what builds on it alone, and the modules it must
+# not load: numpy and the scheduler modules
+ANALYTIC = ("config.py", "closed_forms.py", "bounds.py", "cli.py")
+HEAVY = {"numpy", ".model", ".centralized", ".decentralized", ".simulator"}
+
+
+def _module_level_imports(source: str) -> set[str]:
+    """The modules a module's top-level statements import, a relative one
+    as ``.name``; imports inside a function are left out."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            names.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + node.module.split(".")[0])
+    return names
+
+
+def test_the_module_level_import_scan_finds_relative_imports():
+    source = (
+        "import numpy as np\nfrom os.path import sep\nfrom .model import X\n"
+        "from . import simulator\ndef f():\n    from . import centralized\n"
+    )
+    assert _module_level_imports(source) == {"numpy", "os", ".model", ".simulator"}
+
+
+def test_the_analytic_modules_import_no_numpy_and_no_scheduler():
+    root = Path(coopcache.__file__).parent
+    found = {
+        name: sorted(_module_level_imports((root / name).read_text()) & HEAVY)
+        for name in ANALYTIC
+    }
+    assert {name: heavy for name, heavy in found.items() if heavy} == {}
+
+
+_LOADED = """
+import contextlib, io, json, sys
+heavy = ["numpy", "coopcache.model", "coopcache.centralized",
+         "coopcache.decentralized", "coopcache.simulator"]
+import coopcache
+after_import = [m for m in heavy if m in sys.modules]
+from coopcache.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify"])] + [
+        main(["sweep", "--scheme", scheme, "--N", "6", "--K", "6", "--alpha-max", "3",
+              "--grid", grid])
+        for scheme, grid in (("centralized", "0:6:1"), ("decentralized", "0:1:1/4"),
+                             ("bounds", "0:6:1"))
+    ]
+print(json.dumps([after_import, codes, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_verify_and_sweep_load_no_numpy_and_no_scheduler():
+    # a fresh interpreter: the test session itself has loaded everything
+    env = dict(os.environ, PYTHONPATH=str(Path(coopcache.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [[], [0, 0, 0, 0], []]

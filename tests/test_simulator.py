@@ -336,6 +336,19 @@ def test_bit_mode_without_F_is_refused_before_any_work(monkeypatch):
             run(cfg, mode="bits")
 
 
+def test_a_negative_seed_is_refused_before_any_work(monkeypatch):
+    def stop(*args, **kwargs):
+        raise AssertionError("built before the seed check")
+
+    monkeypatch.setattr(simulator, "make_split_plan", stop)
+    monkeypatch.setattr(simulator, "check_run_size", stop)
+    cfg = SystemConfig(4, 4, 2, alpha_max=2, F=600)
+    for run in (run_centralized, run_decentralized):
+        for mode in ("fluid", "bits"):
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+                run(cfg, seed=-1, mode=mode)
+
+
 def test_an_unsplittable_F_is_refused_before_any_work(monkeypatch):
     def stop(*args):
         raise AssertionError("user schedule built before the file size check")
