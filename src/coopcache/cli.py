@@ -267,7 +267,7 @@ def cmd_simulate(args, out: TextIO) -> int:
         raise ValueError(
             "--alpha and --server-share apply to the centralized scheme only"
         )
-    server_share = as_frac(args.server_share) if args.server_share else None
+    server_share = None if args.server_share is None else as_frac(args.server_share)
     config = SystemConfig(
         N=args.N, K=args.K, M=as_frac(args.M), alpha_max=args.alpha_max, F=args.F
     )
@@ -276,9 +276,9 @@ def cmd_simulate(args, out: TextIO) -> int:
         bound = "at least 1" if args.detail_round < 1 else f"at most K={config.K}"
         raise ValueError(f"--detail-round must be {bound}, got {args.detail_round}")
     demands = (
-        [int(x) for x in args.demands.split(",")] if args.demands else None
+        None if args.demands is None else [int(x) for x in args.demands.split(",")]
     )
-    if args.export_log:
+    if args.export_log is not None:
         _check_writable(args.export_log)
     # the header is written after the run, so that a refusal, which the
     # run raises before any work, comes before anything is written
@@ -334,7 +334,7 @@ def cmd_simulate(args, out: TextIO) -> int:
         f"closed form: R1={r.closed_R1} R2={r.closed_R2} T={r.closed_T} "
         f"match={'yes' if r.matches_closed else 'no'}\n"
     )
-    if args.export_log:
+    if args.export_log is not None:
         with open(args.export_log, "w") as fh:
             fh.write("\n".join(res.log.export_lines()) + "\n")
         out.write(f"log written to {args.export_log}\n")
@@ -440,7 +440,7 @@ _SWEEP_DEFAULTS = {
 def _sweep_spec(args) -> SweepSpec:
     merged = dict(_SWEEP_DEFAULTS)
     default_grid = args.grid is None
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -491,14 +491,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if value == "":  # no default is "", so the flag was given empty
+                raise ValueError(f"--{dest.replace('_', '-')} needs a value, got ''")
         if args.command == "simulate":
             return cmd_simulate(args, sys.stdout)
-        if args.out:  # written once the rows or the report are done
+        if args.out is not None:  # written once the rows or the report are done
             _check_writable(args.out)
         if args.command == "sweep":
             spec = _sweep_spec(args)
             rows = cmd_sweep(spec)
-            if args.out:
+            if args.out is not None:
                 with open(args.out, "w") as fh:
                     _emit_rows(rows, spec.fmt, fh)
             else:
@@ -506,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not rows:  # once the output is written, so a refusal stays alone
                 print("warning: empty grid — no rows", file=sys.stderr)
             return 0
-        if not args.out:
+        if args.out is None:
             return cmd_verify(args.grid, sys.stdout)
         report = io.StringIO()
         code = cmd_verify(args.grid, report)

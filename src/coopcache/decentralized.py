@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from typing import Optional, Sequence
@@ -94,13 +95,57 @@ class DecentralPlacement:
     config: SystemConfig
     mode: str  # "fluid" | "bits"
     seed: int = 0
-    # bit mode only: (file, T) -> positions
-    subfile_positions: dict = field(default_factory=dict, repr=False)
+    # bit mode only: row n - 1 of ``orders`` holds file n's bit positions
+    # grouped by caching-set code c (:func:`subset_code`), each group in
+    # position order, in the smallest unsigned dtype that holds F - 1;
+    # W_{n,T} is the run orders[n - 1, bounds[n - 1, c]:bounds[n - 1, c + 1]]
+    orders: Optional[np.ndarray] = field(default=None, repr=False)
+    bounds: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def subfile_positions(self) -> "SubfilePositions":
+        """(file, T) -> the int64 positions of W_{n,T} (bit mode)."""
+        return SubfilePositions(self)
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
         """Fluid size of W_{n,T} as a fraction of F (any n)."""
         p = self.config.p
         return p ** len(T) * (1 - p) ** (self.config.K - len(T))
+
+
+def subset_code(T: Iterable[int]) -> int:
+    """The caching-set code of a subset of users: sum 2^(k-1) over k in T."""
+    return sum(1 << (k - 1) for k in T)
+
+
+class SubfilePositions(Mapping):
+    """A bit placement's subfiles as a read-only mapping (file, T) -> int64
+    positions of W_{n,T}, keyed file by file, subsets by size then lex.
+    Each value is a fresh int64 copy of the subfile's run of the compact
+    order; nothing but the placement itself is held."""
+
+    def __init__(self, placement: DecentralPlacement) -> None:
+        self._pl = placement
+        self._files = 0 if placement.orders is None else len(placement.orders)
+
+    def __getitem__(self, key: tuple[int, tuple[int, ...]]) -> np.ndarray:
+        n, T = key
+        pl, K = self._pl, self._pl.config.K
+        code = subset_code(k for k in T if 1 <= k <= K)
+        if n not in range(1, self._files + 1) or _users(code, K) != T:
+            raise KeyError(key)
+        lo, hi = pl.bounds[n - 1, code : code + 2].tolist()
+        return pl.orders[n - 1, lo:hi].astype(np.int64)
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        K = self._pl.config.K
+        for n in range(1, self._files + 1):
+            for size in range(K + 1):
+                for T in enumerate_subsets(K, size):
+                    yield n, T
+
+    def __len__(self) -> int:
+        return self._files << self._pl.config.K
 
 
 def user_symbol_count(config: SystemConfig) -> int:
@@ -159,9 +204,11 @@ def build_decentral_placement(
     of each file n.  Each bit of a file gets the code sum 2^(k-1) over the
     users caching it, held in the smallest unsigned dtype that fits K bits,
     and one stable (radix) argsort of the codes groups the bits by caching
-    set in position order; the subfile bounds are the running sum of the
-    code counts, so W_{n,T} is a view of that order.  Only one file's codes
-    are live at a time, and no user's draw is kept once it is coded.
+    set in position order.  That order is stored as the file's row of
+    ``orders``, cast to the smallest unsigned dtype that holds F - 1, and
+    the running sums of the code counts as its row of ``bounds``.  Only one
+    file's codes and int64 argsort are live at a time, and no user's draw
+    is kept once it is coded.
     """
     _check_placement_size(config)
     if mode == "fluid":
@@ -172,25 +219,18 @@ def build_decentral_placement(
         raise ValueError("bit-mode placement needs config.F")
     K, N, F = config.K, config.N, config.F
     per_file = int(config.M * F / config.N)  # floor(M*F/N)
-    pl = DecentralPlacement(config, "bits", seed)
     code_type = np.min_scalar_type((1 << K) - 1).type
-    # every subset in (size, lex) order with its mask code
-    subset_codes = [
-        (T, sum(1 << (k - 1) for k in T))
-        for size in range(K + 1)
-        for T in enumerate_subsets(K, size)
-    ]
+    orders = np.empty((N, F), np.min_scalar_type(F - 1))
+    bounds = np.zeros((N, (1 << K) + 1), np.int64)
     for n in range(1, N + 1):
         mask = np.zeros(F, dtype=code_type)
         for k in range(1, K + 1):
             rng = np.random.default_rng((seed, k, n))
             pos = rng.choice(F, size=per_file, replace=False)
             mask[pos] |= code_type(1 << (k - 1))
-        order = np.argsort(mask, kind="stable")
-        bounds = [0, *np.cumsum(np.bincount(mask, minlength=1 << K)).tolist()]
-        for T, code in subset_codes:
-            pl.subfile_positions[(n, T)] = order[bounds[code]:bounds[code + 1]]
-    return pl
+        orders[n - 1] = np.argsort(mask, kind="stable")
+        np.cumsum(np.bincount(mask, minlength=1 << K), out=bounds[n - 1, 1:])
+    return DecentralPlacement(config, "bits", seed, orders, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +360,7 @@ def _draw_indices(
         )
     # every needed (part, T, receiver) in the order the audit names them
     Ts = enumerate_subsets(K, s - 1)
-    tmask = np.array([sum(1 << (u - 1) for u in T) for T in Ts], np.int64)
+    tmask = np.array([subset_code(T) for T in Ts], np.int64)
     sorter = np.argsort(tmask)
     rank = sorter[np.searchsorted(tmask, subset, sorter=sorter)]
     got = np.bincount(

@@ -97,6 +97,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
+from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Optional, Sequence, Union
 
@@ -121,6 +122,7 @@ from .decentralized import (
     build_decentral_delivery,
     build_decentral_placement,
     check_run_size,
+    subset_code,
 )
 from .model import (
     DeliverySchedule,
@@ -408,8 +410,8 @@ class FragmentResolver:
     module docstring, in one array rule (:meth:`_spans`); a subclass
     supplies its subfile table (``_index``, the row of each subfile key;
     ``subfile_keys``, ``subfile_size`` of |T| only, ``subfile_positions``,
-    ``subfile_lengths``) and ``span_bits``, the library bits at a span of
-    :meth:`frag_spans`.
+    ``subfile_lengths``) and ``span_index``, what indexes a file's bits at
+    a span of :meth:`frag_spans`.
     """
 
     def __init__(
@@ -527,6 +529,12 @@ class FragmentResolver:
         (lo,), (hi,) = self._spans([frag.part], *one)
         return pos[lo:hi]
 
+    def span_bits(
+        self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """The file's bits at a span of :meth:`frag_spans`."""
+        return library.files[file][self.span_index(file, sub, lo, hi)]
+
 
 def required_central_F(config: SystemConfig, plan: SplitPlan) -> int:
     """Smallest F for which every centralized fragment is a whole number of
@@ -581,17 +589,17 @@ class CentralFragmentResolver(FragmentResolver):
     def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
         return np.full(len(subs), self.sub_len, np.int64)
 
-    def span_bits(
-        self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
-    ) -> np.ndarray:
-        """A view of the file's bits: the subfile is one contiguous run."""
+    def span_index(self, file: int, sub: int, lo: int, hi: int) -> slice:
+        """A slice of the file: the subfile is one contiguous run."""
         start = sub * self.sub_len
-        return library.files[file][start + lo : start + hi]
+        return slice(start + lo, start + hi)
 
 
 class DecentralFragmentResolver(FragmentResolver):
     """Random-placement layout: subfile positions from the placement, each
-    subfile laid out by the shared rule with one user slice."""
+    subfile laid out by the shared rule with one user slice.  In bit mode
+    a span is read straight off the run of the file's compact placement
+    order that holds its subfile."""
 
     def __init__(self, placement: DecentralPlacement, plan: AllocationPlan) -> None:
         super().__init__(plan.server_share, 1, plan.lambda2_by_round)
@@ -614,23 +622,22 @@ class DecentralFragmentResolver(FragmentResolver):
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         return self.placement.subfile_positions[(file, T)]
 
-    def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
-        pair, first = _distinct(subs, files)
-        positions, keys = self.placement.subfile_positions, self._keys
-        return np.array(
-            [
-                len(positions[(f, keys[T])])
-                for f, T in zip(files[first].tolist(), subs[first].tolist())
-            ],
-            np.int64,
-        ).reshape(-1)[pair]
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) of each subfile's run of its file's compact order, as
+        (file - 1, subfile row) tables (bit mode)."""
+        codes = np.array([subset_code(T) for T in self._keys], np.intp)
+        bounds = self.placement.bounds
+        return bounds[:, codes], bounds[:, codes + 1]
 
-    def span_bits(
-        self, library: BitLibrary, file: int, sub: int, lo: int, hi: int
-    ) -> np.ndarray:
-        """The file's bits at a slice of the subfile's placement order."""
-        positions = self.placement.subfile_positions[(file, self._keys[sub])]
-        return library.files[file][positions[lo:hi]]
+    def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
+        lo, hi = self._runs
+        return hi[files - 1, subs] - lo[files - 1, subs]
+
+    def span_index(self, file: int, sub: int, lo: int, hi: int) -> np.ndarray:
+        """A view of the file's compact placement order at the span."""
+        start = self._runs[0][file - 1, sub]
+        return self.placement.orders[file - 1, start + lo : start + hi]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,26 +1124,26 @@ def _misassembled_subfile(
     partition the file, so no mismatch means the file is rebuilt exactly.
     Where two learned payloads cover the same bits and disagree, the later
     one's subfile is named at once."""
-    resolver = log.resolver
+    index = log.resolver.span_index
     original = library.files[want]
     rebuilt = np.full(log.config.F, 2, dtype=np.uint8)
     spans = tables.spans.tolist()
     for f, payload in known.items():
         file, sub, lo, hi = spans[f]
         if file == want:
-            T = tables.subfiles[sub]
-            pos = resolver.subfile_positions(want, T)[lo:hi]
+            pos = index(want, sub, lo, hi)
             # a fragment learned twice (a subfile and its own server share)
             # must agree with what is already in place
             before = rebuilt[pos]
             if np.any((before != 2) & (before != payload)):
-                return T
+                return tables.subfiles[sub]
             rebuilt[pos] = payload
-    for i in np.flatnonzero(tables.needed[user]).tolist():
-        T = tables.subfiles[i]
-        pos = resolver.subfile_positions(want, T)
+    needed = np.flatnonzero(tables.needed[user])
+    lengths = log.resolver.subfile_lengths(np.full(len(needed), want), needed)
+    for i, n in zip(needed.tolist(), lengths.tolist()):
+        pos = index(want, i, 0, n)
         if not np.array_equal(rebuilt[pos], original[pos]):
-            return T
+            return tables.subfiles[i]
     return None
 
 

@@ -589,6 +589,32 @@ def test_refused_sweeps_and_verifies_leave_no_output_file(tmp_path, capsys, monk
     assert report.read_text() == "kept\n"
 
 
+_SMALL_RUN = ["--N", "4", "--K", "4", "--M", "2", "--alpha-max", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "centralized", *_SMALL_RUN, "--server-share="],
+        ["simulate", "--scheme", "decentralized", *_SMALL_RUN, "--demands="],
+        ["simulate", "--scheme", "decentralized", *_SMALL_RUN, "--export-log="],
+        ["simulate", "--scheme", "centralized", "--N", "4", "--K", "4", "--M="],
+        ["sweep", "--N", "4", "--K", "4", "--alpha-max", "2", "--grid", "0:4:1", "--out="],
+        ["sweep", "--config="],
+        ["verify", "--out="],
+        ["verify", "--grid="],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_an_empty_flag_value_is_refused_by_name(argv, tmp_path, capsys, monkeypatch):
+    # an empty value once ran the default (identity demands, no log,
+    # stdout for --out, the packaged grid) and exited 0
+    monkeypatch.chdir(tmp_path)
+    flag = next(a for a in argv if a.endswith("="))[:-1]
+    assert _run(capsys, argv) == (2, "", f"error: {flag} needs a value, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_decentralized_detail_round(capsys):
     code, out, _ = _run(
         capsys,

@@ -9,6 +9,7 @@ with stdout and stderr captured, and must:
 * exit 0, 1 or 2, with no exception escaping;
 * on exit 2, a refusal, print nothing on stdout and one ``error:`` line on
   stderr;
+* exit 2 when a flag is given an empty value, as in ``--demands=``;
 * on an accepted fluid ``simulate``, print ``decode OK`` and ``match=yes``.
 """
 
@@ -69,7 +70,7 @@ def simulate_argv(draw, logs, broken=None):
         "--seed": (st.integers(0, 3), st.just(-1)),
         "--demands": (
             st.permutations(range(1, N + 1)).map(lambda d: ",".join(map(str, d[:K]))),
-            st.sampled_from(["1,1", "0", str(N + 1), "a", ",", "1,,2", "1"]),
+            st.sampled_from(["1,1", "0", str(N + 1), "a", ",", "1,,2", "1", ""]),
         ),
         "--alpha": (
             st.integers(1, amax) if central else None, st.sampled_from([0, amax + 1])
@@ -79,7 +80,7 @@ def simulate_argv(draw, logs, broken=None):
             st.sampled_from(["x", "1/0", "", "1/2/3", "-1/2", "2"]),
         ),
         "--detail-round": (st.integers(1, K), st.sampled_from([0, -1, K + 1])),
-        "--export-log": (st.just(logs[0]), st.just(logs[1])),
+        "--export-log": (st.just(logs[0]), st.sampled_from([logs[1], ""])),
     }
     argv = ["simulate", f"--scheme={scheme}"]
     for name, (valid, malformed) in flags.items():
@@ -167,6 +168,8 @@ def _check(argv):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
+    if any(arg.endswith("=") for arg in argv):
+        assert code == 2, (argv, code)
     if code == 2:
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

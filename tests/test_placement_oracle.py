@@ -5,8 +5,9 @@ split became one stable argsort plus code counts per file.  The fast one
 must give the same ``subfile_positions`` (values, dtype and key order) on
 every shape, and each user's cache of each file, the union of the W_{n,T}
 with k in T, must equal that user's draw in the oracle.  The shapes include
-the edges: one user, empty and full caches, F not divisible by N, and F
-below 2^K.
+the edges: one user, empty and full caches, F not divisible by N, F
+below 2^K, and F on each side of the 8- and 16-bit boundaries of the
+dtype the placement stores its position orders in.
 """
 
 from fractions import Fraction
@@ -47,6 +48,12 @@ SHAPES = [
     (5, 5, 2, 7),  # F = 7 < 2^5: most subfiles are empty
     (6, 6, 2, 1001),
     (9, 9, 3, 2000),  # a 16-bit mask code
+    # each side of the stored order's dtype boundaries: F - 1 fits uint8,
+    # uint16, uint16, uint32
+    (3, 3, 1, 256),
+    (3, 3, 1, 257),
+    (4, 4, 2, 65536),
+    (4, 4, 2, 65537),
 ]
 
 
@@ -77,3 +84,16 @@ def test_fast_placement_matches_oracle_on_random_shapes(
     N = K + extra_files
     config = SystemConfig(N, K, Fraction(cache_quarters * N, 4), F=F)
     _assert_same_placement(config, seed)
+
+
+@pytest.mark.parametrize(
+    "N, F, itemsize",
+    [(3, 256, 1), (3, 257, 2), (4, 65536, 2), (4, 65537, 4), (6, 70000, 4)],
+)
+def test_bit_placement_stores_one_compact_order_per_file(N, F, itemsize):
+    # one position per bit of the library, in the smallest unsigned dtype
+    # that holds F - 1
+    placement = build_decentral_placement(SystemConfig(N, N, 2, F=F), mode="bits")
+    assert placement.orders.dtype == np.min_scalar_type(F - 1)
+    assert placement.orders.itemsize == itemsize
+    assert placement.orders.nbytes == N * F * itemsize

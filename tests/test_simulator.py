@@ -667,6 +667,29 @@ def test_fragment_layout_is_unchanged(run):
     assert digest.hexdigest() == PINNED_LAYOUTS[run]
 
 
+@pytest.mark.parametrize(
+    "shape", [(5, 5, 2, 2, 3000), (6, 6, 2, 3, 3000)], ids=str
+)
+@pytest.mark.parametrize("deleted", [False, True], ids=["clean", "deleted-entry"])
+def test_decentralized_resolver_views_agree(shape, deleted):
+    # the decoder reads a fragment's bits through the compact placement
+    # order (span_bits); the public int64 positions must pick the same bits
+    N, K, M, amax, F = shape
+    res = run_decentralized(SystemConfig(N, K, M, alpha_max=amax, F=F), mode="bits")
+    log, resolver, files = res.log, res.log.resolver, res.library.files
+    if deleted:
+        drop = random.Random(F).randrange(len(log.entries))
+        entries = log.entries[:drop] + log.entries[drop + 1 :]
+        log = TransmissionLog(log.config, log.mode, entries, resolver)
+    tables = simulator._intern_log(log)
+    assert len(tables.frags) > 0
+    for frag, span in zip(tables.frags, tables.spans.tolist()):
+        got = resolver.span_bits(res.library, *span)
+        positions = resolver.frag_positions(frag)
+        assert positions.dtype == np.int64
+        assert np.array_equal(got, files[frag.file][positions]), frag
+
+
 def test_both_resolvers_share_one_part_vocabulary():
     central = run_centralized(WORKED, alpha=2, server_share=Frac(1, 3), mode="bits")
     decentral = run_decentralized(
