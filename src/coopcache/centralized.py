@@ -57,8 +57,8 @@ group's load for a receiver is a run of pico-files, a group's senders
 take contiguous blocks of its symbols, so a receiver's pico-file in each
 symbol is found by index arithmetic, and the rounds follow the slot
 sequence by partition index.
-The audit then re-checks the finished schedule on those columns, with
-boolean membership tables, independently of how it was assembled.
+The audit then re-checks the finished schedule on those columns, its
+groups and subsets as mask rows, independently of how it was assembled.
 
 Before anything is enumerated, :func:`check_schedule_size` counts in closed
 form the placement's subsets, the server's symbols and the uniform rung's
@@ -72,6 +72,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Frac
 from typing import Optional, Sequence
 
@@ -87,14 +88,18 @@ from .model import (
     UserRounds,
     enumerate_subsets,
     equal_partition_count,
-    member_columns,
+    has,
+    mask_rows,
+    masks,
     occurrences,
     offsets,
     others,
     partition_table,
     server_multicast,
     subset_ranks,
+    user_sets,
     validate_demands,
+    words,
 )
 
 # ---------------------------------------------------------------------------
@@ -109,6 +114,12 @@ class CentralPlacement:
     config: SystemConfig
     t: int
     subsets: tuple[tuple[int, ...], ...]  # all t-subsets, lex order
+
+    @cached_property
+    def subset_masks(self) -> np.ndarray:
+        """The t-subsets' mask rows, in order."""
+        sets = np.array(self.subsets, np.int64).reshape(len(self.subsets), self.t)
+        return masks(sets, words(self.config.K))
 
 
 def build_central_placement(config: SystemConfig) -> CentralPlacement:
@@ -314,10 +325,11 @@ def _hosting_classes(K: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     their lex order, so each row of ``cand`` is strictly increasing; at
     m = t it holds the one group T + {j}.
     """
-    subsets = enumerate_subsets(K, t)
-    j, T = np.nonzero(~member_columns(subsets, K)[1:])
+    subsets = np.array(enumerate_subsets(K, t), np.int64).reshape(-1, t)
+    users = np.arange(1, K + 1)
+    j, T = np.nonzero(~has(masks(subsets, words(K)), users[:, None]))
     picks = np.array(list(itertools.combinations(range(t), m)), np.intp)
-    hosts = np.array(subsets, np.int64).reshape(-1, t)[T][:, picks]
+    hosts = subsets[T][:, picks]
     receiver = np.broadcast_to(j[:, None, None] + 1, (*hosts.shape[:2], 1))
     cand = subset_ranks(np.sort(np.concatenate([hosts, receiver], axis=2)), K)
     return j + 1, T, cand
@@ -716,11 +728,11 @@ def _assemble_schedule(
     lex list of fp-subsets, which also indexes ``quotas``.
     """
     m = fp - 1
-    size = (1 - plan.server_share) / Frac(math.comb(config.K, placement.t) * L)
-    sets = enumerate_subsets(config.K, fp)
+    K, W = config.K, words(config.K)
+    size = (1 - plan.server_share) / Frac(math.comb(K, placement.t) * L)
+    sets = enumerate_subsets(K, fp)
     live = np.flatnonzero(quotas)
-    groups = [sets[G] for G in live.tolist()]
-    members = np.array(groups, np.int64).reshape(len(groups), fp)
+    members = np.array([sets[G] for G in live.tolist()], np.int64).reshape(len(live), fp)
     Q = quotas[live]
     # each pico-file's lane (host, receiver's position in the host), taking
     # each (class, host) entry's units in turn: every class hosts L units
@@ -731,12 +743,14 @@ def _assemble_schedule(
     # the pico-files lane after lane, lane l's load from loads[l]
     order = np.argsort(lane, kind="stable")
     subset, layer = subset[order // L], order % L
-    load = np.bincount(lane, minlength=len(groups) * fp).reshape(-1, fp)
+    load = np.bincount(lane, minlength=len(live) * fp).reshape(-1, fp)
     loads = offsets(load.ravel())
     bad = (load.max(axis=1) > Q) | (load.sum(axis=1) != m * Q)
     if bad.any():
         g = np.argmax(bad)
-        raise SchedulingError(f"group {groups[g]} workload inconsistent with quota {Q[g]}")
+        raise SchedulingError(
+            f"group {tuple(members[g].tolist())} workload inconsistent with quota {Q[g]}"
+        )
     sent = Q[:, None] - load  # each member's block of symbols, in G's order
     ends = np.cumsum(sent, axis=1)
 
@@ -752,11 +766,12 @@ def _assemble_schedule(
     receiver = members[gb, b].ravel()
     n = len(g)
     table = SymbolTable(
-        members[g, a].astype(np.int32), g.astype(np.int32), np.zeros(n, np.int32),
+        members[g, a].astype(np.int32), masks(members, W)[g], np.zeros(n, np.int32),
         np.zeros(n, bool), np.arange(n + 1) * m, receiver.astype(np.int32),
-        np.array((0, *demands), np.int64)[receiver], subset[pico].ravel().astype(np.int32),
+        np.array((0, *demands), np.int64)[receiver],
+        placement.subset_masks[subset[pico].ravel()],
         np.zeros(n * m, np.int32), layer[pico].ravel().astype(np.int32),
-        np.full(n * m, L, np.int32), groups, [size], list(placement.subsets), ["u"],
+        np.full(n * m, L, np.int32), [size], ["u"],
     )
     runs = 1 if beta == 1 else slots
     sched = DeliverySchedule(
@@ -779,32 +794,26 @@ def _audit_user_schedule(
     decodable by construction, every constituent cached by its co-members.
 
     Checked on the schedule's columns (a list of rounds passes through the
-    adapter), with boolean membership tables in which users outside 1..K
-    are in no group and no subset.  The first failure is named in schedule
-    order: per symbol its arity, size and sender, then per constituent its
-    receiver and whether the rest of its group caches its subset (worked
-    out once per group and subset).  A delivery of pico (T, layer) to a
-    receiver j outside T is one int key; every such pico is delivered
-    exactly once iff the keys are distinct and as many as the picos.  Only
-    when they are not are they counted, to name the first pico delivered a
-    wrong number of times.
+    adapter), on their mask rows cut to users 1..K, so that a user outside
+    1..K is in no group.  The first failure is named in schedule order:
+    per symbol its arity, size and sender, then per constituent its
+    receiver and whether the rest of its group caches its subset, that is
+    whether group & ~subset & ~bit(receiver) is empty.  A delivery of pico
+    (T, layer) to a receiver j outside T is one int key; every such pico is
+    delivered exactly once iff the keys are distinct and as many as the
+    picos.  Only when they are not are they counted, to name the first pico
+    delivered a wrong number of times.
     """
     t = UserRounds.of(sched.user_rounds).table
-    K, n_T = config.K, len(placement.subsets)
-    sender, j = (np.where((u >= 1) & (u <= K), u, 0) for u in (t.sender, t.receiver))
-    in_group = member_columns(t.groups, K)
-    caches = member_columns(t.subsets, K)
+    K, n_T, W = config.K, len(placement.subsets), t.group.shape[1]
+    group = t.group & masks(np.arange(1, K + 1), W)  # users 1..K only
     arity = np.diff(t.cstart)
     sized = np.array([z is size or z == size for z in t.sizes], bool)
-    symbol_bad = (arity != m) | ~sized[t.size] | ~in_group[sender, t.group]
+    symbol_bad = (arity != m) | ~sized[t.size] | ~has(group, t.sender)
     of = np.repeat(np.arange(len(t)), arity)  # each constituent's symbol
-    group = t.group[of]
-    misplaced = ~in_group[j, group] | (t.receiver == t.sender[of])
-    n_sub = len(t.subsets)
-    pair, inverse = np.unique(group * np.int64(n_sub) + t.subset, return_inverse=True)
-    # the members of each (group, subset) pair not caching it; j may be one
-    uncached = in_group[:, pair // n_sub] & ~caches[:, pair % n_sub]
-    strip = uncached.sum(axis=0)[inverse] > uncached[j, inverse]
+    group = group[of]
+    misplaced = ~has(group, t.receiver) | (t.receiver == t.sender[of])
+    strip = (group & ~t.subset & ~masks(t.receiver[:, None], W)).any(axis=1)
     bad_symbols = np.flatnonzero(symbol_bad)
     bad_cons = np.flatnonzero(misplaced | strip)
     i = bad_symbols[0] if len(bad_symbols) else len(t)
@@ -813,7 +822,7 @@ def _audit_user_schedule(
         if misplaced[c]:
             raise SchedulingError("constituent receiver misplaced")
         raise SchedulingError(
-            f"group {t.groups[group[c]]} cannot strip "
+            f"group {user_sets(t.group[of[c : c + 1]])[0]} cannot strip "
             f"{t.fragments(bad_cons[:1])[0]} for user {t.receiver[c]}"
         )
     if i < len(t):
@@ -823,16 +832,17 @@ def _audit_user_schedule(
             raise SchedulingError("unequal pico sizes in user schedule")
         raise SchedulingError("sender outside its group")
 
-    ids = {T: i for i, T in enumerate(placement.subsets)}
-    tid = np.array([ids.get(T, -1) for T in t.subsets], np.int64)[t.subset]
-    kept = (tid >= 0) & (t.index < L) & ~caches[j, t.subset]
+    j = np.where((t.receiver >= 1) & (t.receiver <= K), t.receiver, 0)
+    placed = placement.subset_masks
+    tid = mask_rows(placed, t.subset)
+    kept = (tid >= 0) & (t.index < L) & ~has(t.subset, j)
     keys = ((tid * L + t.index) * (K + 1) + j)[kept]
     seen = np.bincount(keys, minlength=n_T * L * (K + 1))
     if len(keys) == n_T * (K - placement.t) * L and seen.max(initial=0) <= 1:
         return
     # every pico in (user, subset, layer) order, a user's own subsets skipped
     seen = seen.reshape(n_T, L, K + 1).transpose(2, 0, 1)[1:]
-    wrong = (seen != 1) & ~member_columns(placement.subsets, K)[1:, :, None]
+    wrong = (seen != 1) & ~has(placed, np.arange(1, K + 1)[:, None])[:, :, None]
     u, T, layer = np.unravel_index(np.argmax(wrong), wrong.shape)
     raise SchedulingError(
         f"pico (user {u + 1}, T={placement.subsets[T]}, layer {layer}) delivered "

@@ -2,9 +2,10 @@
 
 ``SystemConfig`` is the instance every layer takes (``model`` describes
 the system), ``as_frac`` reads the rationals the library and the CLI
-accept, and ``MAX_USER_SYMBOLS`` is the limit of every size guard.  With
-``closed_forms`` this is the analytic layer that ``bounds`` and ``cli``
-build on; it imports no numpy and no scheduler.
+accept, and ``MAX_USER_SYMBOLS`` is the limit of every size guard but
+the bit-mode byte count's, ``MAX_BIT_BYTES``.  With ``closed_forms`` this
+is the analytic layer that ``bounds`` and ``cli`` build on; it imports no
+numpy and no scheduler.
 """
 
 from __future__ import annotations
@@ -88,3 +89,8 @@ class SystemConfig:
 # uniform full-cycle rung, exceeds this, before anything is enumerated; the
 # placement entries and grid points the size guards count share the limit.
 MAX_USER_SYMBOLS = 500_000
+
+# Refuse a bit-mode run whose up-front arrays, the library and the
+# decentralized placement's position orders, would take more bytes than
+# this, counted in closed form before any is allocated.
+MAX_BIT_BYTES = 1 << 30

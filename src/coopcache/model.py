@@ -17,8 +17,10 @@ Conventions used across the package:
 * users are labelled 1..K, the server is sender 0;
 * ``t = K*M/N`` is the cache replication factor, ``p = M/N`` the per-bit
   cache probability;
-* subsets of users are canonical ascending tuples, enumerated in
-  lexicographic order;
+* a set of users is carried as a mask row: W int64 words, user u at bit
+  u % 63 of word u // 63, so no word is ever negative; subsets are
+  enumerated in lexicographic order, and the public views show each set as
+  an ascending tuple (:func:`user_sets`);
 * a group partition is an unordered collection of pairwise disjoint user
   groups, canonicalised by sorting groups by their smallest member.
 """
@@ -95,9 +97,14 @@ def subset_ranks(sets: np.ndarray, K: int) -> np.ndarray:
     """The row in ``enumerate_subsets(K, k)`` of each ascending k-subset of
     1..K along the last axis of ``sets``: its lexicographic rank,
     C(K, k) - 1 less the sum of C(K - u_r, k + 1 - r) over its r-th
-    smallest member u_r."""
+    smallest member u_r.  As u_r >= r, only the binomials C(n, i) with
+    n <= K - k - 1 + i are tabulated: each is a term of some rank's sum,
+    so at most C(K, k) - 1, and the table stays int64 wherever C(K, k)
+    does."""
     k = sets.shape[-1]
-    binom = np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(K + 1)])
+    binom = np.zeros((K + 1, k + 1), np.int64)
+    for i in range(1, k + 1):
+        binom[: K - k + i, i] = [math.comb(n, i) for n in range(K - k + i)]
     return math.comb(K, k) - 1 - binom[K - sets, np.arange(k, 0, -1)].sum(axis=-1)
 
 
@@ -210,15 +217,90 @@ class XorSymbol:
     redundant: bool = False
 
     def receivers(self) -> tuple[int, ...]:
-        return receivers_of(self.sender, self.group)
+        """Who hears the symbol: the group without its sender."""
+        return tuple(u for u in self.group if u != self.sender)
 
 
-def receivers_of(sender: int, group: tuple[int, ...]) -> tuple[int, ...]:
-    """Who hears a symbol: everyone in ``group`` from the server (sender
-    0), the rest of the group from a user."""
-    if sender == 0:
-        return group
-    return tuple([u for u in group if u != sender])
+# ---------------------------------------------------------------------------
+# sets of users as mask rows
+# ---------------------------------------------------------------------------
+
+WORD = 63  # bits per mask word, so that an int64 word is never negative
+
+
+def words(top: int) -> int:
+    """The mask width W that holds users 0..``top``."""
+    return int(top) // WORD + 1
+
+
+def masks(users: np.ndarray, W: int) -> np.ndarray:
+    """The sets of users along the last axis of ``users`` as mask rows of
+    W words, on a new last axis in place of that one.  A negative user, or
+    one past the last word, is in no set."""
+    word, bit = np.divmod(np.asarray(users, np.int64), WORD)
+    one = np.left_shift(1, bit, dtype=np.int64)
+    return np.stack(
+        [np.bitwise_or.reduce(np.where(word == w, one, 0), axis=-1) for w in range(W)], -1
+    )
+
+
+def pack(*lists: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Lists of sets given as strictly ascending sequences of users 0 and
+    up, as mask rows of one width, enough for their largest user: the
+    adapters' way in.  Any other sequence is refused with a ValueError."""
+    width = max((len(s) for sets in lists for s in sets), default=0)
+    out = []
+    for sets in lists:
+        rows = np.array([[-1, *s] + [-1] * (width - len(s)) for s in sets], np.int64)
+        rows = rows.reshape(len(sets), width + 1)
+        held = np.arange(width) < np.array([len(s) for s in sets], np.int64)[:, None]
+        bad = np.flatnonzero((held & (np.diff(rows) <= 0)).any(axis=1))
+        if len(bad):
+            raise ValueError(f"users {tuple(sets[bad[0]])} are not ascending from 0")
+        out.append(rows[:, 1:])
+    W = words(max((int(r.max(initial=0)) for r in out), default=0))
+    return [masks(r, W) for r in out]
+
+
+def widen(*rows: np.ndarray) -> list[np.ndarray]:
+    """Mask rows padded with empty words to the width of the widest."""
+    W = max(r.shape[1] for r in rows)
+    return [
+        np.hstack([r, np.zeros((len(r), W - r.shape[1]), np.int64)]) if r.shape[1] < W else r
+        for r in rows
+    ]
+
+
+def has(rows: np.ndarray, users) -> np.ndarray:
+    """Whether each mask row holds its user, ``users`` broadcast against
+    the rows (every axis of ``rows`` but the last): a shift and an AND of
+    the user's word.  A negative user, or one past the last word, is in no
+    row.  One user, as the decoder asks user by user, reads its word alone,
+    which about halves this function's time in a K = 100 (W = 2) run."""
+    word, bit = np.divmod(np.asarray(users, np.int64), WORD)
+    if word.ndim:
+        got = sum(np.where(word == w, rows[..., w], 0) for w in range(rows.shape[-1]))
+    else:
+        got = rows[..., word] if 0 <= word < rows.shape[-1] else np.zeros(rows.shape[:-1], int)
+    return got >> bit & 1 == 1
+
+
+def user_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Each mask row's users as an ascending tuple: the one way from masks
+    back to the tuples the views show."""
+    row, word, bit = np.nonzero(rows[:, :, None] >> np.arange(WORD) & 1)
+    users = (word * WORD + bit).tolist()
+    cuts = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()
+    return [tuple(users[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def mask_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each of ``rows``' position among the distinct mask rows ``keys``, or
+    -1 where no key equals it: one :func:`distinct` over both."""
+    ids, first = distinct(*np.concatenate(widen(keys, rows)).T)
+    at = np.full(len(first), -1, np.int64)
+    at[ids[: len(keys)]] = np.arange(len(keys))
+    return at[ids[len(keys) :]]
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +339,31 @@ def occurrences(key: np.ndarray) -> np.ndarray:
     return out
 
 
-def member_columns(sets: Sequence[tuple[int, ...]], K: int) -> np.ndarray:
-    """(K + 1) x len(sets) booleans: row k marks the sets holding user k.
-    Row 0 and users outside 1..K mark none, so a user outside 1..K may be
-    looked up as 0."""
-    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
-    users = np.fromiter(itertools.chain.from_iterable(sets), np.int64, int(sizes.sum()))
-    column = np.repeat(np.arange(len(sets)), sizes)
-    inside = (users >= 1) & (users <= K)
-    out = np.zeros((K + 1, len(sets)), dtype=bool)
-    out[users[inside], column[inside]] = True
-    return out
+def distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows equal in every column share one id: (each row's id, the first
+    row of each id).  Ids follow the sorted order of the columns, the last
+    one primary.  The columns are packed side by side into one int64 key
+    when they are checked to be nonnegative and their bit widths to sum to
+    at most 63, and sorted by one stable argsort; otherwise by
+    ``np.lexsort``."""
+    n = len(columns[0])
+    widths = [int(c.max()).bit_length() for c in columns] if n else []
+    if n and sum(widths) <= 63 and min(int(c.min()) for c in columns) >= 0:
+        key = np.zeros(n, np.int64)
+        for column, width in zip(reversed(columns), reversed(widths)):
+            key = key << width | column
+        order = np.argsort(key, kind="stable")
+        columns = (key,)
+    else:
+        order = np.lexsort(columns)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(n, np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
 
 
 def others(n: int) -> np.ndarray:
@@ -294,17 +390,20 @@ def int_column(objects: Sequence, name: str, dtype: type = np.int32) -> np.ndarr
 class SymbolTable:
     """XOR symbols as int columns.
 
-    Per symbol: ``sender``, ``group`` (a row of ``groups``), ``size`` (a row
-    of ``sizes``) and ``redundant``.  Symbol i's constituents are rows
+    Per symbol: ``sender``, ``group`` (the group's mask row), ``size`` (a
+    row of ``sizes``) and ``redundant``.  Symbol i's constituents are rows
     ``cstart[i]:cstart[i + 1]`` of the constituent columns ``receiver``,
-    ``file``, ``subset`` (a row of ``subsets``), ``part`` (a row of
-    ``parts``), ``index`` and ``count``.  The four tables hold distinct
-    values, so two rows are equal exactly when their values are, and sizes
-    stay exact ``Fraction``s.  Both schedulers and :func:`server_multicast`
-    write their tables directly; :meth:`from_symbols` is the adapter for
-    symbols given as a list.  Every column but ``file`` and ``cstart``
-    counts users, rows or fragments, so the adapter keeps it in int32.
-    :meth:`symbols` builds the value objects of any rows on demand.
+    ``file``, ``subset`` (the caching set's mask row), ``part`` (a row of
+    ``parts``), ``index`` and ``count``.  ``group`` and ``subset`` are
+    (rows, W) int64 arrays of one width W, enough for the largest user the
+    table holds; a mask is its set's canonical value.  The two tables hold
+    distinct values, so two rows are equal exactly when their values are,
+    and sizes stay exact ``Fraction``s.  Both schedulers and
+    :func:`server_multicast` write their tables directly;
+    :meth:`from_symbols` is the adapter for symbols given as a list.  Every
+    int column but ``file`` and ``cstart`` counts users, rows or fragments,
+    so the adapter keeps it in int32.  :meth:`symbols` builds the value
+    objects of any rows on demand.
     """
 
     sender: np.ndarray
@@ -318,9 +417,7 @@ class SymbolTable:
     part: np.ndarray
     index: np.ndarray
     count: np.ndarray
-    groups: list[tuple[int, ...]]
     sizes: list[Frac]
-    subsets: list[tuple[int, ...]]
     parts: list[str]
 
     def __len__(self) -> int:
@@ -333,30 +430,32 @@ class SymbolTable:
         per_symbol = list(map(attrgetter("constituents"), symbols))
         cons = list(itertools.chain.from_iterable(per_symbol))
         frags = list(map(attrgetter("fragment"), cons))
-        groups: dict = {}
+        group, subset = pack(
+            list(map(attrgetter("group"), symbols)), list(map(attrgetter("subset"), frags))
+        )
         sizes: dict = {}
-        subsets: dict = {}
         parts: dict = {}
         return cls(
             int_column(symbols, "sender"),
-            table_rows(list(map(attrgetter("group"), symbols)), groups),
+            group,
             table_rows(list(map(attrgetter("size"), symbols)), sizes),
             np.fromiter(map(attrgetter("redundant"), symbols), bool, len(symbols)),
             offsets(map(len, per_symbol)),
             int_column(cons, "receiver"),
             int_column(frags, "file", np.int64),  # file ids are not bounded
-            table_rows(list(map(attrgetter("subset"), frags)), subsets),
+            subset,
             table_rows(list(map(attrgetter("part"), frags)), parts),
             int_column(frags, "index"),
             int_column(frags, "count"),
-            list(groups), list(sizes), list(subsets), list(parts),
+            list(sizes), list(parts),
         )
 
     @classmethod
     def concat(cls, first: "SymbolTable", second: "SymbolTable") -> "SymbolTable":
-        """``first``'s symbols, then ``second``'s, over merged tables."""
+        """``first``'s symbols, then ``second``'s, over merged tables and
+        masks of the wider width."""
         both = (first, second)
-        tables: dict[str, dict] = {t: {} for t in ("groups", "sizes", "subsets", "parts")}
+        tables: dict[str, dict] = {t: {} for t in ("sizes", "parts")}
 
         def rows(column: str, table: str) -> np.ndarray:
             return np.concatenate(
@@ -364,25 +463,26 @@ class SymbolTable:
             )
 
         def joined(column: str) -> np.ndarray:
-            return np.concatenate([getattr(t, column) for t in both])
+            columns = [getattr(t, column) for t in both]  # masks are the 2-d ones
+            return np.concatenate(widen(*columns) if columns[0].ndim == 2 else columns)
 
         return cls(
-            joined("sender"), rows("group", "groups"), rows("size", "sizes"),
+            joined("sender"), joined("group"), rows("size", "sizes"),
             joined("redundant"),
             np.concatenate([first.cstart[:-1], second.cstart + first.cstart[-1]]),
-            joined("receiver"), joined("file"), rows("subset", "subsets"),
+            joined("receiver"), joined("file"), joined("subset"),
             rows("part", "parts"), joined("index"), joined("count"),
             *map(list, tables.values()),
         )
 
     def fragments(self, at: np.ndarray) -> list[FragmentId]:
         """The fragments of constituent rows ``at``, as value objects."""
-        subsets, parts = self.subsets, self.parts
+        parts = self.parts
         return list(
             map(
                 FragmentId,
                 self.file[at].tolist(),
-                [subsets[i] for i in self.subset[at].tolist()],
+                user_sets(self.subset[at]),
                 [parts[i] for i in self.part[at].tolist()],
                 self.index[at].tolist(),
                 self.count[at].tolist(),
@@ -397,12 +497,12 @@ class SymbolTable:
         lo, hi = self.cstart[rows], self.cstart[rows + 1]
         at = ranges(lo, hi)
         cons = list(map(Constituent, self.receiver[at].tolist(), self.fragments(at)))
-        groups, sizes = self.groups, self.sizes
+        sizes = self.sizes
         out = []
         start = 0
-        for sender, g, z, redundant, end, payload in zip(
+        for sender, group, z, redundant, end, payload in zip(
             self.sender[rows].tolist(),
-            self.group[rows].tolist(),
+            user_sets(self.group[rows]),
             self.size[rows].tolist(),
             self.redundant[rows].tolist(),
             np.cumsum(hi - lo).tolist(),
@@ -410,7 +510,7 @@ class SymbolTable:
         ):
             out.append(
                 XorSymbol(
-                    sender, groups[g], tuple(cons[start:end]), sizes[z], payload, redundant
+                    sender, group, tuple(cons[start:end]), sizes[z], payload, redundant
                 )
             )
             start = end
@@ -499,41 +599,32 @@ def server_multicast(
     Each run (s, part, size, redundant), in order, sends for every s-subset
     S of users 1..K, in lex order, one symbol of ``size`` (flagged
     ``redundant``) from the server to everyone, which XORs for each k in S
-    the fragment (d_k, S\\{k}, part, 0, 1) with receiver k.  The subsets
-    table lists the (s-1)-subsets of each new s in lex order, so a
-    constituent's subset row is the lex rank of S\\{k} (:func:`subset_ranks`)
-    past the first row of its size."""
+    the fragment (d_k, S\\{k}, part, 0, 1) with receiver k: a constituent's
+    subset is S's mask with its receiver's bit cleared."""
+    W = words(K)
     sizes: dict = {}
     parts: dict = {}
-    first: dict[int, int] = {}  # the first row of the (s-1)-subsets
-    subsets: list[tuple[int, ...]] = []
-    for s, *_ in runs:
-        if s - 1 not in first:
-            first[s - 1] = len(subsets)
-            subsets += enumerate_subsets(K, s - 1)
     sets = [np.array(enumerate_subsets(K, s), np.int64).reshape(-1, s) for s, *_ in runs]
     n = np.array([len(S) for S in sets], np.int64)
     arity = np.array([s for s, *_ in runs], np.int64)
-    none = [np.zeros(0, np.int64)]  # what no run concatenates to
-    receiver = np.concatenate(none + [S.ravel() for S in sets]).astype(np.int32)
+    receiver = np.concatenate([np.zeros(0, np.int64)] + [S.ravel() for S in sets])
     rest = np.concatenate(
-        none
-        + [first[s - 1] + subset_ranks(S[:, others(s)], K).ravel()
-           for S, (s, *_) in zip(sets, runs)]
-    ).astype(np.int32)
+        [np.zeros((0, W), np.int64)]
+        + [(masks(S, W)[:, None] ^ masks(S[:, :, None], W)).reshape(-1, W) for S in sets]
+    )
     table = SymbolTable(
         np.zeros(n.sum(), np.int32),
-        np.zeros(n.sum(), np.int32),
+        np.repeat(masks(np.arange(1, K + 1), W)[None], n.sum(), axis=0),
         np.repeat(table_rows([size for _, _, size, _ in runs], sizes), n),
         np.repeat(np.array([redundant for *_, redundant in runs], bool), n),
         offsets(np.repeat(arity, n)),
-        receiver,
+        receiver.astype(np.int32),
         np.array((0, *demands), np.int64)[receiver],
         rest,
         np.repeat(table_rows([part for _, part, _, _ in runs], parts), n * arity),
         np.zeros(len(receiver), np.int32),
         np.ones(len(receiver), np.int32),
-        [tuple(range(1, K + 1))], list(sizes), subsets, list(parts),
+        list(sizes), list(parts),
     )
     return Symbols(table)
 
@@ -555,18 +646,14 @@ class UserRounds(ListView):
     def _partitions(self, lo: int, hi: int) -> list[tuple]:
         """The groups of rounds ``lo:hi``, one tuple of groups per round."""
         starts = self.starts[lo : hi + 1]
-        group = self.table.group[starts[0] : starts[-1]]
-        groups = self.table.groups
-        smallest = np.zeros(len(groups), np.int64)
-        used = np.unique(group)
-        smallest[used] = [min(groups[g], default=0) for g in used.tolist()]
+        group, first = distinct(*self.table.group[starts[0] : starts[-1]].T)
+        groups = user_sets(self.table.group[starts[0] + first])
+        smallest = np.array([g[0] if g else 0 for g in groups], np.int64)
         rnd = np.repeat(np.arange(hi - lo), np.diff(starts))
-        order = np.lexsort((group, smallest[group], rnd))
-        rnd, group = rnd[order], group[order]
-        new = np.ones(len(group), bool)
-        new[1:] = (rnd[1:] != rnd[:-1]) | (group[1:] != group[:-1])
-        rows = group[new].tolist()
-        cuts = np.searchsorted(rnd[new], np.arange(hi - lo + 1)).tolist()
+        # each round's distinct groups, by smallest member
+        _, first = distinct(group, smallest[group], rnd)
+        rows = group[first].tolist()
+        cuts = np.searchsorted(rnd[first], np.arange(hi - lo + 1)).tolist()
         return [tuple(groups[g] for g in rows[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def _items(self, lo: int, hi: int) -> list:

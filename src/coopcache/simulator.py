@@ -26,14 +26,15 @@ peeling: starting from its cache, a user resolves any received symbol with
 exactly one unknown constituent, until no symbol resolves anything more.
 Each check first interns the log from its columns and its resolver, and
 nothing else, in both modes: fragment ids come from one sort of the
-constituents' key columns (file, subset, part, count, index), read by
+constituents' key columns (file, subset mask, part, count, index), read by
 value, so no id the scheduler chose is used; fragments sharing (file,
-subset, part, count) form a group, whose caching users and size (a
-numerator over one common denominator in fluid mode; in bit mode each
-fragment's [lo, hi) span in its subfile, from one array pass of the
-resolver) are worked out once; every nonempty constituent becomes one row
-of int columns (fragment id, receivers, subset).  The tables live for that
-one call, and nothing is cached on the log.
+subset, part, count) form a group, whose subfile and size (a numerator
+over one common denominator in fluid mode; in bit mode each fragment's
+[lo, hi) span in its subfile, from one array pass of the resolver) are
+worked out once; every nonempty constituent becomes one row of columns:
+its fragment id and the mask of the users who hear it and do not cache
+it, so that whether a user must learn it is one shift and one AND.  The
+tables live for that one call, and nothing is cached on the log.
 
 A user's peeling closure, what it ends up knowing, is the same whatever
 order symbols resolve in.  So each user's closure is computed on numpy
@@ -63,11 +64,13 @@ cut into L1 equal slices (1 decentralized) of count/L1 near-equal fragments;
 split of the round serving |T|, then cut near-equally.  A fragment's fluid
 size is its part's share over its count, times its subfile's size.
 
-Schedules and logs are held as int columns (``model.SymbolTable``).  Both
-schedulers build their user rounds as columns and their server symbols
-through one builder, ``model.server_multicast``, and
-:func:`execute_schedule` writes each log entry as a row of
-:class:`LogColumns`, with each round's lanes slotted by one lexsort.
+Schedules and logs are held as int columns (``model.SymbolTable``), each
+set of users (a group, a caching set, the receivers) as a mask row of int64
+words (``model.masks``).  Both schedulers build their user rounds as
+columns and their server symbols through one builder,
+``model.server_multicast``, and :func:`execute_schedule` writes each log
+entry as a row of :class:`LogColumns`, its receivers its group's mask
+without the sender's bit, with each round's lanes slotted by one lexsort.
 Only symbols given as value objects, user rounds or server symbols
 assigned as a list, come in through one adapter
 (``SymbolTable.from_symbols``), and so does a log given as a list of
@@ -98,7 +101,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -116,13 +119,12 @@ from .closed_forms import (
     decentralized_rates,
     make_split_plan,
 )
-from .config import SystemConfig
+from .config import MAX_BIT_BYTES, SystemConfig
 from .decentralized import (
     DecentralPlacement,
     build_decentral_delivery,
     build_decentral_placement,
     check_run_size,
-    subset_code,
 )
 from .model import (
     DeliverySchedule,
@@ -131,15 +133,21 @@ from .model import (
     SymbolTable,
     UserRounds,
     XorSymbol,
+    distinct,
     enumerate_subsets,
+    has,
     int_column,
-    member_columns,
+    mask_rows,
+    masks,
     occurrences,
     offsets,
+    pack,
     ranges,
-    receivers_of,
     table_rows,
+    user_sets,
     validate_demands,
+    widen,
+    words,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,42 +187,15 @@ class LogEntry:
     symbol: XorSymbol
 
 
-def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows equal in every column share one id: (each row's id, the first
-    row of each id).  Ids follow the sorted order of the columns, the last
-    one primary.  The columns are packed side by side into one int64 key
-    when they are checked to be nonnegative and their bit widths to sum to
-    at most 63, and sorted by one stable argsort; otherwise by
-    ``np.lexsort``."""
-    n = len(columns[0])
-    widths = [int(c.max()).bit_length() for c in columns] if n else []
-    if n and sum(widths) <= 63 and min(int(c.min()) for c in columns) >= 0:
-        key = np.zeros(n, np.int64)
-        for column, width in zip(reversed(columns), reversed(widths)):
-            key = key << width | column
-        order = np.argsort(key, kind="stable")
-        columns = (key,)
-    else:
-        order = np.lexsort(columns)
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for column in columns:
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    ids = np.empty(n, np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
-
-
 @dataclass
 class LogColumns:
     """A log's entries as int columns.
 
     Per entry: ``slot``, ``round`` (the round index), ``sender``, ``group``
-    (a row of ``groups``), ``receivers`` (a row of ``receiver_sets``),
-    ``size`` (a row of ``sizes``: the entry's ``bits``) and ``symbol``, the
-    row of ``table`` that holds its symbol; in bit mode ``payloads`` holds
-    each entry's payload.  The tables hold distinct values.
+    and ``receivers`` (mask rows, of one width), ``size`` (a row of
+    ``sizes``: the entry's ``bits``) and ``symbol``, the row of ``table``
+    that holds its symbol; in bit mode ``payloads`` holds each entry's
+    payload.  ``sizes`` holds distinct values.
     """
 
     slot: np.ndarray
@@ -224,8 +205,6 @@ class LogColumns:
     receivers: np.ndarray
     size: np.ndarray
     symbol: np.ndarray
-    groups: list[tuple[int, ...]]
-    receiver_sets: list[tuple[int, ...]]
     sizes: list[Union[int, Frac]]
     table: SymbolTable
     payloads: Optional[list] = None
@@ -233,20 +212,17 @@ class LogColumns:
     @classmethod
     def from_entries(cls, entries: Sequence[LogEntry]) -> "LogColumns":
         """The adapter for a log given as a list of entries."""
-        groups: dict = {}
-        receiver_sets: dict = {}
         sizes: dict = {}
         symbols = [e.symbol for e in entries]
+        group, receivers = pack([e.group for e in entries], [e.receivers for e in entries])
         return cls(
             int_column(entries, "slot", np.int64),
             int_column(entries, "round_index", np.int64),
             int_column(entries, "sender", np.int64),
-            table_rows([e.group for e in entries], groups),
-            table_rows([e.receivers for e in entries], receiver_sets),
+            group,
+            receivers,
             table_rows([e.bits for e in entries], sizes),
             np.arange(len(entries)),
-            list(groups),
-            list(receiver_sets),
             list(sizes),
             SymbolTable.from_symbols(symbols),
             [sym.payload for sym in symbols],
@@ -272,8 +248,8 @@ class LogEntries(ListView):
                 c.slot[lo:hi].tolist(),
                 c.round[lo:hi].tolist(),
                 c.sender[lo:hi].tolist(),
-                [c.groups[i] for i in c.group[lo:hi].tolist()],
-                [c.receiver_sets[i] for i in c.receivers[lo:hi].tolist()],
+                user_sets(c.group[lo:hi]),
+                user_sets(c.receivers[lo:hi]),
                 [c.sizes[i] for i in c.size[lo:hi].tolist()],
                 c.table.symbols(c.symbol[lo:hi], payloads),
             )
@@ -324,7 +300,7 @@ class TransmissionLog:
         user = c.sender != 0
         if not user.any():
             return Frac(0)
-        lanes, first = _distinct(c.group[user], c.round[user])
+        lanes, first = distinct(*c.group[user].T, c.round[user])
         loads = np.zeros(len(first), dtype=object)
         np.add.at(loads, lanes, np.array(nums, dtype=object)[c.size[user]])
         rnd = c.round[user][first]  # lanes come round by round
@@ -342,7 +318,7 @@ class TransmissionLog:
         c = self.columns()
         server = c.sender == 0
         slots = c.slot[server]
-        _, first = _distinct(slots)
+        _, first = distinct(slots)
         if len(first) < len(slots):
             repeat = np.ones(len(slots), dtype=bool)
             repeat[first] = False
@@ -350,21 +326,15 @@ class TransmissionLog:
         slots, group = c.slot[~server], c.group[~server]
         if not len(slots):
             return
-        ids, first = _distinct(slots)
+        ids, first = distinct(slots)
         senders = np.bincount(ids)
-        # a slot's groups overlap iff one user is a member of two of its
-        # entries' groups: each group's distinct members, group after group,
-        # then one (slot, user) seat per member of each entry's group
-        sizes = np.fromiter(map(len, c.groups), np.intp, len(c.groups))
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        users = np.fromiter(chain.from_iterable(c.groups), np.int64, len(owner))
-        _, once = _distinct(users, owner)
-        at = offsets(np.bincount(owner[once], minlength=len(sizes)))
-        lo, hi = at[group], at[group + 1]
-        in_slot = np.repeat(ids, hi - lo)
-        seat, _ = _distinct(users[once][ranges(lo, hi)], in_slot)
-        overlap = np.zeros(len(first), dtype=bool)
-        overlap[in_slot[np.bincount(seat)[seat] > 1]] = True
+        # a slot's groups are pairwise disjoint iff, word by word, their
+        # member counts add up to the member count of their union
+        group = group[np.argsort(ids, kind="stable")]
+        starts = offsets(senders)[:-1]
+        union = np.bitwise_or.reduceat(group, starts, axis=0)
+        counted = np.add.reduceat(np.bitwise_count(group), starts, axis=0, dtype=np.int64)
+        overlap = (counted != np.bitwise_count(union)).any(axis=1)
         crowded = senders > self.config.alpha_max
         bad = np.flatnonzero(crowded | overlap)
         if not len(bad):
@@ -386,12 +356,13 @@ class TransmissionLog:
         mode and an exact fraction of F (like ``1/45``) in fluid mode.
         """
         c = self.columns()
-        receivers = ["|".join(map(str, users)) for users in c.receiver_sets]
+        row, first = distinct(*c.receivers.T)
+        receivers = ["|".join(map(str, users)) for users in user_sets(c.receivers[first])]
         bits = [str(x) for x in c.sizes]
         return ["slot,sender,receivers,bits"] + [
             f"{slot},{sender},{receivers[r]},{bits[z]}"
             for slot, sender, r, z in zip(
-                c.slot.tolist(), c.sender.tolist(), c.receivers.tolist(), c.size.tolist()
+                c.slot.tolist(), c.sender.tolist(), row.tolist(), c.size.tolist()
             )
         ]
 
@@ -408,10 +379,11 @@ class FragmentResolver:
     plan — available to every decoder, as opposed to the scheduler's private
     bookkeeping of who decodes what when.  It holds the layout rule of the
     module docstring, in one array rule (:meth:`_spans`); a subclass
-    supplies its subfile table (``_index``, the row of each subfile key;
-    ``subfile_keys``, ``subfile_size`` of |T| only, ``subfile_positions``,
+    supplies its subfile table (``subfile_masks``, each subfile's mask row,
+    in row order; ``subfile_size`` of |T| only, ``subfile_positions``,
     ``subfile_lengths``) and ``span_index``, what indexes a file's bits at
-    a span of :meth:`frag_spans`.
+    a span of :meth:`frag_spans`.  :meth:`subfile_rows` maps masks to
+    subfile rows.
     """
 
     def __init__(
@@ -439,6 +411,14 @@ class FragmentResolver:
                 raise ValueError(f"part {part!r}: no lambda2 split for |T|={size}")
             return ((self._lam, True), (lam2, part == "u2"))
         raise ValueError(f"unknown fragment part {part!r}")
+
+    def subfile_keys(self) -> list[tuple[int, ...]]:
+        """Each subfile's caching set T, in row order."""
+        return user_sets(self.subfile_masks)
+
+    def subfile_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The subfile row of each mask row in ``rows``, -1 where none."""
+        return mask_rows(self.subfile_masks, rows)
 
     def frag_size(self, frag: FragmentId) -> Frac:
         return self.fragment_size(frag.part, frag.count, frag.subset)
@@ -482,7 +462,7 @@ class FragmentResolver:
         of a |T| = ``size`` subfile.  Part bounds are worked out once per
         (part, |T|, length); the slices of a part are cut near-equally, the
         longer ones first, as ``np.array_split`` cuts."""
-        shape, first = _distinct(n, size, part)
+        shape, first = distinct(n, size, part)
         bounds = np.array(
             [
                 self._part_bounds(parts[p], z, m)
@@ -512,11 +492,10 @@ class FragmentResolver:
         ``table``: each one's subfile, as a row of ``subfile_keys()``, and
         its [lo, hi) inside that subfile's position run."""
         subset = table.subset[at]
-        used = np.unique(subset)
-        rows = np.zeros(len(table.subsets), np.int64)
-        rows[used] = [self._index[table.subsets[s]] for s in used.tolist()]
-        sub = rows[subset]
-        size = np.fromiter(map(len, table.subsets), np.int64, len(table.subsets))[subset]
+        sub = self.subfile_rows(subset)
+        if (sub < 0).any():
+            raise KeyError(user_sets(subset[sub < 0])[0])
+        size = np.bitwise_count(subset).sum(axis=1, dtype=np.int64)
         return sub, *self._spans(
             table.parts, table.part[at], size, self.subfile_lengths(table.file[at], sub),
             table.count[at], table.index[at],
@@ -570,20 +549,20 @@ class CentralFragmentResolver(FragmentResolver):
         F: Optional[int] = None,
     ) -> None:
         super().__init__(plan.server_share, plan.L1, {})
-        self._index = {T: i for i, T in enumerate(placement.subsets)}
-        self._subfile_size = Frac(1, len(self._index))
+        self.subfile_masks = placement.subset_masks
+        self._subfile_size = Frac(1, len(self.subfile_masks))
         if F is not None:
             check_central_F(F, placement.config, plan)
-            self.sub_len = F // len(self._index)
-
-    def subfile_keys(self) -> list[tuple[int, ...]]:
-        return list(self._index)
+            self.sub_len = F // len(self.subfile_masks)
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
         return self._subfile_size
 
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
-        start = self._index[T] * self.sub_len
+        (row,) = self.subfile_rows(pack([T])[0])
+        if row < 0:
+            raise KeyError(T)
+        start = row * self.sub_len
         return np.arange(start, start + self.sub_len)
 
     def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -605,14 +584,13 @@ class DecentralFragmentResolver(FragmentResolver):
         super().__init__(plan.server_share, 1, plan.lambda2_by_round)
         self.placement = placement
         K = placement.config.K
-        self._keys = [
-            T for size in range(K + 1) for T in enumerate_subsets(K, size)
+        # every subset, by size then lex
+        sets = [
+            np.array(enumerate_subsets(K, z), np.int64).reshape(math.comb(K, z), z)
+            for z in range(K + 1)
         ]
-        self._index = {T: i for i, T in enumerate(self._keys)}
+        self.subfile_masks = np.concatenate([masks(S, words(K)) for S in sets])
         self._subfile_sizes: dict[int, Frac] = {}
-
-    def subfile_keys(self) -> list[tuple[int, ...]]:
-        return self._keys
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
         if len(T) not in self._subfile_sizes:
@@ -626,9 +604,8 @@ class DecentralFragmentResolver(FragmentResolver):
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         """[lo, hi) of each subfile's run of its file's compact order, as
         (file - 1, subfile row) tables (bit mode)."""
-        codes = np.array([subset_code(T) for T in self._keys], np.intp)
-        bounds = self.placement.bounds
-        return bounds[:, codes], bounds[:, codes + 1]
+        bounds, code = self.placement.bounds, self.subfile_masks[:, 0] >> 1
+        return bounds[:, code], bounds[:, code + 1]
 
     def subfile_lengths(self, files: np.ndarray, subs: np.ndarray) -> np.ndarray:
         lo, hi = self._runs
@@ -666,14 +643,14 @@ def _payloads(
 
 def _slots(rnd: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry order and slots of the user symbols, given each one's round
-    (nondecreasing) and lane (its group's row).
+    (nondecreasing) and lane (its group's mask row).
 
     Each round packs its lanes in parallel: a lane's j-th symbol sits in the
     round's relative slot j, the symbols of one slot go in the order their
     lanes first appear in the round, and the round lasts as long as its
     longest lane.  Returns the symbols in entry order and, in that order,
     their slots."""
-    lanes, first = _distinct(lane, rnd)
+    lanes, first = distinct(*lane.T, rnd)
     pos = occurrences(lanes)
     depth = np.zeros(rnd[-1] + 1 if len(rnd) else 0, np.int64)
     np.maximum.at(depth, rnd, pos + 1)
@@ -706,22 +683,14 @@ def execute_schedule(
     order, slot = _slots(rnd, table.group[n_server:])
     symbol = np.concatenate([np.arange(n_server), order + n_server])
     sender, group = table.sender[symbol], table.group[symbol]
-    pair, first = _distinct(sender, group)
-    receiver_sets: dict = {}
-    receivers = table_rows(
-        [
-            receivers_of(u, table.groups[g])
-            for u, g in zip(sender[first].tolist(), group[first].tolist())
-        ],
-        receiver_sets,
-    )[pair]
+    receivers = group & ~masks(sender[:, None], group.shape[1])
     if mode == "fluid":
         sizes, size, payloads = table.sizes, table.size[symbol], None
     else:
         payloads = _payloads(table, symbol, resolver, library)
         lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
-        distinct, size = np.unique(lengths, return_inverse=True)
-        sizes = distinct.tolist()
+        bit_counts, size = np.unique(lengths, return_inverse=True)
+        sizes = bit_counts.tolist()
     labels = np.array(rounds.labels, np.int64)
     columns = LogColumns(
         np.concatenate([np.arange(n_server), slot]),
@@ -731,8 +700,6 @@ def execute_schedule(
         receivers,
         size,
         symbol,
-        table.groups,
-        list(receiver_sets),
         sizes,
         table,
         payloads,
@@ -759,26 +726,24 @@ class _LogTables:
     ``group_full`` (whether its part is "full") and ``group_size``, an
     integer numerator over one common denominator in fluid mode (0 in bit
     mode, where each fragment has its own bit count); ``group`` maps each
-    fragment id to its group and ``fsub`` to its subset's row.  In bit
-    mode ``spans`` holds, per fragment id, its file, its subfile's row in
-    ``subfiles`` and its [lo, hi) in that subfile's position run
+    fragment id to its group and ``fsub`` to its subset's mask row.  In
+    bit mode ``spans`` holds, per fragment id, its file, its subfile's row
+    in ``subfiles`` and its [lo, hi) in that subfile's position run
     (``frag_spans``), so its bit count is hi - lo.
 
     The log's live constituents (those of nonzero size, repeats kept) are
-    flattened, entry after entry, into int columns: ``cons`` the fragment
-    id, ``crow`` the entry's receivers row and ``csub`` the fragment's
-    subset row.  Entries left with no live constituent are dropped;
-    ``entry``, ``starts`` and ``lengths`` give each kept entry's index in
-    the log and its slice of those columns.  ``heard[k]`` and ``caches[k]``
-    are user k's boolean columns over the receivers rows and the subset
-    rows, so whether user k hears a constituent's entry, or caches its
-    subfile, is one gather; users outside 1..K are in neither.
-    ``subfiles`` lists the resolver's subfile keys T, ``subfile_size``
-    holds, in fluid mode, each one's size as a numerator over the same
-    denominator, and ``needed[k]`` marks those user k does not cache.  In
-    bit mode ``payloads`` holds each entry's payload, and ``fits`` marks
-    the kept entries whose payload is exactly as long as their longest
-    live constituent.
+    flattened, entry after entry, into columns: ``cons`` the fragment id
+    and ``unknown`` the mask row of the users who hear its entry and do not
+    cache its subset, its entry's receivers less its subset, so whether
+    user k must learn it is one bit.  Entries left with no live
+    constituent are dropped; ``entry``, ``starts`` and ``lengths`` give
+    each kept entry's index in the log and its slice of those columns.
+    ``subfiles`` holds the mask rows of the resolver's subfiles, and
+    ``subfile_size``, in fluid mode, each one's size as a numerator over
+    the same denominator; user k needs those without bit k.  In bit mode
+    ``payloads`` holds each entry's payload, and ``fits`` marks the kept
+    entries whose payload is exactly as long as their longest live
+    constituent.
     """
 
     frags: Sequence[FragmentId]
@@ -790,16 +755,12 @@ class _LogTables:
     group_size: np.ndarray
     spans: np.ndarray
     cons: np.ndarray
-    crow: np.ndarray
-    csub: np.ndarray
+    unknown: np.ndarray
     entry: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
-    heard: np.ndarray
-    caches: np.ndarray
-    subfiles: list[tuple[int, ...]]
+    subfiles: np.ndarray
     subfile_size: np.ndarray
-    needed: np.ndarray
     payloads: Optional[list]
     fits: Optional[np.ndarray]
 
@@ -828,27 +789,26 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     """Intern the log from its columns, with sizes read from its resolver,
     and nothing else.  Nothing is kept on the log.
 
-    Fragment ids come from one lexsort of the constituents' key columns
-    (file, subset, part, count, index), whose subset and part rows are
-    first mapped to the first row of an equal value: an id depends on the
-    key's values alone, and no id or row numbering the scheduler chose is
-    read.  Membership and sizes are worked out once per group, receivers
-    once per receivers row.  An empty fragment is known to every user, so
-    it is dropped from every entry and no symbol waits on it.
+    Fragment ids come from one sort of the constituents' key columns
+    (file, subset mask, part, count, index), whose part rows are first
+    mapped to the first row of an equal value: an id depends on the key's
+    values alone, and no id or row numbering the scheduler chose is read.
+    Subfile rows and sizes are worked out once per group.  An empty
+    fragment is known to every user, so it is dropped from every entry and
+    no symbol waits on it.
     """
     c = log.columns()
-    t, resolver, K = c.table, log.resolver, log.config.K
+    t, resolver = c.table, log.resolver
     lo, hi = t.cstart[c.symbol], t.cstart[c.symbol + 1]
     at = ranges(lo, hi)  # the constituents, entry after entry
     file, index, count = t.file[at], t.index[at], t.count[at]
-    subset = _first_equal(t.subsets)[t.subset[at]]
+    subset = t.subset[at]
     part = _first_equal(t.parts)[t.part[at]]
-    cons, first = _distinct(index, count, part, subset, file)
-    group, members = _distinct(count[first], part[first], subset[first], file[first])
+    cons, first = distinct(index, count, part, *subset.T, file)
     fsub = subset[first]
+    group, members = distinct(count[first], part[first], *fsub.T, file[first])
     rep = first[members]  # one constituent of each group
-    subfiles = resolver.subfile_keys()
-    subfile_of = np.array([resolver._index.get(T, -1) for T in t.subsets], np.int64)
+    subfiles = resolver.subfile_masks
     frags = _Fragments(t, at[first])
     if log.mode == "bits":
         sub, flo, fhi = resolver.frag_spans(t, at[first])
@@ -860,17 +820,17 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         spans = np.zeros((0, 4), np.int64)
         # a size depends on (part, count, |T|) only, so it is asked once per
         # such shape
-        lengths = np.fromiter(map(len, t.subsets), np.int64, len(t.subsets))
-        shape, shapes = _distinct(count[rep], part[rep], lengths[subset[rep]])
+        size = np.bitwise_count(subset[rep]).sum(axis=1, dtype=np.int64)
+        shape, shapes = distinct(count[rep], part[rep], size)
         shares = [
-            resolver.fragment_size(t.parts[p], n, t.subsets[T])
+            resolver.fragment_size(t.parts[p], n, T)
             for p, n, T in zip(
                 part[rep][shapes].tolist(),
                 count[rep][shapes].tolist(),
-                subset[rep][shapes].tolist(),
+                user_sets(subset[rep][shapes]),
             )
         ]
-        whole = [resolver.subfile_size(T) for T in subfiles]
+        whole = [resolver.subfile_size(T) for T in resolver.subfile_keys()]
         den = math.lcm(*{x.denominator for x in shares + whole})
         nums = np.array([x.numerator * (den // x.denominator) for x in shares], object)
         group_size = nums[shape]
@@ -892,26 +852,23 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         longest = np.maximum.reduceat(spans[cons, 3] - spans[cons, 2], starts)
         payloads = c.payloads
         fits = longest == [len(payloads[i]) for i in entry[starts].tolist()]
+    heard, cached = widen(c.receivers, fsub)
     return _LogTables(
         frags,
         group,
         fsub,
         file[rep],
-        subfile_of[subset[rep]],
+        resolver.subfile_rows(subset[rep]),
         full,
         group_size,
         spans,
         cons,
-        c.receivers[entry],
-        fsub[cons],
+        heard[entry] & ~cached[cons],
         entry[starts],
         starts,
         lengths,
-        member_columns(c.receiver_sets, K),
-        member_columns(t.subsets, K),
         subfiles,
         subfile_size,
-        ~member_columns(subfiles, K),
         c.payloads,
         fits,
     )
@@ -921,7 +878,7 @@ def _unknown(tables: _LogTables, user: int) -> tuple[np.ndarray, np.ndarray]:
     """Per live constituent, whether ``user`` hears its entry and does not
     cache its subfile; and per kept entry, how many such constituents it
     holds, repeats counted."""
-    unknown = tables.heard[user][tables.crow] & ~tables.caches[user][tables.csub]
+    unknown = has(tables.unknown, user)
     return unknown, np.add.reduceat(unknown, tables.starts)
 
 
@@ -970,8 +927,8 @@ def _coverage_gap(
     np.add.at(covered, sub[part], counts[part] * tables.group_size[part])
     whole = sub[mine & tables.group_full]
     covered[whole] = tables.subfile_size[whole]
-    gaps = np.flatnonzero(tables.needed[user] & (covered != tables.subfile_size))
-    return tables.subfiles[gaps[0]] if len(gaps) else None
+    gaps = np.flatnonzero(~has(tables.subfiles, user) & (covered != tables.subfile_size))
+    return user_sets(tables.subfiles[gaps[:1]])[0] if len(gaps) else None
 
 
 def _bit_coverage_gap(
@@ -1005,8 +962,8 @@ def _bit_coverage_gap(
     covered = lengths == 0
     covered[sub[last]] = reach[last] == base[last] + lengths[sub[last]]
     covered[sub[lo > before]] = False
-    gaps = np.flatnonzero(tables.needed[user] & ~covered)
-    return tables.subfiles[gaps[0]] if len(gaps) else None
+    gaps = np.flatnonzero(~has(tables.subfiles, user) & ~covered)
+    return user_sets(tables.subfiles[gaps[:1]])[0] if len(gaps) else None
 
 
 def _payloads_agree(
@@ -1062,7 +1019,7 @@ def _peel_known_fragments(
     """
     read = log.resolver.span_bits
     spans = tables.spans.tolist()
-    cached = tables.caches[user][tables.fsub].tolist()
+    cached = has(tables.fsub, user).tolist()
     _, counts = _unknown(tables, user)
     n = len(tables.payloads)
     rows: dict[int, list[int]] = {}
@@ -1136,14 +1093,14 @@ def _misassembled_subfile(
             # must agree with what is already in place
             before = rebuilt[pos]
             if np.any((before != 2) & (before != payload)):
-                return tables.subfiles[sub]
+                return user_sets(tables.subfiles[[sub]])[0]
             rebuilt[pos] = payload
-    needed = np.flatnonzero(tables.needed[user])
+    needed = np.flatnonzero(~has(tables.subfiles, user))
     lengths = log.resolver.subfile_lengths(np.full(len(needed), want), needed)
     for i, n in zip(needed.tolist(), lengths.tolist()):
         pos = index(want, i, 0, n)
         if not np.array_equal(rebuilt[pos], original[pos]):
-            return tables.subfiles[i]
+            return user_sets(tables.subfiles[[i]])[0]
     return None
 
 
@@ -1264,12 +1221,26 @@ class SimulationResult:
     decode_failure: Optional[tuple[int, int, tuple[int, ...]]] = None
 
 
-def check_mode(config: SystemConfig, mode: str) -> None:
-    """Refuse an unknown payload mode, and bit mode without ``config.F``."""
+def check_mode(config: SystemConfig, mode: str, orders: bool = False) -> None:
+    """Refuse an unknown payload mode, bit mode without ``config.F``, and a
+    bit run whose arrays, counted in closed form before any is allocated,
+    take more than ``MAX_BIT_BYTES``: the library's byte per bit of each of
+    the N files and, with ``orders`` (decentralized), the placement's
+    position order of each file, in the smallest dtype that holds F - 1."""
     if mode not in ("fluid", "bits"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "bits" and config.F is None:
+    if mode == "fluid":
+        return
+    if config.F is None:
         raise ValueError("bit mode needs a file size F")
+    N, F = config.N, config.F
+    need = N * F * (1 + (np.min_scalar_type(F - 1).itemsize if orders else 0))
+    if need > MAX_BIT_BYTES:
+        held = "library and placement orders" if orders else "library"
+        raise ValueError(
+            f"bit run at N={N}, F={F} needs {need} bytes for its {held}, "
+            f"above the limit of {MAX_BIT_BYTES}"
+        )
 
 
 def _run(
@@ -1278,11 +1249,14 @@ def _run(
     seed: int,
     mode: str,
     front: Callable[[tuple[int, ...]], tuple],
+    orders: bool = False,
 ) -> SimulationResult:
     """The back half of a run, shared by both schemes (module docstring).
     ``front(demands)`` builds the scheme's (placement, plan, schedule,
-    resolver, closed rates) once the mode and demands have passed."""
-    check_mode(config, mode)
+    resolver, closed rates) once the mode (:func:`check_mode`, with
+    ``orders`` when the placement holds position orders) and demands have
+    passed."""
+    check_mode(config, mode, orders)
     if seed < 0:  # the bit library's generator takes no negative seed
         raise ValueError(f"seed must be non-negative, got {seed}")
     demands = validate_demands(
@@ -1358,4 +1332,4 @@ def run_decentralized(
         resolver = DecentralFragmentResolver(placement, plan)
         return placement, plan, schedule, resolver, decentralized_rates(config)
 
-    return _run(config, demands, seed, mode, front)
+    return _run(config, demands, seed, mode, front, orders=True)

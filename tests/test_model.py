@@ -27,7 +27,15 @@ from coopcache import (
     validate_demands,
 )
 from coopcache.decentralized import _round_plan
-from coopcache.model import offsets
+from coopcache.model import (
+    Constituent,
+    FragmentId,
+    SymbolTable,
+    XorSymbol,
+    offsets,
+    pack,
+    user_sets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +116,24 @@ def test_offsets_take_any_run_lengths_alike():
     for empty in ([], iter(()), np.array([], np.int32)):
         out = offsets(empty)
         assert out.dtype == np.int64 and out.tolist() == [0]
+
+
+@pytest.mark.parametrize("users", [(2, 1), (-1, 2), (1, 1)])
+def test_hand_made_sets_of_users_must_ascend_from_0(users):
+    # unsorted, negative or repeated users are refused, not read as the set
+    # they would name once sorted, cut and merged
+    frag = FragmentId(1, users, "full", 0, 1)
+    with pytest.raises(ValueError, match=r"not ascending from 0"):
+        SymbolTable.from_symbols([XorSymbol(0, (1, 2), (Constituent(1, frag),), Frac(1))])
+    with pytest.raises(ValueError, match=r"not ascending from 0"):
+        SymbolTable.from_symbols([XorSymbol(0, users, (), Frac(1))])
+
+
+def test_hand_made_sets_of_users_round_trip_past_one_word():
+    sets = [(), (0,), (1, 62, 63, 125, 126)]
+    (rows,) = pack(sets)
+    assert rows.shape == (3, 3) and (rows >= 0).all()
+    assert user_sets(rows) == sets
 
 
 def test_enumerate_subsets_matches_itertools():

@@ -185,3 +185,22 @@ def test_verify_and_sweep_load_no_numpy_and_no_scheduler():
         [sys.executable, "-c", _LOADED], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == [[], [0, 0, 0, 0], []]
+
+
+# the encodings of a set of users that mask rows replaced, and ``_index``,
+# the subfile table that the resolvers hold as their public subfile_masks
+RETIRED = ("_users", "receivers_of", "member_columns", "receiver_sets", "subset_code", "_index")
+
+
+def test_sets_of_users_have_one_encoding():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        } | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not names & set(RETIRED), (path.name, names & set(RETIRED))

@@ -564,7 +564,7 @@ class _OneSubfile(simulator.FragmentResolver):
 
     def __init__(self, n):
         super().__init__(Frac(0), 1, {})
-        self._index, self.n = {(): 0}, n
+        self.subfile_masks, self.n = np.zeros((1, 1), np.int64), n  # T = ()'s mask row
 
     def subfile_lengths(self, files, subs):
         return np.full(len(subs), self.n, np.int64)
