@@ -86,16 +86,17 @@ from .model import (
     SymbolTable,
     Symbols,
     UserRounds,
+    distinct,
     enumerate_subsets,
     equal_partition_count,
     has,
     mask_rows,
     masks,
-    occurrences,
     offsets,
     others,
     partition_table,
     server_multicast,
+    stable_order,
     subset_ranks,
     user_sets,
     validate_demands,
@@ -421,8 +422,7 @@ class _HostingNetwork:
         # half-edges in id order, which is the order they were laid out in
         self.head = np.stack([head, tail], axis=1).ravel()
         tails = np.stack([tail, head], axis=1).ravel()
-        # a stable sort of small ints is a radix sort
-        self.order = np.argsort(tails.astype(np.min_scalar_type(sink)), kind="stable")
+        self.order = stable_order(tails)
         self.start = np.searchsorted(tails[self.order], np.arange(sink + 2))
         # the reverse half of each class's edge to each candidate
         self.hosting = 2 * np.arange(n_class * (1 + n_cand)).reshape(n_class, -1)[:, 1:] + 1
@@ -741,7 +741,7 @@ def _assemble_schedule(
     host = np.searchsorted(live, group)
     lane = np.repeat(host * fp + (members[host] < j[cls, None]).sum(axis=1), units)
     # the pico-files lane after lane, lane l's load from loads[l]
-    order = np.argsort(lane, kind="stable")
+    order = stable_order(lane)
     subset, layer = subset[order // L], order % L
     load = np.bincount(lane, minlength=len(live) * fp).reshape(-1, fp)
     loads = offsets(load.ravel())
@@ -758,7 +758,7 @@ def _assemble_schedule(
     window = ranks[(offset + np.arange(min(slots, beta))) % beta]
     g = np.searchsorted(live, window)[np.arange(slots) % len(window)]
     g = g.ravel()  # each symbol's group
-    k = occurrences(g)  # its position in the group's symbols
+    k = distinct(g)[2]  # its position in the group's symbols
     a = (k[:, None] >= ends[g]).sum(axis=1)  # its sender's position
     b = others(fp)[a]  # its receivers' positions
     gb, kb = g[:, None], k[:, None]

@@ -39,11 +39,12 @@ equal fragments its mini-files are cut into.  The user schedule lays the
 plans out round by round as int columns (``model.SymbolTable``, shown as
 ``model.UserRounds``), groups and subsets as mask rows, and audits itself:
 a constituent's fragment index is the number of constituents before it on
-the same (receiver, subset, part), read off one stable argsort of those
-keys; the first index, in schedule order, at or past its part's fragment
-count raises SchedulingError, and so does, by the end of its round, the
-first needed part (in part, subset, receiver order) not used exactly its
-count times.
+the same (receiver, subset, part), read off one sort of those keys over
+all rounds at once (round s serves the subsets of size s-1, so no key
+spans two rounds).  SchedulingError names the first failure of the first
+round that fails: the first index, in schedule order, at or past its
+part's fragment count, or else the first needed part (in part, subset,
+receiver order) not used exactly its count times.
 
 A faithful wart, kept deliberately: with this scheme's lambda (from the
 "Choice of lambda" rule), the balanced server/user loads R_empty+lambda*R_s
@@ -79,11 +80,11 @@ from .model import (
     has,
     mask_rows,
     masks,
-    occurrences,
     offsets,
     others,
     partition_table,
     server_multicast,
+    stable_order,
     table_rows,
     user_sets,
     validate_demands,
@@ -209,10 +210,11 @@ def build_decentral_placement(
     of each file n.  Each bit of a file gets the code of its caching set,
     sum 2^(k-1) over the users caching it (``DecentralPlacement``), held
     in the smallest unsigned dtype that fits K bits, and one stable (radix)
-    argsort of the codes groups the bits by caching set in position order.  That order is stored as the file's row of
+    sort of the codes (``model.stable_order``) groups the bits by caching
+    set in position order.  That order is stored as the file's row of
     ``orders``, cast to the smallest unsigned dtype that holds F - 1, and
     the running sums of the code counts as its row of ``bounds``.  Only one
-    file's codes and int64 argsort are live at a time, and no user's draw
+    file's codes and int64 order are live at a time, and no user's draw
     is kept once it is coded.
     """
     _check_placement_size(config)
@@ -233,7 +235,7 @@ def build_decentral_placement(
             rng = np.random.default_rng((seed, k, n))
             pos = rng.choice(F, size=per_file, replace=False)
             mask[pos] |= code_type(1 << (k - 1))
-        orders[n - 1] = np.argsort(mask, kind="stable")
+        orders[n - 1] = stable_order(mask)
         np.cumsum(np.bincount(mask, minlength=1 << K), out=bounds[n - 1, 1:])
     return DecentralPlacement(config, "bits", seed, orders, bounds)
 
@@ -328,46 +330,65 @@ def _round_columns(
     )
 
 
+def caching_sets(K: int) -> np.ndarray:
+    """Every subset T of users 1..K as a mask row, by size then lex: the
+    order in which the audit and the fragment resolver number the subfiles
+    W_{n,T} of a file."""
+    return np.concatenate([
+        masks(np.array(enumerate_subsets(K, z), np.int64).reshape(math.comb(K, z), z), words(K))
+        for z in range(K + 1)
+    ])
+
+
 def _draw_indices(
     K: int,
-    s: int,
-    parts: dict[str, tuple[int, Frac]],
+    names: list[str],
+    need: dict[tuple[int, int], int],
     receiver: np.ndarray,
     subset: np.ndarray,
-    kind: np.ndarray,
+    part: np.ndarray,
+    count: np.ndarray,
 ) -> np.ndarray:
-    """Each constituent's fragment index in round s, audited (module
-    docstring).  A constituent of kind k uses the k-th part of ``parts``
-    (the regular groups' part comes first); its index is the number of
-    constituents before it, in schedule order, on the same (receiver,
-    subset, part), read off one stable argsort of those keys."""
-    names = list(parts)
-    counts = [parts[name][0] for name in names]
-    index = occurrences(distinct(kind, receiver, *subset.T)[0])
-    count = np.array(counts, np.int64)[kind]
+    """Each constituent's fragment index, over all rounds at once, audited
+    (module docstring).  A constituent uses part ``names[part]``, cut into
+    ``count`` fragments; ``need`` maps (part, |T|) to that count for each
+    part the round serving |T| uses.  The index is the number of
+    constituents before it, in schedule order, on the same (part,
+    receiver, subset): round s serves the subsets of size s - 1, so no key
+    spans two rounds.  The error raised is the one a round-by-round audit
+    meets first: rounds in order, and in a round an exhausted fragment
+    before a mini-file delivered short."""
+    key, first, index = distinct(part, receiver, *subset.T)
+    # how often each (part, T, receiver) is used, T ranked among every
+    # subset by size then lex; only each key's first row is ranked
+    sets = caching_sets(K)
+    got = np.zeros((len(names), len(sets), K), np.int64)
+    got[part[first], mask_rows(sets, subset[first]), receiver[first] - 1] = np.bincount(key)
+    wanted = np.full((len(names), K + 1), -1, np.int64)
+    for (p, z), n in need.items():
+        wanted[p, z] = n
+    size = np.bitwise_count(sets).sum(axis=1, dtype=np.int64)
+    want = wanted[:, size, None]
+    short = (want >= 0) & ~has(sets[:, None], np.arange(1, K + 1)) & (got != want)
+    p, t, j = np.nonzero(short)
+    # the audit's order: round, then part, subset and receiver
+    late = ((size[t] * len(names) + p) * len(sets) + t) * K + j
     over = np.flatnonzero(index >= count)
     if len(over):
         i = over[0]
-        name = names[kind[i]]
-        key = (int(receiver[i]), user_sets(subset[i : i + 1])[0], name)
+        if not len(late) or np.bitwise_count(subset[i]).sum() <= size[t].min():
+            name = names[part[i]]
+            at = (int(receiver[i]), user_sets(subset[i : i + 1])[0], name)
+            raise SchedulingError(
+                f"fragment exhaustion for {at}: need index {int(index[i])} of {int(count[i])}"
+            )
+    if len(late):
+        first_short = late.argmin()
+        p, t, j = p[first_short], t[first_short], j[first_short]
+        at = (int(j) + 1, user_sets(sets[t : t + 1])[0], names[p])
         raise SchedulingError(
-            f"fragment exhaustion for {key}: "
-            f"need index {int(index[i])} of {parts[name][0]}"
-        )
-    # every needed (part, T, receiver) in the order the audit names them
-    Ts = enumerate_subsets(K, s - 1)
-    tmask = masks(np.array(Ts, np.int64).reshape(-1, s - 1), words(K))
-    rank = mask_rows(tmask, subset)
-    got = np.bincount(
-        (kind * len(Ts) + rank) * K + receiver - 1, minlength=len(names) * len(Ts) * K
-    ).reshape(len(names), len(Ts), K)
-    outside = ~has(tmask[:, None], np.arange(1, K + 1))
-    short = outside & (got != np.array(counts)[:, None, None])
-    if short.any():
-        p, t, j = np.unravel_index(np.argmax(short), short.shape)
-        key = (int(j) + 1, Ts[t], names[p])
-        raise SchedulingError(
-            f"mini-file {key} only {int(got[p, t, j])}/{counts[p]} fragments delivered"
+            f"mini-file {at} only {int(got[p, t, j])}/{int(wanted[p, size[t]])} "
+            "fragments delivered"
         )
     return index
 
@@ -396,7 +417,8 @@ def parallel_user_delivery(
     per_partition: list[int] = []  # each partition's symbol count
     sizes: dict[Frac, int] = {}
     part_rows: dict[str, int] = {}
-    columns: list[list[np.ndarray]] = [[] for _ in range(9)]
+    need: dict[tuple[int, int], int] = {}  # (part row, |T|) -> fragment count
+    columns: list[list[np.ndarray]] = [[] for _ in range(8)]
     for shape in round_shapes(K, config.alpha_max):
         planned = _round_plan(config, plan, shape)
         if planned is None:
@@ -405,23 +427,24 @@ def parallel_user_delivery(
         sender, group, kind, arity, receiver, subset, ckind = _round_columns(
             K, shape, partitions
         )
-        index = _draw_indices(K, shape[0], parts, receiver, subset, ckind)
         size_row = table_rows([size for _, size in parts.values()], sizes)
         part_row = table_rows(list(parts), part_rows)
         count = np.array([count for count, _ in parts.values()], np.int64)
+        need.update(((p, shape[0] - 1), n) for p, n in zip(part_row.tolist(), count.tolist()))
         for column, values in zip(
             columns,
             (sender, group, size_row[kind], arity, receiver, subset,
-             part_row[ckind], index, count[ckind]),
+             part_row[ckind], count[ckind]),
         ):
             column.append(values)
         n = len(partitions[0])
         per_partition += [len(sender) // n] * n
     if not per_partition:
         return DeliverySchedule()
-    sender, group, size, arity, receiver, subset, part, index, count = (
-        np.concatenate(column) for column in columns
-    )
+    # the rounds' pieces are freed before the draw sorts the whole run
+    columns = [np.concatenate(column) for column in columns]
+    sender, group, size, arity, receiver, subset, part, count = columns
+    index = _draw_indices(K, list(part_rows), need, receiver, subset, part, count)
     table = SymbolTable(
         sender, group, size, np.zeros(len(sender), dtype=bool), offsets(arity),
         receiver, files[receiver], subset, part, index, count,

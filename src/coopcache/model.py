@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from operator import attrgetter
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -297,7 +297,7 @@ def user_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
 def mask_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each of ``rows``' position among the distinct mask rows ``keys``, or
     -1 where no key equals it: one :func:`distinct` over both."""
-    ids, first = distinct(*np.concatenate(widen(keys, rows)).T)
+    ids, first, _ = distinct(*np.concatenate(widen(keys, rows)).T)
     at = np.full(len(first), -1, np.int64)
     at[ids[: len(keys)]] = np.arange(len(keys))
     return at[ids[len(keys) :]]
@@ -327,43 +327,107 @@ def offsets(lengths: Iterable[int]) -> np.ndarray:
     return out
 
 
-def occurrences(key: np.ndarray) -> np.ndarray:
-    """Per row, how many earlier rows hold the same key (one stable
-    argsort)."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    out = np.empty(len(key), np.int64)
-    out[order] = np.arange(len(key)) - np.flatnonzero(new)[np.cumsum(new) - 1]
-    return out
+def _keys(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The columns as sort keys, the primary one first, and their bit
+    widths.  A column holding a negative value is shifted to start at 0,
+    unless its values span more than 63 bits, when it stays a key of its
+    own (width 64); nonnegative columns are packed side by side, the last
+    column highest, into int64 keys of at most 63 bits, so comparing the
+    keys in turn compares the columns lexicographically."""
+    keys: list[np.ndarray] = []
+    widths: list[int] = []
+    for column in reversed(columns):
+        column = np.asarray(column)
+        lo, hi = int(column.min()), int(column.max())
+        if lo < 0 and (hi - lo).bit_length() > 63:
+            keys.append(column.astype(np.int64, copy=False))
+            widths.append(64)
+            continue
+        if lo < 0:
+            column, hi = column.astype(np.int64) - lo, hi - lo
+        width = hi.bit_length()
+        if keys and widths[-1] + width <= 63:
+            keys[-1] = keys[-1].astype(np.int64, copy=False) << width | column
+            widths[-1] += width
+        else:
+            keys.append(column)
+            widths.append(width)
+    return keys, widths
 
 
-def distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows equal in every column share one id: (each row's id, the first
-    row of each id).  Ids follow the sorted order of the columns, the last
-    one primary.  The columns are packed side by side into one int64 key
-    when they are checked to be nonnegative and their bit widths to sum to
-    at most 63, and sorted by one stable argsort; otherwise by
-    ``np.lexsort``."""
+def _sort(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """:func:`stable_order` of the columns, and their keys (:func:`_keys`)
+    in that order, read off the sort where it gives them and gathered, as
+    they are asked for, where it does not."""
     n = len(columns[0])
-    widths = [int(c.max()).bit_length() for c in columns] if n else []
-    if n and sum(widths) <= 63 and min(int(c.min()) for c in columns) >= 0:
-        key = np.zeros(n, np.int64)
-        for column, width in zip(reversed(columns), reversed(widths)):
-            key = key << width | column
-        order = np.argsort(key, kind="stable")
-        columns = (key,)
-    else:
-        order = np.lexsort(columns)
+    if not n:
+        return np.zeros(0, np.intp), iter(())
+    keys, widths = _keys(columns)
+    if len(keys) == 1:
+        key, width, bits = keys[0], widths[0], (n - 1).bit_length()
+        if width <= 16:  # numpy radix-sorts 8- and 16-bit keys
+            key = key.astype(np.uint8 if width <= 8 else np.uint16, copy=False)
+            order = np.argsort(key, kind="stable")
+            return order, (k[order] for k in [key])
+        if width + bits <= 63:  # the row under the key makes every key distinct
+            packed = key.astype(np.int64, copy=False) << bits
+            del key, keys  # a packed key is freed before the sort's arrays
+            packed |= np.arange(n)
+            packed.sort()
+            order = packed & ((1 << bits) - 1)
+            packed >>= bits
+            return order, iter([packed])
+    order = np.lexsort(keys[::-1])
+    return order, (k[order] for k in keys)
+
+
+def stable_order(*columns: np.ndarray) -> np.ndarray:
+    """The rows in the stable order of the int columns, the last one
+    primary: exactly the permutation ``np.lexsort(columns)`` gives, or for
+    one column ``np.argsort(column, kind="stable")``.  The package's one
+    stable sort.  The columns are packed into keys (:func:`_keys`); one key
+    of at most 16 bits is radix-sorted as uint8 or uint16, one whose width
+    leaves room for the row numbers below it is sorted with them as one
+    int64 (the low bits of the sorted values are the order), and anything
+    else is lexsorted key by key."""
+    return _sort(columns)[0]
+
+
+def _starts(keys: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Where each run of equal rows starts, for ``n`` rows sorted by
+    ``keys``."""
     new = np.zeros(n, dtype=bool)
     new[:1] = True
-    for column in columns:
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+        del key  # a sorted key is freed once read
+    return new
+
+
+def runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For rows already in the sorted order of the columns, what
+    :func:`distinct` gives with no sort: (each row's id, the first row of
+    each id)."""
+    new = _starts(columns, len(columns[0]))
+    return np.cumsum(new) - 1, np.flatnonzero(new)
+
+
+def distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows equal in every column share one id: (each row's id, the first
+    row of each id, each row's occurrence: how many earlier rows share its
+    id).  Ids follow the sorted order of the columns, the last one primary.
+    All three are read off one :func:`stable_order`."""
+    n = len(columns[0])
+    order, ordered = _sort(columns)
+    new = _starts(ordered, n)
+    run = np.cumsum(new)
+    run -= 1
     ids = np.empty(n, np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    ids[order] = run
+    run = np.arange(n) - np.flatnonzero(new)[run]  # occurrences, in sorted order
+    occurrence = np.empty(n, np.int64)
+    occurrence[order] = run
+    return ids, order[new], occurrence
 
 
 def others(n: int) -> np.ndarray:
@@ -646,12 +710,12 @@ class UserRounds(ListView):
     def _partitions(self, lo: int, hi: int) -> list[tuple]:
         """The groups of rounds ``lo:hi``, one tuple of groups per round."""
         starts = self.starts[lo : hi + 1]
-        group, first = distinct(*self.table.group[starts[0] : starts[-1]].T)
+        group, first, _ = distinct(*self.table.group[starts[0] : starts[-1]].T)
         groups = user_sets(self.table.group[starts[0] + first])
         smallest = np.array([g[0] if g else 0 for g in groups], np.int64)
         rnd = np.repeat(np.arange(hi - lo), np.diff(starts))
         # each round's distinct groups, by smallest member
-        _, first = distinct(group, smallest[group], rnd)
+        _, first, _ = distinct(group, smallest[group], rnd)
         rows = group[first].tolist()
         cuts = np.searchsorted(rnd[first], np.arange(hi - lo + 1)).tolist()
         return [tuple(groups[g] for g in rows[a:b]) for a, b in zip(cuts, cuts[1:])]

@@ -70,7 +70,7 @@ words (``model.masks``).  Both schedulers build their user rounds as
 columns and their server symbols through one builder,
 ``model.server_multicast``, and :func:`execute_schedule` writes each log
 entry as a row of :class:`LogColumns`, its receivers its group's mask
-without the sender's bit, with each round's lanes slotted by one lexsort.
+without the sender's bit, with each round's lanes slotted by one stable sort.
 Only symbols given as value objects, user rounds or server symbols
 assigned as a list, come in through one adapter
 (``SymbolTable.from_symbols``), and so does a log given as a list of
@@ -124,6 +124,7 @@ from .decentralized import (
     DecentralPlacement,
     build_decentral_delivery,
     build_decentral_placement,
+    caching_sets,
     check_run_size,
 )
 from .model import (
@@ -134,20 +135,19 @@ from .model import (
     UserRounds,
     XorSymbol,
     distinct,
-    enumerate_subsets,
     has,
     int_column,
     mask_rows,
     masks,
-    occurrences,
     offsets,
     pack,
     ranges,
+    runs,
+    stable_order,
     table_rows,
     user_sets,
     validate_demands,
     widen,
-    words,
 )
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ class TransmissionLog:
         user = c.sender != 0
         if not user.any():
             return Frac(0)
-        lanes, first = distinct(*c.group[user].T, c.round[user])
+        lanes, first, _ = distinct(*c.group[user].T, c.round[user])
         loads = np.zeros(len(first), dtype=object)
         np.add.at(loads, lanes, np.array(nums, dtype=object)[c.size[user]])
         rnd = c.round[user][first]  # lanes come round by round
@@ -318,7 +318,7 @@ class TransmissionLog:
         c = self.columns()
         server = c.sender == 0
         slots = c.slot[server]
-        _, first = distinct(slots)
+        _, first, _ = distinct(slots)
         if len(first) < len(slots):
             repeat = np.ones(len(slots), dtype=bool)
             repeat[first] = False
@@ -326,11 +326,11 @@ class TransmissionLog:
         slots, group = c.slot[~server], c.group[~server]
         if not len(slots):
             return
-        ids, first = distinct(slots)
+        ids, first, _ = distinct(slots)
         senders = np.bincount(ids)
         # a slot's groups are pairwise disjoint iff, word by word, their
         # member counts add up to the member count of their union
-        group = group[np.argsort(ids, kind="stable")]
+        group = group[stable_order(ids)]
         starts = offsets(senders)[:-1]
         union = np.bitwise_or.reduceat(group, starts, axis=0)
         counted = np.add.reduceat(np.bitwise_count(group), starts, axis=0, dtype=np.int64)
@@ -356,7 +356,7 @@ class TransmissionLog:
         mode and an exact fraction of F (like ``1/45``) in fluid mode.
         """
         c = self.columns()
-        row, first = distinct(*c.receivers.T)
+        row, first, _ = distinct(*c.receivers.T)
         receivers = ["|".join(map(str, users)) for users in user_sets(c.receivers[first])]
         bits = [str(x) for x in c.sizes]
         return ["slot,sender,receivers,bits"] + [
@@ -462,7 +462,7 @@ class FragmentResolver:
         of a |T| = ``size`` subfile.  Part bounds are worked out once per
         (part, |T|, length); the slices of a part are cut near-equally, the
         longer ones first, as ``np.array_split`` cuts."""
-        shape, first = distinct(n, size, part)
+        shape, first, _ = distinct(n, size, part)
         bounds = np.array(
             [
                 self._part_bounds(parts[p], z, m)
@@ -583,13 +583,7 @@ class DecentralFragmentResolver(FragmentResolver):
     def __init__(self, placement: DecentralPlacement, plan: AllocationPlan) -> None:
         super().__init__(plan.server_share, 1, plan.lambda2_by_round)
         self.placement = placement
-        K = placement.config.K
-        # every subset, by size then lex
-        sets = [
-            np.array(enumerate_subsets(K, z), np.int64).reshape(math.comb(K, z), z)
-            for z in range(K + 1)
-        ]
-        self.subfile_masks = np.concatenate([masks(S, words(K)) for S in sets])
+        self.subfile_masks = caching_sets(placement.config.K)
         self._subfile_sizes: dict[int, Frac] = {}
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
@@ -650,11 +644,10 @@ def _slots(rnd: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lanes first appear in the round, and the round lasts as long as its
     longest lane.  Returns the symbols in entry order and, in that order,
     their slots."""
-    lanes, first = distinct(*lane.T, rnd)
-    pos = occurrences(lanes)
+    lanes, first, pos = distinct(*lane.T, rnd)
     depth = np.zeros(rnd[-1] + 1 if len(rnd) else 0, np.int64)
     np.maximum.at(depth, rnd, pos + 1)
-    order = np.lexsort((first[lanes], pos, rnd))
+    order = stable_order(first[lanes], pos, rnd)
     return order, (offsets(depth)[rnd] + pos)[order]
 
 
@@ -793,7 +786,9 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     (file, subset mask, part, count, index), whose part rows are first
     mapped to the first row of an equal value: an id depends on the key's
     values alone, and no id or row numbering the scheduler chose is read.
-    Subfile rows and sizes are worked out once per group.  An empty
+    The same sort lays each group's fragments out as one run of ids, so
+    the groups take no sort of their own, and subfile rows and sizes are
+    worked out once per group.  An empty
     fragment is known to every user, so it is dropped from every entry and
     no symbol waits on it.
     """
@@ -804,9 +799,11 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     file, index, count = t.file[at], t.index[at], t.count[at]
     subset = t.subset[at]
     part = _first_equal(t.parts)[t.part[at]]
-    cons, first = distinct(index, count, part, *subset.T, file)
+    cons, first, _ = distinct(index, count, part, *subset.T, file)
     fsub = subset[first]
-    group, members = distinct(count[first], part[first], *fsub.T, file[first])
+    # ids follow (file, subset, part, count, index), so the fragments of a
+    # group hold consecutive ids
+    group, members = runs(count[first], part[first], *fsub.T, file[first])
     rep = first[members]  # one constituent of each group
     subfiles = resolver.subfile_masks
     frags = _Fragments(t, at[first])
@@ -821,7 +818,7 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         # a size depends on (part, count, |T|) only, so it is asked once per
         # such shape
         size = np.bitwise_count(subset[rep]).sum(axis=1, dtype=np.int64)
-        shape, shapes = distinct(count[rep], part[rep], size)
+        shape, shapes, _ = distinct(count[rep], part[rep], size)
         shares = [
             resolver.fragment_size(t.parts[p], n, T)
             for p, n, T in zip(
@@ -830,13 +827,15 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
                 user_sets(subset[rep][shapes]),
             )
         ]
-        whole = [resolver.subfile_size(T) for T in resolver.subfile_keys()]
+        # and a subfile's size on |T| only, so it is asked once per |T|
+        sized, firsts, _ = distinct(np.bitwise_count(subfiles).sum(axis=1, dtype=np.int64))
+        whole = [resolver.subfile_size(T) for T in user_sets(subfiles[firsts])]
         den = math.lcm(*{x.denominator for x in shares + whole})
         nums = np.array([x.numerator * (den // x.denominator) for x in shares], object)
         group_size = nums[shape]
         subfile_size = np.array(
             [x.numerator * (den // x.denominator) for x in whole], object
-        )
+        )[sized]
         nonempty = (nums != 0)[shape][group]
     full = np.array([p == "full" for p in t.parts], bool)[part[rep]]
 
@@ -950,7 +949,7 @@ def _bit_coverage_gap(
     says how far each subfile is covered before each span starts."""
     spans = tables.spans[learned]
     _, sub, lo, hi = spans[spans[:, 0] == want].T
-    order = np.lexsort((lo, sub))
+    order = stable_order(lo, sub)
     sub = sub[order]
     base = sub * (log.config.F + 1)
     lo, hi = base + lo[order], base + hi[order]

@@ -204,3 +204,36 @@ def test_sets_of_users_have_one_encoding():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
         assert not names & set(RETIRED), (path.name, names & set(RETIRED))
+
+
+def _stable_sorts(source: str) -> list[str]:
+    """The calls of ``lexsort`` and of ``argsort`` with ``kind="stable"`` in
+    a module, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        stable = any(
+            k.arg == "kind" and isinstance(k.value, ast.Constant) and k.value.value == "stable"
+            for k in node.keywords
+        )
+        if name == "lexsort" or (name == "argsort" and stable):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_the_stable_sort_scan_finds_lexsort_and_stable_argsort():
+    source = (
+        "import numpy as np\nfrom numpy import lexsort\na = np.lexsort((x, y))\n"
+        "b = x.argsort(kind='stable')\nc = np.argsort(x)\nd = lexsort((x,))\n"
+    )
+    assert _stable_sorts(source) == ["line 3: lexsort", "line 4: argsort", "line 6: lexsort"]
+
+
+def test_every_stable_order_comes_from_the_sort_kernel():
+    # model.stable_order is the one place a stable order is computed
+    found = {path.name: _stable_sorts(path.read_text()) for path in SOURCES}
+    assert {name: calls for name, calls in found.items() if calls and name != "model.py"} == {}
+    assert found["model.py"] != []

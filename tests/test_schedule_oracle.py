@@ -265,6 +265,21 @@ def _off_by(delta, part):
     return planned
 
 
+def _both_raise(cfg, planned, monkeypatch):
+    """The messages the column audit and the oracle raise under ``planned``."""
+    placement = build_decentral_placement(cfg)
+    plan = allocation_plan(cfg)
+    demands = tuple(reversed(cfg.users()))
+    monkeypatch.setattr(decentralized, "_round_plan", planned)
+    monkeypatch.setattr(oracle, "_round_plan", planned)
+    errors = []
+    for build in (parallel_user_delivery, oracle.parallel_user_delivery):
+        with pytest.raises(SchedulingError) as exc:
+            build(cfg, placement, demands, plan)
+        errors.append(str(exc.value))
+    return errors
+
+
 @pytest.mark.parametrize("delta,message", [(-1, "fragment exhaustion for "),
                                            (1, "mini-file ")])
 @pytest.mark.parametrize("shape,part", [((6, 6, 2, 3), "u"), ((7, 7, 4, 3), "u1"),
@@ -274,19 +289,55 @@ def test_the_column_audit_raises_the_oracle_messages(
 ):
     N, K, M, amax = shape
     cfg = SystemConfig(N, K, M, alpha_max=amax)
-    placement = build_decentral_placement(cfg)
-    plan = allocation_plan(cfg)
-    demands = tuple(reversed(cfg.users()))
-    planned = _off_by(delta, part)
-    monkeypatch.setattr(decentralized, "_round_plan", planned)
-    monkeypatch.setattr(oracle, "_round_plan", planned)
-    errors = []
-    for build in (parallel_user_delivery, oracle.parallel_user_delivery):
-        with pytest.raises(SchedulingError) as exc:
-            build(cfg, placement, demands, plan)
-        errors.append(str(exc.value))
+    errors = _both_raise(cfg, _off_by(delta, part), monkeypatch)
     assert errors[0] == errors[1]
     assert errors[0].startswith(message) and f"'{part}')" in errors[0]
+
+
+def _off_in(deltas):
+    """``_round_plan`` with every fragment count of round s moved by
+    ``deltas[s]``, other rounds as planned."""
+
+    def planned(config, plan, shape):
+        out = REAL_ROUND_PLAN(config, plan, shape)
+        if out is None:
+            return None
+        partitions, parts = out
+        delta = deltas.get(shape[0], 0)
+        return partitions, {p: (n + delta, size) for p, (n, size) in parts.items()}
+
+    return planned
+
+
+def _named_round(message):
+    """The round s of the mini-file a message names: its T has s - 1 users."""
+    T = message.split(", (", 1)[1].split(")", 1)[0]
+    return len([u for u in T.split(",") if u.strip()]) + 1
+
+
+@pytest.mark.parametrize("delta,message", [(-1, "fragment exhaustion for "),
+                                           (1, "mini-file ")])
+@pytest.mark.parametrize("shape,s", [((6, 6, 2, 3), 3), ((6, 6, 2, 3), 6),
+                                     ((7, 7, 4, 3), 4), ((7, 7, 4, 3), 7)])
+def test_an_off_count_in_one_later_round_only_raises_the_oracle_message(
+    shape, s, delta, message, monkeypatch
+):
+    N, K, M, amax = shape
+    errors = _both_raise(SystemConfig(N, K, M, alpha_max=amax), _off_in({s: delta}), monkeypatch)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(message) and _named_round(errors[0]) == s
+
+
+@pytest.mark.parametrize("deltas,first", [({2: 1, 4: -1}, (2, "mini-file ")),
+                                          ({3: -1, 5: 1}, (3, "fragment exhaustion")),
+                                          ({3: 1, 4: -1}, (3, "mini-file ")),
+                                          ({4: -1, 6: -1}, (4, "fragment exhaustion")),
+                                          ({5: 1, 6: 1}, (5, "mini-file "))])
+def test_of_two_failing_rounds_the_earlier_is_named(deltas, first, monkeypatch):
+    errors = _both_raise(SystemConfig(7, 7, Frac(7, 3), alpha_max=3), _off_in(deltas), monkeypatch)
+    assert errors[0] == errors[1]
+    s, message = first
+    assert errors[0].startswith(message) and _named_round(errors[0]) == s
 
 
 def test_views_behave_as_read_only_lists():
