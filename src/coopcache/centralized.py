@@ -95,6 +95,7 @@ from .model import (
     offsets,
     others,
     partition_table,
+    ranges,
     server_multicast,
     stable_order,
     subset_ranks,
@@ -204,10 +205,7 @@ class _Dinic:
         self.source_side: Optional[np.ndarray] = None
 
     def _edges_out(self, nodes: np.ndarray) -> np.ndarray:
-        lo = self.start[nodes]
-        counts = self.start[nodes + 1] - lo
-        ends = np.cumsum(counts)
-        return self.order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
+        return self.order[ranges(self.start[nodes], self.start[nodes + 1])]
 
     def _levels(self, s: int, t: int):
         """The level graph of the residual network as (heads, edges,

@@ -50,12 +50,12 @@ entry agrees, every fragment a user learns carries its library bits, so
 the verdict is the closure plus bit coverage: per needed subfile, the union
 of the learned fragments' spans.  Otherwise which payload a user learns can
 depend on the order (a corrupted log may carry two versions of a
-fragment), so each user peels from a worklist in the order repeated
-in-order sweeps would meet the symbols, and the file is reassembled bit
-for bit; an entry whose payload is not as long as its longest constituent
-teaches nothing.  The check never consults the scheduler's own coverage
-bookkeeping, so scheduler bugs cannot vouch for themselves.  On failure it
-names the first user, file and subfile that cannot be recovered.
+fragment), so each user peels its received symbols in repeated in-order
+sweeps, and the file is reassembled bit for bit; an entry whose payload is
+not as long as its longest constituent teaches nothing.  The check never
+consults the scheduler's own coverage bookkeeping, so scheduler bugs cannot
+vouch for themselves.  On failure it names the first user, file and
+subfile that cannot be recovered.
 
 Both schemes lay out a needed subfile of n bits by one rule: part "full" is
 all of it, "s" the server's first floor(lambda*n) bits, and "u" the rest,
@@ -96,7 +96,6 @@ data: no per-row Python object, so reference counting frees it all.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Frac
@@ -392,10 +391,6 @@ class FragmentResolver:
         self._lam = server_share
         self._slices = slices
         self._lam2 = lambda2_by_round
-        # sizes depend on (part, count, |T|) and part bounds on (part, |T|,
-        # n), so keying by shape keeps these memos small
-        self._frag_sizes: dict[tuple[str, int, int], Frac] = {}
-        self._bounds: dict[tuple[str, int, int], tuple[int, int, int]] = {}
 
     def _cuts(self, part: str, size: int) -> tuple[tuple[Frac, bool], ...]:
         """The part as cuts from the whole subfile of a |T| = ``size``
@@ -426,27 +421,19 @@ class FragmentResolver:
     def fragment_size(self, part: str, count: int, subset: tuple[int, ...]) -> Frac:
         """Size of each of the ``count`` equal fragments of ``part`` of a
         subfile W_{n,subset}, for any n, as a fraction of F."""
-        key = (part, count, len(subset))
-        size = self._frag_sizes.get(key)
-        if size is None:
-            share = Frac(1)
-            for cut, keep_rest in self._cuts(part, len(subset)):
-                share *= 1 - cut if keep_rest else cut
-            size = share / count * self.subfile_size(subset)
-            self._frag_sizes[key] = size
-        return size
+        share = Frac(1)
+        for cut, keep_rest in self._cuts(part, len(subset)):
+            share *= 1 - cut if keep_rest else cut
+        return share / count * self.subfile_size(subset)
 
     def _part_bounds(self, part: str, size: int, n: int) -> tuple[int, int, int]:
         """[lo, hi) of ``part`` inside a subfile of ``n`` bits of a |T| =
         ``size`` subset, and the number of slices it is cut into."""
-        key = (part, size, n)
-        if key not in self._bounds:
-            lo, hi = 0, n
-            for cut, keep_rest in self._cuts(part, size):
-                mid = lo + math.floor(cut * (hi - lo))
-                lo, hi = (mid, hi) if keep_rest else (lo, mid)
-            self._bounds[key] = lo, hi, self._slices if part == "u" else 1
-        return self._bounds[key]
+        lo, hi = 0, n
+        for cut, keep_rest in self._cuts(part, size):
+            mid = lo + math.floor(cut * (hi - lo))
+            lo, hi = (mid, hi) if keep_rest else (lo, mid)
+        return lo, hi, self._slices if part == "u" else 1
 
     def _spans(
         self,
@@ -584,12 +571,9 @@ class DecentralFragmentResolver(FragmentResolver):
         super().__init__(plan.server_share, 1, plan.lambda2_by_round)
         self.placement = placement
         self.subfile_masks = caching_sets(placement.config.K)
-        self._subfile_sizes: dict[int, Frac] = {}
 
     def subfile_size(self, T: tuple[int, ...]) -> Frac:
-        if len(T) not in self._subfile_sizes:
-            self._subfile_sizes[len(T)] = self.placement.subfile_size(T)
-        return self._subfile_sizes[len(T)]
+        return self.placement.subfile_size(T)
 
     def subfile_positions(self, file: int, T: tuple[int, ...]) -> np.ndarray:
         return self.placement.subfile_positions[(file, T)]
@@ -906,9 +890,7 @@ def _fluid_closure(tables: _LogTables, user: int) -> np.ndarray:
         keep = np.repeat(waiting, lengths)
         cons, lengths = cons[keep], lengths[waiting]
         unknown = unknown[keep] & ~learned[cons]
-        starts = np.zeros(len(lengths), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        counts = np.add.reduceat(unknown, starts)
+        counts = np.add.reduceat(unknown, offsets(lengths)[:-1])
 
 
 def _coverage_gap(
@@ -998,72 +980,47 @@ def _peel_known_fragments(
     symbols, in the order it learns them, with their payloads (bit mode).
     ``tables`` is :func:`_intern_log` of the log.
 
-    A symbol resolves its one unknown constituent once every other one is
-    known: cached, empty, or learned.  A received symbol with one unknown
-    joins the worklist at once.  One with more keeps a count of them, with
-    multiplicity (a symbol holding the same unknown fragment twice never
-    resolves), and an index maps each unknown fragment to the symbols
-    waiting on it.  Learning a fragment decrements their counts; a symbol
-    whose count reaches 1 joins the worklist.  A symbol whose unknown was
-    learned from another symbol before its turn is passed over.  Each
-    received constituent is handled a bounded number of times, so the cost
-    is linear in what the user receives.  An entry whose payload is not
-    exactly as long as its longest live constituent teaches nothing.
-
-    The worklist is keyed ``sweep * n + i``, i the entry's index in the log
-    of n entries: symbols resolve in the order repeated in-order sweeps
-    over the received symbols would meet them.  So where two symbols could
-    yield the same fragment with different payloads (a corrupted log), the
-    one a sweeping decoder reaches first wins.
+    The received entries are swept in log order, again and again, until a
+    sweep learns nothing.  An entry with exactly one unknown constituent,
+    counted with multiplicity (a symbol holding the same unknown fragment
+    twice never resolves it), yields it: its payload XOR the other
+    constituents' bits, each learned before or read off the library.  So
+    where two symbols could yield the same fragment with different payloads
+    (a corrupted log), the one the sweep reaches first wins.  An entry
+    whose payload is not exactly as long as its longest live constituent
+    teaches nothing.
     """
     read = log.resolver.span_bits
     spans = tables.spans.tolist()
     cached = has(tables.fsub, user).tolist()
     _, counts = _unknown(tables, user)
-    n = len(tables.payloads)
-    rows: dict[int, list[int]] = {}
-    ready: list[int] = []  # sweep 0, in order: a heap
-    missing: dict[int, int] = {}
-    waiting: dict[int, list[int]] = {}
     cons = tables.cons.tolist()
     teaching = np.flatnonzero((counts > 0) & tables.fits)
-    for i, lo, length, count in zip(
-        tables.entry[teaching].tolist(),
-        tables.starts[teaching].tolist(),
-        tables.lengths[teaching].tolist(),
-        counts[teaching].tolist(),
-    ):
-        rows[i] = cons[lo : lo + length]
-        if count == 1:
-            ready.append(i)
-            continue
-        missing[i] = count
-        for f in rows[i]:
-            if not cached[f]:
-                waiting.setdefault(f, []).append(i)
-
+    rows = [
+        (i, cons[lo : lo + length])
+        for i, lo, length in zip(
+            tables.entry[teaching].tolist(),
+            tables.starts[teaching].tolist(),
+            tables.lengths[teaching].tolist(),
+        )
+    ]
     known: dict[int, np.ndarray] = {}
-    while ready:
-        sweep, i = divmod(heapq.heappop(ready), n)
-        ids = rows[i]
-        for target in ids:
-            if not cached[target] and target not in known:
-                break
-        else:  # another symbol yielded it first
-            continue
-        acc = np.array(tables.payloads[i], copy=True)
-        for f in ids:
-            if f == target:
+    learning = True
+    while learning:
+        learning = False
+        for i, ids in rows:
+            unknown = [f for f in ids if not cached[f] and f not in known]
+            if len(unknown) != 1:
                 continue
-            # a cached fragment is read straight off the subfile bits
-            part = known[f] if f in known else read(library, *spans[f])
-            acc[: len(part)] ^= part
-        _, _, lo, hi = spans[target]
-        known[target] = acc[: hi - lo]
-        for w in waiting.pop(target, ()):
-            missing[w] -= 1
-            if missing[w] == 1:
-                heapq.heappush(ready, (sweep if w > i else sweep + 1) * n + w)
+            (target,) = unknown
+            acc = np.array(tables.payloads[i], copy=True)
+            for f in ids:
+                if f != target:
+                    part = known[f] if f in known else read(library, *spans[f])
+                    acc[: len(part)] ^= part
+            _, _, lo, hi = spans[target]
+            known[target] = acc[: hi - lo]
+            learning = True
     return known
 
 
@@ -1123,15 +1080,16 @@ def _first_decode_failure(
     constituents' bits, each cached (library bits) or learned before, is
     the target's bits padded with zeros, cut to the target's length.  So a
     user learns its peeling closure, each fragment with its library bits,
-    exactly as the sweep-order worklist would; two learned fragments never
+    exactly as in-order sweeps would; two learned fragments never
     disagree on a bit; and a needed subfile is rebuilt exactly when its
     learned fragments' positions cover it.  Subfiles partition their file
     and a fragment's positions are the [lo, hi) slice of its subfile's
     run, so that is the union coverage of :func:`_bit_coverage_gap`, which
     names the same first subfile as :func:`_misassembled_subfile`.  If any
     entry disagrees, which payload a user learns can depend on the order,
-    so each user peels in sweep order (:func:`_peel_known_fragments`), the
-    file is reassembled bit for bit and compared against the library.
+    so each user peels by in-order sweeps (:func:`_peel_known_fragments`),
+    and the file is reassembled bit for bit and compared against the
+    library.
     """
     config = log.config
     if log.resolver is None:
@@ -1168,8 +1126,9 @@ def brute_force_decode_check(
     (:func:`_first_decode_failure`); ``placement`` is accepted and ignored.
 
     Fluid mode checks exact size coverage of every needed subfile; bit mode
-    checks closure and bit coverage, and reassembles the file bit for bit
-    only when some payload disagrees with its constituents' library bits.
+    checks closure and bit coverage, and only when some payload disagrees
+    with its constituents' library bits peels by in-order sweeps and
+    reassembles the file bit for bit.
     """
     return _first_decode_failure(log, demands, library) is None
 

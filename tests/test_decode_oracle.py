@@ -8,9 +8,8 @@ mode, where the decoder computes each user's peeling closure at once, the
 same set.
 
 In bit mode the check decides a log whose payloads all agree with the
-library by peeling closure and bit coverage, and any other log by the
-sweep-order worklist; on every bit-mode log here its verdict must be the
-worklist's own.
+library by peeling closure and bit coverage, and any other log by in-order
+sweeps; on every bit-mode log here its verdict must be the sweeps' own.
 """
 
 import dataclasses
@@ -55,8 +54,8 @@ def _learned(log, user, library, tables):
     return {tables.frags[f]: payload for f, payload in known.items()}
 
 
-def _worklist_failure(log, demands, library):
-    """The first failure by the sweep-order worklist alone (bit mode)."""
+def _sweep_failure(log, demands, library):
+    """The first failure by in-order sweeps alone (bit mode)."""
     tables = _intern_log(log)
     for k in log.config.users():
         known = _peel_known_fragments(log, k, library, tables)
@@ -82,7 +81,7 @@ def _assert_agree(log, demands, library=None):
         assert failure == oracle.first_uncovered(log, demands)
         assert failure == worklist_oracle.decode(log, demands)[1]
     else:
-        assert failure == _worklist_failure(log, demands, library)
+        assert failure == _sweep_failure(log, demands, library)
 
 
 def _without(log, i):
@@ -105,10 +104,10 @@ def _flipped(log, i):
     )
 
 
-def _truncated(log, i):
-    """The log with the last bit of entry i's payload cut off."""
+def _resized(log, i, payload):
+    """The log with entry i's payload replaced by ``payload``, its bit
+    count set to the new length."""
     entry = log.entries[i]
-    payload = entry.symbol.payload[:-1]
     entry = dataclasses.replace(
         entry, bits=len(payload),
         symbol=dataclasses.replace(entry.symbol, payload=payload),
@@ -173,19 +172,23 @@ def test_every_bit_mode_mutation_agrees(run):
 
 @pytest.mark.parametrize("run", ["centralized", "decentralized"])
 def test_a_truncated_payload_teaches_nothing(run):
-    # a payload shorter than its longest constituent is no XOR of them: the
-    # check names the failure the log without that entry has, and raises
-    # nothing
+    # a payload shorter or longer than its longest constituent is no XOR of
+    # them, even one padded with a 0 bit: the check names the failure the
+    # log without that entry has, and raises nothing
     res = _bit_mutation_run(run)
     demands = tuple(res.log.config.users())
     for i in range(len(res.log.entries)):
-        assert _first_decode_failure(
-            _truncated(res.log, i), demands, res.library
-        ) == _first_decode_failure(_without(res.log, i), demands, res.library), i
+        payload = res.log.entries[i].symbol.payload
+        without = _first_decode_failure(_without(res.log, i), demands, res.library)
+        for resized in (
+            payload[:-1], np.append(payload, np.uint8(0)), np.append(payload, np.uint8(1))
+        ):
+            log = _resized(res.log, i, resized)
+            assert _first_decode_failure(log, demands, res.library) == without, i
 
 
 def _refuse(*args):
-    raise AssertionError("the sweep-order worklist ran")
+    raise AssertionError("the in-order sweeps ran")
 
 
 @pytest.mark.parametrize("run", ["centralized-bits", "decentralized-bits"])
@@ -194,7 +197,7 @@ def test_intact_bit_logs_never_enter_the_worklist(run, monkeypatch):
     demands = tuple(res.log.config.users())
     monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
     assert _first_decode_failure(res.log, demands, res.library) is None
-    # a log missing an entry fails, still without the worklist
+    # a log missing an entry fails, still without the sweeps
     assert _first_decode_failure(_without(res.log, 0), demands, res.library)
 
 
@@ -203,7 +206,7 @@ def test_a_flipped_payload_enters_the_worklist(monkeypatch):
     demands = tuple(res.log.config.users())
     log = _flipped(res.log, len(res.log.entries) - 1)
     monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
-    with pytest.raises(AssertionError, match="worklist"):
+    with pytest.raises(AssertionError, match="in-order sweeps"):
         _first_decode_failure(log, demands, res.library)
 
 
@@ -252,7 +255,7 @@ def test_small_bit_mode_configs_agree(data):
     _assert_agree(log, demands, res.library)
 
 
-# hand-made logs: shapes no scheduler emits, where a careless worklist would
+# hand-made logs: shapes no scheduler emits, where a careless peel would
 # part ways with the oracle
 
 G = FragmentId(1, (2, 3), "s", 0, 1)
@@ -303,6 +306,28 @@ def test_a_fragment_held_twice_is_not_learned():
     log, res = _hand_log(symbols)
     known = _learned(log, 1, res.library, _intern_log(log))
     assert G in known and F not in known
+    _assert_agree(log, (1, 2, 3, 4), res.library)
+
+
+def test_a_chain_in_reverse_log_order_takes_a_sweep_per_link():
+    # each link of W_{1,(2,3)} -> W_{1,(2,4)} -> W_{1,(3,4)} sits before the
+    # one that readies it, so each sweep learns one link.  The first entry
+    # is a corrupt copy of the last link: the third sweep reaches it before
+    # the good copy, so W_{1,(3,4)} is learned with its bit flipped
+    A, B, C = (FragmentId(1, T, "full", 0, 1) for T in [(2, 3), (2, 4), (3, 4)])
+
+    def symbols(bits):
+        bad = bits(B) ^ bits(C)
+        bad[0] ^= 1
+        return [((B, C), bad), ((B, C), bits(B) ^ bits(C)), ((A, B), bits(A) ^ bits(B)),
+                ((A,), bits(A))]
+
+    log, res = _hand_log(symbols)
+    known = _learned(log, 1, res.library, _intern_log(log))
+    assert list(known) == [A, B, C]
+    good = res.library.files[1][log.resolver.frag_positions(C)]
+    assert np.flatnonzero(known[C] != good).tolist() == [0]
+    assert _first_decode_failure(log, (1, 2, 3, 4), res.library) == (1, 1, (3, 4))
     _assert_agree(log, (1, 2, 3, 4), res.library)
 
 

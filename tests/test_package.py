@@ -237,3 +237,61 @@ def test_every_stable_order_comes_from_the_sort_kernel():
     found = {path.name: _stable_sorts(path.read_text()) for path in SOURCES}
     assert {name: calls for name, calls in found.items() if calls and name != "model.py"} == {}
     assert found["model.py"] != []
+
+
+# the decode check, from its tables through its entry point: it reads log
+# columns, demands, the library and public resolver methods, never what a
+# scheduler kept
+DECODE_CHECK = ("_LogTables", "brute_force_decode_check")
+SCHEDULER_ATTRIBUTES = {"schedule", "placement", "plan"}
+
+
+def _scheduler_reads(source: str, first: str, last: str) -> list[str]:
+    """What the top-level definitions from ``first`` through ``last`` of a
+    module read of the schedulers, by line: the names the module imports
+    from ``.centralized`` or ``.decentralized`` that they load, and the
+    attributes in ``SCHEDULER_ATTRIBUTES`` that they load."""
+    tree = ast.parse(source)
+    schedulers = ("centralized", "decentralized")
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if node.module in schedulers or (node.module is None and alias.name in schedulers)
+    }
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    names = [node.name for node in defs]
+    lo, hi = names.index(first), names.index(last)
+    assert lo < hi, (first, last)
+    found = []
+    for node in defs[lo : hi + 1]:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in imported:
+                found.append((sub.lineno, sub.id))
+            elif (
+                isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                and sub.attr in SCHEDULER_ATTRIBUTES
+            ):
+                found.append((sub.lineno, "." + sub.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scheduler_read_scan_finds_imports_and_bookkeeping():
+    source = (
+        "from .centralized import _delivery\nfrom . import decentralized as dec\n"
+        "def before():\n    return _delivery\n"
+        "class _LogTables:\n    pass\n"
+        "def middle(log, placement):\n    x = log.resolver.placement\n"
+        "    log.plan = placement\n    return dec.caching_sets(x)\n"
+        "def brute_force_decode_check(schedule):\n    return _delivery(schedule.plan)\n"
+        "def after(log):\n    return _delivery(log.schedule)\n"
+    )
+    assert _scheduler_reads(source, *DECODE_CHECK) == [
+        "line 8: .placement", "line 10: dec", "line 12: .plan", "line 12: _delivery"
+    ]
+
+
+def test_the_decode_check_reads_no_scheduler_bookkeeping():
+    source = (Path(coopcache.__file__).parent / "simulator.py").read_text()
+    assert _scheduler_reads(source, *DECODE_CHECK) == []
