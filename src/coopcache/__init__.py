@@ -32,9 +32,9 @@ _EXPORTS = {
         piecewise_gains verify_gap_centralized verify_gap_decentralized
         verify_user_rate_bounds""",
     "simulator": """BitLibrary CentralFragmentResolver DecentralFragmentResolver
-        LogEntry RateReport SimulationResult TransmissionLog
-        brute_force_decode_check execute_schedule required_central_F
-        run_centralized run_decentralized""",
+        LogEntry RateReport SimulationResult TransmissionLog execute_schedule
+        required_central_F run_centralized run_decentralized""",
+    "decode": "brute_force_decode_check",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

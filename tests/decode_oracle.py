@@ -4,7 +4,10 @@
 simulator shipped before it peeled from a worklist: every received symbol is
 rescanned until a pass resolves nothing, and coverage sums the known
 fragments once per subfile.  Both are quadratic, so they serve only as the
-oracle the fast decoder in ``coopcache.simulator`` is checked against.
+oracle the fast decoder in ``coopcache.decode`` is checked against.  Two
+rules were added since: a bit-mode entry whose payload is not as long as
+its longest constituent teaches nothing, and in fluid mode a part covers
+the union of its known fragments' spans, not the sum of their sizes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ def _peel_known_fragments(
         return library.files[frag.file][resolver.frag_positions(frag)]
 
     received = [e for e in log.entries if user in e.receivers]
+    if bit_mode:
+        # a payload not exactly as long as its longest constituent is no
+        # XOR of them, and teaches nothing
+        received = [
+            e for e in received
+            if len(e.symbol.payload) == max(
+                (len(resolver.frag_positions(c.fragment)) for c in e.symbol.constituents),
+                default=0,
+            )
+        ]
     progress = True
     while progress:
         progress = False
@@ -70,7 +83,10 @@ def _uncovered_subfile(
     log: TransmissionLog, user: int, want: int, known: dict
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` that ``known`` does not fully cover
-    (exact size bookkeeping; parts partition their subfile)."""
+    (exact size bookkeeping; parts partition their subfile).  In fluid mode
+    the fragments of one part cover the union of their spans, fragment i
+    of a count spanning [i, i + 1) times its size, so fragments of two
+    counts that overlap are not counted twice."""
     resolver = log.resolver
     bit_mode = log.mode == "bits"
     for T in resolver.subfile_keys():
@@ -84,12 +100,20 @@ def _uncovered_subfile(
             continue
         if FragmentId(want, T, "full", 0, 1) in known:
             continue
-        sizes = (
-            (Frac(len(resolver.frag_positions(f))) if bit_mode else resolver.frag_size(f))
-            for f in known
-            if f.file == want and f.subset == T and f.part != "full"
-        )
-        if sum(sizes, Frac(0)) != target:
+        frags = [f for f in known if f.file == want and f.subset == T and f.part != "full"]
+        if bit_mode:
+            covered = sum((Frac(len(resolver.frag_positions(f))) for f in frags), Frac(0))
+        else:
+            covered = Frac(0)
+            for part in {f.part for f in frags}:
+                reach = Frac(0)
+                for lo, hi in sorted(
+                    (f.index * resolver.frag_size(f), (f.index + 1) * resolver.frag_size(f))
+                    for f in frags if f.part == part
+                ):
+                    covered += max(hi - max(lo, reach), 0)
+                    reach = max(reach, hi)
+        if covered != target:
             return T
     return None
 

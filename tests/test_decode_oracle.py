@@ -1,4 +1,4 @@
-"""The simulator's decoder against the rescanning oracle.
+"""The decoder of ``coopcache.decode`` against the rescanning oracle.
 
 ``decode_oracle`` keeps the decoder the simulator shipped before: it
 rescans every received symbol until nothing changes.  On every log here the
@@ -32,16 +32,17 @@ from coopcache import (
     run_centralized,
     run_decentralized,
 )
-from coopcache import simulator
+from coopcache import decode
 from coopcache.centralized import make_split_plan
-from coopcache.simulator import (
+from coopcache.decode import (
     _first_decode_failure,
     _fluid_closure,
     _intern_log,
     _misassembled_subfile,
     _peel_known_fragments,
-    required_central_F,
 )
+from coopcache.model import offsets, ranges, user_sets
+from coopcache.simulator import LogEntries, required_central_F
 
 
 def _learned(log, user, library, tables):
@@ -174,7 +175,7 @@ def test_every_bit_mode_mutation_agrees(run):
 def test_a_truncated_payload_teaches_nothing(run):
     # a payload shorter or longer than its longest constituent is no XOR of
     # them, even one padded with a 0 bit: the check names the failure the
-    # log without that entry has, and raises nothing
+    # log without that entry has, raises nothing, and agrees with the oracle
     res = _bit_mutation_run(run)
     demands = tuple(res.log.config.users())
     for i in range(len(res.log.entries)):
@@ -185,6 +186,7 @@ def test_a_truncated_payload_teaches_nothing(run):
         ):
             log = _resized(res.log, i, resized)
             assert _first_decode_failure(log, demands, res.library) == without, i
+            _assert_agree(log, demands, res.library)
 
 
 def _refuse(*args):
@@ -195,7 +197,7 @@ def _refuse(*args):
 def test_intact_bit_logs_never_enter_the_worklist(run, monkeypatch):
     res = WORKED_RUNS[run]()
     demands = tuple(res.log.config.users())
-    monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
+    monkeypatch.setattr(decode, "_peel_known_fragments", _refuse)
     assert _first_decode_failure(res.log, demands, res.library) is None
     # a log missing an entry fails, still without the sweeps
     assert _first_decode_failure(_without(res.log, 0), demands, res.library)
@@ -205,7 +207,7 @@ def test_a_flipped_payload_enters_the_worklist(monkeypatch):
     res = WORKED_RUNS["decentralized-bits"]()
     demands = tuple(res.log.config.users())
     log = _flipped(res.log, len(res.log.entries) - 1)
-    monkeypatch.setattr(simulator, "_peel_known_fragments", _refuse)
+    monkeypatch.setattr(decode, "_peel_known_fragments", _refuse)
     with pytest.raises(AssertionError, match="in-order sweeps"):
         _first_decode_failure(log, demands, res.library)
 
@@ -253,6 +255,105 @@ def test_small_bit_mode_configs_agree(data):
     if i >= 0 and len(log.entries[i].symbol.payload):
         log = data.draw(st.sampled_from([_without, _flipped]), label="how")(log, i)
     _assert_agree(log, demands, res.library)
+
+
+def _renumbered(log, rng):
+    """The log over its symbol table renumbered: the ``parts`` and ``sizes``
+    rows permuted, each with a duplicate, every constituent's part row and
+    every symbol's size row drawn from its value's two rows; and the symbol
+    rows permuted, their constituent blocks moved with them, ``cstart`` and
+    the log's ``symbol`` column remapped."""
+    c = log.columns()
+    t = c.table
+
+    def doubled(values, rows):
+        # row j of values + values goes to row new[j]
+        new = rng.permutation(2 * len(values))
+        table = [None] * len(new)
+        for j, row in enumerate(new.tolist()):
+            table[row] = values[j % len(values)]
+        return table, new[rows + len(values) * rng.integers(0, 2, len(rows))]
+
+    parts, part = doubled(t.parts, t.part)
+    sizes, size = doubled(t.sizes, t.size)
+    order = rng.permutation(len(t))  # new symbol row i is old row order[i]
+    at = ranges(t.cstart[order], t.cstart[order + 1])
+    table = dataclasses.replace(
+        t, sender=t.sender[order], group=t.group[order], size=size[order],
+        redundant=t.redundant[order], cstart=offsets(np.diff(t.cstart)[order]),
+        receiver=t.receiver[at], file=t.file[at], subset=t.subset[at], part=part[at],
+        index=t.index[at], count=t.count[at], sizes=sizes, parts=parts,
+    )
+    row = np.empty(len(t), np.int64)
+    row[order] = np.arange(len(t))
+    columns = dataclasses.replace(c, table=table, symbol=row[c.symbol])
+    return TransmissionLog(log.config, log.mode, LogEntries(columns), log.resolver)
+
+
+@given(st.data())
+def test_the_verdict_is_blind_to_table_numbering(data):
+    # the decoder keys fragments by value: renumbering the symbol table's
+    # rows, with duplicate part and size rows, changes no verdict and no
+    # named failure, on a clean log, one with an entry deleted and one with
+    # an entry sent twice (whose copy may name its parts by other rows)
+    K = data.draw(st.integers(2, 5), label="K")
+    t = data.draw(st.integers(0, K), label="t")
+    amax = max(1, K // 2)
+    demands = tuple(data.draw(st.permutations(range(1, K + 1)), label="demands"))
+    mode = data.draw(st.sampled_from(["fluid", "bits"]), label="mode")
+    if data.draw(st.booleans(), label="centralized"):
+        alpha = data.draw(st.integers(1, amax), label="alpha")
+        cfg = SystemConfig(K, K, t, alpha_max=amax)
+        F = required_central_F(cfg, make_split_plan(cfg, alpha)) if mode == "bits" else None
+        res = run_centralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands, alpha=alpha,
+            mode=mode,
+        )
+    else:
+        F = data.draw(st.integers(20, 200), label="F") if mode == "bits" else None
+        res = run_decentralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands, mode=mode
+        )
+    log = res.log
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    logs = [log]
+    if len(log.entries):
+        i = data.draw(st.integers(0, len(log.entries) - 1), label="entry")
+        twice = log.entries + [log.entries[i]]
+        logs += [_without(log, i), TransmissionLog(log.config, mode, twice, log.resolver)]
+    for changed in logs:
+        failure = _first_decode_failure(changed, demands, res.library)
+        assert _first_decode_failure(_renumbered(changed, rng), demands, res.library) == failure
+
+
+@pytest.mark.parametrize(
+    "fragments, failure",
+    [(((2, 0), (4, 0), (4, 1)), (1, 1, (2,))), (((2, 0), (4, 2), (4, 3)), None)],
+    ids=["overlapping", "tiling"],
+)
+def test_a_part_learned_at_two_counts_covers_the_union_of_its_spans(fragments, failure):
+    # user 1 hears the u part of W_{1,(2)} as fragments 0, 1 and 2 of 3.
+    # Made fragment 0 of 2 and fragments 0 and 1 of 4, their sizes still add
+    # up to the part, but [1/2, 1) of it is in no symbol; made fragment 0 of
+    # 2 and fragments 2 and 3 of 4, they tile it
+    res = run_decentralized(SystemConfig(6, 6, 2, alpha_max=3), seed=3)
+    demands = tuple(res.log.config.users())
+    c = res.log.columns()
+    t = c.table
+    rows = np.flatnonzero(
+        (t.receiver == 1) & (t.file == 1) & (t.count == 3)
+        & (np.array(t.parts)[t.part] == "u")
+        & np.array([T == (2,) for T in user_sets(t.subset)])
+    )
+    assert len(rows) == 3
+    count, index = t.count.copy(), t.index.copy()
+    count[rows], index[rows] = zip(*fragments)
+    columns = dataclasses.replace(c, table=dataclasses.replace(t, count=count, index=index))
+    log = TransmissionLog(res.log.config, "fluid", LogEntries(columns), res.log.resolver)
+    assert _first_decode_failure(res.log, demands) is None
+    assert _first_decode_failure(log, demands) == failure
+    assert oracle.decode_check(log, demands) == (failure is None)
+    assert oracle.first_uncovered(log, demands) == failure
 
 
 # hand-made logs: shapes no scheduler emits, where a careless peel would

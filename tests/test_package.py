@@ -126,7 +126,7 @@ def test_no_module_imports_the_garbage_collector():
 # the analytic layer and what builds on it alone, and the modules it must
 # not load: numpy and the scheduler modules
 ANALYTIC = ("config.py", "closed_forms.py", "bounds.py", "cli.py")
-HEAVY = {"numpy", ".model", ".centralized", ".decentralized", ".simulator"}
+HEAVY = {"numpy", ".model", ".centralized", ".decentralized", ".simulator", ".decode"}
 
 
 def _module_level_imports(source: str) -> set[str]:
@@ -163,7 +163,7 @@ def test_the_analytic_modules_import_no_numpy_and_no_scheduler():
 _LOADED = """
 import contextlib, io, json, sys
 heavy = ["numpy", "coopcache.model", "coopcache.centralized",
-         "coopcache.decentralized", "coopcache.simulator"]
+         "coopcache.decentralized", "coopcache.simulator", "coopcache.decode"]
 import coopcache
 after_import = [m for m in heavy if m in sys.modules]
 from coopcache.cli import main
@@ -239,59 +239,58 @@ def test_every_stable_order_comes_from_the_sort_kernel():
     assert found["model.py"] != []
 
 
-# the decode check, from its tables through its entry point: it reads log
-# columns, demands, the library and public resolver methods, never what a
-# scheduler kept
-DECODE_CHECK = ("_LogTables", "brute_force_decode_check")
+# the decode check reads log columns, demands, the library and public
+# resolver methods, never what a scheduler kept: its module imports no
+# scheduler and no part of the simulator, and loads no attribute that holds
+# a scheduler's bookkeeping
+SCHEDULERS = {"centralized", "decentralized", "simulator"}
 SCHEDULER_ATTRIBUTES = {"schedule", "placement", "plan"}
 
 
-def _scheduler_reads(source: str, first: str, last: str) -> list[str]:
-    """What the top-level definitions from ``first`` through ``last`` of a
-    module read of the schedulers, by line: the names the module imports
-    from ``.centralized`` or ``.decentralized`` that they load, and the
-    attributes in ``SCHEDULER_ATTRIBUTES`` that they load."""
-    tree = ast.parse(source)
-    schedulers = ("centralized", "decentralized")
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-        if node.module in schedulers or (node.module is None and alias.name in schedulers)
-    }
-    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    names = [node.name for node in defs]
-    lo, hi = names.index(first), names.index(last)
-    assert lo < hi, (first, last)
-    found = []
-    for node in defs[lo : hi + 1]:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in imported:
-                found.append((sub.lineno, sub.id))
-            elif (
-                isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-                and sub.attr in SCHEDULER_ATTRIBUTES
-            ):
-                found.append((sub.lineno, "." + sub.attr))
+def _scheduler_reads(source: str) -> list[str]:
+    """What a module reads of the schedulers, by line: each module of
+    ``SCHEDULERS`` it imports, relatively or as ``coopcache.name``, and each
+    attribute of ``SCHEDULER_ATTRIBUTES`` it loads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in SCHEDULER_ATTRIBUTES:
+                found.add((node.lineno, "." + node.attr))
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith((".", "coopcache.")):
+                module = name.lstrip(".").removeprefix("coopcache.").split(".")[0]
+                if module in SCHEDULERS:
+                    found.add((node.lineno, module))
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def test_the_scheduler_read_scan_finds_imports_and_bookkeeping():
     source = (
-        "from .centralized import _delivery\nfrom . import decentralized as dec\n"
-        "def before():\n    return _delivery\n"
-        "class _LogTables:\n    pass\n"
-        "def middle(log, placement):\n    x = log.resolver.placement\n"
-        "    log.plan = placement\n    return dec.caching_sets(x)\n"
-        "def brute_force_decode_check(schedule):\n    return _delivery(schedule.plan)\n"
-        "def after(log):\n    return _delivery(log.schedule)\n"
+        "from .centralized import _delivery\nfrom . import decentralized as dec, model\n"
+        "from .model import has\nimport coopcache.simulator as sim, numpy\n"
+        "from coopcache import centralized\nfrom coopcache.decentralized import x\n"
+        "def middle(log, placement):\n    y = log.resolver.placement\n"
+        "    log.plan = placement\n    return dec.caching_sets(y)\n"
+        "def check(schedule):\n    return _delivery(schedule.plan)\n"
     )
-    assert _scheduler_reads(source, *DECODE_CHECK) == [
-        "line 8: .placement", "line 10: dec", "line 12: .plan", "line 12: _delivery"
+    assert _scheduler_reads(source) == [
+        "line 1: centralized", "line 2: decentralized", "line 4: simulator",
+        "line 5: centralized", "line 6: decentralized", "line 8: .placement",
+        "line 12: .plan",
     ]
 
 
 def test_the_decode_check_reads_no_scheduler_bookkeeping():
-    source = (Path(coopcache.__file__).parent / "simulator.py").read_text()
-    assert _scheduler_reads(source, *DECODE_CHECK) == []
+    source = (Path(coopcache.__file__).parent / "decode.py").read_text()
+    assert _scheduler_reads(source) == []
+    # numpy and the standard library aside, it builds on the model alone
+    relative = {m for m in _module_level_imports(source) if m.startswith(".")}
+    assert relative <= {".model", ".config"}

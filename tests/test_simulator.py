@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import coopcache.centralized as centralized
+import coopcache.decode as decode
 import coopcache.simulator as simulator
 import load_oracle
 from coopcache import (
@@ -681,7 +682,7 @@ def test_decentralized_resolver_views_agree(shape, deleted):
         drop = random.Random(F).randrange(len(log.entries))
         entries = log.entries[:drop] + log.entries[drop + 1 :]
         log = TransmissionLog(log.config, log.mode, entries, resolver)
-    tables = simulator._intern_log(log)
+    tables = decode._intern_log(log)
     assert len(tables.frags) > 0
     for frag, span in zip(tables.frags, tables.spans.tolist()):
         got = resolver.span_bits(res.library, *span)

@@ -28,7 +28,7 @@ from coopcache import (
     run_centralized,
     run_decentralized,
 )
-from coopcache.simulator import _first_decode_failure, _fluid_closure, _intern_log
+from coopcache.decode import _first_decode_failure, _fluid_closure, _intern_log
 
 
 def _assert_agree(log, demands, rescan=False):
