@@ -34,7 +34,7 @@ classes (receiver, subset) and each one's candidate groups are enumerated
 once per run as int arrays (``_hosting_classes``).  With groups of t+1
 members (m = t) every pico-file has one possible hosting group, so a rung
 is decided by a quota check; otherwise by a small integer max-flow over
-int arrays laid out once per run, of which a rung keeps the live edges
+int arrays laid out once per run, a rung's dead edges at capacity 0
 (``_HostingNetwork``).  Either way the decision is (class, group, units)
 int arrays, by class and then by group, the order in which the classes
 and their candidates are laid out.  The flow is Dinic's algorithm.  Its
@@ -433,21 +433,14 @@ class _HostingNetwork:
         quota = np.append(quotas, 1)[self.gate]
         return np.where(self.scale, quota * self.scale, L * (quota > 0))
 
-    def rung(
-        self, quotas: np.ndarray, L: int, flow: np.ndarray | int = 0
-    ) -> tuple[_Dinic, np.ndarray]:
-        """A rung's network on its live edges, those of groups with positive
-        quota, in order, and each half-edge's id in it, with ``flow`` (one
-        count per edge) pushed.  A dead edge is left out, not kept at
-        capacity 0, so that the search does not scan it."""
+    def rung(self, quotas: np.ndarray, L: int, flow: np.ndarray | int = 0) -> _Dinic:
+        """A rung's network as laid out, a dead edge (through a group of
+        quota 0) at capacity 0, with ``flow`` (one count per edge) pushed.
+        The levels keep only live edges, so the search never scans a dead
+        one."""
         cap = self.capacities(quotas, L)
-        live = np.repeat(cap > 0, 2)
         residual = np.stack(np.broadcast_arrays(cap - flow, flow), axis=1).ravel()
-        ids = np.cumsum(live) - 1
-        kept = live[self.order]
-        start = np.concatenate([[0], np.cumsum(kept)])[self.start]
-        net = _Dinic(self.head[live], residual[live].tolist(), ids[self.order[kept]], start)
-        return net, ids
+        return _Dinic(self.head, residual.tolist(), self.order, self.start)
 
     def first_phase(self, quotas: np.ndarray, L: int) -> tuple[int, np.ndarray]:
         """The units of Dinic's first blocking flow at a rung
@@ -504,11 +497,11 @@ def _solve_hosting(
     if network.certifies(quotas, L):
         return None
     units, flow = network.first_phase(quotas, L)
-    net, ids = network.rung(quotas, L, flow)
+    net = network.rung(quotas, L, flow)
     if units + net.max_flow(0, net.n - 1) != L * len(network.cand):
         network.keep_cut(net.source_side)
         return None
-    used = np.where(quotas[network.cand] > 0, net.residual[ids[network.hosting]], 0)
+    used = net.residual[network.hosting]
     cls, host = np.nonzero(used)
     return cls, network.cand[cls, host], used[cls, host]
 
@@ -580,9 +573,16 @@ def _user_slots(
 ) -> Optional[tuple[int, int, int, int]]:
     """(t, fp, slots, partitions): the group size, the slot count at rho = 1
     and the number of canonical alpha-partitions into fp-groups; None when
-    users deliver nothing (t = 0, t = K or lambda = 1).  Raises
-    SchedulingError when L1 does not make the slot count integral."""
+    users deliver nothing (t = 0, t = K or lambda = 1).  Raises ValueError
+    for lambda != 1 at t = 0, and SchedulingError when L1 does not make the
+    slot count integral."""
     t, K, alpha = _integer_t(config), config.K, plan.alpha
+    if t == 0 and plan.server_share != 1:
+        # the closed forms put R2 = 0, but no user caches anything to send
+        raise ValueError(
+            f"server share {plan.server_share} at t=0: users cache nothing to "
+            "send, so it must be 1"
+        )
     if t == 0 or t >= K or plan.server_share == 1:
         return None
     fp = min(K // alpha, t + 1)

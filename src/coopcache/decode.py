@@ -102,8 +102,8 @@ class _LogTables:
 
 
 class _Fragments(ListView):
-    """The ``FragmentId`` of each fragment id, built on demand from one of
-    its constituent rows of a symbol table."""
+    """The ``FragmentId`` of each fragment id, built from one of its
+    constituent rows of a symbol table at the first read of any."""
 
     def __init__(self, table: SymbolTable, rows: np.ndarray) -> None:
         self.table, self.rows = table, rows
@@ -111,8 +111,8 @@ class _Fragments(ListView):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _items(self, lo: int, hi: int) -> list:
-        return self.table.fragments(self.rows[lo:hi])
+    def _items(self) -> list:
+        return self.table.fragments(self.rows)
 
 
 def _first_equal(values: Sequence) -> np.ndarray:

@@ -582,62 +582,40 @@ class SymbolTable:
 
 
 class ListView(Sequence):
-    """A read-only list whose items a subclass builds on demand, a run at a
-    time, in ``_items(lo, hi)``.  Each item is built once and kept, so a
-    second read costs what a list's does; reading one item builds the run
-    of ``CHUNK`` it falls in, so that items read one by one are built in
-    runs too.  ``len`` is the subclass's own, O(1); a slice is a list, and
-    ``==`` and ``repr`` are those of the list of every item."""
+    """A read-only list whose items a subclass builds in ``_items()``: every
+    item at the first read of any item, then kept, so a later read costs
+    what a list's does.  ``len`` is the subclass's own, O(1); a slice is a
+    list, and ``==`` and ``repr`` are those of the list of every item."""
 
-    CHUNK = 256
     __hash__ = None  # type: ignore[assignment]
     _built: Optional[list] = None
-    _have: Optional[np.ndarray] = None
 
-    def _items(self, lo: int, hi: int) -> list:
+    def _items(self) -> list:
         raise NotImplementedError
 
-    def _run(self, lo: int, hi: int) -> list:
-        """Items ``lo:hi``, building each missing run of them."""
+    def _list(self) -> list:
         if self._built is None:
-            self._built, self._have = [None] * len(self), np.zeros(len(self), bool)
-        missing = lo + np.flatnonzero(~self._have[lo:hi])
-        for run in np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1):
-            if len(run):
-                a, b = int(run[0]), int(run[-1]) + 1
-                self._built[a:b] = self._items(a, b)
-        self._have[lo:hi] = True
-        return self._built[lo:hi]
+            self._built = self._items()
+        return self._built
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            lo, hi, step = i.indices(len(self))
-            if step == 1:
-                return self._run(lo, max(lo, hi))
-            return [self[j] for j in range(lo, hi, step)]
-        i = range(len(self))[i]  # a list's IndexError and negative indices
-        if self._have is None or not self._have[i]:
-            lo = i - i % self.CHUNK
-            self._run(lo, min(lo + self.CHUNK, len(self)))
-        return self._built[i]
+        return self._list()[i]
 
     def __iter__(self):
-        n = len(self)
-        for lo in range(0, n, 1024):
-            yield from self._run(lo, min(lo + 1024, n))
+        return iter(self._list())
 
     def __eq__(self, other):
         if isinstance(other, ListView):
-            other = list(other)
-        return list(self) == other if isinstance(other, list) else NotImplemented
+            other = other._list()
+        return self._list() == other if isinstance(other, list) else NotImplemented
 
     def __add__(self, other):
         if isinstance(other, ListView):
-            other = list(other)
-        return list(self) + other if isinstance(other, list) else NotImplemented
+            other = other._list()
+        return self._list() + other if isinstance(other, list) else NotImplemented
 
     def __repr__(self) -> str:
-        return repr(list(self))
+        return repr(self._list())
 
 
 class Symbols(ListView):
@@ -650,8 +628,8 @@ class Symbols(ListView):
     def __len__(self) -> int:
         return len(self.table)
 
-    def _items(self, lo: int, hi: int) -> list:
-        return self.table.symbols(np.arange(lo, hi))
+    def _items(self) -> list:
+        return self.table.symbols(np.arange(len(self)))
 
 
 def server_multicast(
@@ -697,7 +675,7 @@ class UserRounds(ListView):
     """User rounds held as columns: round i, labelled ``labels[i]``, holds
     the symbols of rows ``starts[i]:starts[i + 1]`` of ``table``.  Its
     partition is not stored: it is the distinct groups of those symbols,
-    ordered by smallest member, built only when a round or
+    ordered by smallest member, built for every round when any round or
     :meth:`outline` is read.  Every group of a round the schedulers
     build sends, so that is the partition the round ran."""
 
@@ -707,35 +685,31 @@ class UserRounds(ListView):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def _partitions(self, lo: int, hi: int) -> list[tuple]:
-        """The groups of rounds ``lo:hi``, one tuple of groups per round."""
-        starts = self.starts[lo : hi + 1]
+    def _partitions(self) -> list[tuple]:
+        """The groups of every round, one tuple of groups per round."""
+        starts, n = self.starts, len(self)
         group, first, _ = distinct(*self.table.group[starts[0] : starts[-1]].T)
         groups = user_sets(self.table.group[starts[0] + first])
         smallest = np.array([g[0] if g else 0 for g in groups], np.int64)
-        rnd = np.repeat(np.arange(hi - lo), np.diff(starts))
+        rnd = np.repeat(np.arange(n), np.diff(starts))
         # each round's distinct groups, by smallest member
         _, first, _ = distinct(group, smallest[group], rnd)
         rows = group[first].tolist()
-        cuts = np.searchsorted(rnd[first], np.arange(hi - lo + 1)).tolist()
+        cuts = np.searchsorted(rnd[first], np.arange(n + 1)).tolist()
         return [tuple(groups[g] for g in rows[a:b]) for a, b in zip(cuts, cuts[1:])]
 
-    def _items(self, lo: int, hi: int) -> list:
-        starts = self.starts[lo : hi + 1].tolist()
+    def _items(self) -> list:
+        starts = self.starts.tolist()
         base = starts[0]
         symbols = self.table.symbols(np.arange(base, starts[-1]))
         return [
             (GroupPartition(groups, label), symbols[a - base : b - base])
-            for groups, label, a, b in zip(
-                self._partitions(lo, hi), self.labels[lo:hi], starts, starts[1:]
-            )
+            for groups, label, a, b in zip(self._partitions(), self.labels, starts, starts[1:])
         ]
 
     def outline(self) -> list[tuple[tuple, int, int]]:
         """Each round's groups, label and symbol count, building no object."""
-        return list(
-            zip(self._partitions(0, len(self)), self.labels, np.diff(self.starts).tolist())
-        )
+        return list(zip(self._partitions(), self.labels, np.diff(self.starts).tolist()))
 
     @classmethod
     def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
@@ -763,9 +737,10 @@ class DeliverySchedule:
     Each user round is a (GroupPartition, symbols) pair; all symbols in the
     round are sent by members of the partition's groups, one active sender
     per group at a time.  ``user_rounds`` is a list of those pairs, or a
-    :class:`UserRounds` view of rounds held as columns, which builds them on
-    demand and compares equal to the list; ``server_symbols`` is a list, or
-    the :class:`Symbols` view :func:`server_multicast` returns.
+    :class:`UserRounds` view of rounds held as columns, which builds them
+    all at the first read and compares equal to the list;
+    ``server_symbols`` is a list, or the :class:`Symbols` view
+    :func:`server_multicast` returns.
     """
 
     user_rounds: Sequence[tuple[GroupPartition, list[XorSymbol]]] = field(

@@ -40,11 +40,12 @@ assigned as a list, come in through one adapter
 (``SymbolTable.from_symbols``), and so does a log given as a list of
 entries.  ``schedule.user_rounds``, ``schedule.server_symbols`` and
 ``log.entries`` are read-only views (``model.UserRounds``,
-``model.Symbols``, :class:`LogEntries`): each ``LogEntry``, ``XorSymbol``
-and fragment is built only when read, then kept, and a view compares
-equal to the list it stands for and prints as it.  Loads, the slot
-discipline, the export and the decode check read the columns, so a run
-builds no value object unless one is read.
+``model.Symbols``, :class:`LogEntries`): every ``LogEntry``, ``XorSymbol``
+and fragment of a view is built at the first read of any of its items,
+then kept, and a view compares equal to the list it stands for and
+prints as it.  Loads, the slot discipline, the export and the decode
+check read the columns, so a run builds no value object unless one is
+read.
 
 Both schemes run through one path.  ``run_centralized`` and
 ``run_decentralized`` each supply only their scheme's front half: placement,
@@ -192,7 +193,8 @@ class LogColumns:
 
 class LogEntries(ListView):
     """A log's entries as a read-only view of its :class:`LogColumns`:
-    ``len`` reads a column, and each ``LogEntry`` is built on demand."""
+    ``len`` reads a column, and every ``LogEntry`` is built at the first
+    read of any."""
 
     def __init__(self, columns: LogColumns) -> None:
         self.columns = columns
@@ -200,19 +202,18 @@ class LogEntries(ListView):
     def __len__(self) -> int:
         return len(self.columns.slot)
 
-    def _items(self, lo: int, hi: int) -> list:
+    def _items(self) -> list:
         c = self.columns
-        payloads = None if c.payloads is None else c.payloads[lo:hi]
         return list(
             map(
                 LogEntry,
-                c.slot[lo:hi].tolist(),
-                c.round[lo:hi].tolist(),
-                c.sender[lo:hi].tolist(),
-                user_sets(c.group[lo:hi]),
-                user_sets(c.receivers[lo:hi]),
-                [c.sizes[i] for i in c.size[lo:hi].tolist()],
-                c.table.symbols(c.symbol[lo:hi], payloads),
+                c.slot.tolist(),
+                c.round.tolist(),
+                c.sender.tolist(),
+                user_sets(c.group),
+                user_sets(c.receivers),
+                [c.sizes[i] for i in c.size.tolist()],
+                c.table.symbols(c.symbol, c.payloads),
             )
         )
 
@@ -765,12 +766,6 @@ def run_centralized(
         # the placement is enumerated, and the placement the user schedule
         # built is reused
         plan = make_split_plan(config, alpha, server_share)
-        if config.t == 0 and plan.server_share != 1:
-            # the closed forms put R2 = 0, but no user caches anything to send
-            raise ValueError(
-                f"server share {plan.server_share} at t=0: users cache nothing to "
-                "send, so it must be 1"
-            )
         check_schedule_size(config, plan)
         if mode == "bits":
             check_central_F(config.F, config, plan)

@@ -39,13 +39,17 @@ def test_a_fluid_centralized_run_builds_no_object_per_user_symbol(monkeypatch):
     assert (len(rounds), res.schedule.user_symbol_count()) == (8400, 25200)
     assert len(res.log.entries) == 25200 + 120
     assert res.log.export_lines()[1:] and built == []
-    # an item read builds the run of rounds it falls in, and nothing else
+    # a first read builds each round, and each object in it, exactly once
     part, symbols = rounds[0]
-    n = rounds.CHUNK
+    n = len(rounds)
     assert Counter(built) == {
         GroupPartition: n, XorSymbol: 3 * n, Constituent: 6 * n, FragmentId: 6 * n
     }
     assert part.groups == ((1, 2, 3), (4, 5, 6), (7, 8, 9)) and len(symbols) == 3
+    # and a second read builds none
+    built.clear()
+    assert rounds[0][0] is part and rounds[-1] == list(rounds)[-1]
+    assert built == []
 
 
 def test_simulate_centralized_reads_the_columns(monkeypatch, tmp_path, capsys):

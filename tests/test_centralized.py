@@ -330,6 +330,24 @@ def test_size_guard_counts_a_server_only_plan(M, count, message, monkeypatch):
             build()
 
 
+@pytest.mark.parametrize("share", [Frac(1, 2), Frac(0)])
+def test_both_builders_refuse_a_user_share_at_t_0(share):
+    # no user caches anything to send, so such a plan would deliver only
+    # the server's share of every file; lambda = 1 is built
+    cfg = SystemConfig(4, 4, 0, alpha_max=2)
+    demands = (1, 2, 3, 4)
+    plan = make_split_plan(cfg, server_share=share)
+    message = f"^server share {share} at t=0: users cache nothing to send, so it must be 1$"
+    for build in (
+        lambda: build_delivery(cfg, demands, server_share=share),
+        lambda: centralized.build_user_schedule(cfg, plan, demands),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    _, sched = build_delivery(cfg, demands, server_share=Frac(1))
+    assert sched.user_rounds == [] and len(sched.server_symbols) == 4
+
+
 def test_size_guard_refuses_server_only_plans_at_the_real_limit(monkeypatch):
     def stop(*args):
         raise _Enumerated

@@ -354,6 +354,7 @@ def test_a_part_learned_at_two_counts_covers_the_union_of_its_spans(fragments, f
     assert _first_decode_failure(log, demands) == failure
     assert oracle.decode_check(log, demands) == (failure is None)
     assert oracle.first_uncovered(log, demands) == failure
+    assert worklist_oracle.decode(log, demands)[1] == failure
 
 
 # hand-made logs: shapes no scheduler emits, where a careless peel would

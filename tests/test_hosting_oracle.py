@@ -7,16 +7,16 @@ closed form, settles forced rungs (groups of t+1 members, m == t) by a quota
 check and runs the flow as a greedy first phase, then numpy levels pruned
 to the shortest paths, with an iterative search over compact level lists
 that resumes after each augmentation, over a network laid out once per
-(K, t, m) as int arrays of which a rung keeps the live edges.  It runs no
-flow on a rung that the minimum cut of an earlier rung's failed flow
-certifies infeasible, and hands the assembly its decision as (class,
-group, units) int arrays, which ``_assignment`` turns into the oracle's
-dict.  On every rung checked here it must reach the same decision, with
+(K, t, m) as int arrays on which a rung sets capacities, 0 on a dead
+edge.  It runs no flow on a rung that the minimum cut of an earlier
+rung's failed flow certifies infeasible, and hands the assembly its
+decision as (class, group, units) int arrays, which ``_assignment`` turns
+into the oracle's dict.  On every rung checked here it must reach the same decision, with
 the same assignment, its entries in the oracle's order; each rung's
-network must be the one that adding its edges one by one builds
-(``_Edges``), edge for edge; and on every network generated here the
-flow, with or without the greedy phase, must leave the same residual
-network, edge for edge.
+network must be, on its live edges, the one that adding its edges one
+by one builds (``_Edges``), edge for edge; and on every network generated
+here the flow, with or without the greedy phase, must leave the same
+residual network, edge for edge, and a dead edge at 0.
 """
 
 import contextlib
@@ -474,12 +474,16 @@ def _added_network(classes, candidates, quotas, L, m):
 
 
 def _same_network(K, t, m, built, quotas, L, classes, candidates):
-    """Assert that a rung's network, on its fixed node ids, is the one
-    added edge by edge, edge for edge: the same heads, capacities and
-    adjacency order of every node, matched by label.  ``built`` is what
-    ``_network`` returns.  Returns both."""
+    """Assert that a rung's network, on its fixed node ids, is on its live
+    half-edges (those of edges of positive capacity) the one added edge by
+    edge, edge for edge: the same heads, capacities and adjacency order of
+    every node, matched by label; and that every dead half-edge starts at
+    capacity 0.  ``built`` is what ``_network`` returns.  Returns both, and
+    the live half-edges as a mask."""
     network, (receiver, subset) = built
-    net, _ = network.rung(quotas, L)
+    net = network.rung(quotas, L)
+    live = np.repeat(network.capacities(quotas, L) > 0, 2)
+    ids = np.cumsum(live) - 1  # a live half-edge's id among the live ones
     subsets, groups = enumerate_subsets(K, t), enumerate_subsets(K, m + 1)
     counts = {G: q for G, q in zip(groups, quotas.tolist()) if q}
     edges, added = _added_network(classes, candidates, counts, L, m)
@@ -487,12 +491,22 @@ def _same_network(K, t, m, built, quotas, L, classes, candidates):
               *(("class", (j, subsets[T])) for j, T in zip(receiver.tolist(), subset.tolist())),
               *(("pair", j, groups[g]) for j, g in network.pairs.tolist()),
               *(("group", G) for G in groups), "sink"]
-    assert [labels[v] for v in net.head.tolist()] == [added[v] for v in edges.to]
-    assert net.cap == edges.cap
-    order, start = net.order.tolist(), net.start.tolist()
-    adjacency = {labels[u]: order[start[u]:start[u + 1]] for u in range(net.n)}
+    assert [labels[v] for v in net.head[live].tolist()] == [added[v] for v in edges.to]
+    cap = np.array(net.cap)
+    assert cap[live].tolist() == edges.cap and not cap[~live].any()
+    adjacency = {}
+    for u in range(net.n):
+        out = net.order[net.start[u]:net.start[u + 1]]
+        adjacency[labels[u]] = ids[out[live[out]]].tolist()
     assert {u: e for u, e in adjacency.items() if e} == dict(zip(added, edges.adj))
-    return net, edges
+    return net, edges, live
+
+
+def _same_residual(net, live, ref):
+    """Assert that a flow left on the live half-edges the residual network
+    ``ref`` leaves, edge for edge, and every dead half-edge at 0."""
+    cap = np.array(net.cap)
+    assert cap[live].tolist() == ref.cap and not cap[~live].any()
 
 
 @pytest.mark.parametrize("K", range(4, 10))
@@ -527,10 +541,10 @@ def test_the_central_fluid_rung_network_flows_as_the_edge_by_edge_one():
     ranks, cycle = _ranks(K, fp, alpha)
     quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
     classes, candidates = _classes_and_candidates(K, t, m)
-    net, edges = _same_network(K, t, m, _network(K, t, m), quotas, L, classes, candidates)
+    net, edges, live = _same_network(K, t, m, _network(K, t, m), quotas, L, classes, candidates)
     ref = edges.dinic()
     assert net.max_flow(0, net.n - 1) == ref.max_flow(0, ref.n - 1) == L * len(classes)
-    assert net.cap == ref.cap  # the same residual network, edge for edge
+    _same_residual(net, live, ref)
 
 
 def test_the_central_fluid_rung_flow_leaves_the_recursive_residual(monkeypatch):
@@ -545,12 +559,13 @@ def test_the_central_fluid_rung_flow_leaves_the_recursive_residual(monkeypatch):
     quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
     classes, candidates = _classes_and_candidates(K, t, m)
     network, arrays = built = _network(K, t, m)
-    _, edges = _same_network(K, t, m, built, quotas, L, classes, candidates)
+    _, edges, live = _same_network(K, t, m, built, quotas, L, classes, candidates)
     ref = _copy_network(edges, oracle._Dinic)
     assert ref.max_flow(0, ref.n - 1) == L * len(classes)
     nets = _count_flows(monkeypatch)
     assert _solve_hosting(network, quotas, L) is not None
-    assert len(nets) == 1 and nets[0].cap == ref.cap  # edge for edge
+    assert len(nets) == 1
+    _same_residual(nets[0], live, ref)
 
 
 def _walk_counts(monkeypatch, argv):

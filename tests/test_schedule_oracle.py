@@ -14,6 +14,7 @@ must raise the oracle's messages.
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as Frac
 
 import numpy as np
@@ -225,13 +226,18 @@ def test_a_fluid_decentralized_run_builds_no_object_per_user_symbol(monkeypatch)
     assert len(res.schedule.user_rounds) == 513
     assert res.schedule.user_symbol_count() == 9192
     assert res.log.export_lines()[1:] and built == []
-    # an item read builds the run of items it falls in, not the whole view
+    # a first read of a view builds each of its items exactly once
     entries, rounds = res.log.entries, res.schedule.user_rounds
-    assert entries[0] == entries[: entries.CHUNK][0] and built
-    assert rounds[0] == rounds[: rounds.CHUNK][0]
-    first_runs = len(built)
-    list(entries), list(rounds)
-    assert 0 < first_runs < len(built) / 2
+    first = entries[0]
+    assert Counter(built)[LogEntry] == Counter(built)[XorSymbol] == len(entries)
+    built.clear()
+    rounds[0]
+    assert Counter(built)[GroupPartition] == len(rounds)
+    assert Counter(built)[XorSymbol] == res.schedule.user_symbol_count()
+    # and a second read builds none
+    built.clear()
+    assert entries[0] is first and list(entries)[-1] == entries[-1]
+    assert list(rounds)[-1] == rounds[-1] and built == []
 
 
 def test_simulate_reads_the_columns(monkeypatch, tmp_path, capsys):

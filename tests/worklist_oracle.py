@@ -5,8 +5,10 @@ closure the simulator now computes on arrays.
 are the fluid-mode decode check the simulator shipped before: it interns the
 log into Python tables (caching users as int bitmasks, entry rows as tuples),
 peels each user from a worklist in sweep order, and sums coverage per
-subfile.  Unlike the rescanning ``decode_oracle`` it is linear in the log per
-user, so it can check the benchmark's full-size logs.
+subfile.  Unlike the rescanning ``decode_oracle`` it is linear in the log
+per user, so it can check the benchmark's full-size logs.  One rule was
+added since: the fragments of one part cover the union of their spans,
+not the sum of their sizes.
 """
 
 from __future__ import annotations
@@ -166,11 +168,13 @@ def _uncovered_subfile(
 ) -> Optional[tuple[int, ...]]:
     """First needed subfile of ``want`` that ``known`` does not fully cover
     (exact size bookkeeping, parts partition their subfile).  Sizes are
-    summed as integer numerators per subset; a "full" part covers its
-    subfile whole."""
+    integer numerators; the fragments of one part cover the union of their
+    spans, fragment i of a count spanning [i, i + 1) times its size, so
+    fragments of two counts that overlap are not counted twice.  A "full"
+    part covers its subfile whole."""
     frags, masks, sizes = live.frags, live.masks, live.sizes
     whole: set[int] = set()
-    covered: dict[int, int] = {}
+    spans: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for f in known:
         frag = frags[f]
         if frag.file != want:
@@ -178,7 +182,14 @@ def _uncovered_subfile(
         if frag.part == "full":
             whole.add(masks[f])
         else:
-            covered[masks[f]] = covered.get(masks[f], 0) + sizes[f]
+            span = frag.index * sizes[f], (frag.index + 1) * sizes[f]
+            spans.setdefault((masks[f], frag.part), []).append(span)
+    covered: dict[int, int] = {}
+    for (mask, _), part in spans.items():
+        reach = 0
+        for lo, hi in sorted(part):
+            covered[mask] = covered.get(mask, 0) + max(hi - max(lo, reach), 0)
+            reach = max(reach, hi)
     bit = 1 << user
     for T, mask, size in live.subfiles:
         if mask & bit or mask in whole:
