@@ -13,10 +13,10 @@ import importlib
 _EXPORTS = {
     "config": "Frac SystemConfig as_frac",
     "model": """SchedulingError GroupPartition FragmentId Constituent XorSymbol
-        DeliverySchedule enumerate_subsets enumerate_equal_partitions
-        equal_partition_count validate_demands""",
+        DeliverySchedule enumerate_subsets equal_partition_count
+        validate_demands""",
     "closed_forms": """CentralizedRates SplitPlan centralized_delay centralized_rates
-        choose_alpha make_split_plan piecewise_alpha AllocationPlan
+        choose_alpha make_split_plan AllocationPlan
         DecentralizedRates GainReport RateComponents allocation_plan
         corollary_bounds decentralized_delay decentralized_gains
         decentralized_rates f_ks parallelism_regime rate_components round_shapes""",
@@ -28,9 +28,8 @@ _EXPORTS = {
     "bounds": """Baselines BoundReport CentralizedGapReport DecentralizedGapReport
         GapPoint baselines centralized_gains centralized_gap_grid
         decentralized_gap_bound decentralized_gap_grid gap_ratio gap_regime
-        load_grid_spec lower_bound p_at_least_threshold p_star p_threshold
-        piecewise_gains verify_gap_centralized verify_gap_decentralized
-        verify_user_rate_bounds""",
+        load_grid_spec lower_bound p_at_least_threshold p_threshold
+        verify_gap_centralized verify_gap_decentralized verify_user_rate_bounds""",
     "simulator": """BitLibrary CentralFragmentResolver DecentralFragmentResolver
         LogEntry RateReport SimulationResult TransmissionLog execute_schedule
         required_central_F run_centralized run_decentralized""",

@@ -95,11 +95,6 @@ def _p_th_midpoint(K: int) -> float:
     return float(sum(p_threshold(K)) / 2)
 
 
-def p_star(K: int) -> Frac:
-    """Memory point where the uncached load is farthest above the converse."""
-    return Frac(1, 2 * K + 1)
-
-
 # ---------------------------------------------------------------------------
 # lower bound
 # ---------------------------------------------------------------------------
@@ -235,30 +230,6 @@ def centralized_gains(
         raise ValueError("parallel gain undefined at t = 0")
     G_p = 1 / (1 + Frac(1) / t + alpha * m / t)
     return G_c, G_p
-
-
-def piecewise_gains(config: SystemConfig) -> tuple[Frac, Frac, str]:
-    """(G_c, G_p, branch) from the closed three-branch forms at alpha*.
-
-    Branches: "high-t" (t >= K-1, alpha* = 1), "low-t"
-    (t <= floor(K/alpha_max)-1, alpha* = alpha_max), "interior" (alpha* =
-    K/(t+1), relaxed).  Matches ``centralized_gains`` evaluated at the same
-    alpha*.
-    """
-    t = config.t
-    if t.denominator != 1 or t == 0:
-        raise ValueError(f"piecewise gains need integer t >= 1, got {t}")
-    K, amax = config.K, config.alpha_max
-    if t >= K - 1:
-        return Frac(1 + t, K + t), Frac(t, K + t), "high-t"
-    if t <= K // amax - 1:
-        denom = amax * t + t + 1
-        return Frac(1 + t, denom), Frac(t, denom), "low-t"
-    alpha_star = Frac(K, int(t) + 1)
-    m = math.floor(Frac(K) / alpha_star) - 1
-    G_c = (1 + t) / (m * alpha_star + t + 1)
-    G_p = t / (alpha_star * t + t + 1)
-    return G_c, G_p, "interior"
 
 
 # ---------------------------------------------------------------------------

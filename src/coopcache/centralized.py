@@ -58,12 +58,15 @@ take contiguous blocks of its symbols, so a receiver's pico-file in each
 symbol is found by index arithmetic, and the rounds follow the slot
 sequence by partition index.
 The audit then re-checks the finished schedule on those columns, its
-groups and subsets as mask rows, independently of how it was assembled.
+groups and subsets as mask rows, independently of how it was assembled,
+in runs of ``RUN`` constituents.
 
 Before anything is enumerated, :func:`check_schedule_size` counts in closed
 form the placement's subsets, the server's symbols and the uniform rung's
 user symbols, and refuses with a ValueError a plan in which any of them
-exceeds ``MAX_USER_SYMBOLS``.
+exceeds ``MAX_USER_SYMBOLS``, or whose symbols hold more than
+``MAX_CONSTITUENTS`` constituents in all, the count that sets a run's
+memory.
 """
 
 from __future__ import annotations
@@ -79,19 +82,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import SplitPlan, _integer_t, make_split_plan
-from .config import MAX_USER_SYMBOLS, SystemConfig
+from .config import MAX_CONSTITUENTS, MAX_USER_SYMBOLS, SystemConfig
 from .model import (
     DeliverySchedule,
     SchedulingError,
     SymbolTable,
     Symbols,
     UserRounds,
-    distinct,
     enumerate_subsets,
     equal_partition_count,
+    RUN,
+    WORD,
     has,
-    mask_rows,
+    mask_ranks,
     masks,
+    occurrences,
     offsets,
     others,
     partition_table,
@@ -308,6 +313,8 @@ class _Dinic:
                     it[u] += 1
             if flow == phase_start:  # the BFS reached the sink, so a path exists
                 raise SchedulingError("max-flow phase pushed no flow")
+            # this phase's level lists go before the next phase builds its own
+            del graph, to, edge, start, it, path, tails, least
             pushed = np.bincount(touched, amounts, len(cap)).astype(np.int64)
             self.residual -= pushed
             self.residual += pushed.reshape(-1, 2)[:, ::-1].ravel()  # onto e ^ 1
@@ -600,8 +607,10 @@ def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
     more than ``MAX_USER_SYMBOLS`` of any of: placement subsets, C(K, t);
     server symbols, C(K, t+1) unless the server sends nothing; user symbols
     of the uniform full-cycle rung, the largest the ladder builds
-    (lcm(slots, partitions) * alpha).  Counted in closed form; nothing is
-    enumerated."""
+    (lcm(slots, partitions) * alpha).  Then refuse a run that would hold
+    more than ``MAX_CONSTITUENTS`` constituents: t + 1 per server symbol
+    and m per user symbol of that rung.  Counted in closed form; nothing
+    is enumerated."""
     t, K = _integer_t(config), config.K
     subsets = math.comb(K, t)
     if subsets > MAX_USER_SYMBOLS:
@@ -615,15 +624,21 @@ def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
             f"centralized server schedule for K={K}, t={t} needs C(K,t+1) = "
             f"{server} server symbols, above the limit of {MAX_USER_SYMBOLS}"
         )
+    constituents = server * (t + 1)
     shape = _user_slots(config, plan)
-    if shape is None:
-        return
-    _, _, slots1, beta = shape
-    worst = math.lcm(slots1, beta) * plan.alpha
-    if worst > MAX_USER_SYMBOLS:
+    if shape is not None:
+        _, fp, slots1, beta = shape
+        worst = math.lcm(slots1, beta) * plan.alpha
+        if worst > MAX_USER_SYMBOLS:
+            raise ValueError(
+                f"user schedule for K={K}, t={t}, alpha={plan.alpha} may "
+                f"need {worst} user symbols, above the limit of {MAX_USER_SYMBOLS}"
+            )
+        constituents += worst * (fp - 1)
+    if constituents > MAX_CONSTITUENTS:
         raise ValueError(
-            f"user schedule for K={K}, t={t}, alpha={plan.alpha} may "
-            f"need {worst} user symbols, above the limit of {MAX_USER_SYMBOLS}"
+            f"centralized run for K={K}, t={t}, alpha={plan.alpha} may hold "
+            f"{constituents} constituents, above the limit of {MAX_CONSTITUENTS}"
         )
 
 
@@ -679,10 +694,13 @@ def _user_schedule(
         if hosting is None:
             last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
             continue
-        return _assemble_schedule(
+        sched = _assemble_schedule(
             config, placement, plan, d, ranks, offset, slots, quotas,
             (receiver, subset), hosting, L, fp,
-        ), placement
+        )
+        size = (1 - plan.server_share) / Frac(math.comb(K, t) * L)
+        _audit_user_schedule(config, placement, d, sched, L, m, size)
+        return sched, placement
     raise SchedulingError(
         f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
     )
@@ -703,7 +721,7 @@ def _assemble_schedule(
     fp: int,
 ) -> DeliverySchedule:
     """The user rounds of a feasible rung as int columns (a
-    :class:`UserRounds` view), then audited.
+    :class:`UserRounds` view), unaudited.
 
     * Loads: the (cls, group, units) entries of ``hosting``
       (:func:`_solve_hosting`) as they come, by class in (j, T) order and
@@ -723,7 +741,11 @@ def _assemble_schedule(
       round of its own.
 
     ``ranks`` holds the canonical partitions, each group as its row in the
-    lex list of fp-subsets, which also indexes ``quotas``.
+    lex list of fp-subsets, which also indexes ``quotas``.  Memory: the
+    pico-files' subset ranks and layers are int32, each intermediate is
+    dropped once used, and the symbols are written into the table's
+    columns in blocks of at most ``RUN`` constituents, so past the table
+    itself a run holds 8 bytes per pico-file and one block's temporaries.
     """
     m = fp - 1
     K, W = config.K, words(config.K)
@@ -737,11 +759,17 @@ def _assemble_schedule(
     # in all, so pico-file k is layer k % L of class k // L
     (j, subset), (cls, group, units) = classes, hosting
     host = np.searchsorted(live, group)
-    lane = np.repeat(host * fp + (members[host] < j[cls, None]).sum(axis=1), units)
+    lane = host * fp + (members[host] < j[cls, None]).sum(axis=1)
+    lane = np.repeat(lane.astype(np.int32), units)
+    load = np.bincount(lane, minlength=len(live) * fp).reshape(-1, fp)
     # the pico-files lane after lane, lane l's load from loads[l]
     order = stable_order(lane)
-    subset, layer = subset[order // L], order % L
-    load = np.bincount(lane, minlength=len(live) * fp).reshape(-1, fp)
+    del lane
+    layer = np.empty(len(order), np.int32)
+    np.remainder(order, L, out=layer, casting="unsafe")
+    order //= L
+    subset = subset.astype(np.int32)[order]
+    del order
     loads = offsets(load.ravel())
     bad = (load.max(axis=1) > Q) | (load.sum(axis=1) != m * Q)
     if bad.any():
@@ -756,27 +784,55 @@ def _assemble_schedule(
     window = ranks[(offset + np.arange(min(slots, beta))) % beta]
     g = np.searchsorted(live, window)[np.arange(slots) % len(window)]
     g = g.ravel()  # each symbol's group
-    k = distinct(g)[2]  # its position in the group's symbols
-    a = (k[:, None] >= ends[g]).sum(axis=1)  # its sender's position
-    b = others(fp)[a]  # its receivers' positions
-    gb, kb = g[:, None], k[:, None]
-    pico = loads[gb * fp + b] + kb - np.clip(kb - ends[gb, b] + sent[gb, b], 0, sent[gb, b])
-    receiver = members[gb, b].ravel()
+    k = occurrences(g)[2]  # its position in the group's symbols
     n = len(g)
+    sender = np.empty(n, np.int32)
+    receiver, index = np.empty(n * m, np.int32), np.empty(n * m, np.int32)
+    file, subsets = np.empty(n * m, np.int64), np.empty((n * m, W), np.int64)
+    files = np.array((0, *demands), np.int64)
+    receivers = others(fp)
+    block = max(1, RUN // m)
+    for lo in range(0, n, block):
+        gb, kb = g[lo : lo + block, None], k[lo : lo + block, None]
+        a = (kb >= ends[gb[:, 0]]).sum(axis=1)  # each symbol's sender's position
+        b = receivers[a]  # its receivers' positions
+        pico = loads[gb * fp + b] + kb - np.clip(kb - ends[gb, b] + sent[gb, b], 0, sent[gb, b])
+        users = members[gb, b]
+        sender[lo : lo + block] = members[gb[:, 0], a]
+        at = slice(lo * m, lo * m + users.size)
+        receiver[at], file[at] = users.ravel(), files[users].ravel()
+        index[at] = layer[pico].ravel()
+        subsets[at] = placement.subset_masks[subset[pico].ravel()]
     table = SymbolTable(
-        members[g, a].astype(np.int32), masks(members, W)[g], np.zeros(n, np.int32),
-        np.zeros(n, bool), np.arange(n + 1) * m, receiver.astype(np.int32),
-        np.array((0, *demands), np.int64)[receiver],
-        placement.subset_masks[subset[pico].ravel()],
-        np.zeros(n * m, np.int32), layer[pico].ravel().astype(np.int32),
-        np.full(n * m, L, np.int32), [size], ["u"],
+        sender, masks(members, W)[g], np.zeros(n, np.int32),
+        np.zeros(n, bool), np.arange(n + 1) * m, receiver, file, subsets,
+        np.zeros(n * m, np.int32), index, np.full(n * m, L, np.int32), [size], ["u"],
     )
     runs = 1 if beta == 1 else slots
-    sched = DeliverySchedule(
+    return DeliverySchedule(
         UserRounds(list(range(runs)), np.arange(runs + 1) * (n // runs), table)
     )
-    _audit_user_schedule(config, placement, demands, sched, L, m, size)
-    return sched
+
+
+def _pico_keys(
+    subset: np.ndarray, receiver: np.ndarray, index: np.ndarray, K: int, t: int, L: int
+) -> np.ndarray:
+    """The pico (T, layer, j) of each constituent that names one, a subset
+    of t users in 1..K, a receiver in 1..K outside it and a layer in
+    0..L-1, as one int in [0, C(K, t) * L * (K - t)): T's row in the lex
+    list of t-subsets of 1..K, then its layer, then j's position among the
+    K - t users outside T.  A subset's row is read a byte of users at a
+    time (``model.mask_ranks``); j's position is j - 1 less the members of
+    T below j, counted one word at a time."""
+    tid = mask_ranks(subset, K, t)
+    j = receiver.astype(np.int64)
+    word, bit = np.divmod(j, WORD)
+    below = np.zeros(len(j), np.int64)
+    for w in range(subset.shape[1]):
+        low = np.where(word > w, -1, np.where(word == w, (1 << bit) - 1, 0))
+        below += np.bitwise_count(subset[:, w] & low)
+    kept = (tid >= 0) & (index >= 0) & (index < L) & (j >= 1) & (j <= K) & ~has(subset, j)
+    return ((tid * L + index) * (K - t) + j - 1 - below)[kept]
 
 
 def _audit_user_schedule(
@@ -796,55 +852,73 @@ def _audit_user_schedule(
     1..K is in no group.  The first failure is named in schedule order:
     per symbol its arity, size and sender, then per constituent its
     receiver and whether the rest of its group caches its subset, that is
-    whether group & ~subset & ~bit(receiver) is empty.  A delivery of pico
-    (T, layer) to a receiver j outside T is one int key; every such pico is
-    delivered exactly once iff the keys are distinct and as many as the
-    picos.  Only when they are not are they counted, to name the first pico
-    delivered a wrong number of times.
+    whether group & ~subset & ~bit(receiver) is empty.  Every pico
+    (T, layer, j) with j outside T is one int key (:func:`_pico_keys`);
+    every pico is delivered exactly once iff there are as many keys as
+    picos and each pico is hit.  Only when that fails are the deliveries
+    counted, to name the first pico delivered a wrong number of times, in
+    (user, subset, layer) order.
+
+    The constituents are checked in runs of at most ``RUN``, each run's
+    masks gathered for that run alone, so beyond the table the audit holds
+    the symbols' group masks, one bool per pico and one run's temporaries.
     """
     t = UserRounds.of(sched.user_rounds).table
     K, n_T, W = config.K, len(placement.subsets), t.group.shape[1]
     group = t.group & masks(np.arange(1, K + 1), W)  # users 1..K only
     arity = np.diff(t.cstart)
     sized = np.array([z is size or z == size for z in t.sizes], bool)
-    symbol_bad = (arity != m) | ~sized[t.size] | ~has(group, t.sender)
-    of = np.repeat(np.arange(len(t)), arity)  # each constituent's symbol
-    group = group[of]
-    misplaced = ~has(group, t.receiver) | (t.receiver == t.sender[of])
-    strip = (group & ~t.subset & ~masks(t.receiver[:, None], W)).any(axis=1)
-    bad_symbols = np.flatnonzero(symbol_bad)
-    bad_cons = np.flatnonzero(misplaced | strip)
+    bad_symbols = np.flatnonzero((arity != m) | ~sized[t.size] | ~has(group, t.sender))
     i = bad_symbols[0] if len(bad_symbols) else len(t)
-    if len(bad_cons) and of[bad_cons[0]] < i:
-        c = bad_cons[0]
-        if misplaced[c]:
-            raise SchedulingError("constituent receiver misplaced")
-        raise SchedulingError(
-            f"group {user_sets(t.group[of[c : c + 1]])[0]} cannot strip "
-            f"{t.fragments(bad_cons[:1])[0]} for user {t.receiver[c]}"
-        )
+
+    def keys(at: slice) -> np.ndarray:
+        return _pico_keys(t.subset[at], t.receiver[at], t.index[at], K, placement.t, L)
+
+    # only the constituents of the symbols before the first bad one can
+    # fail first
+    picos = n_T * L * (K - placement.t)
+    hit, kept = np.zeros(picos, bool), 0
+    for lo in range(0, t.cstart[i], RUN):
+        at = slice(lo, min(lo + RUN, t.cstart[i]))
+        of = np.searchsorted(t.cstart, np.arange(at.start, at.stop), side="right") - 1
+        receiver, mine = t.receiver[at], group[of]
+        misplaced = ~has(mine, receiver) | (receiver == t.sender[of])
+        strip = (mine & ~t.subset[at] & ~masks(receiver[:, None], W)).any(axis=1)
+        bad = np.flatnonzero(misplaced | strip)
+        if len(bad):
+            c = bad[0]
+            if misplaced[c]:
+                raise SchedulingError("constituent receiver misplaced")
+            raise SchedulingError(
+                f"group {user_sets(t.group[of[c : c + 1]])[0]} cannot strip "
+                f"{t.fragments(np.array([lo + c]))[0]} for user {receiver[c]}"
+            )
+        run = keys(at)
+        hit[run] = True
+        kept += len(run)
     if i < len(t):
         if arity[i] != m:
             raise SchedulingError(f"symbol codes {arity[i]} != {m}")
         if not sized[t.size[i]]:
             raise SchedulingError("unequal pico sizes in user schedule")
         raise SchedulingError("sender outside its group")
-
-    j = np.where((t.receiver >= 1) & (t.receiver <= K), t.receiver, 0)
-    placed = placement.subset_masks
-    tid = mask_rows(placed, t.subset)
-    kept = (tid >= 0) & (t.index < L) & ~has(t.subset, j)
-    keys = ((tid * L + t.index) * (K + 1) + j)[kept]
-    seen = np.bincount(keys, minlength=n_T * L * (K + 1))
-    if len(keys) == n_T * (K - placement.t) * L and seen.max(initial=0) <= 1:
+    # as many keys as picos, and every pico hit: each was hit exactly once
+    if kept == picos and hit.all():
         return
-    # every pico in (user, subset, layer) order, a user's own subsets skipped
-    seen = seen.reshape(n_T, L, K + 1).transpose(2, 0, 1)[1:]
-    wrong = (seen != 1) & ~has(placed, np.arange(1, K + 1)[:, None])[:, :, None]
-    u, T, layer = np.unravel_index(np.argmax(wrong), wrong.shape)
+    seen = np.zeros(picos, np.int64)
+    for lo in range(0, len(t.receiver), RUN):
+        np.add.at(seen, keys(slice(lo, lo + RUN)), 1)
+    # every pico in (user, subset, layer) order: pico (T, layer, q) goes to
+    # T's q-th user outside T
+    outside = np.array(
+        [[u for u in range(1, K + 1) if u not in T] for T in placement.subsets], np.int64
+    ).reshape(n_T, K - placement.t)
+    T, layer, q = np.unravel_index(np.flatnonzero(seen != 1), (n_T, L, K - placement.t))
+    u = outside[T, q]
+    first = stable_order(layer, T, u)[0]
     raise SchedulingError(
-        f"pico (user {u + 1}, T={placement.subsets[T]}, layer {layer}) delivered "
-        f"{seen[u, T, layer]} times"
+        f"pico (user {u[first]}, T={placement.subsets[T[first]]}, layer {layer[first]}) "
+        f"delivered {seen.reshape(n_T, L, -1)[T[first], layer[first], q[first]]} times"
     )
 
 

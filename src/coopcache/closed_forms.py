@@ -64,24 +64,6 @@ def choose_alpha(config: SystemConfig) -> int:
     return _alpha_table(config.K, t.numerator, t.denominator)[config.alpha_max]
 
 
-def piecewise_alpha(config: SystemConfig) -> Frac:
-    """Analytic optimiser of the delay denominator, as an exact rational.
-
-    Three regimes: alpha* = 1 when t >= K-1 (a single full group already
-    codes t pico-files per symbol); alpha* = K/(t+1) (possibly fractional)
-    in the middle where groups of size t+1 are ideal; alpha* = alpha_max
-    when t <= K//alpha_max - 1 (caches too small to fill even the widest
-    grouping).  ``choose_alpha`` is the integer ground truth; this exposes
-    the idealised curve for cross-checking.
-    """
-    K, t = config.K, config.t
-    if t >= K - 1:
-        return Frac(1)
-    if t <= K // config.alpha_max - 1:
-        return Frac(config.alpha_max)
-    return Frac(K) / (t + 1)
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """Server/user delivery split: parallelism alpha, server share, layers.

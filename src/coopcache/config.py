@@ -3,7 +3,8 @@
 ``SystemConfig`` is the instance every layer takes (``model`` describes
 the system), ``as_frac`` reads the rationals the library and the CLI
 accept, and ``MAX_USER_SYMBOLS`` is the limit of every size guard but
-the bit-mode byte count's, ``MAX_BIT_BYTES``.  With ``closed_forms`` this
+the centralized constituent count's, ``MAX_CONSTITUENTS``, and the
+bit-mode byte count's, ``MAX_BIT_BYTES``.  With ``closed_forms`` this
 is the analytic layer that ``bounds`` and ``cli`` build on; it imports no
 numpy and no scheduler.
 """
@@ -89,6 +90,13 @@ class SystemConfig:
 # uniform full-cycle rung, exceeds this, before anything is enumerated; the
 # placement entries and grid points the size guards count share the limit.
 MAX_USER_SYMBOLS = 500_000
+
+# Refuse a centralized run that would hold more constituents than this, the
+# server's and the uniform rung's user symbols', counted in closed form
+# before anything is enumerated.  A run peaks at about 80 bytes per
+# constituent (the schedule's table, then the decode check's interning),
+# so this bounds a run near 1 GB; (28, 28, 23, 1) holds 11,793,600.
+MAX_CONSTITUENTS = 12_000_000
 
 # Refuse a bit-mode run whose up-front arrays, the library and the
 # decentralized placement's position orders, would take more bytes than

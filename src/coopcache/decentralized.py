@@ -74,12 +74,12 @@ from .model import (
     SymbolTable,
     Symbols,
     UserRounds,
-    distinct,
     enumerate_subsets,
     equal_partition_count,
     has,
     mask_rows,
     masks,
+    occurrences,
     offsets,
     others,
     partition_table,
@@ -358,7 +358,7 @@ def _draw_indices(
     spans two rounds.  The error raised is the one a round-by-round audit
     meets first: rounds in order, and in a round an exhausted fragment
     before a mini-file delivered short."""
-    key, first, index = distinct(part, receiver, *subset.T)
+    key, first, index = occurrences(part, receiver, *subset.T)
     # how often each (part, T, receiver) is used, T ranked among every
     # subset by size then lex; only each key's first row is ranked
     sets = caching_sets(K)

@@ -40,14 +40,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    RUN,
     FragmentId,
     ListView,
-    SymbolTable,
     distinct,
+    fragment_ids,
     has,
+    offsets,
     ranges,
     runs,
     stable_order,
+    table_rows,
     user_sets,
     validate_demands,
     widen,
@@ -70,8 +73,8 @@ class _LogTables:
     subfile's position run (``frag_spans``), so its bit count is hi - lo.
 
     The log's live constituents (those of nonzero size, repeats kept) are
-    flattened, entry after entry, into rows: ``cons`` the fragment id,
-    ``entry`` its entry's index in the log, and ``unknown`` the mask row of
+    flattened, entry after entry, into rows: ``cons`` the fragment id and
+    ``entry`` its entry's index in the log, both int32, and ``unknown`` the mask row of
     the users who hear its entry and do not cache its subset, so whether
     user k must learn it is one bit.  Entries left with no live
     constituent are dropped; ``starts`` and ``lengths`` give each kept
@@ -102,23 +105,56 @@ class _LogTables:
 
 
 class _Fragments(ListView):
-    """The ``FragmentId`` of each fragment id, built from one of its
-    constituent rows of a symbol table at the first read of any."""
+    """The ``FragmentId`` of each fragment id, built from its key columns
+    (``model.fragment_ids``) at the first read of any."""
 
-    def __init__(self, table: SymbolTable, rows: np.ndarray) -> None:
-        self.table, self.rows = table, rows
+    def __init__(self, parts: list[str], *columns: np.ndarray) -> None:
+        self.parts, self.columns = parts, columns
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
     def _items(self) -> list:
-        return self.table.fragments(self.rows)
+        return fragment_ids(self.parts, *self.columns)
 
 
-def _first_equal(values: Sequence) -> np.ndarray:
-    """Per row of a table, the first row holding an equal value."""
-    first: dict = {}
-    return np.array([first.setdefault(v, i) for i, v in enumerate(values)], np.int32)
+def _narrow(columns: Sequence[np.ndarray]) -> np.dtype:
+    """The smallest int dtype that holds every value of the columns."""
+    ends = [x for column in columns if len(column) for x in (column.min(), column.max())]
+    return np.result_type(np.uint8, *map(np.min_scalar_type, ends))
+
+
+def _key_columns(c: LogColumns) -> tuple[list[str], list[np.ndarray], np.ndarray]:
+    """The key columns (file, subset, part, index, count) of the log's
+    constituents, entry after entry, gathered from each run of its symbols
+    straight into one array per column, each int column in the smallest
+    dtype that holds its tables' values; ``subset`` holds mask rows at the
+    widest table's width, and ``part`` rows of the parts returned, the
+    tables' parts merged by value.  Also each entry's constituent count."""
+    lo = [table.cstart[rows] for table, rows in c.symbols]
+    hi = [table.cstart[rows + 1] for table, rows in c.symbols]
+    arity = np.concatenate([np.zeros(0, np.int64), *(b - a for a, b in zip(lo, hi))])
+    cuts = offsets(arity)[offsets(len(rows) for _, rows in c.symbols)].tolist()
+    n, W = cuts[-1], max((t.subset.shape[1] for t, _ in c.symbols), default=1)
+    merged: dict = {}
+    part_rows = [table_rows(t.parts, merged) for t, _ in c.symbols]
+    file, index, count = (
+        np.empty(n, _narrow([getattr(t, name) for t, _ in c.symbols]))
+        for name in ("file", "index", "count")
+    )
+    part = np.empty(n, _narrow([np.array([0, len(merged)])]))
+    subset = np.zeros((n, W), np.int64)
+    for (t, _), rows, a, x, y in zip(c.symbols, part_rows, cuts, lo, hi):
+        # a block of entries at a time, of about RUN constituents
+        step = max(1, RUN // max(1, int((y - x).max(initial=0))))
+        for e in range(0, len(x), step):
+            at = ranges(x[e : e + step], y[e : e + step])
+            b = a + len(at)
+            file[a:b], index[a:b], count[a:b] = t.file[at], t.index[at], t.count[at]
+            part[a:b] = rows[t.part[at]]
+            subset[a:b, : t.subset.shape[1]] = t.subset[at]
+            a = b
+    return list(merged), [file, subset, part, index, count], arity
 
 
 def _intern_log(log: TransmissionLog) -> _LogTables:
@@ -126,47 +162,50 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     and nothing else.  Nothing is kept on the log.
 
     Fragment ids come from one sort of the constituents' key columns
-    (file, subset mask, part, count, index), whose part rows are first
-    mapped to the first row of an equal value: an id depends on the key's
-    values alone, and no id or row numbering the scheduler chose is read.
-    The same sort lays each group's fragments out as one run of ids, so
-    the groups take no sort of their own, and subfile rows and sizes are
-    worked out once per group.  An empty fragment is known to every user,
-    so it is dropped from every entry and no symbol waits on it.
+    (:func:`_key_columns`: file, subset mask, part, count, index), their
+    parts merged by value: an id depends on the key's values alone, and no
+    id or row numbering the scheduler chose is read.  Once sorted, each key
+    column is cut to one row per id, freeing the constituents' rows, so a
+    constituent keeps only its int32 id and entry and its mask row of
+    unknowns.  The same sort lays each group's fragments out as one run of
+    ids, so the groups take no sort of their own, and subfile rows and
+    sizes are worked out once per group.  An empty fragment is known to
+    every user, so it is dropped from every entry and no symbol waits on
+    it.
     """
     c = log.columns()
-    t, resolver = c.table, log.resolver
-    lo, hi = t.cstart[c.symbol], t.cstart[c.symbol + 1]
-    at = ranges(lo, hi)  # the constituents, entry after entry
-    file, index, count, subset = t.file[at], t.index[at], t.count[at], t.subset[at]
-    part = _first_equal(t.parts)[t.part[at]]
-    cons, first, _ = distinct(index, count, part, *subset.T, file)
+    resolver = log.resolver
+    parts, (file, subset, part, index, count), arity = _key_columns(c)
+    cons, first = distinct(index, count, part, *subset.T, file)
     fsub = subset[first]
+    del subset
+    file, part, index, count = file[first], part[first], index[first], count[first]
+    del first
+    key = file, fsub, part, index, count
     # ids follow (file, subset, part, count, index), so the fragments of a
     # group hold consecutive ids
-    group, members = runs(count[first], part[first], *fsub.T, file[first])
-    rep = first[members]  # one constituent of each group
+    group, rep = runs(count, part, *fsub.T, file)  # rep: one id of each group
     subfiles = resolver.subfile_masks
     spans = group_size = subfile_size = fits = None
     if log.mode == "bits":
-        sub, flo, fhi = resolver.frag_spans(t, at[first])
-        spans = np.stack([file[first], sub, flo, fhi], axis=1)
+        sub, flo, fhi = resolver.frag_spans(parts, *key)
+        spans = np.stack([file, sub, flo, fhi], axis=1)
         nonempty = fhi > flo
     else:
         # a size depends on (part, count, |T|) only, so it is asked once per
         # such shape
-        size = np.bitwise_count(subset[rep]).sum(axis=1, dtype=np.int64)
-        shape, shapes, _ = distinct(count[rep], part[rep], size)
+        size = np.bitwise_count(fsub[rep]).sum(axis=1, dtype=np.int64)
+        shape, shapes = distinct(count[rep], part[rep], size)
         shares = [
-            resolver.fragment_size(t.parts[p], n, T)
+            resolver.fragment_size(parts[p], n, T)
             for p, n, T in zip(
                 part[rep][shapes].tolist(),
                 count[rep][shapes].tolist(),
-                user_sets(subset[rep][shapes]),
+                user_sets(fsub[rep][shapes]),
             )
         ]
         # and a subfile's size on |T| only, so it is asked once per |T|
-        sized, firsts, _ = distinct(np.bitwise_count(subfiles).sum(axis=1, dtype=np.int64))
+        sized, firsts = distinct(np.bitwise_count(subfiles).sum(axis=1, dtype=np.int64))
         whole = [resolver.subfile_size(T) for T in user_sets(subfiles[firsts])]
         den = math.lcm(*{x.denominator for x in shares + whole})
         nums = np.array([x.numerator * (den // x.denominator) for x in shares], object)
@@ -176,28 +215,33 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
         )[sized]
         nonempty = (nums != 0)[shape][group]
 
-    entry = np.repeat(np.arange(len(c.symbol)), hi - lo)
+    entry = np.repeat(np.arange(len(arity), dtype=np.int32), arity)
     if not nonempty.all():
         live = nonempty[cons]
         cons, entry = cons[live], entry[live]
     # entries are in log order, so each kept one is a run of ``entry``
-    starts = np.flatnonzero(np.diff(entry, prepend=-1))
-    lengths = np.diff(starts, append=len(entry))
+    lengths = np.bincount(entry, minlength=len(arity))
+    lengths = lengths[lengths > 0]
+    starts = offsets(lengths)[:-1]
     if log.mode == "bits":
         longest = np.maximum.reduceat(spans[cons, 3] - spans[cons, 2], starts)
         fits = longest == [len(c.payloads[i]) for i in entry[starts].tolist()]
     heard, cached = widen(c.receivers, fsub)
+    unknown = cached[cons]
+    np.invert(unknown, out=unknown)
+    for lo in range(0, len(entry), RUN):  # heard rows a block at a time
+        unknown[lo : lo + RUN] &= heard[entry[lo : lo + RUN]]
     return _LogTables(
-        _Fragments(t, at[first]),
+        _Fragments(parts, *key),
         group,
         fsub,
         file[rep],
-        resolver.subfile_rows(subset[rep]),
-        np.where(np.array([p == "full" for p in t.parts])[part[rep]], -1, part[rep]),
+        resolver.subfile_rows(fsub[rep]),
+        np.where(np.array([p == "full" for p in parts])[part[rep]], -1, part[rep].astype(int)),
         group_size,
         spans,
         cons,
-        heard[entry] & ~cached[cons],
+        unknown,
         entry,
         starts,
         lengths,
@@ -219,7 +263,10 @@ def _fluid_closure(tables: _LogTables, user: int) -> np.ndarray:
     peeling decoder); a symbol holding one unknown twice never resolves it.
     """
     learned = np.zeros(len(tables.frags), dtype=bool)
-    mine = np.flatnonzero(has(tables.unknown, user))
+    unknown = tables.unknown  # tested a block of rows at a time
+    mine = np.flatnonzero(np.concatenate([
+        has(unknown[lo : lo + RUN], user) for lo in range(0, len(unknown) or 1, RUN)
+    ]))
     cons, entry = tables.cons[mine], tables.entry[mine]
     while True:
         # an entry's rows are one run of ``entry``

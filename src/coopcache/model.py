@@ -27,6 +27,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -93,19 +94,68 @@ class GroupPartition:
             raise ValueError(f"groups not sorted by smallest member: {self.groups}")
 
 
+def _binomials(K: int, k: int) -> np.ndarray:
+    """C(n, i) at [n, i] for 1 <= i <= k and n <= K - k - 1 + i, and 0
+    elsewhere in a (K + 1, k + 2) int64 table: the terms of the lex ranks
+    of k-subsets of 1..K.  As the r-th smallest member u_r is at least r,
+    each term C(K - u_r, k + 1 - r) is in the table; each is a term of some
+    rank's sum, so at most C(K, k) - 1, and the table stays int64 wherever
+    C(K, k) does."""
+    binom = np.zeros((K + 1, k + 2), np.int64)
+    for i in range(1, k + 1):
+        binom[: K - k + i, i] = [math.comb(n, i) for n in range(K - k + i)]
+    return binom
+
+
 def subset_ranks(sets: np.ndarray, K: int) -> np.ndarray:
     """The row in ``enumerate_subsets(K, k)`` of each ascending k-subset of
     1..K along the last axis of ``sets``: its lexicographic rank,
     C(K, k) - 1 less the sum of C(K - u_r, k + 1 - r) over its r-th
-    smallest member u_r.  As u_r >= r, only the binomials C(n, i) with
-    n <= K - k - 1 + i are tabulated: each is a term of some rank's sum,
-    so at most C(K, k) - 1, and the table stays int64 wherever C(K, k)
-    does."""
+    smallest member u_r (:func:`_binomials`)."""
     k = sets.shape[-1]
-    binom = np.zeros((K + 1, k + 1), np.int64)
-    for i in range(1, k + 1):
-        binom[: K - k + i, i] = [math.comb(n, i) for n in range(K - k + i)]
+    binom = _binomials(K, k)
     return math.comb(K, k) - 1 - binom[K - sets, np.arange(k, 0, -1)].sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _byte_terms(K: int, k: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
+    """Per byte of users 1..K, as (word, shift, bits, table): the sum of the
+    rank terms C(K - u_r, k + 1 - r) of the byte's members, at
+    ``table[below, byte]`` when ``below`` members lie under the byte
+    (capped at k + 1)."""
+    binom = _binomials(K, k)
+    out = []
+    for word in range(K // WORD + 1):
+        for shift in range(0, WORD, 8):
+            u = word * WORD + shift + np.arange(min(8, WORD - shift))
+            if u[0] > K:
+                break
+            bits = np.arange(1 << len(u))[:, None] >> np.arange(len(u)) & 1
+            # the member's place from the bottom, for each count below
+            r = np.arange(k + 2)[:, None, None] + np.cumsum(bits, axis=1)
+            term = binom[np.clip(K - u, 0, K), np.clip(k + 1 - r, 0, k + 1)]
+            table = (term * (bits * ((u >= 1) & (u <= K)))).sum(axis=2)
+            out.append((word, shift, len(u), table))
+    return tuple(out)
+
+
+def mask_ranks(rows: np.ndarray, K: int, k: int) -> np.ndarray:
+    """:func:`subset_ranks` of mask rows: the row in ``enumerate_subsets(K,
+    k)`` of each row that holds k users, all in 1..K, and -1 for any other.
+    A member's term depends only on the member and on how many members lie
+    below it, so the rows are read a byte of users at a time, each byte's
+    terms summed in a table by the byte and the count below it
+    (:func:`_byte_terms`)."""
+    rank = np.zeros(len(rows), np.int64)
+    below = np.zeros(len(rows), np.int64)
+    for word, shift, bits, table in _byte_terms(K, k):
+        byte = rows[:, word] >> shift & (1 << bits) - 1
+        rank += table[np.minimum(below, k + 1), byte]
+        below += np.bitwise_count(byte)
+    inside = below == k
+    for w, users in enumerate(masks(np.arange(1, K + 1), rows.shape[1])):
+        inside &= rows[:, w] & ~users == 0  # no user 0, none past K
+    return np.where(inside, math.comb(K, k) - 1 - rank, -1)
 
 
 def partition_table(K: int, s: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,26 +187,10 @@ def partition_table(K: int, s: int, count: int) -> tuple[np.ndarray, np.ndarray]
     return groups, idle
 
 
-def enumerate_equal_partitions(
-    K: int, s: int, alpha_d: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All unordered collections of ``alpha_d`` disjoint s-subsets of 1..K.
-
-    Users not covered by any group are idle.  Canonical form sorts groups by
-    smallest member; the output is in lexicographic order of the flattened
-    canonical form.  Requires s >= 2 and alpha_d*s <= K.
-    """
-    if s < 2:
-        raise ValueError(f"groups need at least two members, got s={s}")
-    if alpha_d < 1 or alpha_d * s > K:
-        raise ValueError(f"cannot fit {alpha_d} disjoint {s}-subsets in 1..{K}")
-    groups = partition_table(K, s, alpha_d)[0].tolist()
-    return [tuple(map(tuple, part)) for part in groups]
-
-
 def equal_partition_count(K: int, s: int, alpha_d: int) -> int:
-    """Closed-form count of ``enumerate_equal_partitions(K, s, alpha_d)``:
-    the product of C(K - i*s, s) over i < alpha_d, divided by alpha_d!."""
+    """Closed-form count of the unordered choices of ``alpha_d`` disjoint
+    s-subsets of 1..K (the rows of :func:`partition_table`): the product of
+    C(K - i*s, s) over i < alpha_d, divided by alpha_d!."""
     num = 1
     for i in range(alpha_d):
         num *= math.comb(K - i * s, s)
@@ -226,6 +260,11 @@ class XorSymbol:
 # ---------------------------------------------------------------------------
 
 WORD = 63  # bits per mask word, so that an int64 word is never negative
+
+# Rows per block where a temporary per constituent is built a block at a
+# time: the centralized assembly's blocks, its audit's runs and the decode
+# check's gathers and scans.
+RUN = 1 << 16
 
 
 def words(top: int) -> int:
@@ -297,7 +336,7 @@ def user_sets(rows: np.ndarray) -> list[tuple[int, ...]]:
 def mask_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each of ``rows``' position among the distinct mask rows ``keys``, or
     -1 where no key equals it: one :func:`distinct` over both."""
-    ids, first, _ = distinct(*np.concatenate(widen(keys, rows)).T)
+    ids, first = distinct(*np.concatenate(widen(keys, rows)).T)
     at = np.full(len(first), -1, np.int64)
     at[ids[: len(keys)]] = np.arange(len(keys))
     return at[ids[len(keys) :]]
@@ -404,29 +443,51 @@ def _starts(keys: Iterable[np.ndarray], n: int) -> np.ndarray:
     return new
 
 
+def _id_dtype(n: int) -> type:
+    """The dtype of ids and counts below ``n``: int32 below 2^31."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
 def runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For rows already in the sorted order of the columns, what
     :func:`distinct` gives with no sort: (each row's id, the first row of
     each id)."""
-    new = _starts(columns, len(columns[0]))
-    return np.cumsum(new) - 1, np.flatnonzero(new)
+    n = len(columns[0])
+    new = _starts(columns, n)
+    run = np.cumsum(new, dtype=_id_dtype(n))
+    run -= 1
+    return run, np.flatnonzero(new)
 
 
-def distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows equal in every column share one id: (each row's id, the first
-    row of each id, each row's occurrence: how many earlier rows share its
-    id).  Ids follow the sorted order of the columns, the last one primary.
-    All three are read off one :func:`stable_order`."""
+def _ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's id, the sort's order, and where each run of equal rows
+    starts in it: one :func:`stable_order`."""
     n = len(columns[0])
     order, ordered = _sort(columns)
     new = _starts(ordered, n)
-    run = np.cumsum(new)
+    run = np.cumsum(new, dtype=_id_dtype(n))
     run -= 1
-    ids = np.empty(n, np.int64)
+    ids = np.empty(n, run.dtype)
     ids[order] = run
-    run = np.arange(n) - np.flatnonzero(new)[run]  # occurrences, in sorted order
-    occurrence = np.empty(n, np.int64)
-    occurrence[order] = run
+    return ids, order, new
+
+
+def distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows equal in every column share one id: (each row's id, the first
+    row of each id).  Ids follow the sorted order of the columns, the last
+    one primary, are read off one :func:`stable_order`, and are int32 below
+    2^31 rows."""
+    ids, order, new = _ids(columns)
+    return ids, order[new]
+
+
+def occurrences(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`distinct`, and each row's occurrence: how many earlier rows
+    share its id, read off the same sort."""
+    ids, order, new = _ids(columns)
+    occurrence = np.empty(len(order), np.int64)
+    # in sorted order, a row's place less where its run starts
+    occurrence[order] = np.arange(len(order)) - np.flatnonzero(new)[ids[order]]
     return ids, order[new], occurrence
 
 
@@ -450,6 +511,28 @@ def int_column(objects: Sequence, name: str, dtype: type = np.int32) -> np.ndarr
     return np.fromiter(map(attrgetter(name), objects), dtype, len(objects))
 
 
+def fragment_ids(
+    parts: Sequence[str],
+    file: np.ndarray,
+    subset: np.ndarray,
+    part: np.ndarray,
+    index: np.ndarray,
+    count: np.ndarray,
+) -> list[FragmentId]:
+    """Fragment columns as value objects: ``subset`` mask rows, ``part``
+    rows of ``parts``."""
+    return list(
+        map(
+            FragmentId,
+            file.tolist(),
+            user_sets(subset),
+            [parts[i] for i in part.tolist()],
+            index.tolist(),
+            count.tolist(),
+        )
+    )
+
+
 @dataclass(eq=False)
 class SymbolTable:
     """XOR symbols as int columns.
@@ -467,7 +550,9 @@ class SymbolTable:
     :meth:`from_symbols` is the adapter for symbols given as a list.  Every
     int column but ``file`` and ``cstart`` counts users, rows or fragments,
     so the adapter keeps it in int32.  :meth:`symbols` builds the value
-    objects of any rows on demand.
+    objects of any rows on demand.  A table is never joined to another or
+    copied: a log reads the server's table and the user rounds' table side
+    by side, each entry a row of one of them.
     """
 
     sender: np.ndarray
@@ -514,43 +599,11 @@ class SymbolTable:
             list(sizes), list(parts),
         )
 
-    @classmethod
-    def concat(cls, first: "SymbolTable", second: "SymbolTable") -> "SymbolTable":
-        """``first``'s symbols, then ``second``'s, over merged tables and
-        masks of the wider width."""
-        both = (first, second)
-        tables: dict[str, dict] = {t: {} for t in ("sizes", "parts")}
-
-        def rows(column: str, table: str) -> np.ndarray:
-            return np.concatenate(
-                [table_rows(getattr(t, table), tables[table])[getattr(t, column)] for t in both]
-            )
-
-        def joined(column: str) -> np.ndarray:
-            columns = [getattr(t, column) for t in both]  # masks are the 2-d ones
-            return np.concatenate(widen(*columns) if columns[0].ndim == 2 else columns)
-
-        return cls(
-            joined("sender"), joined("group"), rows("size", "sizes"),
-            joined("redundant"),
-            np.concatenate([first.cstart[:-1], second.cstart + first.cstart[-1]]),
-            joined("receiver"), joined("file"), joined("subset"),
-            rows("part", "parts"), joined("index"), joined("count"),
-            *map(list, tables.values()),
-        )
-
     def fragments(self, at: np.ndarray) -> list[FragmentId]:
         """The fragments of constituent rows ``at``, as value objects."""
-        parts = self.parts
-        return list(
-            map(
-                FragmentId,
-                self.file[at].tolist(),
-                user_sets(self.subset[at]),
-                [parts[i] for i in self.part[at].tolist()],
-                self.index[at].tolist(),
-                self.count[at].tolist(),
-            )
+        return fragment_ids(
+            self.parts, self.file[at], self.subset[at], self.part[at],
+            self.index[at], self.count[at],
         )
 
     def symbols(
@@ -688,12 +741,12 @@ class UserRounds(ListView):
     def _partitions(self) -> list[tuple]:
         """The groups of every round, one tuple of groups per round."""
         starts, n = self.starts, len(self)
-        group, first, _ = distinct(*self.table.group[starts[0] : starts[-1]].T)
+        group, first = distinct(*self.table.group[starts[0] : starts[-1]].T)
         groups = user_sets(self.table.group[starts[0] + first])
         smallest = np.array([g[0] if g else 0 for g in groups], np.int64)
         rnd = np.repeat(np.arange(n), np.diff(starts))
         # each round's distinct groups, by smallest member
-        _, first, _ = distinct(group, smallest[group], rnd)
+        _, first = distinct(group, smallest[group], rnd)
         rows = group[first].tolist()
         cuts = np.searchsorted(rnd[first], np.arange(n + 1)).tolist()
         return [tuple(groups[g] for g in rows[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -712,22 +765,17 @@ class UserRounds(ListView):
         return list(zip(self._partitions(), self.labels, np.diff(self.starts).tolist()))
 
     @classmethod
-    def of(cls, rounds: Sequence, first: Sequence[XorSymbol] = ()) -> "UserRounds":
+    def of(cls, rounds: Sequence) -> "UserRounds":
         """``rounds``, a view or a list of (GroupPartition, symbols) pairs,
-        over a table whose first rows hold the symbols ``first``, a
-        :class:`Symbols` view or a list.  A view's table is read as it is;
-        a list's symbols pass through the adapter."""
-        if not isinstance(rounds, UserRounds):
-            rounds = cls(
-                [part.round_index for part, _ in rounds],
-                offsets(len(syms) for _, syms in rounds),
-                SymbolTable.from_symbols([sym for _, syms in rounds for sym in syms]),
-            )
-        if not len(first):
+        as a view: a view is returned as it is, its table not copied; a
+        list's symbols pass through the adapter into a table of their own."""
+        if isinstance(rounds, UserRounds):
             return rounds
-        head = first.table if isinstance(first, Symbols) else SymbolTable.from_symbols(first)
-        table = SymbolTable.concat(head, rounds.table)
-        return cls(rounds.labels, rounds.starts + len(first), table)
+        return cls(
+            [part.round_index for part, _ in rounds],
+            offsets(len(syms) for _, syms in rounds),
+            SymbolTable.from_symbols([sym for _, syms in rounds for sym in syms]),
+        )
 
 
 @dataclass

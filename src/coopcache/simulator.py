@@ -34,7 +34,9 @@ words (``model.masks``).  Both schedulers build their user rounds as
 columns and their server symbols through one builder,
 ``model.server_multicast``, and :func:`execute_schedule` writes each log
 entry as a row of :class:`LogColumns`, its receivers its group's mask
-without the sender's bit, with each round's lanes slotted by one stable sort.
+without the sender's bit, with each round's lanes slotted by one stable
+sort; its symbol is a row of the server's table or of the user rounds'
+table, each read where the schedule holds it.
 Only symbols given as value objects, user rounds or server symbols
 assigned as a list, come in through one adapter
 (``SymbolTable.from_symbols``), and so does a log given as a list of
@@ -97,12 +99,14 @@ from .model import (
     FragmentId,
     ListView,
     SymbolTable,
+    Symbols,
     UserRounds,
     XorSymbol,
     distinct,
     int_column,
     mask_rows,
     masks,
+    occurrences,
     offsets,
     pack,
     ranges,
@@ -110,6 +114,7 @@ from .model import (
     table_rows,
     user_sets,
     validate_demands,
+    widen,
 )
 
 # ---------------------------------------------------------------------------
@@ -155,9 +160,11 @@ class LogColumns:
 
     Per entry: ``slot``, ``round`` (the round index), ``sender``, ``group``
     and ``receivers`` (mask rows, of one width), ``size`` (a row of
-    ``sizes``: the entry's ``bits``) and ``symbol``, the row of ``table``
-    that holds its symbol; in bit mode ``payloads`` holds each entry's
-    payload.  ``sizes`` holds distinct values.
+    ``sizes``: the entry's ``bits``); in bit mode ``payloads`` holds each
+    entry's payload.  ``sizes`` holds distinct values.  ``symbols`` holds
+    the entries' symbols as runs of (table, rows) pairs, the entries in
+    order: each run's entries are the symbols at ``rows`` of ``table``.  A
+    table is read as the schedule holds it, never copied.
     """
 
     slot: np.ndarray
@@ -166,9 +173,8 @@ class LogColumns:
     group: np.ndarray
     receivers: np.ndarray
     size: np.ndarray
-    symbol: np.ndarray
     sizes: list[Union[int, Frac]]
-    table: SymbolTable
+    symbols: list[tuple[SymbolTable, np.ndarray]]
     payloads: Optional[list] = None
 
     @classmethod
@@ -184,9 +190,8 @@ class LogColumns:
             group,
             receivers,
             table_rows([e.bits for e in entries], sizes),
-            np.arange(len(entries)),
             list(sizes),
-            SymbolTable.from_symbols(symbols),
+            [(SymbolTable.from_symbols(symbols), np.arange(len(entries)))],
             [sym.payload for sym in symbols],
         )
 
@@ -204,6 +209,13 @@ class LogEntries(ListView):
 
     def _items(self) -> list:
         c = self.columns
+        payloads = c.payloads if c.payloads is not None else [None] * len(c.slot)
+        cuts = offsets(len(rows) for _, rows in c.symbols).tolist()
+        symbols = [
+            sym
+            for (table, rows), a, b in zip(c.symbols, cuts, cuts[1:])
+            for sym in table.symbols(rows, payloads[a:b])
+        ]
         return list(
             map(
                 LogEntry,
@@ -213,7 +225,7 @@ class LogEntries(ListView):
                 user_sets(c.group),
                 user_sets(c.receivers),
                 [c.sizes[i] for i in c.size.tolist()],
-                c.table.symbols(c.symbol, c.payloads),
+                symbols,
             )
         )
 
@@ -262,7 +274,7 @@ class TransmissionLog:
         user = c.sender != 0
         if not user.any():
             return Frac(0)
-        lanes, first, _ = distinct(*c.group[user].T, c.round[user])
+        lanes, first = distinct(*c.group[user].T, c.round[user])
         loads = np.zeros(len(first), dtype=object)
         np.add.at(loads, lanes, np.array(nums, dtype=object)[c.size[user]])
         rnd = c.round[user][first]  # lanes come round by round
@@ -280,7 +292,7 @@ class TransmissionLog:
         c = self.columns()
         server = c.sender == 0
         slots = c.slot[server]
-        _, first, _ = distinct(slots)
+        _, first = distinct(slots)
         if len(first) < len(slots):
             repeat = np.ones(len(slots), dtype=bool)
             repeat[first] = False
@@ -288,7 +300,7 @@ class TransmissionLog:
         slots, group = c.slot[~server], c.group[~server]
         if not len(slots):
             return
-        ids, first, _ = distinct(slots)
+        ids, first = distinct(slots)
         senders = np.bincount(ids)
         # a slot's groups are pairwise disjoint iff, word by word, their
         # member counts add up to the member count of their union
@@ -318,7 +330,7 @@ class TransmissionLog:
         mode and an exact fraction of F (like ``1/45``) in fluid mode.
         """
         c = self.columns()
-        row, first, _ = distinct(*c.receivers.T)
+        row, first = distinct(*c.receivers.T)
         receivers = ["|".join(map(str, users)) for users in user_sets(c.receivers[first])]
         bits = [str(x) for x in c.sizes]
         return ["slot,sender,receivers,bits"] + [
@@ -412,7 +424,7 @@ class FragmentResolver:
         of a |T| = ``size`` subfile.  Part bounds are worked out once per
         (part, |T|, length); the slices of a part are cut near-equally, the
         longer ones first, as ``np.array_split`` cuts."""
-        shape, first, _ = distinct(n, size, part)
+        shape, first = distinct(n, size, part)
         bounds = np.array(
             [
                 self._part_bounds(parts[p], z, m)
@@ -436,19 +448,24 @@ class FragmentResolver:
         return start, start + q + (i < r)
 
     def frag_spans(
-        self, table: SymbolTable, at: np.ndarray
+        self,
+        parts: Sequence[str],
+        file: np.ndarray,
+        subset: np.ndarray,
+        part: np.ndarray,
+        index: np.ndarray,
+        count: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_spans` of the fragments of constituent rows ``at`` of
-        ``table``: each one's subfile, as a row of ``subfile_keys()``, and
-        its [lo, hi) inside that subfile's position run."""
-        subset = table.subset[at]
+        """:meth:`_spans` of fragments given as columns, ``subset`` mask
+        rows and ``part`` rows of ``parts``: each one's subfile, as a row of
+        ``subfile_keys()``, and its [lo, hi) inside that subfile's position
+        run."""
         sub = self.subfile_rows(subset)
         if (sub < 0).any():
             raise KeyError(user_sets(subset[sub < 0])[0])
         size = np.bitwise_count(subset).sum(axis=1, dtype=np.int64)
         return sub, *self._spans(
-            table.parts, table.part[at], size, self.subfile_lengths(table.file[at], sub),
-            table.count[at], table.index[at],
+            parts, part, size, self.subfile_lengths(file, sub), count, index
         )
 
     def frag_positions(self, frag: FragmentId) -> np.ndarray:
@@ -570,8 +587,11 @@ def _payloads(
     as the longest of them (bit mode), read through their spans."""
     lo, hi = table.cstart[rows], table.cstart[rows + 1]
     at = ranges(lo, hi)
-    sub, start, stop = resolver.frag_spans(table, at)
-    spans = zip(table.file[at].tolist(), sub.tolist(), start.tolist(), stop.tolist())
+    file = table.file[at]
+    sub, start, stop = resolver.frag_spans(
+        table.parts, file, table.subset[at], table.part[at], table.index[at], table.count[at]
+    )
+    spans = zip(file.tolist(), sub.tolist(), start.tolist(), stop.tolist())
     out = []
     for n in (hi - lo).tolist():
         parts = [resolver.span_bits(library, *span) for span in islice(spans, n)]
@@ -591,7 +611,7 @@ def _slots(rnd: np.ndarray, lane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lanes first appear in the round, and the round lasts as long as its
     longest lane.  Returns the symbols in entry order and, in that order,
     their slots."""
-    lanes, first, pos = distinct(*lane.T, rnd)
+    lanes, first, pos = occurrences(*lane.T, rnd)
     depth = np.zeros(rnd[-1] + 1 if len(rnd) else 0, np.int64)
     np.maximum.at(depth, rnd, pos + 1)
     order = stable_order(first[lanes], pos, rnd)
@@ -612,36 +632,43 @@ def execute_schedule(
     and counts real lengths; fluid mode carries the symbols' rational sizes.
     Symbols given as a list, of user rounds or server symbols, come in
     through the adapter; a ``UserRounds`` or ``model.Symbols`` view's
-    table is read as it is.
+    table is read as it is.  The log's entries are rows of the server's
+    table, then rows of the user rounds' table (``LogColumns.symbols``):
+    neither table is copied or joined to the other.
     """
     if mode == "bits" and library is None:
         raise ValueError("bit mode needs a BitLibrary")
-    n_server = len(schedule.server_symbols)
-    rounds = UserRounds.of(schedule.user_rounds, schedule.server_symbols)
-    table = rounds.table  # the server symbols, then the user rounds'
+    server = schedule.server_symbols
+    server = server.table if isinstance(server, Symbols) else SymbolTable.from_symbols(server)
+    rounds = UserRounds.of(schedule.user_rounds)
+    base, end = rounds.starts[0], rounds.starts[-1]
+    user = rounds.table
     rnd = np.repeat(np.arange(len(rounds)), np.diff(rounds.starts))
-    order, slot = _slots(rnd, table.group[n_server:])
-    symbol = np.concatenate([np.arange(n_server), order + n_server])
-    sender, group = table.sender[symbol], table.group[symbol]
+    order, slot = _slots(rnd, user.group[base:end])
+    rows = order + base
+    symbols = [(server, np.arange(len(server))), (user, rows)]
+    sender = np.concatenate([server.sender, user.sender[rows]])
+    group = np.concatenate(widen(server.group, user.group[rows]))
     receivers = group & ~masks(sender[:, None], group.shape[1])
     if mode == "fluid":
-        sizes, size, payloads = table.sizes, table.size[symbol], None
+        merged: dict = {}  # the tables' sizes, merged by value
+        size = np.concatenate([table_rows(t.sizes, merged)[t.size[r]] for t, r in symbols])
+        sizes, payloads = list(merged), None
     else:
-        payloads = _payloads(table, symbol, resolver, library)
+        payloads = [p for t, r in symbols for p in _payloads(t, r, resolver, library)]
         lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
         bit_counts, size = np.unique(lengths, return_inverse=True)
         sizes = bit_counts.tolist()
     labels = np.array(rounds.labels, np.int64)
     columns = LogColumns(
-        np.concatenate([np.arange(n_server), slot]),
-        np.concatenate([np.full(n_server, -1), labels[rnd[order]]]),
+        np.concatenate([np.arange(len(server)), slot]),
+        np.concatenate([np.full(len(server), -1), labels[rnd[order]]]),
         sender,
         group,
         receivers,
         size,
-        symbol,
         sizes,
-        table,
+        symbols,
         payloads,
     )
     log = TransmissionLog(config, mode, LogEntries(columns), resolver)

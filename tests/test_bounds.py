@@ -34,14 +34,12 @@ from coopcache import (
     load_grid_spec,
     lower_bound,
     p_at_least_threshold,
-    p_star,
     p_threshold,
-    piecewise_alpha,
-    piecewise_gains,
     verify_gap_centralized,
     verify_gap_decentralized,
 )
 from coopcache.cli import main
+from retired_helpers import p_star, piecewise_alpha, piecewise_gains
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from coopcache import (
     choose_alpha,
     enumerate_subsets,
     make_split_plan,
-    piecewise_alpha,
     run_centralized,
 )
+from retired_helpers import piecewise_alpha
 
 WORKED = SystemConfig(6, 6, 4, alpha_max=3)  # t = 4
 

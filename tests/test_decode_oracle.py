@@ -258,13 +258,13 @@ def test_small_bit_mode_configs_agree(data):
 
 
 def _renumbered(log, rng):
-    """The log over its symbol table renumbered: the ``parts`` and ``sizes``
-    rows permuted, each with a duplicate, every constituent's part row and
-    every symbol's size row drawn from its value's two rows; and the symbol
-    rows permuted, their constituent blocks moved with them, ``cstart`` and
-    the log's ``symbol`` column remapped."""
+    """The log over its symbol tables renumbered: in each table the
+    ``parts`` and ``sizes`` rows permuted, each with a duplicate, every
+    constituent's part row and every symbol's size row drawn from its
+    value's two rows; and the symbol rows permuted, their constituent
+    blocks moved with them, ``cstart`` and the rows the log reads of the
+    table remapped."""
     c = log.columns()
-    t = c.table
 
     def doubled(values, rows):
         # row j of values + values goes to row new[j]
@@ -274,19 +274,22 @@ def _renumbered(log, rng):
             table[row] = values[j % len(values)]
         return table, new[rows + len(values) * rng.integers(0, 2, len(rows))]
 
-    parts, part = doubled(t.parts, t.part)
-    sizes, size = doubled(t.sizes, t.size)
-    order = rng.permutation(len(t))  # new symbol row i is old row order[i]
-    at = ranges(t.cstart[order], t.cstart[order + 1])
-    table = dataclasses.replace(
-        t, sender=t.sender[order], group=t.group[order], size=size[order],
-        redundant=t.redundant[order], cstart=offsets(np.diff(t.cstart)[order]),
-        receiver=t.receiver[at], file=t.file[at], subset=t.subset[at], part=part[at],
-        index=t.index[at], count=t.count[at], sizes=sizes, parts=parts,
-    )
-    row = np.empty(len(t), np.int64)
-    row[order] = np.arange(len(t))
-    columns = dataclasses.replace(c, table=table, symbol=row[c.symbol])
+    symbols = []
+    for t, read in c.symbols:
+        parts, part = doubled(t.parts, t.part)
+        sizes, size = doubled(t.sizes, t.size)
+        order = rng.permutation(len(t))  # new symbol row i is old row order[i]
+        at = ranges(t.cstart[order], t.cstart[order + 1])
+        table = dataclasses.replace(
+            t, sender=t.sender[order], group=t.group[order], size=size[order],
+            redundant=t.redundant[order], cstart=offsets(np.diff(t.cstart)[order]),
+            receiver=t.receiver[at], file=t.file[at], subset=t.subset[at], part=part[at],
+            index=t.index[at], count=t.count[at], sizes=sizes, parts=parts,
+        )
+        row = np.empty(len(t), np.int64)
+        row[order] = np.arange(len(t))
+        symbols.append((table, row[read]))
+    columns = dataclasses.replace(c, symbols=symbols)
     return TransmissionLog(log.config, log.mode, LogEntries(columns), log.resolver)
 
 
@@ -339,7 +342,7 @@ def test_a_part_learned_at_two_counts_covers_the_union_of_its_spans(fragments, f
     res = run_decentralized(SystemConfig(6, 6, 2, alpha_max=3), seed=3)
     demands = tuple(res.log.config.users())
     c = res.log.columns()
-    t = c.table
+    server, (t, read) = c.symbols  # the user rounds' table
     rows = np.flatnonzero(
         (t.receiver == 1) & (t.file == 1) & (t.count == 3)
         & (np.array(t.parts)[t.part] == "u")
@@ -348,7 +351,9 @@ def test_a_part_learned_at_two_counts_covers_the_union_of_its_spans(fragments, f
     assert len(rows) == 3
     count, index = t.count.copy(), t.index.copy()
     count[rows], index[rows] = zip(*fragments)
-    columns = dataclasses.replace(c, table=dataclasses.replace(t, count=count, index=index))
+    columns = dataclasses.replace(
+        c, symbols=[server, (dataclasses.replace(t, count=count, index=index), read)]
+    )
     log = TransmissionLog(res.log.config, "fluid", LogEntries(columns), res.log.resolver)
     assert _first_decode_failure(res.log, demands) is None
     assert _first_decode_failure(log, demands) == failure

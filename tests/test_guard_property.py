@@ -2,7 +2,9 @@
 
 Hypothesis draws centralized shapes at large K and extreme t, where a set
 of users spans two mask words and the guards decide between a run and a
-refusal, and bit-mode file sizes around ``MAX_BIT_BYTES``.  ``main`` runs
+refusal; centralized shapes at high t, where a symbol codes many
+constituents and the constituent count (``MAX_CONSTITUENTS``) decides; and
+bit-mode file sizes around ``MAX_BIT_BYTES``.  ``main`` runs
 in-process and must exit 0 or 2, with no exception escaping; an accepted
 run decodes.  Only shapes that are cheap in closed form are run: a refusal
 is cheap by construction, an admitted shape is kept when its worst-case
@@ -73,6 +75,45 @@ def test_centralized_shapes_at_the_guard_edges_exit_cleanly(K, t_at, amax_at):
         assert (code, out) == (2, "") and "above the limit" in err, err
     else:
         assert code == 0 and "decode OK\n" in out and "match=yes\n" in out, (code, err)
+
+
+def _high_t_shapes():
+    """(K, t, alpha_max) at K = 20..60 and t = K-6..K-1, where a symbol
+    codes many constituents: those the guards refuse and those cheap enough
+    to run."""
+    out = []
+    for K in range(20, 61):
+        for t in range(K - 6, K):
+            for amax in sorted({1, 2, K // 2}):
+                cost = _constituents(K, t, amax)
+                if cost is None or cost <= CHEAP:
+                    out.append((K, t, amax))
+    return out
+
+
+HIGH_T = _high_t_shapes()
+
+
+@settings(max_examples=12)
+@given(shape=st.sampled_from(HIGH_T))
+def test_high_t_shapes_run_or_are_refused_by_their_constituent_count(shape):
+    K, t, amax = shape
+    cost = _constituents(K, t, amax)
+    code, out, err = _run(["simulate", "--scheme", "centralized", "--N", str(K),
+                           "--K", str(K), "--M", str(t), "--alpha-max", str(amax)])
+    if cost is None:
+        assert (code, out) == (2, "") and "above the limit" in err, err
+    else:
+        assert code == 0 and "decode OK\n" in out and "match=yes\n" in out, (code, err)
+
+
+def test_the_high_t_draws_hold_both_outcomes():
+    # the refusals include ones only the constituent count makes
+    refused = [s for s in HIGH_T if _constituents(*s) is None]
+    assert refused and len(refused) < len(HIGH_T)
+    assert any("constituents" in _run(["simulate", "--scheme", "centralized", "--N", str(K),
+                                        "--K", str(K), "--M", str(t), "--alpha-max",
+                                        str(a)])[2] for K, t, a in refused)
 
 
 class _Allocated(Exception):

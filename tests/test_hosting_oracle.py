@@ -33,7 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hosting_oracle as oracle
-from coopcache import SystemConfig, centralized, enumerate_equal_partitions, make_split_plan
+from retired_helpers import enumerate_equal_partitions
+from coopcache import SystemConfig, centralized, make_split_plan
 from coopcache.centralized import (
     _Dinic,
     _forced_hosting,

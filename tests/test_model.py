@@ -19,7 +19,6 @@ from coopcache import (
     SystemConfig,
     as_frac,
     allocation_plan,
-    enumerate_equal_partitions,
     enumerate_subsets,
     equal_partition_count,
     f_ks,
@@ -36,6 +35,7 @@ from coopcache.model import (
     pack,
     user_sets,
 )
+from retired_helpers import enumerate_equal_partitions
 
 
 # ---------------------------------------------------------------------------

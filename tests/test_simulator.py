@@ -579,8 +579,8 @@ def test_near_equal_part_matches_array_split(n):
     for parts in range(1, 9):
         pieces = np.array_split(items, parts)
         frags = [Constituent(1, FragmentId(1, (), "full", i, parts)) for i in range(parts)]
-        table = SymbolTable.from_symbols([XorSymbol(0, (1,), tuple(frags), Frac(1))])
-        _, lo, hi = resolver.frag_spans(table, np.arange(parts))
+        t = SymbolTable.from_symbols([XorSymbol(0, (1,), tuple(frags), Frac(1))])
+        _, lo, hi = resolver.frag_spans(t.parts, t.file, t.subset, t.part, t.index, t.count)
         for i in range(parts):
             assert np.array_equal(items[lo[i] : hi[i]], pieces[i])
 

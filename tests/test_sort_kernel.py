@@ -1,6 +1,7 @@
-"""The sort kernel (``model.stable_order`` and the ``distinct`` built on it)
-against the two sorts it replaced (``tests/sort_oracle.py``) and against
-``np.lexsort``; and ``model.runs``, distinct's ids of rows already sorted.
+"""The sort kernel (``model.stable_order`` and the ``distinct`` and
+``occurrences`` built on it) against the two sorts it replaced
+(``tests/sort_oracle.py``) and against ``np.lexsort``; and ``model.runs``,
+distinct's ids of rows already sorted.
 
 Each case draws rows from a small pool, so that keys repeat, and puts the
 bounds of every column in the pool, so that the widths the kernel
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sort_oracle
-from coopcache.model import WORD, distinct, masks, runs, stable_order
+from coopcache.model import WORD, distinct, masks, occurrences, runs, stable_order
 
 INT64 = (-(1 << 63), (1 << 63) - 1)
 
@@ -88,8 +89,11 @@ def all_equal(draw):
 
 
 def _agree(columns):
-    ids, first, occurrence = distinct(*columns)
+    ids, first = distinct(*columns)
     want_ids, want_first = sort_oracle.distinct(*columns)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(first, want_first)
+    ids, first, occurrence = occurrences(*columns)
     assert np.array_equal(ids, want_ids)
     assert np.array_equal(first, want_first)
     assert np.array_equal(occurrence, sort_oracle.occurrences(want_ids))
