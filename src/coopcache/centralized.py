@@ -65,8 +65,8 @@ Before anything is enumerated, :func:`check_schedule_size` counts in closed
 form the placement's subsets, the server's symbols and the uniform rung's
 user symbols, and refuses with a ValueError a plan in which any of them
 exceeds ``MAX_USER_SYMBOLS``, or whose symbols hold more than
-``MAX_CONSTITUENTS`` constituents in all, the count that sets a run's
-memory.
+``MAX_CONSTITUENTS`` constituents in all, weighed by their mask words, the
+count that sets a run's memory.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import SplitPlan, _integer_t, make_split_plan
-from .config import MAX_CONSTITUENTS, MAX_USER_SYMBOLS, SystemConfig
+from .closed_forms import SplitPlan, _integer_t, check_user_share, make_split_plan
+from .config import CONSTITUENT_BYTES, MAX_CONSTITUENTS, MAX_USER_SYMBOLS, SystemConfig
 from .model import (
     DeliverySchedule,
     SchedulingError,
@@ -584,12 +584,7 @@ def _user_slots(
     for lambda != 1 at t = 0, and SchedulingError when L1 does not make the
     slot count integral."""
     t, K, alpha = _integer_t(config), config.K, plan.alpha
-    if t == 0 and plan.server_share != 1:
-        # the closed forms put R2 = 0, but no user caches anything to send
-        raise ValueError(
-            f"server share {plan.server_share} at t=0: users cache nothing to "
-            "send, so it must be 1"
-        )
+    check_user_share(t, plan.server_share)
     if t == 0 or t >= K or plan.server_share == 1:
         return None
     fp = min(K // alpha, t + 1)
@@ -602,15 +597,16 @@ def _user_slots(
     return t, fp, P1 // (m * alpha), equal_partition_count(K, fp, alpha)
 
 
-def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
+def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> tuple[int, int]:
     """Refuse, with a ValueError naming the count, a plan that would build
     more than ``MAX_USER_SYMBOLS`` of any of: placement subsets, C(K, t);
     server symbols, C(K, t+1) unless the server sends nothing; user symbols
     of the uniform full-cycle rung, the largest the ladder builds
     (lcm(slots, partitions) * alpha).  Then refuse a run that would hold
-    more than ``MAX_CONSTITUENTS`` constituents: t + 1 per server symbol
-    and m per user symbol of that rung.  Counted in closed form; nothing
-    is enumerated."""
+    more than ``MAX_CONSTITUENTS`` constituents, t + 1 per server symbol
+    and m per user symbol of that rung, each weighed by the words of its
+    subset mask (``CONSTITUENT_BYTES``).  Counted in closed form; nothing
+    is enumerated.  Returns the (symbols, constituents) it counted."""
     t, K = _integer_t(config), config.K
     subsets = math.comb(K, t)
     if subsets > MAX_USER_SYMBOLS:
@@ -624,7 +620,7 @@ def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
             f"centralized server schedule for K={K}, t={t} needs C(K,t+1) = "
             f"{server} server symbols, above the limit of {MAX_USER_SYMBOLS}"
         )
-    constituents = server * (t + 1)
+    constituents, worst = server * (t + 1), 0
     shape = _user_slots(config, plan)
     if shape is not None:
         _, fp, slots1, beta = shape
@@ -635,11 +631,18 @@ def check_schedule_size(config: SystemConfig, plan: SplitPlan) -> None:
                 f"need {worst} user symbols, above the limit of {MAX_USER_SYMBOLS}"
             )
         constituents += worst * (fp - 1)
-    if constituents > MAX_CONSTITUENTS:
+    fixed, per_word = CONSTITUENT_BYTES
+    W = words(K)
+    weighed = constituents * (fixed + per_word * W) // (fixed + per_word)
+    if weighed > MAX_CONSTITUENTS:
+        held = f"{constituents} constituents"
+        if W > 1:
+            held += f" of {W}-word masks, as many bytes as {weighed} of one word"
         raise ValueError(
             f"centralized run for K={K}, t={t}, alpha={plan.alpha} may hold "
-            f"{constituents} constituents, above the limit of {MAX_CONSTITUENTS}"
+            f"{held}, above the limit of {MAX_CONSTITUENTS}"
         )
+    return server + worst, constituents
 
 
 def build_user_schedule(

@@ -105,6 +105,16 @@ def _split(
     return alpha, m, lam, L1
 
 
+def check_user_share(t: int, server_share: Frac) -> None:
+    """Refuse a server share other than 1 at integer t = 0: the closed forms
+    would put R2 = 0, but no user caches anything to send."""
+    if t == 0 and server_share != 1:
+        raise ValueError(
+            f"server share {server_share} at t=0: users cache nothing to "
+            "send, so it must be 1"
+        )
+
+
 def make_split_plan(
     config: SystemConfig,
     alpha: Optional[int] = None,
@@ -143,6 +153,7 @@ def _rates_integer_t(
 ) -> CentralizedRates:
     K = config.K
     alpha, m, lam, L1 = _split(K, ti, config.alpha_max, alpha, server_share)
+    check_user_share(ti, lam)
     # R1 = lambda*K(1-t/K)/(1+t) and R2 = (1-lambda)*K(1-t/K)/(alpha*m),
     # with lambda = ln/ld and K(1-t/K) = K-t
     ln, ld = lam.numerator, lam.denominator

@@ -98,6 +98,16 @@ MAX_USER_SYMBOLS = 500_000
 # so this bounds a run near 1 GB; (28, 28, 23, 1) holds 11,793,600.
 MAX_CONSTITUENTS = 12_000_000
 
+# A constituent's bytes at a centralized run's peak: a fixed part and one
+# per word of its W-word subset mask (W = K // 63 + 1).  Fitted to ru_maxrss
+# above a 50 MB interpreter (``scripts/measure.py guard-edge``) of the
+# largest one- and two-word runs that a count blind to W admitted:
+# (39, 39, 35, 1), 872 MB, and (71, 71, 68, 1), 1,259 MB, with 11.8 million
+# constituents each.  The guard weighs a W-word constituent as
+# (38 + 35 W) / 73 of one word; the largest two-word run it admits,
+# (64, 64, 61, 1), peaks at 884 MB.
+CONSTITUENT_BYTES = (38, 35)
+
 # Refuse a bit-mode run whose up-front arrays, the library and the
 # decentralized placement's position orders, would take more bytes than
 # this, counted in closed form before any is allocated.

@@ -215,6 +215,10 @@ def _rates_integer_t(
     K = config.K
     base = K * (1 - sub.p)
     lam = plan.server_share
+    if ti == 0 and lam != 1:
+        raise ValueError(
+            f"server share {lam} at t=0: users cache nothing to send, so it must be 1"
+        )
     R1 = lam * base / (1 + ti)
     m = coding_gain_m(K, Frac(ti), plan.alpha)
     R2 = (1 - lam) * base / (plan.alpha * m) if m > 0 else Frac(0)

@@ -348,6 +348,19 @@ def test_both_builders_refuse_a_user_share_at_t_0(share):
     assert sched.user_rounds == [] and len(sched.server_symbols) == 4
 
 
+@pytest.mark.parametrize("share", [Frac(1, 2), Frac(0)])
+@pytest.mark.parametrize("M", [0, Frac(1, 2)])
+def test_the_closed_form_refuses_a_user_share_at_t_0(M, share):
+    # the closed forms put R2 = 0 there, and T = 2 at lambda = 1/2 where
+    # the only deliverable plan, lambda = 1, takes T = 4; M = 1/2 shares
+    # memory with the t = 0 placement
+    cfg = SystemConfig(4, 4, M, alpha_max=2)
+    message = f"^server share {share} at t=0: users cache nothing to send, so it must be 1$"
+    with pytest.raises(ValueError, match=message):
+        centralized_rates(cfg, server_share=share)
+    assert centralized_rates(SystemConfig(4, 4, 0, alpha_max=2), server_share=Frac(1)).T == 4
+
+
 def test_size_guard_refuses_server_only_plans_at_the_real_limit(monkeypatch):
     def stop(*args):
         raise _Enumerated

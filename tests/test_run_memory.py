@@ -86,6 +86,10 @@ def test_a_shape_past_the_constituent_budget_is_refused_by_name():
     ) in err
 
 
+def _enumerated(*args):
+    raise AssertionError("enumerated past the guard")
+
+
 def test_the_constituent_budget_is_inclusive(monkeypatch):
     argv = ["simulate", "--scheme", "centralized", "--N", "18", "--K", "18", "--M", "14",
             "--alpha-max", "1"]
@@ -95,15 +99,34 @@ def test_the_constituent_budget_is_inclusive(monkeypatch):
     code, out, _ = _run(argv)
     assert code == 0 and out.endswith("decode OK\n")
 
-    def stop(*args):
-        raise AssertionError("enumerated past the guard")
-
     monkeypatch.setattr(centralized, "MAX_CONSTITUENTS", count - 1)
-    monkeypatch.setattr(centralized, "partition_table", stop)
-    monkeypatch.setattr(centralized, "build_central_placement", stop)
+    monkeypatch.setattr(centralized, "partition_table", _enumerated)
+    monkeypatch.setattr(centralized, "build_central_placement", _enumerated)
     code, out, err = _run(argv)
     assert (code, out) == (2, "")
     assert f"may hold {count} constituents, above the limit of {count - 1}" in err
+
+
+# (K, t, constituents, W, as many bytes as this many one-word constituents):
+# the fitted weight (38 + 35 W) / 73 refuses the largest two-word shape of
+# the unweighted budget, and the wide shapes it admitted far over 1 GB
+@pytest.mark.parametrize("K,t,count,W,weighed", [
+    (71, 68, 11831085, 2, 17503523),
+    (2000, 1999, 4000000, 32, 63452054),
+    (3000, 2999, 9000000, 48, 211808219),
+])
+def test_a_wide_shape_is_refused_by_its_weighed_constituents(K, t, count, W, weighed,
+                                                             monkeypatch):
+    monkeypatch.setattr(centralized, "partition_table", _enumerated)
+    monkeypatch.setattr(centralized, "build_central_placement", _enumerated)
+    code, out, err = _run(["simulate", "--scheme", "centralized", "--N", str(K), "--K", str(K),
+                           "--M", str(t), "--alpha-max", "1"])
+    assert (code, out) == (2, "")
+    assert (
+        f"centralized run for K={K}, t={t}, alpha=1 may hold {count} constituents of "
+        f"{W}-word masks, as many bytes as {weighed} of one word, above the limit of "
+        f"{MAX_CONSTITUENTS}"
+    ) in err
 
 
 # (N, K, M, alpha_max): the benchmark's centralized shapes, the README's,
@@ -122,8 +145,8 @@ ADMITTED = [
 def test_the_constituent_budget_admits_every_shape_that_is_run(shape):
     N, K, M, amax = shape
     config = SystemConfig(N, K, M, alpha_max=amax)
-    centralized.check_schedule_size(config, make_split_plan(config))
-    assert _constituents(config) <= MAX_CONSTITUENTS
+    _, count = centralized.check_schedule_size(config, make_split_plan(config))
+    assert count == _constituents(config) <= MAX_CONSTITUENTS
 
 
 # ---------------------------------------------------------------------------
