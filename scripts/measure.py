@@ -4,7 +4,7 @@
     python3 scripts/measure.py CASE [--base DIR] [--head DIR] [--pairs N] [--seed S]
 
 A case is a list of items, an item a list of steps: ``coopcache`` command
-lines, or bit-mode library runs.  Each item runs in a fresh interpreter
+lines, or library runs.  Each item runs in a fresh interpreter
 per side, with ``PYTHONPATH`` at that side's ``src/`` (its bytecode compiled
 first) and an empty scratch cwd, once per pair, the side that goes first
 alternating.  ``--head`` defaults to this checkout; without ``--base`` only
@@ -20,18 +20,22 @@ pair counts:
 - ``bits-memory`` (5): the benchmark's ``bits`` ops as
   ``perfbench/workloads.build_ops`` draws them from ``--seed``, twice in one
   child; the first op's latest result is kept alive, as the worker keeps it.
+- ``central-ops`` (10): the benchmark's ``central_fluid`` ops as
+  ``build_ops`` draws them from ``--seed``, one child per op.
 - ``cli-startup`` (10): the benchmark's ``certify`` commands, timed with
   the interpreter's start-up and every import the command makes.
-- ``wide-masks`` (3): ``simulate --export-log`` at K >= 63, two mask words.
+- ``wide-masks`` (3): ``simulate --export-log`` at K >= 63: two mask
+  words, and (1000, 1000, 999, 1), sixteen.
 - ``ladder-walks`` (1): centralized walks whose ladder proves rungs
   infeasible: ``_Dinic.max_flow`` calls are the flows run, and
   ``_solve_hosting`` calls less those the rungs certified without one.
 
 Per step a child records the exit code, ``ru_maxrss``, the SHA-256 of all
-the item has output so far (stdout, files written to the cwd, and for bit
-runs the log, payloads, rates and decode verdict), and for ``simulate``
-the calls, seconds and ``ru_maxrss`` after each function of ``STAGES``;
-other steps import only what their command imports.  Per item and side
+the item has output so far (stdout, files written to the cwd, and for
+library runs the log, any payloads, rates and decode verdict), and for
+``simulate`` and library runs the calls, milliseconds and ``ru_maxrss``
+after each function of ``STAGES`` that its side has; other steps import
+only what their command imports.  Per item and side
 the report gives the exit codes, median and minimum wall time, median peak
 ``ru_maxrss``, pairs won on time and on memory, the digests, and per step
 the median ``ru_maxrss``, the last line of output (stderr's on failure)
@@ -58,6 +62,7 @@ from typing import NamedTuple
 # the functions a ``simulate`` step times, as module.attribute of the package
 STAGES = (
     "centralized._user_schedule",
+    "centralized._walk_ladder",
     "centralized._solve_hosting",
     "centralized._Dinic.max_flow",
     "centralized._assemble_schedule",
@@ -68,6 +73,9 @@ STAGES = (
     "decentralized.server_delivery_decentralized",
     "simulator.execute_schedule",
     "simulator._first_decode_failure",
+    "decode._intern_log",
+    "decode._block_closure",
+    "decode._block_coverage_gap",
 )
 
 
@@ -87,10 +95,13 @@ def owner(path: str) -> tuple[object, str]:
 
 
 def hook(path: str, stages: dict) -> None:
-    """Wrap the package function at ``path`` so that each call adds to
-    ``stages[path]``: [calls, seconds, ru_maxrss after the call]."""
+    """Wrap the package function at ``path``, if the package has it, so
+    that each call adds to ``stages[path]``: [calls, seconds, ru_maxrss
+    after the call]."""
     held, attr = owner(path)
-    f = getattr(held, attr)
+    f = getattr(held, attr, None)
+    if f is None:
+        return
 
     def timed(*args, **kwargs):
         start = time.perf_counter()
@@ -118,8 +129,8 @@ def _command(argv: list[str], digest) -> tuple[int, str]:
     return code, (out if code == 0 else err).getvalue().rstrip("\n").rpartition("\n")[2]
 
 
-def _bits(op: dict, digest):
-    """Run one bit-mode op; its result."""
+def _library(op: dict, digest):
+    """Run one op through the library; its result."""
     from fractions import Fraction
 
     from coopcache import SystemConfig, run_centralized, run_decentralized
@@ -127,9 +138,9 @@ def _bits(op: dict, digest):
     N, K, M, amax, F = op["config"]
     config = SystemConfig(N=N, K=K, M=Fraction(M), alpha_max=amax, F=F)
     run = run_centralized if op["scheme"] == "centralized" else run_decentralized
-    out = run(config, tuple(op["demands"]), seed=op["seed"], mode="bits")
+    out = run(config, tuple(op["demands"]), seed=op["seed"], mode=op["mode"])
     digest.update("\n".join(out.log.export_lines()).encode())
-    for payload in out.log.columns().payloads:
+    for payload in out.log.columns().payloads or ():
         digest.update(payload.tobytes())
     r = out.rates
     digest.update(repr((r.R1, r.R2, r.closed_R1, r.closed_R2, out.decode_ok)).encode())
@@ -140,13 +151,13 @@ def child() -> None:
     """Run the steps read as JSON from stdin; print one JSON line."""
     steps = json.load(sys.stdin)
     digest, stages, kept, results = hashlib.sha256(), {}, None, []
-    if any(step[0] == "simulate" for step in steps if isinstance(step, list)):
+    if any(isinstance(step, dict) or step[0] == "simulate" for step in steps):
         for path in STAGES:
             hook(path, stages)
     for step in steps:
         stages.clear()
         if isinstance(step, dict):
-            out = _bits(step, digest)
+            out = _library(step, digest)
             code, tail = 0, f"decode_ok={out.decode_ok}"
             if step == steps[0]:
                 kept = out
@@ -243,13 +254,23 @@ def guard_edge(head: Path, seed: int) -> list[Item]:
     return list({item.label: item for item in items}.values())
 
 
-def bits_memory(head: Path, seed: int) -> list[Item]:
-    steps = [
-        {"scheme": op.scheme, "demands": list(op.demands), "seed": op.seed,
-         "config": [c.N, c.K, str(c.M), c.alpha_max, c.F]}
-        for op in _workloads(head).build_ops("bits", seed) for c in [op.config]
+def _ops(head: Path, workload: str, seed: int) -> list[tuple[str, dict]]:
+    """The workload's ops as ``build_ops`` draws them, each as its key and
+    the step that runs it."""
+    return [
+        (op.key, {"scheme": op.scheme, "mode": op.mode, "demands": list(op.demands),
+                  "seed": op.seed, "config": [c.N, c.K, str(c.M), c.alpha_max, c.F]})
+        for op in _workloads(head).build_ops(workload, seed) for c in [op.config]
     ]
+
+
+def bits_memory(head: Path, seed: int) -> list[Item]:
+    steps = [step for _, step in _ops(head, "bits", seed)]
     return [Item(f"bits ops of seed {seed}, twice", steps * 2)]
+
+
+def central_ops(head: Path, seed: int) -> list[Item]:
+    return [Item(key, [step]) for key, step in _ops(head, "central_fluid", seed)]
 
 
 def cli_startup(head: Path, seed: int) -> list[Item]:
@@ -257,9 +278,10 @@ def cli_startup(head: Path, seed: int) -> list[Item]:
 
 
 def wide_masks(head: Path, seed: int) -> list[Item]:
-    # two words of users from K = 63 on; the last two shapes hold users
-    # 64..99 in the second word
-    shapes = ((64, 64, 1, 1), (66, 66, 65, 1), (100, 100, 2, 1), (100, 100, 99, 1))
+    # two words of users from K = 63 on; the last two two-word shapes hold
+    # users 64..99 in the second word, and K = 1000 takes sixteen words
+    shapes = ((64, 64, 1, 1), (66, 66, 65, 1), (100, 100, 2, 1), (100, 100, 99, 1),
+              (1000, 1000, 999, 1))
     return [Item(f"centralized {shape}",
                  [_simulate("centralized", shape, "--export-log", "log.csv")]) for shape in shapes]
 
@@ -280,6 +302,7 @@ def ladder_walks(head: Path, seed: int) -> list[Item]:
 CASES = {
     "guard-edge": (guard_edge, 2),
     "bits-memory": (bits_memory, 5),
+    "central-ops": (central_ops, 10),
     "cli-startup": (cli_startup, 10),
     "wide-masks": (wide_masks, 3),
     "ladder-walks": (ladder_walks, 1),
@@ -338,7 +361,7 @@ def report(item: Item, runs: dict) -> None:
             for path in (p for p in STAGES if p in step["stages"]):
                 calls, seconds, after = (median(s["stages"][path][j] for s in same
                                                 if path in s["stages"]) for j in range(3))
-                print(f"    {path:44} {calls:6g} calls {seconds:8.3f} s  "
+                print(f"    {path:44} {calls:6g} calls {seconds * 1e3:10.3f} ms  "
                       f"ru_maxrss after {after:8.1f} MB")
 
 
@@ -376,7 +399,7 @@ def main() -> int:
     ap.add_argument("--head", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="the checkout under test")
     ap.add_argument("--pairs", type=int, help="runs a side (default: the case's)")
-    ap.add_argument("--seed", type=int, default=301, help="draws the bits ops")
+    ap.add_argument("--seed", type=int, default=301, help="draws the benchmark's ops")
     args = ap.parse_args()
     build, pairs = CASES[args.case]
     sides = {"base": args.base, "head": args.head} if args.base else {"head": args.head}

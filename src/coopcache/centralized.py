@@ -29,13 +29,15 @@ rho equal units) is raised through a deterministic ladder until the routing
 is feasible; a uniform full-cycle sequence is always feasible, so the ladder
 terminates.  Rates are invariant to rho.  A rung's quotas come in closed
 form (full cycles plus a tail) from the canonical partitions, held as a
-table of group ranks; the slot sequence is never built.  The hosting
-classes (receiver, subset) and each one's candidate groups are enumerated
-once per run as int arrays (``_hosting_classes``).  With groups of t+1
-members (m = t) every pico-file has one possible hosting group, so a rung
-is decided by a quota check; otherwise by a small integer max-flow over
-int arrays laid out once per run, a rung's dead edges at capacity 0
-(``_HostingNetwork``).  Either way the decision is (class, group, units)
+table of group ranks, one matrix per rho with a row per offset, each
+offset's window of partitions slid one on from the last; the slot sequence
+is never built.  The hosting classes (receiver, subset) and each one's
+candidate groups are enumerated once per run as int arrays
+(``_hosting_classes``).  With groups of t+1 members (m = t) every
+pico-file has one possible hosting group, so all rungs of a rho are
+decided by one quota comparison; otherwise each rung by a small integer
+max-flow over int arrays laid out once per run, a rung's dead edges at
+capacity 0 (``_HostingNetwork``).  Either way the decision is (class, group, units)
 int arrays, by class and then by group, the order in which the classes
 and their candidates are laid out.  The flow is Dinic's algorithm.  Its
 first phase, whose paths all have 4 edges, is a greedy loop over the
@@ -93,6 +95,7 @@ from .model import (
     equal_partition_count,
     RUN,
     WORD,
+    _binomials,
     has,
     mask_ranks,
     masks,
@@ -327,18 +330,26 @@ def _hosting_classes(K: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray, np
     ``subset`` holds T's row in the lex list of t-subsets.  Its candidate
     hosts are the groups G = {j} + B over the m-subsets B of T, in
     combination order, each held as its row in the lex list of
-    (m+1)-subsets (``cand``, one row per class).  Adding j to every B keeps
-    their lex order, so each row of ``cand`` is strictly increasing; at
-    m = t it holds the one group T + {j}.
+    (m+1)-subsets (``cand``, one row per class), ranked from j's place
+    among the ascending members of B, so no group is sorted.  Adding j
+    to every B keeps their lex order, so each row of ``cand`` is strictly
+    increasing; at m = t it holds the one group T + {j}.
     """
     subsets = np.array(enumerate_subsets(K, t), np.int64).reshape(-1, t)
     users = np.arange(1, K + 1)
     j, T = np.nonzero(~has(masks(subsets, words(K)), users[:, None]))
+    j += 1
     picks = np.array(list(itertools.combinations(range(t), m)), np.intp)
     hosts = subsets[T][:, picks]
-    receiver = np.broadcast_to(j[:, None, None] + 1, (*hosts.shape[:2], 1))
-    cand = subset_ranks(np.sort(np.concatenate([hosts, receiver], axis=2)), K)
-    return j + 1, T, cand
+    # G's rank (model.subset_ranks) from the ascending B without a sort: j's
+    # place in G is the count of B's members below it, and each member
+    # above j moves up one place
+    k = m + 1
+    binom = _binomials(K, k)
+    above = hosts > j[:, None, None]
+    terms = binom[K - hosts, k - np.arange(m) - above].sum(axis=2)
+    terms += binom[(K - j)[:, None], k - m + above.sum(axis=2)]
+    return j, T, math.comb(K, k) - 1 - terms
 
 
 def _greedy_phase(
@@ -513,47 +524,25 @@ def _solve_hosting(
     return cls, network.cand[cls, host], used[cls, host]
 
 
-def _forced_hosting(
-    cand: np.ndarray, quotas: np.ndarray, L: int, m: int
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_solve_hosting`` for groups of t+1 members (m == t), without a flow.
-
-    Class (j, T) can then be hosted only by G = T+{j}, its one candidate, so
-    the one flow sends L units from each of G's fp = m+1 members into G.  It
-    saturates iff every (t+1)-subset has m*quota(G) >= fp*L, which also
-    gives quota(G) >= L, the per-receiver cap.
-    """
-    if (m * quotas < (m + 1) * L).any():
-        return None
-    return np.arange(len(cand)), cand[:, 0], np.full(len(cand), L)
-
-
-def _hosting_decider(K: int, m: int, receiver: np.ndarray, cand: np.ndarray):
-    """The hosting decision of one ladder rung over the classes of
-    :func:`_hosting_classes`, as a function of the rung's quotas (one per
-    (m+1)-subset, in lex order) and unit count L: a quota check when every
-    class has a single candidate group (m == t), the max-flow otherwise.
-    The flow's network keeps the minimum cuts of the flows that failed, so
-    one decider serves one walk of the ladder, whose later rungs they may
-    certify infeasible."""
-    if cand.shape[1] == 1:
-        return lambda quotas, L: _forced_hosting(cand, quotas, L, m)
-    network = _HostingNetwork(K, m, receiver, cand)
-    return lambda quotas, L: _solve_hosting(network, quotas, L)
-
-
-def _slot_quotas(
-    ranks: np.ndarray, cycle: np.ndarray, slots: int, offset: int
+def _quota_matrix(
+    ranks: np.ndarray, cycle: np.ndarray, slots: int, n_offsets: int
 ) -> np.ndarray:
     """Per-group appearance counts of the cyclic slot sequence over the
     canonical partitions (``ranks``, each partition's groups as rows of the
-    lex group list) that starts at ``offset``: the counts of one full cycle
-    (``cycle``) times the full cycles, plus the partial tail.  The
+    lex group list), one row per offset 0..n_offsets-1 that the sequence
+    starts at: the counts of one full cycle (``cycle``) times the full
+    cycles, plus the partial tail, a window of partitions.  Offset 0's
+    window is counted, and each later offset's window drops the partition
+    the one before it starts with and adds the one after it ends.  The
     sequence itself is not built."""
-    beta = len(ranks)
+    beta, size = ranks.shape
     full, tail = divmod(slots, beta)
-    tail_groups = ranks[(offset + np.arange(tail)) % beta].ravel()
-    return full * cycle + np.bincount(tail_groups, minlength=len(cycle))
+    steps = np.zeros((n_offsets, len(cycle)), np.int64)
+    steps[0] = full * cycle + np.bincount(ranks[:tail].ravel(), minlength=len(cycle))
+    rows = np.repeat(np.arange(1, n_offsets), size)
+    steps[rows, ranks[(np.arange(n_offsets - 1) + tail) % beta].ravel()] += 1
+    steps[rows, ranks[: n_offsets - 1].ravel()] -= 1
+    return np.cumsum(steps, axis=0, out=steps)
 
 
 def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
@@ -573,6 +562,47 @@ def _rho_ladder(slots1: int, beta: int) -> list[tuple[int, int]]:
     attempts = [(rho, off) for rho in (1, 2, 3, 4, 6, 8, 12) for off in offsets]
     attempts.append((beta // math.gcd(slots1, beta), 0))
     return attempts
+
+
+def _walk_ladder(
+    K: int, m: int, receiver: np.ndarray, cand: np.ndarray, ranks: np.ndarray,
+    slots1: int, L1: int,
+) -> Optional[tuple[int, int, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The first feasible rung of the ladder (:func:`_rho_ladder`) over the
+    hosting classes of :func:`_hosting_classes` and the canonical
+    partitions (``ranks``), as (rho, offset, quotas, hosting), or None.
+
+    Each rho's rungs take their quotas from one matrix, a row per offset
+    (:func:`_quota_matrix`).  When every class has a single candidate
+    group (m == t) the rungs of a rho are decided by one comparison
+    (below); otherwise each rung in ladder order by :func:`_solve_hosting`
+    over one network, whose kept cuts may certify later rungs infeasible.
+
+    With groups of t+1 members class (j, T) can be hosted only by G =
+    T+{j}, so the one flow sends L units from each of G's fp = m+1 members
+    into G.  It saturates iff every group has m*quota(G) >= fp*L, which
+    also gives quota(G) >= L, the per-receiver cap.  The slot count at rho
+    = 1 is then fp*C(K, fp)*L1/(alpha*m), so a rung's quotas sum to exactly
+    fp*L/m per group: the rung is feasible iff every quota is fp*L/m.
+    """
+    cycle = np.bincount(ranks.ravel(), minlength=math.comb(K, m + 1))
+    network = _HostingNetwork(K, m, receiver, cand) if cand.shape[1] > 1 else None
+    for rho, rungs in itertools.groupby(_rho_ladder(slots1, len(ranks)), lambda r: r[0]):
+        shifts = [offset for _, offset in rungs]
+        L = L1 * rho
+        quotas = _quota_matrix(ranks, cycle, slots1 * rho, max(shifts) + 1)[shifts]
+        if network is None:
+            fits = np.flatnonzero((m * quotas >= (m + 1) * L).all(axis=1))
+            if len(fits):
+                n = len(cand)
+                hosting = np.arange(n), cand[:, 0], np.full(n, L)
+                return rho, shifts[fits[0]], quotas[fits[0]], hosting
+            continue
+        for offset, row in zip(shifts, quotas):
+            hosting = _solve_hosting(network, row, L)
+            if hosting is not None:
+                return rho, offset, row, hosting
+    return None
 
 
 def _user_slots(
@@ -657,7 +687,8 @@ def build_user_schedule(
 
     Each rung of the refinement ladder is decided on its quotas alone: by a
     quota check when groups have t+1 members (each pico-file then has one
-    hosting group), by a max-flow otherwise, unless the minimum cut of an
+    hosting group), one comparison for all rungs of a rho, by a max-flow
+    otherwise, unless the minimum cut of an
     earlier rung's failed flow proves it infeasible.  Raises ValueError,
     before any enumeration, when :func:`check_schedule_size` refuses the
     plan.
@@ -684,29 +715,23 @@ def _user_schedule(
     m = fp - 1
 
     receiver, subset, cand = _hosting_classes(K, t, m)
-    decide = _hosting_decider(K, m, receiver, cand)
     ranks = subset_ranks(partition_table(K, fp, alpha)[0], K)
-    cycle = np.bincount(ranks.ravel(), minlength=math.comb(K, fp))
-
-    last_err = "no attempts made"
-    for rho, offset in _rho_ladder(slots1, beta):
-        L = plan.L1 * rho
-        slots = slots1 * rho
-        quotas = _slot_quotas(ranks, cycle, slots, offset)
-        hosting = decide(quotas, L)
-        if hosting is None:
-            last_err = f"hosting flow infeasible at rho={rho}, offset={offset}"
-            continue
-        sched = _assemble_schedule(
-            config, placement, plan, d, ranks, offset, slots, quotas,
-            (receiver, subset), hosting, L, fp,
+    rung = _walk_ladder(K, m, receiver, cand, ranks, slots1, plan.L1)
+    if rung is None:
+        rho, offset = _rho_ladder(slots1, beta)[-1]
+        raise SchedulingError(
+            f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: "
+            f"hosting flow infeasible at rho={rho}, offset={offset}"
         )
-        size = (1 - plan.server_share) / Frac(math.comb(K, t) * L)
-        _audit_user_schedule(config, placement, d, sched, L, m, size)
-        return sched, placement
-    raise SchedulingError(
-        f"user delivery infeasible for K={K}, t={t}, alpha={alpha}: {last_err}"
+    rho, offset, quotas, hosting = rung
+    L = plan.L1 * rho
+    sched = _assemble_schedule(
+        config, placement, plan, d, ranks, offset, slots1 * rho, quotas,
+        (receiver, subset), hosting, L, fp,
     )
+    size = (1 - plan.server_share) / Frac(math.comb(K, t) * L)
+    _audit_user_schedule(config, placement, d, sched, L, m, size)
+    return sched, placement
 
 
 def _assemble_schedule(

@@ -14,11 +14,14 @@ that one call, and nothing is cached on the log.  On failure it names the
 first user, file and subfile that cannot be recovered.
 
 A user's peeling closure, what it ends up knowing, is the same whatever
-order symbols resolve in.  So each user's closure is computed on numpy
-columns, every ready symbol at once (the peeling decoder of Luby's LT codes
-run in rounds), over the rows that user must learn.  In fluid mode
-coverage then sums, per needed subfile, each group's learned count times
-its size, in Python ints, except where two counts of one part overlap.
+order symbols resolve in.  So the closures are computed on numpy columns,
+every ready symbol at once (the peeling decoder of Luby's LT codes run in
+rounds), for a block of users at a time, over the (row, user) pairs of the
+rows each user must learn, keyed (user, entry): users join a block while
+its pairs and what it holds per user stay bounded, so a small log is one
+block and a large one a block per user.  In fluid mode coverage then
+sums, per user and needed subfile, each group's learned count times its
+size, in Python ints, except where two counts of one part overlap.
 
 In bit mode each entry's payload is first checked once against the XOR of
 its constituents' library bits, at the length of the longest.  If every
@@ -252,68 +255,145 @@ def _intern_log(log: TransmissionLog) -> _LogTables:
     )
 
 
-def _fluid_closure(tables: _LogTables, user: int) -> np.ndarray:
-    """Which fragment ids ``user`` learns by peeling, as a boolean per id
-    (fluid mode, and bit mode once every payload has checked out), from its
-    own rows: the constituents it hears and does not cache.  Every entry
-    left with exactly one of them yields it, all at once; then the rows of
-    learned fragments and of spent entries are dropped, until no entry
-    yields anything.  Learning only ever lowers a count, so this reaches
-    the closure of peeling one symbol at a time, in any order (Luby's LT
-    peeling decoder); a symbol holding one unknown twice never resolves it.
-    """
-    learned = np.zeros(len(tables.frags), dtype=bool)
-    unknown = tables.unknown  # tested a block of rows at a time
-    mine = np.flatnonzero(np.concatenate([
-        has(unknown[lo : lo + RUN], user) for lo in range(0, len(unknown) or 1, RUN)
-    ]))
-    cons, entry = tables.cons[mine], tables.entry[mine]
+def _user_blocks(unknown: np.ndarray, K: int, width: int):
+    """Users 1..K in blocks, in user order, each with the rows its users
+    must learn, as (users, starts, rows): user i of ``users`` must learn
+    rows ``rows[starts[i]:starts[i + 1]]``, ascending, int32.  A user's rows
+    come from one pass over the mask rows of unknowns that tests its bit,
+    a block of rows at a time.  Users join a block while its (row, user)
+    pairs stay within ``RUN`` and its users times ``width`` within ``16 *
+    RUN``, ``width`` being what the check holds per user of a block (a
+    bool per fragment id, a sum per subfile); a user past either makes a
+    block of its own."""
+    most = max(1, 16 * RUN // max(width, 1))
+    users, mine, held = [], [], 0
+    for k in range(1, K + 1):
+        own = np.flatnonzero(np.concatenate([
+            has(unknown[lo : lo + RUN], k) for lo in range(0, len(unknown) or 1, RUN)
+        ])).astype(np.int32)
+        if users and (held + len(own) > RUN or len(users) == most):
+            yield _block(users, mine)
+            users, held = [], 0
+        users.append(k)
+        mine.append(own)
+        held += len(own)
+    yield _block(users, mine)
+
+
+def _block(users: list[int], mine: list[np.ndarray]):
+    """A block of :func:`_user_blocks` from its users' rows, which it
+    empties, so that only the block holds them."""
+    block = users, offsets(map(len, mine)), np.concatenate(mine)
+    mine.clear()
+    return block
+
+
+def _run_starts(column: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a block's ``column`` starts, as a
+    bool per row, a run also ending where a user's rows end (``starts``,
+    as :func:`_user_blocks` gives them)."""
+    new = np.ones(len(column), dtype=bool)
+    np.not_equal(column[1:], column[:-1], out=new[1:])
+    cuts = starts[1:-1]
+    new[cuts[cuts < len(new)]] = True
+    return new
+
+
+def _block_closure(
+    tables: _LogTables, starts: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which fragment ids each user of a block learns by peeling (fluid
+    mode, and bit mode once every payload has checked out), from the
+    block's rows (:func:`_user_blocks`): user i learns ``ids[learned[i]:
+    learned[i + 1]]``, ascending, as (learned, ids).
+
+    The rows are keyed (user, entry) and (user, fragment).  Every (user,
+    entry) left with exactly one row yields that row's fragment to that
+    user, all at once; then the rows of learned (user, fragment) keys,
+    which take those of spent (user, entry) keys with them, are dropped,
+    until none yields anything.  Learning only ever lowers a count, so
+    this reaches each user's closure of peeling one symbol at a time, in
+    any order (Luby's LT peeling decoder); a symbol holding one unknown
+    twice never resolves it.  What is learned is one bool per (user,
+    fragment) key, user i's fragment f at i * (fragment count) + f."""
+    n, size = len(tables.frags), len(starts) - 1
+    lengths = np.diff(starts)
+    key = tables.cons[rows]
+    key += np.repeat(np.arange(size, dtype=key.dtype) * n, lengths)
+    # each row's (user, entry) key as a run id, which stays a run as rows
+    # drop out
+    pair = tables.entry[rows]
+    np.cumsum(_run_starts(pair, starts), dtype=np.int32, out=pair)
+    learned = np.zeros(size * n, dtype=bool)
     while True:
-        # an entry's rows are one run of ``entry``
-        starts = np.flatnonzero(np.diff(entry, prepend=-1))
-        counts = np.diff(starts, append=len(entry))
-        ready = counts == 1
+        # a run of one row starts where the row after it starts another
+        ready = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=ready[1:])
+        ready[:-1] &= ready[1:]
         if not ready.any():
-            return learned
-        learned[cons[starts[ready]]] = True
-        keep = np.repeat(~ready, counts) & ~learned[cons]
-        cons, entry = cons[keep], entry[keep]
+            break
+        learned[key[ready]] = True
+        keep = learned[key]
+        np.logical_not(keep, out=keep)
+        key, pair = key[keep], pair[keep]
+    got = np.flatnonzero(learned)
+    del learned
+    starts = np.searchsorted(got, np.arange(size + 1) * n)
+    got %= max(n, 1)
+    return starts, got.astype(np.int32)
 
 
-def _coverage_gap(
-    tables: _LogTables, user: int, want: int, learned: np.ndarray
-) -> Optional[tuple[int, ...]]:
-    """First needed subfile of ``want`` that the ``learned`` fragments do
-    not fully cover (fluid mode; exact size bookkeeping, parts partition
-    their subfile).  Each group adds its learned count times its size to
-    its subfile, in Python ints; a "full" part covers its subfile whole.
+def _block_coverage_gap(
+    tables: _LogTables,
+    users: Sequence[int],
+    wants: Sequence[int],
+    starts: np.ndarray,
+    ids: np.ndarray,
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first of a block's ``users`` whose learned fragments (as
+    :func:`_block_closure` gives them) do not fully cover a needed subfile
+    of its demanded file ``wants[i]``, with the first such subfile (fluid
+    mode; exact size bookkeeping, parts partition their subfile), or None.
+    Each learned (user, group) adds its count times the group's size to
+    its (user, subfile), in Python ints; a "full" part covers its subfile
+    whole.
 
-    Where a part is learned at two counts, their fragments may overlap, so
-    it adds the union of its learned fragments' spans instead, fragment i
-    of a group spanning [i, i + 1) times the group's size (a rare path)."""
-    counts = np.bincount(tables.group[learned], minlength=len(tables.group_file))
-    sub, part = tables.group_subfile, tables.group_part
-    mine = (counts > 0) & (tables.group_file == want) & (sub >= 0)
+    Where a user learns a part at two counts, their fragments may overlap,
+    so it adds the union of its learned fragments' spans instead, fragment
+    i of a group spanning [i, i + 1) times the group's size (a rare path)."""
+    users = np.asarray(users, np.int64)
+    # a user's ids ascend, so each of its groups is a run of them
+    first = np.flatnonzero(_run_starts(tables.group[ids], starts))
+    counts = np.diff(first, append=len(ids))
+    of = np.searchsorted(starts, first, side="right") - 1
+    group = tables.group[ids[first]]
+    sub, part = tables.group_subfile[group], tables.group_part[group]
+    mine = (tables.group_file[group] == np.asarray(wants)[of]) & (sub >= 0)
     some = np.flatnonzero(mine & (part >= 0))
-    # groups run in (subset, part, count) order, so those of a part are a run
-    key, first = runs(part[some], sub[some])
-    mixed = np.diff(first, append=len(some))[key] > 1
-    covered = np.zeros(len(tables.subfiles), object)
+    # groups run in (subset, part, count) order, so a user's groups of one
+    # part are a run
+    key, keys = runs(part[some], sub[some], of[some])
+    mixed = np.diff(keys, append=len(some))[key] > 1
+    covered = np.zeros((len(users), len(tables.subfiles)), object)
     one = some[~mixed]
-    np.add.at(covered, sub[one], counts[one] * tables.group_size[one])
+    np.add.at(covered, (of[one], sub[one]), counts[one] * tables.group_size[group[one]])
     for k in set(key[mixed].tolist()):
         groups = some[key == k]
-        ids = np.flatnonzero(learned & np.isin(tables.group, groups))
-        index = np.array([tables.frags[i].index for i in ids.tolist()], object)
-        size = tables.group_size[tables.group[ids]]
+        learned = ids[ranges(first[groups], first[groups] + counts[groups])]
+        index = np.array([tables.frags[i].index for i in learned.tolist()], object)
+        size = tables.group_size[tables.group[learned]]
         reach = 0
         for lo, hi in sorted(zip((index * size).tolist(), ((index + 1) * size).tolist())):
-            covered[sub[groups[0]]] += max(hi - max(lo, reach), 0)
+            covered[of[groups[0]], sub[groups[0]]] += max(hi - max(lo, reach), 0)
             reach = max(reach, hi)
-    whole = sub[mine & (part < 0)]
-    covered[whole] = tables.subfile_size[whole]
-    gaps = np.flatnonzero(~has(tables.subfiles, user) & (covered != tables.subfile_size))
-    return user_sets(tables.subfiles[gaps[:1]])[0] if len(gaps) else None
+    whole = np.flatnonzero(mine & (part < 0))
+    covered[of[whole], sub[whole]] = tables.subfile_size[sub[whole]]
+    gaps = ~has(tables.subfiles, users[:, None]) & (covered != tables.subfile_size)
+    failing = np.flatnonzero(gaps.any(axis=1))
+    if not len(failing):
+        return None
+    i = failing[0]
+    return int(users[i]), user_sets(tables.subfiles[np.flatnonzero(gaps[i])[:1]])[0]
 
 
 def _bit_coverage_gap(
@@ -502,19 +582,29 @@ def _first_decode_failure(
     demands = validate_demands(config, demands)
 
     tables = _intern_log(log)
-    closure = log.mode == "bits" and _payloads_agree(log, tables, library)
-    for k in config.users():
-        want = demands[k - 1]
-        if log.mode == "fluid":
-            T = _coverage_gap(tables, k, want, _fluid_closure(tables, k))
-        elif closure:
-            learned = _fluid_closure(tables, k)
-            T = _bit_coverage_gap(log, tables, k, want, learned)
-        else:
+    if log.mode == "bits" and not _payloads_agree(log, tables, library):
+        for k in config.users():
             known = _peel_known_fragments(log, k, library, tables)
-            T = _misassembled_subfile(log, tables, k, want, known, library)
-        if T is not None:
-            return k, want, T
+            T = _misassembled_subfile(log, tables, k, demands[k - 1], known, library)
+            if T is not None:
+                return k, demands[k - 1], T
+        return None
+    width = max(len(tables.frags), len(tables.subfiles))
+    for users, starts, rows in _user_blocks(tables.unknown, config.K, width):
+        learned, ids = _block_closure(tables, starts, rows)
+        del starts, rows  # not held through the coverage check
+        wants = [demands[k - 1] for k in users]
+        if log.mode == "fluid":
+            gap = _block_coverage_gap(tables, users, wants, learned, ids)
+            if gap is not None:
+                return gap[0], demands[gap[0] - 1], gap[1]
+            continue
+        for k, want, lo, hi in zip(users, wants, learned, learned[1:]):
+            known = np.zeros(len(tables.frags), dtype=bool)
+            known[ids[lo:hi]] = True
+            T = _bit_coverage_gap(log, tables, k, want, known)
+            if T is not None:
+                return k, want, T
     return None
 
 

@@ -10,6 +10,11 @@ same set.
 In bit mode the check decides a log whose payloads all agree with the
 library by peeling closure and bit coverage, and any other log by in-order
 sweeps; on every bit-mode log here its verdict must be the sweeps' own.
+
+The closure and the fluid coverage run for a block of users at once;
+``closure_oracle`` keeps them as they ran for one user at a time, and on
+every log here the block check must name the failure the per-user check
+names, and learn each user's closure (row k of its block for user k).
 """
 
 import dataclasses
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import closure_oracle
 import decode_oracle as oracle
 import worklist_oracle
 from coopcache import (
@@ -36,21 +42,22 @@ from coopcache import decode
 from coopcache.centralized import make_split_plan
 from coopcache.decode import (
     _first_decode_failure,
-    _fluid_closure,
     _intern_log,
     _misassembled_subfile,
     _peel_known_fragments,
+    _user_blocks,
 )
-from coopcache.model import offsets, ranges, user_sets
+from coopcache.model import masks, offsets, ranges, user_sets
 from coopcache.simulator import LogEntries, required_central_F
 
 
 def _learned(log, user, library, tables):
     """The fast decoder's learned fragments, keyed by fragment, not by id:
-    payloads in learning order (bit mode), or the closure's set (fluid)."""
+    payloads in learning order (bit mode), or the block closure's set,
+    user ``user``'s row of its block (fluid)."""
     if log.mode == "fluid":
-        closure = _fluid_closure(tables, user)
-        return {tables.frags[f] for f in np.flatnonzero(closure).tolist()}
+        closure = closure_oracle.block_closures(tables, log.config.K)[user]
+        return {tables.frags[f] for f in sorted(closure)}
     known = _peel_known_fragments(log, user, library, tables)
     return {tables.frags[f]: payload for f, payload in known.items()}
 
@@ -78,6 +85,7 @@ def _assert_agree(log, demands, library=None):
             assert all(np.array_equal(fast[f], slow[f]) for f in fast), k
     failure = _first_decode_failure(log, demands, library)
     assert (failure is None) == oracle.decode_check(log, demands, library)
+    assert failure == closure_oracle.first_failure(log, demands, library)
     if log.mode == "fluid":
         assert failure == oracle.first_uncovered(log, demands)
         assert failure == worklist_oracle.decode(log, demands)[1]
@@ -467,3 +475,131 @@ def test_coverage_needs_the_closure_and_the_union_of_spans():
     _assert_agree(log, users, res.library)
     for i in range(len(log.entries)):
         _assert_agree(_flipped(log, i), users, res.library)
+
+
+# the block check against the per-user check: logs corrupted at the column
+# level, a log of several blocks and a log of two mask words
+
+
+def _dropped(log, i):
+    """The log without entry i, cut from its columns."""
+    c = log.columns()
+    keep = np.arange(len(c.slot)) != i
+    symbols, at = [], 0
+    for table, rows in c.symbols:
+        symbols.append((table, rows[keep[at : at + len(rows)]]))
+        at += len(rows)
+    payloads = c.payloads and [p for p, kept in zip(c.payloads, keep) if kept]
+    columns = dataclasses.replace(
+        c, slot=c.slot[keep], round=c.round[keep], sender=c.sender[keep],
+        group=c.group[keep], receivers=c.receivers[keep], size=c.size[keep],
+        symbols=symbols, payloads=payloads,
+    )
+    return TransmissionLog(log.config, log.mode, LogEntries(columns), log.resolver)
+
+
+def _reindexed(log, table, row, index):
+    """The log with constituent ``row`` of its ``table``-th symbol table
+    naming fragment ``index`` of its part."""
+    c = log.columns()
+    symbols = list(c.symbols)
+    t, rows = symbols[table]
+    changed = t.index.copy()
+    changed[row] = index
+    symbols[table] = (dataclasses.replace(t, index=changed), rows)
+    columns = dataclasses.replace(c, symbols=symbols)
+    return TransmissionLog(log.config, log.mode, LogEntries(columns), log.resolver)
+
+
+@given(st.data())
+def test_the_block_check_names_the_per_user_failure(data):
+    K = data.draw(st.integers(2, 6), label="K")
+    t = data.draw(st.integers(0, K), label="t")
+    amax = max(1, K // 2)
+    demands = tuple(data.draw(st.permutations(range(1, K + 1)), label="demands"))
+    mode = data.draw(st.sampled_from(["fluid", "bits"]), label="mode")
+    if data.draw(st.booleans(), label="centralized"):
+        alpha = data.draw(st.integers(1, amax), label="alpha")
+        cfg = SystemConfig(K, K, t, alpha_max=amax)
+        F = required_central_F(cfg, make_split_plan(cfg, alpha)) if mode == "bits" else None
+        res = run_centralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands, alpha=alpha,
+            mode=mode,
+        )
+    else:
+        F = data.draw(st.integers(20, 200), label="F") if mode == "bits" else None
+        res = run_decentralized(
+            SystemConfig(K, K, t, alpha_max=amax, F=F), demands=demands, mode=mode
+        )
+    log = res.log
+    tables = [(i, t) for i, (t, _) in enumerate(log.columns().symbols) if len(t.index)]
+    if len(log.entries) and data.draw(st.booleans(), label="drop"):
+        log = _dropped(log, data.draw(st.integers(0, len(log.entries) - 1), label="entry"))
+    elif tables:
+        i, t = data.draw(st.sampled_from(tables), label="table")
+        row = data.draw(st.integers(0, len(t.index) - 1), label="row")
+        others = [x for x in range(int(t.count[row])) if x != t.index[row]]
+        if others:
+            log = _reindexed(log, i, row, data.draw(st.sampled_from(others), label="index"))
+    failure = _first_decode_failure(log, demands, res.library)
+    assert failure == closure_oracle.first_failure(log, demands, res.library)
+    if log.mode == "fluid":
+        tables = _intern_log(log)
+        closures = closure_oracle.block_closures(tables, K)
+        for k in log.config.users():
+            closure = closure_oracle._fluid_closure(tables, k)
+            assert closures[k] == set(np.flatnonzero(closure).tolist())
+
+
+def _blocks(log):
+    """The users of each block the check peels together."""
+    tables = _intern_log(log)
+    width = max(len(tables.frags), len(tables.subfiles))
+    blocks = _user_blocks(tables.unknown, log.config.K, width)
+    return [users for users, _, _ in blocks]
+
+
+def test_blocks_hold_their_pairs_and_closures_within_bounds():
+    # users 1..4 each must learn rows 0..9; a block takes users while its
+    # pairs stay within 2^16 and its users times the width within 2^20
+    unknown = masks(np.array([[1, 2, 3, 4]] * 10), 1)
+    split = {width: [(users, starts.tolist(), rows.tolist())
+                     for users, starts, rows in _user_blocks(unknown, 4, width)]
+             for width in (10, 2**19, 2**20 + 1)}
+    assert split[10] == [([1, 2, 3, 4], [0, 10, 20, 30, 40], list(range(10)) * 4)]
+    assert [users for users, _, _ in split[2**19]] == [[1, 2], [3, 4]]
+    assert split[2**20 + 1] == [([k], [0, 10], list(range(10))) for k in range(1, 5)]
+
+
+def test_a_log_of_several_blocks_names_the_per_user_failure():
+    # (18, 18, 14, 1): 183,600 rows, 12,240 (row, user) pairs for each
+    # user, so five users to a block of at most 2^16 pairs
+    res = run_centralized(SystemConfig(18, 18, 14, alpha_max=1))
+    log, demands = res.log, tuple(res.log.config.users())
+    assert len(_intern_log(log).cons) == 183600
+    blocks = _blocks(log)
+    assert list(map(len, blocks)) == [5, 5, 5, 3]
+    assert [k for users in blocks for k in users] == list(range(1, 19))
+    assert _first_decode_failure(log, demands) is None
+    c = log.columns()
+    server, (t, rows) = c.symbols
+    for k in (1, 7, 18):
+        # the first user symbol that user k receives, its fragment changed
+        row = np.flatnonzero(t.receiver == k)[0]
+        changed = _reindexed(log, 1, row, (t.index[row] + 1) % t.count[row])
+        failure = _first_decode_failure(changed, demands)
+        assert failure is not None and failure[0] == k
+        assert failure == closure_oracle.first_failure(changed, demands)
+
+
+def test_a_two_word_log_names_the_per_user_failure():
+    # users 63 and 64 sit in the second mask word
+    res = run_centralized(SystemConfig(64, 64, 1, alpha_max=1))
+    log, demands = res.log, tuple(res.log.config.users())
+    assert log.columns().receivers.shape[1] == 2 and len(_blocks(log)) > 1
+    assert _first_decode_failure(log, demands) is None
+    for i in (0, len(log.entries) // 2, len(log.entries) - 1):
+        changed = _dropped(log, i)
+        failure = _first_decode_failure(changed, demands)
+        assert failure is not None
+        assert failure == closure_oracle.first_failure(changed, demands)

@@ -2,9 +2,10 @@
 
 ``hosting_oracle`` keeps the hosting solver the scheduler ran before: every
 rung of the (rho, offset) ladder is decided by a full max-flow over quotas
-counted from the whole slot sequence.  The scheduler now counts quotas in
-closed form, settles forced rungs (groups of t+1 members, m == t) by a quota
-check and runs the flow as a greedy first phase, then numpy levels pruned
+counted from the whole slot sequence.  The scheduler now counts each rho's
+quotas as one matrix in closed form, a row per offset, decides all forced
+rungs of a rho (groups of t+1 members, m == t) by one comparison, and runs
+the flow as a greedy first phase, then numpy levels pruned
 to the shortest paths, with an iterative search over compact level lists
 that resumes after each augmentation, over a network laid out once per
 (K, t, m) as int arrays on which a rung sets capacities, 0 on a dead
@@ -17,6 +18,10 @@ network must be, on its live edges, the one that adding its edges one
 by one builds (``_Edges``), edge for edge; and on every network generated
 here the flow, with or without the greedy phase, must leave the same
 residual network, edge for edge, and a dead edge at 0.
+
+``ladder_oracle`` keeps the walk that decided one rung at a time, with each
+rung's quotas counted on their own; the walk that decides a rho's rungs
+together must choose the same rung with the same quotas and hosting.
 """
 
 import contextlib
@@ -33,18 +38,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hosting_oracle as oracle
+import ladder_oracle as ladder
 from retired_helpers import enumerate_equal_partitions
 from coopcache import SystemConfig, centralized, make_split_plan
 from coopcache.centralized import (
     _Dinic,
-    _forced_hosting,
     _greedy_phase,
     _hosting_classes,
-    _hosting_decider,
     _HostingNetwork,
+    _quota_matrix,
     _rho_ladder,
-    _slot_quotas,
     _solve_hosting,
+    _walk_ladder,
     build_delivery,
 )
 from coopcache.cli import main
@@ -146,7 +151,7 @@ def test_classes_and_candidates_come_in_the_order_the_assembly_reads(K):
                 == [candidates[c] for c in classes]
 
 
-def _walk_ladder(K, t, alpha, last_rung=False):
+def _check_rungs(K, t, alpha, last_rung=False):
     """Check every rung up to and including the first feasible one; return
     (rungs checked, whether the shape is forced).  With ``last_rung``, also
     check that the ladder ends at the uniform rung (beta/gcd(slots1, beta), 0)
@@ -160,18 +165,18 @@ def _walk_ladder(K, t, alpha, last_rung=False):
     ranks, cycle = _ranks(K, fp, alpha)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
     receiver, subset, cand = _hosting_classes(K, t, m)
-    decide = _hosting_decider(K, m, receiver, cand)
+    decide = ladder._hosting_decider(K, m, receiver, cand)
     beta = len(partitions)
-    ladder = _rho_ladder(slots1, beta)
+    rungs_of = _rho_ladder(slots1, beta)
     if last_rung:
-        rho, offset = ladder[-1]
+        rho, offset = rungs_of[-1]
         assert (rho, offset) == (beta // math.gcd(slots1, beta), 0)
-        quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
+        quotas = _quota_matrix(ranks, cycle, slots1 * rho, 1)[0]
         assert decide(quotas, plan.L1 * rho) is not None, (K, t, alpha)
     rungs = 0
-    for rho, offset in ladder:
+    for rho, offset in rungs_of:
         L, slots = plan.L1 * rho, slots1 * rho
-        quotas = _slot_quotas(ranks, cycle, slots, offset)
+        quotas = _quota_matrix(ranks, cycle, slots, offset + 1)[offset]
         assert quotas.tolist() == _quotas(K, fp, partitions, slots, offset).tolist()
         counts = dict(oracle._slot_quotas(partitions, slots, offset)[1])
         got = _assignment(K, t, m, (receiver, subset), decide(quotas, L))
@@ -195,7 +200,7 @@ SMALL_SHAPES = [
 def test_every_rung_agrees_with_the_oracle_for_k_up_to_7():
     forced = free = 0
     for shape in SMALL_SHAPES:
-        rungs, is_forced = _walk_ladder(*shape, last_rung=True)
+        rungs, is_forced = _check_rungs(*shape, last_rung=True)
         if is_forced:
             forced += rungs
         else:
@@ -206,8 +211,9 @@ def test_every_rung_agrees_with_the_oracle_for_k_up_to_7():
 
 @pytest.mark.parametrize("K", range(2, 10))
 def test_sliding_ladder_quotas_agree_with_the_oracle_on_every_rung(K):
-    # every rung's quotas, counted in closed form from the partition table,
-    # against the oracle's count over the whole slot sequence
+    # every rho's quota matrix, counted in closed form from the partition
+    # table and slid one offset a row, against the oracle's count over the
+    # whole slot sequence and the closed form of each rung on its own
     slid = 0
     for t in range(1, K):
         for alpha in range(1, K // 2 + 1):
@@ -216,11 +222,17 @@ def test_sliding_ladder_quotas_agree_with_the_oracle_on_every_rung(K):
             partitions = enumerate_equal_partitions(K, fp, alpha)
             ranks, cycle = _ranks(K, fp, alpha)
             slots1 = K * math.comb(K - 1, t) * plan.L1 // ((fp - 1) * alpha)
-            for rho, offset in _rho_ladder(slots1, len(partitions)):
-                quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
-                expected = _quotas(K, fp, partitions, slots1 * rho, offset)
-                assert quotas.tolist() == expected.tolist(), (K, t, alpha, rho, offset)
-                slid += offset > 0
+            rungs = _rho_ladder(slots1, len(partitions))
+            for rho in sorted({rho for rho, _ in rungs}):
+                shifts = 1 + max(offset for r, offset in rungs if r == rho)
+                matrix = _quota_matrix(ranks, cycle, slots1 * rho, shifts)
+                assert matrix.shape == (shifts, len(cycle))
+                for offset, quotas in enumerate(matrix):
+                    expected = _quotas(K, fp, partitions, slots1 * rho, offset)
+                    assert quotas.tolist() == expected.tolist(), (K, t, alpha, rho, offset)
+                    closed = ladder._slot_quotas(ranks, cycle, slots1 * rho, offset)
+                    assert quotas.tolist() == closed.tolist(), (K, t, alpha, rho, offset)
+                    slid += offset > 0
     assert slid > 0 or K < 4
 
 
@@ -235,14 +247,77 @@ def test_sliding_ladder_quotas_agree_with_the_oracle_on_every_rung(K):
     )
 )
 def test_rungs_agree_with_the_oracle_for_k_8_and_9(shape):
-    _walk_ladder(*shape)
+    _check_rungs(*shape)
 
 
-def test_forced_rung_with_uneven_quotas_is_infeasible():
+def _ladder_inputs(K, t, alpha):
+    """What a walk of the ladder of (K, K, t) at ``alpha`` reads: m, the
+    hosting classes' receivers and candidates, the canonical partitions'
+    ranks, the slot count and the layer count at rho = 1."""
+    plan = make_split_plan(SystemConfig(K, K, t, alpha_max=max(1, K // 2)), alpha=alpha)
+    fp = min(K // alpha, t + 1)
+    m = fp - 1
+    receiver, _, cand = _hosting_classes(K, t, m)
+    ranks, _ = _ranks(K, fp, alpha)
+    slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
+    return m, receiver, cand, ranks, slots1, plan.L1
+
+
+@pytest.mark.parametrize("K", range(2, 10))
+def test_the_per_rho_walk_picks_the_per_rung_walks_rung(K):
+    # every shape's ladder walked a rho at a time, against the walk that
+    # decides each rung alone: the same rung, quotas and hosting
+    for t in range(1, K):
+        for alpha in range(1, max(1, K // 2) + 1):
+            inputs = _ladder_inputs(K, t, alpha)
+            got = _walk_ladder(K, *inputs)
+            want = ladder.walk(K, *inputs)
+            assert got[:2] == want[:2], (K, t, alpha)
+            assert got[2].tolist() == want[2].tolist(), (K, t, alpha)
+            assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3])), (K, t, alpha)
+
+
+def test_forced_quotas_sum_to_the_threshold_on_every_group():
+    # with groups of t+1 members slots1*alpha*m = fp*C(K, fp)*L1, so every
+    # rung's quotas sum to fp*L/m per group, and a rung is feasible exactly
+    # when every group's quota is fp*L/m
+    rungs = feasible = 0
+    for K in range(2, 10):
+        for t in range(1, K):
+            for alpha in range(1, max(1, K // 2) + 1):
+                m, receiver, cand, ranks, slots1, L1 = _ladder_inputs(K, t, alpha)
+                if m != t:
+                    continue
+                fp, groups = m + 1, math.comb(K, m + 1)
+                assert slots1 * alpha * m == fp * groups * L1, (K, t, alpha)
+                cycle = np.bincount(ranks.ravel(), minlength=groups)
+                for rho, offset in _rho_ladder(slots1, len(ranks)):
+                    L = L1 * rho
+                    quotas = _quota_matrix(ranks, cycle, slots1 * rho, offset + 1)[offset]
+                    assert quotas.sum() * m == groups * fp * L, (K, t, alpha, rho, offset)
+                    fits = ladder._forced_hosting(cand, quotas, L, m) is not None
+                    assert fits == (m * quotas == fp * L).all(), (K, t, alpha, rho, offset)
+                    rungs += 1
+                    feasible += fits
+    assert rungs > feasible > 0
+
+
+@pytest.mark.parametrize("K", range(2, 13))
+def test_hosting_classes_match_the_sort_built_ones(K):
+    # the receiver inserted at its place among each candidate's members,
+    # against every (class, candidate) group sorted before it is ranked
+    for t in range(1, K):
+        for m in range(1, t + 1):
+            got, want = _hosting_classes(K, t, m), ladder._sorted_hosting_classes(K, t, m)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (K, t, m)
+
+
+def test_forced_rung_with_uneven_quotas_is_infeasible(monkeypatch):
     K, t, L = 6, 2, 2
     m = t  # groups of t+1 = 3 members, alpha = 2
     receiver, subset, cand = _hosting_classes(K, t, m)
-    decide = _hosting_decider(K, m, receiver, cand)
+    decide = ladder._hosting_decider(K, m, receiver, cand)
     hosts = list(itertools.combinations(range(1, K + 1), t + 1))
     classes = [(j, T) for j in range(1, K + 1)
                for T in itertools.combinations(range(1, K + 1), t) if j not in T]
@@ -255,8 +330,16 @@ def test_forced_rung_with_uneven_quotas_is_infeasible():
     uneven[0] -= 1
     uneven[-1] += 1  # same total, one group short
     assert decide(uneven, L) is None
-    assert _forced_hosting(cand, uneven, L, m) is None
+    assert ladder._forced_hosting(cand, uneven, L, m) is None
     assert oracle._solve_hosting(classes, candidates, dict(zip(hosts, uneven)), L, m) is None
+    # a rho whose first rung is uneven and whose second is even: the walk's
+    # one comparison passes over the first and takes the second
+    monkeypatch.setattr(centralized, "_rho_ladder", lambda slots1, beta: [(1, 0), (1, 1)])
+    monkeypatch.setattr(centralized, "_quota_matrix", lambda *args: np.stack([uneven, even]))
+    ranks = np.zeros((2, 2), np.int64)
+    rho, offset, quotas, hosting = _walk_ladder(K, m, receiver, cand, ranks, 0, L)
+    assert (rho, offset, quotas.tolist()) == (1, 1, even.tolist())
+    assert _assignment(K, t, m, (receiver, subset), hosting) == forced
 
 
 def _copy_network(net, cls):
@@ -433,7 +516,7 @@ def test_solve_hosting_matches_the_oracle_on_the_central_fluid_flow(monkeypatch)
     classes, candidates = _classes_and_candidates(K, t, m)
     ranks, cycle = _ranks(K, fp, alpha)
     slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
-    quotas = _slot_quotas(ranks, cycle, slots1, 0)
+    quotas = _quota_matrix(ranks, cycle, slots1, 1)[0]
     counts = {G: q for G, q in zip(enumerate_subsets(K, fp), quotas.tolist()) if q}
     phases = _count_phases(monkeypatch)
     greedy = _count_greedy_phases(monkeypatch)
@@ -525,7 +608,7 @@ def test_every_rung_network_is_the_edge_by_edge_network(K):
             ranks, cycle = _ranks(K, fp, alpha)
             slots1 = K * math.comb(K - 1, t) * plan.L1 // (m * alpha)
             for rho, offset in _rho_ladder(slots1, len(ranks)):
-                quotas = _slot_quotas(ranks, cycle, slots1 * rho, offset)
+                quotas = _quota_matrix(ranks, cycle, slots1 * rho, offset + 1)[offset]
                 _same_network(K, t, m, built, quotas, plan.L1 * rho, classes, candidates)
                 rungs += 1
                 dead += (quotas == 0).any()
@@ -540,7 +623,7 @@ def test_the_central_fluid_rung_network_flows_as_the_edge_by_edge_one():
     fp = min(K // alpha, t + 1)
     m = fp - 1
     ranks, cycle = _ranks(K, fp, alpha)
-    quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
+    quotas = _quota_matrix(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 1)[0]
     classes, candidates = _classes_and_candidates(K, t, m)
     net, edges, live = _same_network(K, t, m, _network(K, t, m), quotas, L, classes, candidates)
     ref = edges.dinic()
@@ -557,7 +640,7 @@ def test_the_central_fluid_rung_flow_leaves_the_recursive_residual(monkeypatch):
     fp = min(K // alpha, t + 1)
     m = fp - 1
     ranks, cycle = _ranks(K, fp, alpha)
-    quotas = _slot_quotas(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 0)
+    quotas = _quota_matrix(ranks, cycle, K * math.comb(K - 1, t) * L // (m * alpha), 1)[0]
     classes, candidates = _classes_and_candidates(K, t, m)
     network, arrays = built = _network(K, t, m)
     _, edges, live = _same_network(K, t, m, built, quotas, L, classes, candidates)
@@ -622,7 +705,7 @@ def test_certified_rungs_are_infeasible_under_the_oracle(K, monkeypatch):
             if min(K // alpha, t + 1) - 1 == t:
                 continue  # a forced shape: its rungs run no flow
             nets.clear()
-            walked, _ = _walk_ladder(K, t, alpha)
+            walked, _ = _check_rungs(K, t, alpha)
             rungs += walked
             certified += walked - len(nets)
     assert (rungs, certified) == {8: (157, 113), 9: (678, 582)}[K]

@@ -42,3 +42,15 @@ def test_an_item_against_its_own_checkout_gives_one_digest(monkeypatch, capsys):
     assert [(row[0], row[1], row[-1]) for row in rows] == [
         ("base", "0", recorded[:16]), ("head", "0", recorded[:16])
     ]
+
+
+def test_the_central_ops_case_runs_each_benchmark_op_alone(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    items = measure.central_ops(ROOT, 7)
+    ops = sys.modules["workloads"].build_ops("central_fluid", 7)
+    assert [item.label for item in items] == [op.key for op in ops]
+    for item, op in zip(items, ops):
+        [step] = item.steps
+        assert (step["scheme"], step["mode"], tuple(step["demands"]), step["seed"]) == (
+            op.scheme, op.mode, op.demands, op.seed)

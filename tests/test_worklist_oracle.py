@@ -5,7 +5,8 @@ each user from a worklist in sweep order.  It is linear in the log per user,
 so unlike the rescanning ``decode_oracle`` it can check full-size logs: every
 fluid shape of the benchmark, users beyond bit 62 and size numerators beyond
 2^63, intact and with single deletions.  Both must learn the same fragment
-set per user and name the same first failing (user, file, subfile).
+set per user, the block closure's row k for user k, and name the same
+first failing (user, file, subfile).
 Hand-made logs cover shapes no scheduler emits; those small logs are also
 checked against the rescanning oracle.
 """
@@ -13,9 +14,9 @@ checked against the rescanning oracle.
 import random
 from fractions import Fraction as Frac
 
-import numpy as np
 import pytest
 
+import closure_oracle
 import decode_oracle
 import worklist_oracle
 from coopcache import (
@@ -28,7 +29,7 @@ from coopcache import (
     run_centralized,
     run_decentralized,
 )
-from coopcache.decode import _first_decode_failure, _fluid_closure, _intern_log
+from coopcache.decode import _first_decode_failure, _intern_log
 
 
 def _assert_agree(log, demands, rescan=False):
@@ -36,11 +37,12 @@ def _assert_agree(log, demands, rescan=False):
     the rescanning one if ``rescan``); return the failure triple."""
     tables = _intern_log(log)
     slow, slow_failure = worklist_oracle.decode(log, demands)
+    closures = closure_oracle.block_closures(tables, log.config.K)
     for k in log.config.users():
-        closure = np.flatnonzero(_fluid_closure(tables, k)).tolist()
-        assert {tables.frags[f] for f in closure} == slow[k], k
+        assert {tables.frags[f] for f in closures[k]} == slow[k], k
     failure = _first_decode_failure(log, demands)
     assert failure == slow_failure
+    assert failure == closure_oracle.first_failure(log, demands)
     if rescan:
         assert failure == decode_oracle.first_uncovered(log, demands)
     return failure
